@@ -163,6 +163,16 @@ class EdgeblockArray:
         size = self.config.subblock
         return self._pool(region).view(block, sb * size, (sb + 1) * size)
 
+    def _probe(self, region: int, block: int, sb: int, dst: int,
+               gen: int) -> tuple[np.ndarray, int]:
+        """Charged FIND of ``dst`` in one Subblock: ``(cells, slot or -1)``."""
+        cfg = self.config
+        cells = self._subblock_cells(region, block, sb)
+        ib = initial_bucket(dst, gen, cfg.subblock, cfg.seed)
+        slot, scanned = rhh.rhh_find(cells["dst"].tolist(), dst, ib, self._rhh_on)
+        rhh._charge_scan(self.stats, ib, (scanned,), cfg.workblock, cfg.subblock)
+        return cells, slot
+
     def _descend(self, region: int, block: int, sb: int, allocate: bool) -> tuple[int, int] | None:
         """Follow (or create) the child pointer of a Subblock."""
         children = self._children(region)
@@ -224,25 +234,32 @@ class EdgeblockArray:
             sb = subblock_index(f_dst, gen, nsb, cfg.seed)
             cells = self._subblock_cells(region, block, sb)
             ib = initial_bucket(f_dst, gen, cfg.subblock, cfg.seed)
-            res = rhh.rhh_insert(
-                cells, f_dst, f_weight, ib, cfg.workblock, self.stats,
-                self._rhh_on, f_cal_block, f_cal_slot,
+            # The batch kernel's per-op step with a cache lifetime of one
+            # op: fields out to lists, one core call, charges applied,
+            # fields stored back when the core wrote.
+            fields = [cells[name].tolist() for name in rhh.CELL_FIELDS]
+            status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot = (
+                rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on,
+                               f_cal_block, f_cal_slot)
             )
-            assert res.status != rhh.UPDATED, "FIND stage already ruled out duplicates"
-            if res.status == rhh.INSERTED:
-                if arg_location is None:
-                    arg_location = EdgeLocation(region, block, sb * cfg.subblock + res.slot)
+            assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
+            rhh._charge_scan(self.stats, ib, lengths, cfg.workblock, cfg.subblock)
+            self.stats.rhh_swaps += swaps
+            if wrote:
+                for name, values in zip(rhh.CELL_FIELDS, fields):
+                    cells[name][:] = values
+                self.stats.workblock_writebacks += 1
+            # On CONGESTED the argument edge may still have been placed
+            # (via a swap); `slot` reports it either way.
+            if arg_location is None and slot >= 0:
+                arg_location = EdgeLocation(region, block, sb * cfg.subblock + slot)
+            if status == rhh.INSERTED:
                 self._degrees[src] += 1
                 self.stats.edges_inserted += 1
                 return True, arg_location
-            # CONGESTED: the argument edge may have been placed via a swap.
-            if arg_location is None and res.slot >= 0:
-                arg_location = EdgeLocation(region, block, sb * cfg.subblock + res.slot)
             region, block = self._descend(region, block, sb, allocate=True)
-            f_dst = res.overflow_dst
-            f_weight = res.overflow_weight
-            f_cal_block = res.overflow_cal_block
-            f_cal_slot = res.overflow_cal_slot
+            f_dst, f_weight = o_dst, o_weight
+            f_cal_block, f_cal_slot = o_cal_block, o_cal_slot
         raise CapacityError(
             f"edge ({src}, {dst}) exceeded max_generations={cfg.max_generations}"
         )
@@ -257,9 +274,7 @@ class EdgeblockArray:
         dst = int(dst)
         for gen in range(cfg.max_generations):
             sb = subblock_index(dst, gen, nsb, cfg.seed)
-            cells = self._subblock_cells(region, block, sb)
-            ib = initial_bucket(dst, gen, cfg.subblock, cfg.seed)
-            slot = rhh.rhh_find(cells, dst, ib, cfg.workblock, self.stats, self._rhh_on)
+            _, slot = self._probe(region, block, sb, dst, gen)
             if slot >= 0:
                 self.stats.edges_found += 1
                 return EdgeLocation(region, block, sb * cfg.subblock + slot)
@@ -300,9 +315,7 @@ class EdgeblockArray:
         dst = int(dst)
         for gen in range(cfg.max_generations):
             sb = subblock_index(dst, gen, nsb, cfg.seed)
-            cells = self._subblock_cells(region, block, sb)
-            ib = initial_bucket(dst, gen, cfg.subblock, cfg.seed)
-            slot = rhh.rhh_find(cells, dst, ib, cfg.workblock, self.stats, self._rhh_on)
+            cells, slot = self._probe(region, block, sb, dst, gen)
             if slot >= 0:
                 cal_ptr = (int(cells["cal_block"][slot]), int(cells["cal_slot"][slot]))
                 cells["dst"][slot] = TOMBSTONE

@@ -1,13 +1,23 @@
 """Vectorized batch-ingest kernels (the ``kernel="vector"`` fast path).
 
+One probe core, two drivers
+---------------------------
+:mod:`repro.core.robin_hood` holds the only Robin-Hood probe loop.  It is
+driven per operation by :class:`~repro.core.edgeblock_array.EdgeblockArray`
+(the *spec*: the paper's algorithm, the single-edge API, ``kernel="scalar"``)
+and per chunk by this module (the *batch* driver).  Both hand the core the
+same plain-sequence view of a Subblock and apply the charges it reports;
+they differ only in how long the sequences live (one op vs one chunk) and
+in what they hoist out of the per-op loop.
+
 Equivalence contract
 --------------------
 For ANY input stream, the kernels here leave the store *event-identical*
-to the scalar per-edge path of :class:`~repro.core.graphtinker.GraphTinker`:
+to the per-op driver of :class:`~repro.core.graphtinker.GraphTinker`:
 the same live edges in the same physical Robin-Hood slots, the same CAL
 block layout, the same degrees, and **bit-identical**
 :class:`~repro.core.stats.AccessStats` — so the DRAM-access cost model
-(:mod:`repro.bench.costmodel`) cannot tell the kernels apart.  Everything
+(:mod:`repro.bench.costmodel`) cannot tell the drivers apart.  Everything
 the cost model or any query can observe is part of the contract; the only
 licensed difference is which *overflow-pool row index* a child edgeblock
 happens to get (an internal name the structure never exposes — counts,
@@ -16,11 +26,11 @@ shapes, contents and all future charges are invariant under it).
 
 Where the speed comes from
 --------------------------
-The scalar path pays per-edge Python overhead five ways: a facade call
-chain, SGH dict traffic, two splitmix64 evaluations, structured-scalar
-NumPy cell reads inside :func:`~repro.core.robin_hood.rhh_insert` (one
-``tolist`` per *probe sequence*), and per-op ``AccessStats`` attribute
-updates.  The vector kernel amortises all five:
+The per-op driver pays per-edge Python overhead five ways: a facade call
+chain, SGH dict traffic, two splitmix64 evaluations, a NumPy-to-list
+round trip of the Subblock around every
+:func:`~repro.core.robin_hood.rhh_insert` call, and per-op
+``AccessStats`` attribute updates.  The vector kernel amortises all five:
 
 1. **Bulk renaming** — ``np.unique`` collapses the batch to its distinct
    sources; :meth:`~repro.core.sgh.ScatterGatherHash.hash_id` runs once
@@ -43,8 +53,8 @@ updates.  The vector kernel amortises all five:
 4. **List-cached probing** — each touched Subblock is pulled into plain
    Python lists once (five bulk ``tolist`` calls) and all Robin-Hood
    probes run against the cache via
-   :func:`~repro.core.robin_hood.rhh_find_lists` /
-   :func:`~repro.core.robin_hood.rhh_insert_lists`; charges accumulate in
+   :func:`~repro.core.robin_hood.rhh_find` /
+   :func:`~repro.core.robin_hood.rhh_insert`; charges accumulate in
    local ints and flush into ``AccessStats`` once per chunk.  Dirty
    Subblocks write back with one slice assignment per field.
 5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
@@ -521,8 +531,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
 
     load = cache.load
     dirty = cache.dirty
-    find_lists = rhh.rhh_find_lists
-    insert_lists = rhh.rhh_insert_lists
+    rhh_find = rhh.rhh_find
+    rhh_insert = rhh.rhh_insert
     circ = rhh._circular_workblocks
     descend = eba._descend
     INSERTED = rhh.INSERTED
@@ -551,7 +561,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     sb = l_sb[i]
                     ib = l_ib[i]
                 key, entry = load(region, block, sb)
-                slot, scanned = find_lists(entry[3], dst, ib, rhh_on)
+                slot, scanned = rhh_find(entry[3], dst, ib, rhh_on)
                 # Inlined no-wrap case of rhh._circular_workblocks.
                 end = ib + scanned
                 if 0 < scanned and end <= size:
@@ -611,7 +621,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     sb = l_sb[i]
                     ib = l_ib[i]
                 key, entry = load(region, block, sb)
-                status, slot, lengths, wrote, nswaps, o_dst, o_w, o_cb, o_cs = insert_lists(
+                status, slot, lengths, wrote, nswaps, o_dst, o_w, o_cb, o_cs = rhh_insert(
                     entry[3], entry[4], entry[5], entry[6], entry[7],
                     f_dst, f_w, ib, rhh_on, f_cb, f_cs,
                 )
@@ -757,7 +767,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     cache.prefetch_main(ukey // nsb, ukey % nsb)
     load = cache.load
     dirty = cache.dirty
-    find_lists = rhh.rhh_find_lists
+    rhh_find = rhh.rhh_find
     circ = rhh._circular_workblocks
     descend = eba._descend
 
@@ -778,7 +788,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                     sb = l_sb[i]
                     ib = l_ib[i]
                 key, entry = load(region, block, sb)
-                slot, scanned = find_lists(entry[3], dst, ib, rhh_on)
+                slot, scanned = rhh_find(entry[3], dst, ib, rhh_on)
                 end = ib + scanned
                 if 0 < scanned and end <= size:
                     wf += (end - 1) // workblock - ib // workblock + 1

@@ -12,6 +12,19 @@ The load unit retrieves a Subblock one Workblock at a time (paper
 Sec. III.B), so this module reports how many distinct Workblocks each
 operation touched; those counts feed the DRAM-access cost model.
 
+One probe core, two drivers
+---------------------------
+:func:`rhh_find` and :func:`rhh_insert` are the only probe loops in the
+package.  They work on plain Python sequences holding one Subblock's
+fields and never touch :class:`~repro.core.stats.AccessStats`: they
+*return* the scan lengths, swap count and writeback flag, and the driver
+charges them.  The per-op driver
+(:class:`~repro.core.edgeblock_array.EdgeblockArray` — the specification
+and the single-edge API) copies a Subblock out, calls the core once and
+stores it back; the per-chunk batch driver (:mod:`repro.core.kernels`)
+keeps the copies alive across a whole chunk and sums the charges in
+local ints.  Same core, so the two cannot drift.
+
 Cell states are encoded in the ``dst`` field: ``EMPTY`` (never used),
 ``TOMBSTONE`` (deleted; preserves probe chains in delete-only mode), or a
 non-negative destination vertex id.
@@ -30,35 +43,21 @@ Correctness notes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.core.pool import EMPTY, TOMBSTONE
 from repro.core.stats import AccessStats
 
 #: Insert outcomes.
 INSERTED = 0  #: edge placed in this Subblock
 UPDATED = 1  #: edge already present; weight overwritten
-CONGESTED = 2  #: Subblock full; caller must branch out with `overflow` edge
+CONGESTED = 2  #: Subblock full; caller must branch out with the overflow edge
 
+#: Cell-state sentinels as Python ints (the probe loops compare against
+#: ``tolist`` output; a NumPy scalar on one side would box every test).
+_EMPTY = int(EMPTY)
+_TOMBSTONE = int(TOMBSTONE)
 
-@dataclass
-class InsertResult:
-    """Outcome of :func:`rhh_insert` on one Subblock.
-
-    ``overflow_dst``/``overflow_weight`` carry the floating edge that must
-    descend into a child edgeblock when ``status == CONGESTED``.  Because
-    Robin Hood displacement may evict a *different* edge than the one being
-    inserted, the overflow edge's CAL-pointer travels with it.
-    """
-
-    status: int
-    slot: int = -1
-    overflow_dst: int = -1
-    overflow_weight: float = 0.0
-    overflow_cal_block: int = -1
-    overflow_cal_slot: int = -1
+#: Edge-cell fields in the order :func:`rhh_insert` takes their sequences.
+CELL_FIELDS = ("dst", "weight", "probe", "cal_block", "cal_slot")
 
 
 def _circular_workblocks(start: int, length: int, workblock: int, size: int) -> int:
@@ -99,63 +98,73 @@ def _charge_scan(stats: AccessStats, start: int, lengths: tuple[int, ...],
 
 
 def rhh_find(
-    cells: np.ndarray,
+    dsts: list,
     dst: int,
     init_bucket: int,
-    workblock: int,
-    stats: AccessStats,
     rhh_mode: bool,
-) -> int:
-    """Search one Subblock for ``dst``; return its slot or ``-1``.
+) -> tuple[int, int]:
+    """Search one Subblock for ``dst``; return ``(slot, scan_len)``.
 
-    ``cells`` is a structured view of the Subblock (EDGE_CELL dtype).
+    ``dsts`` is the Subblock's ``dst`` field as a plain sequence of
+    Python ints (one bulk ``tolist`` beats per-cell structured-scalar
+    reads in this hot loop; see the profiling notes in DESIGN.md §2).
     The scan starts at ``init_bucket`` and wraps within the Subblock.
+    ``slot`` is ``-1`` when absent and ``scan_len`` is the number of
+    cells inspected, which the driver feeds to :func:`_charge_scan`.
     """
-    size = cells.shape[0]
-    # One bulk copy to Python ints beats per-cell structured-scalar reads
-    # in this hot loop (see the profiling notes in DESIGN.md §2).
-    dsts = cells["dst"].tolist()
-    empty = int(EMPTY)
+    size = len(dsts)
+    empty = _EMPTY
     for distance in range(size):
         slot = init_bucket + distance
         if slot >= size:
             slot -= size
         cell_dst = dsts[slot]
         if cell_dst == dst:
-            _charge_scan(stats, init_bucket, (distance + 1,), workblock, size)
-            return slot
+            return slot, distance + 1
         if rhh_mode and cell_dst == empty:
-            _charge_scan(stats, init_bucket, (distance + 1,), workblock, size)
-            return -1
-    _charge_scan(stats, init_bucket, (size,), workblock, size)
-    return -1
+            return -1, distance + 1
+    return -1, size
 
 
 def rhh_insert(
-    cells: np.ndarray,
+    dsts: list,
+    weights: list,
+    probes: list,
+    cal_blocks: list,
+    cal_slots: list,
     dst: int,
     weight: float,
     init_bucket: int,
-    workblock: int,
-    stats: AccessStats,
     enable_rhh: bool,
     cal_block: int = -1,
     cal_slot: int = -1,
-) -> InsertResult:
+) -> tuple:
     """Insert ``(dst, weight)`` into one Subblock.
 
-    Runs the FIND stage first (update-in-place if the edge exists), then
-    the INSERT stage.  With ``enable_rhh`` the Robin Hood displacement
-    algorithm balances probe distances; without it (delete-and-compact
-    configuration) a plain linear probe to the first vacant cell is used.
+    The Subblock is five parallel sequences of Python ints/floats (in
+    :data:`CELL_FIELDS` order), mutated in place.  Runs the FIND stage
+    first (update-in-place if the edge exists), then the INSERT stage.
+    With ``enable_rhh`` the Robin Hood displacement algorithm balances
+    probe distances; without it (delete-and-compact configuration) a
+    plain linear probe to the first vacant cell is used.
 
-    Returns an :class:`InsertResult`; on ``CONGESTED`` the floating edge
-    (possibly a displaced resident, not the argument edge) is reported so
-    Tree-Based Hashing can continue in a child edgeblock.
+    Returns the outcome and every charge it implies, for the driver to
+    apply:
+
+    ``(status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot)``
+
+    ``slot`` is where the *argument* edge now lives (``-1`` if it was not
+    placed), ``lengths`` feeds :func:`_charge_scan` (fetches = union over
+    passes, cells = sum over passes), ``wrote`` is whether one Workblock
+    writeback is due (and the sequences changed), and ``swaps`` counts
+    Robin-Hood displacements.  On ``CONGESTED`` the ``o_*`` fields carry
+    the floating edge that must descend into a child edgeblock so
+    Tree-Based Hashing can continue; because displacement may evict a
+    *different* edge than the one being inserted, the overflow edge's
+    CAL-pointer travels with it.
     """
-    size = cells.shape[0]
-    dsts = cells["dst"].tolist()
-    empty, tombstone = int(EMPTY), int(TOMBSTONE)
+    size = len(dsts)
+    empty, tombstone = _EMPTY, _TOMBSTONE
 
     # --- FIND stage: replace the weight if the edge already exists. -----
     found_slot = -1
@@ -180,172 +189,6 @@ def rhh_insert(
             first_vacant = slot
 
     if found_slot >= 0:
-        cells["weight"][found_slot] = weight
-        _charge_scan(stats, init_bucket, (find_len,), workblock, size)
-        stats.workblock_writebacks += 1
-        return InsertResult(UPDATED, slot=found_slot)
-
-    # --- INSERT stage. ---------------------------------------------------
-    if not enable_rhh:
-        _charge_scan(stats, init_bucket, (find_len,), workblock, size)
-        if first_vacant < 0:
-            return InsertResult(
-                CONGESTED,
-                overflow_dst=dst,
-                overflow_weight=weight,
-                overflow_cal_block=cal_block,
-                overflow_cal_slot=cal_slot,
-            )
-        _place(cells, first_vacant, dst, weight, _distance(init_bucket, first_vacant, size), cal_block, cal_slot)
-        stats.workblock_writebacks += 1
-        return InsertResult(INSERTED, slot=first_vacant)
-
-    # Robin Hood displacement: walk the probe path with a floating edge,
-    # swapping whenever the floating edge is strictly poorer than the
-    # resident.  The walk is bounded by one full wrap of the Subblock.
-    float_dst = dst
-    float_weight = weight
-    float_probe = 0
-    float_cal_block = cal_block
-    float_cal_slot = cal_slot
-    float_bucket = init_bucket
-    placed_slot = -1
-    probes = cells["probe"].tolist()
-
-    steps = 0
-    slot = float_bucket
-    while steps < size:
-        if slot >= size:
-            slot -= size
-        cell_dst = dsts[slot]
-        # NB: `dsts`/`probes` are point-in-time copies; the walk visits
-        # each slot at most once (one wrap), so mutations via _place are
-        # never re-read through the stale copies.
-        if cell_dst == empty or cell_dst == tombstone:
-            _place(cells, slot, float_dst, float_weight, float_probe, float_cal_block, float_cal_slot)
-            if placed_slot < 0:
-                placed_slot = slot
-            _charge_scan(stats, init_bucket, (find_len, steps + 1), workblock, size)
-            stats.workblock_writebacks += 1
-            return InsertResult(INSERTED, slot=placed_slot if placed_slot >= 0 else slot)
-        resident_probe = int(probes[slot])
-        if float_probe > resident_probe:
-            # Swap: the floating edge takes the bucket, the resident floats.
-            stats.rhh_swaps += 1
-            r_dst = int(dsts[slot])
-            r_weight = float(cells["weight"][slot])
-            r_cal_block = int(cells["cal_block"][slot])
-            r_cal_slot = int(cells["cal_slot"][slot])
-            _place(cells, slot, float_dst, float_weight, float_probe, float_cal_block, float_cal_slot)
-            if placed_slot < 0:
-                placed_slot = slot
-            float_dst = r_dst
-            float_weight = r_weight
-            float_probe = resident_probe
-            float_cal_block = r_cal_block
-            float_cal_slot = r_cal_slot
-        float_probe += 1
-        slot += 1
-        steps += 1
-
-    # Full wrap without a vacancy: the Subblock is congested.  The edge
-    # still floating overflows to a child edgeblock.  If a displacement
-    # happened along the way the argument edge was placed and a resident
-    # overflows instead.
-    _charge_scan(stats, init_bucket, (find_len, size), workblock, size)
-    if placed_slot >= 0:
-        stats.workblock_writebacks += 1
-    return InsertResult(
-        CONGESTED,
-        slot=placed_slot,
-        overflow_dst=float_dst,
-        overflow_weight=float_weight,
-        overflow_cal_block=float_cal_block,
-        overflow_cal_slot=float_cal_slot,
-    )
-
-
-def rhh_find_lists(
-    dsts: list,
-    dst: int,
-    init_bucket: int,
-    rhh_mode: bool,
-) -> tuple[int, int]:
-    """List-backed mirror of :func:`rhh_find` for the vector batch kernel.
-
-    ``dsts`` is a plain-Python-int list of one Subblock's ``dst`` fields
-    (a live cache the kernel writes back when the batch completes).
-    Returns ``(slot, scan_len)`` where ``slot`` is ``-1`` when absent and
-    ``scan_len`` is the number of cells inspected; the caller applies the
-    exact :func:`_charge_scan` arithmetic to its local accumulators so the
-    charges stay bit-identical to the scalar path.
-    """
-    size = len(dsts)
-    for distance in range(size):
-        slot = init_bucket + distance
-        if slot >= size:
-            slot -= size
-        cell_dst = dsts[slot]
-        if cell_dst == dst:
-            return slot, distance + 1
-        if rhh_mode and cell_dst == -1:
-            return -1, distance + 1
-    return -1, size
-
-
-def rhh_insert_lists(
-    dsts: list,
-    weights: list,
-    probes: list,
-    cal_blocks: list,
-    cal_slots: list,
-    dst: int,
-    weight: float,
-    init_bucket: int,
-    enable_rhh: bool,
-    cal_block: int,
-    cal_slot: int,
-) -> tuple:
-    """List-backed mirror of :func:`rhh_insert` for the vector batch kernel.
-
-    Operates on five parallel Python-int/float lists caching one Subblock
-    and returns every charge the scalar path would have made instead of
-    mutating an :class:`AccessStats`:
-
-    ``(status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot)``
-
-    where ``lengths`` feeds ``_charge_scan`` (fetches = union over passes,
-    cells = sum over passes), ``wrote`` is whether one workblock writeback
-    was charged, and ``swaps`` counts Robin-Hood displacements.  The lists
-    are live (unlike the scalar path's point-in-time ``tolist`` copies),
-    but the walk still visits each slot at most once per call, so no
-    mutation is ever re-read — behaviour is bit-identical.
-    """
-    size = len(dsts)
-    empty, tombstone = int(EMPTY), int(TOMBSTONE)
-
-    # --- FIND stage (mirrors rhh_insert exactly). -----------------------
-    found_slot = -1
-    first_vacant = -1
-    find_len = 0
-    for distance in range(size):
-        slot = init_bucket + distance
-        if slot >= size:
-            slot -= size
-        find_len = distance + 1
-        cell_dst = dsts[slot]
-        if cell_dst == dst:
-            found_slot = slot
-            break
-        if cell_dst == empty:
-            if first_vacant < 0:
-                first_vacant = slot
-            if enable_rhh:
-                break
-        elif cell_dst == tombstone and first_vacant < 0:
-            first_vacant = slot
-
-    if found_slot >= 0:
         weights[found_slot] = weight
         return (UPDATED, found_slot, (find_len,), True, 0, -1, 0.0, -1, -1)
 
@@ -360,6 +203,10 @@ def rhh_insert_lists(
         cal_slots[first_vacant] = cal_slot
         return (INSERTED, first_vacant, (find_len,), True, 0, -1, 0.0, -1, -1)
 
+    # Robin Hood displacement: walk the probe path with a floating edge,
+    # swapping whenever the floating edge is strictly poorer than the
+    # resident.  The walk is bounded by one full wrap of the Subblock, so
+    # it visits each slot at most once and never re-reads a cell it wrote.
     float_dst = dst
     float_weight = weight
     float_probe = 0
@@ -385,6 +232,7 @@ def rhh_insert_lists(
             return (INSERTED, placed_slot, (find_len, steps + 1), True, swaps, -1, 0.0, -1, -1)
         resident_probe = probes[slot]
         if float_probe > resident_probe:
+            # Swap: the floating edge takes the bucket, the resident floats.
             swaps += 1
             r_dst = dsts[slot]
             r_weight = weights[slot]
@@ -406,6 +254,10 @@ def rhh_insert_lists(
         slot += 1
         steps += 1
 
+    # Full wrap without a vacancy: the Subblock is congested.  The edge
+    # still floating overflows to a child edgeblock.  If a displacement
+    # happened along the way the argument edge was placed and a resident
+    # overflows instead.
     return (
         CONGESTED,
         placed_slot,
@@ -419,48 +271,7 @@ def rhh_insert_lists(
     )
 
 
-def rhh_delete(
-    cells: np.ndarray,
-    dst: int,
-    init_bucket: int,
-    workblock: int,
-    stats: AccessStats,
-    rhh_mode: bool,
-) -> int:
-    """Tombstone ``dst`` in one Subblock; return its slot or ``-1``.
-
-    Deletion never erases cell contents eagerly: a tombstone flag keeps
-    the probe chain intact (paper Sec. III.C, delete-only mechanism).
-    The caller decides whether to compact afterwards.
-    """
-    slot = rhh_find(cells, dst, init_bucket, workblock, stats, rhh_mode)
-    if slot < 0:
-        return -1
-    cells["dst"][slot] = TOMBSTONE
-    cells["cal_block"][slot] = -1
-    cells["cal_slot"][slot] = -1
-    stats.workblock_writebacks += 1
-    stats.tombstones_set += 1
-    return slot
-
-
 def _distance(init_bucket: int, slot: int, size: int) -> int:
     """Wrapped probe distance from ``init_bucket`` to ``slot``."""
     d = slot - init_bucket
     return d if d >= 0 else d + size
-
-
-def _place(
-    cells: np.ndarray,
-    slot: int,
-    dst: int,
-    weight: float,
-    probe: int,
-    cal_block: int,
-    cal_slot: int,
-) -> None:
-    cells["dst"][slot] = dst
-    cells["weight"][slot] = weight
-    cells["probe"][slot] = probe
-    cells["cal_block"][slot] = cal_block
-    cells["cal_slot"][slot] = cal_slot
