@@ -7,34 +7,36 @@ relevant Workblocks for the incoming edge), the *find-edge* and
 *inference* and *interval* units (control flow across Workblock
 retrievals of the vertex under inspection), and the *writeback* unit.
 
-In this implementation the per-Workblock mechanics live in
-:mod:`repro.core.robin_hood` and the descent control flow in
-:mod:`repro.core.edgeblock_array`; this module exposes the same
-decomposition as an explicit, stepwise pipeline over one update.  It is
-functionally equivalent to :meth:`GraphTinker.insert_edge` but surfaces
-each unit transition, which the test suite uses to pin the control-flow
-contract and which serves as executable documentation of Fig. 2.
+The mechanics live in one place each — the probe core in
+:mod:`repro.core.robin_hood`, the descent in
+:mod:`repro.core.edgeblock_array`, the degree/CAL/snapshot bookkeeping in
+:class:`~repro.core.graphtinker.GraphTinker` — and this module carries
+none of them.  A traced update *is* the facade call; the
+:class:`UnitTrace` is read off what that call reports: its return value,
+its :class:`~repro.core.stats.AccessStats` delta (Workblock fetches are
+the load unit's work, INSERT-stage branch descents are inference
+decisions, writebacks are the writeback unit's) and the edge's
+:class:`~repro.core.edgeblock_array.EdgeLocation` and CAL-pointer before
+and after.  The test suite uses the traces to pin the control-flow
+contract; they also serve as executable documentation of Fig. 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core import robin_hood as rhh
+from repro.core.edgeblock_array import MAIN, EdgeLocation
 from repro.core.graphtinker import GraphTinker
-from repro.core.hashing import initial_bucket, subblock_index
-from repro.core.edgeblock_array import MAIN, OVERFLOW
+from repro.core.stats import AccessStats
 
 
 @dataclass
 class UnitTrace:
     """Record of one update's flow through the Fig. 2 units.
 
-    Each entry of ``steps`` is ``(unit, detail)`` in execution order,
-    e.g. ``("sgh", "34 -> 0")``, ``("load", "gen0 block M0 sb3")``,
-    ``("insert-edge", "slot 5")``, ``("writeback", "1 workblock")``.
+    Each entry of ``steps`` is ``(unit, detail)`` in Fig. 2 order,
+    e.g. ``("sgh", "34 -> 0")``, ``("load", "2 workblocks")``,
+    ``("insert-edge", "block M0 slot 5")``, ``("writeback", "1 workblock")``.
     """
 
     steps: list[tuple[str, str]] = field(default_factory=list)
@@ -47,143 +49,104 @@ class UnitTrace:
 
 
 class GraphTinkerUnits:
-    """Stepwise (traced) driver over a :class:`GraphTinker` instance."""
+    """Traced driver over a :class:`GraphTinker` instance."""
 
     def __init__(self, gt: GraphTinker):
         self.gt = gt
 
-    def insert_edge_traced(self, src: int, dst: int, weight: float = 1.0) -> tuple[bool, UnitTrace]:
-        """Insert one edge, returning ``(is_new, trace)``.
+    def _peek(self, src: int, dst: int) -> tuple[int | None, EdgeLocation | None, AccessStats]:
+        """FIND ``(src, dst)`` and refund the charge.
 
-        Behaviour (final structure state) is identical to
-        :meth:`GraphTinker.insert_edge`; only the bookkeeping differs.
+        Returns ``(dense_src, location, cost)``: the dense id (``None``
+        for a source SGH has never seen), where the edge lives (``None``
+        if absent) and what the FIND stage alone costs — which is what
+        separates INSERT-stage descents from FIND-stage ones in the
+        facade call's delta.
         """
         gt = self.gt
-        cfg = gt.config
-        trace = UnitTrace()
+        backup = gt.stats.snapshot()
+        dense_src = gt._dense(src, create=False)
+        location = None
+        if dense_src is not None and int(dst) >= 0:
+            location = gt.eba.find(dense_src, dst)
+        cost = gt.stats.delta(backup)
+        gt.stats.reset()
+        gt.stats.merge(backup)
+        return dense_src, location, cost
 
-        # --- Scatter-Gather Hashing unit --------------------------------
-        if gt.sgh is not None:
-            dense_src = gt.sgh.hash_id(src)
-            trace.record("sgh", f"{src} -> {dense_src}")
-        else:
-            dense_src = int(src)
+    def _record_sgh(self, trace: UnitTrace, src: int, dense_src: int | None) -> None:
+        if self.gt.sgh is None:
             trace.record("sgh", "bypassed")
+        elif dense_src is None:
+            trace.record("sgh", f"{src} unknown")
+        else:
+            trace.record("sgh", f"{src} -> {dense_src}")
 
-        eba = gt.eba
-        eba.ensure_vertex(dense_src)
-        nsb = cfg.subblocks_per_block
+    def insert_edge_traced(self, src: int, dst: int, weight: float = 1.0) -> tuple[bool, UnitTrace]:
+        """:meth:`GraphTinker.insert_edge`, returning ``(is_new, trace)``."""
+        gt = self.gt
+        trace = UnitTrace()
+        _, _, find_cost = self._peek(src, dst)
+        before = gt.stats.snapshot()
+        is_new = gt.insert_edge(src, dst, weight)
+        delta = gt.stats.delta(before)
+        dense_src, location, _ = self._peek(src, dst)
 
-        # --- find-edge unit: FIND mode over the whole descent chain. ----
-        existing = eba.find(dense_src, dst)
-        if existing is not None:
-            trace.record("find-edge", f"hit at gen-chain {tuple(existing)}")
-            row = (eba.main if existing.region == MAIN else eba.overflow).row(existing.block)
-            row["weight"][existing.slot] = float(weight)
-            eba.stats.workblock_writebacks += 1
+        self._record_sgh(trace, src, dense_src)
+        trace.record("load", f"{delta.workblock_fetches} workblocks")
+        if not is_new:
+            trace.record("find-edge", f"hit at {tuple(location)}")
             trace.record("writeback", "weight update")
-            if gt.cal is not None:
-                cal_block, cal_slot = eba.get_cal_pointer(existing)
-                if cal_block >= 0:
-                    gt.cal.update_weight(cal_block, cal_slot, float(weight))
-                    trace.record("writeback", "CAL weight update")
+            if delta.cal_updates:
+                trace.record("writeback", "CAL weight update")
             return False, trace
         trace.record("find-edge", "miss (all generations)")
-
-        region, block = MAIN, dense_src
-        f_dst, f_weight = int(dst), float(weight)
-        f_cal_block = f_cal_slot = -1
-        arg_location = None
-        arg_is_new = True
-
-        for gen in range(cfg.max_generations):
-            # --- interval unit: selects the Subblock for this generation.
-            sb = subblock_index(f_dst, gen, nsb, cfg.seed)
-            ib = initial_bucket(f_dst, gen, cfg.subblock, cfg.seed)
-            trace.record("interval", f"gen{gen} sb{sb} bucket{ib}")
-
-            # --- load unit: retrieves the Subblock's Workblocks.
-            cells = eba._subblock_cells(region, block, sb)
-            tag = "M" if region == MAIN else "O"
-            trace.record("load", f"gen{gen} block {tag}{block} sb{sb}")
-
-            # --- find-edge / insert-edge units: the RHH process.
-            res = rhh.rhh_insert(
-                cells, f_dst, f_weight, ib, cfg.workblock, eba.stats,
-                eba._rhh_on, f_cal_block, f_cal_slot,
+        descents = delta.branch_descents - find_cost.branch_descents
+        if descents:
+            trace.record(
+                "inference",
+                f"congested -> {descents} descents, "
+                f"{delta.branch_allocations} new edgeblocks",
             )
-            assert res.status != rhh.UPDATED, "FIND stage already ruled out duplicates"
-            if res.status == rhh.INSERTED:
-                trace.record("insert-edge", f"slot {res.slot}")
-                trace.record("writeback", "1 workblock")
-                if arg_location is None:
-                    arg_location = (region, block, sb * cfg.subblock + res.slot)
-                eba._degrees[dense_src] += 1
-                eba.stats.edges_inserted += 1
-                break
-            # --- inference unit: decides to continue in a child edgeblock.
-            trace.record("inference", f"gen{gen} congested -> descend")
-            if arg_location is None and res.slot >= 0:
-                arg_location = (region, block, sb * cfg.subblock + res.slot)
-            region, block = eba._descend(region, block, sb, allocate=True)
-            f_dst, f_weight = res.overflow_dst, res.overflow_weight
-            f_cal_block, f_cal_slot = res.overflow_cal_block, res.overflow_cal_slot
-        else:  # pragma: no cover - mirrors EdgeblockArray.insert guard
-            raise RuntimeError("max_generations exhausted")
-
-        # --- facade-level bookkeeping (degree + CAL copy), as in
-        #     GraphTinker.insert_edge.
-        from repro.core.edgeblock_array import EdgeLocation
-
-        loc = EdgeLocation(*arg_location)
-        gt.vpa.add_degree(dense_src, 1)
+        tag = "M" if location.region == MAIN else "O"
+        trace.record("insert-edge", f"block {tag}{location.block} slot {location.slot}")
+        trace.record("writeback", f"{delta.workblock_writebacks} workblocks")
         if gt.cal is not None:
-            cal_block, cal_slot = gt.cal.append(dense_src, int(dst), float(weight))
-            eba.set_cal_pointer(loc, cal_block, cal_slot)
+            cal_block, cal_slot = gt.eba.get_cal_pointer(location)
             trace.record("writeback", f"CAL copy @({cal_block},{cal_slot})")
-        return arg_is_new, trace
+        return True, trace
 
     def delete_edge_traced(self, src: int, dst: int) -> tuple[bool, UnitTrace]:
-        """Delete one edge, returning ``(deleted, trace)``.
+        """:meth:`GraphTinker.delete_edge`, returning ``(deleted, trace)``.
 
-        Exercises the FIND mode of the find-edge unit (deletion must
-        locate the edge through the same Workblock-retrieval pipeline),
-        then the writeback unit for the tombstone and CAL invalidation.
-        Behaviourally identical to :meth:`GraphTinker.delete_edge`.
+        Deletion locates the edge through the same Workblock-retrieval
+        pipeline (FIND mode of the find-edge unit), then the writeback
+        unit tombstones the cell and invalidates the CAL copy.
         """
         gt = self.gt
         trace = UnitTrace()
+        dense_src, location, _ = self._peek(src, dst)
+        had_cal_copy = location is not None and gt.eba.get_cal_pointer(location)[0] >= 0
+        before = gt.stats.snapshot()
+        deleted = gt.delete_edge(src, dst)
+        delta = gt.stats.delta(before)
 
-        if gt.sgh is not None:
-            dense_src = gt.sgh.try_lookup(src)
-            if dense_src is None:
-                trace.record("sgh", f"{src} unknown")
-                return False, trace
-            trace.record("sgh", f"{src} -> {dense_src}")
-        else:
-            dense_src = int(src)
-            trace.record("sgh", "bypassed")
-
-        eba = gt.eba
-        trace.record("load", f"FIND-mode descent for dst {dst}")
-        cal_ptr = eba.delete(dense_src, dst)
-        if cal_ptr is None:
+        self._record_sgh(trace, src, dense_src)
+        if dense_src is None:
+            return deleted, trace
+        trace.record("load", f"{delta.workblock_fetches} workblocks")
+        if not deleted:
             trace.record("find-edge", "miss (all generations)")
             return False, trace
-        trace.record("find-edge", "hit")
+        trace.record("find-edge", f"hit at {tuple(location)}")
         trace.record("writeback", "tombstone")
-        gt.vpa.add_degree(dense_src, -1)
-        if gt.cal is not None and cal_ptr[0] >= 0:
+        if had_cal_copy:
             if gt.config.compact_on_delete:
-                moved = gt.cal.compact_delete(*cal_ptr)
                 trace.record("writeback", "CAL compact-delete")
-                if moved is not None:
-                    m_src, m_dst, _, _ = moved
-                    loc = eba.find(m_src, m_dst)
-                    assert loc is not None, "CAL copy without an owner"
-                    eba.set_cal_pointer(loc, *cal_ptr)
+                if delta.edges_found:
+                    # Only the re-point's owner lookup counts a found
+                    # edge inside a delete.
                     trace.record("writeback", "re-point moved CAL copy")
             else:
-                gt.cal.invalidate(*cal_ptr)
                 trace.record("writeback", "CAL invalidate")
         return True, trace

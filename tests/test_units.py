@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import GraphTinker, GTConfig
+from repro.core.store import create_store
 from repro.core.units import GraphTinkerUnits
 
 
@@ -30,6 +31,8 @@ class TestTracedInsertEquivalence:
             assert new_a == new_b
         assert gt_a.n_edges == gt_b.n_edges
         gt_b.check_invariants()
+        # tracing peeks at the structure but refunds every charge
+        assert gt_a.stats.as_dict() == gt_b.stats.as_dict()
         ea = sorted(gt_a.edges())
         eb = sorted(gt_b.edges())
         assert ea == eb
@@ -41,6 +44,26 @@ class TestTracedInsertEquivalence:
         assert not is_new
         assert gt.edge_weight(1, 2) == 9.0
         assert any(u == "find-edge" and "hit" in d for u, d in trace.steps)
+
+
+    def test_traced_updates_reach_the_analytics_snapshot(self):
+        """A traced op is the facade op, snapshot dirty-marking included."""
+        store = create_store("graphtinker", snapshot=True)
+        store.insert_batch(np.array([[1, 2], [1, 3], [4, 5]]))
+        store.neighbors_many(np.array([1, 4]))  # sync the CSR view
+        units = GraphTinkerUnits(store)
+
+        is_new, _ = units.insert_edge_traced(1, 9, 2.5)
+        assert is_new and store.has_edge(1, 9)
+        src, dst, weight = store.neighbors_many(np.array([1]))
+        assert sorted(zip(dst.tolist(), weight.tolist())) == [(2, 1.0), (3, 1.0), (9, 2.5)]
+
+        deleted, _ = units.delete_edge_traced(1, 2)
+        assert deleted
+        _, dst, _ = store.neighbors_many(np.array([1]))
+        assert sorted(dst.tolist()) == [3, 9]
+        src, dst, _ = store.analytics_edges()
+        assert sorted(zip(src.tolist(), dst.tolist())) == [(1, 3), (1, 9), (4, 5)]
 
 
 class TestTraceContents:
@@ -86,6 +109,7 @@ class TestTracedDelete:
             deleted_a = gt_a.delete_edge(s, d)
             deleted_b, _ = units.delete_edge_traced(s, d)
             assert deleted_a == deleted_b
+        assert gt_a.stats.as_dict() == gt_b.stats.as_dict()
         assert sorted(gt_a.edges()) == sorted(gt_b.edges())
         gt_b.check_invariants()
 
