@@ -14,9 +14,8 @@ never mixes them:
   max-over-partitions makespan.  This is the paper's multicore claim and
   every assertion below is on these numbers only.
 * ``wall-Medges/s`` — measured wall-clock throughput of the run that
-  produced the deltas.  ``PartitionedStore`` applies partitions
-  *serially* (its thread path is deprecated — GIL-serialized, no
-  speedup), so this column does **not** grow with the core count; it is
+  produced the deltas.  ``PartitionedStore`` applies partitions one
+  after another, so this column does **not** grow with the core count; it is
   printed to keep the distinction honest, not to support a claim.  For
   measured process-parallel ingest speedup see
   ``benchmarks/bench_sharded_ingest.py`` (``ShardedStore``, which

@@ -201,8 +201,8 @@ class ParallelBatchMeasurement:
     """One batch across partitions: makespan = slowest partition.
 
     ``wall_seconds`` is the *measured* wall-clock of the whole batch on
-    whatever execution path produced it — serial (or GIL-serialized
-    threads) for :class:`~repro.core.parallel.PartitionedStore`, truly
+    whatever execution path produced it — one partition after another
+    for :class:`~repro.core.parallel.PartitionedStore`, truly
     parallel worker processes for
     :class:`~repro.core.sharded.ShardedStore`.  Keep it separate from
     the modeled makespan when reporting: the modeled number is the

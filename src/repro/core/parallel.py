@@ -21,9 +21,8 @@ This class remains the *charging oracle*: its per-partition deltas define
 the modeled makespan that Fig. 10 reports, and the process-per-shard
 :class:`repro.core.sharded.ShardedStore` reproduces the identical deltas
 (same router, same per-instance streams) while actually running the
-shards on separate cores.  Use ``ShardedStore`` for measured wall-clock
-parallelism; the ``max_workers`` thread path here is deprecated (GIL-
-serialized, no speedup).
+shards on separate cores.  Partitions are applied one after another
+here; use ``ShardedStore`` for measured wall-clock parallelism.
 
 The same partitioning applies verbatim to the STINGER baseline, which is
 how Fig. 10 compares the two at 1-8 cores.
@@ -31,7 +30,6 @@ how Fig. 10 compares the two at 1-8 cores.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,38 +54,13 @@ class PartitionedStore:
         (:class:`GraphTinker`, :class:`~repro.stinger.Stinger`, ...).
     seed:
         Seed of the interval hash.
-    max_workers:
-        **Deprecated.** When set (> 1), sub-batches are applied on a
-        :class:`~concurrent.futures.ThreadPoolExecutor`.  That is
-        *correct* (the instances share no state, so per-partition
-        deltas, merged stats, and every store's contents are identical
-        between serial and threaded runs) but it is **not parallel**:
-        the instances run pure-Python/NumPy insert paths under the GIL,
-        so the threads execute one at a time and wall-clock matches the
-        serial path.  The modeled max-over-partitions makespan is the
-        honest multicore number here; for *measured* wall-clock speedup
-        use :class:`repro.core.sharded.ShardedStore`, whose shards are
-        worker processes.  ``None`` (the default) keeps the serial path.
     """
 
-    def __init__(self, n_partitions: int, factory: Callable[[], object], seed: int = 0,
-                 max_workers: int | None = None):
+    def __init__(self, n_partitions: int, factory: Callable[[], object], seed: int = 0):
         if n_partitions <= 0:
             raise ConfigError("n_partitions must be positive")
-        if max_workers is not None and max_workers <= 0:
-            raise ConfigError("max_workers must be positive when given")
-        if max_workers is not None and max_workers > 1:
-            import warnings
-
-            warnings.warn(
-                "PartitionedStore(max_workers=...) threads are serialized "
-                "by the GIL and yield no wall-clock speedup; use "
-                "repro.core.sharded.ShardedStore (process-per-shard) for "
-                "measured parallelism",
-                DeprecationWarning, stacklevel=2)
         self.n_partitions = n_partitions
         self.seed = seed
-        self.max_workers = max_workers
         self.instances = [factory() for _ in range(n_partitions)]
 
     # ------------------------------------------------------------------ #
@@ -120,27 +93,13 @@ class PartitionedStore:
         return deltas
 
     def _apply(self, op: str, edges: np.ndarray) -> list[AccessStats]:
-        """Run ``op`` on every partition's sub-batch, serial or threaded.
-
-        The threaded path is safe because partitions are disjoint by
-        construction (no instance is touched by two tasks) and each task
-        reads/writes only its own instance.  ``ThreadPoolExecutor.map``
-        yields results in submission order, so the returned delta list —
-        and therefore any stats merge the caller performs — is ordered by
-        partition id exactly as the serial path orders it.
-        """
-
-        def one(pair) -> AccessStats:
-            inst, sub = pair
+        """Run ``op`` on every partition's sub-batch, in partition order."""
+        deltas = []
+        for inst, sub in zip(self.instances, self.partition_batch(edges)):
             before = inst.stats.snapshot()
             getattr(inst, op)(sub)
-            return inst.stats.delta(before)
-
-        pairs = list(zip(self.instances, self.partition_batch(edges)))
-        if self.max_workers is None or self.max_workers == 1 or self.n_partitions == 1:
-            return [one(pair) for pair in pairs]
-        with ThreadPoolExecutor(max_workers=min(self.max_workers, self.n_partitions)) as ex:
-            return list(ex.map(one, pairs))
+            deltas.append(inst.stats.delta(before))
+        return deltas
 
     def _publish(self, deltas: Sequence[AccessStats]) -> None:
         """Publish a batch's aggregate delta under the ``part.`` prefix."""
@@ -193,18 +152,16 @@ class PartitionedStore:
 class PartitionedGraphTinker(PartitionedStore):
     """Convenience: interval-partitioned GraphTinker instances."""
 
-    def __init__(self, n_partitions: int, config: GTConfig | None = None, seed: int = 0,
-                 max_workers: int | None = None):
+    def __init__(self, n_partitions: int, config: GTConfig | None = None, seed: int = 0):
         cfg = config if config is not None else GTConfig()
-        super().__init__(n_partitions, lambda: GraphTinker(cfg), seed, max_workers)
+        super().__init__(n_partitions, lambda: GraphTinker(cfg), seed)
 
 
 class PartitionedStinger(PartitionedStore):
     """Convenience: interval-partitioned STINGER instances (Fig. 10)."""
 
-    def __init__(self, n_partitions: int, config: StingerConfig | None = None, seed: int = 0,
-                 max_workers: int | None = None):
+    def __init__(self, n_partitions: int, config: StingerConfig | None = None, seed: int = 0):
         from repro.stinger import Stinger
 
         cfg = config if config is not None else StingerConfig()
-        super().__init__(n_partitions, lambda: Stinger(cfg), seed, max_workers)
+        super().__init__(n_partitions, lambda: Stinger(cfg), seed)

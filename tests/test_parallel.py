@@ -129,47 +129,6 @@ class TestPartitionSeeds:
         assert sizes[0] != sizes[1]
 
 
-class TestThreadedEquivalence:
-    """``max_workers`` must be pure mechanism: per-partition deltas,
-    merged stats, and every instance's contents are identical between
-    the serial and ThreadPoolExecutor paths."""
-
-    def test_rejects_bad_max_workers(self, cfg):
-        with pytest.raises(ConfigError):
-            PartitionedGraphTinker(2, cfg, max_workers=0)
-
-    @pytest.mark.parametrize("seed", [0, 97])
-    @pytest.mark.parametrize("max_workers", [2, 4, 8])
-    def test_threaded_matches_serial(self, cfg, random_edges, seed, max_workers):
-        serial = PartitionedGraphTinker(4, cfg, seed=seed)
-        threaded = PartitionedGraphTinker(4, cfg, seed=seed,
-                                          max_workers=max_workers)
-        for op, batch in (("insert_batch", random_edges),
-                          ("delete_batch", random_edges[:500]),
-                          ("insert_batch", random_edges[:800])):
-            d_serial = getattr(serial, op)(batch)
-            d_threaded = getattr(threaded, op)(batch)
-            assert ([d.as_dict() for d in d_serial]
-                    == [d.as_dict() for d in d_threaded]), op
-        assert serial.n_edges == threaded.n_edges
-        assert serial.merged_stats().as_dict() == threaded.merged_stats().as_dict()
-        for inst_s, inst_t in zip(serial.instances, threaded.instances):
-            s1, d1, w1 = inst_s.edge_arrays()
-            s2, d2, w2 = inst_t.edge_arrays()
-            assert (sorted(zip(s1.tolist(), d1.tolist(), w1.tolist()))
-                    == sorted(zip(s2.tolist(), d2.tolist(), w2.tolist())))
-        threaded.check_invariants()
-
-    def test_threaded_stinger(self, random_edges):
-        serial = PartitionedStinger(3, StingerConfig(edgeblock_size=4))
-        threaded = PartitionedStinger(3, StingerConfig(edgeblock_size=4),
-                                      max_workers=3)
-        serial.insert_batch(random_edges)
-        threaded.insert_batch(random_edges)
-        assert serial.n_edges == threaded.n_edges
-        assert serial.merged_stats().as_dict() == threaded.merged_stats().as_dict()
-
-
 class TestPartitionedMachine:
     """Stateful property test: the partitioned store behaves like one
     logical graph regardless of partition count."""
