@@ -122,27 +122,3 @@ class AccessStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nz = {k: v for k, v in self.as_dict().items() if v}
         return f"AccessStats({nz})"
-
-
-@dataclass
-class ProbeHistogram:
-    """Running mean/max of Robin-Hood probe distances (diagnostics only)."""
-
-    count: int = 0
-    total: int = 0
-    max_probe: int = 0
-
-    def record(self, probe: int) -> None:
-        self.count += 1
-        self.total += probe
-        if probe > self.max_probe:
-            self.max_probe = probe
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0
-        self.max_probe = 0

@@ -45,10 +45,8 @@ from repro.obs.hooks import (
 )
 from repro.obs.log import configure_logging, get_logger, kv
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
     set_registry,
@@ -71,11 +69,9 @@ get_tracer().add_listener(lambda s: get_recorder().note_span(s))
 
 __all__ = [
     "Counter",
-    "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsSampler",
     "QuantileSketch",

@@ -7,8 +7,8 @@ about:
   analysis and for shipping to log pipelines.  Lossless: the
   corresponding ``*_from_jsonl`` parsers round-trip the data.
 * **Prometheus text exposition** — ``# HELP`` / ``# TYPE`` + samples,
-  histogram buckets as cumulative ``_bucket{le="..."}`` rows, so a scrape
-  endpoint can serve the registry verbatim.
+  quantile sketches as the ``summary`` family, so a scrape endpoint can
+  serve the registry verbatim.
 * **Human tables and trees** — reusing
   :class:`repro.bench.reporting.Table` so observability output matches
   the benchmark harness's greppable style.
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from repro.bench.reporting import Table
 from repro.core.stats import AccessStats
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.quantiles import QuantileSketch, quantile_key
 from repro.obs.timeseries import TimeSeriesRing
 from repro.obs.tracing import Span
@@ -210,15 +210,7 @@ def registry_to_prometheus(registry: MetricsRegistry) -> str:
         name = _prom_name(inst.name)
         if inst.help:
             lines.append(f"# HELP {name} {inst.help}")
-        if isinstance(inst, Histogram):
-            lines.append(f"# TYPE {name} {inst.kind}")
-            for bound, cumulative in inst.cumulative_counts():
-                lines.append(
-                    f'{name}_bucket{{le="{_prom_value(bound)}"}} {cumulative}'
-                )
-            lines.append(f"{name}_sum {_prom_value(inst.total)}")
-            lines.append(f"{name}_count {inst.count}")
-        elif isinstance(inst, QuantileSketch):
+        if isinstance(inst, QuantileSketch):
             lines.append(f"# TYPE {name} summary")
             for q in inst.quantiles:
                 lines.append(
@@ -260,9 +252,8 @@ def parse_prometheus(text: str) -> dict[str, dict]:
 
     Returns ``{prom_name: entry}`` where the entry is
     ``{"type": ..., "value": ...}`` for scalars,
-    ``{"type": "histogram", "buckets": {le: cumulative}, "sum", "count"}``
-    for histograms, ``{"type": "summary", "quantiles": {q: value},
-    "sum", "count"}`` for quantile sketches, and any other labelled
+    ``{"type": "summary", "quantiles": {q: value}, "sum", "count"}``
+    for quantile sketches, and any other labelled
     samples (e.g. the time-series gauge family) accumulate under
     ``"samples": [{"labels": {...}, "value": ...}]`` with label escapes
     undone — enough for round-trip tests and for scrapers that only need
@@ -278,9 +269,7 @@ def parse_prometheus(text: str) -> dict[str, dict]:
             _, _, name, kind = line.split(None, 3)
             types[name] = kind
             entry: dict[str, object] = {"type": kind}
-            if kind == "histogram":
-                entry["buckets"] = {}
-            elif kind == "summary":
+            if kind == "summary":
                 entry["quantiles"] = {}
             out[name] = entry
             continue
@@ -291,11 +280,6 @@ def parse_prometheus(text: str) -> dict[str, dict]:
         if "{" in sample:
             base, label_part = sample.split("{", 1)
             labels = _parse_labels(label_part.rstrip().rstrip("}"))
-            if base.endswith("_bucket") and "le" in labels:
-                hist = out.get(base[: -len("_bucket")])
-                if hist is not None and hist.get("type") == "histogram":
-                    hist["buckets"][labels["le"]] = int(value)
-                    continue
             if "quantile" in labels and types.get(base) == "summary":
                 out[base]["quantiles"][labels["quantile"]] = value
                 continue
@@ -305,7 +289,7 @@ def parse_prometheus(text: str) -> dict[str, dict]:
             continue
         for suffix in ("_sum", "_count"):
             base = sample[: -len(suffix)] if sample.endswith(suffix) else None
-            if base is not None and types.get(base) in ("histogram", "summary"):
+            if base is not None and types.get(base) == "summary":
                 out[base][suffix[1:]] = value
                 break
         else:
@@ -323,13 +307,7 @@ def registry_to_jsonl(registry: MetricsRegistry) -> str:
             "kind": inst.kind,
             "help": inst.help,
         }
-        if isinstance(inst, Histogram):
-            record["buckets"] = list(inst.buckets)
-            record["bucket_counts"] = list(inst.bucket_counts)
-            record["count"] = inst.count
-            record["sum"] = inst.total
-            record["max"] = inst.max_value
-        elif isinstance(inst, QuantileSketch):
+        if isinstance(inst, QuantileSketch):
             record["state"] = inst.state()
             record["summary"] = inst.summary()
         else:
@@ -361,22 +339,19 @@ def registry_from_jsonl(text: str) -> MetricsRegistry:
                 quantiles=tuple(state["quantiles"]),
             ).restore(state)
         else:
-            hist = registry.histogram(name, help_, buckets=record["buckets"])
-            hist.bucket_counts = [int(n) for n in record["bucket_counts"]]
-            hist.count = int(record["count"])
-            hist.total = float(record["sum"])
-            hist.max_value = float(record["max"])
+            # e.g. a "histogram" record from a dump written before the
+            # fixed-bucket instrument was folded into the sketch
+            raise ValueError(
+                f"metric {name!r}: unsupported instrument kind {record['kind']!r}"
+            )
     return registry
 
 
 def registry_to_table(registry: MetricsRegistry) -> Table:
-    """Counters/gauges/histogram/quantile summaries as a fixed-width table."""
+    """Counters/gauges/quantile summaries as a fixed-width table."""
     table = Table("metrics", ["metric", "kind", "value", "detail"])
     for inst in registry.instruments():
-        if isinstance(inst, Histogram):
-            detail = f"count={inst.count} mean={inst.mean:.3f} max={inst.max_value:g}"
-            table.add_row([inst.name, inst.kind, inst.total, detail])
-        elif isinstance(inst, QuantileSketch):
+        if isinstance(inst, QuantileSketch):
             detail = " ".join(
                 [f"count={inst.count}", f"mean={inst.mean:.3f}"]
                 + [f"{k}={v:g}" for k, v in inst.quantile_values().items()]

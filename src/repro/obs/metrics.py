@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters, gauges, and quantile sketches.
 
 Instruments follow a dotted naming convention (``gt.rhh.swaps``,
 ``engine.mode.incremental``, ``stinger.block.random_reads`` — see
@@ -7,17 +7,16 @@ docs/observability.md) and live in a process-wide
 registry through the cheap hooks in :mod:`repro.obs.hooks`; nothing is
 recorded while the master switch is down.
 
-:class:`Histogram` generalises :class:`~repro.core.stats.ProbeHistogram`
-(running count/total/max and ``mean``) with fixed, Prometheus-style
-cumulative bucket boundaries so distributions — probe distances, batch
-costs, span durations — can be exported, not just summarised.
+Distributions — probe distances, batch sizes, flush latencies — have one
+instrument: the mergeable :class:`~repro.obs.quantiles.QuantileSketch`
+(running count/sum/min/max/mean plus streaming quantiles), created with
+:meth:`MetricsRegistry.quantile`.
 """
 
 from __future__ import annotations
 
-import bisect
 import threading
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.obs import hooks
 from repro.obs.quantiles import (
@@ -25,12 +24,6 @@ from repro.obs.quantiles import (
     DEFAULT_QUANTILES as DEFAULT_SKETCH_QUANTILES,
     QuantileSketch,
 )
-
-#: Default histogram boundaries — powers of two, matching the
-#: block-granularity quantities (probe distances, per-batch block counts)
-#: the subsystem mostly measures.
-DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
 
 class Counter:
     """Monotonically increasing count (e.g. ``gt.rhh.swaps``)."""
@@ -75,57 +68,7 @@ class Gauge:
         self.inc(-amount)
 
 
-class Histogram:
-    """Fixed-boundary histogram with running count/sum/max.
-
-    ``buckets`` are upper bounds of cumulative buckets (an implicit
-    ``+Inf`` bucket is always present), exactly as Prometheus renders
-    them.  The running ``count``/``total``/``max_value``/``mean`` mirror
-    :class:`~repro.core.stats.ProbeHistogram`, which this class
-    generalises.
-    """
-
-    __slots__ = ("name", "help", "buckets", "bucket_counts", "count", "total",
-                 "max_value")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self.name = name
-        self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
-        self.bucket_counts = [0] * (len(self.buckets) + 1)  # +Inf last
-        self.count = 0
-        self.total = 0.0
-        self.max_value = 0.0
-
-    def record(self, value: float) -> None:
-        if not hooks.enabled:
-            return
-        self.bucket_counts[bisect.bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.total += value
-        if value > self.max_value:
-            self.max_value = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def cumulative_counts(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` rows, ``+Inf`` last."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip((*self.buckets, float("inf")), self.bucket_counts):
-            running += n
-            out.append((bound, running))
-        return out
-
-
-Instrument = Counter | Gauge | Histogram | QuantileSketch
+Instrument = Counter | Gauge | QuantileSketch
 
 
 class MetricsRegistry:
@@ -153,10 +96,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help=help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(name, Histogram, help=help, buckets=buckets)
-
     def quantile(self, name: str, help: str = "",
                  capacity: int = DEFAULT_CAPACITY,
                  quantiles: Sequence[float] = DEFAULT_SKETCH_QUANTILES,
@@ -180,17 +119,10 @@ class MetricsRegistry:
             return [self._instruments[k] for k in sorted(self._instruments)]
 
     def collect(self) -> dict[str, float | Mapping[str, float]]:
-        """Flat snapshot: counters/gauges → value, histograms → summary."""
+        """Flat snapshot: counters/gauges → value, sketches → summary."""
         out: dict[str, float | Mapping[str, float]] = {}
         for inst in self.instruments():
-            if isinstance(inst, Histogram):
-                out[inst.name] = {
-                    "count": float(inst.count),
-                    "sum": inst.total,
-                    "max": inst.max_value,
-                    "mean": inst.mean,
-                }
-            elif isinstance(inst, QuantileSketch):
+            if isinstance(inst, QuantileSketch):
                 out[inst.name] = inst.summary()
             else:
                 out[inst.name] = inst.value

@@ -60,10 +60,6 @@ from repro.service.wal import (
     WriteAheadLog,
 )
 
-#: Histogram buckets for flush latencies, in milliseconds.
-_FLUSH_MS_BUCKETS = (0.5, 1, 2, 5, 10, 25, 50, 100, 250, 1000)
-
-
 class Ticket:
     """Completion handle for one submitted batch.
 
@@ -679,14 +675,12 @@ class GraphService:
             registry = obs.get_registry()
             registry.counter("service.flush.batches").inc()
             registry.counter("service.flush.edges").inc(n_edges)
-            registry.histogram("service.flush.requests").record(len(batch))
-            flush_ms = (time.monotonic() - start) * 1e3
-            registry.histogram(
-                "service.flush.duration_ms", buckets=_FLUSH_MS_BUCKETS
-            ).record(flush_ms)
+            registry.quantile(
+                "service.flush.requests", "coalesced requests per flush"
+            ).record(len(batch))
             registry.quantile(
                 "service.flush.ms", "micro-batch flush wall latency (ms)"
-            ).record(flush_ms)
+            ).record((time.monotonic() - start) * 1e3)
             registry.gauge("service.queue.depth").set(len(self._queue))
         if (self.checkpoint_every
                 and self._applied_seq - self._last_ckpt_seq >= self.checkpoint_every):

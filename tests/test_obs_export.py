@@ -51,8 +51,7 @@ def registry():
     with obs.enabled_scope():
         r.counter("gt.rhh.swaps", "Robin Hood displacement swaps").inc(7)
         r.gauge("engine.predictor").set(0.015)
-        h = r.histogram("gt.probe.distance", "FIND probe cost",
-                        buckets=(1, 2, 4))
+        h = r.quantile("gt.probe.distance", "FIND probe cost")
         for v in (1, 1, 3, 9):
             h.record(v)
         q = r.quantile("service.flush.ms", "micro-batch flush latency")
@@ -116,19 +115,19 @@ class TestPrometheus:
         assert "# TYPE gt_rhh_swaps counter" in text
         assert "# HELP gt_rhh_swaps Robin Hood displacement swaps" in text
         assert "gt_rhh_swaps 7" in text
-        assert '# TYPE gt_probe_distance histogram' in text
-        assert 'gt_probe_distance_bucket{le="+Inf"} 4' in text
+        assert '# TYPE gt_probe_distance summary' in text
+        assert 'gt_probe_distance{quantile="0.5"} 2' in text
         assert "gt_probe_distance_count 4" in text
 
     def test_round_trip(self, registry):
         parsed = parse_prometheus(registry_to_prometheus(registry))
         assert parsed["gt_rhh_swaps"] == {"type": "counter", "value": 7.0}
         assert parsed["engine_predictor"] == {"type": "gauge", "value": 0.015}
-        hist = parsed["gt_probe_distance"]
-        assert hist["type"] == "histogram"
-        assert hist["buckets"] == {"1": 2, "2": 2, "4": 3, "+Inf": 4}
-        assert hist["sum"] == 14.0
-        assert hist["count"] == 4.0
+        dist = parsed["gt_probe_distance"]
+        assert dist["type"] == "summary"
+        assert dist["quantiles"]["0.5"] == 2.0
+        assert dist["sum"] == 14.0
+        assert dist["count"] == 4.0
 
     def test_empty_registry(self):
         assert registry_to_prometheus(MetricsRegistry()) == ""
@@ -139,10 +138,15 @@ class TestRegistryJsonl:
     def test_round_trip(self, registry):
         back = registry_from_jsonl(registry_to_jsonl(registry))
         assert back.collect() == registry.collect()
-        hist = back.get("gt.probe.distance")
-        assert hist.buckets == (1.0, 2.0, 4.0)
-        assert hist.bucket_counts == [2, 0, 1, 1]
-        assert hist.max_value == 9
+        dist = back.get("gt.probe.distance")
+        assert (dist.count, dist.total, dist.max_value) == (4, 14.0, 9)
+
+    def test_unknown_instrument_kind_is_a_named_error(self):
+        dump = json.dumps({"name": "gt.probe.distance", "kind": "histogram",
+                           "buckets": [1, 2, 4], "bucket_counts": [2, 0, 1, 1],
+                           "count": 4, "sum": 14.0, "max": 9.0})
+        with pytest.raises(ValueError, match="gt.probe.distance.*histogram"):
+            registry_from_jsonl(dump)
 
     def test_round_trip_survives_disabled_switch(self, registry):
         assert not obs.is_enabled()

@@ -5,12 +5,8 @@ import threading
 import pytest
 
 import repro.obs as obs
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.obs.quantiles import QuantileSketch
 
 
 @pytest.fixture
@@ -57,8 +53,14 @@ class TestGauge:
 
 
 class TestHistogram:
+    """The registry's one distribution instrument: the quantile sketch.
+
+    (Fixed-bucket histograms are gone; the running count/sum/max/mean
+    and the enabled-gate they carried live on here.)
+    """
+
     def test_record_and_summary(self, registry):
-        h = registry.histogram("h", buckets=(1, 10, 100))
+        h = registry.quantile("h")
         for v in (0.5, 5, 50, 500):
             h.record(v)
         assert h.count == 4
@@ -67,30 +69,11 @@ class TestHistogram:
         assert h.mean == pytest.approx(555.5 / 4)
 
     def test_empty_mean_is_zero(self, registry):
-        assert registry.histogram("h").mean == 0.0
-
-    def test_cumulative_counts(self, registry):
-        h = registry.histogram("h", buckets=(1, 10, 100))
-        for v in (0.5, 5, 50, 500):
-            h.record(v)
-        assert h.cumulative_counts() == [
-            (1.0, 1), (10.0, 2), (100.0, 3), (float("inf"), 4)
-        ]
-
-    def test_boundary_lands_in_its_bucket(self, registry):
-        h = registry.histogram("h", buckets=(1, 10))
-        h.record(10)  # le="10" is inclusive, Prometheus-style
-        assert h.cumulative_counts() == [(1.0, 0), (10.0, 1), (float("inf"), 1)]
-
-    def test_rejects_bad_buckets(self, registry):
-        with pytest.raises(ValueError):
-            registry.histogram("h", buckets=(5, 1))
-        with pytest.raises(ValueError):
-            registry.histogram("h2", buckets=())
+        assert registry.quantile("h").mean == 0.0
 
     def test_noop_when_disabled(self):
         obs.disable()
-        h = Histogram("h")
+        h = QuantileSketch("h")
         h.record(5)
         assert h.count == 0
 
@@ -114,12 +97,14 @@ class TestRegistry:
     def test_collect_snapshot(self, registry):
         registry.counter("c").inc(2)
         registry.gauge("g").set(1.5)
-        h = registry.histogram("h")
+        h = registry.quantile("h")
         h.record(4)
         snap = registry.collect()
         assert snap["c"] == 2
         assert snap["g"] == 1.5
-        assert snap["h"] == {"count": 1.0, "sum": 4.0, "max": 4.0, "mean": 4.0}
+        assert snap["h"] == h.summary()
+        assert {k: snap["h"][k] for k in ("count", "sum", "max", "mean")} == {
+            "count": 1.0, "sum": 4.0, "max": 4.0, "mean": 4.0}
 
     def test_instruments_sorted_by_name(self, registry):
         registry.counter("b")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.stats import AccessStats, ProbeHistogram
+from repro.core.stats import AccessStats
 
 
 class TestAccessStats:
@@ -112,45 +112,3 @@ class TestAccessStats:
         s.reset()
         s.merge(snap)
         assert s.as_dict() == snap.as_dict()
-
-
-class TestProbeHistogram:
-    def test_mean_and_max(self):
-        h = ProbeHistogram()
-        for p in (0, 1, 2, 5):
-            h.record(p)
-        assert h.count == 4
-        assert h.mean == 2.0
-        assert h.max_probe == 5
-
-    def test_empty_mean(self):
-        assert ProbeHistogram().mean == 0.0
-
-    def test_reset(self):
-        h = ProbeHistogram()
-        h.record(4)
-        h.reset()
-        assert h.count == 0 and h.max_probe == 0
-
-    def test_reset_restores_empty_mean(self):
-        h = ProbeHistogram()
-        h.record(4)
-        h.reset()
-        assert h.mean == 0.0
-
-    def test_record_after_reset_starts_fresh(self):
-        h = ProbeHistogram()
-        for p in (9, 9, 9):
-            h.record(p)
-        h.reset()
-        h.record(1)
-        assert h.count == 1
-        assert h.mean == 1.0
-        assert h.max_probe == 1
-
-    def test_max_tracks_only_increases(self):
-        h = ProbeHistogram()
-        for p in (5, 2, 4):
-            h.record(p)
-        assert h.max_probe == 5
-        assert h.total == 11
