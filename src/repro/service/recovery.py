@@ -16,12 +16,13 @@ The protocol (docs/service.md has the full diagram):
    two WAL records — raises :class:`~repro.errors.ServiceError`; the
    missing updates cannot be reconstructed.
 
-A sharded directory (``wal-shard<k>-*.seg`` chains and/or per-shard
-cursors in the checkpoint meta) takes the sharded path instead: each
-shard's chain is scanned independently against its own skip cursor, and
-the pending records are applied in rounds whose rows scatter to the
-shard workers concurrently — per-shard replay is independent and
-parallel (docs/sharding.md).
+There is one replay loop.  A sharded directory (``wal-shard<k>-*.seg``
+chains and/or per-shard cursors in the checkpoint meta) adds a second
+phase after the plain chain: each shard's chain is scanned independently
+against its own skip cursor, and the pending records are applied in
+rounds whose rows scatter to the shard workers concurrently — per-shard
+replay is independent and parallel (docs/sharding.md).  A plain
+directory is the same replay with zero shard chains.
 
 Everything is observable through ``service.recovery.*`` metrics
 (replayed/skipped record and edge counts, the checkpoint sequence, torn
@@ -126,9 +127,13 @@ def _shard_count(directory: Path, config, checkpoint) -> int:
     return max(n, _detect_shard_count(directory))
 
 
-def _replay_sharded(directory: Path, store, checkpoint,
-                    result: RecoveryResult, n_shards: int) -> None:
-    """Replay the per-shard WAL chains (plus any plain-prefix history).
+def _replay(directory: Path, store, checkpoint,
+            result: RecoveryResult, n_shards: int) -> None:
+    """Replay the plain WAL chain, then the ``n_shards`` per-shard chains.
+
+    ``n_shards == 0`` is a plain directory: the plain chain is the whole
+    history and the per-shard phase has nothing to do.  Otherwise the
+    plain chain is the history from before the directory went sharded.
 
     Each shard's chain is scanned independently (own contiguous sequence
     space, own skip cursor from the checkpoint meta, own torn-tail
@@ -186,6 +191,7 @@ def _replay_sharded(directory: Path, store, checkpoint,
         base_cum = record.cum_edges
         result.replayed_records += 1
         result.replayed_edges += record.n_edges
+        result.replayed_seqs.append(record.seq)
 
     pending: list[list] = []
     for k in range(n_shards):
@@ -282,29 +288,8 @@ def recover(directory: str | Path, config=None,
             checkpoint_path=checkpoint.path if checkpoint else None,
             torn_offset=torn_offset,
         )
-        n_shards = _shard_count(directory, config, checkpoint)
-        if n_shards:
-            _replay_sharded(directory, store, checkpoint, result, n_shards)
-        else:
-            for record in wal_mod.iter_records(directory):
-                if record.seq <= result.checkpoint_seq:
-                    result.skipped_records += 1
-                    continue
-                if record.seq != result.last_seq + 1:
-                    raise ServiceError(
-                        f"{directory}: WAL sequence gap — store is at "
-                        f"{result.last_seq} but the next surviving record is "
-                        f"{record.seq}; updates in between are lost"
-                    )
-                if record.op == wal_mod.OP_INSERT:
-                    store.insert_batch(record.edges, record.weights)
-                else:
-                    store.delete_batch(record.edges)
-                result.last_seq = record.seq
-                result.cum_edges = record.cum_edges
-                result.replayed_records += 1
-                result.replayed_edges += record.n_edges
-                result.replayed_seqs.append(record.seq)
+        _replay(directory, store, checkpoint, result,
+                _shard_count(directory, config, checkpoint))
         if verify is not None:
             result.fsck = store.fsck(level=verify)
             span.set_attr("fsck_violations", len(result.fsck.violations))
