@@ -3,8 +3,8 @@
 ``repro.net`` turns one durable :class:`~repro.service.GraphService`
 into a network service:
 
-* :mod:`repro.net.frames` — length-prefixed frame codec (JSON default,
-  msgpack when available) shared by every peer.
+* :mod:`repro.net.frames` — length-prefixed JSON frame codec shared by
+  every peer.
 * :mod:`repro.net.protocol` — protocol version, op table, typed error
   code ↔ exception mapping, the canonical state digest.
 * :mod:`repro.net.readpath` — immutable CSR :class:`ReadView` captures
@@ -33,7 +33,6 @@ from repro.net.client import GraphClient, ReplicaSet
 from repro.net.frames import (
     DEFAULT_MAX_FRAME,
     FrameDecoder,
-    MSGPACK_AVAILABLE,
     encode_frame,
     read_frame,
     supported_codecs,
@@ -61,7 +60,6 @@ __all__ = [
     "GraphClient",
     "GraphServer",
     "LoadStats",
-    "MSGPACK_AVAILABLE",
     "OPS",
     "PROTOCOL_VERSION",
     "RETRYABLE_CODES",

@@ -113,9 +113,9 @@ class AsyncGraphClient:
     # ------------------------------------------------------------------ #
     async def _read_frame(self):
         header = await self._reader.readexactly(HEADER_SIZE)
-        codec_id, length = parse_header(header, max_frame=self.max_frame)
+        _, length = parse_header(header, max_frame=self.max_frame)
         payload = (await self._reader.readexactly(length)) if length else b""
-        return _decode_payload(payload, codec_id)
+        return _decode_payload(payload)
 
     async def _roundtrip(self, op: str, args: dict) -> dict:
         if self._writer is None:

@@ -4,7 +4,7 @@ Every message on a ``repro`` network connection is one *frame*::
 
     offset  size  field
     0       2     magic  b"RG"
-    2       1     codec  0 = JSON (UTF-8), 1 = msgpack
+    2       1     codec  0 = JSON (UTF-8); every other value is rejected
     3       1     flags  reserved, must be 0
     4       4     length of the payload in bytes, big-endian unsigned
     8       len   payload (one encoded message object)
@@ -19,9 +19,10 @@ undecodable payload — raises a typed
 error for the streaming decoder (more bytes may arrive), but hitting EOF
 mid-frame is one for the blocking helpers.
 
-msgpack is optional: :data:`MSGPACK_AVAILABLE` reflects whether the
-import works, and the codec byte is only negotiated up from JSON when
-both ends have it.  Nothing in this module requires it.
+JSON is the only codec.  The frame layout is unchanged — the codec
+byte and the hello handshake's ``codecs`` list stay on the wire — but a
+peer offering more than JSON is answered ``"json"`` and a frame
+carrying any other codec byte is refused.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ HEADER_SIZE = 8
 _HEADER = struct.Struct(">2sBBI")
 
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
-CODEC_NAMES = {CODEC_JSON: "json", CODEC_MSGPACK: "msgpack"}
+CODEC_NAMES = {CODEC_JSON: "json"}
 CODEC_IDS = {name: codec_id for codec_id, name in CODEC_NAMES.items()}
 
 #: Default upper bound on one frame's payload (64 MiB) — large enough
@@ -45,48 +45,16 @@ CODEC_IDS = {name: codec_id for codec_id, name in CODEC_NAMES.items()}
 #: length prefix cannot make either end try to buffer gigabytes.
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 
-try:  # optional accelerator codec; everything works without it
-    import msgpack  # type: ignore
-
-    MSGPACK_AVAILABLE = True
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
-    MSGPACK_AVAILABLE = False
-
-
 def supported_codecs() -> list[str]:
-    """Codec names this process can speak, preference order last-best."""
-    names = ["json"]
-    if MSGPACK_AVAILABLE:
-        names.append("msgpack")
-    return names
+    """Codec names this process can speak (the hello handshake's offer)."""
+    return list(CODEC_IDS)
 
 
-def _encode_payload(obj, codec: int) -> bytes:
-    if codec == CODEC_JSON:
-        return json.dumps(obj, separators=(",", ":"),
-                          ensure_ascii=False).encode("utf-8")
-    if codec == CODEC_MSGPACK:
-        if not MSGPACK_AVAILABLE:
-            raise ProtocolError("msgpack codec requested but not available")
-        return msgpack.packb(obj, use_bin_type=True)
-    raise ProtocolError(f"unknown codec id {codec}")
-
-
-def _decode_payload(payload: bytes, codec: int):
-    if codec == CODEC_JSON:
-        try:
-            return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"undecodable JSON payload: {exc}") from exc
-    if codec == CODEC_MSGPACK:
-        if not MSGPACK_AVAILABLE:
-            raise ProtocolError("peer sent msgpack but codec not available")
-        try:
-            return msgpack.unpackb(payload, raw=False)
-        except Exception as exc:  # msgpack's exception zoo is wide
-            raise ProtocolError(f"undecodable msgpack payload: {exc}") from exc
-    raise ProtocolError(f"unknown codec id {codec}")
+def _decode_payload(payload: bytes):
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ProtocolError(f"undecodable JSON payload: {exc}") from exc
 
 
 def encode_frame(obj, codec: str = "json", *,
@@ -96,7 +64,8 @@ def encode_frame(obj, codec: str = "json", *,
         codec_id = CODEC_IDS[codec]
     except KeyError:
         raise ProtocolError(f"unknown codec {codec!r}") from None
-    payload = _encode_payload(obj, codec_id)
+    payload = json.dumps(obj, separators=(",", ":"),
+                         ensure_ascii=False).encode("utf-8")
     if len(payload) > max_frame:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -150,13 +119,13 @@ class FrameDecoder:
         while True:
             if len(self._buffer) < HEADER_SIZE:
                 return
-            codec_id, length = parse_header(
+            _, length = parse_header(
                 bytes(self._buffer[:HEADER_SIZE]), max_frame=self.max_frame)
             if len(self._buffer) < HEADER_SIZE + length:
                 return
             payload = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
             del self._buffer[:HEADER_SIZE + length]
-            yield _decode_payload(payload, codec_id)
+            yield _decode_payload(payload)
 
 
 def read_frame(sock, *, max_frame: int = DEFAULT_MAX_FRAME):
@@ -169,9 +138,9 @@ def read_frame(sock, *, max_frame: int = DEFAULT_MAX_FRAME):
     header = _read_exactly(sock, HEADER_SIZE, allow_eof=True)
     if header is None:
         return None
-    codec_id, length = parse_header(header, max_frame=max_frame)
+    _, length = parse_header(header, max_frame=max_frame)
     payload = _read_exactly(sock, length, allow_eof=False) if length else b""
-    return _decode_payload(payload, codec_id)
+    return _decode_payload(payload)
 
 
 def _read_exactly(sock, n: int, *, allow_eof: bool) -> bytes | None:

@@ -636,18 +636,12 @@ class _GraphConnection(asyncio.Protocol):
                 f"(server speaks {PROTOCOL_VERSION})"))
             self._close()
             return
-        from repro.net.frames import supported_codecs
-
-        ours = supported_codecs()
-        theirs = args.get("codecs") or ["json"]
-        codec = "msgpack" if ("msgpack" in ours and "msgpack" in theirs) \
-            else "json"
-        self.codec = codec
+        # JSON is the only codec, whatever else the peer's list offers.
         self.hello_done = True
         from repro import __version__
 
         self._send({"id": request_id, "ok": True,
-                    "result": {"proto": PROTOCOL_VERSION, "codec": codec,
+                    "result": {"proto": PROTOCOL_VERSION, "codec": self.codec,
                                "server": f"repro/{__version__}"}})
 
     def _do_read(self, request_id, op: str, args: dict) -> dict:

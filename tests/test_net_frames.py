@@ -23,7 +23,6 @@ from repro.net.frames import (
     HEADER_SIZE,
     MAGIC,
     FrameDecoder,
-    MSGPACK_AVAILABLE,
     encode_frame,
     parse_header,
     read_frame,
@@ -72,15 +71,17 @@ class TestRoundTrip:
     def test_json_codec_is_always_supported(self):
         assert supported_codecs()[0] == "json"
 
-    def test_msgpack_gated_on_import(self):
-        if MSGPACK_AVAILABLE:
-            assert "msgpack" in supported_codecs()
-            msg = {"id": 7, "data": [1, 2, 3]}
-            assert decode_one(encode_frame(msg, "msgpack")) == msg
-        else:
-            assert "msgpack" not in supported_codecs()
-            with pytest.raises(ProtocolError):
-                encode_frame({"id": 7}, "msgpack")
+    def test_msgpack_codec_rejected(self):
+        """JSON is the only codec: the old msgpack name and id are errors."""
+        assert supported_codecs() == ["json"]
+        with pytest.raises(ProtocolError, match="unknown codec"):
+            encode_frame({"id": 7}, "msgpack")
+        blob = bytearray(encode_frame({"id": 7}))
+        blob[2] = 1  # the codec byte msgpack used to claim
+        decoder = FrameDecoder()
+        decoder.feed(bytes(blob))
+        with pytest.raises(ProtocolError, match="unknown codec id 1"):
+            list(decoder.frames())
 
 
 class TestStructuralViolations:

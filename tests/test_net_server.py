@@ -262,6 +262,17 @@ class TestProtocolEnforcement:
             # the server hangs up after a version mismatch
             assert read_frame(sock) is None
 
+    def test_hello_offering_msgpack_negotiates_json(self, server):
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as sock:
+            sock.sendall(encode_frame(
+                {"id": 1, "op": "hello",
+                 "args": {"proto": PROTOCOL_VERSION,
+                          "codecs": ["json", "msgpack"]}}))
+            response = read_frame(sock)
+            assert response["ok"] is True
+            assert response["result"]["codec"] == "json"
+
     def test_hello_first_enforced(self, server):
         with socket.create_connection(("127.0.0.1", server.port),
                                       timeout=5.0) as sock:
