@@ -107,10 +107,10 @@ def rhh_find(
 
     ``dsts`` is the Subblock's ``dst`` field as a plain sequence of
     Python ints (one bulk ``tolist`` beats per-cell structured-scalar
-    reads in this hot loop; see the profiling notes in DESIGN.md §2).
-    The scan starts at ``init_bucket`` and wraps within the Subblock.
-    ``slot`` is ``-1`` when absent and ``scan_len`` is the number of
-    cells inspected, which the driver feeds to :func:`_charge_scan`.
+    reads in this hot loop).  The scan starts at ``init_bucket`` and
+    wraps within the Subblock.  ``slot`` is ``-1`` when absent and
+    ``scan_len`` is the number of cells inspected, which the driver
+    feeds to :func:`_charge_scan`.
     """
     size = len(dsts)
     empty = _EMPTY

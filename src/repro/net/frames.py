@@ -19,10 +19,10 @@ undecodable payload — raises a typed
 error for the streaming decoder (more bytes may arrive), but hitting EOF
 mid-frame is one for the blocking helpers.
 
-JSON is the only codec.  The frame layout is unchanged — the codec
-byte and the hello handshake's ``codecs`` list stay on the wire — but a
-peer offering more than JSON is answered ``"json"`` and a frame
-carrying any other codec byte is refused.
+JSON is the only codec.  The codec byte and the hello handshake's
+``codecs`` list are part of the wire format, but a peer offering more
+than JSON is answered ``"json"`` and a frame carrying any other codec
+byte is refused.
 """
 
 from __future__ import annotations

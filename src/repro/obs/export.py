@@ -339,8 +339,7 @@ def registry_from_jsonl(text: str) -> MetricsRegistry:
                 quantiles=tuple(state["quantiles"]),
             ).restore(state)
         else:
-            # e.g. a "histogram" record from a dump written before the
-            # fixed-bucket instrument was folded into the sketch
+            # not a kind this registry has (e.g. "histogram")
             raise ValueError(
                 f"metric {name!r}: unsupported instrument kind {record['kind']!r}"
             )

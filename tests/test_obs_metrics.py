@@ -53,11 +53,7 @@ class TestGauge:
 
 
 class TestHistogram:
-    """The registry's one distribution instrument: the quantile sketch.
-
-    (Fixed-bucket histograms are gone; the running count/sum/max/mean
-    and the enabled-gate they carried live on here.)
-    """
+    """The registry's one distribution instrument: the quantile sketch."""
 
     def test_record_and_summary(self, registry):
         h = registry.quantile("h")
