@@ -19,8 +19,6 @@ tracks the set of non-empty vertices at every stage of the graph's life.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.config import GTConfig
@@ -208,32 +206,12 @@ class CoarseAdjacencyList:
         events.sort()
 
         pool = self.pool
-        free = pool._free
-        new_ids: dict[tuple[int, int], int] = {}
-        fresh = 0
-        reused: list[int] = []
-        for _, gi, q in events:
-            if free:
-                idx = free.pop()
-                reused.append(idx)
-            else:
-                idx = pool._used + fresh
-                fresh += 1
-            new_ids[(gi, q)] = idx
-        if fresh:
-            pool._grow_to(pool._used + fresh)
-            pool._used += fresh
-        for idx in reused:
-            pool._data[idx] = pool._blank(pool.block_width)
-        if new_ids or per_group:
-            max_block = max(
-                max(new_ids.values(), default=-1),
-                max((t for _, _, _, _, t in per_group), default=-1),
-            )
-            if max_block >= 0:
-                self._next.ensure(max_block + 1)
-                self._prev.ensure(max_block + 1)
-                self._valid_count.ensure(max_block + 1)
+        ids = pool.allocate_many(len(events))
+        new_ids = {(gi, q): idx for (_, gi, q), idx in zip(events, ids)}
+        if ids:  # existing tails were covered when they were linked
+            top = max(ids) + 1
+            for table in (self._next, self._prev, self._valid_count):
+                table.ensure(top)
 
         # Pass 2: link new blocks (mirroring _new_block), write cells
         # segment by segment, update tails/fills/counts, and record each
@@ -363,40 +341,29 @@ class CoarseAdjacencyList:
     # ------------------------------------------------------------------ #
     # streaming retrieval (the full-processing load path)
     # ------------------------------------------------------------------ #
-    def stream_blocks(self) -> Iterator[np.ndarray]:
-        """Yield each chain block's live slots as a structured array view.
-
-        Iteration is group-by-group, chain order within a group: the
-        sequential access pattern the paper exploits.  Every block visited
-        is charged as one *sequential* block read; blocks whose live count
-        is zero are skipped without a charge only if never read — we still
-        charge them, as a real streamer must fetch a block to discover it
-        is empty.
-        """
-        for group in range(self._n_groups):
-            block = self._group_head[group]
-            while block >= 0:
-                self.stats.seq_block_reads += 1
-                self.stats.cells_scanned += self.config.cal_block_size
-                row = self.pool.row(block)
-                mask = row["src"] != CAL_INVALID
-                if mask.any():
-                    yield row[mask]
-                block = self._next[block]
-
     def stream_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialise all live edges: ``(src, dst, weight)`` arrays."""
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for chunk in self.stream_blocks():
-            srcs.append(chunk["src"])
-            dsts.append(chunk["dst"])
-            weights.append(chunk["weight"])
-        if not srcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
+        """Materialise all live edges: ``(src, dst, weight)`` arrays.
+
+        Order is group-by-group, chain order within a group, slot order
+        within a block: the sequential access pattern the paper exploits.
+        Every block on a chain is charged as one *sequential* block read
+        of ``cal_block_size`` cells — blocks with no live slot included,
+        as a real streamer must fetch a block to discover it is empty.
+        The chains are walked once over the link tables; the cells then
+        come out of the pool in one gather.
+        """
+        heads = self._group_head._data[: self._n_groups].tolist()
+        nxt = self._next._data.tolist()
+        order: list[int] = []
+        for block in heads:
+            while block >= 0:
+                order.append(block)
+                block = nxt[block]
+        self.stats.seq_block_reads += len(order)
+        self.stats.cells_scanned += len(order) * self.config.cal_block_size
+        cells = self.pool.raw()[np.array(order, dtype=np.intp)].reshape(-1)
+        live = cells["src"] != CAL_INVALID
+        return cells["src"][live], cells["dst"][live], cells["weight"][live]
 
     def fill_fraction(self) -> float:
         """Live slots / allocated slots — the compaction diagnostic."""

@@ -69,13 +69,17 @@ class BlockPool:
     dtype:
         Structured cell dtype.
     blank:
-        Callable producing a blank cell array of a given shape; used to
-        initialise new capacity and to recycle freed blocks.
+        Callable producing a blank cell array of a given shape.  Called
+        once, for the one blank row every hand-out copies from.
     initial_blocks:
-        Rows pre-allocated at construction.
+        Rows reserved at construction.
+
+    Capacity is reserved *zeroed*: a row holds the blank state only once
+    it is handed out, so growth never touches (and the OS never backs) rows
+    nobody asked for.  Nothing may read a row at or past :attr:`high_water`.
     """
 
-    __slots__ = ("block_width", "dtype", "_blank", "_data", "_used", "_free")
+    __slots__ = ("block_width", "dtype", "_blank_row", "_data", "_used", "_free")
 
     def __init__(self, block_width, dtype, blank, initial_blocks=4):
         if block_width <= 0:
@@ -84,8 +88,8 @@ class BlockPool:
             raise ValueError("initial_blocks must be positive")
         self.block_width = int(block_width)
         self.dtype = dtype
-        self._blank = blank
-        self._data = blank((initial_blocks, self.block_width))
+        self._blank_row = blank(self.block_width)
+        self._data = np.zeros((initial_blocks, self.block_width), dtype=dtype)
         self._used = 0
         self._free: list[int] = []
 
@@ -114,30 +118,42 @@ class BlockPool:
         new_cap = cap
         while new_cap < min_rows:
             new_cap *= 2
-        fresh = self._blank((new_cap, self.block_width))
-        fresh[:cap] = self._data
+        fresh = np.zeros((new_cap, self.block_width), dtype=self.dtype)
+        fresh[: self._used] = self._data[: self._used]
         self._data = fresh
 
     def allocate(self) -> int:
         """Hand out a blank block row and return its index."""
         if self._free:
             idx = self._free.pop()
-            self._data[idx] = self._blank(self.block_width)
-            return idx
-        idx = self._used
-        self._grow_to(idx + 1)
-        self._used += 1
+        else:
+            idx = self._used
+            self._grow_to(idx + 1)
+            self._used += 1
+        self._data[idx] = self._blank_row
         return idx
 
     def allocate_many(self, count: int) -> list[int]:
-        """Allocate ``count`` blocks (free-list first, then fresh rows)."""
-        return [self.allocate() for _ in range(count)]
+        """Allocate ``count`` blank blocks (free-list first, then fresh rows).
+
+        Same ids in the same order as ``count`` calls of :meth:`allocate`,
+        with one growth and one bulk blanking of the rows handed out.
+        """
+        ids = [self._free.pop() for _ in range(min(count, len(self._free)))]
+        n_fresh = count - len(ids)
+        if n_fresh > 0:
+            self._grow_to(self._used + n_fresh)
+            ids.extend(range(self._used, self._used + n_fresh))
+            self._used += n_fresh
+        if ids:
+            self._data[ids] = self._blank_row
+        return ids
 
     def free(self, index: int) -> None:
         """Return a block to the pool for reuse.
 
-        The row contents are *not* scrubbed here; they are re-blanked on
-        the next :meth:`allocate`, so freeing is O(1).
+        The row contents are *not* scrubbed here; every row is blanked
+        when it is handed out, so freeing is O(1).
         """
         if not (0 <= index < self._used):
             raise IndexError(f"block {index} was never allocated")

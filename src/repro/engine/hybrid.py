@@ -255,16 +255,22 @@ class HybridEngine:
         """Iterate the GAS program to a fixed point from the active set."""
         with obs_span("engine.compute", stats=self.store.stats,
                       program=self.program.name, policy=self.policy,
-                      snapshot=getattr(self.store, "analytics_snapshot", None)
-                      is not None):
+                      snapshot=self.store.analytics_snapshot is not None):
             result = ComputeResult()
             iteration = 0
+            full_load: list = []  # see _load_full; a local, so never stale
             while self._active.size:
                 if iteration >= self.config.max_iterations:
                     raise EngineError(
                         f"no fixed point within {self.config.max_iterations} iterations"
                     )
-                record = self._iterate_once(iteration, self._next_mode)
+                mode = self._next_mode
+                # One compute-mode decision = one ``engine.<mode>`` span.
+                with obs_span(f"engine.{mode}", stats=self.store.stats,
+                              iteration=iteration) as sp:
+                    record = self._iterate_once(iteration, mode, full_load)
+                    sp.set_attr("n_active", record.n_active)
+                    sp.set_attr("edges_processed", record.edges_processed)
                 result.iterations.append(record)
                 iteration += 1
             self.history.append(result)
@@ -292,21 +298,31 @@ class HybridEngine:
         if last == last and last != float("inf"):  # skip NaN/inf predictors
             registry.gauge("engine.predictor").set(last)
 
-    def _iterate_once(self, index: int, mode: str) -> IterationRecord:
-        """One processing + apply phase in the given mode.
+    def _load_full(self, full_load: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """FP load: one physical load per ``compute()``, charged per iteration.
 
-        Each iteration is one compute-mode decision; when tracing is on it
-        is recorded as an ``engine.<mode>`` span nested under the
-        enclosing ``engine.compute`` span.
+        ``full_load`` is ``compute()``'s holder: empty until its first FP
+        iteration, then ``[triple, charge]``.  The store cannot change
+        inside one ``compute()`` (programs only read it; the service holds
+        its lock throughout), so later FP iterations reuse the triple and
+        merge the recorded ``AccessStats`` charge.  The triple is read-only:
+        a program writing into its inputs fails, not corrupts the next pass.
         """
-        with obs_span(f"engine.{mode}", stats=self.store.stats,
-                      iteration=index) as sp:
-            record = self._iterate_once_inner(index, mode)
-            sp.set_attr("n_active", record.n_active)
-            sp.set_attr("edges_processed", record.edges_processed)
-        return record
+        stats = self.store.stats
+        if full_load:
+            triple, charge = full_load
+            stats.merge(charge)
+            return triple
+        before = stats.snapshot()
+        # Views, so a backend returning its own arrays keeps them writable.
+        triple = tuple(a.view() for a in modes.load_edges_full(self.store))
+        for a in triple:
+            a.flags.writeable = False
+        full_load.extend((triple, stats.delta(before)))
+        return triple
 
-    def _iterate_once_inner(self, index: int, mode: str) -> IterationRecord:
+    def _iterate_once(self, index: int, mode: str, full_load: list) -> IterationRecord:
+        """One processing + apply phase in the given mode."""
         program = self.program
         store = self.store
         before = store.stats.snapshot()
@@ -314,7 +330,7 @@ class HybridEngine:
 
         # ---- processing phase (LoadEdges + pipeline) -------------------
         if mode == modes.FULL:
-            src, dst, weight = modes.load_edges_full(store)
+            src, dst, weight = self._load_full(full_load)
         elif mode == modes.FULL_VC:
             src, dst, weight = modes.load_edges_full_vertex_centric(store)
         else:

@@ -122,13 +122,109 @@ class TestStreaming:
         src, dst, w = cal.stream_edges()
         assert src.size == dst.size == w.size == 0
 
-    def test_stream_blocks_yield_views_of_live_slots(self):
+    def test_stream_edges_yields_live_slots_in_slot_order(self):
         cal = make(block_size=4)
         cal.append(0, 1, 1.0)
         cal.append(0, 2, 2.0)
-        chunks = list(cal.stream_blocks())
-        assert len(chunks) == 1
-        assert chunks[0]["dst"].tolist() == [1, 2]
+        addr = cal.append(0, 3, 3.0)
+        cal.append(0, 4, 4.0)
+        cal.invalidate(*addr)
+        src, dst, w = cal.stream_edges()
+        assert dst.tolist() == [1, 2, 4]
+        assert w.tolist() == [1.0, 2.0, 4.0]
+        # copies, not views: the pool is untouched by writes to the stream
+        dst[:] = 99
+        assert cal.pool.row(0)["dst"].tolist() == [1, 2, 3, 4]
+
+
+def reference_stream(cal):
+    """The per-block chain walk ``stream_edges`` must equal: arrays in
+    group / chain / slot order, one sequential read of ``cal_block_size``
+    cells charged for every block on a chain, live or not."""
+    srcs = [np.empty(0, np.int64)]
+    dsts = [np.empty(0, np.int64)]
+    weights = [np.empty(0, np.float64)]
+    reads = 0
+    for group in range(cal.n_groups):
+        block = cal._group_head[group]
+        while block >= 0:
+            reads += 1
+            row = cal.pool.row(block)
+            chunk = row[row["src"] != CAL_INVALID]
+            srcs.append(chunk["src"])
+            dsts.append(chunk["dst"])
+            weights.append(chunk["weight"])
+            block = cal._next[block]
+    arrays = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
+    return arrays, reads, reads * cal.config.cal_block_size
+
+
+def assert_stream_matches_reference(cal):
+    want, reads, cells = reference_stream(cal)
+    before = cal.stats.snapshot()
+    got = cal.stream_edges()
+    charged = cal.stats.delta(before)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert charged.seq_block_reads == reads
+    assert charged.cells_scanned == cells
+    assert sum(charged.as_dict().values()) == reads + cells  # nothing else moved
+    return got
+
+
+class TestStreamOracle:
+    """``stream_edges`` against the independent per-block reference."""
+
+    def test_empty(self):
+        src, dst, w = assert_stream_matches_reference(make())
+        assert (src.dtype, dst.dtype, w.dtype) == (np.int64, np.int64, np.float64)
+
+    def test_group_with_every_block_invalidated_is_still_charged(self):
+        cal = make(group_width=4, block_size=2)
+        dead = [cal.append(0, d, 1.0) for d in range(5)]    # group 0: 3 blocks
+        cal.append(4, 7, 2.0)                               # group 1
+        for addr in dead:
+            cal.invalidate(*addr)
+        cal.stats.reset()
+        src, dst, _ = assert_stream_matches_reference(cal)
+        assert (src.tolist(), dst.tolist()) == ([4], [7])
+        assert cal.stats.seq_block_reads == 4  # three of them hold nothing live
+
+    def test_interleaved_groups(self):
+        cal = make(group_width=2, block_size=2)
+        for i in range(40):
+            cal.append((i * 5) % 11, i, float(i))
+        src, _, _ = assert_stream_matches_reference(cal)
+        groups = (src // 2).tolist()
+        assert groups == sorted(groups)
+
+    def test_free_list_reuse_after_compact_delete(self):
+        cal = make(group_width=4, block_size=2)
+        addrs = [cal.append(0, d, 1.0) for d in range(6)]   # blocks 0,1,2
+        for addr in reversed(addrs[2:]):
+            cal.compact_delete(*addr)                       # frees 2 then 1
+        for d in range(3):
+            cal.append(8, 100 + d, 2.0)                     # group 2 reuses 1, 2
+        cal.append(0, 50, 3.0)                              # group 0 gets a fresh row
+        assert cal._group_head[2] < cal._group_tail[0]      # chain order != row order
+        _, dst, _ = assert_stream_matches_reference(cal)
+        assert dst.tolist() == [0, 1, 50, 100, 101, 102]
+
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rmat_churn_through_graphtinker(self, compact, seed):
+        from repro import GraphTinker
+        from repro.workloads import rmat_edges
+
+        gt = GraphTinker(GTConfig(cal_group_width=8, cal_block_size=4,
+                                  compact_on_delete=compact))
+        edges = rmat_edges(8, 3000, seed=seed)
+        for lo in range(0, 3000, 500):
+            gt.insert_batch(edges[lo:lo + 500])
+            gt.delete_batch(edges[max(0, lo - 250):lo + 125])
+            assert_stream_matches_reference(gt.cal)
+        assert gt.cal.n_edges == gt.cal.stream_edges()[0].size > 0
 
 
 class TestCompactDelete:

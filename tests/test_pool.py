@@ -56,6 +56,34 @@ class TestAllocation:
         assert b == a  # LIFO reuse
         assert (pool.row(b)["dst"] == EMPTY).all()
 
+    def test_allocate_hands_out_blank_rows(self):
+        """Fresh, recycled and first-after-growth rows are all blank —
+        capacity itself is only reserved (zeroed), never pre-blanked."""
+        pool = make_pool(initial=2)
+        blank = blank_edge_cells(pool.block_width)
+        fresh = pool.allocate()
+        assert np.array_equal(pool.row(fresh), blank)
+        pool.row(fresh)["dst"][:] = 9
+        pool.row(fresh)["cal_block"][:] = 5
+        pool.free(fresh)
+        recycled = pool.allocate()
+        assert recycled == fresh
+        assert np.array_equal(pool.row(recycled), blank)
+        pool.allocate()
+        assert pool.capacity == 2
+        grown = pool.allocate()  # the allocation that doubles the array
+        assert pool.capacity == 4
+        assert np.array_equal(pool.row(grown), blank)
+
+    def test_growth_leaves_raw_bit_identical(self):
+        pool = make_pool(initial=2)
+        for i in range(2):
+            pool.row(pool.allocate())["dst"][:] = 10 + i
+        before = pool.raw().copy()
+        pool.allocate()
+        assert pool.capacity == 4
+        assert pool.raw()[:2].tobytes() == before.tobytes()
+
     def test_free_unallocated_raises(self):
         pool = make_pool()
         with pytest.raises(IndexError):
@@ -108,6 +136,24 @@ class TestBulkAccess:
         ids = pool.allocate_many(5)
         assert ids == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("count", [0, 2, 3, 9])
+    def test_allocate_many_equals_repeated_allocate(self, count):
+        """Same ids, same free-list left behind, every row blank."""
+        pools = [make_pool(initial=2), make_pool(initial=2)]
+        for pool in pools:
+            for idx in [pool.allocate() for _ in range(5)]:
+                pool.row(idx)["dst"][:] = 7
+            for idx in (1, 4, 2):
+                pool.free(idx)
+        bulk, one_by_one = pools
+        ids = bulk.allocate_many(count)
+        assert ids == [one_by_one.allocate() for _ in range(count)]
+        assert bulk._free == one_by_one._free
+        assert bulk.high_water == one_by_one.high_water
+        assert bulk.raw().tobytes() == one_by_one.raw().tobytes()
+        for idx in ids:
+            assert (bulk.row(idx)["dst"] == EMPTY).all()
+
     def test_raw_covers_used_rows(self):
         pool = make_pool()
         a = pool.allocate()
@@ -121,6 +167,38 @@ class TestBulkAccess:
         pool = make_pool(initial=8)
         pool.allocate()
         assert pool.raw().shape[0] == 1
+
+
+class TestNothingReadsPastHighWater:
+    def test_poisoned_spare_capacity_changes_nothing(self, monkeypatch):
+        """Rows at or past ``high_water`` are reserved, not initialised:
+        a store whose spare capacity is filled with garbage after every
+        growth must behave bit-identically to an untouched one."""
+        from repro import GraphTinker, GTConfig
+        from repro.core.store import store_digest
+        from repro.workloads import rmat_edges
+
+        def run():
+            gt = GraphTinker(GTConfig(pagewidth=16, subblock=4, workblock=2,
+                                      initial_vertices=4, compact_on_delete=True))
+            edges = rmat_edges(8, 4000, seed=5)
+            for lo in range(0, 4000, 500):
+                gt.insert_batch(edges[lo:lo + 500])
+                gt.delete_batch(edges[max(0, lo - 300):lo + 100])
+                gt.insert_edge(int(edges[lo, 1]), int(edges[lo, 0]), 2.0)
+            streamed = [a.tobytes() for a in gt.analytics_edges()]
+            assert gt.fsck().ok
+            return store_digest(gt), streamed, gt.stats.as_dict()
+
+        clean = run()
+        grow = BlockPool._grow_to
+
+        def grow_then_poison(pool, min_rows):
+            grow(pool, min_rows)
+            pool._data[pool.high_water:].view(np.uint8)[...] = 0x5A
+
+        monkeypatch.setattr(BlockPool, "_grow_to", grow_then_poison)
+        assert run() == clean
 
 
 class TestEdgeLocation:
