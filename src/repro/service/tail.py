@@ -18,14 +18,13 @@ Semantics, in the order they matter:
   recovery is a full resync, not a replay.
 * **Torn tails are pending, not errors** — the writer appends records
   with a flush per append, so a reader can observe a half-written final
-  record (short header, short payload, or a CRC mismatch at EOF).  The
-  tailer stops *before* the torn bytes and re-reads from the same
-  boundary on the next poll: if the writer finishes the record the
-  bytes complete; if the writer crashed, its restart truncates them and
-  appends fresh records at the very same offset.  Either way the tailer
-  never consumed garbage.  A CRC mismatch (or short record) with more
-  data after it is real corruption and raises
-  :class:`~repro.errors.ServiceError`, exactly like recovery would.
+  record.  What counts as a valid record, a torn tail or corruption is
+  decided by :class:`repro.service.wal.RecordScan`, the same decoder
+  recovery drives; the tailer only stops *before* the torn bytes and
+  re-reads from the same boundary on the next poll: if the writer
+  finishes the record the bytes complete; if the writer crashed, its
+  restart truncates them and appends fresh records at the very same
+  offset.  Either way the tailer never consumed garbage.
 * **Rotation mid-stream** — a segment that ends cleanly is final (the
   writer never reopens rotated segments), so when a successor segment
   named ``last_seq + 1`` exists the tailer moves into it.  No successor
@@ -41,17 +40,14 @@ writer-side prune and always observes truncations.
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 
 from repro.errors import CursorGapError, ServiceError
 from repro.service.wal import (
-    _HEADER,
-    SEGMENT_MAGIC,
     SEGMENT_PREFIX,
     SEGMENT_SUFFIX,
+    RecordScan,
     WalRecord,
-    _decode_payload,
     list_segments,
 )
 
@@ -82,7 +78,7 @@ class WalTailer:
         self.last_seq = int(after_seq)
         self.cum_edges = int(cum_edges)
         self._segment: Path | None = None
-        self._offset: int | None = None  # None = magic not yet verified
+        self._offset = 0  # 0 = segment magic not yet verified
         # Validate the cursor eagerly so a subscriber learns about a
         # pruned cursor at subscribe time, not on its first poll.
         self._locate()
@@ -125,7 +121,7 @@ class WalTailer:
                 f"between were pruned by a checkpoint; subscriber must resync"
             )
         self._segment = chosen
-        self._offset = None
+        self._offset = 0
         return True
 
     def _next_segment(self) -> Path | None:
@@ -154,54 +150,26 @@ class WalTailer:
 
         Returns True when the scan consumed the buffer to a clean EOF
         (the segment may be rotated past), False when it stopped early —
-        on the record cap or on pending torn bytes at the tail.
+        on the record cap or on a torn tail, which for a live log means
+        *pending*: the writer finishes the record, or its restart
+        truncates it and appends at the very same offset.
         """
-        path = self._segment
-        if self._offset is None:
-            if not data.startswith(SEGMENT_MAGIC):
-                if SEGMENT_MAGIC.startswith(data):
-                    return False  # magic itself still being written
-                raise ServiceError(f"{path}: not a WAL segment (bad magic)")
-            self._offset = len(SEGMENT_MAGIC)
-        offset = self._offset
-        while offset < len(data):
+        scan = RecordScan(data, self._offset, self._segment)
+        for record in scan:
+            if record.seq > self.last_seq:
+                if record.seq != self.last_seq + 1:
+                    raise ServiceError(
+                        f"{self._segment} @{self._offset}: WAL sequence gap "
+                        f"while tailing ({self.last_seq} -> {record.seq})"
+                    )
+                out.append(record)
+                self.last_seq = record.seq
+                self.cum_edges = record.cum_edges
+            self._offset = scan.offset
             if len(out) >= max_records:
                 return False
-            header = data[offset:offset + _HEADER.size]
-            if len(header) < _HEADER.size:
-                return False  # torn header at the live tail: pending
-            crc, seq, op, n, cum, plen = _HEADER.unpack(header)
-            end = offset + _HEADER.size + plen
-            if end > len(data):
-                return False  # torn payload at the live tail: pending
-            body = data[offset + 4:end]
-            if zlib.crc32(body) != crc:
-                if end == len(data):
-                    # Complete-length but wrong bytes as the very last
-                    # record: a larger intended write partially landed.
-                    # Pending — the writer finishes it or its restart
-                    # truncates it.
-                    return False
-                raise ServiceError(
-                    f"{path} @{offset}: CRC mismatch mid-segment "
-                    f"(stored {crc:#010x}) — WAL is corrupt, refusing to "
-                    f"stream past it"
-                )
-            if seq > self.last_seq:
-                if seq != self.last_seq + 1:
-                    raise ServiceError(
-                        f"{path} @{offset}: WAL sequence gap while tailing "
-                        f"({self.last_seq} -> {seq})"
-                    )
-                edges, weights = _decode_payload(
-                    op, n, data[offset + _HEADER.size:end], path, offset)
-                out.append(WalRecord(seq=seq, op=op, edges=edges,
-                                     weights=weights, cum_edges=cum))
-                self.last_seq = seq
-                self.cum_edges = cum
-            offset = end
-            self._offset = offset
-        return True
+        self._offset = scan.offset
+        return scan.torn is None
 
     # ------------------------------------------------------------------ #
     # public read
@@ -226,7 +194,6 @@ class WalTailer:
                 # Pruned while we were tailing it; re-locate (raises
                 # CursorGapError when our cursor went with it).
                 self._segment = None
-                self._offset = None
                 continue
             clean_eof = self._scan(data, out, max_records)
             if not clean_eof:
@@ -235,5 +202,5 @@ class WalTailer:
             if nxt is None:
                 break
             self._segment = nxt
-            self._offset = None
+            self._offset = 0
         return out

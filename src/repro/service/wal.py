@@ -148,21 +148,73 @@ def _encode(seq: int, op: int, edges: np.ndarray, weights: np.ndarray | None,
     return struct.pack("<I", crc) + body
 
 
-def _decode_payload(op: int, n: int, payload: bytes, path: Path,
-                    offset: int) -> tuple[np.ndarray, np.ndarray]:
-    expect = n * (24 if op == OP_INSERT else 16)
-    if len(payload) != expect:
-        raise ServiceError(
-            f"{path} @{offset}: payload length {len(payload)} does not match "
-            f"op/count header (expected {expect})"
-        )
-    src = np.frombuffer(payload, dtype=np.int64, count=n, offset=0)
-    dst = np.frombuffer(payload, dtype=np.int64, count=n, offset=8 * n)
-    if op == OP_INSERT:
-        weights = np.frombuffer(payload, dtype=np.float64, count=n, offset=16 * n)
-    else:
-        weights = np.ones(n, dtype=np.float64)
-    return np.column_stack([src, dst]), weights.copy()
+class RecordScan:
+    """The one WAL record decoder: segment bytes + offset in, records out.
+
+    Iterating yields each complete, valid :class:`WalRecord` from
+    ``offset`` on (``offset == 0`` verifies the segment magic first) and
+    keeps ``offset`` at the end of the last record yielded.  Afterwards
+    ``torn`` is ``None`` if the bytes ended on a record boundary, else
+    why the bytes from ``offset`` on are a *torn tail*: a short magic,
+    header or payload, or a CRC mismatch in the very last record (a
+    larger intended write landed partially).  What a torn tail means —
+    drop, truncate, pending — is the caller's; what is *invalid* is
+    decided only here (each such case raises :class:`ServiceError`).
+    """
+
+    def __init__(self, data: bytes, offset: int, path: Path):
+        self.data = data
+        self.offset = offset
+        self.path = path
+        self.torn: str | None = None
+
+    def __iter__(self) -> Iterator[WalRecord]:
+        data, path = self.data, self.path
+        if self.offset == 0:
+            if not data.startswith(SEGMENT_MAGIC):
+                if SEGMENT_MAGIC.startswith(data):
+                    # died inside the magic write of a fresh segment
+                    self.torn = "torn segment magic"
+                    return
+                raise ServiceError(f"{path}: not a WAL segment (bad magic)")
+            self.offset = len(SEGMENT_MAGIC)
+        while self.offset < len(data):
+            offset = self.offset
+            start = offset + _HEADER.size
+            if start > len(data):
+                self.torn = "torn record header"
+                return
+            crc, seq, op, n, cum, plen = _HEADER.unpack_from(data, offset)
+            end = start + plen
+            if end > len(data):
+                self.torn = "torn record payload"
+                return
+            if zlib.crc32(data[offset + 4:end]) != crc:
+                if end == len(data):
+                    self.torn = "CRC mismatch in final record"
+                    return
+                raise ServiceError(
+                    f"{path} @{offset}: CRC mismatch mid-segment (stored "
+                    f"{crc:#010x}) — WAL is corrupt, refusing to read past it"
+                )
+            if op not in (OP_INSERT, OP_DELETE):
+                raise ServiceError(f"{path} @{offset}: unknown WAL op {op}")
+            if plen != n * (24 if op == OP_INSERT else 16):
+                raise ServiceError(
+                    f"{path} @{offset}: payload length {plen} does not match "
+                    f"the op/count header ({n} rows)"
+                )
+            src = np.frombuffer(data, dtype=np.int64, count=n, offset=start)
+            dst = np.frombuffer(data, dtype=np.int64, count=n,
+                                offset=start + 8 * n)
+            if op == OP_INSERT:
+                weights = np.frombuffer(data, dtype=np.float64, count=n,
+                                        offset=start + 16 * n).copy()
+            else:
+                weights = np.ones(n, dtype=np.float64)
+            self.offset = end
+            yield WalRecord(seq=seq, op=op, edges=np.column_stack([src, dst]),
+                            weights=weights, cum_edges=cum)
 
 
 def scan_segment(path: str | Path, tolerate_torn_tail: bool = False,
@@ -175,46 +227,13 @@ def scan_segment(path: str | Path, tolerate_torn_tail: bool = False,
     raises :class:`ServiceError`.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < len(SEGMENT_MAGIC) or not data.startswith(SEGMENT_MAGIC):
-        if tolerate_torn_tail and SEGMENT_MAGIC.startswith(data):
-            return [], 0  # died inside the magic write of a fresh segment
-        raise ServiceError(f"{path}: not a WAL segment (bad magic)")
-    records: list[WalRecord] = []
-    offset = len(SEGMENT_MAGIC)
-
-    def torn(reason: str) -> tuple[list[WalRecord], int | None]:
-        if not tolerate_torn_tail:
-            raise ServiceError(f"{path} @{offset}: {reason}")
-        return records, offset
-
-    while offset < len(data):
-        header = data[offset:offset + _HEADER.size]
-        if len(header) < _HEADER.size:
-            return torn("torn record header")
-        crc, seq, op, n, cum, plen = _HEADER.unpack(header)
-        end = offset + _HEADER.size + plen
-        if end > len(data):
-            return torn("torn record payload")
-        body = data[offset + 4:end]
-        if zlib.crc32(body) != crc:
-            if end == len(data):
-                # A final record can be "complete-length but wrong bytes"
-                # when the tail of a larger intended write landed; same
-                # torn-tail treatment.
-                return torn("CRC mismatch in final record")
-            raise ServiceError(
-                f"{path} @{offset}: CRC mismatch mid-segment (stored "
-                f"{crc:#010x}) — WAL is corrupt, refusing to replay past it"
-            )
-        if op not in (OP_INSERT, OP_DELETE):
-            raise ServiceError(f"{path} @{offset}: unknown WAL op {op}")
-        edges, weights = _decode_payload(op, n, data[offset + _HEADER.size:end],
-                                         path, offset)
-        records.append(WalRecord(seq=seq, op=op, edges=edges, weights=weights,
-                                 cum_edges=cum))
-        offset = end
-    return records, None
+    scan = RecordScan(path.read_bytes(), 0, path)
+    records = list(scan)
+    if scan.torn is None:
+        return records, None
+    if not tolerate_torn_tail:
+        raise ServiceError(f"{path} @{scan.offset}: {scan.torn}")
+    return records, scan.offset
 
 
 def iter_records(directory: str | Path, tolerate_torn_tail: bool = True,
