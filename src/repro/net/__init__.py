@@ -11,8 +11,11 @@ into a network service:
   and the lock-free graph queries served from them.
 * :mod:`repro.net.server` — the asyncio :class:`GraphServer` (and the
   thread-hosted :class:`ServerThread` wrapper).
-* :mod:`repro.net.client` / :mod:`repro.net.aioclient` — sync and async
-  clients with typed remote errors and transient-error retry.
+* :mod:`repro.net.session` — the sans-IO :class:`ClientSession` (request
+  ids, response validation, typed remote errors, retry decision) and
+  the typed op surface every client shares.
+* :mod:`repro.net.client` / :mod:`repro.net.aioclient` — its blocking
+  and asyncio drivers, and the :class:`ReplicaSet` failover router.
 * :mod:`repro.net.loadgen` — the closed-loop load generator behind
   ``python -m repro loadgen`` and ``BENCH_net_serve.json``.
 * :mod:`repro.net.replication` — WAL-shipping read replicas:
@@ -34,7 +37,6 @@ from repro.net.frames import (
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     encode_frame,
-    read_frame,
     supported_codecs,
 )
 from repro.net.loadgen import LoadStats, loadgen_record, run_loadgen
@@ -73,7 +75,6 @@ __all__ = [
     "capture_view_locked",
     "encode_frame",
     "loadgen_record",
-    "read_frame",
     "run_loadgen",
     "store_digest",
     "supported_codecs",

@@ -1,31 +1,23 @@
-"""Synchronous GraphClient: typed, retrying access to a GraphServer.
+"""Synchronous GraphClient and the ReplicaSet failover router.
 
-The client is a thin, explicit wrapper over one TCP connection: every
-call sends one request frame and reads one response frame, re-raising
-remote error frames as the *same* typed exceptions the server-side
-service raised (:class:`~repro.errors.ShedError`,
-:class:`~repro.errors.BreakerOpenError`, …) — see
-:data:`repro.net.protocol.CODE_TO_EXCEPTION`.
-
-Two throughput affordances on top of that:
-
-* **Retry with backoff** — error codes in
-  :data:`~repro.net.protocol.RETRYABLE_CODES` (shed reads, open breaker,
-  full queue) are transient by the service's own declaration; with
-  ``retries > 0`` the client sleeps an exponentially growing, jittered
-  backoff and retries the request before surfacing the error.
-* **Pipelined batch submit** — :meth:`submit_edges_pipelined` writes a
-  window of mutation frames before reading the first response, hiding
-  the round-trip latency that a strict request/response loop would pay
-  per batch.  The server processes each connection's frames in order, so
-  responses come back in request order.
+:class:`GraphClient` is the blocking-socket driver over one
+:class:`~repro.net.session.ClientSession` (which owns request ids,
+response validation, typed remote errors, watermarks and the retry
+decision): it moves bytes between the socket and the session and adds
+**pipelined batch submit** — :meth:`GraphClient.submit_edges_pipelined`
+writes a window of mutation frames before reading the first response,
+hiding the round-trip latency a strict request/response loop would pay
+per batch (the server answers one connection's frames in order).
 
 Transport failures — connection refused/reset, a peer that vanished
 mid-frame or mid-handshake — are classified as the synthetic retryable
 code ``UNAVAILABLE`` (the socket is closed first, so a retry
-reconnects).  A client built with ``port_file=`` re-resolves the port
-from that file on every reconnect, which is what lets a long-running
-load generator survive a server restart onto a fresh ephemeral port.
+reconnects).  A :class:`~repro.errors.ProtocolError` from the response
+stream closes the socket too (a length-prefixed stream cannot be
+resynchronised) but is never retried.  A client built with
+``port_file=`` re-resolves the port from that file on every reconnect,
+which is what lets a long-running load generator survive a server
+restart onto a fresh ephemeral port.
 
 :class:`ReplicaSet` builds failover routing on top: reads rotate across
 replicas and fall back to the writer, writes always go to the writer,
@@ -42,32 +34,28 @@ import random
 import socket
 import time
 
-from collections import deque
 from pathlib import Path
 
 from repro.errors import NetError, ProtocolError, ReproError
-from repro.net.frames import (
-    DEFAULT_MAX_FRAME,
-    FrameDecoder,
-    encode_frame,
-    supported_codecs,
-)
+from repro.net.frames import DEFAULT_MAX_FRAME, supported_codecs
 from repro.net.protocol import (
-    E_UNAVAILABLE,
     FAILOVER_CODES,
+    OPS,
     PROTOCOL_VERSION,
     RETRYABLE_CODES,
     json_safe,
-    raise_remote_error,
+)
+from repro.net.session import (
+    DEFAULT_BACKOFF,
+    DEFAULT_BACKOFF_CAP,
+    DEFAULT_RETRIES,
+    GraphOps,
+    SessionClient,
+    backoff_delay,
 )
 
-#: Default retry/backoff shape for transient (shed/breaker/queue) errors.
-DEFAULT_RETRIES = 0
-DEFAULT_BACKOFF = 0.05
-DEFAULT_BACKOFF_CAP = 2.0
 
-
-class GraphClient:
+class GraphClient(SessionClient):
     """One blocking connection to a :class:`~repro.net.server.GraphServer`.
 
     Usable as a context manager; :meth:`connect` is implicit on first
@@ -83,35 +71,14 @@ class GraphClient:
                  max_frame: int = DEFAULT_MAX_FRAME,
                  port_file: str | Path | None = None,
                  rng: random.Random | None = None):
-        self.host = host
-        self.port = port
+        super().__init__(host, port, timeout=timeout, retries=retries,
+                         backoff=backoff, backoff_cap=backoff_cap,
+                         max_frame=max_frame, rng=rng)
         #: When set, every (re)connect re-reads the port from this file
         #: — a restarted server publishes its fresh ephemeral port there,
         #: so clients follow it instead of dying on the stale port.
         self.port_file = Path(port_file) if port_file is not None else None
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
-        self.max_frame = max_frame
-        self._rng = rng or random.Random()
         self._sock: socket.socket | None = None
-        self._decoder = FrameDecoder(max_frame=max_frame)
-        self._ready: deque = deque()
-        self._next_id = 0
-        self.codec = "json"
-        #: generation of the last read response — never decreases on one
-        #: connection (the server's view version is monotonic).
-        self.last_generation: int | None = None
-        #: WAL cursor of the last read response's view.  Unlike
-        #: ``generation`` this is comparable *across* nodes (writer and
-        #: replicas share the writer's sequence space), which is what
-        #: :class:`ReplicaSet` floors read-your-writes on.
-        self.last_applied_seq: int | None = None
-        #: staleness block of the last read answered by a replica
-        #: (``None`` when talking to a writer).
-        self.last_staleness: dict | None = None
-        self.n_retries = 0  # lifetime transient retries (introspection)
 
     # ------------------------------------------------------------------ #
     # connection lifecycle
@@ -128,7 +95,7 @@ class GraphClient:
         try:
             sock = socket.create_connection((self.host, self.port),
                                             timeout=self.timeout)
-        except (ConnectionError, socket.timeout, OSError) as exc:
+        except OSError as exc:
             self._unavailable(f"connect failed: {exc}", exc)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
@@ -137,7 +104,7 @@ class GraphClient:
         # retryable condition as a refused connect, not a protocol bug.
         hello = self._roundtrip("hello", {
             "proto": PROTOCOL_VERSION, "codecs": supported_codecs()})
-        self.codec = hello["codec"]
+        self.session.codec = hello["codec"]
         return self
 
     def close(self) -> None:
@@ -146,8 +113,7 @@ class GraphClient:
                 self._sock.close()
             finally:
                 self._sock = None
-                self._decoder = FrameDecoder(max_frame=self.max_frame)
-                self._ready.clear()
+                self.session.reset()
 
     def __enter__(self) -> "GraphClient":
         return self.connect()
@@ -155,83 +121,64 @@ class GraphClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------ #
-    # frame plumbing
-    # ------------------------------------------------------------------ #
     def _unavailable(self, message: str,
                      cause: BaseException | None = None):
         """Close and raise a retryable ``UNAVAILABLE`` transport error."""
         self.close()
-        exc = NetError(
-            f"[{E_UNAVAILABLE}] {self.host}:{self.port}: {message}")
-        exc.code = E_UNAVAILABLE
-        raise exc from cause
+        raise self.session.unavailable(
+            f"{self.host}:{self.port}: {message}") from cause
 
-    def _request_frame(self, op: str, args: dict) -> tuple[int, bytes]:
-        self._next_id += 1
-        request_id = self._next_id
-        frame = encode_frame(
-            {"id": request_id, "op": op, "args": json_safe(args)},
-            self.codec, max_frame=self.max_frame)
-        return request_id, frame
+    # ------------------------------------------------------------------ #
+    # moving bytes between the socket and the session
+    # ------------------------------------------------------------------ #
+    def _exchange(self, requests, window: int) -> list:
+        """Send ``(op, args)`` requests with at most ``window`` in flight;
+        return their ``result`` fields in request order.
 
-    def _recv_frame(self):
-        """One decoded frame from the buffered stream (None on clean EOF).
-
-        Reads the socket in large chunks through a persistent
-        :class:`FrameDecoder` instead of issuing one ``recv`` per header
-        and one per payload — on a loaded box the saved syscalls and
-        wakeups are a measurable share of small-request latency.
+        A remote error stops the sending; the responses already owed are
+        still read (the session knows its in-flight ids), so the
+        connection stays in step, and the first error is raised after.
+        The socket is read in large chunks, not one ``recv`` per header
+        and payload: the saved syscalls are a measurable share of
+        small-request latency.
         """
-        while not self._ready:
-            data = self._sock.recv(1 << 16)
-            if not data:
-                if self._decoder.at_boundary:
-                    return None
-                # The peer died mid-frame (kill, RST after close) — a
-                # transport fault, not a protocol violation by a live
-                # server: retryable, so a reconnect can reach a
-                # restarted peer.
-                self._unavailable("connection closed mid-frame")
-            self._decoder.feed(data)
-            self._ready.extend(self._decoder.frames())
-        return self._ready.popleft()
-
-    def _read_response(self, request_id: int) -> dict:
-        response = self._recv_frame()
-        if response is None:
-            self._unavailable("server closed the connection mid-request")
-        if not isinstance(response, dict):
-            raise ProtocolError(
-                f"response must be an object, got {type(response).__name__}")
-        got = response.get("id")
-        if got is not None and got != request_id:
-            raise ProtocolError(
-                f"response id {got} does not match request id {request_id} "
-                f"(pipelining desync)")
-        if not response.get("ok"):
-            raise_remote_error(response.get("error") or {})
-        generation = response.get("generation")
-        if generation is not None:
-            self.last_generation = generation
-        applied_seq = response.get("applied_seq")
-        if applied_seq is not None:
-            self.last_applied_seq = applied_seq
-            self.last_staleness = response.get("staleness")
-        return response
+        session = self.session
+        in_flight = session.in_flight
+        window = max(window, 1)
+        results: list = []
+        error: ReproError | None = None
+        pending = iter(requests)
+        try:
+            if self._sock is None:
+                self.connect()
+            while True:
+                request = None
+                if error is None and len(in_flight) < window:
+                    request = next(pending, None)
+                if request is not None:
+                    self._sock.sendall(session.request(*request))
+                elif in_flight:
+                    try:
+                        while (response := session.next_response()) is None:
+                            session.receive(self._sock.recv(1 << 16))
+                        results.append(response.get("result"))
+                    except ProtocolError:
+                        raise
+                    except ReproError as exc:  # remote: stream still in step
+                        error = error or exc
+                else:
+                    break
+        except ProtocolError:
+            self.close()
+            raise
+        except OSError as exc:
+            self._unavailable(f"request failed: {exc}", exc)
+        if error is not None:
+            raise error
+        return results
 
     def _roundtrip(self, op: str, args: dict) -> dict:
-        if self._sock is None:
-            self.connect()
-        request_id, frame = self._request_frame(op, args)
-        try:
-            self._sock.sendall(frame)
-            response = self._read_response(request_id)
-        except (ConnectionError, socket.timeout, OSError) as exc:
-            if isinstance(exc, ReproError):
-                raise
-            self._unavailable(f"request failed: {exc}", exc)
-        return response.get("result") or {}
+        return self._exchange([(op, args)], 1)[0] or {}
 
     def call(self, op: str, args: dict | None = None) -> dict:
         """One request with transient-error retry/backoff."""
@@ -241,65 +188,15 @@ class GraphClient:
             try:
                 return self._roundtrip(op, args)
             except ReproError as exc:
-                code = getattr(exc, "code", None)
-                if code not in RETRYABLE_CODES or attempt >= self.retries:
+                delay = self.session.retry_delay(exc, attempt)
+                if delay is None:
                     raise
                 attempt += 1
-                self.n_retries += 1
-                delay = min(self.backoff_cap,
-                            self.backoff * (2 ** (attempt - 1)))
-                time.sleep(delay * (0.5 + self._rng.random()))
+                time.sleep(delay)
 
-    # ------------------------------------------------------------------ #
-    # typed API
-    # ------------------------------------------------------------------ #
-    def ping(self) -> dict:
-        return self.call("ping")
+    def _op(self, op: str, args: dict, pick):
+        return pick(self.call(op, args))
 
-    def health(self) -> dict:
-        return self.call("health")
-
-    def metrics(self) -> dict:
-        return self.call("metrics")
-
-    def digest(self) -> dict:
-        return self.call("digest")
-
-    def refresh(self) -> dict:
-        """Force the server to re-capture its read view (read-your-writes)."""
-        return self.call("refresh")
-
-    def insert_edges(self, edges, weights=None, *, wait: bool = True) -> dict:
-        args = {"edges": edges, "wait": wait}
-        if weights is not None:
-            args["weights"] = weights
-        return self.call("insert_edges", args)
-
-    def delete_edges(self, edges, *, wait: bool = True) -> dict:
-        return self.call("delete_edges", {"edges": edges, "wait": wait})
-
-    def degree(self, src: int) -> int:
-        return int(self.call("degree", {"src": int(src)})["degree"])
-
-    def neighbors(self, src: int) -> dict:
-        return self.call("neighbors", {"src": int(src)})
-
-    def khop(self, src: int, k: int, limit: int | None = None) -> dict:
-        args = {"src": int(src), "k": int(k)}
-        if limit is not None:
-            args["limit"] = int(limit)
-        return self.call("khop", args)
-
-    def shortest_path(self, src: int, dst: int, *, weighted: bool = True,
-                      limit: int | None = None) -> dict:
-        args = {"src": int(src), "dst": int(dst), "weighted": weighted}
-        if limit is not None:
-            args["limit"] = int(limit)
-        return self.call("shortest_path", args)
-
-    # ------------------------------------------------------------------ #
-    # pipelined submission
-    # ------------------------------------------------------------------ #
     def submit_edges_pipelined(self, batches, *, op: str = "insert_edges",
                                window: int = 8) -> list[dict]:
         """Submit many mutation batches with up to ``window`` in flight.
@@ -308,37 +205,19 @@ class GraphClient:
         request order), so the WAL-sync latency of consecutive batches
         overlaps instead of serialising.  Returns one result dict per
         batch, in submission order.  A remote error on any batch raises
-        after the preceding results are drained — the caller knows every
-        batch before the failed one is durable.
+        after every response already in flight has been read — the
+        caller knows every batch before the failed one is durable, no
+        further batch was sent, and the connection is still usable.
         """
-        if self._sock is None:
-            self.connect()
-        batches = list(batches)
-        in_flight: list[int] = []
-        results: list[dict] = []
-        try:
-            for edges in batches:
-                request_id, frame = self._request_frame(
-                    op, {"edges": json_safe(edges), "wait": True})
-                self._sock.sendall(frame)
-                in_flight.append(request_id)
-                if len(in_flight) >= window:
-                    results.append(
-                        self._read_response(in_flight.pop(0)).get("result"))
-            while in_flight:
-                results.append(
-                    self._read_response(in_flight.pop(0)).get("result"))
-        except (ConnectionError, socket.timeout, OSError) as exc:
-            if isinstance(exc, ReproError):
-                raise
-            self._unavailable(f"pipeline failed: {exc}", exc)
-        return results
+        return self._exchange(
+            ((op, {"edges": json_safe(edges), "wait": True})
+             for edges in batches), window)
 
 
 # --------------------------------------------------------------------- #
 # failover routing
 # --------------------------------------------------------------------- #
-class ReplicaSet:
+class ReplicaSet(GraphOps):
     """Failover router over one writer and any number of read replicas.
 
     * **Writes** always go to the writer; an acked write's ``seq``
@@ -377,15 +256,14 @@ class ReplicaSet:
         def build(endpoint) -> GraphClient:
             if isinstance(endpoint, GraphClient):
                 return endpoint
-            if isinstance(endpoint, dict):
-                return GraphClient(endpoint.get("host", "127.0.0.1"),
-                                   int(endpoint.get("port", 0)),
-                                   port_file=endpoint.get("port_file"),
-                                   timeout=timeout, max_frame=max_frame,
-                                   rng=self._rng)
-            host, port = endpoint
-            return GraphClient(host, int(port), timeout=timeout,
-                               max_frame=max_frame, rng=self._rng)
+            if not isinstance(endpoint, dict):
+                host, port = endpoint
+                endpoint = {"host": host, "port": port}
+            return GraphClient(endpoint.get("host", "127.0.0.1"),
+                               int(endpoint.get("port", 0)),
+                               port_file=endpoint.get("port_file"),
+                               timeout=timeout, max_frame=max_frame,
+                               rng=self._rng)
 
         self.writer = build(writer)
         self.replicas = [build(r) for r in replicas]
@@ -398,53 +276,58 @@ class ReplicaSet:
         self.last_generation: int | None = None
         self.last_staleness: dict | None = None
 
+    def _rounds(self, attempt, codes):
+        """Run ``attempt()`` until it answers, backing off between rounds
+        while it raises one of ``codes``, up to ``retries`` extra rounds."""
+        for round_no in range(self.retries + 1):
+            try:
+                return attempt()
+            except ReproError as exc:
+                if (getattr(exc, "code", None) not in codes
+                        or round_no == self.retries):
+                    raise
+            time.sleep(backoff_delay(round_no, self.backoff,
+                                     self.backoff_cap, self._rng))
+
+    def _op(self, op: str, args: dict, pick):
+        route = self.read if OPS[op] == "read" else self.write
+        return pick(route(op, args))
+
     # ------------------------------- writes --------------------------- #
     def write(self, op: str, args: dict) -> dict:
         """One mutation against the writer, with transport retry."""
-        result = self._call_with_rounds(self.writer, op, args)
+        result = self._rounds(lambda: self.writer.call(op, args),
+                              RETRYABLE_CODES)
         seq = result.get("seq")
         if seq is not None:
             self.floor_seq = max(self.floor_seq, int(seq))
         return result
 
-    def insert_edges(self, edges, weights=None, *, wait: bool = True) -> dict:
-        args = {"edges": edges, "wait": wait}
-        if weights is not None:
-            args["weights"] = weights
-        return self.write("insert_edges", args)
-
-    def delete_edges(self, edges, *, wait: bool = True) -> dict:
-        return self.write("delete_edges", {"edges": edges, "wait": wait})
-
     # ------------------------------- reads ---------------------------- #
     def read(self, op: str, args: dict | None = None) -> dict:
         """One read, routed across replicas with writer fallback."""
         args = args or {}
-        last_exc: ReproError | None = None
-        for round_no in range(self.retries + 1):
-            targets = self._read_targets()
-            for rank, client in enumerate(targets):
-                try:
-                    result = self._read_once(client, op, args)
-                except ReproError as exc:
-                    if getattr(exc, "code", None) not in FAILOVER_CODES:
-                        raise
-                    last_exc = exc
-                    continue
-                if result is None:   # floor breach on a replica
-                    continue
-                if rank > 0:
-                    self.n_failovers += 1
-                self.last_generation = client.last_generation
-                self.last_staleness = client.last_staleness
-                return result
-            if round_no < self.retries:
-                delay = min(self.backoff_cap,
-                            self.backoff * (2 ** round_no))
-                time.sleep(delay * (0.5 + self._rng.random()))
-        if last_exc is not None:
-            raise last_exc
-        raise NetError("replica set has no targets")
+        return self._rounds(lambda: self._sweep(op, args), FAILOVER_CODES)
+
+    def _sweep(self, op: str, args: dict) -> dict:
+        """One pass over the read targets; raises the last refusal."""
+        last_exc: ReproError = NetError("replica set has no targets")
+        for rank, client in enumerate(self._read_targets()):
+            try:
+                result = self._read_once(client, op, args)
+            except ReproError as exc:
+                if getattr(exc, "code", None) not in FAILOVER_CODES:
+                    raise
+                last_exc = exc
+                continue
+            if result is None:   # floor breach on a replica
+                continue
+            if rank > 0:
+                self.n_failovers += 1
+            self.last_generation = client.last_generation
+            self.last_staleness = client.last_staleness
+            return result
+        raise last_exc
 
     def _read_targets(self) -> list[GraphClient]:
         """Replicas in rotated order, writer always last resort."""
@@ -471,46 +354,11 @@ class ReplicaSet:
             result = client.call(op, args)
         return result
 
-    def degree(self, src: int) -> int:
-        return int(self.read("degree", {"src": int(src)})["degree"])
-
-    def neighbors(self, src: int) -> dict:
-        return self.read("neighbors", {"src": int(src)})
-
-    def khop(self, src: int, k: int, limit: int | None = None) -> dict:
-        args = {"src": int(src), "k": int(k)}
-        if limit is not None:
-            args["limit"] = int(limit)
-        return self.read("khop", args)
-
-    def shortest_path(self, src: int, dst: int, *, weighted: bool = True,
-                      limit: int | None = None) -> dict:
-        args = {"src": int(src), "dst": int(dst), "weighted": weighted}
-        if limit is not None:
-            args["limit"] = int(limit)
-        return self.read("shortest_path", args)
-
     # ------------------------------- misc ----------------------------- #
     @property
     def n_retries(self) -> int:
         """Lifetime transient retries across every member connection."""
         return sum(c.n_retries for c in (self.writer, *self.replicas))
-
-    def _call_with_rounds(self, client: GraphClient, op: str,
-                          args: dict) -> dict:
-        last_exc: ReproError | None = None
-        for round_no in range(self.retries + 1):
-            try:
-                return client.call(op, args)
-            except ReproError as exc:
-                if getattr(exc, "code", None) not in RETRYABLE_CODES:
-                    raise
-                last_exc = exc
-                if round_no < self.retries:
-                    delay = min(self.backoff_cap,
-                                self.backoff * (2 ** round_no))
-                    time.sleep(delay * (0.5 + self._rng.random()))
-        raise last_exc
 
     def close(self) -> None:
         for client in (self.writer, *self.replicas):

@@ -16,8 +16,8 @@ messages).  Anything structurally wrong — bad magic, unknown codec byte,
 nonzero reserved flags, a declared length over ``max_frame``, or an
 undecodable payload — raises a typed
 :class:`~repro.errors.ProtocolError`; an *incomplete* frame is not an
-error for the streaming decoder (more bytes may arrive), but hitting EOF
-mid-frame is one for the blocking helpers.
+error (more bytes may arrive) — what EOF mid-frame means is for the
+decoder's owner to say (:attr:`FrameDecoder.at_boundary`).
 
 JSON is the only codec.  The codec byte and the hello handshake's
 ``codecs`` list are part of the wire format, but a peer offering more
@@ -126,34 +126,3 @@ class FrameDecoder:
             payload = bytes(self._buffer[HEADER_SIZE:HEADER_SIZE + length])
             del self._buffer[:HEADER_SIZE + length]
             yield _decode_payload(payload)
-
-
-def read_frame(sock, *, max_frame: int = DEFAULT_MAX_FRAME):
-    """Blocking read of exactly one frame from a socket.
-
-    Returns the decoded message, or ``None`` on a clean EOF (the peer
-    closed between frames).  EOF *inside* a frame is a
-    :class:`~repro.errors.ProtocolError` — the peer died mid-message.
-    """
-    header = _read_exactly(sock, HEADER_SIZE, allow_eof=True)
-    if header is None:
-        return None
-    _, length = parse_header(header, max_frame=max_frame)
-    payload = _read_exactly(sock, length, allow_eof=False) if length else b""
-    return _decode_payload(payload)
-
-
-def _read_exactly(sock, n: int, *, allow_eof: bool) -> bytes | None:
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if allow_eof and remaining == n:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-frame ({n - remaining} of {n} "
-                f"bytes received)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)

@@ -203,9 +203,12 @@ def wal_record_to_wire(record) -> dict:
 
 def wal_record_from_wire(wire: dict):
     """Inverse of :func:`wal_record_to_wire` (returns a ``WalRecord``)."""
-    from repro.service.wal import WalRecord
+    from repro.service.wal import OP_DELETE, OP_INSERT, WalRecord
 
     try:
+        op = int(wire["op"])
+        if op not in (OP_INSERT, OP_DELETE):
+            raise ValueError(f"unknown WAL op {op}")
         edges = np.asarray(wire["edges"], dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
@@ -216,7 +219,7 @@ def wal_record_from_wire(wire: dict):
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape[0] != edges.shape[0]:
                 raise ValueError("weights length != edge count")
-        return WalRecord(seq=int(wire["seq"]), op=int(wire["op"]),
+        return WalRecord(seq=int(wire["seq"]), op=op,
                          edges=edges, weights=weights,
                          cum_edges=int(wire["cum_edges"]))
     except (KeyError, TypeError, ValueError) as exc:

@@ -62,6 +62,7 @@ from repro.errors import (
 )
 from repro.net.client import GraphClient
 from repro.net.protocol import store_digest, wal_record_from_wire
+from repro.net.session import backoff_delay
 from repro.obs import hooks as obs_hooks
 from repro.obs.log import get_logger, kv
 from repro.obs.recorder import get_recorder
@@ -426,9 +427,8 @@ class ReplicationLink(threading.Thread):
                 self.replica.link_connected = False
                 self.replica.n_resubscribes += 1
                 failures += 1
-                delay = min(self.backoff_cap,
-                            self.backoff * (2 ** min(failures - 1, 10)))
-                delay *= 0.5 + self._rng.random()
+                delay = backoff_delay(min(failures - 1, 10), self.backoff,
+                                      self.backoff_cap, self._rng)
                 if obs_hooks.enabled:
                     obs.get_registry().counter("repl.resubscribes").inc()
                     get_recorder().record("repl.resubscribe",

@@ -10,7 +10,6 @@ catalogue of structural violations — each of which must raise a typed
 """
 
 import json
-import socket
 import struct
 
 import pytest
@@ -25,7 +24,6 @@ from repro.net.frames import (
     FrameDecoder,
     encode_frame,
     parse_header,
-    read_frame,
     supported_codecs,
 )
 
@@ -183,6 +181,16 @@ json_values = st.recursive(
     max_leaves=25)
 
 
+def rechunked(stream: bytes, data):
+    """``stream`` cut into hypothesis-drawn chunks (any re-chunking)."""
+    i = 0
+    while i < len(stream):
+        step = data.draw(st.integers(min_value=1, max_value=len(stream)),
+                         label="chunk")
+        yield stream[i:i + step]
+        i += step
+
+
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(messages=st.lists(json_values, min_size=1, max_size=6),
@@ -193,13 +201,9 @@ class TestProperties:
         stream = b"".join(encode_frame(m) for m in messages)
         decoder = FrameDecoder()
         got = []
-        i = 0
-        while i < len(stream):
-            step = data.draw(st.integers(min_value=1, max_value=len(stream)),
-                             label="chunk")
-            decoder.feed(stream[i:i + step])
+        for chunk in rechunked(stream, data):
+            decoder.feed(chunk)
             got.extend(decoder.frames())
-            i += step
         assert got == messages
         assert decoder.at_boundary
 
@@ -211,39 +215,3 @@ class TestProperties:
             blob[HEADER_SIZE:].decode("utf-8"))
         assert decode_one(blob) == msg
 
-
-class TestBlockingReadFrame:
-    def _pair(self):
-        a, b = socket.socketpair()
-        a.settimeout(5.0)
-        b.settimeout(5.0)
-        return a, b
-
-    def test_reads_one_frame(self):
-        a, b = self._pair()
-        try:
-            msg = {"id": 9, "op": "ping"}
-            a.sendall(encode_frame(msg))
-            assert read_frame(b) == msg
-        finally:
-            a.close()
-            b.close()
-
-    def test_clean_eof_returns_none(self):
-        a, b = self._pair()
-        try:
-            a.close()
-            assert read_frame(b) is None
-        finally:
-            b.close()
-
-    def test_eof_mid_frame_raises(self):
-        a, b = self._pair()
-        try:
-            blob = encode_frame({"id": 1, "payload": "x" * 100})
-            a.sendall(blob[: len(blob) - 10])
-            a.close()
-            with pytest.raises(ProtocolError, match="mid-frame"):
-                read_frame(b)
-        finally:
-            b.close()

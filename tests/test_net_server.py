@@ -19,11 +19,22 @@ from repro.core.graphtinker import GraphTinker
 from repro.errors import NetError, ProtocolError, WorkloadError
 from repro.net.aioclient import AsyncGraphClient
 from repro.net.client import GraphClient
-from repro.net.frames import encode_frame, read_frame
+from repro.net.frames import FrameDecoder, encode_frame
 from repro.net.protocol import PROTOCOL_VERSION, store_digest
 from repro.net.server import ServerThread
 from repro.service import GraphService, recover
 from repro.workloads import rmat_edges
+
+
+def read_frame(sock):
+    """Blocking read of one frame from a raw socket (None on clean EOF)."""
+    decoder = FrameDecoder()
+    while not (frames := list(decoder.frames())):
+        data = sock.recv(1 << 16)
+        if not data:
+            return None
+        decoder.feed(data)
+    return frames[0]
 
 
 @pytest.fixture

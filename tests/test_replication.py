@@ -27,7 +27,11 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.net.client import GraphClient, ReplicaSet
-from repro.net.protocol import store_digest
+from repro.net.protocol import (
+    store_digest,
+    wal_record_from_wire,
+    wal_record_to_wire,
+)
 from repro.net.replication import ReplicaServer, ReplicaService
 from repro.net.server import ServerThread
 from repro.service import GraphService
@@ -115,6 +119,17 @@ class TestReplicaServiceApply:
         assert rep._store.n_edges == 1
         rep.close()
 
+    def test_shipped_record_with_unknown_op_is_refused(self):
+        """An op the writer's own recovery would refuse must not reach a
+        replica's WAL (it would be applied as a delete, and the replica's
+        next recover() would reject its own log)."""
+        (record,) = make_records(1)
+        wire = wal_record_to_wire(record)
+        assert wal_record_from_wire(wire).op == OP_INSERT
+        for bad_op in (2, -1, 255):
+            with pytest.raises(ReplicationError, match="unknown WAL op"):
+                wal_record_from_wire({**wire, "op": bad_op})
+
     def test_abandoned_replica_recovers_exact_state(self, tmp_path):
         """kill -9 equivalent: drop the service without close(); the
         local WAL alone must reproduce the state and the cursor."""
@@ -165,10 +180,10 @@ class TestReplicationWireOps:
     def test_subscribe_and_stream_everything(self, writer, writer_server):
         insert(writer, [[1, 2], [2, 3], [3, 4]])
         with GraphClient(port=writer_server.port) as c:
-            sub = c._roundtrip("subscribe", {"after_seq": 0, "cum_edges": 0,
+            sub = c.call("subscribe", {"after_seq": 0, "cum_edges": 0,
                                             "replica_id": "t1"})
             assert sub["writer_seq"] == writer.applied_seq
-            batch = c._roundtrip("wal_batch", {"max_records": 100,
+            batch = c.call("wal_batch", {"max_records": 100,
                                                "wait_s": 0.0})
             assert batch["last_seq"] == writer.applied_seq
             total = sum(len(r["edges"]) for r in batch["records"])
@@ -177,23 +192,23 @@ class TestReplicationWireOps:
     def test_wal_batch_requires_subscribe(self, writer_server):
         with GraphClient(port=writer_server.port) as c:
             with pytest.raises(WorkloadError):
-                c._roundtrip("wal_batch", {"max_records": 10, "wait_s": 0.0})
+                c.call("wal_batch", {"max_records": 10, "wait_s": 0.0})
 
     def test_subscribe_ahead_of_writer_is_cursor_gap(self, writer,
                                                      writer_server):
         insert(writer, [[1, 2]])
         with GraphClient(port=writer_server.port) as c:
             with pytest.raises(ReplicationError):
-                c._roundtrip("subscribe", {"after_seq": 999,
+                c.call("subscribe", {"after_seq": 999,
                                            "cum_edges": 999,
                                            "replica_id": "t1"})
 
     def test_resync_ships_consistent_snapshot(self, writer, writer_server):
         insert(writer, [[1, 2], [2, 3], [1, 2]])  # duplicate collapses
         with GraphClient(port=writer_server.port) as c:
-            c._roundtrip("subscribe", {"after_seq": 0, "cum_edges": 0,
+            c.call("subscribe", {"after_seq": 0, "cum_edges": 0,
                                        "replica_id": "t1"})
-            snap = c._roundtrip("resync", {})
+            snap = c.call("resync", {})
             assert snap["last_seq"] == writer.applied_seq
             assert snap["digest"]["sha256"] == writer_digest(writer)["sha256"]
             assert len(snap["src"]) == snap["digest"]["n_edges"]
@@ -202,9 +217,9 @@ class TestReplicationWireOps:
                                                    writer_server):
         insert(writer, [[1, 2]])
         with GraphClient(port=writer_server.port) as c:
-            c._roundtrip("subscribe", {"after_seq": 0, "cum_edges": 0,
+            c.call("subscribe", {"after_seq": 0, "cum_edges": 0,
                                        "replica_id": "r-health"})
-            c._roundtrip("replica_status",
+            c.call("replica_status",
                          {"replica_id": "r-health", "applied_seq": 0,
                           "cum_edges": 0, "generation": 1})
             health = c.health()
