@@ -255,24 +255,6 @@ def store_from_config(config: Any | None):
         f"no backend registered for config type {type(config).__name__}")
 
 
-def apply_kernel(store: Any, kernel: str | None) -> bool:
-    """Apply a batch-kernel override where the backend supports one.
-
-    Only configs that declare a ``kernel`` field (GraphTinker's) take
-    the override; other backends have a single batch implementation and
-    silently keep it.  Returns whether the override was applied.  This
-    is the one sanctioned capability probe — centralized here so call
-    sites (service, harness) stay protocol-pure.
-    """
-    if kernel is None:
-        return False
-    config = getattr(store, "config", None)
-    if config is None or not hasattr(config, "kernel"):
-        return False
-    store.config = config.with_(kernel=kernel)
-    return True
-
-
 # --------------------------------------------------------------------- #
 # canonical content digest
 # --------------------------------------------------------------------- #

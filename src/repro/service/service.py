@@ -40,7 +40,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import ShardedConfig
-from repro.core.store import apply_kernel, store_from_config
+from repro.core.store import store_from_config
 from repro.errors import (
     BreakerOpenError,
     QueueFullError,
@@ -59,6 +59,13 @@ from repro.service.wal import (
     ShardedWriteAheadLog,
     WriteAheadLog,
 )
+
+#: Exponential backoff between WAL retries: base delay and cap (seconds).
+RETRY_BASE = 0.01
+RETRY_CAP = 0.5
+#: Samples the optional time-series ring holds (``sample_interval > 0``).
+SAMPLE_CAPACITY = 256
+
 
 class Ticket:
     """Completion handle for one submitted batch.
@@ -132,14 +139,10 @@ class GraphService:
                  applied_seq: int = 0,
                  cum_edges: int = 0,
                  max_retries: int = 0,
-                 retry_base: float = 0.01,
-                 retry_cap: float = 0.5,
                  breaker_threshold: int = 0,
                  breaker_reset: float = 1.0,
                  shed_reads_at: int = 0,
                  sample_interval: float = 0.0,
-                 sample_capacity: int = 256,
-                 kernel: str | None = None,
                  injector=None):
         if batch_edges < 1:
             raise ServiceError("batch_edges must be >= 1")
@@ -152,12 +155,6 @@ class GraphService:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._store = store if store is not None else store_from_config(config)
-        # Batch-ingest kernel override; validated by the config class, and
-        # safe to apply to a recovered store because the kernel switch only
-        # selects the insert_batch/delete_batch implementation — both
-        # produce bit-identical store state and stats.  Backends without a
-        # kernel knob (STINGER, tiered) keep their single implementation.
-        apply_kernel(self._store, kernel)
         store_config = getattr(self._store, "config", None)
         sharded = isinstance(store_config, ShardedConfig)
         if wal is not None:
@@ -202,8 +199,6 @@ class GraphService:
         self.sync_policy = sync
         self.checkpoint_every = checkpoint_every
         self.max_retries = max_retries
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         self.shed_reads_at = shed_reads_at
@@ -238,13 +233,11 @@ class GraphService:
         # health() snapshot and `repro top` can read back.
         self._sampler: MetricsSampler | None = None
         if sample_interval > 0:
-            self._sampler = self._build_sampler(sample_interval,
-                                                sample_capacity)
+            self._sampler = self._build_sampler(sample_interval)
             self._sampler.start()
 
-    def _build_sampler(self, interval: float,
-                       capacity: int) -> MetricsSampler:
-        ring = TimeSeriesRing(capacity=capacity)
+    def _build_sampler(self, interval: float) -> MetricsSampler:
+        ring = TimeSeriesRing(capacity=SAMPLE_CAPACITY)
         sampler = MetricsSampler(ring=ring, interval=interval)
         sampler.add_gauge("queue_depth", lambda: len(self._queue))
         sampler.add_gauge("pending_edges", lambda: self._pending_edges)
@@ -603,7 +596,7 @@ class GraphService:
             except OSError:
                 if attempt >= self.max_retries:
                     raise
-                delay = min(self.retry_cap, self.retry_base * (2 ** attempt))
+                delay = min(RETRY_CAP, RETRY_BASE * (2 ** attempt))
                 # Full jitter on [delay/2, delay]: desynchronises retry
                 # storms without ever collapsing the backoff to zero.
                 delay *= 0.5 + random.random() / 2
