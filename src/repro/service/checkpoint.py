@@ -17,15 +17,25 @@ fallbacks — recovery skips unreadable checkpoints newest-first).
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from repro.errors import ServiceError, WorkloadError
 from repro.service import wal as wal_mod
-from repro.workloads.persistence import Snapshot, read_snapshot, save_snapshot
+from repro.workloads.persistence import (
+    Snapshot,
+    read_snapshot,
+    read_snapshot_meta,
+    save_snapshot,
+)
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".npz"
+
+#: What reading a damaged checkpoint file can raise.
+_UNREADABLE = (WorkloadError, OSError, ValueError, KeyError, zipfile.BadZipFile)
 
 
 @dataclass
@@ -62,7 +72,7 @@ def load_checkpoint(path: str | Path) -> CheckpointInfo:
     path = Path(path)
     try:
         snap = read_snapshot(path)
-    except (WorkloadError, OSError, ValueError, KeyError) as exc:
+    except _UNREADABLE as exc:
         raise ServiceError(f"{path}: unreadable checkpoint ({exc})") from exc
     meta = snap.meta or {}
     if "last_seq" not in meta:
@@ -114,10 +124,10 @@ class CheckpointManager:
         tmp = final.with_suffix(".tmp.npz")
         save_snapshot(store, tmp, meta=full_meta)
         os.replace(tmp, final)
-        self._prune(last_seq, full_meta if "shard_seqs" in full_meta else None)
+        self._prune(full_meta)
         return final
 
-    def _prune(self, last_seq: int, sharded_meta: dict | None = None) -> None:
+    def _prune(self, meta: dict) -> None:
         checkpoints = list_checkpoints(self.directory)
         if len(checkpoints) > self.keep:
             for path in checkpoints[:-self.keep]:
@@ -125,35 +135,19 @@ class CheckpointManager:
             checkpoints = checkpoints[-self.keep:]
         # WAL segments may only be dropped up to the *oldest surviving*
         # checkpoint: recovery falls back to it if a newer one turns out
-        # unreadable, and needs the tail from there onward.
-        if sharded_meta is not None:
-            self._prune_sharded(sharded_meta, checkpoints[0])
-            return
-        oldest = checkpoints[0].name[len(CHECKPOINT_PREFIX):-len(CHECKPOINT_SUFFIX)]
-        wal_mod.prune_segments(self.directory, min(last_seq, int(oldest)))
-
-    def _prune_sharded(self, meta: dict, oldest_path: Path) -> None:
-        """Prune each shard's chain against the oldest survivor's cursors.
-
-        Each shard has its own sequence space, so the prune bound is per
-        shard: ``min(cursor now, cursor in the oldest surviving
-        checkpoint)``.  An oldest survivor without shard cursors (the
-        plain checkpoint of a directory that flipped to sharded) pins
-        every shard bound at 0 — nothing sharded can be dropped until it
-        ages out.  Plain-prefix history is never pruned past its final
-        segment, keeping the base cursor recoverable from disk.
-        """
+        # unreadable, and needs every chain's tail from there onward.
+        # Its cursors come from the snapshot header alone — pruning never
+        # reads a graph.  Each chain has its own sequence space, so the
+        # bound is per chain; a chain the oldest survivor predates (a
+        # plain checkpoint in a directory that later went sharded) is
+        # pinned at 0 until that checkpoint ages out.
         try:
-            oldest_meta = load_checkpoint(oldest_path).snapshot.meta or {}
-        except ServiceError:
+            oldest, _ = wal_mod.checkpoint_cursors(
+                read_snapshot_meta(checkpoints[0]))
+        except _UNREADABLE:
             return
-        oldest_seqs = oldest_meta.get("shard_seqs")
-        now_seqs = meta["shard_seqs"]
-        if oldest_seqs is None or len(oldest_seqs) != len(now_seqs):
-            oldest_seqs = [0] * len(now_seqs)
-        for k, (now, old) in enumerate(zip(now_seqs, oldest_seqs)):
-            wal_mod.prune_segments(self.directory, min(int(now), int(old)),
-                                   prefix=wal_mod.shard_prefix(k))
-        base = int(min(meta.get("base_seq", 0),
-                       oldest_meta.get("base_seq", meta.get("base_seq", 0))))
-        wal_mod.prune_segments(self.directory, base)
+        now, _ = wal_mod.checkpoint_cursors(meta)
+        for chain, (new, old) in enumerate(zip_longest(now, oldest,
+                                                       fillvalue=0)):
+            wal_mod.prune_segments(self.directory, min(new, old),
+                                   prefix=wal_mod.chain_prefix(chain))

@@ -75,16 +75,20 @@ class CrashableFile:
         return getattr(self._file, name)
 
 
+class _CrashableChain(WriteAheadLog.chain_cls):
+    def _open_segment(self) -> None:
+        super()._open_segment()
+        self._file = self.log.injector.wrap(self._file)
+
+
 class FaultyWriteAheadLog(WriteAheadLog):
     """A :class:`WriteAheadLog` whose segment files die on schedule."""
+
+    chain_cls = _CrashableChain
 
     def __init__(self, *args, injector: FaultInjector, **kwargs):
         self.injector = injector
         super().__init__(*args, **kwargs)
-
-    def _open_segment(self) -> None:
-        super()._open_segment()
-        self._file = self.injector.wrap(self._file)
 
 
 # --------------------------------------------------------------------- #
@@ -144,26 +148,30 @@ class TransientFaultInjector:
         return False
 
 
-class FlakyWriteAheadLog(WriteAheadLog):
-    """A :class:`WriteAheadLog` whose appends fail transiently on schedule.
-
-    A scheduled failure lands *half* the record's bytes before raising
-    :class:`InjectedWalFault`, so the base class's append rollback
-    (truncate back to the record boundary) is genuinely exercised — a
-    retry must find a record-aligned log.
-    """
-
-    def __init__(self, *args, injector: TransientFaultInjector, **kwargs):
-        self.injector = injector
-        super().__init__(*args, **kwargs)
-
+class _FlakyChain(WriteAheadLog.chain_cls):
     def _write_blob(self, blob: bytes) -> None:
-        if self.injector.should_fail(self.next_seq):
+        if self.log.injector.should_fail(self.next_seq):
             self._file.write(blob[: max(1, len(blob) // 2)])
             self._file.flush()
             raise InjectedWalFault(
                 f"injected transient WAL failure at seq {self.next_seq}")
         super()._write_blob(blob)
+
+
+class FlakyWriteAheadLog(WriteAheadLog):
+    """A :class:`WriteAheadLog` whose appends fail transiently on schedule.
+
+    A scheduled failure lands *half* the record's bytes before raising
+    :class:`InjectedWalFault`, so the appender's rollback (truncate back
+    to the record boundary) is genuinely exercised — a retry must find a
+    record-aligned log.
+    """
+
+    chain_cls = _FlakyChain
+
+    def __init__(self, *args, injector: TransientFaultInjector, **kwargs):
+        self.injector = injector
+        super().__init__(*args, **kwargs)
 
 
 # --------------------------------------------------------------------- #

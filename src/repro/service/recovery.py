@@ -2,13 +2,13 @@
 
 The protocol (docs/service.md has the full diagram):
 
-1. Physically truncate a torn final WAL record (so the on-disk log is
-   clean and a *second* recovery sees exactly the same bytes — recovery
-   is idempotent).
-2. Restore the newest checkpoint that loads cleanly, rebuilding the
+1. Restore the newest checkpoint that loads cleanly, rebuilding the
    store under the writer's embedded :class:`~repro.core.config.GTConfig`
    (or a caller-supplied one).  No checkpoint at all is fine: recovery
    starts from an empty store at sequence 0.
+2. Physically truncate a torn final record of every chain (so the
+   on-disk log is clean and a *second* recovery sees exactly the same
+   bytes — recovery is idempotent).
 3. Replay the WAL in sequence order, **skipping** every record with
    ``seq <= checkpoint.last_seq`` (already inside the snapshot) and
    applying the rest through the normal batch paths.  A gap between the
@@ -16,13 +16,14 @@ The protocol (docs/service.md has the full diagram):
    two WAL records — raises :class:`~repro.errors.ServiceError`; the
    missing updates cannot be reconstructed.
 
-There is one replay loop.  A sharded directory (``wal-shard<k>-*.seg``
-chains and/or per-shard cursors in the checkpoint meta) adds a second
-phase after the plain chain: each shard's chain is scanned independently
-against its own skip cursor, and the pending records are applied in
-rounds whose rows scatter to the shard workers concurrently — per-shard
-replay is independent and parallel (docs/sharding.md).  A plain
-directory is the same replay with zero shard chains.
+A directory is a set of chains — the base chain plus one per shard, each
+with its own sequence space and its own skip cursor in the checkpoint's
+cursor vector (:func:`repro.service.wal.checkpoint_cursors`) — and
+there is one replay routine for all of them: scan each chain of a group
+independently, apply the pending records in rounds whose rows scatter to
+the shard workers concurrently (docs/sharding.md).  It runs over the
+base chain, then over the shard chains; a plain directory has only the
+first group, where it is ordinary sequential replay.
 
 Everything is observable through ``service.recovery.*`` metrics
 (replayed/skipped record and edge counts, the checkpoint sequence, torn
@@ -32,14 +33,12 @@ enabled.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import ShardedConfig
 from repro.core.store import store_from_config
 from repro.errors import ServiceError
 from repro.obs import hooks as obs_hooks
@@ -96,152 +95,105 @@ def _publish(result: RecoveryResult) -> None:
             len(result.fsck.violations))
 
 
-_SHARD_SEGMENT_RE = re.compile(
-    rf"^{wal_mod.SEGMENT_PREFIX}shard(\d+)-\d+{re.escape(wal_mod.SEGMENT_SUFFIX)}$"
-)
+def _shard_count(directory: Path, config, recorded: int) -> int:
+    """Shard chains to recover with (0 = a plain directory).
 
-
-def _detect_shard_count(directory: Path) -> int:
-    """Highest shard index + 1 among on-disk per-shard segments (0 if none).
-
-    A shard whose log never rotated past zero appends leaves no file, so
-    the disk count is a lower bound — the checkpoint meta / config count
-    takes precedence when larger.
+    The largest of: what the checkpoint recorded, what the config asks
+    for, and the highest shard chain with a segment on disk (a shard
+    that never appended leaves no file, so the disk is a lower bound).
+    A checkpoint that recorded a different non-zero count is a reshard,
+    which no replay can honour.
     """
-    n = 0
-    for p in directory.iterdir():
-        m = _SHARD_SEGMENT_RE.match(p.name)
-        if m:
-            n = max(n, int(m.group(1)) + 1)
+    on_disk = max((parsed[0] for p in directory.iterdir()
+                   if (parsed := wal_mod.parse_segment_name(p.name))),
+                  default=0)
+    n = max(recorded, getattr(config, "n_shards", 0), on_disk)
+    if recorded not in (0, n):
+        raise ServiceError(
+            f"{directory}: checkpoint was taken with {recorded} shards but "
+            f"recovery sees {n} — resharding an existing directory is not "
+            f"supported (reload the data instead)"
+        )
     return n
 
 
-def _shard_count(directory: Path, config, checkpoint) -> int:
-    """Shard count to recover with (0 = plain, unsharded directory)."""
-    meta = (checkpoint.snapshot.meta or {}) if checkpoint else {}
-    n = 0
-    if "shard_seqs" in meta:
-        n = int(meta.get("n_shards", len(meta["shard_seqs"])))
-    if isinstance(config, ShardedConfig):
-        n = max(n, config.n_shards)
-    return max(n, _detect_shard_count(directory))
-
-
-def _replay(directory: Path, store, checkpoint,
-            result: RecoveryResult, n_shards: int) -> None:
-    """Replay the plain WAL chain, then the ``n_shards`` per-shard chains.
-
-    ``n_shards == 0`` is a plain directory: the plain chain is the whole
-    history and the per-shard phase has nothing to do.  Otherwise the
-    plain chain is the history from before the directory went sharded.
-
-    Each shard's chain is scanned independently (own contiguous sequence
-    space, own skip cursor from the checkpoint meta, own torn-tail
-    truncation), then the pending records are applied in *rounds*: round
-    ``r`` takes every shard's ``r``-th pending record and scatters the
-    same-op rows through one store batch.  Interval partitioning makes
-    the chains' key spaces disjoint, so records from different chains
-    commute — within a round the shard workers apply their rows
-    concurrently, which is what makes sharded replay parallel rather
-    than a serialized merge.
-    """
-    meta = (checkpoint.snapshot.meta or {}) if checkpoint else {}
-    if checkpoint is None:
-        base_cursor, base_cum = 0, 0
-        shard_cursors = [0] * n_shards
-        shard_cum = [0] * n_shards
-    elif "shard_seqs" in meta:
-        if len(meta["shard_seqs"]) != n_shards:
-            raise ServiceError(
-                f"{directory}: checkpoint was taken with "
-                f"{len(meta['shard_seqs'])} shards but recovery sees "
-                f"{n_shards} — resharding an existing directory is not "
-                f"supported (reload the data instead)"
-            )
-        base_cursor = int(meta.get("base_seq", 0))
-        base_cum = int(meta.get("base_cum", 0))
-        shard_cursors = [int(s) for s in meta["shard_seqs"]]
-        shard_cum = [int(c) for c in meta.get("shard_cum", [0] * n_shards)]
-    else:
-        # A plain checkpoint in a directory that later went sharded: the
-        # snapshot covers exactly the plain-prefix records.
-        base_cursor, base_cum = checkpoint.last_seq, checkpoint.cum_edges
-        shard_cursors = [0] * n_shards
-        shard_cum = [0] * n_shards
-
-    # Plain-prefix history first: it predates every sharded record (a
-    # directory flips to sharded at most once, and nothing appends to
-    # the plain chain afterwards).
-    base_last = base_cursor
-    for record in wal_mod.iter_records(directory):
-        if record.seq <= base_cursor:
+def _pending(directory: Path, prefix: str, cursor: int,
+             result: RecoveryResult):
+    """One chain's records past its checkpoint cursor, gap-checked."""
+    last = cursor
+    for record in wal_mod.iter_records(directory, prefix=prefix):
+        if record.seq <= cursor:
             result.skipped_records += 1
             continue
-        if record.seq != base_last + 1:
+        if record.seq != last + 1:
             raise ServiceError(
-                f"{directory}: WAL sequence gap — store is at {base_last} "
-                f"but the next surviving record is {record.seq}; updates "
-                f"in between are lost"
+                f"{directory}: WAL sequence gap in chain {prefix}* — store "
+                f"is at {last} but the next surviving record is "
+                f"{record.seq}; updates in between are lost"
             )
-        if record.op == wal_mod.OP_INSERT:
-            store.insert_batch(record.edges, record.weights)
-        else:
-            store.delete_batch(record.edges)
-        base_last = record.seq
-        base_cum = record.cum_edges
-        result.replayed_records += 1
-        result.replayed_edges += record.n_edges
-        result.replayed_seqs.append(record.seq)
+        last = record.seq
+        yield record
 
-    pending: list[list] = []
-    for k in range(n_shards):
-        prefix = wal_mod.shard_prefix(k)
-        wal_mod.truncate_torn_tail(directory, prefix=prefix)
-        records = []
-        for record in wal_mod.iter_records(directory, prefix=prefix):
-            if record.seq <= shard_cursors[k]:
-                result.skipped_records += 1
-                continue
-            expect = (records[-1].seq if records else shard_cursors[k]) + 1
-            if record.seq != expect:
-                raise ServiceError(
-                    f"{directory}: WAL sequence gap in shard {k} — shard "
-                    f"is at {expect - 1} but the next surviving record is "
-                    f"{record.seq}; updates in between are lost"
-                )
-            records.append(record)
-        pending.append(records)
 
-    cursors = [0] * n_shards
-    while True:
-        insert_edges, insert_weights, delete_edges = [], [], []
-        progressed = False
-        for k in range(n_shards):
-            if cursors[k] >= len(pending[k]):
-                continue
-            record = pending[k][cursors[k]]
-            cursors[k] += 1
-            progressed = True
-            if record.op == wal_mod.OP_INSERT:
-                insert_edges.append(record.edges)
-                insert_weights.append(record.weights)
-            else:
-                delete_edges.append(record.edges)
-            shard_cursors[k] = record.seq
-            shard_cum[k] = record.cum_edges
-            result.replayed_records += 1
-            result.replayed_edges += record.n_edges
-        if not progressed:
-            break
-        if insert_edges:
-            store.insert_batch(np.concatenate(insert_edges),
-                               np.concatenate(insert_weights))
-        if delete_edges:
-            store.delete_batch(np.concatenate(delete_edges))
-        result.replayed_seqs.append(base_last + sum(shard_cursors))
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    result.last_seq = base_last + sum(shard_cursors)
-    result.cum_edges = base_cum + sum(shard_cum)
+
+def _replay(directory: Path, store, meta: dict | None,
+            result: RecoveryResult, config) -> None:
+    """Replay every chain past the checkpoint's cursor vector.
+
+    Chains are replayed in groups — the base chain alone, then all shard
+    chains together — because the base chain predates every sharded
+    record (a directory flips to sharded at most once, and nothing
+    appends to the base chain afterwards).  A plain directory is the
+    first group only.
+
+    Within a group each chain is scanned independently (own contiguous
+    sequence space, own skip cursor) and the pending records are applied
+    in *rounds*: round ``r`` takes every chain's ``r``-th pending record
+    and scatters the same-op rows through one store batch.  Interval
+    partitioning makes the shard chains' key spaces disjoint, so records
+    from different chains commute — within a round the shard workers
+    apply their rows concurrently, which is what makes sharded replay
+    parallel rather than a serialized merge.  A one-chain group
+    degenerates to sequential replay, one record per round.
+    """
+    seqs, cums = wal_mod.checkpoint_cursors(meta)
+    n_shards = _shard_count(directory, config, len(seqs) - 1)
+    seqs += [0] * (n_shards + 1 - len(seqs))
+    cums += [0] * (n_shards + 1 - len(cums))
+    prefixes = [wal_mod.chain_prefix(c) for c in range(n_shards + 1)]
+    for prefix in prefixes:
+        torn = wal_mod.truncate_torn_tail(directory, prefix=prefix)
+        if result.torn_offset is None:
+            result.torn_offset = torn
+
+    for group in ([0], range(1, n_shards + 1)):
+        streams = {c: _pending(directory, prefixes[c], seqs[c], result)
+                   for c in group}
+        while streams:
+            inserts, deletes = [], []
+            for chain in list(streams):
+                record = next(streams[chain], None)
+                if record is None:
+                    del streams[chain]
+                    continue
+                (inserts if record.op == wal_mod.OP_INSERT
+                 else deletes).append(record)
+                seqs[chain], cums[chain] = record.seq, record.cum_edges
+                result.replayed_records += 1
+                result.replayed_edges += record.n_edges
+            if inserts:
+                store.insert_batch(_cat([r.edges for r in inserts]),
+                                   _cat([r.weights for r in inserts]))
+            if deletes:
+                store.delete_batch(_cat([r.edges for r in deletes]))
+            if inserts or deletes:
+                result.replayed_seqs.append(sum(seqs))
+
+    result.last_seq = sum(seqs)
+    result.cum_edges = sum(cums)
     result.n_shards = n_shards
 
 
@@ -266,8 +218,6 @@ def recover(directory: str | Path, config=None,
     if not directory.is_dir():
         raise ServiceError(f"{directory}: no such service directory")
     with obs.span("service.recovery", directory=str(directory)) as span:
-        torn_offset = wal_mod.truncate_torn_tail(directory)
-
         checkpoint = latest_checkpoint(directory)
         if checkpoint is not None:
             if config is None:
@@ -286,10 +236,10 @@ def recover(directory: str | Path, config=None,
             store=store, last_seq=last_seq, cum_edges=cum_edges,
             checkpoint_seq=last_seq,
             checkpoint_path=checkpoint.path if checkpoint else None,
-            torn_offset=torn_offset,
         )
-        _replay(directory, store, checkpoint, result,
-                _shard_count(directory, config, checkpoint))
+        _replay(directory, store,
+                checkpoint.snapshot.meta if checkpoint else None,
+                result, config)
         if verify is not None:
             result.fsck = store.fsck(level=verify)
             span.set_attr("fsck_violations", len(result.fsck.violations))

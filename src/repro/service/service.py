@@ -39,7 +39,6 @@ from pathlib import Path
 import numpy as np
 
 import repro.obs as obs
-from repro.core.config import ShardedConfig
 from repro.core.store import store_from_config
 from repro.errors import (
     BreakerOpenError,
@@ -56,7 +55,6 @@ from repro.service.wal import (
     DEFAULT_SEGMENT_BYTES,
     OP_DELETE,
     OP_INSERT,
-    ShardedWriteAheadLog,
     WriteAheadLog,
 )
 
@@ -155,37 +153,34 @@ class GraphService:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._store = store if store is not None else store_from_config(config)
-        store_config = getattr(self._store, "config", None)
-        sharded = isinstance(store_config, ShardedConfig)
-        if wal is not None:
-            self._wal = wal
-        elif sharded:
+        if wal is None:
+            # One log whatever the backend: the store config says how many
+            # shard chains it has (none for an unsharded store) and the
+            # injector, if any, picks the fault-injecting variant.
+            store_config = getattr(self._store, "config", None)
+            n_shards = getattr(store_config, "n_shards", 0)
+            wal_cls, fault = WriteAheadLog, {}
             if injector is not None:
-                raise ServiceError(
-                    "WAL fault injection is not supported with a sharded "
-                    "store (per-shard logs; inject into a plain backend)")
-            self._wal = ShardedWriteAheadLog(
-                self.directory, store_config.n_shards,
-                seed=store_config.seed, segment_bytes=segment_bytes,
-                sync=sync, min_last_seq=applied_seq, min_cum_edges=cum_edges)
-        elif injector is not None:
-            from repro.service.faults import (
-                FaultyWriteAheadLog,
-                FlakyWriteAheadLog,
-                TransientFaultInjector,
-            )
+                if n_shards:
+                    raise ServiceError(
+                        "WAL fault injection is not supported with a sharded "
+                        "store (per-shard logs; inject into a plain backend)")
+                from repro.service.faults import (
+                    FaultyWriteAheadLog,
+                    FlakyWriteAheadLog,
+                    TransientFaultInjector,
+                )
 
-            wal_cls = (FlakyWriteAheadLog
-                       if isinstance(injector, TransientFaultInjector)
-                       else FaultyWriteAheadLog)
-            self._wal = wal_cls(
-                self.directory, segment_bytes=segment_bytes, sync=sync,
-                min_last_seq=applied_seq, min_cum_edges=cum_edges,
-                injector=injector)
-        else:
-            self._wal = WriteAheadLog(
-                self.directory, segment_bytes=segment_bytes, sync=sync,
-                min_last_seq=applied_seq, min_cum_edges=cum_edges)
+                wal_cls = (FlakyWriteAheadLog
+                           if isinstance(injector, TransientFaultInjector)
+                           else FaultyWriteAheadLog)
+                fault = {"injector": injector}
+            wal = wal_cls(
+                self.directory, n_shards=n_shards,
+                seed=getattr(store_config, "seed", 0),
+                segment_bytes=segment_bytes, sync=sync,
+                min_last_seq=applied_seq, min_cum_edges=cum_edges, **fault)
+        self._wal = wal
         if self._wal.last_seq != applied_seq:
             raise ServiceError(
                 f"{self.directory}: WAL ends at sequence {self._wal.last_seq} "
@@ -687,9 +682,8 @@ class GraphService:
         with self._store_lock:
             with self._cond:
                 seq, cum = self._applied_seq, self._cum_edges
-            meta_fn = getattr(self._wal, "checkpoint_meta", None)
             path = self._ckpt.write(self._store, seq, cum,
-                                    meta=meta_fn() if meta_fn else None)
+                                    meta=self._wal.checkpoint_meta())
             self._last_ckpt_seq = seq
             self._last_ckpt_at = time.monotonic()
         if obs_hooks.enabled:

@@ -44,20 +44,14 @@ from pathlib import Path
 
 from repro.errors import CursorGapError, ServiceError
 from repro.service.wal import (
-    SEGMENT_PREFIX,
-    SEGMENT_SUFFIX,
     RecordScan,
     WalRecord,
     list_segments,
+    segment_first_seq,
 )
 
 #: Default record cap per poll (bounds one WAL_BATCH frame).
 DEFAULT_POLL_RECORDS = 256
-
-
-def segment_first_seq(path: Path) -> int:
-    """The first sequence number a segment file's name declares."""
-    return int(path.name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)])
 
 
 class WalTailer:

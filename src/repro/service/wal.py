@@ -12,10 +12,13 @@ A WAL directory holds numbered segment files::
     wal-00000000000000000001.seg      <- first record is sequence 1
     wal-00000000000000000042.seg      <- rotated; first record is seq 42
 
-A sharded service (``--shards N``) keeps one independent chain per
-shard in the same directory, ``wal-shard<k>-<seq>.seg``, managed by
-:class:`ShardedWriteAheadLog`; each chain has its own contiguous
-sequence space and replays independently on recovery (docs/sharding.md).
+That is the *base* chain.  A sharded service (``--shards N``) adds one
+independent chain per shard in the same directory,
+``wal-shard<k>-<seq>.seg``; each chain has its own contiguous sequence
+space and replays independently on recovery (docs/sharding.md).  One
+class, :class:`WriteAheadLog`, owns all of them: its cursor is the
+vector ``[base, shard_0 … shard_{K-1}]`` (summing to the scalar
+``last_seq`` the service tracks), and a plain log is the ``K = 0`` case.
 
 Each segment starts with an 8-byte magic (``GTWAL001``) followed by
 back-to-back records.  A record is a fixed header plus a payload::
@@ -56,6 +59,7 @@ throughput.
 from __future__ import annotations
 
 import os
+import re
 import struct
 import time
 import zlib
@@ -97,14 +101,39 @@ class WalRecord:
         return int(self.edges.shape[0])
 
 
-def shard_prefix(shard: int) -> str:
-    """Segment-name prefix of one shard's log (``wal-shard<k>-``).
+def chain_prefix(chain: int) -> str:
+    """Segment-name prefix of one chain, by cursor-vector index.
 
-    A sharded service keeps one independent WAL per shard in the same
-    directory; the per-shard prefixes and the plain ``wal-`` prefix never
-    collide because the plain lister requires an all-digit stem.
+    Chain 0 is the base chain (``wal-``); chain ``k + 1`` is shard
+    ``k``'s (``wal-shard<k>-``).
     """
-    return f"{SEGMENT_PREFIX}shard{shard}-"
+    return SEGMENT_PREFIX if chain == 0 else f"{SEGMENT_PREFIX}shard{chain - 1}-"
+
+
+def shard_prefix(shard: int) -> str:
+    """Segment-name prefix of one shard's chain (``wal-shard<k>-``)."""
+    return chain_prefix(shard + 1)
+
+
+_SEGMENT_NAME = re.compile(
+    rf"{SEGMENT_PREFIX}(?:shard(\d+)-)?(\d+){re.escape(SEGMENT_SUFFIX)}")
+
+
+def parse_segment_name(name: str) -> tuple[int, int] | None:
+    """``(chain, first_seq)`` a segment file name declares, else ``None``.
+
+    The one parser of ``wal-[shard<k>-]<digits>.seg``.  ``chain`` indexes
+    the cursor vector (:func:`chain_prefix`).
+    """
+    m = _SEGMENT_NAME.fullmatch(name)
+    if m is None:
+        return None
+    return (0 if m[1] is None else int(m[1]) + 1), int(m[2])
+
+
+def segment_first_seq(path: Path) -> int:
+    """The first sequence number a segment file's name declares."""
+    return parse_segment_name(path.name)[1]
 
 
 def segment_path(directory: Path, first_seq: int,
@@ -114,22 +143,15 @@ def segment_path(directory: Path, first_seq: int,
 
 def list_segments(directory: str | Path,
                   prefix: str = SEGMENT_PREFIX) -> list[Path]:
-    """Segment files in ``directory``, ordered by first sequence number.
-
-    Only files whose name is exactly ``<prefix><digits><suffix>`` match,
-    so the plain prefix never picks up per-shard segments (their stems
-    start with ``shard<k>-``) and vice versa.
-    """
+    """One chain's segment files, ordered by first sequence number."""
     directory = Path(directory)
     if not directory.is_dir():
         return []
     out = []
     for p in directory.iterdir():
-        name = p.name
-        if name.startswith(prefix) and name.endswith(SEGMENT_SUFFIX):
-            stem = name[len(prefix):-len(SEGMENT_SUFFIX)]
-            if stem.isdigit():
-                out.append((int(stem), p))
+        parsed = parse_segment_name(p.name)
+        if parsed is not None and chain_prefix(parsed[0]) == prefix:
+            out.append((parsed[1], p))
     return [p for _, p in sorted(out)]
 
 
@@ -286,29 +308,24 @@ def truncate_torn_tail(directory: str | Path,
     return torn_offset
 
 
-class WriteAheadLog:
-    """Appender over a WAL directory (single writer).
+def _registry():
+    from repro.obs import hooks
+    if not hooks.enabled:
+        return None
+    from repro.obs.metrics import get_registry
+    return get_registry()
 
-    Opening an existing directory resumes sequence numbering after the
-    last durable record (scanning drops a torn tail, exactly as recovery
-    would).
+
+class _Chain:
+    """Appender over one segment chain of a :class:`WriteAheadLog`.
+
+    Private to the log that owns it (``self.log`` supplies the directory,
+    segment size and sync policy); :meth:`_open_segment` and
+    :meth:`_write_blob` are the fault-injection seams.
     """
 
-    def __init__(self, directory: str | Path, *,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 sync: str = "batch",
-                 min_last_seq: int = 0,
-                 min_cum_edges: int = 0,
-                 prefix: str = SEGMENT_PREFIX):
-        if sync not in SYNC_POLICIES:
-            raise ServiceError(
-                f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
-        if segment_bytes < _HEADER.size + len(SEGMENT_MAGIC):
-            raise ServiceError("segment_bytes is smaller than one record header")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_bytes = segment_bytes
-        self.sync_policy = sync
+    def __init__(self, log: "WriteAheadLog", prefix: str):
+        self.log = log
         self.prefix = prefix
         self._file = None
         self._segment_size = 0
@@ -318,30 +335,18 @@ class WriteAheadLog:
         # A writer must not leave torn bytes mid-log: once we append a new
         # segment after them, the tear would no longer be "the tail" and
         # readers would (rightly) call it corruption.
-        truncate_torn_tail(self.directory, prefix=prefix)
-        for rec in iter_records(self.directory, prefix=prefix):
+        truncate_torn_tail(log.directory, prefix=prefix)
+        for rec in iter_records(log.directory, prefix=prefix):
             self.last_seq = rec.seq
             self.cum_edges = rec.cum_edges
-        # A checkpoint may have pruned the whole log away; the cursor the
-        # caller recovered (checkpoint header) still rules numbering.
-        if min_last_seq > self.last_seq:
-            self.last_seq = min_last_seq
-            self.cum_edges = max(min_cum_edges, self.cum_edges)
 
-    # ------------------------------------------------------------------ #
     @property
     def next_seq(self) -> int:
         return self.last_seq + 1
 
-    def _registry(self):
-        from repro.obs import hooks
-        if not hooks.enabled:
-            return None
-        from repro.obs.metrics import get_registry
-        return get_registry()
-
     def _open_segment(self) -> None:
-        path = segment_path(self.directory, self.next_seq, prefix=self.prefix)
+        path = segment_path(self.log.directory, self.next_seq,
+                            prefix=self.prefix)
         self._file = open(path, "ab")
         if self._file.tell() == 0:
             self._file.write(SEGMENT_MAGIC)
@@ -350,12 +355,7 @@ class WriteAheadLog:
 
     def append(self, op: int, edges: np.ndarray,
                weights: np.ndarray | None = None) -> int:
-        """Append one record; returns its sequence number.
-
-        The record is flushed to the OS before returning (fsynced too
-        under the ``"always"`` policy), so a killed process never loses
-        an append that returned.
-        """
+        """Append one record; returns its sequence number in this chain."""
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ServiceError("WAL records hold (n, 2) edge arrays")
@@ -378,13 +378,13 @@ class WriteAheadLog:
         self.last_seq = seq
         self.cum_edges = cum
         self._segment_size += len(blob)
-        registry = self._registry()
+        registry = _registry()
         if registry is not None:
             registry.counter("service.wal.appends").inc()
             registry.counter("service.wal.bytes").inc(len(blob))
-            if self.sync_policy == "always":
+            if self.log.sync_policy == "always":
                 registry.counter("service.wal.syncs").inc()
-        if self._segment_size >= self.segment_bytes:
+        if self._segment_size >= self.log.segment_bytes:
             self._rotate()
         return seq
 
@@ -392,7 +392,7 @@ class WriteAheadLog:
         """Write one encoded record (the fault-injection seam)."""
         self._file.write(blob)
         self._file.flush()
-        if self.sync_policy == "always":
+        if self.log.sync_policy == "always":
             os.fsync(self._file.fileno())
 
     def _rollback(self, offset: int) -> None:
@@ -407,9 +407,8 @@ class WriteAheadLog:
             pass
 
     def sync(self) -> None:
-        """fsync the active segment (the ``"batch"`` policy's commit point)."""
         if self._file is not None:
-            registry = self._registry()
+            registry = _registry()
             self._file.flush()
             t0 = time.perf_counter() if registry is not None else 0.0
             os.fsync(self._file.fileno())
@@ -420,12 +419,9 @@ class WriteAheadLog:
                 ).record((time.perf_counter() - t0) * 1e3)
 
     def _rotate(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._file.close()
-        self._file = None
+        self.close()
         self.n_rotations += 1
-        registry = self._registry()
+        registry = _registry()
         if registry is not None:
             registry.counter("service.wal.rotations").inc()
 
@@ -436,142 +432,131 @@ class WriteAheadLog:
             self._file.close()
             self._file = None
 
-    def __enter__(self) -> "WriteAheadLog":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+class WriteAheadLog:
+    """Appender over a service directory's segment chains (single writer).
 
+    The log owns the *base* chain (``wal-<seq>.seg``) plus ``n_shards``
+    shard chains (``wal-shard<k>-<seq>.seg``); ``n_shards=0`` is a plain
+    log, whose appends go straight to the base chain.  With shards, every
+    edge row is logged in the chain of the shard its ``src`` hashes to
+    (:func:`repro.core.hashing.partition_of_array`, the router
+    :class:`repro.core.sharded.ShardedStore` uses), so on recovery the
+    chains replay independently — and, their key spaces being disjoint,
+    in parallel.  The base chain then only holds the history a directory
+    carried before it went sharded; nothing appends to it afterwards.
 
-def prune_segments(directory: str | Path, upto_seq: int,
-                   prefix: str = SEGMENT_PREFIX) -> list[Path]:
-    """Delete segments made obsolete by a checkpoint at ``upto_seq``.
+    Each chain has its own contiguous sequence space.  The log's
+    :attr:`cursor` is the vector ``[base, shard_0 … shard_{K-1}]`` of
+    chain positions and the scalar ``last_seq`` the service tracks is its
+    sum: every append advances exactly one chain per shard it touches, so
+    the sum is monotonic and recoverable from the segment files alone.
+    ``cum_edges`` sums the same way and keeps its stream-resume meaning
+    (rows are partitioned disjointly).
 
-    A segment is obsolete when every record in it has ``seq <= upto_seq``
-    — equivalently, when the *next* segment's first sequence is
-    ``<= upto_seq + 1``.  The last segment is always kept (it is the
-    active append target).  Returns the deleted paths.
-    """
-    segments = list_segments(directory, prefix=prefix)
-    deleted: list[Path] = []
-    for path, nxt in zip(segments, segments[1:]):
-        first_of_next = int(nxt.name[len(prefix):-len(SEGMENT_SUFFIX)])
-        if first_of_next <= upto_seq + 1:
-            path.unlink()
-            deleted.append(path)
-        else:
-            break
-    return deleted
-
-
-class ShardedWriteAheadLog:
-    """K independent per-shard WALs behind the single-writer interface.
-
-    A sharded service routes every edge row to the shard its ``src``
-    hashes to (:func:`repro.core.hashing.partition_of_array`, the same
-    router :class:`repro.core.sharded.ShardedStore` uses), and logs each
-    shard's rows in that shard's own segment chain
-    (``wal-shard<k>-<seq>.seg``).  Each inner log keeps its own
-    contiguous sequence space, so on recovery the K chains replay
-    independently — and, because interval partitioning makes their key
-    spaces disjoint, in parallel.
-
-    The cursor the service tracks stays a single scalar: the *global*
-    sequence is ``base_seq + sum_k shard_last_seq_k``, where ``base_seq``
-    covers any plain-prefix (unsharded) history the directory carried
-    before sharding — every append advances exactly one inner sequence
-    per shard it touches, so the sum is monotonic and crash-recoverable
-    from the segment chains alone.  ``cum_edges`` sums the same way and
-    keeps its stream-resume meaning (rows are partitioned disjointly).
-
-    :meth:`checkpoint_meta` exposes the per-shard cursors; the checkpoint
-    manager embeds them so recovery can skip each shard's already-
-    snapshotted records independently and pruning can drop each shard's
-    obsolete segments.
+    Opening an existing directory resumes numbering after the last
+    durable record of every chain (scanning drops a torn tail, exactly as
+    recovery would).
     """
 
-    def __init__(self, directory: str | Path, n_shards: int, *,
+    #: Per-chain appender class (the fault-injecting logs swap it).
+    chain_cls = _Chain
+
+    def __init__(self, directory: str | Path, *,
+                 n_shards: int = 0,
                  seed: int = 0,
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  sync: str = "batch",
                  min_last_seq: int = 0,
                  min_cum_edges: int = 0):
-        if n_shards < 1:
-            raise ServiceError("n_shards must be >= 1")
+        if sync not in SYNC_POLICIES:
+            raise ServiceError(
+                f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
+        if segment_bytes < _HEADER.size + len(SEGMENT_MAGIC):
+            raise ServiceError("segment_bytes is smaller than one record header")
+        if n_shards < 0:
+            raise ServiceError("n_shards must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.n_shards = n_shards
         self.seed = seed
+        self.segment_bytes = segment_bytes
         self.sync_policy = sync
-        # Plain-prefix history: a directory that started life unsharded
-        # keeps its old records under the plain prefix (nothing appends
-        # there once sharded, and pruning always retains the last
-        # segment, so the base cursor is recoverable from disk).
-        truncate_torn_tail(self.directory)
-        self.base_seq = 0
-        self.base_cum = 0
-        for rec in iter_records(self.directory):
-            self.base_seq = rec.seq
-            self.base_cum = rec.cum_edges
-        self.shards = [
-            WriteAheadLog(self.directory, segment_bytes=segment_bytes,
-                          sync=sync, prefix=shard_prefix(k))
-            for k in range(n_shards)
-        ]
-        # A checkpoint may have pruned everything; the recovered cursor
-        # still rules numbering (same contract as the plain log).
+        self._chains = [self.chain_cls(self, chain_prefix(c))
+                        for c in range(n_shards + 1)]
+        self._base, self.shards = self._chains[0], self._chains[1:]
+        # A checkpoint may have pruned the whole log away; the cursor the
+        # caller recovered (checkpoint header) still rules numbering.
         if min_last_seq > self.last_seq:
-            self.base_seq += min_last_seq - self.last_seq
-            self.base_cum = max(min_cum_edges, self.cum_edges) - sum(
-                log.cum_edges for log in self.shards)
+            self._base.last_seq += min_last_seq - self.last_seq
+            self._base.cum_edges += max(min_cum_edges - self.cum_edges, 0)
         # Retry bookkeeping: which shards already landed the record that
         # a transient OSError interrupted (see append()).
         self._resume: tuple[tuple, set[int]] | None = None
 
     # ------------------------------------------------------------------ #
     @property
+    def cursor(self) -> list[int]:
+        """Chain positions ``[base, shard_0 … shard_{K-1}]``."""
+        return [chain.last_seq for chain in self._chains]
+
+    @property
     def last_seq(self) -> int:
-        return self.base_seq + sum(log.last_seq for log in self.shards)
+        return sum(self.cursor)
+
+    @property
+    def next_seq(self) -> int:
+        return self.last_seq + 1
 
     @property
     def cum_edges(self) -> int:
-        return self.base_cum + sum(log.cum_edges for log in self.shards)
+        return sum(chain.cum_edges for chain in self._chains)
 
     @property
     def n_rotations(self) -> int:
-        return sum(log.n_rotations for log in self.shards)
+        return sum(chain.n_rotations for chain in self._chains)
 
     def checkpoint_meta(self) -> dict:
-        """Per-shard cursors for embedding in a checkpoint header."""
+        """The cursor vector as checkpoint-header keys.
+
+        A plain log adds nothing: the checkpoint's own ``last_seq`` /
+        ``cum_edges`` *are* its base cursor (:func:`checkpoint_cursors`
+        reads both forms back).
+        """
+        if not self.shards:
+            return {}
         return {
             "n_shards": self.n_shards,
             "shard_seed": self.seed,
-            "shard_seqs": [log.last_seq for log in self.shards],
-            "shard_cum": [log.cum_edges for log in self.shards],
-            "base_seq": self.base_seq,
-            "base_cum": self.base_cum,
+            "shard_seqs": [chain.last_seq for chain in self.shards],
+            "shard_cum": [chain.cum_edges for chain in self.shards],
+            "base_seq": self._base.last_seq,
+            "base_cum": self._base.cum_edges,
         }
 
     def append(self, op: int, edges: np.ndarray,
                weights: np.ndarray | None = None) -> int:
-        """Route one record's rows to their shards; append per shard.
+        """Append one record; returns the log's sequence after it.
 
-        Returns the global sequence after the append (the durability
-        cursor a ticket resolves with).  Each owning shard gets exactly
-        one record holding its rows in stream order; shards that own no
-        rows are untouched.
+        The record is flushed to the OS before returning (fsynced too
+        under the ``"always"`` policy), so a killed process never loses
+        an append that returned.
 
-        A transient ``OSError`` can interrupt the loop after some shards
-        already landed their sub-record; those records are durable and
-        cannot be rolled back.  The log remembers which shards succeeded
-        and a *retry of the identical append* (the service's per-append
-        retry loop) skips them, so retries never duplicate rows.  A batch
-        abandoned mid-append (no retry, e.g. breaker trip) stays
-        partially logged — replay then applies only the landed shards'
-        rows, which is the documented cross-shard non-atomicity
-        (``docs/sharding.md``); the ticket never resolved, so no
-        durability promise is broken.
+        With shards, each owning shard's chain gets exactly one record
+        holding its rows in stream order; shards that own no rows are
+        untouched.  A transient ``OSError`` can interrupt that loop after
+        some chains already landed their sub-record; those records are
+        durable and cannot be rolled back.  The log remembers which
+        shards succeeded and a *retry of the identical append* (the
+        service's per-append retry loop) skips them, so retries never
+        duplicate rows.  A batch abandoned mid-append (no retry, e.g.
+        breaker trip) stays partially logged — replay then applies only
+        the landed shards' rows, which is the documented cross-shard
+        non-atomicity (``docs/sharding.md``); the ticket never resolved,
+        so no durability promise is broken.
         """
+        if not self.shards:
+            return self._base.append(op, edges, weights)
         from repro.core.hashing import partition_of_array
 
         edges = np.asarray(edges, dtype=np.int64)
@@ -585,15 +570,14 @@ class ShardedWriteAheadLog:
             done = self._resume[1]
         shard_ids = partition_of_array(edges[:, 0], self.n_shards, self.seed)
         try:
-            for k in range(self.n_shards):
+            for k, chain in enumerate(self.shards):
                 if k in done:
                     continue
                 mask = shard_ids == k
                 if not mask.any():
                     continue
-                self.shards[k].append(
-                    op, edges[mask],
-                    weights[mask] if weights is not None else None)
+                chain.append(op, edges[mask],
+                             weights[mask] if weights is not None else None)
                 done.add(k)
         except OSError:
             self._resume = (token, done)
@@ -602,15 +586,56 @@ class ShardedWriteAheadLog:
         return self.last_seq
 
     def sync(self) -> None:
-        for log in self.shards:
-            log.sync()
+        """fsync every open chain (the ``"batch"`` policy's commit point)."""
+        for chain in self._chains:
+            chain.sync()
 
     def close(self) -> None:
-        for log in self.shards:
-            log.close()
+        for chain in self._chains:
+            chain.close()
 
-    def __enter__(self) -> "ShardedWriteAheadLog":
+    def __enter__(self) -> "WriteAheadLog":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def checkpoint_cursors(meta: dict | None) -> tuple[list[int], list[int]]:
+    """``(seqs, cums)`` cursor vectors a checkpoint's meta header covers.
+
+    The inverse of :meth:`WriteAheadLog.checkpoint_meta`, and the only
+    reader of its keys.  Both vectors are ``[base, shard_0 … shard_{K-1}]``
+    with ``K`` as the checkpoint recorded it.  A meta without shard keys
+    is a plain checkpoint — its snapshot covers exactly the base chain up
+    to ``last_seq`` — so old checkpoints, and a directory that flipped
+    from plain to sharded, need no migration.  No checkpoint at all
+    (``None``) is the zero cursor.
+    """
+    if meta is None:
+        return [0], [0]
+    if "shard_seqs" not in meta:
+        return [int(meta["last_seq"])], [int(meta.get("cum_edges", 0))]
+    seqs = [int(s) for s in meta["shard_seqs"]]
+    cums = [int(c) for c in meta.get("shard_cum", [0] * len(seqs))]
+    return ([int(meta.get("base_seq", 0)), *seqs],
+            [int(meta.get("base_cum", 0)), *cums])
+
+
+def prune_segments(directory: str | Path, upto_seq: int,
+                   prefix: str = SEGMENT_PREFIX) -> list[Path]:
+    """Delete one chain's segments made obsolete by a checkpoint.
+
+    A segment is obsolete when every record in it has ``seq <= upto_seq``
+    — equivalently, when the *next* segment's first sequence is
+    ``<= upto_seq + 1``.  The last segment is always kept (it is the
+    active append target).  Returns the deleted paths.
+    """
+    segments = list_segments(directory, prefix=prefix)
+    deleted: list[Path] = []
+    for path, nxt in zip(segments, segments[1:]):
+        if segment_first_seq(nxt) > upto_seq + 1:
+            break
+        path.unlink()
+        deleted.append(path)
+    return deleted

@@ -20,14 +20,17 @@ sampled.  Fault-schedule variants live in ``test_replication_chaos.py``.
 import numpy as np
 import pytest
 
+from repro.core.config import ShardedConfig
 from repro.errors import (
     NotWriterError,
     ReplicationError,
+    ServiceError,
     StaleReadError,
     WorkloadError,
 )
 from repro.net.client import GraphClient, ReplicaSet
 from repro.net.protocol import (
+    RETRYABLE_CODES,
     store_digest,
     wal_record_from_wire,
     wal_record_to_wire,
@@ -202,6 +205,33 @@ class TestReplicationWireOps:
                 c.call("subscribe", {"after_seq": 999,
                                            "cum_edges": 999,
                                            "replica_id": "t1"})
+
+    def test_sharded_writer_refuses_wal_shipping(self, tmp_path):
+        """The tailer streams the base chain only; a writer whose log has
+        shard chains must say so instead of advertising a ``writer_seq``
+        no ``wal_batch`` ever reaches (a silent, unbounded replica lag)."""
+        svc, rec = GraphService.open(
+            tmp_path / "sharded-writer", config=ShardedConfig(n_shards=2),
+            flush_interval=0.005)
+        try:
+            insert(svc, [[v, v + 1] for v in range(40)])
+            assert svc.applied_seq > 0
+            with ServerThread(svc, view_refresh_s=0.0) as thread, \
+                    GraphClient(port=thread.port) as c:
+                for op, args in (
+                        ("subscribe", {"after_seq": 0, "cum_edges": 0,
+                                       "replica_id": "t1"}),
+                        ("wal_batch", {"max_records": 10, "wait_s": 5.0})):
+                    with pytest.raises(ServiceError,
+                                       match="sharded writer") as err:
+                        c.call(op, args)
+                    assert not isinstance(err.value, ReplicationError)
+                    assert err.value.code not in RETRYABLE_CODES
+                # Refused, not broken: the connection still serves.
+                assert c.call("resync", {})["last_seq"] == svc.applied_seq
+        finally:
+            svc.close()
+            rec.store.close()
 
     def test_resync_ships_consistent_snapshot(self, writer, writer_server):
         insert(writer, [[1, 2], [2, 3], [1, 2]])  # duplicate collapses

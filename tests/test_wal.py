@@ -11,8 +11,10 @@ from repro.service.wal import (
     OP_INSERT,
     SEGMENT_MAGIC,
     WriteAheadLog,
+    chain_prefix,
     iter_records,
     list_segments,
+    parse_segment_name,
     prune_segments,
     scan_segment,
     truncate_torn_tail,
@@ -22,6 +24,12 @@ from repro.service.wal import (
 def edges_of(n, seed=0):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.integers(0, 50, n), rng.integers(0, 99, n)])
+
+
+def chain_seqs(directory, n_shards):
+    """Record sequences on disk, one list per chain (base first)."""
+    return [[r.seq for r in iter_records(directory, prefix=chain_prefix(c))]
+            for c in range(n_shards + 1)]
 
 
 class TestRoundtrip:
@@ -54,6 +62,19 @@ class TestRoundtrip:
             assert wal.cum_edges == 5
         assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
 
+    def test_reopen_resumes_every_chains_numbering(self, tmp_path):
+        """The same contract for a log with shard chains: the cursor is a
+        vector, the scalar sequence its sum."""
+        with WriteAheadLog(tmp_path, n_shards=2) as wal:
+            assert wal.append(OP_INSERT, edges_of(30)) == 2  # both shards
+            assert wal.cursor == [0, 1, 1]
+        with WriteAheadLog(tmp_path, n_shards=2) as wal:
+            assert wal.cursor == [0, 1, 1]
+            assert wal.append(OP_INSERT, edges_of(20)) == 4
+            assert wal.last_seq == sum(wal.cursor) == 4
+            assert wal.cum_edges == 50
+        assert chain_seqs(tmp_path, 2) == [[], [1, 2], [1, 2]]
+
     def test_min_last_seq_rules_after_full_prune(self, tmp_path):
         wal = WriteAheadLog(tmp_path, min_last_seq=7, min_cum_edges=100)
         assert wal.next_seq == 8
@@ -72,6 +93,19 @@ class TestRoundtrip:
 
 
 class TestRotation:
+    def test_segment_names_have_one_parser(self, tmp_path):
+        assert parse_segment_name("wal-00000000000000000042.seg") == (0, 42)
+        assert parse_segment_name("wal-shard3-00000000000000000007.seg") \
+            == (4, 7)
+        for name in ("wal-.seg", "wal-shard-1.seg", "wal-12.seg.tmp",
+                     "xwal-12.seg", "wal-shard1-.seg", "checkpoint-12.npz"):
+            assert parse_segment_name(name) is None
+        for name in ("wal-12.seg", "wal-shard0-3.seg", "wal-shardx-3.seg"):
+            (tmp_path / name).write_bytes(SEGMENT_MAGIC)
+        assert [p.name for p in list_segments(tmp_path)] == ["wal-12.seg"]
+        assert [p.name for p in list_segments(
+            tmp_path, prefix=chain_prefix(1))] == ["wal-shard0-3.seg"]
+
     def test_rotates_into_multiple_segments(self, tmp_path):
         with WriteAheadLog(tmp_path, segment_bytes=256) as wal:
             for i in range(6):
@@ -162,6 +196,17 @@ class TestTornTail:
             assert wal.last_seq == 1
             wal.append(OP_INSERT, edges_of(2, 3))
         assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
+
+    def test_writer_reopen_truncates_a_shard_chains_tear(self, tmp_path):
+        with WriteAheadLog(tmp_path, n_shards=2) as wal:
+            wal.append(OP_INSERT, edges_of(30, 1))
+            wal.append(OP_INSERT, edges_of(30, 2))
+        (segment,) = list_segments(tmp_path, prefix=chain_prefix(2))
+        segment.write_bytes(segment.read_bytes()[:-20])
+        with WriteAheadLog(tmp_path, n_shards=2) as wal:
+            assert wal.cursor == [0, 2, 1]
+            wal.append(OP_INSERT, edges_of(30, 3))
+        assert chain_seqs(tmp_path, 2) == [[], [1, 2, 3], [1, 2]]
 
 
 class TestCorruption:
