@@ -363,7 +363,6 @@ def cmd_serve(args) -> int:
         data_dir,
         config=config,
         batch_edges=args.batch_size,
-        flush_interval=args.flush_interval,
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         injector=injector,
@@ -428,10 +427,11 @@ def cmd_serve_net(args) -> int:
 
     from repro.net import ServerThread
 
-    # The server process runs ~10 runnable threads (event loop, flusher,
-    # mutation pool); at the default 5ms GIL switch interval the flusher
-    # convoys behind them on every GIL re-acquire, tripling micro-batch
-    # flush latency.  A 1ms interval keeps handoffs tight.
+    # Every write ack is two GIL hand-offs (event loop -> flusher ->
+    # event loop) and a view re-capture on the pool can be running
+    # beside them; at the default 5ms switch interval whichever thread
+    # is waiting convoys behind the one that holds the GIL.  A 1ms
+    # interval keeps the hand-offs tight.
     sys.setswitchinterval(0.001)
     from repro.service import GraphService
 
@@ -451,7 +451,6 @@ def cmd_serve_net(args) -> int:
         data_dir,
         config=config,
         batch_edges=args.batch_size,
-        flush_interval=args.flush_interval,
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         breaker_threshold=args.breaker_threshold,
@@ -462,7 +461,6 @@ def cmd_serve_net(args) -> int:
               f"(checkpoint seq {rec.checkpoint_seq}, "
               f"replayed {rec.replayed_records} WAL records)")
     thread = ServerThread(service, args.host, args.port,
-                          pool_workers=args.pool_workers,
                           view_refresh_s=args.view_refresh,
                           view_patch_rows=args.view_patch_rows)
     try:
@@ -1009,8 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=512,
                    help="input rows per submitted batch")
-    p.add_argument("--flush-interval", type=float, default=0.02,
-                   help="latency flush trigger in seconds")
     p.add_argument("--sync", default="batch",
                    choices=["always", "batch", "never"],
                    help="WAL fsync policy")
@@ -1061,8 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve for this many seconds (0 = forever)")
     p.add_argument("--batch-size", type=int, default=2048,
                    help="service micro-batch size in edges")
-    p.add_argument("--flush-interval", type=float, default=0.002,
-                   help="latency flush trigger in seconds")
     p.add_argument("--sync", default="batch",
                    choices=["always", "batch", "never"],
                    help="WAL fsync policy")
@@ -1074,8 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shed-reads-at", type=int, default=0, metavar="DEPTH",
                    help="answer reads with SHED frames when the ingest "
                         "queue reaches this depth (0 = never)")
-    p.add_argument("--pool-workers", type=int, default=8,
-                   help="server thread pool size (mutation waits)")
     p.add_argument("--view-refresh", type=float, default=0.25,
                    metavar="SECONDS",
                    help="min interval between read-view re-captures "

@@ -17,7 +17,9 @@ into a network service:
 * :mod:`repro.net.client` / :mod:`repro.net.aioclient` — its blocking
   and asyncio drivers, and the :class:`ReplicaSet` failover router.
 * :mod:`repro.net.loadgen` — the closed-loop load generator behind
-  ``python -m repro loadgen`` and ``BENCH_net_serve.json``.
+  ``python -m repro loadgen`` (``--record-dir`` writes the run's
+  ``BENCH_net_serve.json``; no copy is committed — the serving numbers
+  of record are ``perf/``'s ``serve_mixed`` workload).
 * :mod:`repro.net.replication` — WAL-shipping read replicas:
   :class:`ReplicaService` (applies shipped records, serves reads),
   :class:`ReplicationLink` (the pull/apply/resync thread) and the

@@ -16,7 +16,9 @@ populate — reads hit real topology, not empty rows.
 Results aggregate into a :class:`LoadStats` (per-family op counts,
 latency arrays, typed-error tallies, generation monotonicity check) and
 can be written as a standard ``BENCH_net_serve.json`` record via
-:func:`loadgen_record` for ``python -m repro report`` diffing.
+:func:`loadgen_record`.  The repository commits no such record: two
+records of the same box and client count diff with ``python -m repro
+report``, anything else is not a baseline.
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ answered synchronously in that same callback — no per-request task, no
 coroutine scheduling — which is what lets one event loop sustain
 thousands of point reads per second.
 
-* **Mutations** (``insert_edges`` / ``delete_edges``) feed the service's
-  batching/backpressure queue and — by default — wait for the ticket, so
-  a successful response means *durable* (WAL-synced and applied).  They
-  run on a small thread pool; while one is in flight the connection's
-  later frames queue, preserving per-connection response order for
-  pipelined clients.
+* **Mutations** (``insert_edges`` / ``delete_edges``) never leave the
+  loop thread: parse, submit into the service's queue without waiting
+  (a full queue is an immediate, retryable ``QUEUE_FULL``) and — by
+  default — park the connection's later frames until the ticket
+  resolves, so a successful response means *durable* (WAL-synced and
+  applied) and pipelined clients keep their response order.  No thread
+  waits on the ticket: its done-callback, run by the flusher, schedules
+  the response back onto the loop; a loop timer bounds the wait.
 * **Reads** (``degree`` / ``neighbors`` / ``khop`` / ``shortest_path``)
   are served lock-free from the current cached
   :class:`~repro.net.readpath.ReadView`.  The view refreshes *off-loop*:
@@ -64,6 +66,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -103,9 +106,13 @@ from repro.service.tail import DEFAULT_POLL_RECORDS, WalTailer
 
 log = get_logger("net.server")
 
-#: Default per-mutation durability wait (seconds) before the server
-#: answers a write request with an error instead of holding the frame.
+#: Per-mutation durability wait (seconds) before the server answers a
+#: write request with an error instead of holding the frame.
 DEFAULT_WRITE_TIMEOUT = 30.0
+
+#: Executor threads, for what blocks: view re-captures, ``digest`` /
+#: ``refresh`` and replication long-polls.  Writes never use the pool.
+POOL_WORKERS = 8
 
 #: Hard cap on a ``wal_batch`` long-poll (seconds).  Each waiting poll
 #: occupies one executor thread, so the cap bounds how much of the pool
@@ -126,8 +133,6 @@ class GraphServer:
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0, *,
                  max_frame: int = DEFAULT_MAX_FRAME,
-                 pool_workers: int = 8,
-                 write_timeout: float = DEFAULT_WRITE_TIMEOUT,
                  view_refresh_s: float = 0.25,
                  view_patch_rows: int = 512,
                  khop_limit: int = DEFAULT_KHOP_LIMIT,
@@ -136,7 +141,6 @@ class GraphServer:
         self.host = host
         self.port = port          # rebound to the real port on start()
         self.max_frame = max_frame
-        self.write_timeout = write_timeout
         #: Minimum seconds between background view re-captures.  A
         #: capture re-measures every row the applied batches touched
         #: while holding the store lock, so its cost scales with write
@@ -156,7 +160,7 @@ class GraphServer:
         self.khop_limit = khop_limit
         self.path_limit = path_limit
         self._pool = ThreadPoolExecutor(
-            max_workers=pool_workers, thread_name_prefix="graph-server")
+            max_workers=POOL_WORKERS, thread_name_prefix="graph-server")
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._view = None
@@ -282,10 +286,11 @@ class _GraphConnection(asyncio.Protocol):
 
     Requests on a connection are answered strictly in arrival order.
     Synchronous ops (reads, ping, health, metrics) are answered directly
-    inside ``data_received``; async ops (mutations, digest, refresh)
-    park the connection's queue until their executor future lands, then
-    the queue pumps again — pipelined clients get ordered responses
-    without the server serializing across *connections*.
+    inside ``data_received``; a durable write parks the connection's
+    queue until its ticket resolves, an executor op (digest, refresh,
+    replication) until its future lands, then the queue pumps again —
+    pipelined clients get ordered responses without the server
+    serializing across *connections*.
     """
 
     def __init__(self, server: GraphServer):
@@ -296,7 +301,9 @@ class _GraphConnection(asyncio.Protocol):
         self.hello_done = False
         self.closing = False
         self._queue: deque = deque()
-        self._busy = False      # an async op's future is in flight
+        self._busy = False      # a write or executor op is in flight
+        #: The parked write: (ticket, request_id, n_edges, deadline timer).
+        self._write: tuple | None = None
         self.repl_tailer: WalTailer | None = None
         self.replica_id: str | None = None
 
@@ -321,6 +328,9 @@ class _GraphConnection(asyncio.Protocol):
     def connection_lost(self, exc) -> None:
         self.closing = True
         self._queue.clear()
+        if self._write is not None:
+            self._write[3].cancel()
+            self._write = None
         server = self.server
         server.active_connections -= 1
         server._conns.discard(self)
@@ -406,7 +416,7 @@ class _GraphConnection(asyncio.Protocol):
             if not isinstance(args, dict):
                 raise WorkloadError("args must be an object")
             if family == "write":
-                self._start_async(request_id, self._write_job(op, args))
+                self._start_write(request_id, op, args)
             elif family == "read":
                 self._send(self._do_read(request_id, op, args))
             elif family == "repl":
@@ -415,14 +425,8 @@ class _GraphConnection(asyncio.Protocol):
                 self._start_async(request_id, self._admin_job(op))
             else:
                 self._send(self._do_admin(request_id, op))
-        except ReproError as exc:
-            self._count_error(exc)
-            self._send(error_response(request_id, exc))
         except Exception as exc:  # noqa: BLE001 - request fault wall
-            log.warning(kv("request failed unexpectedly", op=op,
-                           error=repr(exc)))
-            self._count_error(exc)
-            self._send(error_response(request_id, exc))
+            self._send_error(request_id, exc)
         finally:
             if obs_hooks.enabled:
                 registry = obs.get_registry()
@@ -432,13 +436,65 @@ class _GraphConnection(asyncio.Protocol):
                     "net.request_ms", "server-side request handling (ms)"
                 ).record((time.perf_counter() - start) * 1e3)
 
-    @staticmethod
-    def _count_error(exc: BaseException) -> None:
+    def _send_error(self, request_id, exc: BaseException) -> None:
+        """Typed frame for a ReproError, INTERNAL + a log line otherwise."""
+        if not isinstance(exc, ReproError):
+            log.warning(kv("request failed unexpectedly", error=repr(exc)))
         if obs_hooks.enabled:
             registry = obs.get_registry()
             registry.counter("net.errors").inc()
             if isinstance(exc, ShedError):
                 registry.counter("net.shed").inc()
+        self._send(error_response(request_id, exc))
+
+    # ----------------------------- writes ------------------------------ #
+    def _start_write(self, request_id, op: str, args: dict) -> None:
+        """Submit one mutation from the loop thread.  ``timeout=0``: a
+        full queue is a typed ``QUEUE_FULL`` now, the loop never waits
+        for space.  A durable write parks this connection's queue until
+        the ticket or the deadline timer calls :meth:`_finish_write`."""
+        edges, weights = _parse_edges(args)
+        service = self.server.service
+        if op == "insert_edges":
+            ticket = service.submit_insert(edges, weights, timeout=0)
+        else:
+            ticket = service.submit_delete(edges, timeout=0)
+        n_edges = int(edges.shape[0])
+        if not args.get("wait", True):
+            self._send({"id": request_id, "ok": True,
+                        "result": {"queued": True, "n_edges": n_edges}})
+            return
+        self._busy = True
+        loop = self.server._loop
+        deadline = loop.call_later(DEFAULT_WRITE_TIMEOUT,
+                                   self._finish_write, ticket)
+        self._write = (ticket, request_id, n_edges, deadline)
+        # Runs on the flusher thread.  Once the loop is closed (server
+        # stopped under this write) it raises; Ticket keeps that out of
+        # the flush, and nobody is left to answer.
+        ticket.add_done_callback(
+            partial(loop.call_soon_threadsafe, self._finish_write))
+
+    def _finish_write(self, ticket) -> None:
+        """Loop thread: answer the parked write and pump the queue."""
+        if self._write is None or self._write[0] is not ticket:
+            return  # the deadline (or the close) already settled it
+        _, request_id, n_edges, deadline = self._write
+        self._write = None
+        deadline.cancel()
+        self._busy = False
+        if self.closing:
+            return
+        # Never an ack before the ticket resolved: unresolved here means
+        # the deadline timer fired.
+        error = ticket.error if ticket.done() else ServiceError(
+            f"batch not durable after {DEFAULT_WRITE_TIMEOUT}s")
+        if error is not None:
+            self._send_error(request_id, error)
+        else:
+            self._send({"id": request_id, "ok": True, "result": {
+                "seq": int(ticket.seq), "n_edges": n_edges}})
+        self._pump()
 
     # ----------------------- async (executor) ops ---------------------- #
     def _start_async(self, request_id, job) -> None:
@@ -454,34 +510,11 @@ class _GraphConnection(asyncio.Protocol):
             try:
                 self._send({"id": request_id, "ok": True,
                             "result": fut.result()})
-            except ReproError as exc:
-                self._count_error(exc)
-                self._send(error_response(request_id, exc))
             except Exception as exc:  # noqa: BLE001 - request fault wall
-                log.warning(kv("async op failed", error=repr(exc)))
-                self._count_error(exc)
-                self._send(error_response(request_id, exc))
+                self._send_error(request_id, exc)
             self._pump()
 
         future.add_done_callback(done)
-
-    def _write_job(self, op: str, args: dict):
-        edges, weights = _parse_edges(args)
-        wait = bool(args.get("wait", True))
-        server = self.server
-
-        def job() -> dict:
-            service = server.service
-            if op == "insert_edges":
-                ticket = service.submit_insert(edges, weights)
-            else:
-                ticket = service.submit_delete(edges)
-            if not wait:
-                return {"queued": True, "n_edges": int(edges.shape[0])}
-            seq = ticket.wait(server.write_timeout)
-            return {"seq": int(seq), "n_edges": int(edges.shape[0])}
-
-        return job
 
     def _admin_job(self, op: str):
         server = self.server
@@ -506,11 +539,10 @@ class _GraphConnection(asyncio.Protocol):
     def _repl_job(self, op: str, args: dict):
         """Executor job for one replication-family op.
 
-        Replication ops run on the pool like writes do: ``subscribe``
-        and ``resync`` touch the store/WAL, and ``wal_batch`` may
-        long-poll.  While one is in flight this connection's queue is
-        parked — which is exactly the per-connection ordering a
-        replication stream wants.
+        Replication ops run on the pool: ``subscribe`` and ``resync``
+        touch the store/WAL, and ``wal_batch`` may long-poll.  While one
+        is in flight this connection's queue is parked — which is
+        exactly the per-connection ordering a replication stream wants.
         """
         if op == "subscribe":
             return lambda: self._repl_subscribe(args)

@@ -5,10 +5,12 @@ multi-threaded application can talk to:
 
 * **Ingest** — :meth:`GraphService.submit_insert` / ``submit_delete``
   enqueue work from any thread and return a :class:`Ticket`.  A single
-  flusher thread coalesces queued requests into micro-batches — flushing
-  when pending rows reach ``batch_edges`` (size trigger) or the oldest
-  request has waited ``flush_interval`` seconds (latency trigger) — and
-  commits each micro-batch **WAL-first**: append + sync, then apply to
+  flusher thread coalesces queued requests into micro-batches of up to
+  ``batch_edges`` rows and is **self-clocked**: it flushes as soon as
+  the previous flush has returned, so whatever arrived during the last
+  fsync + apply *is* the next group commit (``flush_interval``, default
+  0, caps an optional linger on a lone request; no command sets it).
+  Each micro-batch commits **WAL-first**: append + sync, then apply to
   the store, then complete the tickets.  A ticket that resolves is
   durable.
 * **Backpressure** — the queue is bounded at ``queue_limit`` pending
@@ -47,6 +49,7 @@ from repro.errors import (
     ShedError,
 )
 from repro.obs import hooks as obs_hooks
+from repro.obs.log import get_logger, kv
 from repro.obs.recorder import blackbox_path, get_recorder
 from repro.obs.timeseries import MetricsSampler, TimeSeriesRing
 from repro.service.checkpoint import CheckpointManager, list_checkpoints
@@ -64,6 +67,8 @@ RETRY_CAP = 0.5
 #: Samples the optional time-series ring holds (``sample_interval > 0``).
 SAMPLE_CAPACITY = 256
 
+log = get_logger("service")
+
 
 class Ticket:
     """Completion handle for one submitted batch.
@@ -71,12 +76,15 @@ class Ticket:
     :meth:`wait` blocks until the batch's micro-batch flush has made it
     durable (WAL-synced and applied), returning the WAL sequence that
     carries it — or re-raising the failure that killed the flush.
+    :meth:`add_done_callback` delivers the same without a parked thread.
     """
 
-    __slots__ = ("_event", "seq", "error")
+    __slots__ = ("_event", "_lock", "_callbacks", "seq", "error")
 
     def __init__(self):
         self._event = threading.Event()
+        self._lock = threading.Lock()
+        self._callbacks: list = []
         self.seq: int | None = None
         self.error: BaseException | None = None
 
@@ -90,10 +98,35 @@ class Ticket:
             raise self.error
         return self.seq
 
+    def add_done_callback(self, fn) -> None:
+        """Call ``fn(ticket)`` exactly once, ``seq`` / ``error`` set: on
+        the flusher thread when the ticket resolves (maybe under the
+        queue lock — only hand off), or right here if it already has.
+        What ``fn`` raises is logged and swallowed: a consumer that went
+        away must not fail the flush that served it."""
+        with self._lock:
+            if not self._event.is_set():
+                self._callbacks.append(fn)
+                return
+        self._call(fn)
+
+    def _call(self, fn) -> None:
+        try:
+            fn(self)
+        except Exception as exc:  # noqa: BLE001 - isolate the flusher
+            log.warning(kv("ticket callback failed", error=repr(exc)))
+            if obs_hooks.enabled:
+                obs.get_registry().counter(
+                    "service.ticket.callback_errors").inc()
+
     def _resolve(self, seq: int | None, error: BaseException | None) -> None:
-        self.seq = seq
-        self.error = error
-        self._event.set()
+        with self._lock:
+            self.seq = seq
+            self.error = error
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            self._call(fn)
 
 
 class _Request:
@@ -127,7 +160,7 @@ class GraphService:
                  config=None,
                  wal: WriteAheadLog | None = None,
                  batch_edges: int = 2048,
-                 flush_interval: float = 0.05,
+                 flush_interval: float = 0.0,
                  queue_limit: int = 256,
                  submit_timeout: float = 5.0,
                  sync: str = "batch",
@@ -466,6 +499,8 @@ class GraphService:
                 self._cond.wait_for(lambda: self._queue or self._stop)
                 if not self._queue:
                     break  # stopping with a drained queue
+                # Self-clocked: at the default linger of 0 this returns at
+                # once — the batch is what queued during the last flush.
                 deadline = self._queue[0].ts + self.flush_interval
                 self._cond.wait_for(
                     lambda: (self._stop or self._force_flush

@@ -123,8 +123,7 @@ class TestTrace:
 
 
 class TestServe:
-    ARGS = ["--scale", "8", "--edges", "3000", "--batch-size", "200",
-            "--flush-interval", "0.005"]
+    ARGS = ["--scale", "8", "--edges", "3000", "--batch-size", "200"]
 
     def test_clean_run(self, tmp_path, capsys):
         assert main(["serve", "--data-dir", str(tmp_path / "d"), *self.ARGS]) == 0
