@@ -1,18 +1,20 @@
-"""Kernel bench — vectorized vs scalar batch-ingest wall-clock.
+"""Kernel bench — vectorized vs scalar batch-update wall-clock.
 
 The vector kernel (``repro.core.kernels``) must be *behaviourally
 invisible*: bit-identical store state and bit-identical ``AccessStats``
 versus the scalar reference for any input stream.  Its only licensed
 effect is wall-clock speed.  This bench pins both halves of that
 contract on the acceptance workload — a 100k-edge RMAT stream inserted
-batch-by-batch:
+batch-by-batch, then deleted in seeded-shuffled batches of the same size
+(the Figs. 8/14 protocol):
 
 * **speed**: the vector kernel must beat the scalar kernel by at least
-  ``SPEEDUP_FLOOR`` (3x by default; override with
-  ``REPRO_KERNEL_SPEEDUP_FLOOR`` for noisy shared runners);
-* **equivalence**: final edge sets and the full stats dict must be
-  equal — a slow correct kernel fails the first assert, a fast wrong
-  one fails the second.
+  ``SPEEDUP_FLOOR`` on the insert phase and on the delete phase, each on
+  its own (3x by default; override with ``REPRO_KERNEL_SPEEDUP_FLOOR``
+  for noisy shared runners);
+* **equivalence**: the loaded edge sets, the full stats dict after each
+  phase and the emptied stores must be equal — a slow correct kernel
+  fails the first assert, a fast wrong one fails the second.
 """
 
 import gc
@@ -34,66 +36,77 @@ N_BATCHES = 4
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_KERNEL_SPEEDUP_FLOOR", "3.0"))
 
 
-def _ingest(kernel: str):
-    edges = rmat_edges(SCALE, N_EDGES, seed=7)
-    stream = EdgeStream(edges, max(1, N_EDGES // N_BATCHES))
-    store = make_store("graphtinker", kernel=kernel)
+def _timed(store_op, batches) -> float:
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        for batch in stream.insert_batches():
-            store.insert_batch(batch)
-        elapsed = time.perf_counter() - t0
+        for batch in batches:
+            store_op(batch)
+        return time.perf_counter() - t0
     finally:
         gc.enable()
-    return store, elapsed
+
+
+def _ingest_then_delete(kernel: str) -> dict:
+    edges = rmat_edges(SCALE, N_EDGES, seed=7)
+    stream = EdgeStream(edges, max(1, N_EDGES // N_BATCHES))
+    store = make_store("graphtinker", kernel=kernel)
+    t_insert = _timed(store.insert_batch, stream.insert_batches())
+    loaded = {
+        "edges": sorted(zip(*(a.tolist() for a in store.edge_arrays()))),
+        "stats": store.stats.as_dict(),
+    }
+    t_delete = _timed(store.delete_batch, stream.delete_batches(seed=7))
+    return {"t_insert": t_insert, "t_delete": t_delete, "loaded": loaded,
+            "emptied_stats": store.stats.as_dict(), "n_left": store.n_edges}
 
 
 def run_all():
     # Warm both code paths (allocator pools, lazy imports, branch caches)
     # on a small prefix so the timed runs compare kernels, not cold starts.
+    prefix = rmat_edges(SCALE, 5_000, seed=3)
     for kernel in ("scalar", "vector"):
         warm = make_store("graphtinker", kernel=kernel)
-        warm.insert_batch(rmat_edges(SCALE, 5_000, seed=3))
-    scalar, t_scalar = _ingest("scalar")
-    vector, t_vector = _ingest("vector")
-    return {
-        "t_scalar": t_scalar,
-        "t_vector": t_vector,
-        "scalar_stats": scalar.stats.as_dict(),
-        "vector_stats": vector.stats.as_dict(),
-        "scalar_edges": sorted(zip(*(a.tolist() for a in scalar.edge_arrays()))),
-        "vector_edges": sorted(zip(*(a.tolist() for a in vector.edge_arrays()))),
-    }
+        warm.insert_batch(prefix)
+        warm.delete_batch(prefix)
+    return {kernel: _ingest_then_delete(kernel) for kernel in ("scalar", "vector")}
 
 
 @pytest.mark.benchmark(group="kernels")
 def test_vector_kernel_speedup_and_equivalence(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    speedup = results["t_scalar"] / results["t_vector"]
+    scalar, vector = results["scalar"], results["vector"]
+    speedup = {phase: scalar[f"t_{phase}"] / vector[f"t_{phase}"]
+               for phase in ("insert", "delete")}
 
     table = Table(
-        f"batch-ingest kernels ({N_EDGES} RMAT edges, {N_BATCHES} batches)",
-        ["kernel", "wall seconds", "edges/s", "speedup"],
+        f"batch-update kernels ({N_EDGES} RMAT edges, {N_BATCHES} batches a phase)",
+        ["phase", "kernel", "wall seconds", "edges/s", "speedup"],
     )
-    table.add_row(["scalar", results["t_scalar"],
-                   N_EDGES / results["t_scalar"], 1.0])
-    table.add_row(["vector", results["t_vector"],
-                   N_EDGES / results["t_vector"], speedup])
+    for phase in ("insert", "delete"):
+        for kernel, res, ratio in (("scalar", scalar, 1.0),
+                                   ("vector", vector, speedup[phase])):
+            wall = res[f"t_{phase}"]
+            table.add_row([phase, kernel, wall, N_EDGES / wall, ratio])
     emit(table)
     record_bench(
         "kernels",
         config={"n_edges": N_EDGES, "scale": SCALE, "n_batches": N_BATCHES},
-        wall_s=results["t_vector"],
-        throughput_edges_per_s=N_EDGES / results["t_vector"],
-        metrics={"scalar_wall_s": results["t_scalar"], "speedup": speedup},
+        wall_s=vector["t_insert"],
+        throughput_edges_per_s=N_EDGES / vector["t_insert"],
+        metrics={"scalar_wall_s": scalar["t_insert"], "speedup": speedup["insert"],
+                 "delete_wall_s": vector["t_delete"],
+                 "scalar_delete_wall_s": scalar["t_delete"],
+                 "delete_speedup": speedup["delete"]},
     )
 
     # Equivalence first: a fast-but-wrong kernel must not pass.
-    assert results["vector_stats"] == results["scalar_stats"]
-    assert results["vector_edges"] == results["scalar_edges"]
-    # Then the acceptance speedup on the interpreter clock.
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"vector kernel speedup {speedup:.2f}x below floor {SPEEDUP_FLOOR}x"
-    )
+    assert vector["loaded"] == scalar["loaded"]
+    assert vector["emptied_stats"] == scalar["emptied_stats"]
+    assert vector["n_left"] == scalar["n_left"] == 0
+    # Then the acceptance speedup on the interpreter clock, per phase.
+    for phase, ratio in speedup.items():
+        assert ratio >= SPEEDUP_FLOOR, (
+            f"vector kernel {phase} speedup {ratio:.2f}x below floor {SPEEDUP_FLOOR}x"
+        )

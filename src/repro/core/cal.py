@@ -271,6 +271,30 @@ class CoarseAdjacencyList:
         self._n_valid -= 1
         self.stats.cal_updates += 1
 
+    def invalidate_many(self, blocks: np.ndarray, slots: np.ndarray) -> None:
+        """Flag many copies as deleted; state-identical to a loop of
+        :meth:`invalidate` (an already-invalid or repeated address is a
+        no-op), except that a never-allocated block raises before any
+        copy is touched.  The vector delete kernel's CAL scatter.
+        """
+        if blocks.shape[0] == 0:
+            return
+        bs = self.config.cal_block_size
+        if blocks.min() < 0 or blocks.max() >= self.pool.high_water:
+            raise IndexError("CAL block was never allocated")
+        if slots.min() < 0 or slots.max() >= bs:
+            raise IndexError("CAL slot out of range")
+        src = self.pool._data["src"]
+        addr = np.sort(blocks.astype(np.int64) * bs + slots)
+        blocks, slots = np.divmod(addr, bs)
+        live = src[blocks, slots] != CAL_INVALID
+        live[1:] &= addr[1:] != addr[:-1]  # a repeated address counts once
+        blocks = blocks[live]
+        src[blocks, slots[live]] = CAL_INVALID
+        np.subtract.at(self._valid_count._data, blocks, 1)
+        self._n_valid -= blocks.shape[0]
+        self.stats.cal_updates += blocks.shape[0]
+
     def read_slot(self, block: int, slot: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""
         row = self.pool.row(block)

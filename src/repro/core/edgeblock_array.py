@@ -136,19 +136,23 @@ class EdgeblockArray:
     def ensure_vertex(self, src: int) -> None:
         """Allocate main-region rows up to and including dense id ``src``.
 
-        SGH hands out dense ids in order, so in practice this allocates at
-        most one new row per call; the loop covers SGH-disabled setups
-        where raw ids index the main region directly.
+        SGH hands out dense ids in order, so the per-op path allocates at
+        most one new row per call; a batch (or an SGH-disabled setup,
+        where raw ids index the main region directly) gets all its rows
+        in one bulk allocation.
         """
-        while self._n_vertices <= src:
-            row = self.main.allocate()
-            assert row == self._n_vertices, "main region rows must stay dense"
-            self._main_children.ensure(row + 1)
-            if self._n_vertices >= self._degrees.shape[0]:
-                grown = np.zeros(self._degrees.shape[0] * 2, dtype=np.int64)
-                grown[: self._degrees.shape[0]] = self._degrees
-                self._degrees = grown
-            self._n_vertices += 1
+        n = self._n_vertices
+        if src < n:
+            return
+        rows = self.main.allocate_many(src + 1 - n)
+        assert rows == list(range(n, src + 1)), "main region rows must stay dense"
+        self._main_children.ensure(src + 1)
+        cap = self._degrees.shape[0]
+        if src >= cap:
+            grown = np.zeros(max(src + 1, 2 * cap), dtype=np.int64)
+            grown[:cap] = self._degrees
+            self._degrees = grown
+        self._n_vertices = src + 1
 
     # ------------------------------------------------------------------ #
     # internals

@@ -1,4 +1,4 @@
-"""Vectorized batch-ingest kernels (the ``kernel="vector"`` fast path).
+"""Vectorized batch-update kernels (the ``kernel="vector"`` fast path).
 
 One probe core, two drivers
 ---------------------------
@@ -8,7 +8,10 @@ driven per operation by :class:`~repro.core.edgeblock_array.EdgeblockArray`
 and per chunk by this module (the *batch* driver).  Both hand the core the
 same plain-sequence view of a Subblock and apply the charges it reports;
 they differ only in how long the sequences live (one op vs one chunk) and
-in what they hoist out of the per-op loop.
+in what they hoist out of the per-op loop.  The two whole-chunk passes —
+the insert gen-0 fast pass and the delete level pass — restate
+``rhh_find``'s stopping rule over Subblock matrices rolled to probe order;
+the parity tests hold them to the core.
 
 Equivalence contract
 --------------------
@@ -71,12 +74,33 @@ Large batches are processed in contiguous chunks so the Subblock cache
 stays bounded; chunking composes trivially (the scalar path is itself a
 sequence of per-edge chunks).
 
-Delete batches vectorise the delete-only mechanism the same way.  The
-delete-and-compact configuration is *not* vectorised: compaction couples
-arbitrary sources through shared CAL group tails (``compact_delete`` can
-move another vertex's copy and re-point it via a cross-source ``find``),
-so the facade falls back to the scalar per-edge path there — equivalence
-by construction rather than by mirroring.
+Delete batches: one pass per tree level
+---------------------------------------
+Delete-only deletes cannot observe each other, so they need none of the
+above.  :func:`~repro.core.robin_hood.rhh_find` stops only on a match or
+(RHH mode) an ``EMPTY`` cell; a delete writes ``TOMBSTONE`` into ``dst``
+and -1 into the two CAL-pointer fields, never touches ``weight``/``probe``
+and never allocates, frees or moves a cell or a child pointer.  Two
+deletes on distinct ``(dense source, dst)`` pairs therefore find the same
+things in either order, every ``AccessStats`` field is a sum, and only
+*repeats of one pair inside a chunk* are ordered.  :func:`_delete_chunk`
+ranks each row by its occurrence number among equal pairs and runs one
+round per rank (one round unless the batch repeats an edge; a round that
+hits nothing lets every repeat still waiting share the next one, so a
+batch of one edge a thousand times over is three rounds).  A round is
+level-synchronous: one fancy index gathers every active op's Subblock,
+rolled to probe order, from the level's pool (generation 0 is all main
+region, every later generation all overflow); hits are tombstoned with
+one scatter per field; misses whose Subblock has a child carry on to the
+next level.  After the rounds the chunk's degrees drop with one
+``subtract.at`` per array and its CAL copies with one
+:meth:`CoarseAdjacencyList.invalidate_many`.
+
+The delete-and-compact configuration is *not* vectorised: compaction
+couples arbitrary sources through shared CAL group tails
+(``compact_delete`` can move another vertex's copy and re-point it via a
+cross-source ``find``), so the facade falls back to the scalar per-edge
+path there — equivalence by construction rather than by mirroring.
 """
 
 from __future__ import annotations
@@ -91,6 +115,7 @@ from repro.core.hashing import (
     subblock_index,
     subblock_index_array,
 )
+from repro.core.pool import EMPTY, TOMBSTONE
 from repro.errors import CapacityError
 
 #: ``cal_block`` sentinel marking "CAL copy not appended yet; ``cal_slot``
@@ -178,7 +203,8 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
 
 
 class _SubblockCache:
-    """Plain-list cache of touched Subblocks, written back once per chunk.
+    """Plain-list cache of the Subblocks an insert chunk touches, written
+    back once per chunk.  (Deletes need no cache: see the module docstring.)
 
     Entries are ``(region, block, sb, dsts, weights, probes, cal_blocks,
     cal_slots)`` keyed by a packed int.  Entries are *copies*: pool growth
@@ -200,7 +226,6 @@ class _SubblockCache:
         self._nsb = nsb
         self._size = size
         self._fields: dict[int, tuple] = {}
-        self._mkey2row: dict[int, int] | None = None
 
     def _field_views(self, region: int) -> tuple:
         """Per-field 2-D views of a pool, re-fetched if the pool regrew.
@@ -229,8 +254,7 @@ class _SubblockCache:
         key = ((block << 1) | region) * self._nsb + sb
         entry = self._cache.get(key)
         if entry is None:
-            m = self._mkey2row
-            j = m.get(key) if m is not None else None
+            j = self._mkey2row.get(key)
             if j is not None:
                 # Detach the matrix row into list form: from here on the
                 # lists are authoritative for this Subblock, the matrix
@@ -267,36 +291,6 @@ class _SubblockCache:
             self._cache[key] = entry
         return key, entry
 
-    def prefetch_main(self, blocks: np.ndarray, sbs: np.ndarray) -> None:
-        """Bulk-load main-region Subblocks: one gather + ``tolist`` per field.
-
-        Replaces tens of thousands of per-miss slice-and-convert round
-        trips with five ``(k, subblock)`` fancy-index gathers — the chunk's
-        gen-0 Subblock set is known up front from the grouping keys.
-        """
-        k = blocks.shape[0]
-        if k == 0:
-            return
-        size = self._size
-        _, fd, fw, fp, fcb, fcs = self._field_views(MAIN)
-        rows = blocks[:, None]
-        cols = (sbs * size)[:, None] + np.arange(size)
-        d2 = fd[rows, cols].tolist()
-        w2 = fw[rows, cols].tolist()
-        p2 = fp[rows, cols].tolist()
-        cb2 = fcb[rows, cols].tolist()
-        cs2 = fcs[rows, cols].tolist()
-        nsb = self._nsb
-        cache = self._cache
-        bl = blocks.tolist()
-        sl = sbs.tolist()
-        for j in range(k):
-            b = bl[j]
-            s = sl[j]
-            cache[((b << 1) | MAIN) * nsb + s] = (
-                MAIN, b, s, d2[j], w2[j], p2[j], cb2[j], cs2[j],
-            )
-
     def attach_matrix(self, blocks: np.ndarray, sbs: np.ndarray,
                       D: np.ndarray, W: np.ndarray, P: np.ndarray,
                       CB: np.ndarray, CS: np.ndarray,
@@ -307,7 +301,8 @@ class _SubblockCache:
         :meth:`load` detaches a row into list form only when the per-op
         loop actually touches it, and :meth:`writeback` scatters the
         still-attached dirty rows straight from the matrices — no list
-        round trip for Subblocks only the fast pass handled.
+        round trip for Subblocks only the fast pass handled.  Called once
+        per chunk, before the first :meth:`load`.
         """
         nsb = self._nsb
         keys = ((blocks.astype(np.int64) << 1) | MAIN) * nsb + sbs
@@ -332,17 +327,16 @@ class _SubblockCache:
         """
         size = self._size
         span = np.arange(size)
-        if self._mkey2row is not None:
-            m = self._mdirty & ~self._mdetached
-            if m.any():
-                _, fd, fw, fp, fcb, fcs = self._field_views(MAIN)
-                rows = self._mblocks[m][:, None]
-                cols = (self._msbs[m] * size)[:, None] + span
-                fd[rows, cols] = self._mD[m]
-                fw[rows, cols] = self._mW[m]
-                fp[rows, cols] = self._mP[m]
-                fcb[rows, cols] = self._mCB[m]
-                fcs[rows, cols] = self._mCS[m]
+        m = self._mdirty & ~self._mdetached
+        if m.any():
+            _, fd, fw, fp, fcb, fcs = self._field_views(MAIN)
+            rows = self._mblocks[m][:, None]
+            cols = (self._msbs[m] * size)[:, None] + span
+            fd[rows, cols] = self._mD[m]
+            fw[rows, cols] = self._mW[m]
+            fp[rows, cols] = self._mP[m]
+            fcb[rows, cols] = self._mCB[m]
+            fcs[rows, cols] = self._mCS[m]
         by_region: dict[int, list[tuple]] = {}
         for entry in self.dirty.values():
             by_region.setdefault(entry[0], []).append(entry)
@@ -720,6 +714,11 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     stats = gt.stats
     eba = gt.eba
     cal = gt.cal
+
+    # A negative dst would match the EMPTY/TOMBSTONE cell sentinels.
+    # delete_edge returns on it before the SGH lookup, so such a row is a
+    # miss with no hash_lookups charge: drop it ahead of the renaming.
+    edges = edges[edges[:, 1] >= 0]
     n = edges.shape[0]
     if n == 0:
         return 0
@@ -739,8 +738,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     else:
         dense = srcs
 
-    n_vertices = eba.n_vertices  # fixed: deletes never allocate rows
-    valid = (dense >= 0) & (dense < n_vertices)
+    valid = (dense >= 0) & (dense < eba.n_vertices)
     if not valid.any():
         return 0
     dense = dense[valid]
@@ -752,80 +750,96 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     workblock = cfg.workblock
     seed = cfg.seed
     rhh_on = eba._rhh_on
-    max_gen = cfg.max_generations
+    span = np.arange(size)
 
-    sb0 = subblock_index_array(dsts, 0, nsb, seed)
-    ib0 = initial_bucket_array(dsts, 0, size, seed)
-    order = np.lexsort((np.arange(m), sb0, dense))
-    l_src = dense[order].tolist()
-    l_dst = dsts[order].tolist()
-    l_sb = sb0[order].tolist()
-    l_ib = ib0[order].tolist()
+    # Occurrence number of each row among the chunk's equal (src, dst)
+    # pairs, in stream order (lexsort is stable): the round it runs in.
+    order = np.lexsort((dsts, dense))
+    d_s = dense[order]
+    t_s = dsts[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
+    idx = np.arange(m)
+    occurrence = np.empty(m, dtype=np.int64)
+    occurrence[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
 
-    cache = _SubblockCache(eba, nsb, size)
-    ukey = np.unique(dense * nsb + sb0)
-    cache.prefetch_main(ukey // nsb, ukey % nsb)
-    load = cache.load
-    dirty = cache.dirty
-    rhh_find = rhh.rhh_find
-    circ = rhh._circular_workblocks
-    descend = eba._descend
-
-    wf = cs = wb = tombs = edel = 0
-    del_srcs: list[int] = []
-    deleted = 0
-
+    wf = cs = bd = deleted = 0
+    hit_srcs: list[np.ndarray] = []
+    hit_cb: list[np.ndarray] = []
+    hit_cs: list[np.ndarray] = []
+    # A round that hits nothing settles the chunk: every row still waiting
+    # repeats a pair that has just missed, will miss the same way and
+    # write nothing, so all of them share the next — last — round.
+    settled = False
     try:
-        for i in range(m):
-            src = l_src[i]
-            dst = l_dst[i]
-            region, block = MAIN, src
-            for gen in range(max_gen):
-                if gen:
-                    sb = subblock_index(dst, gen, nsb, seed)
-                    ib = initial_bucket(dst, gen, size, seed)
-                else:
-                    sb = l_sb[i]
-                    ib = l_ib[i]
-                key, entry = load(region, block, sb)
-                slot, scanned = rhh_find(entry[3], dst, ib, rhh_on)
-                end = ib + scanned
-                if 0 < scanned and end <= size:
-                    wf += (end - 1) // workblock - ib // workblock + 1
-                else:
-                    wf += circ(ib, scanned, workblock, size)
-                cs += scanned
-                if slot >= 0:
-                    # Mirror of EdgeblockArray.delete's hit branch plus
-                    # the facade's CAL invalidation (delete-only mode).
-                    cb = entry[6][slot]
-                    csl = entry[7][slot]
-                    entry[3][slot] = -2
-                    entry[6][slot] = -1
-                    entry[7][slot] = -1
-                    dirty[key] = entry
-                    wb += 1
-                    tombs += 1
-                    edel += 1
-                    del_srcs.append(src)
-                    if cal is not None and cb >= 0:
-                        cal.invalidate(cb, csl)
-                    deleted += 1
+        for rnd in range(int(occurrence.max()) + 1):
+            sel = occurrence >= rnd if settled else occurrence == rnd
+            before = deleted
+            src = dense[sel]
+            dst = dsts[sel]
+            block = src
+            pool, children = eba.main, eba._main_children
+            for gen in range(cfg.max_generations):
+                if block.shape[0] == 0:
                     break
-                nxt = descend(region, block, sb, False)
-                if nxt is None:
-                    break
-                region, block = nxt
+                sb = subblock_index_array(dst, gen, nsb, seed)
+                ib = initial_bucket_array(dst, gen, size, seed)
+                # Column t of `probed` is the t-th cell rhh_find inspects.
+                cols = (sb * size)[:, None] + (ib[:, None] + span) % size
+                data = pool._data
+                probed = data["dst"][block[:, None], cols]
+                hitm = probed == dst[:, None]
+                t_hit = np.where(hitm.any(axis=1), hitm.argmax(axis=1), size)
+                if rhh_on:
+                    em = probed == EMPTY
+                    t_emp = np.where(em.any(axis=1), em.argmax(axis=1), size)
+                else:
+                    t_emp = size  # rhh_find scans the whole Subblock
+                scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
+                wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
+                cs += int(scanned.sum())
+
+                # Mirror of EdgeblockArray.delete's hit branch; the CAL
+                # copies are invalidated once per chunk, below.
+                hit = t_hit < t_emp
+                h_rows = block[hit]
+                h_cols = cols[hit, t_hit[hit]]
+                cb = data["cal_block"][h_rows, h_cols]
+                csl = data["cal_slot"][h_rows, h_cols]
+                data["dst"][h_rows, h_cols] = TOMBSTONE
+                data["cal_block"][h_rows, h_cols] = -1
+                data["cal_slot"][h_rows, h_cols] = -1
+                hit_srcs.append(src[hit])
+                hit_cb.append(cb)
+                hit_cs.append(csl)
+                deleted += h_rows.shape[0]
+
+                # Misses follow their Subblock's child pointer, if any
+                # (the miss path of eba._descend(..., allocate=False)).
+                child = children._data[block, sb].astype(np.int64)
+                go = ~hit & (child >= 0)
+                bd += int(go.sum())
+                src, dst, block = src[go], dst[go], child[go]
+                pool, children = eba.overflow, eba._overflow_children
+            if settled:
+                break
+            settled = deleted == before
+        if cal is not None:
+            cb = np.concatenate(hit_cb)
+            copied = cb >= 0
+            cal.invalidate_many(cb[copied], np.concatenate(hit_cs)[copied])
     finally:
-        if del_srcs:
-            ds = np.asarray(del_srcs, dtype=np.int64)
-            np.add.at(eba._degrees, ds, -1)
+        # Whatever was tombstoned before an exception keeps its degree
+        # and counter effects, as on the per-op path.
+        if deleted:
+            ds = np.concatenate(hit_srcs)
+            np.subtract.at(eba._degrees, ds, 1)
             gt.vpa.ensure(int(ds.max()))
-            np.add.at(gt.vpa.degrees, ds, -1)
-        cache.writeback()
+            np.subtract.at(gt.vpa.degrees, ds, 1)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
-        stats.workblock_writebacks += wb
-        stats.tombstones_set += tombs
-        stats.edges_deleted += edel
+        stats.branch_descents += bd
+        stats.workblock_writebacks += deleted
+        stats.tombstones_set += deleted
+        stats.edges_deleted += deleted
     return deleted

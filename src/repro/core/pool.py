@@ -2,7 +2,7 @@
 
 The HPC-Python idiom applied throughout this repo (see DESIGN.md §2) is to
 keep *all* edge data in a small number of large, contiguous structured
-arrays and grow them by doubling — never one Python object per edge or per
+arrays and grow them geometrically — never one Python object per edge or per
 block.  :class:`BlockPool` owns one 2-D structured array whose rows are
 blocks (edgeblocks, CAL blocks, STINGER blocks) and whose columns are the
 per-block cells, plus a free-list so blocks released by delete-and-compact
@@ -60,7 +60,7 @@ def blank_edge_cells(shape: tuple[int, ...] | int) -> np.ndarray:
 
 
 class BlockPool:
-    """A doubling pool of fixed-width blocks in one structured array.
+    """A growable pool of fixed-width blocks in one structured array.
 
     Parameters
     ----------
@@ -115,9 +115,13 @@ class BlockPool:
         cap = self.capacity
         if min_rows <= cap:
             return
+        # The reserve is untouched zero pages (address space, not memory);
+        # what growth costs is the copy, which holds the old and the new
+        # used rows resident at once.  Quadrupling halves the number of
+        # copies and cuts the bytes copied over a pool's life to a third.
         new_cap = cap
         while new_cap < min_rows:
-            new_cap *= 2
+            new_cap *= 4
         fresh = np.zeros((new_cap, self.block_width), dtype=self.dtype)
         fresh[: self._used] = self._data[: self._used]
         self._data = fresh

@@ -88,6 +88,55 @@ class TestUpdateInvalidate:
         assert cal.stats.cal_updates == 100
 
 
+def _cal_state(cal):
+    used = cal.pool.high_water
+    return (cal.pool.raw().tobytes(), cal._valid_count._data[:used].tolist(),
+            cal.n_edges, cal.stats.cal_updates)
+
+
+class TestInvalidateMany:
+    @staticmethod
+    def _loaded_pair():
+        """Two identical CALs: three groups, several blocks each."""
+        rng = np.random.default_rng(5)
+        srcs = rng.integers(0, 12, 90)
+        pair = (make(), make())
+        addrs = [[cal.append(int(s), d, 1.0) for d, s in enumerate(srcs)]
+                 for cal in pair]
+        assert addrs[0] == addrs[1]
+        return pair, np.array(addrs[0], dtype=np.int64)
+
+    def test_state_identical_to_invalidate_loop(self):
+        (looped, bulk), addrs = self._loaded_pair()
+        picks = np.random.default_rng(6).permutation(addrs)[:50]
+        # One address twice and one already-invalid address: both no-ops.
+        picks = np.vstack([picks, picks[:1]])
+        for cal in (looped, bulk):
+            cal.invalidate(*picks[7].tolist())
+        for b, s in picks.tolist():
+            looped.invalidate(b, s)
+        bulk.invalidate_many(picks[:, 0], picks[:, 1])
+        assert _cal_state(bulk) == _cal_state(looped)
+        assert bulk.n_edges == 40
+
+    def test_idempotent_and_empty(self):
+        (_, cal), addrs = self._loaded_pair()
+        cal.invalidate_many(addrs[:10, 0], addrs[:10, 1])
+        state = _cal_state(cal)
+        cal.invalidate_many(addrs[:10, 0], addrs[:10, 1])
+        cal.invalidate_many(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert _cal_state(cal) == state
+
+    @pytest.mark.parametrize("bad", [(10_000, 0), (-1, 0), (0, 4), (0, -1)])
+    def test_bad_address_raises_before_mutating(self, bad):
+        (_, cal), addrs = self._loaded_pair()
+        state = _cal_state(cal)
+        picks = np.vstack([addrs[:10], [bad]])
+        with pytest.raises(IndexError):
+            cal.invalidate_many(picks[:, 0], picks[:, 1])
+        assert _cal_state(cal) == state
+
+
 class TestStreaming:
     def test_stream_edges_roundtrip(self):
         cal = make(group_width=8, block_size=4)

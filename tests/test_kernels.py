@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import GTConfig
+from repro.core.edgeblock_array import MAIN, OVERFLOW
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import (
     initial_bucket,
@@ -24,6 +25,7 @@ from repro.core.hashing import (
     subblock_index,
     subblock_index_array,
 )
+from repro.errors import CapacityError
 from repro.workloads import rmat_edges
 
 SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
@@ -212,6 +214,154 @@ class TestEdgeCases:
         scalar, vector = run_pair(GTConfig(), [("insert", edges, weights)])
         assert_equivalent(scalar, vector)
         assert vector.n_edges == 12
+
+
+def delete_state(gt: GraphTinker) -> dict:
+    """Everything a delete may touch, down to the raw pool bytes."""
+    state = {
+        "main": gt.eba.main.raw().tobytes(),
+        "overflow": gt.eba.overflow.raw().tobytes(),
+        "degrees": gt.eba.degrees_view().tolist(),
+        "vpa_degrees": gt.vpa.degrees.tolist(),
+        "n_edges": gt.n_edges,
+        "stats": gt.stats.as_dict(),
+    }
+    if gt.cal is not None:
+        used = gt.cal.pool.high_water
+        state["cal"] = gt.cal.pool.raw().tobytes()
+        state["cal_valid_count"] = gt.cal._valid_count._data[:used].tolist()
+        state["cal_n_edges"] = gt.cal.n_edges
+    return state
+
+
+def delete_pair(cfg: GTConfig, edges, batches, load=GraphTinker.insert_batch):
+    """Load two stores identically (same pool rows, byte for byte), then
+    run every delete batch per-op on one and through the level pass on the
+    other, holding them equal after each batch."""
+    scalar, vector = GraphTinker(cfg), GraphTinker(cfg)
+    load(scalar, edges)
+    load(vector, edges)
+    for batch in batches:
+        batch = np.asarray(batch, dtype=np.int64)
+        assert (scalar.delete_batch(batch, kernel="scalar")
+                == vector.delete_batch(batch, kernel="vector"))
+        a, b = delete_state(scalar), delete_state(vector)
+        assert a == b, [k for k in a if a[k] != b[k]]
+    return scalar, vector
+
+
+def hit_generation(gt: GraphTinker, src: int, dst: int) -> int | None:
+    """Tree level holding edge ``(src, dst)`` (uncharged walk)."""
+    eba, cfg = gt.eba, gt.config
+    region, block = MAIN, gt.dense_id(src)
+    for gen in range(cfg.max_generations):
+        sb = subblock_index(dst, gen, cfg.subblocks_per_block, cfg.seed)
+        if dst in eba._subblock_cells(region, block, sb)["dst"].tolist():
+            return gen
+        block = eba._children(region).get(block, sb)
+        if block < 0:
+            return None
+        region = OVERFLOW
+    return None
+
+
+def hub_edges(n_hub: int = 400, seed: int = 4) -> np.ndarray:
+    """One hub source with ``n_hub`` distinct dsts plus a shallow fringe."""
+    rng = np.random.default_rng(seed)
+    hub = np.column_stack([np.zeros(n_hub, dtype=np.int64), np.arange(n_hub)])
+    fringe = np.column_stack([rng.integers(1, 40, 300), rng.integers(0, 60, 300)])
+    return rng.permutation(np.vstack([hub, fringe]).astype(np.int64))
+
+
+class TestLevelSynchronousDelete:
+    """The vector delete runs a chunk level by level, not op by op; it
+    must still leave the bytes and counters of the per-op driver."""
+
+    def test_hub_hits_at_deep_generations(self):
+        edges = hub_edges()
+        probe = GraphTinker(GTConfig(**SMALL))
+        probe.insert_batch(edges)
+        depths = [hit_generation(probe, 0, d) for d in range(400)]
+        assert max(depths) >= 2 and min(depths) == 0
+        doomed = np.random.default_rng(8).permutation(edges)
+        _, vector = delete_pair(GTConfig(**SMALL), edges,
+                                [doomed[:350], doomed[350:]])
+        assert vector.n_edges == 0
+        vector.check_invariants()
+
+    def test_same_pair_three_times_in_one_batch(self):
+        edges = hub_edges()
+        probe = GraphTinker(GTConfig(**SMALL))
+        probe.insert_batch(edges)
+        by_depth = {hit_generation(probe, 0, d): d for d in range(400)}
+        pairs = [[0, by_depth[0]],             # first hit in the main region
+                 [0, by_depth[1]],             # ... in the overflow region
+                 [0, by_depth[max(by_depth)]],
+                 [0, 10_000], [7, 10_000]]     # a miss, deleted again
+        batch = np.random.default_rng(3).permutation(np.repeat(pairs, 3, axis=0))
+        scalar, vector = delete_pair(GTConfig(**SMALL), edges, [batch, batch])
+        assert scalar.stats.edges_deleted == 3
+        vector.check_invariants()
+
+    def test_one_pair_repeated_through_the_batch(self):
+        """Hundreds of repeats must not cost hundreds of rounds — and must
+        still charge every repeat its own (identical) miss."""
+        edges = hub_edges()
+        batch = np.vstack([edges[:50], np.repeat(edges[:1], 600, axis=0),
+                           np.repeat([[3, 10_000]], 400, axis=0), edges[:50]])
+        _, vector = delete_pair(GTConfig(**SMALL), edges, [batch])
+        assert vector.stats.edges_deleted == np.unique(edges[:50], axis=0).shape[0]
+        vector.check_invariants()
+
+    def test_repeats_straddle_chunk_boundary(self, monkeypatch):
+        from repro.core import kernels
+        monkeypatch.setattr(kernels, "CHUNK_EDGES", 64)
+        edges = hub_edges()
+        # Every pair twice: some repeats share a 64-row chunk, most do not.
+        batch = np.vstack([edges[:200], edges[150:200], edges[:150]])
+        _, vector = delete_pair(GTConfig(**SMALL), edges, [batch])
+        assert vector.stats.edges_deleted == np.unique(edges[:200], axis=0).shape[0]
+        vector.check_invariants()
+
+    @pytest.mark.parametrize("flag", ["enable_rhh", "enable_sgh", "enable_cal"])
+    def test_feature_off(self, flag):
+        edges = hub_edges()
+        doomed = np.vstack([
+            np.random.default_rng(6).permutation(edges)[:500],
+            edges[:40],                                # double deletes
+            [[41, 3], [10_000, 3], [1 << 40, 3]],      # unknown / out-of-range sources
+        ])
+        cfg = GTConfig(**{**SMALL, flag: False})
+        _, vector = delete_pair(cfg, edges, [doomed])
+        vector.check_invariants()
+
+    def test_chain_reaches_max_generations(self):
+        """One Subblock per block and two generations: the insert that
+        overflows both leaves a child pointer on the last level, which a
+        missing delete follows (and is charged for) before giving up."""
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=2)
+
+        def load(gt, edges):
+            with pytest.raises(CapacityError):
+                for s, d in edges.tolist():
+                    gt.insert_edge(s, d)
+
+        edges = np.column_stack([np.zeros(17, dtype=np.int64), np.arange(17)])
+        batch = np.column_stack([np.zeros(30, dtype=np.int64), np.arange(30)])
+        _, vector = delete_pair(cfg, edges, [batch], load=load)
+        assert vector.stats.edges_deleted == 16
+        before = vector.stats.branch_descents
+        assert vector.delete_batch(np.array([[0, 99]], dtype=np.int64)) == 0
+        # Two charged descents: the second one off the end of the chain.
+        assert vector.stats.branch_descents - before == 2
+
+    def test_negative_dst_is_a_miss_with_no_charge(self):
+        edges = np.array([[1, 2], [1, 3]], dtype=np.int64)
+        batch = [[1, -1], [1, -2], [-1, 2], [-1, -1], [9, -1]]
+        scalar, vector = delete_pair(GTConfig(), edges, [batch])
+        assert vector.n_edges == 2
+        assert vector.stats.hash_lookups == scalar.stats.hash_lookups
+        vector.check_invariants()
 
 
 class TestHashArrays:

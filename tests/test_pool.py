@@ -71,8 +71,8 @@ class TestAllocation:
         assert np.array_equal(pool.row(recycled), blank)
         pool.allocate()
         assert pool.capacity == 2
-        grown = pool.allocate()  # the allocation that doubles the array
-        assert pool.capacity == 4
+        grown = pool.allocate()  # the allocation that grows the array
+        assert pool.capacity == 8
         assert np.array_equal(pool.row(grown), blank)
 
     def test_growth_leaves_raw_bit_identical(self):
@@ -81,7 +81,7 @@ class TestAllocation:
             pool.row(pool.allocate())["dst"][:] = 10 + i
         before = pool.raw().copy()
         pool.allocate()
-        assert pool.capacity == 4
+        assert pool.capacity == 8
         assert pool.raw()[:2].tobytes() == before.tobytes()
 
     def test_free_unallocated_raises(self):

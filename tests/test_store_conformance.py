@@ -145,6 +145,12 @@ class TestMutatorSemantics:
         assert store.degree(-1) == 0
         assert store.n_edges == 1
         store.check_invariants()
+        # The batch form of the same misses.  The second batch has no
+        # negative source, so SGH-less stores keep it on the batch kernel.
+        for rows in ([[3, -1], [3, -2], [-1, 2], [-1, -1]], [[3, -1], [3, -2]]):
+            assert store.delete_batch(np.array(rows, dtype=np.int64)) == 0
+            assert store.n_edges == 1
+            store.check_invariants()
 
     def test_batches_equal_scalar_loop(self, backend):
         edges, weights = _stream(7)
