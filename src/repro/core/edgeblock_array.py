@@ -31,6 +31,11 @@ from repro.errors import CapacityError
 MAIN = 0
 OVERFLOW = 1
 
+#: Rows per pass of :meth:`EdgeblockArray.neighbors_rows`.  Bounds the
+#: ``(blocks x pagewidth)`` temporaries of one pass however many rows are
+#: asked for — a constant like the kernels' ``CHUNK_EDGES``, not an option.
+GATHER_SLAB_ROWS = 1024
+
 
 class EdgeLocation(tuple):
     """Physical address of an edge-cell: ``(region, block, slot)``."""
@@ -420,7 +425,11 @@ class EdgeblockArray:
                 stack.append((OVERFLOW, int(child)))
 
     def neighbors(self, src: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(dst, weight)`` arrays of all live out-edges of ``src``."""
+        """Return ``(dst, weight)`` arrays of all live out-edges of ``src``.
+
+        Blocks in :meth:`vertex_blocks` order, cells in slot order: the
+        specification :meth:`neighbors_rows` reproduces for many rows.
+        """
         dsts: list[np.ndarray] = []
         weights: list[np.ndarray] = []
         for row in self.vertex_blocks(src):
@@ -432,11 +441,83 @@ class EdgeblockArray:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         return np.concatenate(dsts), np.concatenate(weights)
 
+    def neighbors_rows(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bulk :meth:`neighbors`: ``(counts, n_blocks, dst, weight)``.
+
+        For allocated dense ``rows`` (each ``< n_vertices``; repeats
+        allowed), in the order given: ``dst`` / ``weight`` hold every
+        row's live cells back to back in exactly the order
+        ``neighbors(row)`` yields them, ``counts[i]`` says how many belong
+        to ``rows[i]`` and ``n_blocks[i]`` how many edgeblocks
+        ``vertex_blocks(rows[i])`` visits.  Nothing is charged: a caller
+        on a cost-accounted path charges one random block read and
+        ``pagewidth`` scanned cells per block, as the per-row walk does.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and not (0 <= rows.min() and rows.max() < self._n_vertices):
+            raise IndexError("neighbors_rows takes allocated dense rows only")
+        # At least one (possibly empty) slab, so the result is always typed.
+        slabs = [self._gather_slab(rows[lo:lo + GATHER_SLAB_ROWS])
+                 for lo in range(0, max(rows.shape[0], 1), GATHER_SLAB_ROWS)]
+        counts, n_blocks, dst, weight = (np.concatenate(part) for part in zip(*slabs))
+        return counts, n_blocks, dst, weight
+
+    def _gather_slab(self, rows: np.ndarray):
+        """One level-synchronous pass of :meth:`neighbors_rows`.
+
+        Every array below has one entry per edgeblock of one tree level;
+        a level costs a fixed number of NumPy calls however many rows or
+        blocks it holds, and no step is per vertex.
+        """
+        # (1) Discovery, top-down.  `nonzero` is row-major, so a level's
+        # blocks come grouped by parent, ascending Subblock inside a group.
+        blocks = [rows]
+        parents: list[np.ndarray] = []
+        kids = self._main_children._data[rows]
+        while True:
+            parent, sb = np.nonzero(kids >= 0)
+            if parent.size == 0:
+                break
+            parents.append(parent)
+            blocks.append(kids[parent, sb])
+            kids = self._overflow_children._data[blocks[-1]]
+        # (2) Subtree sizes (in blocks), bottom-up.
+        sizes = [np.ones(level.shape[0], dtype=np.int64) for level in blocks]
+        for depth in range(len(parents), 0, -1):
+            np.add.at(sizes[depth - 1], parents[depth - 1], sizes[depth])
+        # (3) Pre-order positions, top-down.  `vertex_blocks` pops a LIFO
+        # stack, so siblings are visited in *descending* Subblock order:
+        # a child sits one past its parent plus the subtrees of the
+        # siblings listed after it.  A block's children weigh `size - 1`
+        # in all, so `cumsum(size - 1)` is the running child weight at the
+        # end of each parent's group.
+        positions = [np.cumsum(sizes[0]) - sizes[0]]
+        for parent, size, child_size in zip(parents, sizes, sizes[1:]):
+            group_end = positions[-1] + 1 + np.cumsum(size - 1)
+            positions.append(group_end[parent] - np.cumsum(child_size))
+        # (4) One gather per pool per field into pre-order, one compress.
+        pw = self.config.pagewidth
+        total = int(sizes[0].sum())
+        dst = np.empty((total, pw), dtype=np.int64)
+        weight = np.empty((total, pw), dtype=np.float64)
+        main, overflow = self.main._data, self.overflow._data
+        dst[positions[0]] = main["dst"][rows]
+        weight[positions[0]] = main["weight"][rows]
+        if parents:
+            deep, at = np.concatenate(blocks[1:]), np.concatenate(positions[1:])
+            dst[at] = overflow["dst"][deep]
+            weight[at] = overflow["weight"][deep]
+        live = dst >= 0
+        counts = np.add.reduceat(live.sum(axis=1), positions[0])
+        return counts, sizes[0], dst[live], weight[live]
+
     def iter_all_edges(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(src, dst_array, weight_array)`` over all dense vertices.
 
-        This is the non-CAL retrieval path (used when CAL is disabled);
-        every edgeblock visit is a random block read.
+        The per-row walk behind :meth:`GraphTinker.edges`; every
+        edgeblock visit is a random block read.
         """
         for src in range(self._n_vertices):
             dst, weight = self.neighbors(src)

@@ -390,10 +390,6 @@ class GraphTinker:
             raise VertexNotFoundError(src)
         return self.eba.neighbors(dense_src)
 
-    def neighbors_dense(self, dense_src: int) -> tuple[np.ndarray, np.ndarray]:
-        """Internal-id variant of :meth:`neighbors` (engine hot path)."""
-        return self.eba.neighbors(dense_src)
-
     def neighbors_many(
         self, active: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,16 +398,38 @@ class GraphTinker:
         ``active`` is sanitized first (sorted unique, negatives dropped),
         so duplicate frontier ids never double-gather.  With the
         analytics snapshot attached this is one vectorized CSR gather;
-        otherwise it falls back to the per-vertex loop.  Modeled
-        AccessStats charges are bit-identical either way: one SGH probe
-        per active id (the degree check) plus, per vertex with out-edges,
-        one more probe and its edgeblock-tree walk.
+        without one it is one level-synchronous pass over the frontier's
+        edgeblock trees (:meth:`EdgeblockArray.neighbors_rows`).  Data,
+        order and modeled AccessStats are those of the per-vertex loop
+        (:func:`repro.engine.snapshot.gather_active_scalar`) either way:
+        one SGH probe per active id (the degree check) plus, per vertex
+        with out-edges, one more probe and its edgeblock-tree walk.
         """
-        from repro.engine.snapshot import gather_active_scalar, sanitize_active
+        from repro.engine.snapshot import sanitize_active
 
         if self._analytics_snapshot is not None:
             return self._analytics_snapshot.gather_active(active)
-        return gather_active_scalar(self, sanitize_active(active))
+        active = sanitize_active(active)
+        dense = active if self.sgh is None else self.sgh.try_lookup_array(active)
+        known = np.flatnonzero((dense >= 0) & (dense < self.eba.n_vertices))
+        known = known[self.eba.degrees_view()[dense[known]] > 0]
+        if self.sgh is not None:
+            self.stats.hash_lookups += known.shape[0]
+        counts, dst, weight = self._walk_rows(dense[known])
+        return np.repeat(active[known], counts), dst, weight
+
+    def _walk_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Charged bulk tree walk of dense ``rows``: ``(counts, dst, weight)``.
+
+        Charges what one :meth:`EdgeblockArray.neighbors` call per row
+        charges — a random block read and ``pagewidth`` scanned cells per
+        edgeblock visited, empty rows included.
+        """
+        counts, n_blocks, dst, weight = self.eba.neighbors_rows(rows)
+        visited = int(n_blocks.sum())
+        self.stats.random_block_reads += visited
+        self.stats.cells_scanned += visited * self.config.pagewidth
+        return counts, dst, weight
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield every live edge as ``(src, dst, weight)`` (original ids)."""
@@ -424,23 +442,16 @@ class GraphTinker:
         """All live edges as ``(src, dst, weight)`` arrays, dense src ids.
 
         Uses the CAL streaming path when CAL is enabled (contiguous block
-        reads), otherwise falls back to an EdgeblockArray sweep (random
-        block reads) — the exact dichotomy the engine's mode choice is
-        about.
+        reads), otherwise sweeps every EdgeblockArray row, empty ones
+        included, in dense order (random block reads; one
+        level-synchronous pass, charged as one walk per row) — the exact
+        dichotomy the engine's mode choice is about.
         """
         if self.cal is not None:
             return self.cal.stream_edges()
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for dense_src, d, w in self.eba.iter_all_edges():
-            srcs.append(np.full(d.shape[0], dense_src, dtype=np.int64))
-            dsts.append(d)
-            weights.append(w)
-        if not srcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
+        rows = np.arange(self.eba.n_vertices, dtype=np.int64)
+        counts, dst, weight = self._walk_rows(rows)
+        return np.repeat(rows, counts), dst, weight
 
     def analytics_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Like :meth:`edge_arrays` but with *original* source ids.

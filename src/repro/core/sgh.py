@@ -77,13 +77,18 @@ class ScatterGatherHash:
         self.stats.hash_lookups += 1
         return self._forward.get(int(original))
 
+    def try_lookup_array(self, originals: np.ndarray) -> np.ndarray:
+        """Bulk :meth:`try_lookup` (-1 where unknown), one charge per id."""
+        self.stats.hash_lookups += len(originals)
+        return self.peek_array(originals)
+
     def peek_array(self, originals: np.ndarray) -> np.ndarray:
         """Uncharged bulk original->dense lookup (-1 where unknown).
 
         Bookkeeping only — no ``hash_lookups`` charge — so the analytics
         snapshot's dirty tracking can resolve a batch's touched rows
         without perturbing the modeled AccessStats.  Never use this on a
-        cost-accounted retrieval path.
+        cost-accounted retrieval path; that is :meth:`try_lookup_array`.
         """
         fwd = self._forward
         out = np.fromiter(

@@ -129,3 +129,25 @@ def assert_store_matches(store, ref: ReferenceGraph) -> None:
     assert set(got) == set(expected)
     for key, w in expected.items():
         assert abs(got[key] - w) < 1e-12, key
+
+
+def assert_gather_matches_loop(store, active):
+    """``store.neighbors_many(active)`` against the per-vertex reference
+    loop on the same store (reads mutate nothing): the three arrays equal
+    *in order*, and the full ``AccessStats`` delta of each call equal.
+    Returns ``(triple, delta)`` of the ``neighbors_many`` call.
+    """
+    from repro.engine.snapshot import gather_active_scalar, sanitize_active
+
+    active = np.asarray(active, dtype=np.int64)
+    before = store.stats.snapshot()
+    got = store.neighbors_many(active)
+    charged = store.stats.delta(before).as_dict()
+    before = store.stats.snapshot()
+    want = gather_active_scalar(store, sanitize_active(active))
+    loop_charged = store.stats.delta(before).as_dict()
+    assert charged == loop_charged, {
+        k: (charged[k], loop_charged[k]) for k in charged if charged[k] != loop_charged[k]}
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tolist() == w.tolist()
+    return got, charged

@@ -201,6 +201,35 @@ class TestRetrieval:
         assert eba.stats.random_block_reads - before == len(blocks)
         assert len(blocks) == 1 + eba.overflow.n_used  # single-vertex tree
 
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_neighbors_rows_is_neighbors_per_row(self, compact):
+        eba = make(compact=compact)
+        rng = np.random.default_rng(3)
+        for s, n in enumerate([200, 0, 7, 90, 1, 0, 45]):
+            eba.ensure_vertex(s)
+            for d in rng.permutation(300)[:n].tolist():
+                eba.insert(s, d, weight=s + d / 1000)
+        for d in range(0, 300, 2):
+            eba.delete(0, d)
+            eba.delete(3, d)
+        before = eba.stats.as_dict()
+        for rows in (rng.permutation(7), [3, 0, 3, 3, 1, 0], [5], []):
+            counts, n_blocks, dst, weight = eba.neighbors_rows(rows)
+            assert eba.stats.as_dict() == before  # the caller charges
+            want = [eba.neighbors(r) for r in rows]
+            assert counts.tolist() == [d.shape[0] for d, _ in want]
+            assert dst.tolist() == [x for d, _ in want for x in d.tolist()]
+            assert weight.tolist() == [x for _, w in want for x in w.tolist()]
+            assert n_blocks.tolist() == [len(list(eba.vertex_blocks(r))) for r in rows]
+            before = eba.stats.as_dict()
+
+    def test_neighbors_rows_rejects_unallocated_rows(self):
+        eba = make()
+        eba.insert(1, 5)
+        for rows in ([0, 2], [-1]):
+            with pytest.raises(IndexError):
+                eba.neighbors_rows(rows)
+
 
 class TestCalPointerPlumbing:
     def test_set_get_cal_pointer(self):

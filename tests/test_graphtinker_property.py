@@ -14,12 +14,18 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import GraphTinker, GTConfig
-from tests.reference import ReferenceGraph, assert_store_matches
+from tests.reference import (
+    ReferenceGraph,
+    assert_gather_matches_loop,
+    assert_store_matches,
+)
 
 # Small id spaces maximise collision / duplicate / branch-out coverage.
 SRC = st.integers(min_value=0, max_value=12)
 DST = st.integers(min_value=0, max_value=40)
 WEIGHT = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+# Past both ends of SRC: negative, never-inserted and repeated ids.
+FRONTIER = st.lists(st.integers(min_value=-2, max_value=16), max_size=24)
 
 
 class _GraphTinkerMachine(RuleBasedStateMachine):
@@ -54,6 +60,12 @@ class _GraphTinkerMachine(RuleBasedStateMachine):
     @rule(src=SRC)
     def degree(self, src):
         assert self.gt.degree(src) == self.ref.degree(src)
+
+    @rule(active=FRONTIER)
+    def gather(self, active):
+        """The level-synchronous gather against the per-vertex loop, on
+        this machine's own store: triples in order, stats deltas."""
+        assert_gather_matches_loop(self.gt, active)
 
     @invariant()
     def edge_count_matches(self):

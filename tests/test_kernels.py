@@ -27,6 +27,7 @@ from repro.core.hashing import (
 )
 from repro.errors import CapacityError
 from repro.workloads import rmat_edges
+from tests.reference import assert_gather_matches_loop
 
 SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
 
@@ -362,6 +363,116 @@ class TestLevelSynchronousDelete:
         assert vector.n_edges == 2
         assert vector.stats.hash_lookups == scalar.stats.hash_lookups
         vector.check_invariants()
+
+
+def tree_shape(gt: GraphTinker, src: int) -> tuple[int, int]:
+    """``(levels, most children under one block)`` of ``src``'s edgeblock
+    tree (uncharged walk)."""
+    eba = gt.eba
+    level, region = [gt.dense_id(src)], MAIN
+    levels = fanout = 0
+    while level:
+        levels += 1
+        kids = [eba._children(region).row(b) for b in level]
+        fanout = max([fanout] + [int((k >= 0).sum()) for k in kids])
+        level = [int(c) for k in kids for c in k[k >= 0]]
+        region = OVERFLOW
+    return levels, fanout
+
+
+class TestLevelSynchronousGather:
+    """A snapshot-less ``neighbors_many`` walks a frontier's trees level
+    by level, not vertex by vertex; it must still return the triples of
+    the per-vertex loop in the loop's order, and charge what it charges."""
+
+    @pytest.mark.parametrize("cfg, n_hub", [(GTConfig(**SMALL), 400),
+                                            (GTConfig(), 3000)])
+    def test_hub_tree_with_siblings(self, cfg, n_hub):
+        gt = GraphTinker(cfg)
+        gt.insert_batch(hub_edges(n_hub), np.random.default_rng(1).random(n_hub + 300))
+        levels, fanout = tree_shape(gt, 0)
+        assert levels >= 3 and fanout >= 2
+        (src, dst, _), charged = assert_gather_matches_loop(gt, np.arange(40))
+        assert src.shape[0] == gt.n_edges
+        assert charged["random_block_reads"] > 40
+
+    def test_rows_full_of_tombstones(self):
+        edges = hub_edges()
+        gt = GraphTinker(GTConfig(**SMALL))
+        gt.insert_batch(edges)
+        gt.delete_batch(edges[(edges[:, 0] % 3 == 1) | (edges[:, 1] % 4 != 0)])
+        assert 0 < gt.n_edges < 200 and gt.degree(1) == 0
+        (src, _, _), _ = assert_gather_matches_loop(gt, np.arange(40))
+        assert src.shape[0] == gt.n_edges
+        gt.delete_batch(edges)
+        (src, _, _), charged = assert_gather_matches_loop(gt, np.arange(40))
+        assert src.shape[0] == 0 and charged["random_block_reads"] == 0
+
+    def test_compaction_freed_blocks_and_cleared_child_pointers(self):
+        edges = hub_edges()
+        gt = GraphTinker(GTConfig(**SMALL, compact_on_delete=True))
+        gt.insert_batch(edges)
+        grown = gt.eba.overflow_blocks_in_use()
+        gt.delete_batch(np.random.default_rng(2).permutation(edges)[:550])
+        assert 0 < gt.eba.overflow_blocks_in_use() < grown
+        (src, _, _), _ = assert_gather_matches_loop(gt, np.arange(40))
+        assert src.shape[0] == gt.n_edges
+        # Freed overflow rows handed out again, under other parents.
+        gt.insert_batch(np.column_stack([np.full(200, 5), np.arange(1000, 1200)]))
+        assert_gather_matches_loop(gt, np.arange(40))
+
+    def test_one_subblock_per_block_is_a_deep_chain(self):
+        gt = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4))
+        gt.insert_batch(hub_edges())
+        levels, fanout = tree_shape(gt, 0)
+        assert levels >= 30 and fanout == 1
+        assert_gather_matches_loop(gt, np.arange(40))
+
+    def test_sgh_off_takes_raw_ids(self):
+        gt = GraphTinker(GTConfig(**SMALL, enable_sgh=False))
+        gt.insert_batch(hub_edges())
+        n = gt.eba.n_vertices
+        (src, _, _), charged = assert_gather_matches_loop(
+            gt, [n + 5, 0, n, 3, 1 << 40, n - 1, -1])
+        assert charged["hash_lookups"] == 0
+        assert set(src.tolist()) <= {0, 3, n - 1}
+
+    def test_unknown_negative_repeated_ids_and_empty_frontiers(self):
+        gt = GraphTinker(GTConfig(**SMALL))
+        for active in ([], [3], [-1, 7, 7]):          # an empty store
+            (src, _, _), _ = assert_gather_matches_loop(gt, active)
+            assert src.shape[0] == 0
+        gt.insert_batch(hub_edges())
+        (src, dst, weight), charged = assert_gather_matches_loop(gt, [])
+        assert (src.dtype, dst.dtype, weight.dtype) == (np.int64, np.int64, np.float64)
+        assert not any(charged.values())
+        assert_gather_matches_loop(gt, [9, -4, 0, 9, 10_000, 0, 1 << 40, -1, 9])
+        assert_gather_matches_loop(gt, np.array([[3, 0], [0, 3]]))
+
+    def test_sgh_id_without_a_row(self):
+        gt = GraphTinker(GTConfig(**SMALL))
+        gt.insert_batch(hub_edges())
+        assert gt.sgh.hash_id(77_000) == gt.eba.n_vertices   # renamed, never stored
+        (src, _, _), charged = assert_gather_matches_loop(gt, [77_000])
+        assert src.shape[0] == 0
+        assert {k: v for k, v in charged.items() if v} == {"hash_lookups": 1}
+
+    def test_more_rows_than_one_slab(self):
+        from repro.core.edgeblock_array import GATHER_SLAB_ROWS as slab
+        hubs = [3, slab - 1, slab, slab + 400]
+        rng = np.random.default_rng(5)
+        fringe = np.column_stack([np.repeat(np.arange(slab + 500), 2),
+                                  rng.integers(0, 50, 2 * (slab + 500))])
+        edges = np.vstack([fringe] + [np.column_stack([np.full(300, h), np.arange(100, 400)])
+                                      for h in hubs])
+        gt = GraphTinker(GTConfig(**SMALL))
+        gt.insert_batch(edges)
+        # Sources arrived in ascending order, so dense row == original id.
+        assert [gt.dense_id(h) for h in hubs] == hubs
+        assert all(tree_shape(gt, h)[0] >= 3 for h in hubs)
+        (src, _, _), _ = assert_gather_matches_loop(gt, np.arange(slab + 600))
+        assert src.shape[0] == gt.n_edges
+        assert_gather_matches_loop(gt, rng.permutation(slab + 500)[:slab + 100])
 
 
 class TestHashArrays:

@@ -92,6 +92,17 @@ class TestGrowthAndBatch:
         sgh.try_lookup(2)
         assert sgh.stats.hash_lookups == 3
 
+    def test_try_lookup_array_is_a_loop_of_try_lookup(self):
+        bulk, loop = ScatterGatherHash(), ScatterGatherHash()
+        for sgh in (bulk, loop):
+            sgh.hash_ids_array(np.array([50, 60, 50, 70, 1 << 40]))
+        for ids in ([60, 7, 1 << 40, 60, -1, 50], []):
+            got = bulk.try_lookup_array(np.array(ids, dtype=np.int64))
+            want = [loop.try_lookup(o) for o in ids]
+            assert got.dtype == np.int64
+            assert got.tolist() == [-1 if w is None else w for w in want]
+            assert bulk.stats.hash_lookups == loop.stats.hash_lookups
+
 
 @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=500))
 def test_sgh_is_a_bijection_onto_dense_prefix(originals):
