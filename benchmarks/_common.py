@@ -55,21 +55,3 @@ def stream_for(dataset: str, n_edges: int | None = None, n_batches: int = 6) -> 
     batch = max(1, budget // n_batches)
     return EdgeStream(prefix, batch)
 
-
-def record_bench(bench: str, *, config: dict | None = None, **measurements) -> None:
-    """Emit one standardized ``BENCH_<bench>.json`` perf record.
-
-    Thin wrapper over :func:`repro.bench.records.make_bench_record` /
-    ``write_bench_record``: the record lands in ``REPRO_BENCH_RECORD_DIR``
-    (default: the working directory) so CI can collect it and
-    ``python -m repro report`` can diff it against a baseline.
-    ``measurements`` passes through (``wall_s=``, ``latency_ms=``,
-    ``metrics={...}``, ...).
-    """
-    from repro.bench.records import make_bench_record, write_bench_record
-
-    path = write_bench_record(make_bench_record(bench, config=config,
-                                                **measurements))
-    emit_line(f"wrote bench record {path}")
-
-

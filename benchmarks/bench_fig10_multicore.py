@@ -33,7 +33,7 @@ import pytest
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
 from repro.bench.harness import parallel_insertion_run
 from repro.bench.reporting import Table
-from repro.core.parallel import PartitionedGraphTinker, PartitionedStinger
+from repro.bench.partitioned import PartitionedGraphTinker, PartitionedStinger
 
 from _common import emit, stream_for
 

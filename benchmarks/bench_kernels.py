@@ -28,7 +28,7 @@ from repro.bench.reporting import Table
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
 
-from _common import emit, record_bench
+from _common import emit
 
 N_EDGES = 100_000
 SCALE = 16
@@ -90,16 +90,6 @@ def test_vector_kernel_speedup_and_equivalence(benchmark):
             wall = res[f"t_{phase}"]
             table.add_row([phase, kernel, wall, N_EDGES / wall, ratio])
     emit(table)
-    record_bench(
-        "kernels",
-        config={"n_edges": N_EDGES, "scale": SCALE, "n_batches": N_BATCHES},
-        wall_s=vector["t_insert"],
-        throughput_edges_per_s=N_EDGES / vector["t_insert"],
-        metrics={"scalar_wall_s": scalar["t_insert"], "speedup": speedup["insert"],
-                 "delete_wall_s": vector["t_delete"],
-                 "scalar_delete_wall_s": scalar["t_delete"],
-                 "delete_speedup": speedup["delete"]},
-    )
 
     # Equivalence first: a fast-but-wrong kernel must not pass.
     assert vector["loaded"] == scalar["loaded"]

@@ -28,7 +28,7 @@ from repro.bench.reporting import Table
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
 
-from _common import emit, record_bench
+from _common import emit
 
 N_EDGES = int(os.environ.get("REPRO_OBS_BENCH_EDGES", "100000"))
 SCALE = 16
@@ -79,13 +79,6 @@ def test_obs_overhead_within_budget(benchmark):
     table.add_row(["enabled", results["t_on"],
                    N_EDGES / results["t_on"], f"{overhead:+.1%}"])
     emit(table)
-    record_bench(
-        "obs_overhead",
-        config={"n_edges": N_EDGES, "scale": SCALE, "n_batches": N_BATCHES},
-        wall_s=results["t_on"],
-        throughput_edges_per_s=N_EDGES / results["t_on"],
-        metrics={"disabled_wall_s": results["t_off"], "overhead": overhead},
-    )
 
     assert overhead <= OVERHEAD_MAX, (
         f"enabled-mode ingest overhead {overhead:+.1%} exceeds budget "

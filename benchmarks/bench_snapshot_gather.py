@@ -37,7 +37,7 @@ from repro.engine.hybrid import HybridEngine
 from repro.workloads import rmat_edges
 from repro.workloads.streams import highest_degree_roots
 
-from _common import emit, record_bench
+from _common import emit
 
 N_EDGES = int(os.environ.get("REPRO_SNAPSHOT_BENCH_EDGES", "100000"))
 SCALE = 16
@@ -121,18 +121,6 @@ def test_snapshot_gather_speedup_and_equivalence(benchmark):
         table.add_row([system, "on", on["seconds"], speedup[system], snap.hits,
                        snap.rebuilds, snap.patched_rows])
     emit(table)
-    off, on = runs["stinger"]
-    record_bench(
-        "snapshot_gather",
-        config={"n_edges": N_EDGES, "scale": SCALE,
-                "churn_rounds": N_CHURN_ROUNDS, "n_roots": N_ROOTS},
-        wall_s=on["seconds"],
-        metrics={"off_wall_s": off["seconds"], "speedup": speedup["stinger"],
-                 "graphtinker_off_wall_s": runs["graphtinker"][0]["seconds"],
-                 "graphtinker_on_wall_s": runs["graphtinker"][1]["seconds"],
-                 "snapshot_hits": on["snapshot"].hits,
-                 "snapshot_rebuilds": on["snapshot"].rebuilds},
-    )
 
     # Equivalence first: the snapshot must be behaviourally invisible.
     for system, (off, on) in runs.items():

@@ -17,9 +17,6 @@ backend registered in :mod:`repro.core.store` and pins the claim:
   stream);
 * **occupancy**: the tier report is emitted per shape, and the
   power-law run must actually populate the upper tiers (promotions > 0).
-
-One ``BENCH_tiered_ingest.json`` record captures throughput per backend
-per shape plus the tier occupancy, for ``python -m repro report`` diffs.
 """
 
 import gc
@@ -32,7 +29,7 @@ from repro.bench.reporting import Table
 from repro.core.store import backend_names, create_store
 from repro.workloads import rmat_edges
 
-from _common import edge_budget, emit, emit_line, record_bench
+from _common import edge_budget, emit, emit_line
 
 SCALE = 13
 N_BATCHES = 4
@@ -87,7 +84,6 @@ def run_all():
 @pytest.mark.benchmark(group="tiered")
 def test_tiered_ingest_robustness(benchmark):
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    metrics = {}
     for shape, shape_res in results.items():
         per_backend = shape_res["backends"]
         table = Table(
@@ -98,26 +94,12 @@ def test_tiered_ingest_robustness(benchmark):
         for name, row in sorted(per_backend.items()):
             table.add_row([name, row["wall_s"], row["edges_per_s"],
                            row["n_edges"]])
-            metrics[f"{shape}_{name}_edges_per_s"] = row["edges_per_s"]
         emit(table)
         occ = shape_res["occupancy"]
         emit_line(f"  tier occupancy [{shape}]: inline={occ['inline']} "
                   f"small={occ['small']} large={occ['large']} "
                   f"promotions={occ['promotions']} "
                   f"demotions={occ['demotions']}")
-        metrics[f"{shape}_promotions"] = occ["promotions"]
-        metrics[f"{shape}_large_vertices"] = occ["large"]
-
-    record_bench(
-        "tiered_ingest",
-        config={"n_edges": results["power_law"]["n_edges_in"],
-                "scale": SCALE, "n_batches": N_BATCHES,
-                "floor": TIERED_FLOOR},
-        wall_s=results["power_law"]["backends"]["tiered"]["wall_s"],
-        throughput_edges_per_s=(
-            results["power_law"]["backends"]["tiered"]["edges_per_s"]),
-        metrics=metrics,
-    )
 
     for shape, shape_res in results.items():
         per_backend = shape_res["backends"]

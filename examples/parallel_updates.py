@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import GraphTinker, GTConfig
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.core.parallel import PartitionedGraphTinker
+from repro.bench.partitioned import PartitionedGraphTinker
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
 

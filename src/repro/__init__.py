@@ -19,7 +19,6 @@ from repro.core import AccessStats, EngineConfig, GTConfig, GraphTinker, Stinger
 from repro.errors import (
     CapacityError,
     ConfigError,
-    EdgeNotFoundError,
     EngineError,
     ReproError,
     ServiceError,
@@ -33,7 +32,6 @@ __all__ = [
     "AccessStats",
     "CapacityError",
     "ConfigError",
-    "EdgeNotFoundError",
     "EngineConfig",
     "EngineError",
     "GTConfig",

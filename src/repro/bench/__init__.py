@@ -2,28 +2,12 @@
 
 from repro.bench.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.bench.metrics import load_stability, throughput
-from repro.bench.records import (
-    BENCH_RECORD_SCHEMA,
-    diff_bench_records,
-    list_bench_records,
-    load_bench_record,
-    make_bench_record,
-    validate_bench_record,
-    write_bench_record,
-)
 from repro.bench.reporting import Table
 
 __all__ = [
-    "BENCH_RECORD_SCHEMA",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "Table",
-    "diff_bench_records",
-    "list_bench_records",
-    "load_bench_record",
     "load_stability",
-    "make_bench_record",
     "throughput",
-    "validate_bench_record",
-    "write_bench_record",
 ]

@@ -202,7 +202,7 @@ class ParallelBatchMeasurement:
 
     ``wall_seconds`` is the *measured* wall-clock of the whole batch on
     whatever execution path produced it — one partition after another
-    for :class:`~repro.core.parallel.PartitionedStore`, truly
+    for :class:`~repro.bench.partitioned.PartitionedStore`, truly
     parallel worker processes for
     :class:`~repro.core.sharded.ShardedStore`.  Keep it separate from
     the modeled makespan when reporting: the modeled number is the
@@ -234,7 +234,7 @@ def parallel_insertion_run(
 
     Each batch's parallel time is the maximum of the per-partition
     modeled costs — the critical path of independent instances.  Accepts
-    both :class:`~repro.core.parallel.PartitionedStore` (whose
+    both :class:`~repro.bench.partitioned.PartitionedStore` (whose
     ``insert_batch`` returns the per-partition deltas) and
     :class:`~repro.core.sharded.ShardedStore` (which returns a count and
     exposes the deltas as ``last_batch_partitions``); both charge the

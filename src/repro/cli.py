@@ -32,11 +32,8 @@ Gives shell access to the library's main workflows without writing code:
   ``serve-net``: pulls the writer's WAL over the wire, applies it to a
   local durable copy, and serves the read ops with staleness metadata.
 * ``loadgen`` — drive a running ``serve-net`` with closed-loop client
-  workers at a configurable read:write mix; prints the sustained op
-  rates and writes a ``BENCH_net_serve.json`` record.  ``--replicas``
-  routes reads over replicas with automatic failover.
-* ``report`` — diff two standardized ``BENCH_*.json`` records
-  (``--baseline`` vs ``--current``); exits 1 on a perf regression.
+  workers at a 90:10 read:write mix and print the sustained op rates;
+  ``--replicas`` routes reads over replicas with automatic failover.
 * ``blackbox`` — read a flight-recorder post-mortem dump (or list the
   dumps in a service directory).
 
@@ -72,6 +69,12 @@ from repro.workloads.io import write_edge_list
 from repro.workloads.streams import EdgeStream, highest_degree_roots, symmetrize
 
 log = get_logger("cli")
+
+#: Rows of a long listing printed before "... and N more" (``fsck``
+#: violations, ``blackbox`` events and spans).
+_SHOWN_ROWS = 20
+#: ``top``'s sampling / redraw interval in seconds.
+_TOP_INTERVAL_S = 0.25
 
 _ALGORITHMS = {
     "bfs": (BFS, False, True),
@@ -368,7 +371,6 @@ def cmd_serve(args) -> int:
         injector=injector,
         max_retries=args.max_retries,
         breaker_threshold=args.breaker_threshold,
-        shed_reads_at=args.shed_reads_at,
     )
     offset = rec.cum_edges
     if args.resume:
@@ -454,15 +456,12 @@ def cmd_serve_net(args) -> int:
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         breaker_threshold=args.breaker_threshold,
-        shed_reads_at=args.shed_reads_at,
     )
     if rec.replayed_records or rec.checkpoint_seq:
         print(f"recovered {rec.store.n_edges} edges "
               f"(checkpoint seq {rec.checkpoint_seq}, "
               f"replayed {rec.replayed_records} WAL records)")
-    thread = ServerThread(service, args.host, args.port,
-                          view_refresh_s=args.view_refresh,
-                          view_patch_rows=args.view_patch_rows)
+    thread = ServerThread(service, args.host, args.port)
     try:
         thread.start()
     except OSError as exc:
@@ -521,9 +520,6 @@ def cmd_serve_replica(args) -> int:
         replica_id=args.replica_id,
         max_lag_seq=args.max_lag_seq,
         checkpoint_every=args.checkpoint_every,
-        poll_wait_s=args.poll_wait,
-        max_records=args.max_records,
-        digest_check=not args.no_digest_check,
     )
     try:
         rep.start()
@@ -568,8 +564,7 @@ def _parse_endpoints(specs: list[str]) -> list[tuple[str, int]]:
 
 def cmd_loadgen(args) -> int:
     """Closed-loop load generator against a running ``serve-net``."""
-    from repro.bench.records import write_bench_record
-    from repro.net.loadgen import loadgen_record, run_loadgen
+    from repro.net.loadgen import run_loadgen
 
     # Same GIL-convoy mitigation as serve-net: the measured client-side
     # latencies include time a worker thread spends waiting for the GIL
@@ -586,13 +581,8 @@ def cmd_loadgen(args) -> int:
         args.host, port,
         clients=args.clients,
         duration=args.duration,
-        read_fraction=args.read_fraction,
         scale=args.scale,
-        batch_edges=args.batch_edges,
-        batches_per_worker=args.batches_per_worker,
         seed=args.seed,
-        retries=args.retries,
-        timeout=args.timeout,
         port_file=args.port_file,
         replicas=replicas,
     )
@@ -619,13 +609,6 @@ def cmd_loadgen(args) -> int:
     table.add_row(["generation regressions",
                    str(summary['generation_regressions'])])
     print(table.render())
-    if not args.no_record:
-        record = loadgen_record(
-            stats, clients=args.clients, duration=args.duration,
-            read_fraction=args.read_fraction, scale=args.scale,
-            batch_edges=args.batch_edges)
-        path = write_bench_record(record, args.record_dir)
-        print(f"bench record: {path}")
     if summary["generation_regressions"]:
         print("error: read generation went backwards", file=sys.stderr)
         return 1
@@ -671,15 +654,15 @@ def cmd_fsck(args) -> int:
           f"(checkpoint seq {result.checkpoint_seq}, "
           f"replayed {result.replayed_records} WAL records)")
     if args.corrupt:
-        corruptor = StoreCorruptor(store, seed=args.corrupt_seed)
+        corruptor = StoreCorruptor(store)
         for injected in corruptor.corrupt_random(args.corrupt):
             print(f"injected {injected.kind}: {injected.detail}")
 
-    report = store.fsck(level=args.level)
+    report = store.fsck()
     print(report.summary())
     if report.ok:
         return 0
-    shown = report.violations[:args.show]
+    shown = report.violations[:_SHOWN_ROWS]
     for violation in shown:
         print(f"  [{violation.kind}] vertex={violation.vertex} "
               f"{violation.where}: {violation.detail}")
@@ -780,7 +763,7 @@ def cmd_top(args) -> int:
         with tempfile.TemporaryDirectory(prefix="repro-top-") as tmp:
             service = GraphService(
                 Path(tmp), batch_edges=args.batch_size,
-                sample_interval=args.interval)
+                sample_interval=_TOP_INTERVAL_S)
             try:
                 sampler = service._sampler
                 if args.once:
@@ -800,7 +783,7 @@ def cmd_top(args) -> int:
                         start += args.batch_size
                     else:
                         start = 0  # loop the stream: top is a demo load
-                    time_mod.sleep(args.interval / 4)
+                    time_mod.sleep(_TOP_INTERVAL_S / 4)
                     print("\x1b[2J\x1b[H"
                           + _render_top_frame(service, sampler.ring),
                           flush=True)
@@ -811,40 +794,6 @@ def cmd_top(args) -> int:
                 service.close()
     finally:
         obs.disable()
-
-
-def cmd_report(args) -> int:
-    """Diff two standardized bench records; exit 1 on a regression."""
-    from repro.bench.records import (
-        diff_bench_records,
-        has_regressions,
-        load_bench_record,
-    )
-
-    try:
-        baseline = load_bench_record(args.baseline)
-        current = load_bench_record(args.current)
-        rows = diff_bench_records(baseline, current,
-                                  threshold=args.threshold)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    table = Table(
-        f"bench report: {baseline['bench']} "
-        f"(v{baseline['repro_version']} -> v{current['repro_version']}, "
-        f"threshold {args.threshold:.0%})",
-        ["metric", "baseline", "current", "change", "verdict"],
-    )
-    for row in rows:
-        change = ("-" if row["change"] is None
-                  else f"{row['change']:+.1%}")
-        table.add_row([row["metric"], row["baseline"], row["current"],
-                       change, row["verdict"]])
-    table.print()
-    if has_regressions(rows):
-        print("perf regression detected", file=sys.stderr)
-        return 1
-    return 0
 
 
 def cmd_blackbox(args) -> int:
@@ -874,13 +823,13 @@ def cmd_blackbox(args) -> int:
     events = record.get("events", [])
     print(f"events ({len(events)} recorded, "
           f"{record.get('n_events_total', len(events))} total):")
-    for event in events[-args.events:]:
+    for event in events[-_SHOWN_ROWS:]:
         detail = " ".join(f"{k}={v}" for k, v in event["detail"].items())
         print(f"  {event['kind']:<20} {detail}".rstrip())
     spans = record.get("spans", [])
     if spans:
         print(f"recent spans ({len(spans)}):")
-        for span in spans[-args.events:]:
+        for span in spans[-_SHOWN_ROWS:]:
             print(f"  {span['name']:<20} {span['duration_ms']:.2f} ms  "
                   f"({span['n_descendants']} descendants)")
     metrics = record.get("metrics", {})
@@ -1024,9 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breaker-threshold", type=int, default=0, metavar="N",
                    help="open the circuit breaker after N consecutive "
                         "flush failures (0 = fail-stop)")
-    p.add_argument("--shed-reads-at", type=int, default=0, metavar="DEPTH",
-                   help="reject reads when the ingest queue reaches this "
-                        "depth (0 = never shed)")
     p.add_argument("--fail-every", type=int, default=0, metavar="N",
                    help="inject a transient WAL fault on every Nth record")
     p.add_argument("--fail-times", type=int, default=1, metavar="K",
@@ -1065,16 +1011,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breaker-threshold", type=int, default=0, metavar="N",
                    help="open the circuit breaker after N consecutive "
                         "flush failures (0 = fail-stop)")
-    p.add_argument("--shed-reads-at", type=int, default=0, metavar="DEPTH",
-                   help="answer reads with SHED frames when the ingest "
-                        "queue reaches this depth (0 = never)")
-    p.add_argument("--view-refresh", type=float, default=0.25,
-                   metavar="SECONDS",
-                   help="min interval between read-view re-captures "
-                        "(bounded read staleness; 0 = every batch)")
-    p.add_argument("--view-patch-rows", type=int, default=512,
-                   help="max dirty rows re-measured per re-capture "
-                        "(bounds the ingest stall a capture can cause)")
     p.add_argument("--obs", action="store_true",
                    help="enable telemetry (net.* metrics, health detail)")
     p.set_defaults(func=cmd_serve_net)
@@ -1104,12 +1040,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "than N WAL records behind (0 = never shed)")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="local checkpoint every N applied records")
-    p.add_argument("--poll-wait", type=float, default=1.0,
-                   help="wal_batch long-poll wait in seconds")
-    p.add_argument("--max-records", type=int, default=512,
-                   help="max WAL records pulled per batch")
-    p.add_argument("--no-digest-check", action="store_true",
-                   help="skip the post-catch-up digest cross-check")
     p.add_argument("--obs", action="store_true",
                    help="enable telemetry (repl.* metrics, health detail)")
     p.set_defaults(func=cmd_serve_replica)
@@ -1125,27 +1055,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed-loop worker count")
     p.add_argument("--duration", type=float, default=5.0,
                    help="seconds to generate load")
-    p.add_argument("--read-fraction", type=float, default=0.9,
-                   help="fraction of ops that are reads (default: 0.9)")
     p.add_argument("--scale", type=int, default=14,
                    help="RMAT scale of the mutation stream / read keys")
-    p.add_argument("--batch-edges", type=int, default=16,
-                   help="edges per mutation batch")
-    p.add_argument("--batches-per-worker", type=int, default=64,
-                   help="pre-generated mutation batches per worker")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--retries", type=int, default=3,
-                   help="transient-error retries per request")
-    p.add_argument("--timeout", type=float, default=30.0,
-                   help="per-request client timeout in seconds")
     p.add_argument("--replicas", action="append", default=None,
                    metavar="HOST:PORT",
                    help="route reads over these replicas with failover "
                         "(repeatable); writes still go to --host/--port")
-    p.add_argument("--record-dir", default=None, metavar="DIR",
-                   help="directory for BENCH_net_serve.json")
-    p.add_argument("--no-record", action="store_true",
-                   help="skip writing the bench record")
     p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser("recover", parents=[common],
@@ -1159,15 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="audit a service directory's store integrity "
                             "(optionally self-heal)")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--level", default="full", choices=["quick", "full"],
-                   help="audit depth (default: full)")
     p.add_argument("--repair", action="store_true",
                    help="self-heal detected violations")
     p.add_argument("--corrupt", type=int, default=0, metavar="N",
                    help="inject N random corruptions first (chaos testing)")
-    p.add_argument("--corrupt-seed", type=int, default=0)
-    p.add_argument("--show", type=int, default=20, metavar="N",
-                   help="max violations to print (default: 20)")
     p.add_argument("--checkpoint", action="store_true",
                    help="checkpoint the repaired store on success")
     p.set_defaults(func=cmd_fsck)
@@ -1186,23 +1097,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input rows in the demo stream")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--interval", type=float, default=0.25,
-                   help="sampling/refresh interval in seconds")
     p.add_argument("--duration", type=float, default=10.0,
                    help="seconds to run the live view")
     p.add_argument("--once", action="store_true",
                    help="ingest, take one sample, print one frame (CI)")
     p.set_defaults(func=cmd_top)
-
-    p = sub.add_parser("report", parents=[common],
-                       help="diff two BENCH_*.json records; exit 1 on a "
-                            "perf regression")
-    p.add_argument("--baseline", required=True, metavar="PATH")
-    p.add_argument("--current", required=True, metavar="PATH")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="relative change that counts as a regression "
-                        "(default: 0.10)")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("blackbox", parents=[common],
                        help="read a flight-recorder post-mortem dump")
@@ -1211,8 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(newest dump is shown)")
     p.add_argument("--list", action="store_true",
                    help="list the dumps in a directory instead")
-    p.add_argument("--events", type=int, default=20, metavar="N",
-                   help="max events/spans to print (default: 20)")
     p.set_defaults(func=cmd_blackbox)
 
     return parser

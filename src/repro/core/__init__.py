@@ -4,8 +4,6 @@ Public surface re-exported here:
 
 * :class:`~repro.core.config.GTConfig` — geometry / feature configuration.
 * :class:`~repro.core.graphtinker.GraphTinker` — the dynamic graph store.
-* :class:`~repro.core.parallel.PartitionedGraphTinker` — multi-instance
-  interval-partitioned store (Sec. III.D).
 * :class:`~repro.core.stats.AccessStats` — instrumentation counters.
 * :func:`~repro.core.verify.verify_graph` / :func:`~repro.core.verify.
   repair_graph` — the store fsck and its self-healing mode.

@@ -107,22 +107,6 @@ class ScatterGatherHash:
         """Vectorised inverse mapping over an array of dense ids."""
         return self._reverse[hashed]
 
-    def hash_ids_array(self, originals: np.ndarray) -> np.ndarray:
-        """Map an array of original ids to dense ids, assigning new ones.
-
-        This is the batch entry point used when a whole update batch is
-        renamed at once; assignment order follows array order so results
-        are deterministic.
-        """
-        out = np.empty(originals.shape[0], dtype=np.int64)
-        for i, orig in enumerate(originals.tolist()):
-            out[i] = self.hash_id(orig)
-        return out
-
-    def dense_ids(self) -> np.ndarray:
-        """All dense ids in use: ``arange(len(self))`` (no copy of state)."""
-        return np.arange(self._count, dtype=np.int64)
-
     def reverse_view(self) -> np.ndarray:
         """Read-only view of the dense->original table (length = count)."""
         view = self._reverse[: self._count]

@@ -1,6 +1,6 @@
 """Process-per-shard store: true multi-core ingest behind one Store.
 
-:class:`~repro.core.parallel.PartitionedStore` proved the paper's
+:class:`~repro.bench.partitioned.PartitionedStore` proved the paper's
 Fig. 10 *model* — hash-partitioned GraphTinker instances are fully
 independent, so a batch's parallel time is the slowest partition — but
 its ThreadPoolExecutor never escapes the GIL, so the speedup stayed

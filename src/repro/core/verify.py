@@ -114,10 +114,6 @@ class VerifyReport:
             out[v.kind] = out.get(v.kind, 0) + 1
         return out
 
-    def affected_vertices(self) -> list[int]:
-        """Dense ids of vertices named by at least one violation."""
-        return sorted({v.vertex for v in self.violations if v.vertex >= 0})
-
     def summary(self) -> str:
         if self.ok:
             return (f"fsck[{self.level}] clean: {self.n_vertices} vertices, "

@@ -178,11 +178,6 @@ class HybridEngine:
             return self.program.initial_value()
         return float(self.values[vertex])
 
-    @property
-    def active_vertices(self) -> np.ndarray:
-        """The pending active set (next iteration's frontier)."""
-        return self._active
-
     # ------------------------------------------------------------------ #
     # the inference box
     # ------------------------------------------------------------------ #

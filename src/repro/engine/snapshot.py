@@ -55,6 +55,12 @@ from repro.obs import hooks as obs_hooks
 STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in _dataclass_fields(AccessStats))
 _N_FIELDS = len(STAT_FIELDS)
 
+#: :meth:`AnalyticsSnapshot.sync` runs the O(E) flat rebuild only once
+#: the patch overlay holds ``max(REBUILD_MIN, REBUILD_RATIO * n_rows)``
+#: rows.
+REBUILD_RATIO = 0.05
+REBUILD_MIN = 1024
+
 
 def _empty_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     empty_i = np.empty(0, dtype=np.int64)
@@ -197,14 +203,12 @@ class AnalyticsSnapshot:
     # ------------------------------------------------------------------ #
     # lock-free read-path accessors (repro.net serving tier)
     # ------------------------------------------------------------------ #
-    def sync(self, *, rebuild_ratio: float = 0.05,
-             rebuild_min: int = 1024,
-             max_rows: int | None = None) -> int:
+    def sync(self, *, max_rows: int | None = None) -> int:
         """Bring the *serving* view current; return the new generation.
 
         Cheap by design: dirty rows are re-measured and patched into the
         overlay (O(changed rows)), and the O(E) flat rebuild only runs
-        when the overlay has grown past ``max(rebuild_min, rebuild_ratio
+        when the overlay has grown past ``max(REBUILD_MIN, REBUILD_RATIO
         * n_rows)`` — so a serving tier syncing after every applied
         micro-batch pays for what changed, not for the whole graph.
 
@@ -227,7 +231,7 @@ class AnalyticsSnapshot:
                                       self._rows_weight[row])
             self.generation += 1
         if not self._flat_ok and len(self._overlay) >= max(
-                rebuild_min, int(rebuild_ratio * len(self._rows_dst))):
+                REBUILD_MIN, int(REBUILD_RATIO * len(self._rows_dst))):
             self._rebuild_flat()
         return self.generation
 

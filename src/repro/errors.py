@@ -39,10 +39,6 @@ class VertexNotFoundError(ReproError, KeyError):
     """The requested vertex does not exist in the structure."""
 
 
-class EdgeNotFoundError(ReproError, KeyError):
-    """The requested edge does not exist in the structure."""
-
-
 class EngineError(ReproError):
     """The graph engine was driven with an inconsistent request."""
 

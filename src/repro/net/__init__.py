@@ -17,9 +17,8 @@ into a network service:
 * :mod:`repro.net.client` / :mod:`repro.net.aioclient` — its blocking
   and asyncio drivers, and the :class:`ReplicaSet` failover router.
 * :mod:`repro.net.loadgen` — the closed-loop load generator behind
-  ``python -m repro loadgen`` (``--record-dir`` writes the run's
-  ``BENCH_net_serve.json``; no copy is committed — the serving numbers
-  of record are ``perf/``'s ``serve_mixed`` workload).
+  ``python -m repro loadgen`` (a smoke and chaos driver — the serving
+  numbers of record are ``perf/``'s ``serve_mixed`` workload).
 * :mod:`repro.net.replication` — WAL-shipping read replicas:
   :class:`ReplicaService` (applies shipped records, serves reads),
   :class:`ReplicationLink` (the pull/apply/resync thread) and the
@@ -41,7 +40,7 @@ from repro.net.frames import (
     encode_frame,
     supported_codecs,
 )
-from repro.net.loadgen import LoadStats, loadgen_record, run_loadgen
+from repro.net.loadgen import LoadStats, run_loadgen
 from repro.net.protocol import (
     FAILOVER_CODES,
     OPS,
@@ -76,7 +75,6 @@ __all__ = [
     "capture_view",
     "capture_view_locked",
     "encode_frame",
-    "loadgen_record",
     "run_loadgen",
     "store_digest",
     "supported_codecs",

@@ -14,11 +14,10 @@ read keys are drawn from the same vertex id distribution the mutations
 populate — reads hit real topology, not empty rows.
 
 Results aggregate into a :class:`LoadStats` (per-family op counts,
-latency arrays, typed-error tallies, generation monotonicity check) and
-can be written as a standard ``BENCH_net_serve.json`` record via
-:func:`loadgen_record`.  The repository commits no such record: two
-records of the same box and client count diff with ``python -m repro
-report``, anything else is not a baseline.
+latency arrays, typed-error tallies, generation monotonicity check).
+The run is a smoke and chaos driver, not a ledger: the served path's
+tracked numbers are the ``serve_mixed`` workload of ``perf/run.py``
+(perf/README.md).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import time
 import numpy as np
 
 from repro.errors import ReproError
-from repro.bench.records import make_bench_record
 from repro.net.client import GraphClient, ReplicaSet
 from repro.net.protocol import RETRYABLE_CODES
 from repro.workloads.rmat import rmat_edges
@@ -45,6 +43,8 @@ DEFAULT_BATCH_EDGES = 16
 #: Probability split inside the read mix: mostly point lookups, some
 #: 2-hop expansions to exercise the traversal path.
 READ_OP_WEIGHTS = (("degree", 0.55), ("neighbors", 0.35), ("khop", 0.10))
+#: Result cap of the 2-hop expansions in the read mix.
+KHOP_LIMIT = 128
 
 #: Consecutive all-targets-unreachable errors before a worker declares
 #: the system dead and goes fatal.  Transport errors are retryable (a
@@ -128,8 +128,7 @@ class LoadStats:
 class _Worker(threading.Thread):
     def __init__(self, worker_id: int, host: str, port: int, *,
                  read_fraction: float, scale: int, batches: np.ndarray,
-                 seed: int, stop_at: float, retries: int,
-                 khop_limit: int, timeout: float,
+                 seed: int, stop_at: float, retries: int, timeout: float,
                  port_file: str | None = None,
                  replicas: list | None = None):
         super().__init__(name=f"loadgen-{worker_id}", daemon=True)
@@ -149,7 +148,6 @@ class _Worker(threading.Thread):
         self.batches = batches          # (n_batches, batch, 2) int64
         self.rng = np.random.default_rng(seed)
         self.stop_at = stop_at
-        self.khop_limit = khop_limit
         self.stats = LoadStats()
         self.fatal: BaseException | None = None
         self._next_batch = 0
@@ -163,7 +161,7 @@ class _Worker(threading.Thread):
         elif draw < READ_OP_WEIGHTS[0][1] + READ_OP_WEIGHTS[1][1]:
             self.client.neighbors(src)
         else:
-            self.client.khop(src, 2, limit=self.khop_limit)
+            self.client.khop(src, 2, limit=KHOP_LIMIT)
         self.stats.read_latency_ms.append(
             (time.perf_counter() - start) * 1e3)
         self.stats.n_reads += 1
@@ -238,18 +236,14 @@ def run_loadgen(host: str, port: int, *,
                 batches_per_worker: int = 64,
                 seed: int = 0,
                 retries: int = 3,
-                khop_limit: int = 128,
                 timeout: float = 30.0,
                 port_file: str | None = None,
-                replicas: list | None = None,
-                raise_on_worker_error: bool = True) -> LoadStats:
+                replicas: list | None = None) -> LoadStats:
     """Drive a server with ``clients`` closed-loop workers for ``duration`` s.
 
-    Returns the merged :class:`LoadStats`.  A worker that dies on a
-    transport error (server permanently gone) either raises (default)
-    or — with ``raise_on_worker_error=False`` — records the failure in
-    ``stats.errors["WORKER_FATAL"]`` so availability experiments can
-    inspect partial results.
+    Returns the merged :class:`LoadStats`; raises what killed a worker
+    (a transport error once the server is permanently gone, or any
+    untyped failure).
 
     ``replicas`` (a list of ``(host, port)`` pairs) switches every
     worker to a :class:`~repro.net.client.ReplicaSet`: reads rotate
@@ -267,8 +261,8 @@ def run_loadgen(host: str, port: int, *,
     workers = [
         _Worker(i, host, port, read_fraction=read_fraction, scale=scale,
                 batches=per_worker[i], seed=seed * 7919 + i,
-                stop_at=stop_at, retries=retries, khop_limit=khop_limit,
-                timeout=timeout, port_file=port_file, replicas=replicas)
+                stop_at=stop_at, retries=retries, timeout=timeout,
+                port_file=port_file, replicas=replicas)
         for i in range(clients)
     ]
     start = time.perf_counter()
@@ -279,54 +273,9 @@ def run_loadgen(host: str, port: int, *,
     wall = time.perf_counter() - start
     merged = LoadStats()
     merged.wall_s = wall
-    fatal = None
     for worker in workers:
-        merged.merge(worker.stats)
         if worker.fatal is not None:
-            fatal = worker.fatal
-            merged.errors["WORKER_FATAL"] = \
-                merged.errors.get("WORKER_FATAL", 0) + 1
-    if fatal is not None and raise_on_worker_error:
-        raise fatal
+            raise worker.fatal
+        merged.merge(worker.stats)
     return merged
 
-
-def loadgen_record(stats: LoadStats, *, clients: int, duration: float,
-                   read_fraction: float, scale: int,
-                   batch_edges: int) -> dict:
-    """Reduce a run to the standard ``net_serve`` bench record."""
-    summary = stats.summary()
-    metrics = {
-        "read_ops_per_s": summary["read_ops_per_s"],
-        "write_ops_per_s": summary["write_ops_per_s"],
-        "read_p50_ms": summary["read_p50_ms"],
-        "read_p99_ms": summary["read_p99_ms"],
-        "write_p50_ms": summary["write_p50_ms"],
-        "write_p99_ms": summary["write_p99_ms"],
-        "n_reads": float(summary["n_reads"]),
-        "n_writes": float(summary["n_writes"]),
-        "edges_per_s": (summary["n_edges_written"] / summary["wall_s"]
-                        if summary["wall_s"] > 0 else 0.0),
-        "n_shed": float(stats.errors.get("SHED", 0)),
-        "n_retries": float(summary["n_retries"]),
-        "generation_regressions": float(summary["generation_regressions"]),
-    }
-    # Per-error-code tallies: `err_<CODE>` metrics diff as
-    # lower-is-better in `repro report` (records.py direction
-    # heuristic), so an error-rate regression shows up red.
-    for code, count in sorted(stats.errors.items()):
-        metrics[f"err_{code}"] = float(count)
-    if stats.staleness_lag:
-        metrics["staleness_p50_lag"] = summary["staleness_p50_lag"]
-        metrics["staleness_p99_lag"] = summary["staleness_p99_lag"]
-        metrics["n_failovers"] = float(summary["n_failovers"])
-        metrics["n_stale_rejects"] = float(summary["n_stale_rejects"])
-    return make_bench_record(
-        "net_serve",
-        config={"clients": clients, "duration_s": duration,
-                "read_fraction": read_fraction, "scale": scale,
-                "batch_edges": batch_edges},
-        wall_s=summary["wall_s"],
-        latency_ms=stats.read_latency_ms or [0.0],
-        metrics=metrics,
-    )

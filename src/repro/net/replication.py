@@ -392,20 +392,16 @@ class ReplicationLink(threading.Thread):
                  port_file: str | Path | None = None,
                  replica_id: str | None = None,
                  poll_wait_s: float = DEFAULT_POLL_WAIT,
-                 max_records: int = DEFAULT_PULL_RECORDS,
                  timeout: float = 30.0,
                  backoff: float = 0.1,
                  backoff_cap: float = 5.0,
-                 digest_check: bool = True,
                  rng: random.Random | None = None):
         super().__init__(name="replication-link", daemon=True)
         self.replica = replica
         self.replica_id = replica_id or f"replica-{replica.directory.name}"
         self.poll_wait_s = poll_wait_s
-        self.max_records = max_records
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.digest_check = digest_check
         self._rng = rng or random.Random()
         self._client = GraphClient(host, port, port_file=port_file,
                                    timeout=timeout)
@@ -460,9 +456,7 @@ class ReplicationLink(threading.Thread):
         try:
             sub = self._subscribe(client)
         except (CursorGapError, ReplicationError):
-            payload = client.call("resync", {})
-            replica.resync_from(payload)
-            sub = self._subscribe(client)
+            sub = self._resync(client)
         replica.known_upstream_seq = max(replica.known_upstream_seq,
                                          int(sub["writer_seq"]))
         replica.known_upstream_cum = max(replica.known_upstream_cum,
@@ -471,7 +465,7 @@ class ReplicationLink(threading.Thread):
         digest_checked = False
         while not self._halt.is_set():
             batch = client.call("wal_batch",
-                                {"max_records": self.max_records,
+                                {"max_records": DEFAULT_PULL_RECORDS,
                                  "wait_s": self.poll_wait_s})
             writer_seq = int(batch["writer_seq"])
             replica.known_upstream_seq = max(replica.known_upstream_seq,
@@ -481,12 +475,15 @@ class ReplicationLink(threading.Thread):
                 for wire in records:
                     record = wal_record_from_wire(wire)
                     replica.apply_record(record)
+                if not digest_checked and replica.applied_seq >= writer_seq:
+                    self._cross_check(client)
+                    digest_checked = True
             except ReplicationError:
-                # Divergence: abandon local history, take the full
-                # state transfer, stream on from the shipped cursor.
-                payload = client.call("resync", {})
-                replica.resync_from(payload)
-                self._subscribe(client)
+                # Divergence (a record that does not chain, or a digest
+                # mismatch at an equal cursor): abandon local history,
+                # take the full state transfer, stream on from the
+                # shipped cursor and check the digest again.
+                self._resync(client)
                 digest_checked = False
                 continue
             replica.known_upstream_cum = max(replica.known_upstream_cum,
@@ -494,10 +491,11 @@ class ReplicationLink(threading.Thread):
             replica.last_batch_at = time.monotonic()
             self._report_status(client)
             self._update_gauges()
-            if (self.digest_check and not digest_checked
-                    and replica.applied_seq >= writer_seq):
-                digest_checked = True
-                self._cross_check(client)
+
+    def _resync(self, client: GraphClient) -> dict:
+        """Full state transfer, then subscribe at the shipped cursor."""
+        self.replica.resync_from(client.call("resync", {}))
+        return self._subscribe(client)
 
     def _subscribe(self, client: GraphClient) -> dict:
         replica = self.replica
@@ -534,7 +532,7 @@ class ReplicationLink(threading.Thread):
         taken at; if ingest moved past us between our catch-up and the
         digest, the comparison is meaningless and is skipped (the next
         session retries).  An actual mismatch at an equal cursor is
-        silent divergence: raise so the session resyncs.
+        silent divergence: raise, and the session resyncs.
         """
         replica = self.replica
         remote = client.call("digest")
@@ -574,8 +572,6 @@ class ReplicaServer:
                  max_lag_seq: int = 0,
                  checkpoint_every: int = 0,
                  poll_wait_s: float = DEFAULT_POLL_WAIT,
-                 max_records: int = DEFAULT_PULL_RECORDS,
-                 digest_check: bool = True,
                  backoff: float = 0.1,
                  backoff_cap: float = 5.0,
                  timeout: float = 30.0,
@@ -590,8 +586,6 @@ class ReplicaServer:
                                     port_file=upstream_port_file,
                                     replica_id=replica_id,
                                     poll_wait_s=poll_wait_s,
-                                    max_records=max_records,
-                                    digest_check=digest_check,
                                     backoff=backoff,
                                     backoff_cap=backoff_cap,
                                     timeout=timeout)

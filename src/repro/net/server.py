@@ -122,6 +122,15 @@ MAX_BATCH_WAIT = 30.0
 #: Hard cap on records per ``wal_batch`` response (bounds frame size).
 MAX_BATCH_RECORDS = 4096
 
+#: Per-capture patch budget: each throttled refresh re-measures at most
+#: this many dirty rows while holding the store lock, so a capture can
+#: never stall ingest for more than (budget × per-row measure cost) even
+#: after a large write burst.  Rows over budget stay pending and the
+#: server keeps re-capturing every refresh interval until the backlog
+#: drains; the blocking ``refresh`` op ignores the budget (full
+#: read-your-writes).
+VIEW_PATCH_ROWS = 512
+
 
 class GraphServer:
     """Asyncio TCP server over one :class:`~repro.service.GraphService`.
@@ -133,10 +142,7 @@ class GraphServer:
 
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0, *,
                  max_frame: int = DEFAULT_MAX_FRAME,
-                 view_refresh_s: float = 0.25,
-                 view_patch_rows: int = 512,
-                 khop_limit: int = DEFAULT_KHOP_LIMIT,
-                 path_limit: int = DEFAULT_PATH_LIMIT):
+                 view_refresh_s: float = 0.25):
         self.service = service
         self.host = host
         self.port = port          # rebound to the real port on start()
@@ -149,16 +155,6 @@ class GraphServer:
         #: (``generation``) and bounded (~refresh interval + capture
         #: time); 0 means re-capture on every applied-seq change.
         self.view_refresh_s = view_refresh_s
-        #: per-capture patch budget: each throttled refresh re-measures
-        #: at most this many dirty rows while holding the store lock, so
-        #: a capture can never stall ingest for more than (budget ×
-        #: per-row measure cost) even after a large write burst.  Rows
-        #: over budget stay pending and the server keeps re-capturing
-        #: every refresh interval until the backlog drains; the blocking
-        #: ``refresh`` op ignores the budget (full read-your-writes).
-        self.view_patch_rows = view_patch_rows
-        self.khop_limit = khop_limit
-        self.path_limit = path_limit
         self._pool = ThreadPoolExecutor(
             max_workers=POOL_WORKERS, thread_name_prefix="graph-server")
         self._server: asyncio.AbstractServer | None = None
@@ -237,7 +233,7 @@ class GraphServer:
 
     def _capture_budgeted(self):
         return capture_view_locked(self.service,
-                                   max_patch_rows=self.view_patch_rows)
+                                   max_patch_rows=VIEW_PATCH_ROWS)
 
     def _refresh_done(self, future) -> None:
         self._refreshing = False
@@ -702,17 +698,17 @@ class _GraphConnection(asyncio.Protocol):
             dst, weight = view.neighbors(_int_arg(args, "src"))
             result = {"dst": dst.tolist(), "weight": weight.tolist()}
         elif op == "khop":
-            limit = int(args.get("limit") or server.khop_limit)
+            limit = int(args.get("limit") or DEFAULT_KHOP_LIMIT)
             vertices, truncated = view.khop(
                 _int_arg(args, "src"), _int_arg(args, "k"),
-                min(limit, server.khop_limit))
+                min(limit, DEFAULT_KHOP_LIMIT))
             result = {"vertices": vertices, "truncated": truncated}
         else:  # shortest_path (the op table routed us here)
-            limit = int(args.get("limit") or server.path_limit)
+            limit = int(args.get("limit") or DEFAULT_PATH_LIMIT)
             result = view.shortest_path(
                 _int_arg(args, "src"), _int_arg(args, "dst"),
                 weighted=bool(args.get("weighted", True)),
-                limit=min(limit, server.path_limit))
+                limit=min(limit, DEFAULT_PATH_LIMIT))
         response = {"id": request_id, "ok": True, "result": result,
                     "generation": view.generation,
                     "applied_seq": view.applied_seq}

@@ -106,9 +106,6 @@ class Tracer:
         """
         self._listeners.append(fn)
 
-    def remove_listener(self, fn) -> None:
-        self._listeners.remove(fn)
-
     # ------------------------------------------------------------------ #
     def _stack(self) -> list[Span]:
         stack = getattr(self._tls, "stack", None)

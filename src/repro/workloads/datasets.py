@@ -67,11 +67,6 @@ class Dataset:
     rmat_params: tuple[float, float, float, float]
     seed: int
 
-    @property
-    def n_vertices_space(self) -> int:
-        """Size of the generator's vertex-id space (2**scale)."""
-        return 1 << self.scale
-
     def generate(self) -> np.ndarray:
         """Materialise the scaled edge list (deterministic per dataset)."""
         a, b, c, d = self.rmat_params

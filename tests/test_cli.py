@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,47 @@ class TestServe:
         assert "replayed records: 0" in out  # final checkpoint covers all
 
 
+class TestServiceDirectoryTools:
+    """``recover`` / ``fsck`` / ``blackbox`` on a directory ``serve`` left."""
+
+    @pytest.fixture
+    def data_dir(self, tmp_path, capsys):
+        d = str(tmp_path / "d")
+        assert main(["serve", "--data-dir", d, *TestServe.ARGS]) == 0
+        capsys.readouterr()
+        return d
+
+    def test_recover_checkpoint_covers_the_log(self, data_dir, capsys):
+        assert not list(Path(data_dir).glob("checkpoint-*"))
+        assert main(["recover", "--data-dir", data_dir, "--checkpoint"]) == 0
+        first = capsys.readouterr().out
+        assert "wrote checkpoint" in first
+        assert "replayed records: 0" not in first
+        assert len(list(Path(data_dir).glob("checkpoint-*"))) == 1
+        assert main(["recover", "--data-dir", data_dir]) == 0
+        assert "replayed records: 0" in capsys.readouterr().out
+
+    def test_fsck_repair_checkpoint_leaves_a_clean_directory(self, data_dir,
+                                                             capsys):
+        assert main(["fsck", "--data-dir", data_dir, "--corrupt", "3",
+                     "--repair", "--checkpoint"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("injected ") == 3
+        assert "FAILED" in out
+        assert "wrote repaired checkpoint" in out
+        assert main(["fsck", "--data-dir", data_dir]) == 0
+        after = capsys.readouterr().out
+        assert "replayed 0 WAL records" in after
+        assert "clean" in after and "FAILED" not in after
+
+    def test_blackbox_list(self, tmp_path, capsys):
+        from repro.obs.recorder import FlightRecorder, blackbox_path
+
+        dump = FlightRecorder().dump(blackbox_path(tmp_path, "fatal"), "fatal")
+        assert main(["blackbox", str(tmp_path), "--list"]) == 0
+        assert capsys.readouterr().out.split() == [str(dump)]
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert main(["datasets"]) == 0
@@ -197,6 +240,17 @@ class TestExitCodes:
     def test_bad_choice_is_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["analytics", "--algorithm", "dijkstra"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--baseline", "a.json", "--current", "b.json"],
+        ["loadgen", "--port", "1", "--no-record"],
+        ["serve-net", "--view-patch-rows", "1"],
+        ["serve-replica", "--upstream-port", "1", "--no-digest-check"],
+    ])
+    def test_removed_surface_is_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 2
 
 

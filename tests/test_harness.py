@@ -12,7 +12,7 @@ from repro.bench.harness import (
     make_store,
     parallel_insertion_run,
 )
-from repro.core.parallel import PartitionedGraphTinker
+from repro.bench.partitioned import PartitionedGraphTinker
 from repro.core.config import GTConfig
 from repro.engine.algorithms import BFS
 from repro.workloads import rmat_edges

@@ -13,7 +13,7 @@ import pytest
 
 import repro.obs as obs
 from repro.bench.harness import deletion_run, insertion_run, make_store
-from repro.core.parallel import PartitionedGraphTinker
+from repro.bench.partitioned import PartitionedGraphTinker
 from repro.engine import HybridEngine
 from repro.engine.algorithms import BFS
 from repro.obs.metrics import MetricsRegistry

@@ -17,7 +17,6 @@ PUBLIC_MODULES = [
     "repro.core.edgeblock_array",
     "repro.core.graphtinker",
     "repro.core.hashing",
-    "repro.core.parallel",
     "repro.core.pool",
     "repro.core.probes",
     "repro.core.robin_hood",
@@ -47,6 +46,7 @@ PUBLIC_MODULES = [
     "repro.bench.costmodel",
     "repro.bench.harness",
     "repro.bench.metrics",
+    "repro.bench.partitioned",
     "repro.bench.reporting",
     "repro.obs",
     "repro.obs.export",
@@ -85,6 +85,13 @@ class TestExports:
     def test_module_importable_and_documented(self, modname):
         mod = importlib.import_module(modname)
         assert mod.__doc__ and mod.__doc__.strip(), f"{modname} lacks a docstring"
+
+    def test_bench_exports_no_record_format(self):
+        import repro.bench
+
+        assert sorted(repro.bench.__all__) == [
+            "CostModel", "DEFAULT_COST_MODEL", "Table", "load_stability",
+            "throughput"]
 
     def test_no_unexpected_top_level_modules(self):
         found = {m.name for m in pkgutil.iter_modules(repro.__path__, "repro.")}

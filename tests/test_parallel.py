@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import GTConfig, StingerConfig
-from repro.core.parallel import (
+from repro.bench.partitioned import (
     PartitionedGraphTinker,
     PartitionedStinger,
     PartitionedStore,

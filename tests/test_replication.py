@@ -17,6 +17,8 @@ the full edge multiset, so "replica equals writer" is exact, not
 sampled.  Fault-schedule variants live in ``test_replication_chaos.py``.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from repro.net.protocol import (
 from repro.net.replication import ReplicaServer, ReplicaService
 from repro.net.server import ServerThread
 from repro.service import GraphService
-from repro.service.wal import OP_DELETE, OP_INSERT, WalRecord
+from repro.service.wal import OP_DELETE, OP_INSERT, WalRecord, iter_records
 
 
 def make_records(n: int, start_seq: int = 1, edges_per: int = 2):
@@ -339,6 +341,39 @@ class TestReplicaServer:
                     == writer_digest(writer)["sha256"])
         finally:
             rep2.stop()
+
+    def test_silent_divergence_at_equal_cursor_resyncs(self, writer,
+                                                       writer_server,
+                                                       tmp_path):
+        """Same seqs, same ``cum_edges``, different edges: ``subscribe``
+        sees nothing wrong, only the post-catch-up digest does."""
+        for i in range(3):
+            insert(writer, [[i * 10 + j, i * 10 + j + 1] for j in range(8)])
+        doctored = ReplicaService(tmp_path / "replica")
+        for record in iter_records(writer.directory):
+            doctored.apply_record(WalRecord(
+                seq=record.seq, op=record.op, edges=record.edges + 1000,
+                weights=record.weights, cum_edges=record.cum_edges))
+        doctored.close()
+        rep = ReplicaServer(tmp_path / "replica", "127.0.0.1",
+                            writer_server.port, replica_id="r1",
+                            poll_wait_s=0.2, view_refresh_s=0.0,
+                            backoff=0.05)
+        try:
+            want = writer_digest(writer)["sha256"]
+            assert rep.service.applied_seq == writer.applied_seq
+            assert rep.service.cum_input_edges == writer.cum_input_edges
+            assert replica_digest(rep.service)["sha256"] != want
+            rep.start()
+            deadline = time.monotonic() + 20
+            while (replica_digest(rep.service)["sha256"] != want
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert replica_digest(rep.service)["sha256"] == want
+            assert rep.service.applied_seq == writer.applied_seq
+            assert rep.service.health()["replication"]["n_resyncs"] == 1
+        finally:
+            rep.stop()
 
     def test_pruned_cursor_triggers_resync(self, tmp_path):
         """A replica joining after checkpoints pruned the WAL cannot
