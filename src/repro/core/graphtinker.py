@@ -245,11 +245,14 @@ class GraphTinker:
         # silently truncates the batch; the vector path mirrors that.
         m = min(edges.shape[0], weights.shape[0])
         if kern == "vector" and m:
-            new = kernels.insert_batch_vector(self, edges[:m], weights[:m])
             # The scalar path marks per-edge inside insert_edge; the
             # vector kernel mutates the arrays wholesale, so mark its
-            # touched sources at batch granularity.
-            self._snapshot_mark_batch(edges[:m, 0])
+            # touched sources at batch granularity — also when it raises,
+            # having applied part of the batch.
+            try:
+                new = kernels.insert_batch_vector(self, edges[:m], weights[:m])
+            finally:
+                self._snapshot_mark_batch(edges[:m, 0])
         else:
             new = self._insert_batch_scalar(edges, weights)
         if before is not None:
@@ -316,8 +319,10 @@ class GraphTinker:
             and not (self.sgh is None and bool(edges[:, 0].min() < 0))
         )
         if use_vector:
-            deleted = kernels.delete_batch_vector(self, edges)
-            self._snapshot_mark_batch(edges[:, 0])
+            try:
+                deleted = kernels.delete_batch_vector(self, edges)
+            finally:
+                self._snapshot_mark_batch(edges[:, 0])
         else:
             deleted = 0
             for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):

@@ -5,13 +5,13 @@ One probe core, two drivers
 :mod:`repro.core.robin_hood` holds the only Robin-Hood probe loop.  It is
 driven per operation by :class:`~repro.core.edgeblock_array.EdgeblockArray`
 (the *spec*: the paper's algorithm, the single-edge API, ``kernel="scalar"``)
-and per chunk by this module (the *batch* driver).  Both hand the core the
-same plain-sequence view of a Subblock and apply the charges it reports;
-they differ only in how long the sequences live (one op vs one chunk) and
-in what they hoist out of the per-op loop.  The two whole-chunk passes —
-the insert gen-0 fast pass and the delete level pass — restate
-``rhh_find``'s stopping rule over Subblock matrices rolled to probe order;
-the parity tests hold them to the core.
+and per chunk by this module (the *batch* driver), whose residue loop hands
+the core the same plain-sequence view of a Subblock and applies the charges
+it reports.  The whole-chunk passes — the insert rounds and the delete
+level pass — restate the core over Subblock matrices rolled to probe order:
+:func:`_probe_order` is ``rhh_find``'s stopping rule, :func:`_rhh_walk` the
+closed form of ``rhh_insert``'s displacement walk; the parity tests hold
+both to the core.
 
 Equivalence contract
 --------------------
@@ -24,7 +24,8 @@ block layout, the same degrees, and **bit-identical**
 the cost model or any query can observe is part of the contract; the only
 licensed difference is which *overflow-pool row index* a child edgeblock
 happens to get (an internal name the structure never exposes — counts,
-shapes, contents and all future charges are invariant under it).
+shapes, contents and all future charges are invariant under it; the
+insert rounds allocate children in round order, not stream order).
 ``tests/test_kernels.py`` and ``tests/test_differential.py`` enforce this.
 
 Where the speed comes from
@@ -36,9 +37,10 @@ round trip of the Subblock around every
 ``AccessStats`` attribute updates.  The vector kernel amortises all five:
 
 1. **Bulk renaming** — ``np.unique`` collapses the batch to its distinct
-   sources; :meth:`~repro.core.sgh.ScatterGatherHash.hash_id` runs once
-   per distinct source **in first-appearance order** (so dense ids come
-   out exactly as the scalar stream would assign them) and the remaining
+   sources; the ones already renamed resolve in one uncharged dict pass,
+   :meth:`~repro.core.sgh.ScatterGatherHash.hash_id` runs only for the
+   unseen ones **in first-appearance order** (so dense ids come out
+   exactly as the scalar stream would assign them) and the remaining
    per-edge lookup charges are added arithmetically.
 2. **Bulk hashing** — generation-0 Subblock indices and initial buckets
    for the whole batch in two :func:`~repro.core.hashing.mix64_array`
@@ -46,38 +48,54 @@ round trip of the Subblock around every
 3. **Grouping** — a stable lexsort by ``(dense source, gen-0 Subblock)``.
    Two operations can touch a common edge-cell only if they agree on the
    source *and* on every hash along the descent chain — which implies the
-   same gen-0 Subblock — so these groups are mutually independent op
+   same gen-0 Subblock — and a displaced edge stays inside its gen-0
+   Subblock's subtree, so these groups are mutually independent op
    sequences, and the stable sort preserves each group's internal stream
-   order.  Replaying groups one after another therefore reproduces the
-   scalar event order exactly.  (Sorting by target *workblock* inside a
-   source, as a naive reading suggests, would reorder ops that share a
-   Subblock and break placement identity; the Subblock is the true
-   independence boundary.)
-4. **List-cached probing** — each touched Subblock is pulled into plain
-   Python lists once (five bulk ``tolist`` calls) and all Robin-Hood
-   probes run against the cache via
-   :func:`~repro.core.robin_hood.rhh_find` /
-   :func:`~repro.core.robin_hood.rhh_insert`; charges accumulate in
-   local ints and flush into ``AccessStats`` once per chunk.  Dirty
-   Subblocks write back with one slice assignment per field.
+   order.  (Sorting by target *workblock* inside a source would reorder
+   ops that share a Subblock; regrouping hub ops by their *leaf* Subblock
+   is wrong the other way — in a full Subblock a fresh edge out-probes a
+   resident at nearly every level, so almost every hub insert rewrites
+   every Subblock on its chain.  The gen-0 Subblock is the independence
+   boundary.)
+4. **Rounds, then a residue** — round *r* executes every still-active
+   group's *r*-th op, whatever its shape, all groups at once: one op per
+   group per round means no two ops of a round share a cell, so each
+   tree level of the round is one NumPy pass.  FIND runs down the child
+   matrix (a hit is a duplicate: weight overwritten, CAL copy updated
+   through the cell's pointer or its pending record); the absent ops then
+   INSERT from generation 0 with the Robin-Hood walk in closed form
+   (:func:`_rhh_walk`), congested ones allocating or following the child
+   and carrying the *evicted* cell down by its own hashes.  Generation 0
+   lives in ``(groups, subblock)`` field matrices gathered once per
+   chunk; deeper levels are read and scattered straight in the overflow
+   pool.  Rounds run while at least :data:`MIN_ROUND_GROUPS` groups are
+   active; the thin tail, every ``enable_rhh=False`` store and any chunk
+   too small to start a round fall to the residue loop — the exact
+   per-op path: each touched Subblock pulled into plain Python lists once
+   and probed via :func:`~repro.core.robin_hood.rhh_find` /
+   :func:`~repro.core.robin_hood.rhh_insert`, dirty Subblocks written
+   back with one fancy store per field.  Charges accumulate in local ints
+   and flush into ``AccessStats`` once per chunk.
 5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
-   sentinel (``cal_block == -3``, ``cal_slot == record id``) that travels
-   through Robin-Hood displacements exactly like a real pointer; after
-   the chunk, the pending records are appended to the CAL **in original
-   stream order** (run-length batched by :meth:`CoarseAdjacencyList.
-   append_many`), and a patch pass rewrites the sentinels to the real
-   addresses before writeback.  Duplicate ops that meet a pending cell
-   update the pending record (one ``cal_updates`` charge, like the
-   scalar ``update_weight``) so the final CAL weight is the last one.
+   sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
+   chunk, which is its record id) that travels through Robin-Hood
+   displacements exactly like a real pointer; after the chunk, the
+   records of the ops that placed a new edge are appended to the CAL **in
+   original stream order** (run-length batched by
+   :meth:`CoarseAdjacencyList.append_many`), and one pass over the
+   Subblocks the chunk stored into rewrites the sentinels to the real
+   addresses.  Duplicate ops that meet a pending cell update the pending
+   record (one ``cal_updates`` charge, like the scalar ``update_weight``)
+   so the final CAL weight is the last one.
 
-Large batches are processed in contiguous chunks so the Subblock cache
-stays bounded; chunking composes trivially (the scalar path is itself a
-sequence of per-edge chunks).
+Large batches are processed in contiguous chunks so the matrices and the
+Subblock cache stay bounded; chunking composes trivially (the scalar path
+is itself a sequence of per-edge chunks).
 
 Delete batches: one pass per tree level
 ---------------------------------------
-Delete-only deletes cannot observe each other, so they need none of the
-above.  :func:`~repro.core.robin_hood.rhh_find` stops only on a match or
+Delete-only deletes cannot observe each other, so they need no grouping,
+rounds or cache.  :func:`~repro.core.robin_hood.rhh_find` stops only on a match or
 (RHH mode) an ``EMPTY`` cell; a delete writes ``TOMBSTONE`` into ``dst``
 and -1 into the two CAL-pointer fields, never touches ``weight``/``probe``
 and never allocates, frees or moves a cell or a child pointer.  Two
@@ -121,14 +139,21 @@ from repro.errors import CapacityError
 #: ``cal_block`` sentinel marking "CAL copy not appended yet; ``cal_slot``
 #: holds the pending-record id".  Must stay distinct from the -1 (no copy)
 #: marker and never escape the kernel: the patch pass rewrites every
-#: sentinel before writeback, exceptional paths included.
+#: sentinel before ``_insert_chunk`` returns, exceptional paths included.
 PENDING_CAL = -3
 
-#: Edges per processing chunk.  Bounds the Subblock list cache (worst case
-#: one cache entry per edge) while keeping the per-chunk NumPy phase costs
-#: well amortised.  Chunks are contiguous slices of the input stream, so
+#: Edges per processing chunk.  Bounds the gen-0 matrices, the round
+#: temporaries and the Subblock list cache (worst case one row or entry per
+#: edge) while keeping the per-chunk NumPy phase costs well amortised.  Chunks are contiguous slices of the input stream, so
 #: chunked execution composes into the same global event order.
 CHUNK_EDGES = 32768
+
+#: Fewest active groups an insert round is run for.  A round costs a fixed
+#: ~0.1 ms of NumPy calls per tree level however few ops it carries; below
+#: about this many the exact per-op residue loop is cheaper (the measured
+#: crossover, EXPERIMENTS.md note 10).  Not a correctness switch: rounds
+#: and residue leave the same cells and charges.
+MIN_ROUND_GROUPS = 32
 
 
 def _circular_workblocks_array(start: np.ndarray, length: np.ndarray,
@@ -185,26 +210,121 @@ def delete_batch_vector(gt, edges: np.ndarray) -> int:
 def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
     """Bulk original->dense renaming, assigning new ids like the stream would.
 
-    One ``hash_id`` per distinct source, called in first-appearance order
-    so new dense ids match the scalar assignment; the per-edge lookup
-    charge for the remaining occurrences is added arithmetically
-    (``hash_lookups`` is additive, so the total is bit-identical).
+    Sources already in the table resolve in one uncharged dict pass;
+    ``hash_id`` runs only for the unseen ones, in first-appearance order so
+    new dense ids match the scalar assignment.  Every other occurrence's
+    lookup charge is added arithmetically (``hash_lookups`` is additive, so
+    the total — one per edge — is bit-identical).
     """
     if gt.sgh is None:
         return srcs
     uniq, first_idx, inverse = np.unique(srcs, return_index=True, return_inverse=True)
-    uniq_dense = np.empty(uniq.shape[0], dtype=np.int64)
-    uniq_list = uniq.tolist()
-    hash_id = gt.sgh.hash_id
-    for pos in np.argsort(first_idx).tolist():
-        uniq_dense[pos] = hash_id(uniq_list[pos])
-    gt.stats.hash_lookups += srcs.shape[0] - uniq.shape[0]
+    uniq_dense = gt.sgh.peek_array(uniq)
+    unseen = np.flatnonzero(uniq_dense < 0)
+    unseen = unseen[np.argsort(first_idx[unseen])]
+    uniq_dense[unseen] = [gt.sgh.hash_id(orig) for orig in uniq[unseen].tolist()]
+    gt.stats.hash_lookups += srcs.shape[0] - unseen.shape[0]
     return uniq_dense[inverse]
 
 
+def _probe_order(cell_dst: np.ndarray, rows: np.ndarray, first_col,
+                 ib: np.ndarray, dst: np.ndarray, size: int):
+    """Probe many Subblocks at once: ``(cols, t_hit, t_emp, t_vac)``.
+
+    Subblock ``i`` is the ``size`` cells from column ``first_col[i]`` of
+    row ``rows[i]`` of the 2-D ``dst`` field ``cell_dst``.  ``cols[i, t]``
+    is the column of the ``t``-th cell a probe from bucket ``ib[i]``
+    inspects (the Subblock rolled to probe order); ``t_hit`` / ``t_emp`` /
+    ``t_vac`` are the first ``t`` holding ``dst[i]`` / an ``EMPTY`` cell /
+    a vacancy (``EMPTY`` or ``TOMBSTONE``), ``size`` where there is none.
+    """
+    cols = first_col + (ib[:, None] + np.arange(size)) % size
+    probed = cell_dst[rows[:, None], cols]
+
+    def first(mask: np.ndarray) -> np.ndarray:
+        return np.where(mask.any(axis=1), mask.argmax(axis=1), size)
+
+    return cols, first(probed == dst[:, None]), first(probed == EMPTY), first(probed < 0)
+
+
+def _overflow_level(gt, gen: int, dst: np.ndarray):
+    """Generation ``gen >= 1`` as edges ``dst`` hash into it: the overflow
+    pool's five cell fields (re-read per level, the pool may have regrown)
+    and each edge's Subblock, first column and initial bucket there."""
+    cfg = gt.config
+    data = gt.eba.overflow._data
+    sb = subblock_index_array(dst, gen, cfg.subblocks_per_block, cfg.seed)
+    ib = initial_bucket_array(dst, gen, cfg.subblock, cfg.seed)
+    return (tuple(data[name] for name in rhh.CELL_FIELDS), sb,
+            (sb * cfg.subblock)[:, None], ib)
+
+
+def _rhh_walk(fields, rows: np.ndarray, cols: np.ndarray, t_emp: np.ndarray,
+              t_vac: np.ndarray, edge):
+    """Closed form of :func:`robin_hood.rhh_insert`'s INSERT stage, one
+    Subblock per row: the floating ``edge`` (``dst, weight, cal_block,
+    cal_slot`` arrays) walks ``cols`` (probe order, from
+    :func:`_probe_order`) of rows ``rows`` of the five cell ``fields``.
+
+    The floating probe distance obeys ``fp[t+1] = min(fp[t], Pr[t]) + 1``
+    from ``fp[0] = 0``, i.e. ``fp[t] = t + min(0, min_{s<t}(Pr[s] - s))``;
+    a swap fires at every ``t`` before the first vacancy with
+    ``fp[t] > Pr[t]``.  Each swap column and the vacancy column take the
+    content of the previous swap column (the walking edge itself before
+    the first swap) with probe ``fp[t]``; with no vacancy the last swap
+    column's old content floats on.  Tombstoned cells' stale probes sit at
+    or beyond the vacancy and never enter.
+
+    Returns ``(find_len, steps, swaps, wrote, full, floating)``: the two
+    scan lengths, swap count and writeback flag per row, the rows left
+    ``CONGESTED`` and their floating edges.
+    """
+    fd, fw, fp, fcb, fcs = fields
+    n, size = cols.shape
+    span = np.arange(size)
+    resident = fp[rows[:, None], cols].astype(np.int64)
+    slack = np.zeros((n, size), dtype=np.int64)
+    np.minimum.accumulate(resident[:, :-1] - span[:-1], axis=1, out=slack[:, 1:])
+    probe = span + np.minimum(slack, 0)
+    swap = (probe > resident) & (span < t_vac[:, None])
+    vacant = t_vac < size
+    write = swap.copy()
+    write[vacant, t_vac[vacant]] = True
+    # Column whose old content lands in column t: the last swap before t.
+    source = np.full((n, size), -1)
+    np.maximum.accumulate(np.where(swap, span, -1)[:, :-1], axis=1, out=source[:, 1:])
+    r, t = np.nonzero(write)
+    src = source[r, t]
+    moved = src >= 0
+    cell_rows = rows[r]
+    from_rows, from_cols = cell_rows[moved], cols[r[moved], src[moved]]
+    full = np.flatnonzero(~vacant)
+    last = np.where(swap[full, -1], size - 1, source[full, -1])
+    evicted = last >= 0
+    ev_rows, ev_cols = rows[full[evicted]], cols[full[evicted], last[evicted]]
+    values, floating = [], []
+    for own, field in zip(edge, (fd, fw, fcb, fcs)):  # gather all before any store
+        v = own[r]
+        v[moved] = field[from_rows, from_cols]
+        values.append(v)
+        f = own[full]
+        f[evicted] = field[ev_rows, ev_cols]
+        floating.append(f)
+    to_cols = cols[r, t]
+    fd[cell_rows, to_cols] = values[0]
+    fw[cell_rows, to_cols] = values[1]
+    fp[cell_rows, to_cols] = probe[r, t]
+    fcb[cell_rows, to_cols] = values[2]
+    fcs[cell_rows, to_cols] = values[3]
+    swaps = swap.sum(axis=1)
+    return (np.minimum(t_emp + 1, size), np.minimum(t_vac + 1, size), swaps,
+            vacant | (swaps > 0), full, floating)
+
+
 class _SubblockCache:
-    """Plain-list cache of the Subblocks an insert chunk touches, written
-    back once per chunk.  (Deletes need no cache: see the module docstring.)
+    """Plain-list cache of the Subblocks the residue loop touches, written
+    back once per chunk.  (The rounds and the deletes need no cache: see
+    the module docstring.)
 
     Entries are ``(region, block, sb, dsts, weights, probes, cal_blocks,
     cal_slots)`` keyed by a packed int.  Entries are *copies*: pool growth
@@ -215,17 +335,29 @@ class _SubblockCache:
 
     __slots__ = (
         "_cache", "dirty", "_eba", "_nsb", "_size", "_fields",
-        "_mkey2row", "_mblocks", "_msbs", "_mD", "_mW", "_mP", "_mCB",
-        "_mCS", "_mdirty", "_mdetached",
+        "_mkey2row", "_mblocks", "_msbs", "_mat", "_mdirty", "_mdetached",
     )
 
-    def __init__(self, eba, nsb: int, size: int):
+    def __init__(self, eba, nsb: int, size: int, blocks: np.ndarray,
+                 sbs: np.ndarray, mat: tuple, dirty_mask: np.ndarray):
+        """Adopt the chunk's pre-gathered ``(k, subblock)`` main-region
+        field matrices ``mat`` (row ``j`` is Subblock ``sbs[j]`` of block
+        ``blocks[j]``) as the primary cache tier for their Subblocks.
+        ``dirty_mask`` is shared with the rounds, which set it as they
+        store into the matrices.
+        """
         self._cache: dict[int, tuple] = {}
         self.dirty: dict[int, tuple] = {}
         self._eba = eba
         self._nsb = nsb
         self._size = size
         self._fields: dict[int, tuple] = {}
+        self._mkey2row: dict[int, int] = {}
+        self._mblocks = blocks
+        self._msbs = sbs
+        self._mat = mat
+        self._mdirty = dirty_mask
+        self._mdetached = np.zeros(blocks.shape[0], dtype=bool)
 
     def _field_views(self, region: int) -> tuple:
         """Per-field 2-D views of a pool, re-fetched if the pool regrew.
@@ -237,18 +369,11 @@ class _SubblockCache:
         """
         pool = self._eba.main if region == MAIN else self._eba.overflow
         data = pool._data
-        views = self._fields.get(region)
-        if views is None or views[0] is not data:
-            views = (
-                data,
-                data["dst"],
-                data["weight"],
-                data["probe"],
-                data["cal_block"],
-                data["cal_slot"],
-            )
-            self._fields[region] = views
-        return views
+        cached = self._fields.get(region)
+        if cached is None or cached[0] is not data:
+            cached = self._fields[region] = (
+                data, tuple(data[name] for name in rhh.CELL_FIELDS))
+        return cached[1]
 
     def load(self, region: int, block: int, sb: int) -> tuple[int, tuple]:
         key = ((block << 1) | region) * self._nsb + sb
@@ -259,64 +384,34 @@ class _SubblockCache:
                 # Detach the matrix row into list form: from here on the
                 # lists are authoritative for this Subblock, the matrix
                 # row is dead (excluded from the bulk writeback).
-                entry = (
-                    MAIN, block, sb,
-                    self._mD[j].tolist(),
-                    self._mW[j].tolist(),
-                    self._mP[j].tolist(),
-                    self._mCB[j].tolist(),
-                    self._mCS[j].tolist(),
-                )
+                mD, mW, mP, mCB, mCS = self._mat
+                entry = (MAIN, block, sb, mD[j].tolist(), mW[j].tolist(),
+                         mP[j].tolist(), mCB[j].tolist(), mCS[j].tolist())
                 self._mdetached[j] = True
                 self._cache[key] = entry
                 if self._mdirty[j]:
-                    # Carry the fast pass's modifications into the dirty
+                    # Carry the rounds' modifications into the dirty
                     # set, or they would never be written back.
                     self.dirty[key] = entry
                 return key, entry
-            size = self._size
-            _, fd, fw, fp, fcb, fcs = self._field_views(region)
-            lo = sb * size
-            hi = lo + size
-            entry = (
-                region,
-                block,
-                sb,
-                fd[block, lo:hi].tolist(),
-                fw[block, lo:hi].tolist(),
-                fp[block, lo:hi].tolist(),
-                fcb[block, lo:hi].tolist(),
-                fcs[block, lo:hi].tolist(),
-            )
+            lo = sb * self._size
+            hi = lo + self._size
+            fd, fw, fp, fcb, fcs = self._field_views(region)
+            entry = (region, block, sb, fd[block, lo:hi].tolist(),
+                     fw[block, lo:hi].tolist(), fp[block, lo:hi].tolist(),
+                     fcb[block, lo:hi].tolist(), fcs[block, lo:hi].tolist())
             self._cache[key] = entry
         return key, entry
 
-    def attach_matrix(self, blocks: np.ndarray, sbs: np.ndarray,
-                      D: np.ndarray, W: np.ndarray, P: np.ndarray,
-                      CB: np.ndarray, CS: np.ndarray,
-                      dirty_mask: np.ndarray | None = None) -> None:
-        """Adopt pre-gathered ``(k, subblock)`` main-region field matrices.
-
-        The matrices become the primary cache tier for their Subblocks:
-        :meth:`load` detaches a row into list form only when the per-op
-        loop actually touches it, and :meth:`writeback` scatters the
-        still-attached dirty rows straight from the matrices — no list
-        round trip for Subblocks only the fast pass handled.  Called once
-        per chunk, before the first :meth:`load`.
+    def index_rows(self, rows: np.ndarray) -> None:
+        """Make matrix rows ``rows`` reachable from :meth:`load`, which
+        detaches a row into list form only when the per-op loop actually
+        touches it; :meth:`writeback` scatters the still-attached dirty
+        rows straight from the matrices — no list round trip for
+        Subblocks only the rounds handled.
         """
-        nsb = self._nsb
-        keys = ((blocks.astype(np.int64) << 1) | MAIN) * nsb + sbs
-        self._mkey2row = dict(zip(keys.tolist(), range(keys.shape[0])))
-        self._mblocks = blocks
-        self._msbs = sbs
-        self._mD = D
-        self._mW = W
-        self._mP = P
-        self._mCB = CB
-        self._mCS = CS
-        k = blocks.shape[0]
-        self._mdirty = dirty_mask if dirty_mask is not None else np.zeros(k, dtype=bool)
-        self._mdetached = np.zeros(k, dtype=bool)
+        keys = ((self._mblocks[rows] << 1) | MAIN) * self._nsb + self._msbs[rows]
+        self._mkey2row = dict(zip(keys.tolist(), rows.tolist()))
 
     def writeback(self) -> None:
         """Scatter every dirty Subblock back: one fancy store per field.
@@ -329,26 +424,31 @@ class _SubblockCache:
         span = np.arange(size)
         m = self._mdirty & ~self._mdetached
         if m.any():
-            _, fd, fw, fp, fcb, fcs = self._field_views(MAIN)
             rows = self._mblocks[m][:, None]
             cols = (self._msbs[m] * size)[:, None] + span
-            fd[rows, cols] = self._mD[m]
-            fw[rows, cols] = self._mW[m]
-            fp[rows, cols] = self._mP[m]
-            fcb[rows, cols] = self._mCB[m]
-            fcs[rows, cols] = self._mCS[m]
+            for field, matrix in zip(self._field_views(MAIN), self._mat):
+                field[rows, cols] = matrix[m]
         by_region: dict[int, list[tuple]] = {}
         for entry in self.dirty.values():
             by_region.setdefault(entry[0], []).append(entry)
         for region, entries in by_region.items():
-            _, fd, fw, fp, fcb, fcs = self._field_views(region)
             rows = np.fromiter((e[1] for e in entries), np.int64, len(entries))[:, None]
             cols = np.fromiter((e[2] * size for e in entries), np.int64, len(entries))[:, None] + span
-            fd[rows, cols] = [e[3] for e in entries]
-            fw[rows, cols] = [e[4] for e in entries]
-            fp[rows, cols] = [e[5] for e in entries]
-            fcb[rows, cols] = [e[6] for e in entries]
-            fcs[rows, cols] = [e[7] for e in entries]
+            for k, field in enumerate(self._field_views(region), start=3):
+                field[rows, cols] = [e[k] for e in entries]
+
+
+def _patch_pending(pool, blocks: np.ndarray, sbs: np.ndarray, size: int,
+                   cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
+    """Rewrite every ``PENDING_CAL`` sentinel in the given Subblocks of
+    ``pool`` to its record's CAL address (``-1, -1`` for a dropped one)."""
+    data = pool._data
+    cols = (sbs * size)[:, None] + np.arange(size)
+    r, c = np.nonzero(data["cal_block"][blocks[:, None], cols] == PENDING_CAL)
+    rows, cols = blocks[r], cols[r, c]
+    rid = data["cal_slot"][rows, cols]
+    data["cal_block"][rows, cols] = cal_block[rid]
+    data["cal_slot"][rows, cols] = cal_slot[rid]
 
 
 def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -383,161 +483,174 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     sb_s = sb0[order]
     ib_s = ib0[order]
 
-    cache = _SubblockCache(eba, nsb, size)
-
     # Local charge accumulators, flushed into `stats` once per chunk.
-    wf = cs = wb = swaps = found = inserted = cal_up = bd = 0
-    # Pending CAL records as parallel lists (record id = list index).
-    p_orig: list[int] = []
-    p_src: list[int] = []
-    p_dst: list[int] = []
-    p_w: list[float] = []
-    inflight_rid = -1  # pending record of an op that raised mid-cascade
-    new_srcs: list[int] = []
+    wf = cs = wb = swaps = found = cal_up = bd = 0
+    # `new[i]`: stream op i placed a new edge.  It is also the pending CAL
+    # record table: a new edge's record id is its stream index (source and
+    # dst are the op's own), `p_w` holds the record weights — a duplicate
+    # that meets a pending cell overwrites its record's — and an op that
+    # raised mid-cascade never sets its flag, which drops its record.
+    new = np.zeros(n, dtype=bool)
+    p_w = weights.copy()
+    r_new: list[int] = []
 
-    # ---- Gen-0 fast pass. ---------------------------------------------
     # Every group's gen-0 Subblock is known from the grouping keys; gather
     # them all as (k, subblock) field matrices with one fancy index per
-    # field.  The first op of each group then sees exactly this pristine
-    # state, so the dominant op shape — a gen-0 miss on a leaf Subblock
-    # placed at the first vacancy without displacing anyone — can be
-    # decided and executed for every group at once.  Any op that hits,
-    # descends, swaps, or congests falls through to the exact per-op loop.
-    gkey_s = dense_s * nsb + sb_s
-    ukeys, first_pos = np.unique(gkey_s, return_index=True)
+    # field.  Generation 0 of the whole chunk lives in these matrices.
+    ukeys, first_pos = np.unique(dense_s * nsb + sb_s, return_index=True)
     blocks = ukeys // nsb
     sbs = ukeys % nsb
-    span = np.arange(size)
-    _, fd, fw, fp, fcb, fcs = cache._field_views(MAIN)
-    rows = blocks[:, None]
-    cols = (sbs * size)[:, None] + span
-    D = fd[rows, cols]
-    W = fw[rows, cols]
-    P = fp[rows, cols]
-    CB = fcb[rows, cols]
-    CS = fcs[rows, cols]
-
-    skip = np.zeros(n, dtype=bool)
+    group_cols = (sbs * size)[:, None] + np.arange(size)
+    mat = tuple(eba.main._data[name][blocks[:, None], group_cols]
+                for name in rhh.CELL_FIELDS)
     g = ukeys.shape[0]
     row_dirty = np.zeros(g, dtype=bool)
-    f_sel = slot_f = None  # kept for the CAL patch in the finally block
-    if rhh_on and g:
-        # Iterated rounds: round r handles each still-active group's r-th
-        # op against the current matrix state, which is exactly the state
-        # the scalar sequence would present to that op (all earlier ops of
-        # the group were fast, and no other group touches the Subblock).
-        # A group goes inactive at its first non-fast op — its remaining
-        # ops fall to the per-op loop — or when its ops are exhausted.
-        # Each fast op fills a cell, so a group survives at most
-        # `size` placing rounds: the loop below is bounded, not heuristic.
-        grp_end = np.append(first_pos[1:], n)
-        cur = first_pos.copy()
-        active = eba._main_children._data[blocks, sbs] < 0  # leaf groups only
-        active &= cur < grp_end
-        rows_acc: list[np.ndarray] = []
-        slots_acc: list[np.ndarray] = []
-        while True:
-            cand = np.nonzero(active)[0]
-            if cand.shape[0] == 0:
-                break
-            pos = cur[cand]
-            c_dst = dst_s[pos]
-            c_ib = ib_s[pos]
-            # Roll each Subblock so column t is the t-th probed cell.
-            roll = (c_ib[:, None] + span) % size
-            Dr = D[cand[:, None], roll]
-            Pr = P[cand[:, None], roll]
-            hitm = Dr == c_dst[:, None]
-            em = Dr == -1  # EMPTY
-            vacm = em | (Dr == -2)  # EMPTY or TOMBSTONE
-            t_hit = np.where(hitm.any(axis=1), hitm.argmax(axis=1), size)
-            t_emp = np.where(em.any(axis=1), em.argmax(axis=1), size)
-            t_vac = np.where(vacm.any(axis=1), vacm.argmax(axis=1), size)
-            # Absent: empty stops the scan before dst, or a full scan finds
-            # neither (no edge lives beyond an empty cell on its probe path
-            # in RHH mode — the same invariant rhh_find relies on).
-            miss = (t_emp < t_hit) | ((t_emp == size) & (t_hit == size))
-            # Strict Robin Hood rule: a swap fires at step t iff the
-            # resident's probe distance is < t.  Fast only if no swap
-            # happens before the vacancy.
-            noswap = ~((Pr < span) & (span < t_vac[:, None])).any(axis=1)
-            fast = miss & noswap & (t_vac < size)
-            if not fast.any():
-                break
-            f_rows = cand[fast]
-            pos_f = pos[fast]
-            tv_f = t_vac[fast]
-            ib_f = c_ib[fast]
-            t_scan = np.minimum(t_hit, t_emp)[fast]
-            sl_f = np.where(t_scan < size, t_scan + 1, size)
-            # FIND-stage charge, then the INSERT stage's (find_len, steps+1)
-            # pair — identical arithmetic to _charge_scan on both passes.
-            wf += int(_circular_workblocks_array(ib_f, sl_f, workblock, size).sum())
-            wf += int(_circular_workblocks_array(
-                ib_f, np.maximum(sl_f, tv_f + 1), workblock, size).sum())
-            cs += int((2 * sl_f + tv_f + 1).sum())
-            nf = f_rows.shape[0]
-            wb += nf
-            inserted += nf
-            slots = (ib_f + tv_f) % size
-            d_f = dst_s[pos_f]
-            D[f_rows, slots] = d_f
-            W[f_rows, slots] = w_s[pos_f]
-            P[f_rows, slots] = tv_f
-            s_l = dense_s[pos_f].tolist()
-            if cal is not None:
-                CB[f_rows, slots] = PENDING_CAL
-                CS[f_rows, slots] = np.arange(nf) + len(p_orig)
-                p_orig.extend(order[pos_f].tolist())
-                p_src.extend(s_l)
-                p_dst.extend(d_f.tolist())
-                p_w.extend(w_s[pos_f].tolist())
-            else:
-                CB[f_rows, slots] = -1
-                CS[f_rows, slots] = -1
-            new_srcs.extend(s_l)
-            skip[pos_f] = True
-            row_dirty[f_rows] = True
-            rows_acc.append(f_rows)
-            slots_acc.append(slots)
-            # Advance fast groups to their next op; retire the rest.
-            active[cand[~fast]] = False
-            cur[f_rows] += 1
-            active[f_rows] = cur[f_rows] < grp_end[f_rows]
-        if rows_acc:
-            f_sel = np.concatenate(rows_acc)
-            slot_f = np.concatenate(slots_acc)
-    cache.attach_matrix(blocks, sbs, D, W, P, CB, CS, row_dirty)
-    # Residue ops run in ORIGINAL stream order, not sorted order.  Cell
-    # placements would come out the same either way (groups are disjoint
-    # Subblocks, stream-ordered within), but branch-outs pull blocks from
-    # the shared overflow pool: only the stream order hands each descent
-    # the same block id the scalar loop would, keeping the physical
-    # layout — not just the logical content — bit-identical.
-    rem = np.flatnonzero(~skip)
-    rsel = rem[np.argsort(order[rem], kind="stable")]
-    l_src = dense_s[rsel].tolist()
-    l_dst = dst_s[rsel].tolist()
-    l_w = w_s[rsel].tolist()
-    l_sb = sb_s[rsel].tolist()
-    l_ib = ib_s[rsel].tolist()
-    l_orig = order[rsel].tolist()
-
-    load = cache.load
-    dirty = cache.dirty
-    rhh_find = rhh.rhh_find
-    rhh_insert = rhh.rhh_insert
-    circ = rhh._circular_workblocks
-    descend = eba._descend
-    INSERTED = rhh.INSERTED
-    UPDATED = rhh.UPDATED
+    cache = _SubblockCache(eba, nsb, size, blocks, sbs, mat, row_dirty)
+    grp_end = np.append(first_pos[1:], n)
+    cur = first_pos.copy()
+    # (blocks, Subblocks) of the overflow pool the rounds stored into.
+    touched: list[tuple] = []
     # The main-region child matrix never regrows mid-chunk (capacity is
     # ensured per vertex row up front), so its backing array can be
-    # hoisted; the overflow one can regrow and is re-read per descent.
+    # hoisted; the overflow one can regrow and is re-read per level.
     mchild = eba._main_children._data
     ochild = eba._overflow_children
 
     try:
+        # ---- Rounds. ----------------------------------------------------
+        # Round r runs each still-active group's r-th op against the
+        # current state, which is exactly the state the scalar sequence
+        # would present to that op: the group's earlier ops ran in earlier
+        # rounds and no other group reaches its gen-0 Subblock or anything
+        # below it (a displaced edge stays inside that subtree).  One op
+        # per group per round, so no two ops of a round share a cell and
+        # every level of the round is one NumPy pass.
+        cand = np.arange(g) if rhh_on else cur[:0]
+        while cand.shape[0] >= MIN_ROUND_GROUPS:
+            pos = cur[cand]
+            cur[cand] = pos + 1
+            rid = order[pos]
+            dst = dst_s[pos]
+            w = w_s[pos]
+
+            # FIND stage down the whole chain (EdgeblockArray.find).
+            q = np.arange(cand.shape[0])
+            dup = np.zeros(cand.shape[0], dtype=bool)
+            fields, rows, tree, kids = mat, cand, blocks[cand], mchild
+            sb, ib, first_col = sbs[cand], ib_s[pos], 0
+            for gen in range(max_gen):
+                sought = dst[q]
+                if gen:
+                    rows, kids = tree, ochild._data
+                    fields, sb, first_col, ib = _overflow_level(gt, gen, sought)
+                cols, t_hit, t_emp, t_vac = _probe_order(
+                    fields[0], rows, first_col, ib, sought, size)
+                scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
+                wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
+                cs += int(scanned.sum())
+                if gen == 0:
+                    probe0 = (cols, t_emp, t_vac)
+                hit = t_hit < t_emp
+                if hit.any():
+                    # Duplicate: weight overwritten in place, CAL copy
+                    # through the cell's pointer or the pending record.
+                    h_rows, h_cols, h_w = rows[hit], cols[hit, t_hit[hit]], w[q[hit]]
+                    fields[1][h_rows, h_cols] = h_w
+                    if gen == 0:
+                        row_dirty[h_rows] = True
+                    if cal is not None:
+                        cb = fields[3][h_rows, h_cols]
+                        slot = fields[4][h_rows, h_cols]
+                        copied = cb >= 0
+                        cal.pool.raw()["weight"][cb[copied], slot[copied]] = h_w[copied]
+                        pending = cb == PENDING_CAL
+                        p_w[slot[pending]] = h_w[pending]
+                        cal_up += int(copied.sum()) + int(pending.sum())
+                    dup[q[hit]] = True
+                child = kids[tree, sb].astype(np.int64)
+                go = ~hit & (child >= 0)
+                if not go.any():
+                    break
+                bd += int(go.sum())
+                q, tree = q[go], child[go]
+            n_dup = int(dup.sum())
+            found += n_dup
+            wb += n_dup
+
+            # INSERT stage from generation 0 for the absent ops: place,
+            # or congest and carry the floating edge one level down by
+            # *its own* hashes (EdgeblockArray.insert's loop).
+            q = np.flatnonzero(~dup)
+            cols, t_emp, t_vac = (a[q] for a in probe0)
+            fields, rows, tree, kids = mat, cand[q], blocks[cand[q]], mchild
+            sb, ib = sbs[rows], ib_s[pos[q]]
+            edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
+            if cal is not None:
+                edge[2:] = np.full(q.shape[0], PENDING_CAL), rid[q]
+            for gen in range(max_gen):
+                if gen:
+                    rows, kids = tree, ochild._data
+                    fields, sb, first_col, ib = _overflow_level(gt, gen, edge[0])
+                    cols, _, t_emp, t_vac = _probe_order(
+                        fields[0], rows, first_col, ib, edge[0], size)
+                find_len, steps, n_swaps, wrote, full, edge = _rhh_walk(
+                    fields, rows, cols, t_emp, t_vac, edge)
+                wf += int(_circular_workblocks_array(
+                    ib, np.maximum(find_len, steps), workblock, size).sum())
+                cs += int(find_len.sum()) + int(steps.sum())
+                swaps += int(n_swaps.sum())
+                wb += int(wrote.sum())
+                if gen == 0:
+                    row_dirty[rows[wrote]] = True
+                else:
+                    touched.append((rows[wrote], sb[wrote]))
+                new[rid[q[t_vac < size]]] = True
+                if full.shape[0] == 0:
+                    break
+                # eba._descend(..., allocate=True) for the congested ops.
+                q, tree, sb = q[full], tree[full], sb[full]
+                child = kids[tree, sb].astype(np.int64)
+                leaf = child < 0
+                if leaf.any():
+                    ids = np.asarray(eba.overflow.allocate_many(int(leaf.sum())))
+                    ochild.ensure(int(ids.max()) + 1)
+                    ochild._data[ids] = -1
+                    (ochild._data if gen else mchild)[tree[leaf], sb[leaf]] = ids
+                    child[leaf] = ids
+                    stats.branch_allocations += ids.shape[0]
+                bd += full.shape[0]
+                tree = child
+            else:
+                raise CapacityError(
+                    f"edge ({dense_s[pos[q[0]]]}, {dst[q[0]]}) exceeded "
+                    f"max_generations={max_gen}"
+                )
+            cand = cand[cur[cand] < grp_end[cand]]
+
+        # ---- Residue: the exact per-op loop. ------------------------------
+        # What the rounds left — the thin tail below the floor, every op of
+        # an `enable_rhh=False` store or of a chunk too small to start a
+        # round — runs here in stream order, against the matrices (gen 0)
+        # and the pool as the rounds left it (deeper levels).
+        cache.index_rows(np.flatnonzero(cur < grp_end))
+        rem = np.flatnonzero(np.arange(n) >= np.repeat(cur, grp_end - first_pos))
+        rsel = rem[np.argsort(order[rem], kind="stable")]
+        l_src = dense_s[rsel].tolist()
+        l_dst = dst_s[rsel].tolist()
+        l_w = w_s[rsel].tolist()
+        l_sb = sb_s[rsel].tolist()
+        l_ib = ib_s[rsel].tolist()
+        l_orig = order[rsel].tolist()
+
+        load = cache.load
+        dirty = cache.dirty
+        rhh_find = rhh.rhh_find
+        rhh_insert = rhh.rhh_insert
+        circ = rhh._circular_workblocks
+        descend = eba._descend
+        INSERTED = rhh.INSERTED
+        UPDATED = rhh.UPDATED
+
         for i in range(len(l_src)):
             src = l_src[i]
             dst = l_dst[i]
@@ -594,19 +707,13 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # ---- INSERT stage: descend, placing via RHH/TBH. ----------
             if cal is not None:
                 f_cb = PENDING_CAL
-                f_cs = len(p_orig)
-                inflight_rid = f_cs
-                p_orig.append(l_orig[i])
-                p_src.append(src)
-                p_dst.append(dst)
-                p_w.append(w)
+                f_cs = l_orig[i]
             else:
                 f_cb = -1
                 f_cs = -1
             f_dst = dst
             f_w = w
             region, block = MAIN, src
-            placed = False
             for gen in range(max_gen):
                 if gen:
                     sb = subblock_index(f_dst, gen, nsb, seed)
@@ -632,17 +739,14 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     wb += 1
                     dirty[key] = entry
                 if status == INSERTED:
-                    new_srcs.append(src)
-                    inserted += 1
-                    placed = True
-                    inflight_rid = -1
+                    r_new.append(l_orig[i])
                     break
                 region, block = descend(region, block, sb, True)
                 f_dst = o_dst
                 f_w = o_w
                 f_cb = o_cb
                 f_cs = o_cs
-            if not placed:
+            else:
                 raise CapacityError(
                     f"edge ({src}, {dst}) exceeded max_generations={max_gen}"
                 )
@@ -650,63 +754,41 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         # Apply the deferred side effects and write the caches back even
         # when an op raised mid-chunk, so every *completed* op's state
         # lands exactly as the scalar path would have left it.
-        if new_srcs:
-            ns = np.asarray(new_srcs, dtype=np.int64)
+        new[r_new] = True
+        live = np.flatnonzero(new)
+        if live.shape[0]:
+            ns = dense[live]
             np.add.at(eba._degrees, ns, 1)
             gt.vpa.ensure(int(ns.max()))
             np.add.at(gt.vpa.degrees, ns, 1)
-
-        if cal is not None and p_orig:
-            # Replay the appends in original stream order (an op that
-            # raised mid-cascade never reached its append — drop it).
-            nrec = len(p_orig)
-            live = np.arange(nrec)
-            if 0 <= inflight_rid < nrec:
-                live = live[live != inflight_rid]
-            live = live[np.argsort(np.asarray(p_orig, dtype=np.int64)[live], kind="stable")]
-            assigned_b = np.full(nrec, -1, dtype=np.int64)
-            assigned_s = np.full(nrec, -1, dtype=np.int64)
-            if live.shape[0]:
-                pa_src = np.asarray(p_src, dtype=np.int64)[live]
-                pa_dst = np.asarray(p_dst, dtype=np.int64)[live]
-                pa_w = np.asarray(p_w, dtype=np.float64)[live]
-                cal_blocks, cal_slots = cal.append_many(pa_src, pa_dst, pa_w)
-                assigned_b[live] = cal_blocks
-                assigned_s[live] = cal_slots
-            # Patch the sentinels of still-attached fast rows in one
-            # scatter: their record ids sit untouched in the CS matrix.
-            if f_sel is not None:
-                att = ~cache._mdetached[f_sel]
-                if att.any():
-                    r_att = f_sel[att]
-                    s_att = slot_f[att]
-                    rids = CS[r_att, s_att].astype(np.int64)
-                    CB[r_att, s_att] = assigned_b[rids]
-                    CS[r_att, s_att] = assigned_s[rids]
-            # Patch every remaining pending sentinel (detached or loop-
-            # touched entries; displacement may have moved one anywhere).
-            ab_l = assigned_b.tolist()
-            as_l = assigned_s.tolist()
-            for entry in dirty.values():
-                cbl = entry[6]
-                if PENDING_CAL in cbl:
-                    csl = entry[7]
-                    for j in range(size):
-                        if cbl[j] == PENDING_CAL:
-                            rid = csl[j]
-                            cbl[j] = ab_l[rid]
-                            csl[j] = as_l[rid]
-
         cache.writeback()
+        if cal is not None:
+            # Replay the appends in original stream order, then rewrite
+            # every sentinel — displacement may have moved one anywhere on
+            # its chain — in one pass per pool over the Subblocks the
+            # chunk stored into.
+            cal_block = np.full(n, -1, dtype=np.int64)
+            cal_slot = np.full(n, -1, dtype=np.int64)
+            cal_block[live], cal_slot[live] = cal.append_many(
+                dense[live], dsts[live], p_w[live])
+            late = np.array([entry[:3] for entry in cache.dirty.values()],
+                            dtype=np.int64).reshape(-1, 3).T
+            for region, pool, parts in (
+                    (MAIN, eba.main, [(blocks[row_dirty], sbs[row_dirty])]),
+                    (OVERFLOW, eba.overflow, touched)):
+                mine = late[1:, late[0] == region]
+                b, s = (np.concatenate([part[k] for part in parts] + [mine[k]])
+                        for k in (0, 1))
+                _patch_pending(pool, b, s, size, cal_block, cal_slot)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb
         stats.rhh_swaps += swaps
         stats.branch_descents += bd
         stats.edges_found += found
-        stats.edges_inserted += inserted
+        stats.edges_inserted += live.shape[0]
         stats.cal_updates += cal_up
-    return inserted
+    return int(live.shape[0])
 
 
 def _delete_chunk(gt, edges: np.ndarray) -> int:
@@ -750,7 +832,6 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     workblock = cfg.workblock
     seed = cfg.seed
     rhh_on = eba._rhh_on
-    span = np.arange(size)
 
     # Occurrence number of each row among the chunk's equal (src, dst)
     # pairs, in stream order (lexsort is stable): the round it runs in.
@@ -784,16 +865,10 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                     break
                 sb = subblock_index_array(dst, gen, nsb, seed)
                 ib = initial_bucket_array(dst, gen, size, seed)
-                # Column t of `probed` is the t-th cell rhh_find inspects.
-                cols = (sb * size)[:, None] + (ib[:, None] + span) % size
                 data = pool._data
-                probed = data["dst"][block[:, None], cols]
-                hitm = probed == dst[:, None]
-                t_hit = np.where(hitm.any(axis=1), hitm.argmax(axis=1), size)
-                if rhh_on:
-                    em = probed == EMPTY
-                    t_emp = np.where(em.any(axis=1), em.argmax(axis=1), size)
-                else:
+                cols, t_hit, t_emp, _ = _probe_order(
+                    data["dst"], block, (sb * size)[:, None], ib, dst, size)
+                if not rhh_on:
                     t_emp = size  # rhh_find scans the whole Subblock
                 scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
                 wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())

@@ -475,10 +475,261 @@ class TestLevelSynchronousGather:
         assert_gather_matches_loop(gt, rng.permutation(slab + 500)[:slab + 100])
 
 
+def tree_rows(gt: GraphTinker) -> list[bytes]:
+    """Every edgeblock row of every tree, named by its path instead of its
+    pool row: main rows in dense order, children in Subblock order.  Equal
+    lists mean equal stores up to overflow-row names."""
+    eba, out = gt.eba, []
+    stack = [(MAIN, row) for row in reversed(range(eba.n_vertices))]
+    while stack:
+        region, block = stack.pop()
+        out.append(eba._pool(region).row(block).tobytes())
+        kids = eba._children(region).row(block)
+        stack.extend((OVERFLOW, int(c)) for c in kids[kids >= 0][::-1])
+    return out
+
+
+def insert_pair(cfg: GTConfig, ops) -> tuple[GraphTinker, GraphTinker]:
+    """:func:`run_pair`, holding the two stores equal after *every* batch:
+    counters, edges and fsck, then cells path by path, degrees and the
+    CAL byte for byte."""
+    scalar = GraphTinker(cfg.with_(kernel="scalar"))
+    vector = GraphTinker(cfg.with_(kernel="vector"))
+    for op in ops:
+        for gt in (scalar, vector):
+            if op[0] == "insert":
+                gt.insert_batch(op[1], op[2])
+            else:
+                gt.delete_batch(op[1])
+        assert_equivalent(scalar, vector)
+        assert tree_rows(scalar) == tree_rows(vector)
+        assert scalar.eba.degrees_view().tolist() == vector.eba.degrees_view().tolist()
+        assert scalar.vpa.degrees.tolist() == vector.vpa.degrees.tolist()
+        if scalar.cal is not None:
+            assert scalar.cal.n_edges == vector.cal.n_edges
+            assert scalar.cal.pool.raw().tobytes() == vector.cal.pool.raw().tobytes()
+    return scalar, vector
+
+
+def hubs_stream(n_hubs: int, per_hub: int, seed: int = 0):
+    """``n_hubs`` sources with ``per_hub`` distinct dsts each, shuffled:
+    ``(edges, weights)``."""
+    rng = np.random.default_rng(seed)
+    src = np.repeat(np.arange(n_hubs), per_hub)
+    dst = np.tile(np.arange(per_hub), n_hubs) + 1000 * src
+    edges = rng.permutation(np.column_stack([src, dst]).astype(np.int64))
+    return edges, rng.random(edges.shape[0])
+
+
+def in_batches(edges, weights, k: int):
+    return [("insert", e, w) for e, w in zip(np.array_split(edges, k),
+                                             np.array_split(weights, k))]
+
+
+def count_walks(monkeypatch) -> list[int]:
+    """Record every closed-form walk the rounds make, as the row width of
+    the cell matrix it ran on (``subblock`` at generation 0, ``pagewidth``
+    in the overflow pool)."""
+    from repro.core import kernels
+    calls: list[int] = []
+    walk = kernels._rhh_walk
+
+    def counted(fields, *rest):
+        calls.append(fields[0].shape[1])
+        return walk(fields, *rest)
+    monkeypatch.setattr(kernels, "_rhh_walk", counted)
+    return calls
+
+
+def no_sentinel_left(gt: GraphTinker) -> bool:
+    from repro.core.kernels import PENDING_CAL
+    return not any((pool.raw()["cal_block"] == PENDING_CAL).any()
+                   for pool in (gt.eba.main, gt.eba.overflow))
+
+
+class TestLevelSynchronousInsert:
+    """Insert rounds run every group's r-th op level by level, whatever
+    its shape — hits, descents, Robin-Hood walks, branch-outs — and hand
+    the thin tail to the per-op loop; either way the store must be the
+    per-op driver's, up to overflow-row names."""
+
+    @pytest.mark.parametrize("n_hubs", [64, 1])
+    def test_hub_trees_grown_over_batches(self, n_hubs, monkeypatch):
+        """64 hubs keep the rounds going; one hub (two groups) never
+        starts one.  Both must pass: the floor is not a correctness
+        switch."""
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(n_hubs, 70)
+        _, vector = insert_pair(GTConfig(**SMALL), in_batches(edges, weights, 5))
+        assert tree_shape(vector, 0)[0] >= 3
+        assert max(hit_generation(vector, 0, d) for d in range(70)) >= 2
+        # Rounds ran, and walked below generation 0 — or never started.
+        assert set(walks) == ({8, 16} if n_hubs == 64 else set())
+
+    def test_rounds_alone_are_exact(self, monkeypatch):
+        """With the floor at one group nothing is left for the residue
+        loop: every op — hit, descent, swap, branch-out — runs in a round
+        and reaches neither the probe core nor the list cache."""
+        from repro.core import kernels
+        edges, weights = hubs_stream(5, 70, seed=1)
+        ops = in_batches(edges, weights, 3) + [("insert", edges[:200], weights[:200] + 1.0)]
+        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
+        for op in ops:
+            scalar.insert_batch(op[1], op[2])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a round op reached the per-op path")
+        monkeypatch.setattr(kernels, "MIN_ROUND_GROUPS", 1)
+        monkeypatch.setattr(kernels.rhh, "rhh_insert", unreachable)
+        monkeypatch.setattr(kernels.rhh, "rhh_find", unreachable)
+        monkeypatch.setattr(kernels._SubblockCache, "load", unreachable)
+        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        for op in ops:
+            vector.insert_batch(op[1], op[2])
+        monkeypatch.undo()
+        assert_equivalent(scalar, vector)
+        assert tree_rows(scalar) == tree_rows(vector)
+        assert scalar.cal.pool.raw().tobytes() == vector.cal.pool.raw().tobytes()
+
+    def test_duplicate_of_an_edge_displaced_in_the_same_chunk(self, monkeypatch):
+        """Every edge again, in the chunk that placed it: by then its cell
+        has been swapped or pushed down a level, and its CAL record is
+        still pending — the last weight must be the one appended."""
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(64, 40, seed=3)
+        twice = np.vstack([edges, edges[::-1]])
+        w2 = np.concatenate([weights, weights[::-1] + 1.0])
+        scalar, vector = insert_pair(GTConfig(**SMALL), [("insert", twice, w2)])
+        assert walks and vector.stats.rhh_swaps > 0 and vector.stats.branch_descents > 0
+        assert vector.stats.edges_found == edges.shape[0]
+        src, dst, w = vector.cal.stream_edges()
+        got = dict(zip(zip(vector.original_ids(src).tolist(), dst.tolist()), w.tolist()))
+        assert got == {(s, d): x + 1.0 for (s, d), x in zip(edges.tolist(), weights.tolist())}
+
+    def test_duplicates_through_real_cal_pointers_at_depth(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(64, 60, seed=5)
+        ops = [("insert", edges, weights), ("insert", edges[::-1], weights[::-1] + 2.0)]
+        _, vector = insert_pair(GTConfig(**SMALL), ops)
+        assert walks
+        deep = [d for d in range(60) if hit_generation(vector, 0, d) >= 2]
+        assert deep
+        _, dst, w = vector.cal.stream_edges()
+        assert w.min() >= 2.0 and dst.shape[0] == edges.shape[0]
+        assert vector.edge_weight(0, deep[0]) >= 2.0
+
+    def test_insert_into_tombstoned_chains(self, monkeypatch):
+        """Delete-only deletes leave vacancies mid-chain whose probe field
+        is stale; fresh edges and re-inserts must land as per-op."""
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(64, 60, seed=7)
+        rng = np.random.default_rng(8)
+        doomed = rng.permutation(edges)[:2400]
+        fresh, fresh_w = hubs_stream(64, 30, seed=9)
+        fresh[:, 1] += 500
+        again = np.vstack([fresh, doomed[:900]])
+        ops = [("insert", edges, weights), ("delete", doomed),
+               ("insert", again, np.concatenate([fresh_w, rng.random(900)])),
+               ("delete", doomed[:300])]
+        _, vector = insert_pair(GTConfig(**SMALL), ops)
+        assert walks and vector.stats.tombstones_set == 2400 + 300
+
+    @pytest.mark.parametrize("flag", ["enable_sgh", "enable_cal", "enable_rhh"])
+    def test_feature_off(self, flag, monkeypatch):
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(64, 50, seed=11)
+        edges[:, 0] = edges[:, 0] * 3 + 1       # sparse raw ids for the SGH-less store
+        ops = in_batches(edges, weights, 3) + [("insert", edges[:500], weights[:500] + 1.0)]
+        insert_pair(GTConfig(**{**SMALL, flag: False}), ops)
+        assert bool(walks) == (flag != "enable_rhh")   # no RHH: the residue loop only
+
+    def test_one_subblock_per_block_is_a_chain(self, monkeypatch):
+        walks = count_walks(monkeypatch)
+        edges, weights = hubs_stream(40, 60, seed=13)
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)
+        _, vector = insert_pair(cfg, in_batches(edges, weights, 4))
+        levels, fanout = tree_shape(vector, 0)
+        assert walks and levels >= 6 and fanout == 1
+
+    def test_stream_straddles_chunks(self, monkeypatch):
+        from repro.core import kernels
+        monkeypatch.setattr(kernels, "CHUNK_EDGES", 64)
+        walks = count_walks(monkeypatch)
+        # Round-robin over 64 hubs: every 64-row chunk is 64 one-op groups.
+        edges, weights = hubs_stream(64, 30, seed=15)
+        order = np.lexsort((edges[:, 0], edges[:, 1] % 1000))
+        ops = [("insert", edges[order], weights[order]),
+               ("insert", edges[order][100:1000], weights[:900])]
+        _, vector = insert_pair(GTConfig(**SMALL), ops)
+        assert walks.count(8) >= 30 and 16 in walks
+
+    @pytest.mark.parametrize("n_hubs", [64, 1])
+    def test_capacity_error_leaves_no_sentinel(self, n_hubs):
+        """Two generations of one Subblock hold 16 edges a source; the
+        17th raises from a round (64 hubs) or from the residue loop (one
+        hub), on either kernel, with every completed op applied and no
+        ``PENDING_CAL`` sentinel left in either pool."""
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=2)
+        edges, weights = hubs_stream(n_hubs, 20, seed=17)
+        for kernel in ("scalar", "vector"):
+            gt = GraphTinker(cfg.with_(kernel=kernel))
+            gt.insert_batch(edges[:10 * n_hubs], weights[:10 * n_hubs])
+            with pytest.raises(CapacityError):
+                gt.insert_batch(edges[10 * n_hubs:], weights[10 * n_hubs:])
+            assert no_sentinel_left(gt)
+            cells = sum(int((pool.raw()["dst"] >= 0).sum())
+                        for pool in (gt.eba.main, gt.eba.overflow))
+            assert gt.n_edges == gt.vpa.degrees.sum() == gt.stats.edges_inserted == cells
+            assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
+
+    def test_closed_form_walk_matches_rhh_insert(self):
+        """The level pass's Robin-Hood walk against the probe core, on
+        arbitrary Subblocks: empty to full, a tenth of the cells
+        tombstoned (probe field stale), real and pending CAL pointers."""
+        from repro.core import robin_hood as rhh
+        from repro.core.kernels import PENDING_CAL, _probe_order, _rhh_walk
+        rng = np.random.default_rng(23)
+        n, size = 6000, 8
+        fill = rng.integers(0, size + 1, n)
+        live = rng.random((n, size)).argsort(axis=1) < fill[:, None]
+        tomb = rng.random((n, size)) < 0.1
+        D = np.where(live, rng.permutation(n * size).reshape(n, size), -1)
+        D[tomb] = -2
+        W = rng.random((n, size))
+        P = np.where(D == -1, 0, rng.integers(0, size, (n, size))).astype(np.int16)
+        CB = np.where(D >= 0, rng.choice([PENDING_CAL, 4, 9], (n, size)), -1).astype(np.int32)
+        CS = np.where(D >= 0, rng.integers(0, 64, (n, size)), -1).astype(np.int32)
+        ib = rng.integers(0, size, n)
+        edge = [n * size + np.arange(n), rng.random(n),
+                rng.choice([PENDING_CAL, 7], n), np.arange(n)]
+        want = []
+        for i in range(n):
+            cells = [m[i].tolist() for m in (D, W, P, CB, CS)]
+            out = rhh.rhh_insert(*cells, int(edge[0][i]), float(edge[1][i]), int(ib[i]),
+                                 True, int(edge[2][i]), int(edge[3][i]))
+            want.append((cells, out))
+        fields = (D, W, P, CB, CS)
+        rows = np.arange(n)
+        cols, t_hit, t_emp, t_vac = _probe_order(D, rows, 0, ib, edge[0], size)
+        assert (t_hit == size).all()
+        find_len, steps, swaps, wrote, full, floating = _rhh_walk(
+            fields, rows, cols, t_emp, t_vac, edge)
+        congested = dict(zip(full.tolist(), zip(*(f.tolist() for f in floating))))
+        assert 0 < len(congested) < n and swaps.max() >= 3
+        for i, (cells, out) in enumerate(want):
+            status, _, lengths, w_flag, n_swaps, *o = out
+            assert [m[i].tolist() for m in fields] == cells, i
+            assert (status == rhh.CONGESTED) == (i in congested), i
+            assert lengths == (find_len[i], steps[i]), i
+            assert (w_flag, n_swaps) == (wrote[i], swaps[i]), i
+            if status == rhh.CONGESTED:
+                assert tuple(o) == congested[i], i
+
+
 class TestHashArrays:
     """The vectorized hash mirrors must agree with the scalar hashes the
     residue loop (and the scalar kernel) use — a disagreement would send
-    fast-pass ops to the wrong Subblock/bucket."""
+    the rounds' ops to the wrong Subblock/bucket."""
 
     @pytest.mark.parametrize("generation", [0, 1, 5, 63])
     def test_subblock_index_array(self, generation):

@@ -20,6 +20,7 @@ from repro.engine.snapshot import (
     gather_active_scalar,
     sanitize_active,
 )
+from repro.errors import CapacityError
 from repro.stinger import Stinger
 
 
@@ -156,6 +157,29 @@ class TestDirtyTracking:
         store.insert_batch(np.array([[500, 1], [501, 2]]))
         _assert_same(store, np.array([0, 500, 501]), "grown rows")
         assert snap.n_rows == n + 2
+
+    def test_batch_kernel_that_raises_still_marks_its_rows(self, monkeypatch):
+        """A vector batch that raises has applied part of itself; the
+        rows it touched must be dirty all the same (the scalar path marks
+        per edge, so it never had the gap)."""
+        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4,
+                                     max_generations=2, kernel="vector"))
+        store.insert_batch(np.array([[0, 1000], [5, 7]]))
+        store.enable_snapshot()
+        assert store.neighbors_many([0, 5])[0].shape[0] == 2
+        with pytest.raises(CapacityError):
+            store.insert_batch(np.array([[5, 8], [5, 9]] + [[0, d] for d in range(30)]))
+        live = store.degree(0) + store.degree(5)
+        assert live > 2
+        assert store.neighbors_many([0, 5])[0].shape[0] == live
+
+        def broken(blocks, slots):
+            raise RuntimeError("CAL scatter failed")
+        monkeypatch.setattr(store.cal, "invalidate_many", broken)
+        with pytest.raises(RuntimeError):
+            store.delete_batch(np.array([[5, 7], [5, 8]]))
+        assert store.degree(5) == 1
+        assert store.neighbors_many([5])[1].tolist() == [9]
 
     def test_invalidate_forces_full_remeasure(self, rng):
         store = STORE_MAKERS["gt"]()
