@@ -12,15 +12,17 @@ the snapshot is built for: dirty-row patching instead of full rebuilds):
 * **equivalence**, on ``graphtinker`` and on ``stinger``: final values,
   per-iteration modes, and the merged stats dict must be equal — a
   fast-but-wrong gather must not pass;
-* **speed**, on ``stinger``: snapshot-on must beat snapshot-off by at
-  least ``SPEEDUP_FLOOR`` (3x by default; override with
+* **speed**: on ``stinger``, where the snapshot replaces a per-vertex
+  chain walk, snapshot-on must beat snapshot-off by at least
+  ``SPEEDUP_FLOOR`` (3x by default; override with
   ``REPRO_SNAPSHOT_SPEEDUP_FLOOR`` for noisy shared runners; the edge
   count scales down via ``REPRO_SNAPSHOT_BENCH_EDGES`` for smoke runs).
-  There the snapshot replaces a per-vertex chain walk.  A snapshot-less
-  ``graphtinker`` gathers a frontier in one level-synchronous pass
-  (``EdgeblockArray.neighbors_rows``), which under churn is the faster
-  side: the snapshot re-measures every dirty row with one native walk.
-  Its ratio is reported, with no floor.
+  On ``graphtinker`` both sides are level-synchronous — snapshot-off
+  gathers each frontier with ``EdgeblockArray.neighbors_rows``,
+  snapshot-on re-measures a round's dirty rows with one such pass and
+  then serves CSR slices — so there snapshot-on must merely not be
+  slower (``GT_FLOOR``: 1x, relaxed by the override in the same
+  proportion as the ``stinger`` floor).  Both ratios are reported.
 """
 
 import gc
@@ -44,7 +46,9 @@ SCALE = 16
 N_CHURN_ROUNDS = 3
 CHURN_EDGES = 1_000
 N_ROOTS = 4  # one BFS sweep per root per round — the amortization knob
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_SNAPSHOT_SPEEDUP_FLOOR", "3.0"))
+DEFAULT_FLOOR = 3.0
+SPEEDUP_FLOOR = float(os.environ.get("REPRO_SNAPSHOT_SPEEDUP_FLOOR", DEFAULT_FLOOR))
+GT_FLOOR = min(1.0, SPEEDUP_FLOOR / DEFAULT_FLOOR)
 
 
 def _frontier_sweep(system: str, snapshot: bool):
@@ -132,9 +136,11 @@ def test_snapshot_gather_speedup_and_equivalence(benchmark):
         # Steady-state churn must patch rows, not rebuild from scratch
         # every round (one full measure on first use, then touched rows).
         assert on["snapshot"].rebuilds <= 1 + N_CHURN_ROUNDS, system
-    # Then the acceptance speedup on the interpreter clock, where the
-    # snapshot still replaces a per-vertex walk.
-    assert speedup["stinger"] >= SPEEDUP_FLOOR, (
-        f"snapshot gather speedup on stinger {speedup['stinger']:.2f}x "
-        f"below floor {SPEEDUP_FLOOR}x"
-    )
+    # Then the acceptance speedups on the interpreter clock: the
+    # snapshot replaces a per-vertex walk on stinger, and must not cost
+    # more than it saves on graphtinker.
+    for system, floor in (("stinger", SPEEDUP_FLOOR), ("graphtinker", GT_FLOOR)):
+        assert speedup[system] >= floor, (
+            f"snapshot gather speedup on {system} {speedup[system]:.2f}x "
+            f"below floor {floor}x"
+        )

@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.stats import AccessStats
+from repro.core.store import RowStoreDefaults
 from repro.errors import CapacityError, VertexNotFoundError
 
 #: Cells per "block" when charging matrix scans (matches the other
@@ -23,7 +24,7 @@ from repro.errors import CapacityError, VertexNotFoundError
 _SCAN_BLOCK = 64
 
 
-class AdjacencyMatrixStore:
+class AdjacencyMatrixStore(RowStoreDefaults):
     """Dense adjacency-matrix dynamic graph store (small graphs only)."""
 
     def __init__(self, capacity: int = 1024):
@@ -154,29 +155,9 @@ class AdjacencyMatrixStore:
         return None
 
     @property
-    def id_translator(self):
-        return None
-
-    @property
     def full_load_is_row_sweep(self) -> bool:
         # The full load is an n*n matrix scan, not the per-row sweep.
         return False
-
-    def original_ids(self, dense: np.ndarray) -> np.ndarray:
-        return np.asarray(dense, dtype=np.int64)
-
-    def dense_row_count(self) -> int:
-        return self.n_vertices
-
-    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbors(row)
-
-    def neighbors_many(
-        self, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from repro.engine.snapshot import gather_active_scalar, sanitize_active
-
-        return gather_active_scalar(self, sanitize_active(active))
 
     def check_invariants(self) -> None:
         assert int(self._present.sum()) == self._n_edges

@@ -32,6 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.stats import AccessStats
+from repro.core.store import RowStoreDefaults
 from repro.errors import VertexNotFoundError
 
 #: Slots per block when charging sequential passes (matches the other
@@ -39,7 +40,7 @@ from repro.errors import VertexNotFoundError
 _SCAN_BLOCK = 64
 
 
-class CSRRebuildStore:
+class CSRRebuildStore(RowStoreDefaults):
     """Edge log + rebuild-to-CSR-before-analytics dynamic store."""
 
     def __init__(self) -> None:
@@ -196,30 +197,10 @@ class CSRRebuildStore:
         return None
 
     @property
-    def id_translator(self):
-        return None
-
-    @property
     def full_load_is_row_sweep(self) -> bool:
         # The full load streams the rebuilt CSR sequentially; the per-row
         # sweep pays random reads instead — different charge shapes.
         return False
-
-    def original_ids(self, dense: np.ndarray) -> np.ndarray:
-        return np.asarray(dense, dtype=np.int64)
-
-    def dense_row_count(self) -> int:
-        return self._n_vertices
-
-    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbors(row)
-
-    def neighbors_many(
-        self, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        from repro.engine.snapshot import gather_active_scalar, sanitize_active
-
-        return gather_active_scalar(self, sanitize_active(active))
 
     def check_invariants(self) -> None:
         self._fresh()

@@ -30,7 +30,7 @@ from repro.core.cal import CoarseAdjacencyList
 from repro.core.config import GTConfig
 from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.sgh import ScatterGatherHash
-from repro.core.stats import AccessStats
+from repro.core.stats import STAT_FIELDS, AccessStats
 from repro.core.vertex_array import VertexPropertyArray
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
@@ -149,6 +149,20 @@ class GraphTinker:
     def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
         """Charged native walk of dense row ``row`` (the EBA tree walk)."""
         return self.eba.neighbors(row)
+
+    def measure_rows(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Bulk :meth:`row_neighbors`, uncharged, each row's charge beside
+        its data (:meth:`RowStoreDefaults.measure_rows` is the per-row
+        specification): one level-synchronous pass, and per edgeblock
+        visited the random block read and ``pagewidth`` scanned cells
+        :meth:`_walk_rows` charges."""
+        counts, n_blocks, dst, weight = self.eba.neighbors_rows(rows)
+        charges = np.zeros((n_blocks.shape[0], len(STAT_FIELDS)), dtype=np.int64)
+        charges[:, STAT_FIELDS.index("random_block_reads")] = n_blocks
+        charges[:, STAT_FIELDS.index("cells_scanned")] = n_blocks * self.config.pagewidth
+        return counts, dst, weight, charges
 
     @property
     def id_translator(self):

@@ -68,12 +68,10 @@ import numpy as np
 
 from repro.core.config import ShardedConfig
 from repro.core.hashing import partition_of, partition_of_array
-from repro.core.stats import AccessStats
+from repro.core.stats import STAT_FIELDS as _FIELDS, AccessStats
+from repro.core.store import RowStoreDefaults
 from repro.errors import ShardCrashError, VertexNotFoundError
 from repro.obs import hooks as obs_hooks
-
-#: Canonical AccessStats field order for wire-format deltas.
-_FIELDS: tuple[str, ...] = tuple(AccessStats().as_dict())
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
@@ -213,7 +211,7 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
     conn.close()
 
 
-class ShardedStore:
+class ShardedStore(RowStoreDefaults):
     """Process-per-shard Store (see module docstring).
 
     Rows are original source ids, like the tiered/STINGER backends:
@@ -354,20 +352,6 @@ class ShardedStore:
     @property
     def n_edges(self) -> int:
         return self._n_edges
-
-    def original_ids(self, dense: np.ndarray) -> np.ndarray:
-        """Rows are original ids — the identity translation."""
-        return np.asarray(dense, dtype=np.int64)
-
-    def dense_row_count(self) -> int:
-        return self._n_vertices
-
-    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbors(row)
-
-    @property
-    def id_translator(self):
-        return None
 
     @property
     def full_load_is_row_sweep(self) -> bool:

@@ -88,6 +88,13 @@ class AccessStats:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
+    def add_counts(self, counts) -> None:
+        """Accumulate one value per :data:`STAT_FIELDS` name, in order
+        (a row, or a column sum, of a per-row charge matrix)."""
+        for name, value in zip(STAT_FIELDS, counts):
+            if value:
+                setattr(self, name, getattr(self, name) + int(value))
+
     def __iadd__(self, other: "AccessStats") -> "AccessStats":
         """``stats += delta`` — in-place accumulation, same as :meth:`merge`."""
         if not isinstance(other, AccessStats):
@@ -122,3 +129,8 @@ class AccessStats:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nz = {k: v for k, v in self.as_dict().items() if v}
         return f"AccessStats({nz})"
+
+
+#: Counter names in declaration order: the columns of every per-row
+#: charge matrix and of the deltas shard workers send their parent.
+STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(AccessStats))

@@ -39,16 +39,20 @@ returns ``(src, dst, weight)`` triples equal to the per-vertex loop of
 **Snapshot hooks.**  ``enable_snapshot()`` attaches (and returns) the
 incrementally-maintained CSR view; mutators must notify it of every
 dirtied dense row (the dirty-row contract — uncharged bookkeeping).
-The view drives rows through three protocol members:
+The view drives rows through four protocol members:
 ``dense_row_count()`` (how many dense adjacency rows exist),
 ``row_neighbors(row)`` (the charged native walk of one dense row —
 re-running it on an unchanged row must charge the identical stats
-delta, which is what the charge mirror replays), and ``id_translator``
-(the original↔dense mapping unit, or ``None`` when rows are original
-ids).  ``full_load_is_row_sweep`` declares whether the store's full
-(FP) load is the same per-row sweep — ``True`` for chain/row stores,
-``False`` for a CAL-backed GraphTinker whose FP load streams in CAL
-insertion order.
+delta, which is what the charge mirror replays), ``measure_rows(rows)``
+(many rows' walks at once, *uncharged*, each row's charge returned
+beside its data — :class:`RowStoreDefaults` loops over
+``row_neighbors``; GraphTinker answers in one level-synchronous pass)
+and ``id_translator`` (the original↔dense mapping unit, or ``None``
+when rows are original ids).  ``full_load_is_row_sweep`` declares
+whether the store's full (FP) load is the same per-row sweep — ``True``
+for chain/row stores, ``False`` for a CAL-backed GraphTinker whose FP
+load streams in CAL insertion order (the view then captures that
+stream once per mutation epoch).
 
 **Persistence.**  ``analytics_edges()`` (original ids) is the portable
 representation :func:`repro.workloads.persistence.save_snapshot`
@@ -88,7 +92,7 @@ from repro.core.config import (
     StingerConfig,
     TieredConfig,
 )
-from repro.core.stats import AccessStats
+from repro.core.stats import STAT_FIELDS, AccessStats
 from repro.errors import StoreProtocolError
 
 
@@ -133,6 +137,8 @@ class Store(Protocol):
     def original_ids(self, dense: np.ndarray) -> np.ndarray: ...
     def dense_row_count(self) -> int: ...
     def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]: ...
+    def measure_rows(self, rows: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]: ...
     @property
     def id_translator(self) -> Any | None: ...
     @property
@@ -158,11 +164,77 @@ STORE_PROTOCOL_MEMBERS: tuple[str, ...] = (
     "delete_vertex",
     "has_edge", "edge_weight", "degree", "neighbors", "neighbors_many",
     "edges", "edge_arrays", "analytics_edges",
-    "original_ids", "dense_row_count", "row_neighbors",
+    "original_ids", "dense_row_count", "row_neighbors", "measure_rows",
     "id_translator", "full_load_is_row_sweep",
     "enable_snapshot", "disable_snapshot", "analytics_snapshot",
     "check_invariants", "fsck",
 )
+
+
+class RowStoreDefaults:
+    """Row-surface members of a store whose rows *are* original ids and
+    whose only walk is ``neighbors``: STINGER, ``tiered``, ``sharded``,
+    the teaching baselines.  The two batched members loop over the
+    per-row ones, so they are also the references a backend's own bulk
+    version (GraphTinker's) is tested against.
+    """
+
+    def original_ids(self, dense: np.ndarray) -> np.ndarray:
+        """The identity translation."""
+        return np.asarray(dense, dtype=np.int64)
+
+    def dense_row_count(self) -> int:
+        return self.n_vertices
+
+    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Charged native walk of row ``row``."""
+        return self.neighbors(row)
+
+    @property
+    def id_translator(self):
+        """No original<->dense indirection."""
+        return None
+
+    def neighbors_many(
+        self, active: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched frontier gather: one CSR gather with the analytics
+        snapshot attached, else the per-vertex reference loop (sorted
+        unique, negatives dropped) — same triples, same charges."""
+        from repro.engine.snapshot import gather_active_scalar, sanitize_active
+
+        snap = self.analytics_snapshot
+        if snap is not None:
+            return snap.gather_active(active)
+        return gather_active_scalar(self, sanitize_active(active))
+
+    def measure_rows(
+        self, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(counts, dst, weight, charges)`` of dense ``rows``, uncharged.
+
+        ``dst`` / ``weight`` hold each row's ``row_neighbors`` output
+        back to back, ``counts[i]`` of them for ``rows[i]``;
+        ``charges[i]`` is the stats delta that walk charged, one column
+        per :data:`~repro.core.stats.STAT_FIELDS` name.  The live
+        counters are put back: measuring must not perturb the accounting.
+        """
+        stats = self.stats
+        marks = [[getattr(stats, name) for name in STAT_FIELDS]]
+        dsts = [np.empty(0, dtype=np.int64)]
+        weights = [np.empty(0, dtype=np.float64)]
+        try:
+            for row in np.asarray(rows, dtype=np.int64).tolist():
+                dst, weight = self.row_neighbors(row)
+                dsts.append(dst)
+                weights.append(weight)
+                marks.append([getattr(stats, name) for name in STAT_FIELDS])
+        finally:
+            for name, value in zip(STAT_FIELDS, marks[0]):
+                setattr(stats, name, value)
+        counts = np.array([a.shape[0] for a in dsts[1:]], dtype=np.int64)
+        charges = np.diff(np.array(marks, dtype=np.int64), axis=0)
+        return counts, np.concatenate(dsts), np.concatenate(weights), charges
 
 
 def validate_store(store: Any, name: str | None = None) -> Any:

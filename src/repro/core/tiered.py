@@ -49,6 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import TieredConfig
+from repro.core.store import RowStoreDefaults
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
@@ -121,7 +122,7 @@ class _SmallTable:
         return self.dst[mask], self.weight[mask]
 
 
-class TieredStore:
+class TieredStore(RowStoreDefaults):
     """Degree-tiered dynamic graph store (see module docstring).
 
     Rows are indexed by *original* source id (like the STINGER baseline:
@@ -192,21 +193,6 @@ class TieredStore:
     @property
     def n_edges(self) -> int:
         return self._n_edges
-
-    def original_ids(self, dense: np.ndarray) -> np.ndarray:
-        """Rows are original ids — the identity translation."""
-        return np.asarray(dense, dtype=np.int64)
-
-    def dense_row_count(self) -> int:
-        return self._n_vertices
-
-    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.neighbors(row)
-
-    @property
-    def id_translator(self):
-        """No original<->dense indirection (rows are original ids)."""
-        return None
 
     @property
     def full_load_is_row_sweep(self) -> bool:
@@ -595,22 +581,6 @@ class TieredStore:
         self.stats.cells_scanned += len(row)
         return (np.fromiter(row.keys(), dtype=np.int64, count=len(row)),
                 np.fromiter(row.values(), dtype=np.float64, count=len(row)))
-
-    def neighbors_many(
-        self, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched frontier gather: ``(src, dst, weight)`` for many sources.
-
-        Sanitized exactly like the other backends (sorted unique,
-        negatives dropped); served from the CSR snapshot when attached,
-        else the per-vertex reference loop — bit-identical charges
-        either way.
-        """
-        from repro.engine.snapshot import gather_active_scalar, sanitize_active
-
-        if self._analytics_snapshot is not None:
-            return self._analytics_snapshot.gather_active(active)
-        return gather_active_scalar(self, sanitize_active(active))
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield every live edge as ``(src, dst, weight)``."""

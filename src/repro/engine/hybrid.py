@@ -159,6 +159,9 @@ class HybridEngine:
     def _vertex_horizon(self) -> int:
         """One past the largest vertex id the engine must address."""
         src, dst, _ = self._peek_edges()
+        snap = self.store.analytics_snapshot
+        if snap is not None and snap.full_horizon is not None:
+            return snap.full_horizon  # measured once, with the capture
         horizon = 0
         if src.size:
             horizon = int(max(src.max(), dst.max())) + 1

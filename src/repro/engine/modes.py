@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.store import Store
-from repro.engine.snapshot import gather_active_scalar, sanitize_active
 
 #: Mode identifiers (also used in iteration traces and reports).
 FULL = "FP"
@@ -44,16 +43,17 @@ def load_edges_full(store: Store) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     makes sparse layouts pay — the trade-offs the paper's T = A/E
     threshold and PAGEWIDTH sweeps measure.
 
-    When the store carries an analytics snapshot *and* its native full
-    load is itself the per-vertex sweep (STINGER, CAL-less GraphTinker),
-    the sweep is served from the CSR mirror — bit-identical data and
-    charges, one gather instead of a Python loop.  A CAL-backed
-    GraphTinker streams in CAL insertion order, which the CSR view does
-    not reproduce, so that path stays native.
+    When the store carries an analytics snapshot the load goes through
+    it — bit-identical data and charges either way.  Where the native
+    full load is itself the per-vertex sweep (STINGER, CAL-less
+    GraphTinker) it is one CSR gather instead of a Python loop; a
+    CAL-backed GraphTinker streams in CAL insertion order, which the CSR
+    view does not reproduce, so the snapshot captures that stream once
+    per mutation epoch and replays its arrays (read-only) and charge.
     """
     snap = store.analytics_snapshot
-    if snap is not None and snap.serves_full:
-        return snap.gather_all()
+    if snap is not None:
+        return snap.load_full()
     return store.analytics_edges()
 
 
@@ -70,30 +70,19 @@ def load_edges_full_vertex_centric(
     edge-centric + CAL combination buys — see
     ``benchmarks/bench_vertex_centric.py``.
 
-    With an analytics snapshot attached the sweep is one CSR gather —
-    the per-vertex order and per-row charges are exactly those of the
-    loop below, so traces and AccessStats stay bit-identical.
+    With an analytics snapshot attached the sweep is one CSR gather;
+    without one it is the store's ``measure_rows`` over every dense row,
+    empty ones included, with the rows' charges paid — the per-vertex
+    order and charges of one ``row_neighbors`` call per row either way,
+    so traces and AccessStats stay bit-identical.
     """
     snap = store.analytics_snapshot
     if snap is not None:
         return snap.gather_all()
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for dense in range(store.dense_row_count()):
-        dst, weight = store.row_neighbors(dense)
-        if dst.shape[0]:
-            srcs.append(np.full(dst.shape[0], dense, dtype=np.int64))
-            dsts.append(dst)
-            weights.append(weight)
-    if not srcs:
-        empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-    return (
-        store.original_ids(np.concatenate(srcs)),
-        np.concatenate(dsts),
-        np.concatenate(weights),
-    )
+    rows = np.arange(store.dense_row_count(), dtype=np.int64)
+    counts, dst, weight, charges = store.measure_rows(rows)
+    store.stats.add_counts(charges.sum(axis=0))
+    return store.original_ids(np.repeat(rows, counts)), dst, weight
 
 
 def load_edges_incremental(

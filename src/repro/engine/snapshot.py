@@ -19,23 +19,31 @@ stores' retrieval paths charge deterministically per vertex: walking a
 vertex's edgeblock tree (or STINGER chain) costs the same counter bumps
 every time as long as that vertex's structure is unchanged.  So each CSR
 row carries the exact ``AccessStats`` delta one native per-vertex
-retrieval would charge (measured by running the native walk once, with
-the live counters snapshotted and restored), and a batched gather replays
-the summed charges of exactly the rows the native loop would have
-visited.
+retrieval would charge (the store's ``measure_rows``), and a batched
+gather replays the summed charges of exactly the rows the native loop
+would have visited.
 
 **Dirty tracking**: stores mark a dense row dirty on every mutation that
 touches it (single-edge calls mark inline; batch kernels mark the batch's
 source set).  A gather first *syncs*: new vertices extend the row table,
-dirty rows are re-measured (data, order, and charge all come from the
-native walk, so row contents are bit-identical to a fresh per-vertex
-call), and the flat CSR arrays are rebuilt once.  Steady-state churn
-therefore patches only touched rows and pays one concatenation per
-batch, not one tree walk per frontier vertex per iteration.
+all dirty rows are re-measured in one ``measure_rows`` call (data, order
+and charge are those of the native walk, so row contents are
+bit-identical to a fresh per-vertex call), and the flat CSR arrays are
+rebuilt once.  Steady-state churn therefore patches only touched rows
+and pays one concatenation per batch, not one tree walk per frontier
+vertex per iteration.
+
+**Full-load capture**: where the store's full (FP) load is not the row
+sweep (a CAL-backed GraphTinker streams the CAL in insertion order), the
+first full load after a mutation is captured — arrays, charge, vertex-id
+horizon — and replayed until the next dirty mark, so the engine's
+``reset()`` peek and every ``compute()`` between two mutations share one
+physical stream.
 
 Observability (when :mod:`repro.obs` is enabled):
 
-* ``engine.snapshot.hits`` — gathers served from the snapshot,
+* ``engine.snapshot.hits`` — loads served from the snapshot (CSR gathers
+  and capture replays; the capturing stream itself is the store's),
 * ``engine.snapshot.rebuilds`` — flat CSR rebuilds,
 * ``engine.snapshot.patched_rows`` — dirty rows re-measured.
 """
@@ -43,16 +51,12 @@ Observability (when :mod:`repro.obs` is enabled):
 from __future__ import annotations
 
 import bisect
-from dataclasses import fields as _dataclass_fields
 
 import numpy as np
 
-from repro.core.stats import AccessStats
+from repro.core.stats import STAT_FIELDS
 from repro.obs import hooks as obs_hooks
 
-#: AccessStats field names, in declaration order — the columns of the
-#: per-row charge matrix.
-STAT_FIELDS: tuple[str, ...] = tuple(f.name for f in _dataclass_fields(AccessStats))
 _N_FIELDS = len(STAT_FIELDS)
 
 #: :meth:`AnalyticsSnapshot.sync` runs the O(E) flat rebuild only once
@@ -112,10 +116,10 @@ class AnalyticsSnapshot:
 
     Works for any backend implementing the snapshot-row surface of the
     :class:`repro.core.store.Store` protocol — ``dense_row_count()`` /
-    ``row_neighbors()`` for the charged native walks, ``id_translator``
-    for the original<->dense mapping (``None`` on raw-id stores), and
-    ``full_load_is_row_sweep`` to say whether the FP load is this same
-    sweep.  Attach via the stores' ``enable_snapshot()`` or the
+    ``measure_rows()`` for the native walks and their charges,
+    ``id_translator`` for the original<->dense mapping (``None`` on
+    raw-id stores), and ``full_load_is_row_sweep`` to say whether the FP
+    load is this same sweep.  Attach via ``enable_snapshot()`` or the
     ``snapshot=True`` config flag.
     """
 
@@ -124,6 +128,10 @@ class AnalyticsSnapshot:
         self._rows_dst: list[np.ndarray] = []
         self._rows_weight: list[np.ndarray] = []
         self._charges = np.zeros((0, _N_FIELDS), dtype=np.int64)
+        self._counts = np.zeros(0, dtype=np.int64)  # live cells per row
+        # ``(triple, charge, horizon)`` of the store's own full load, kept
+        # from the first such load after a mutation to the next dirty mark.
+        self._full: tuple | None = None
         self._dirty: set[int] = set()
         self._all_dirty = False
         self._flat_ok = False
@@ -164,22 +172,22 @@ class AnalyticsSnapshot:
     def n_rows(self) -> int:
         return len(self._rows_dst)
 
-    def _store_rows(self) -> int:
-        return self.store.dense_row_count()
-
     def mark_dirty(self, row: int) -> None:
         """One mutation touched dense row ``row``; re-measure it on next use."""
         self._dirty.add(int(row))
+        self._full = None
 
     def mark_dirty_many(self, rows: np.ndarray) -> None:
         """Batch-kernel hook: mark every touched dense row at once."""
         self._dirty.update(np.unique(np.asarray(rows, dtype=np.int64)).tolist())
+        self._full = None
 
     def invalidate(self) -> None:
         """Drop everything cached (e.g. after an fsck repair rebuilt rows)."""
         self._all_dirty = True
         self._flat_ok = False
         self._xlat_count = -1
+        self._full = None
 
     def rebase_generation(self, floor: int) -> None:
         """Force the generation strictly above ``floor``.
@@ -197,7 +205,7 @@ class AnalyticsSnapshot:
         """Rows the next sync will re-measure (observable staleness)."""
         if self._all_dirty:
             return len(self._rows_dst)
-        new_rows = max(0, self._store_rows() - len(self._rows_dst))
+        new_rows = max(0, self.store.dense_row_count() - len(self._rows_dst))
         return len(self._dirty) + new_rows
 
     # ------------------------------------------------------------------ #
@@ -272,19 +280,6 @@ class AnalyticsSnapshot:
     # ------------------------------------------------------------------ #
     # sync: patch dirty rows, rebuild the flat CSR arrays
     # ------------------------------------------------------------------ #
-    def _measure_row(self, row: int) -> None:
-        """Re-run the native per-vertex walk for ``row``, capturing its data
-        and the exact AccessStats delta it charges (then restoring the
-        live counters — measuring must not perturb the accounting)."""
-        stats = self.store.stats
-        before = [getattr(stats, name) for name in STAT_FIELDS]
-        dst, weight = self.store.row_neighbors(row)
-        for i, name in enumerate(STAT_FIELDS):
-            self._charges[row, i] = getattr(stats, name) - before[i]
-            setattr(stats, name, before[i])
-        self._rows_dst[row] = dst
-        self._rows_weight[row] = weight
-
     def _sync_rows(self, max_rows: int | None = None) -> set[int]:
         """Grow the row table and re-measure dirty rows (no flat rebuild).
 
@@ -294,16 +289,18 @@ class AnalyticsSnapshot:
         cached arrays changed; the flat CSR is stale (``_flat_ok``
         False) whenever that set is nonempty.
         """
-        n_store = self._store_rows()
+        n_store = self.store.dense_row_count()
         n = len(self._rows_dst)
         if n_store > n:
-            for row in range(n, n_store):
-                self._rows_dst.append(np.empty(0, dtype=np.int64))
-                self._rows_weight.append(np.empty(0, dtype=np.float64))
-                self._dirty.add(row)
+            # Placeholders: every new row is dirty, so replaced when measured.
+            self._rows_dst.extend([np.empty(0, dtype=np.int64)] * (n_store - n))
+            self._rows_weight.extend([np.empty(0, dtype=np.float64)] * (n_store - n))
+            self._dirty.update(range(n, n_store))
             self._charges = np.vstack(
                 [self._charges, np.zeros((n_store - n, _N_FIELDS), dtype=np.int64)]
             )
+            self._counts = np.concatenate(
+                [self._counts, np.zeros(n_store - n, dtype=np.int64)])
             self._flat_ok = False
         if self._all_dirty:
             self._dirty.update(range(len(self._rows_dst)))
@@ -321,8 +318,17 @@ class AnalyticsSnapshot:
                 todo = sorted(self._dirty)
                 patched = self._dirty
                 self._dirty = set()
-            for row in todo:
-                self._measure_row(row)
+            rows = np.array(todo, dtype=np.int64)
+            counts, dst, weight, charges = self.store.measure_rows(rows)
+            self._counts[rows] = counts
+            self._charges[rows] = charges
+            lo = 0
+            for row, hi in zip(todo, np.cumsum(counts).tolist()):
+                # Copies: a view would keep this sync's flat arrays alive
+                # for as long as any one of its rows stays unchanged.
+                self._rows_dst[row] = dst[lo:hi].copy()
+                self._rows_weight[row] = weight[lo:hi].copy()
+                lo = hi
             self.patched_rows += len(patched)
             if obs_hooks.enabled:
                 self._counter("patched_rows", len(patched))
@@ -342,12 +348,8 @@ class AnalyticsSnapshot:
         *swapped in* (never written in place), the overlay they absorb
         is cleared, and the generation advances.
         """
-        counts = np.fromiter(
-            (a.shape[0] for a in self._rows_dst),
-            dtype=np.int64, count=len(self._rows_dst),
-        )
-        self._indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._indptr[1:])
+        self._indptr = np.zeros(self._counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self._counts, out=self._indptr[1:])
         if self._rows_dst:
             self._dst = np.concatenate(self._rows_dst)
             self._weight = np.concatenate(self._rows_weight)
@@ -377,16 +379,6 @@ class AnalyticsSnapshot:
         self.hits += 1
         if obs_hooks.enabled:
             self._counter("hits", 1)
-
-    # ------------------------------------------------------------------ #
-    # charge replay
-    # ------------------------------------------------------------------ #
-    def _apply_charge(self, vec: np.ndarray) -> None:
-        stats = self.store.stats
-        for i, name in enumerate(STAT_FIELDS):
-            value = int(vec[i])
-            if value:
-                setattr(stats, name, getattr(stats, name) + value)
 
     # ------------------------------------------------------------------ #
     # CSR gathers
@@ -472,7 +464,7 @@ class AnalyticsSnapshot:
             rows_nz = rows[nonzero]
             srcs_nz = rows_nz
         if rows_nz.size:
-            self._apply_charge(self._charges[rows_nz].sum(axis=0))
+            stats.add_counts(self._charges[rows_nz].sum(axis=0))
         return self._take_rows(rows_nz, srcs_nz)
 
     def gather_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,7 +482,7 @@ class AnalyticsSnapshot:
         n = self.n_rows
         if n == 0:
             return _empty_triple()
-        self._apply_charge(self._charges[:n].sum(axis=0))
+        self.store.stats.add_counts(self._charges[:n].sum(axis=0))
         counts = self._indptr[1:] - self._indptr[:-1]
         rows = np.flatnonzero(counts > 0)
         src, dst, weight = self._take_rows(rows, rows)
@@ -504,8 +496,39 @@ class AnalyticsSnapshot:
         True for STINGER / TieredStore (their full load *is* the
         per-vertex row sweep) and for a CAL-less GraphTinker; a
         CAL-backed GraphTinker streams full loads from the CAL in
-        insertion order, which the CSR view does not reproduce, so that
-        path stays native.  Answered by the store itself through the
-        protocol's ``full_load_is_row_sweep``.
+        insertion order, which the CSR view does not reproduce, so
+        :meth:`load_full` captures that stream instead.  Answered by the
+        store itself through the protocol's ``full_load_is_row_sweep``.
         """
         return self.store.full_load_is_row_sweep
+
+    def load_full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The store's FP load, one physical load per mutation epoch.
+
+        :meth:`gather_all` where that is the same sweep.  Elsewhere the
+        first call after a mutation runs ``store.analytics_edges()`` and
+        keeps its arrays (read-only), its ``AccessStats`` delta and its
+        vertex-id horizon; later calls replay the delta and return the
+        same arrays, until the next dirty mark drops them.
+        """
+        if self.serves_full:
+            return self.gather_all()
+        stats = self.store.stats
+        if self._full is not None:
+            stats.merge(self._full[1])
+            self._count_hit()
+            return self._full[0]
+        before = stats.snapshot()
+        # Views, so a backend returning its own arrays keeps them writable.
+        triple = tuple(a.view() for a in self.store.analytics_edges())
+        for a in triple:
+            a.flags.writeable = False
+        src, dst, _ = triple
+        horizon = int(max(src.max(), dst.max())) + 1 if src.size else 0
+        self._full = (triple, stats.delta(before), horizon)
+        return triple
+
+    @property
+    def full_horizon(self) -> int | None:
+        """One past the largest vertex id in the live capture, if any."""
+        return None if self._full is None else self._full[2]

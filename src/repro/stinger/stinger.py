@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.config import StingerConfig
 from repro.core.pool import STINGER_CELL_DTYPE, BlockPool
 from repro.core.stats import AccessStats
+from repro.core.store import RowStoreDefaults
 from repro.obs import hooks as obs_hooks
 from repro.errors import VertexNotFoundError
 
@@ -40,7 +41,7 @@ def _blank_stinger_cells(shape: tuple[int, ...] | int) -> np.ndarray:
     return arr
 
 
-class Stinger:
+class Stinger(RowStoreDefaults):
     """Shared-memory adjacency-list dynamic graph store.
 
     The public API mirrors :class:`~repro.core.graphtinker.GraphTinker`
@@ -321,26 +322,6 @@ class Stinger:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         return np.concatenate(dsts), np.concatenate(weights)
 
-    def neighbors_many(
-        self, active: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched frontier gather: ``(src, dst, weight)`` for many sources.
-
-        ``active`` is sanitized first (sorted unique, negatives dropped),
-        so duplicate frontier ids never double-gather.  With the
-        analytics snapshot attached this is one vectorized CSR gather;
-        otherwise it falls back to the per-vertex loop.  Modeled
-        AccessStats charges are bit-identical either way: STINGER's
-        ``degree`` probe is free, and each vertex with out-edges pays
-        its chain walk (one random block read + an edgeblock of cells
-        scanned per block).
-        """
-        from repro.engine.snapshot import gather_active_scalar, sanitize_active
-
-        if self._analytics_snapshot is not None:
-            return self._analytics_snapshot.gather_active(active)
-        return gather_active_scalar(self, sanitize_active(active))
-
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield every live edge as ``(src, dst, weight)``."""
         for src in range(self._n_vertices):
@@ -384,24 +365,8 @@ class Stinger:
         return self.edge_arrays()
 
     # ------------------------------------------------------------------ #
-    # snapshot row surface (repro.core.store protocol)
+    # snapshot row surface (the rest is RowStoreDefaults: raw ids)
     # ------------------------------------------------------------------ #
-    def original_ids(self, dense: np.ndarray) -> np.ndarray:
-        """STINGER rows are original ids — the identity translation."""
-        return np.asarray(dense, dtype=np.int64)
-
-    def dense_row_count(self) -> int:
-        return self._n_vertices
-
-    def row_neighbors(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Charged native walk of row ``row`` (the edgeblock chain walk)."""
-        return self.neighbors(row)
-
-    @property
-    def id_translator(self):
-        """No original<->dense indirection (rows are original ids)."""
-        return None
-
     @property
     def full_load_is_row_sweep(self) -> bool:
         """STINGER's full load *is* the per-vertex chain sweep."""

@@ -4,7 +4,9 @@ The engine-level on/off equivalence lives in the differential oracle
 (``tests/test_differential.py::test_analytics_lockstep``); this module
 tests the layer itself: sanitization, the charge-mirror contract at the
 gather level, dirty-row patching granularity, invalidation (including
-the fsck-repair hook), and the observability counters.
+the fsck-repair hook), the bulk re-measure against its per-row
+reference, the full-load capture against a snapshot-less twin, and the
+observability counters.
 """
 
 from __future__ import annotations
@@ -15,6 +17,10 @@ import pytest
 import repro.obs as obs
 from repro.core.config import GTConfig, StingerConfig
 from repro.core.graphtinker import GraphTinker
+from repro.core.store import RowStoreDefaults
+from repro.engine.algorithms import BFS
+from repro.engine.hybrid import HybridEngine
+from repro.engine.modes import load_edges_full
 from repro.engine.snapshot import (
     AnalyticsSnapshot,
     gather_active_scalar,
@@ -22,6 +28,7 @@ from repro.engine.snapshot import (
 )
 from repro.errors import CapacityError
 from repro.stinger import Stinger
+from repro.workloads import rmat_edges
 
 
 def _native(store, active):
@@ -218,6 +225,192 @@ class TestServesFull:
     def test_calless_gt_and_stinger_serve_full(self):
         assert STORE_MAKERS["gt-nocal"]().analytics_snapshot.serves_full
         assert STORE_MAKERS["stinger"]().analytics_snapshot.serves_full
+
+
+def _powerlaw_twins(monkeypatch):
+    """Two identically-built snapshot-backed stores; the second answers
+    ``measure_rows`` with the per-row measure-and-restore reference."""
+    bulk, per_row = (GraphTinker(GTConfig(pagewidth=8, subblock=4,
+                                          workblock=2, snapshot=True))
+                     for _ in range(2))
+    monkeypatch.setattr(
+        per_row, "measure_rows",
+        lambda rows: RowStoreDefaults.measure_rows(per_row, rows))
+    return bulk, per_row
+
+
+def _assert_views_equal(bulk, per_row, ctx):
+    a, b = bulk.analytics_snapshot, per_row.analytics_snapshot
+    assert a.n_rows == b.n_rows and a.pending_rows == b.pending_rows, ctx
+    assert np.array_equal(a._charges, b._charges), f"{ctx}: charge matrix"
+    for got, want in zip(a.view_arrays(), b.view_arrays()):
+        assert got.dtype == want.dtype and np.array_equal(got, want), ctx
+    over_a, over_b = a.overlay_rows(), b.overlay_rows()
+    assert sorted(over_a) == sorted(over_b), f"{ctx}: patched rows"
+    for row, (dst, weight) in over_a.items():
+        assert np.array_equal(dst, over_b[row][0]), f"{ctx}: row {row} dst"
+        assert np.array_equal(weight, over_b[row][1]), f"{ctx}: row {row}"
+        assert dst.base is None and weight.base is None, "rows must be copies"
+    for row in range(a.n_rows):
+        assert np.array_equal(a._rows_dst[row], b._rows_dst[row]), (ctx, row)
+        assert np.array_equal(a._rows_weight[row], b._rows_weight[row]), ctx
+
+
+class TestBulkMeasure:
+    """One ``measure_rows`` call per sync == one native walk per row."""
+
+    def test_measure_rows_matches_the_per_row_reference(self, rng):
+        store = GraphTinker(GTConfig(pagewidth=8, subblock=4, workblock=2))
+        edges = rmat_edges(9, 4_000, seed=3)
+        store.insert_batch(edges, rng.random(edges.shape[0]))
+        store.delete_batch(edges[::3])
+        store.delete_vertex(int(edges[0, 0]))  # an allocated, empty row
+        assert store.eba.overflow.n_used > 20  # hubs grew overflow trees
+        rows = rng.permutation(store.dense_row_count())
+        for chosen in (rows, rows[:1], rows[:0], np.repeat(rows[:5], 2)):
+            before = store.stats.as_dict()
+            got = store.measure_rows(chosen)
+            assert store.stats.as_dict() == before, "measuring is uncharged"
+            want = RowStoreDefaults.measure_rows(store, chosen)
+            assert store.stats.as_dict() == before
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert (store.measure_rows(rows)[0] == 0).any(), "no empty row covered"
+
+    def test_synced_view_matches_under_churn(self, monkeypatch, rng):
+        bulk, per_row = _powerlaw_twins(monkeypatch)
+        stream = rmat_edges(9, 6_000, seed=5)
+        weights = rng.random(stream.shape[0])
+        for step, lo in enumerate(range(0, 6_000, 1_500)):
+            for store in (bulk, per_row):
+                store.insert_batch(stream[lo:lo + 1_500], weights[lo:lo + 1_500])
+                store.delete_batch(stream[lo:lo + 1_500:4])
+                store.delete_vertex(int(stream[lo, 0]))        # empty row
+                store.insert_edge(10_000 + step, 1, 0.5)       # new row
+                store.neighbors_many(np.arange(600))           # engine sync
+            assert bulk.stats.as_dict() == per_row.stats.as_dict()
+            _assert_views_equal(bulk, per_row, f"step {step}")
+        assert bulk.eba.overflow.n_used > 20
+
+    def test_budgeted_sync_round_robin_matches(self, monkeypatch, rng):
+        bulk, per_row = _powerlaw_twins(monkeypatch)
+        stream = rmat_edges(8, 3_000, seed=9)
+        for store in (bulk, per_row):
+            store.insert_batch(stream[:2_000])
+            store.analytics_snapshot.sync()
+            store.delete_batch(stream[:2_000:2])
+            store.insert_batch(stream[2_000:])                 # adds new rows
+        backlog = bulk.analytics_snapshot.pending_rows
+        assert backlog > 3 * 17
+        for turn in range(backlog // 17 + 2):
+            for store in (bulk, per_row):
+                store.analytics_snapshot.sync(max_rows=17)
+            _assert_views_equal(bulk, per_row, f"budgeted turn {turn}")
+        assert bulk.analytics_snapshot.pending_rows == 0
+        _assert_same(bulk, np.arange(300), "drained")
+
+
+def _full_load(store):
+    before = store.stats.snapshot()
+    triple = load_edges_full(store)
+    return triple, store.stats.delta(before).as_dict()
+
+
+def _corrupt_and_repair(store):
+    from repro.service import StoreCorruptor
+
+    StoreCorruptor(store, seed=7).corrupt_random(3)
+    assert store.fsck(repair=True).ok
+
+
+def _reattach_after_a_detached_write(store):
+    attached = store.analytics_snapshot is not None
+    store.disable_snapshot()
+    store.insert_edge(4, 555, 3.0)
+    if attached:
+        store.enable_snapshot()
+
+
+def _overfull_batch(store):
+    with pytest.raises(CapacityError):
+        store.insert_batch(np.array([[5, 8], [5, 9]]
+                                    + [[0, 2_000 + d] for d in range(40)]))
+
+
+_CAPTURE_BASE = np.column_stack([np.repeat(np.arange(30), 4),
+                                 np.arange(120) * 7 % 97])
+_CAPTURE_STEPS = [
+    ("insert_edge (new)", lambda s: s.insert_edge(3, 777, 2.0)),
+    ("insert_edge (weight update)", lambda s: s.insert_edge(3, 777, 9.0)),
+    ("insert_batch", lambda s: s.insert_batch(
+        np.array([[31, 2], [7, 300], [7, 301], [3, 777]]),
+        np.array([1.5, 2.5, 3.5, 4.5]))),
+    ("delete_edge", lambda s: s.delete_edge(*_CAPTURE_BASE[0])),
+    ("delete_edge (miss)", lambda s: s.delete_edge(3, 123_456)),
+    ("delete_batch", lambda s: s.delete_batch(_CAPTURE_BASE[10:50:3])),
+    ("delete_vertex", lambda s: s.delete_vertex(7)),
+    ("fsck repair", _corrupt_and_repair),
+    ("disable/enable_snapshot", _reattach_after_a_detached_write),
+    ("insert_batch (CapacityError)", _overfull_batch),
+]
+
+
+@pytest.mark.parametrize("variant", [{}, {"compact_on_delete": True},
+                                     {"enable_sgh": False}],
+                         ids=["default", "compact", "nosgh"])
+class TestFullLoadCapture:
+    """FP loads between two mutations share one physical stream; arrays
+    and modeled charges are those of a snapshot-less twin."""
+
+    def _twins(self, variant):
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4,
+                       max_generations=2, **variant)
+        on, off = GraphTinker(cfg.with_(snapshot=True)), GraphTinker(cfg)
+        for store in (on, off):
+            store.insert_batch(_CAPTURE_BASE, np.arange(120) / 8.0)
+        return on, off
+
+    def test_every_mutator_drops_the_capture(self, variant):
+        on, off = self._twins(variant)
+        for name, mutate in [("load", lambda s: None)] + _CAPTURE_STEPS:
+            mutate(on)
+            mutate(off)
+            for attempt in ("capture", "replay", "replay"):
+                got, got_charge = _full_load(on)
+                want, want_charge = _full_load(off)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), f"{name}, {attempt}"
+                assert got_charge == want_charge, f"{name}, {attempt}"
+            assert on.stats.as_dict() == off.stats.as_dict(), name
+
+    def test_one_physical_stream_per_epoch(self, variant, monkeypatch):
+        on, _ = self._twins(variant)
+        streams = []
+        native = on.cal.stream_edges
+        monkeypatch.setattr(on.cal, "stream_edges",
+                            lambda: streams.append(1) or native())
+        snap = on.analytics_snapshot
+        first = load_edges_full(on)
+        hits = snap.hits
+        for _ in range(3):
+            engine = HybridEngine(on, BFS(), policy="full")
+            engine.reset(roots=[0])
+            engine.compute()
+        assert len(streams) == 1
+        assert snap.hits > hits
+        assert load_edges_full(on)[0] is first[0]
+        on.delete_edge(*_CAPTURE_BASE[0])
+        assert load_edges_full(on)[0] is not first[0]
+        assert len(streams) == 2
+        snap.invalidate()  # fsck repair's hook: cells moved behind the marks
+        load_edges_full(on)
+        assert len(streams) == 3
+
+    def test_captured_arrays_are_read_only(self, variant):
+        on, _ = self._twins(variant)
+        for array in load_edges_full(on):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
 
 class TestAttachment:
