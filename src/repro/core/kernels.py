@@ -809,14 +809,8 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     dsts = edges[:, 1]
     if gt.sgh is not None:
         uniq, inverse = np.unique(srcs, return_inverse=True)
-        uniq_dense = np.full(uniq.shape[0], -1, dtype=np.int64)
-        try_lookup = gt.sgh.try_lookup
-        for k, orig in enumerate(uniq.tolist()):
-            v = try_lookup(orig)
-            if v is not None:
-                uniq_dense[k] = v
-        stats.hash_lookups += n - uniq.shape[0]
-        dense = uniq_dense[inverse]
+        stats.hash_lookups += n  # one try_lookup per row
+        dense = gt.sgh.peek_array(uniq)[inverse]
     else:
         dense = srcs
 

@@ -67,26 +67,23 @@ class AccessStats:
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in STAT_FIELDS:
+            setattr(self, name, 0)
 
     def snapshot(self) -> "AccessStats":
         """Return an independent copy of the current counts."""
-        return AccessStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return AccessStats(*[getattr(self, name) for name in STAT_FIELDS])
 
     def delta(self, earlier: "AccessStats") -> "AccessStats":
         """Return counts accumulated since ``earlier`` (a prior snapshot)."""
         return AccessStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
+            *[getattr(self, name) - getattr(earlier, name) for name in STAT_FIELDS]
         )
 
     def merge(self, other: "AccessStats") -> None:
         """Accumulate ``other`` into ``self`` (used by partitioned instances)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in STAT_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def add_counts(self, counts) -> None:
         """Accumulate one value per :data:`STAT_FIELDS` name, in order
@@ -112,7 +109,7 @@ class AccessStats:
 
     def as_dict(self) -> dict[str, int]:
         """Return the counters as a plain dict (for reporting)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in STAT_FIELDS}
 
     @property
     def total_block_accesses(self) -> int:

@@ -50,6 +50,3 @@ class ConnectedComponents(GASProgram):
 
     def edge_messages(self, src_values, weights, src=None):
         return src_values
-
-    def message_filter(self, src_values: np.ndarray) -> np.ndarray:
-        return np.isfinite(src_values)

@@ -52,9 +52,6 @@ class HeatSimulation(GASProgram):
     def edge_messages(self, src_values, weights, src=None):
         return src_values
 
-    def message_filter(self, src_values: np.ndarray) -> np.ndarray:
-        return np.ones(src_values.shape[0], dtype=bool)
-
     def scatter_reduce(self, vtemp: np.ndarray, dst: np.ndarray, messages: np.ndarray) -> None:
         # NB: heat flows along the edge direction: dst gathers from src.
         np.add.at(vtemp, dst, messages)

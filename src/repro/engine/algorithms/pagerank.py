@@ -70,9 +70,6 @@ class PageRank(GASProgram):
         deg = self._outdeg[src]
         return src_values / np.maximum(deg, 1.0)
 
-    def message_filter(self, src_values: np.ndarray) -> np.ndarray:
-        return np.ones(src_values.shape[0], dtype=bool)
-
     def make_vtemp(self, values: np.ndarray) -> np.ndarray:
         """Sum-reduction buffer starts at zero, not at the old values."""
         return np.zeros_like(values)

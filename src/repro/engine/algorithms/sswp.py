@@ -41,9 +41,6 @@ class SSWP(GASProgram):
     def edge_messages(self, src_values, weights, src=None):
         return np.minimum(src_values, weights)
 
-    def message_filter(self, src_values: np.ndarray) -> np.ndarray:
-        return src_values > 0.0
-
     def scatter_reduce(self, vtemp: np.ndarray, dst: np.ndarray, messages: np.ndarray) -> None:
         np.maximum.at(vtemp, dst, messages)
 

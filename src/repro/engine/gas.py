@@ -97,6 +97,11 @@ class GASProgram(abc.ABC):
         ``src`` (raw source ids, aligned with ``src_values``) is provided
         for programs whose message needs per-source state beyond the
         property value (PageRank divides by cached out-degree).
+
+        **Identity rule:** the engine scatters every loaded edge, so a
+        source still at its unreached property must emit the identity of
+        :meth:`scatter_reduce` — a message that changes no ``vtemp`` slot
+        (``inf`` under BFS/SSSP/CC's min, width 0 under SSWP's max).
         """
 
     def scatter_reduce(self, vtemp: np.ndarray, dst: np.ndarray, messages: np.ndarray) -> None:
@@ -144,12 +149,3 @@ class GASProgram(abc.ABC):
         if self.undirected:
             return np.unique(batch.reshape(-1))
         return np.unique(batch[:, 0])
-
-    def message_filter(self, src_values: np.ndarray) -> np.ndarray:
-        """Mask of edges whose source can emit a useful message.
-
-        Sources still at the initial (unreached) property cannot improve
-        anything under a monotone min-reduction; skipping them is pure
-        arithmetic savings (the edges are still loaded and accounted).
-        """
-        return np.isfinite(src_values)

@@ -159,13 +159,15 @@ class HybridEngine:
     def _vertex_horizon(self) -> int:
         """One past the largest vertex id the engine must address."""
         src, dst, _ = self._peek_edges()
+        return self._edge_horizon(src, dst, full=True)
+
+    def _edge_horizon(self, src: np.ndarray, dst: np.ndarray, *, full: bool) -> int:
+        """One past the largest vertex id of a loaded triple (``full``: an
+        FP load, which a live capture serves and measured once)."""
         snap = self.store.analytics_snapshot
-        if snap is not None and snap.full_horizon is not None:
-            return snap.full_horizon  # measured once, with the capture
-        horizon = 0
-        if src.size:
-            horizon = int(max(src.max(), dst.max())) + 1
-        return horizon
+        if full and snap is not None and snap.full_horizon is not None:
+            return snap.full_horizon
+        return int(max(src.max(), dst.max())) + 1 if src.size else 0
 
     def _peek_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Load all edges without disturbing the access accounting."""
@@ -335,7 +337,8 @@ class HybridEngine:
             src, dst, weight = modes.load_edges_incremental(store, active)
         edges_processed = int(src.shape[0])
         if edges_processed:
-            self._grow_values(int(max(src.max(), dst.max())))
+            self._grow_values(
+                self._edge_horizon(src, dst, full=mode == modes.FULL) - 1)
         values = self.values
         vtemp = program.make_vtemp(values)
         program.begin_iteration(values, src, dst)
@@ -344,7 +347,10 @@ class HybridEngine:
             # symmetrised (see GASProgram.undirected): a single forward
             # scatter is then correct in *both* modes, which is what
             # makes per-iteration mode flipping sound.
-            self._scatter(program, values, vtemp, src, dst, weight)
+            # Unfiltered: a source still at its unreached value emits the
+            # reduction's identity (GASProgram.edge_messages).
+            messages = program.edge_messages(values[src], weight, src)
+            program.scatter_reduce(vtemp, dst, messages)
 
         # ---- apply phase (commit + next active set) ---------------------
         changed = program.apply(values, vtemp)
@@ -363,22 +369,3 @@ class HybridEngine:
             predictor=predictor,
             stats_delta=store.stats.delta(before),
         )
-
-    @staticmethod
-    def _scatter(
-        program: GASProgram,
-        values: np.ndarray,
-        vtemp: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        weight: np.ndarray,
-    ) -> None:
-        src_values = values[src]
-        mask = program.message_filter(src_values)
-        if not mask.any():
-            return
-        if not mask.all():
-            src, dst, weight = src[mask], dst[mask], weight[mask]
-            src_values = src_values[mask]
-        messages = program.edge_messages(src_values, weight, src)
-        program.scatter_reduce(vtemp, dst, messages)

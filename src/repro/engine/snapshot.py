@@ -28,10 +28,14 @@ touches it (single-edge calls mark inline; batch kernels mark the batch's
 source set).  A gather first *syncs*: new vertices extend the row table,
 all dirty rows are re-measured in one ``measure_rows`` call (data, order
 and charge are those of the native walk, so row contents are
-bit-identical to a fresh per-vertex call), and the flat CSR arrays are
-rebuilt once.  Steady-state churn therefore patches only touched rows
-and pays one concatenation per batch, not one tree walk per frontier
-vertex per iteration.
+bit-identical to a fresh per-vertex call), and that measurement is
+*spliced* into the flat CSR arrays: the next ``indptr/dst/weight`` take
+the measured rows from the patch and every other row's slice from the
+old arrays, in a handful of whole-array passes.  The flat arrays, the
+per-row counts and charges, and the serving overlay are the snapshot's
+whole state — there is no per-row cache beside the CSR.  Steady-state
+churn therefore walks only touched rows and pays one splice per batch,
+not one tree walk per frontier vertex per iteration.
 
 **Full-load capture**: where the store's full (FP) load is not the row
 sweep (a CAL-backed GraphTinker streams the CAL in insertion order), the
@@ -44,7 +48,7 @@ Observability (when :mod:`repro.obs` is enabled):
 
 * ``engine.snapshot.hits`` — loads served from the snapshot (CSR gathers
   and capture replays; the capturing stream itself is the store's),
-* ``engine.snapshot.rebuilds`` — flat CSR rebuilds,
+* ``engine.snapshot.rebuilds`` — flat CSR splices,
 * ``engine.snapshot.patched_rows`` — dirty rows re-measured.
 """
 
@@ -59,7 +63,7 @@ from repro.obs import hooks as obs_hooks
 
 _N_FIELDS = len(STAT_FIELDS)
 
-#: :meth:`AnalyticsSnapshot.sync` runs the O(E) flat rebuild only once
+#: :meth:`AnalyticsSnapshot.sync` runs the O(E) flat splice only once
 #: the patch overlay holds ``max(REBUILD_MIN, REBUILD_RATIO * n_rows)``
 #: rows.
 REBUILD_RATIO = 0.05
@@ -79,9 +83,12 @@ def sanitize_active(active: np.ndarray) -> np.ndarray:
     reserved sentinels in the stores and would otherwise index degree
     arrays from the end.  Engine-produced active sets are already sorted
     and unique (``np.flatnonzero`` / ``np.union1d``), so for engine
-    traffic this is an order-preserving no-op.
+    traffic this is an order-preserving no-op, found by one comparison
+    pass instead of a sort.
     """
-    active = np.unique(np.asarray(active, dtype=np.int64).reshape(-1))
+    active = np.asarray(active, dtype=np.int64).reshape(-1)
+    if not (active[1:] > active[:-1]).all():
+        active = np.unique(active)
     if active.size and active[0] < 0:
         active = active[np.searchsorted(active, 0):]
     return active
@@ -125,8 +132,6 @@ class AnalyticsSnapshot:
 
     def __init__(self, store):
         self.store = store
-        self._rows_dst: list[np.ndarray] = []
-        self._rows_weight: list[np.ndarray] = []
         self._charges = np.zeros((0, _N_FIELDS), dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)  # live cells per row
         # ``(triple, charge, horizon)`` of the store's own full load, kept
@@ -138,11 +143,10 @@ class AnalyticsSnapshot:
         self._indptr = np.zeros(1, dtype=np.int64)
         self._dst = np.empty(0, dtype=np.int64)
         self._weight = np.empty(0, dtype=np.float64)
-        # Serving-tier patch overlay: rows re-measured since the last
-        # flat rebuild, mapped to their current (dst, weight) arrays.
+        # Serving-tier patch overlay: rows `sync()` re-measured since the
+        # last splice, mapped to their current (dst, weight) arrays.
         # Lets `sync()` stay O(dirty rows) instead of paying the O(E)
-        # concatenation per call; the flat rebuild amortizes over many
-        # syncs (see `sync`).
+        # splice per call; one splice amortizes over many syncs.
         self._overlay: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # Round-robin resume point for budgeted syncs (`max_rows`): the
         # next capped sync starts measuring at the first dirty row >=
@@ -170,7 +174,7 @@ class AnalyticsSnapshot:
     # ------------------------------------------------------------------ #
     @property
     def n_rows(self) -> int:
-        return len(self._rows_dst)
+        return self._counts.shape[0]
 
     def mark_dirty(self, row: int) -> None:
         """One mutation touched dense row ``row``; re-measure it on next use."""
@@ -204,8 +208,8 @@ class AnalyticsSnapshot:
     def pending_rows(self) -> int:
         """Rows the next sync will re-measure (observable staleness)."""
         if self._all_dirty:
-            return len(self._rows_dst)
-        new_rows = max(0, self.store.dense_row_count() - len(self._rows_dst))
+            return max(self.n_rows, self.store.dense_row_count())
+        new_rows = max(0, self.store.dense_row_count() - self.n_rows)
         return len(self._dirty) + new_rows
 
     # ------------------------------------------------------------------ #
@@ -232,15 +236,16 @@ class AnalyticsSnapshot:
         Call under whatever lock serializes store mutations (the service
         holds its store lock).
         """
-        patched = self._sync_rows(max_rows=max_rows)
-        if patched:
-            for row in patched:
-                self._overlay[row] = (self._rows_dst[row],
-                                      self._rows_weight[row])
+        rows, dst, weight = self._measure_dirty(max_rows)
+        if rows.size:
+            # Copies: a view would keep this sync's whole measurement
+            # alive for as long as any one of its rows stays unchanged.
+            for row, d, w in self._row_segments(rows, dst, weight):
+                self._overlay[row] = (d.copy(), w.copy())
             self.generation += 1
         if not self._flat_ok and len(self._overlay) >= max(
-                REBUILD_MIN, int(REBUILD_RATIO * len(self._rows_dst))):
-            self._rebuild_flat()
+                REBUILD_MIN, int(REBUILD_RATIO * self.n_rows)):
+            self._splice(*_empty_triple())  # an empty patch: the overlay alone
         return self.generation
 
     def view_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -278,23 +283,25 @@ class AnalyticsSnapshot:
         return self._xlat_originals, self._xlat_dense
 
     # ------------------------------------------------------------------ #
-    # sync: patch dirty rows, rebuild the flat CSR arrays
+    # sync: re-measure dirty rows, splice them into the flat CSR arrays
     # ------------------------------------------------------------------ #
-    def _sync_rows(self, max_rows: int | None = None) -> set[int]:
-        """Grow the row table and re-measure dirty rows (no flat rebuild).
+    def _measure_dirty(
+        self, max_rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grow the row table and re-measure dirty rows (no splice).
 
         With ``max_rows`` set, at most that many dirty rows are measured
         per call, resuming round-robin from :attr:`_patch_cursor`; the
-        remainder stays in ``_dirty``.  Returns the set of rows whose
-        cached arrays changed; the flat CSR is stale (``_flat_ok``
-        False) whenever that set is nonempty.
+        remainder stays in ``_dirty``.  Returns the patch — the measured
+        rows ascending and their ``dst`` / ``weight`` segments back to
+        back, ``_counts[rows]`` cells each; the flat CSR is stale
+        (``_flat_ok`` False) whenever it is nonempty.
         """
         n_store = self.store.dense_row_count()
-        n = len(self._rows_dst)
+        n = self.n_rows
         if n_store > n:
-            # Placeholders: every new row is dirty, so replaced when measured.
-            self._rows_dst.extend([np.empty(0, dtype=np.int64)] * (n_store - n))
-            self._rows_weight.extend([np.empty(0, dtype=np.float64)] * (n_store - n))
+            # Zero placeholders: every new row is dirty, so measured below
+            # (or, under a budget, empty until its turn comes).
             self._dirty.update(range(n, n_store))
             self._charges = np.vstack(
                 [self._charges, np.zeros((n_store - n, _N_FIELDS), dtype=np.int64)]
@@ -303,59 +310,78 @@ class AnalyticsSnapshot:
                 [self._counts, np.zeros(n_store - n, dtype=np.int64)])
             self._flat_ok = False
         if self._all_dirty:
-            self._dirty.update(range(len(self._rows_dst)))
+            self._dirty.update(range(self.n_rows))
             self._all_dirty = False
-        patched: set[int] = set()
-        if self._dirty:
-            if max_rows is not None and len(self._dirty) > max_rows:
-                rows_sorted = sorted(self._dirty)
-                i = bisect.bisect_left(rows_sorted, self._patch_cursor)
-                todo = (rows_sorted[i:] + rows_sorted[:i])[:max_rows]
-                self._patch_cursor = todo[-1] + 1
-                self._dirty.difference_update(todo)
-                patched = set(todo)
-            else:
-                todo = sorted(self._dirty)
-                patched = self._dirty
-                self._dirty = set()
-            rows = np.array(todo, dtype=np.int64)
-            counts, dst, weight, charges = self.store.measure_rows(rows)
-            self._counts[rows] = counts
-            self._charges[rows] = charges
-            lo = 0
-            for row, hi in zip(todo, np.cumsum(counts).tolist()):
-                # Copies: a view would keep this sync's flat arrays alive
-                # for as long as any one of its rows stays unchanged.
-                self._rows_dst[row] = dst[lo:hi].copy()
-                self._rows_weight[row] = weight[lo:hi].copy()
-                lo = hi
-            self.patched_rows += len(patched)
-            if obs_hooks.enabled:
-                self._counter("patched_rows", len(patched))
-                from repro.obs.metrics import get_registry
-
-                get_registry().quantile(
-                    "engine.snapshot.patch_rows",
-                    "rows re-measured per snapshot sync",
-                ).record(len(patched))
-            self._flat_ok = False
-        return patched
-
-    def _rebuild_flat(self) -> None:
-        """Concatenate the row cache into fresh flat CSR arrays.
-
-        The O(E) step: new ``indptr/dst/weight`` arrays are built and
-        *swapped in* (never written in place), the overlay they absorb
-        is cleared, and the generation advances.
-        """
-        self._indptr = np.zeros(self._counts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(self._counts, out=self._indptr[1:])
-        if self._rows_dst:
-            self._dst = np.concatenate(self._rows_dst)
-            self._weight = np.concatenate(self._rows_weight)
+        if not self._dirty:
+            return _empty_triple()
+        todo = sorted(self._dirty)
+        if max_rows is not None and len(todo) > max_rows:
+            i = bisect.bisect_left(todo, self._patch_cursor)
+            todo = (todo[i:] + todo[:i])[:max_rows]
+            self._patch_cursor = todo[-1] + 1
+            self._dirty.difference_update(todo)
+            todo.sort()
         else:
-            self._dst = np.empty(0, dtype=np.int64)
-            self._weight = np.empty(0, dtype=np.float64)
+            self._dirty = set()
+        rows = np.array(todo, dtype=np.int64)
+        counts, dst, weight, charges = self.store.measure_rows(rows)
+        self._counts[rows] = counts
+        self._charges[rows] = charges
+        self.patched_rows += len(todo)
+        if obs_hooks.enabled:
+            self._counter("patched_rows", len(todo))
+            from repro.obs.metrics import get_registry
+
+            get_registry().quantile(
+                "engine.snapshot.patch_rows",
+                "rows re-measured per snapshot sync",
+            ).record(len(todo))
+        self._flat_ok = False
+        return rows, dst, weight
+
+    def _row_segments(self, rows: np.ndarray, dst: np.ndarray, weight: np.ndarray):
+        """``(row, dst_view, weight_view)`` per row of a patch."""
+        counts = self._counts[rows]
+        ends = np.cumsum(counts)
+        for row, lo, hi in zip(rows.tolist(), (ends - counts).tolist(), ends.tolist()):
+            yield row, dst[lo:hi], weight[lo:hi]
+
+    def _splice(self, rows: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> None:
+        """Build the next flat CSR arrays from the old ones plus a patch.
+
+        The O(E) step, a handful of whole-array passes: ``rows``
+        (ascending) take their cells from the patch segments, whatever
+        the overlay still holds is folded in with the patch winning, and
+        every other row keeps its old slice (a row past the old table is
+        an unmeasured placeholder, empty on both sides).  New
+        ``indptr/dst/weight`` arrays are *swapped in* (never written in
+        place), the overlay they absorb is cleared, and the generation
+        advances.
+        """
+        if self._overlay:
+            segments = dict(self._overlay)
+            for row, d, w in self._row_segments(rows, dst, weight):
+                segments[row] = (d, w)
+            order = sorted(segments)
+            rows = np.array(order, dtype=np.int64)
+            dst = np.concatenate([segments[row][0] for row in order])
+            weight = np.concatenate([segments[row][1] for row in order])
+        counts = self._counts
+        old_indptr = self._indptr
+        indptr = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        patched = np.zeros(counts.shape[0], dtype=bool)
+        patched[rows] = True
+        from_patch = np.repeat(patched, counts)
+        kept = ~np.repeat(patched[: old_indptr.shape[0] - 1], np.diff(old_indptr))
+        new_dst = np.empty(from_patch.shape[0], dtype=np.int64)
+        new_weight = np.empty(from_patch.shape[0], dtype=np.float64)
+        new_dst[from_patch] = dst
+        new_weight[from_patch] = weight
+        from_old = ~from_patch
+        new_dst[from_old] = self._dst[kept]
+        new_weight[from_old] = self._weight[kept]
+        self._indptr, self._dst, self._weight = indptr, new_dst, new_weight
         self._overlay = {}
         self._flat_ok = True
         self.rebuilds += 1
@@ -365,9 +391,9 @@ class AnalyticsSnapshot:
 
     def _sync(self) -> None:
         """Engine-path sync: rows current AND flat arrays current."""
-        self._sync_rows()
+        patch = self._measure_dirty()
         if not self._flat_ok:
-            self._rebuild_flat()
+            self._splice(*patch)
 
     @staticmethod
     def _counter(suffix: str, by: int) -> None:

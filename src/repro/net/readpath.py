@@ -144,7 +144,7 @@ class ReadView:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         return self._row_slice(row)
 
-    def _rows_dsts(self, rows: np.ndarray) -> np.ndarray:
+    def _dsts_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Concatenated destination ids of several dense rows."""
         parts: list[np.ndarray] = []
         if self.overlay:
@@ -197,7 +197,7 @@ class ReadView:
             if frontier.size == 0 or truncated:
                 break
             _, rows = self.rows_of(np.unique(frontier))
-            dsts = np.unique(self._rows_dsts(rows))
+            dsts = np.unique(self._dsts_of_rows(rows))
             fresh = [d for d in dsts.tolist() if d not in seen]
             if not fresh:
                 break

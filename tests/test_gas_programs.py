@@ -3,7 +3,35 @@
 import numpy as np
 import pytest
 
-from repro.engine.algorithms import BFS, SSSP, ConnectedComponents, HeatSimulation, PageRank
+from repro.engine.algorithms import (
+    BFS,
+    SSSP,
+    SSWP,
+    ConnectedComponents,
+    HeatSimulation,
+    PageRank,
+)
+
+
+@pytest.mark.parametrize("program", [BFS(), SSSP(), ConnectedComponents(),
+                                     SSWP(), PageRank(), HeatSimulation()],
+                         ids=lambda p: p.name)
+def test_unreached_source_emits_the_reduction_identity(program):
+    """The engine scatters every loaded edge unfiltered, so an edge out of
+    a source still at its unreached value must leave ``vtemp`` as it is
+    under the program's own ``scatter_reduce`` (GASProgram.edge_messages)."""
+    values = program.init_state(4)
+    program.seed(values, np.array([0]))
+    unreached = 3
+    values[1], values[unreached] = 2.0, program.initial_value()
+    src = np.array([unreached, unreached, unreached])
+    dst = np.array([0, 1, 2])
+    program.begin_iteration(values, src, dst)
+    vtemp = program.make_vtemp(values)
+    want = vtemp.copy()
+    messages = program.edge_messages(values[src], np.array([0.5, 1.0, 7.0]), src)
+    program.scatter_reduce(vtemp, dst, messages)
+    assert np.array_equal(vtemp, want)
 
 
 class TestBFSProgram:
@@ -32,11 +60,6 @@ class TestBFSProgram:
         changed = bfs.apply(values, vtemp)
         assert changed.tolist() == [1]
         assert values.tolist() == [0.0, 3.0, np.inf]
-
-    def test_message_filter_drops_unreached(self):
-        bfs = BFS()
-        mask = bfs.message_filter(np.array([0.0, np.inf, 2.0]))
-        assert mask.tolist() == [True, False, True]
 
 
 class TestSSSPProgram:

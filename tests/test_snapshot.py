@@ -96,6 +96,16 @@ class TestSanitizeActive:
         clean = np.array([0, 2, 7], dtype=np.int64)
         assert sanitize_active(clean).tolist() == clean.tolist()
 
+    @pytest.mark.parametrize("ids", [
+        [-4, -2, 0, 5], [-3, -1], [5], [], [0, 1, 1, 2], [3, 2], [[4, 1], [1, 0]],
+    ])
+    def test_increasing_input_skips_the_sort_with_the_same_result(self, ids):
+        raw = np.array(ids, dtype=np.int64)
+        want = np.unique(raw)
+        got = sanitize_active(raw)
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert got.tolist() == want[want >= 0].tolist()
+
 
 @pytest.mark.parametrize("store_name", sorted(STORE_MAKERS))
 class TestChargeMirror:
@@ -188,6 +198,17 @@ class TestDirtyTracking:
         assert store.degree(5) == 1
         assert store.neighbors_many([5])[1].tolist() == [9]
 
+    def test_pending_rows_after_invalidate_counts_rows_grown_since(self):
+        store = STORE_MAKERS["gt"]()
+        store.insert_batch(np.array([[0, 1], [2, 3]]))
+        snap = store.analytics_snapshot
+        snap.gather_active(np.array([0]))
+        store.insert_batch(np.array([[500, 1], [501, 2]]))  # two new rows
+        snap.invalidate()
+        pending, patched = snap.pending_rows, snap.patched_rows
+        snap.gather_active(np.array([0]))
+        assert snap.patched_rows - patched == pending == 4
+
     def test_invalidate_forces_full_remeasure(self, rng):
         store = STORE_MAKERS["gt"]()
         edges = np.column_stack([rng.integers(0, 20, 200),
@@ -239,10 +260,39 @@ def _powerlaw_twins(monkeypatch):
     return bulk, per_row
 
 
-def _assert_views_equal(bulk, per_row, ctx):
-    a, b = bulk.analytics_snapshot, per_row.analytics_snapshot
+def _rows_of(snap):
+    """Every row's ``(dst, weight)`` as a reader of the public view sees
+    it: the overlay entry, else the flat slice, else (a row past the flat
+    table) nothing yet."""
+    indptr, dst, weight = snap.view_arrays()
+    overlay = snap.overlay_rows()
+    rows = []
+    for row in range(snap.n_rows):
+        if row in overlay:
+            rows.append(overlay[row])
+        elif row < indptr.shape[0] - 1:
+            lo, hi = indptr[row], indptr[row + 1]
+            rows.append((dst[lo:hi], weight[lo:hi]))
+        else:
+            rows.append((dst[:0], weight[:0]))
+    return rows
+
+
+def _assert_rows_equal(a, b, ctx):
+    """Two snapshots hold the same rows, however split between the flat
+    arrays and the overlay."""
     assert a.n_rows == b.n_rows and a.pending_rows == b.pending_rows, ctx
     assert np.array_equal(a._charges, b._charges), f"{ctx}: charge matrix"
+    assert np.array_equal(a._counts, b._counts), f"{ctx}: counts"
+    for row, (got, want) in enumerate(zip(_rows_of(a), _rows_of(b))):
+        assert got[0].shape[0] == a._counts[row], (ctx, row)
+        assert np.array_equal(got[0], want[0]), (ctx, row)
+        assert np.array_equal(got[1], want[1]), (ctx, row)
+
+
+def _assert_views_equal(bulk, per_row, ctx):
+    a, b = bulk.analytics_snapshot, per_row.analytics_snapshot
+    _assert_rows_equal(a, b, ctx)
     for got, want in zip(a.view_arrays(), b.view_arrays()):
         assert got.dtype == want.dtype and np.array_equal(got, want), ctx
     over_a, over_b = a.overlay_rows(), b.overlay_rows()
@@ -251,9 +301,6 @@ def _assert_views_equal(bulk, per_row, ctx):
         assert np.array_equal(dst, over_b[row][0]), f"{ctx}: row {row} dst"
         assert np.array_equal(weight, over_b[row][1]), f"{ctx}: row {row}"
         assert dst.base is None and weight.base is None, "rows must be copies"
-    for row in range(a.n_rows):
-        assert np.array_equal(a._rows_dst[row], b._rows_dst[row]), (ctx, row)
-        assert np.array_equal(a._rows_weight[row], b._rows_weight[row]), ctx
 
 
 class TestBulkMeasure:
@@ -308,6 +355,130 @@ class TestBulkMeasure:
             _assert_views_equal(bulk, per_row, f"budgeted turn {turn}")
         assert bulk.analytics_snapshot.pending_rows == 0
         _assert_same(bulk, np.arange(300), "drained")
+
+
+SPLICE_MAKERS = dict(STORE_MAKERS, **{
+    "gt-compact": lambda: GraphTinker(GTConfig(pagewidth=16, subblock=4,
+                                               workblock=2, snapshot=True,
+                                               compact_on_delete=True)),
+})
+
+
+def _grow_unmarked(store):
+    """A new dense row behind the snapshot's back: the table grows with
+    nothing marked dirty."""
+    snap = store.analytics_snapshot
+    store.disable_snapshot()
+    store.insert_edge(3_000, 1, 0.25)
+    store._analytics_snapshot = snap
+
+
+_SPLICE_STEPS = [
+    ("grow", lambda s: s.insert_batch(
+        np.array([[3, 900 + d] for d in range(9)] + [[5, 901], [39, 902]]))),
+    ("shrink", lambda s: s.delete_batch(
+        np.array([[3, 900 + d] for d in range(0, 9, 2)]))),
+    ("empty", lambda s: [s.delete_vertex(v) for v in (0, 5, 39)]),
+    ("nothing", lambda s: None),
+    ("reappear", lambda s: s.insert_batch(
+        np.array([[5, 7], [5, 8], [0, 1]]), np.array([1.5, 2.5, 3.5]))),
+    ("new rows + dirty rows", lambda s: s.insert_batch(
+        np.array([[1_000, 1], [1_001, 2], [3, 77], [1_000, 3]]))),
+    ("new row alone", lambda s: s.insert_edge(2_000, 1, 0.5)),
+    ("new row unmarked", _grow_unmarked),
+    ("weight update", lambda s: s.insert_edge(3, 77, 9.0)),
+]
+
+
+def _assert_spliced_equals_scratch(spliced, scratch, active, ctx):
+    """Engine-sync both — ``scratch`` from an ``invalidate()``, so every
+    row re-measured and none kept — and compare everything held."""
+    scratch.analytics_snapshot.invalidate()
+    got, want = spliced.neighbors_many(active), scratch.neighbors_many(active)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), ctx
+    assert spliced.stats.as_dict() == scratch.stats.as_dict(), ctx
+    a, b = spliced.analytics_snapshot, scratch.analytics_snapshot
+    assert a.overlay_rows() == b.overlay_rows() == {}, ctx
+    assert np.array_equal(a._charges, b._charges), f"{ctx}: charge matrix"
+    assert np.array_equal(a._counts, b._counts), f"{ctx}: counts"
+    for g, w in zip(a.view_arrays(), b.view_arrays()):
+        assert g.dtype == w.dtype and np.array_equal(g, w), ctx
+
+
+class TestSplice:
+    """The incrementally spliced CSR == one built from scratch."""
+
+    @pytest.mark.parametrize("store_name", sorted(SPLICE_MAKERS))
+    def test_spliced_view_equals_a_scratch_build(self, store_name, rng):
+        spliced, scratch = (SPLICE_MAKERS[store_name]() for _ in range(2))
+        edges = np.column_stack([rng.integers(0, 40, 500),
+                                 rng.integers(0, 60, 500)])
+        edges = np.vstack([edges, [[0, 1], [39, 2]]])  # first and last row live
+        weights = rng.random(edges.shape[0])
+        active = np.arange(3_100)
+        for store in (spliced, scratch):
+            store.insert_batch(edges, weights)
+        _assert_spliced_equals_scratch(spliced, scratch, active, "load")
+        snap = spliced.analytics_snapshot
+        for name, mutate in _SPLICE_STEPS:
+            captured = snap.view_arrays()
+            frozen = [a.copy() for a in captured]
+            rebuilds = snap.rebuilds
+            mutate(spliced)
+            mutate(scratch)
+            _assert_spliced_equals_scratch(spliced, scratch, active,
+                                           f"{store_name}: {name}")
+            assert snap.rebuilds == rebuilds + (name != "nothing")
+            # A reader's capture from before the splice is untouched by it.
+            for kept, was, now in zip(captured, frozen, snap.view_arrays()):
+                assert np.array_equal(kept, was), name
+                assert name == "nothing" or kept is not now
+
+    def test_budgeted_syncs_interleaved_with_engine_syncs(self, monkeypatch, rng):
+        """Serving-path rows wait in the overlay; an engine sync folds them
+        in, and where a row was re-dirtied since, its fresh measurement
+        wins; the threshold rebuild is the same splice fed the overlay."""
+        from repro.engine import snapshot as snapshot_module
+
+        monkeypatch.setattr(snapshot_module, "REBUILD_MIN", 60)
+        spliced, scratch = (SPLICE_MAKERS["gt"]() for _ in range(2))
+        stream = rmat_edges(8, 3_000, seed=9)
+        active = np.arange(300)
+        for store in (spliced, scratch):
+            store.insert_batch(stream[:2_000])
+        _assert_spliced_equals_scratch(spliced, scratch, active, "load")
+        snap = spliced.analytics_snapshot
+        for store in (spliced, scratch):
+            store.delete_batch(stream[:2_000:2])
+            store.insert_batch(stream[2_000:])                 # adds new rows
+        assert snap.pending_rows > 3 * 17
+        for _ in range(3):
+            snap.sync(max_rows=17)                             # 51 < REBUILD_MIN
+        waiting = snap.overlay_rows()
+        assert len(waiting) == 51 and snap.pending_rows > 17
+        stale = max(waiting, key=lambda row: waiting[row][0].shape[0])
+        source = int(spliced.original_ids(np.array([stale]))[0])
+        for store in (spliced, scratch):
+            store.insert_edge(source, 123_456, 4.5)            # re-dirties it
+        _assert_spliced_equals_scratch(spliced, scratch, active, "patch wins")
+
+        for store in (spliced, scratch):
+            store.delete_batch(stream[1:2_000:2])
+            store.insert_edge(source, 123_457, 5.5)
+        rebuilds, turns = snap.rebuilds, 0
+        while snap.pending_rows:
+            snap.sync(max_rows=17)
+            turns += 1
+            if turns == 2:                                     # mid-drain churn
+                for store in (spliced, scratch):
+                    store.delete_edge(source, 123_456)
+        assert snap.rebuilds > rebuilds, "threshold rebuild never ran"
+        assert snap.overlay_rows(), "drain ended on a rebuild: shift REBUILD_MIN"
+        scratch.analytics_snapshot.invalidate()
+        scratch.analytics_snapshot.sync()
+        _assert_rows_equal(snap, scratch.analytics_snapshot, "drained")
+        _assert_spliced_equals_scratch(spliced, scratch, active, "folded")
 
 
 def _full_load(store):

@@ -61,10 +61,6 @@ class TestProgramUnits:
         assert changed.tolist() == [0]
         assert values.tolist() == [4.0, 5.0]
 
-    def test_filter_drops_unreached(self):
-        p = SSWP()
-        assert p.message_filter(np.array([0.0, 1.0])).tolist() == [False, True]
-
 
 @pytest.mark.parametrize("policy", ["full", "incremental", "hybrid"])
 class TestAgainstReference:
