@@ -154,104 +154,66 @@ class CoarseAdjacencyList:
         State-identical to calling :meth:`append` once per element: the
         same slot layout, tail/fill evolution, chain links, block
         *allocation order* (and therefore the same pool row ids, free-list
-        included) and the same ``cal_updates`` total.  Instead of walking
-        edge by edge, the batch is grouped (stably, preserving stream
-        order within a group — the only order the layout depends on), each
-        group's appends are laid out arithmetically along its virtual slot
-        sequence, new-block needs are replayed in original stream order
-        against the pool's free list, and cell writes land as per-segment
-        slice stores.  This is the vector batch kernel's CAL replay
-        primitive.
+        included) and the same ``cal_updates`` total.  The batch is
+        grouped stably (stream order within a group is the only order the
+        layout depends on) and laid out arithmetically: an append's
+        *virtual slot* ``q`` counts from the start of its group's current
+        tail block, so it lands in slot ``q % bs`` and opens a fresh block
+        exactly when that is 0 past the tail.  Fresh blocks are allocated
+        in original stream order; links, cells and counts are array
+        stores.  This is the vector batch kernel's CAL replay primitive.
         """
         n = srcs.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         bs = self.config.cal_block_size
         groups = srcs // self.config.cal_group_width
-        order = np.lexsort((np.arange(n), groups))
-        g_sorted = groups[order]
-        s_sorted = srcs[order]
-        d_sorted = dsts[order]
-        w_sorted = weights[order]
-        uniq_g, starts = np.unique(g_sorted, return_index=True)
-        uniq_l = uniq_g.tolist()
-        starts_l = starts.tolist()
-        starts_l.append(n)
-        order_l = order.tolist()
-        self._ensure_group(uniq_l[-1])
-
-        # Pass 1: per group, note its starting state and every append that
-        # needs a fresh block (the q-th virtual slot with q % bs == 0).
-        # Allocation must happen in *original stream order* across groups
-        # so free-list reuse and fresh row ids match the scalar replay.
-        per_group = []
-        group_new_qs: list[range] = []
-        events: list[tuple[int, int, int]] = []  # (stream index, group pos, q)
-        for gi in range(len(uniq_l)):
-            g = uniq_l[gi]
-            a, b = starts_l[gi], starts_l[gi + 1]
-            tail = self._group_tail[g]
-            base = self._tail_fill[g] if tail >= 0 else 0
-            per_group.append((g, a, b, base, tail))
-            if tail < 0:
-                first_new = 0
-            else:
-                first_new = ((base + bs - 1) // bs) * bs
-                if first_new == 0:
-                    first_new = bs
-            qs = range(first_new, base + (b - a), bs)
-            group_new_qs.append(qs)
-            for q in qs:
-                events.append((order_l[a + q - base], gi, q))
-        events.sort()
-
-        pool = self.pool
-        ids = pool.allocate_many(len(events))
-        new_ids = {(gi, q): idx for (_, gi, q), idx in zip(events, ids)}
-        if ids:  # existing tails were covered when they were linked
-            top = max(ids) + 1
+        order = np.argsort(groups, kind="stable")
+        uniq, starts, counts = np.unique(groups[order], return_index=True, return_counts=True)
+        self._ensure_group(int(uniq[-1]))
+        tail = self._group_tail._data[uniq]
+        # A group with a tail continues it (its fill is >= 1 outside
+        # compact_delete); one without starts a block at q == 0.
+        base = np.where(tail >= 0, self._tail_fill._data[uniq], 0)
+        q = np.repeat(base - starts, counts) + np.arange(n)
+        fresh = np.flatnonzero((q % bs == 0) & (q >= np.repeat(np.where(tail >= 0, bs, 0), counts)))
+        new = np.empty(fresh.shape[0], dtype=np.int64)
+        new[np.argsort(order[fresh])] = self.pool.allocate_many(fresh.shape[0])
+        if new.shape[0]:  # existing tails were covered when they were linked
             for table in (self._next, self._prev, self._valid_count):
-                table.ensure(top)
+                table.ensure(int(new.max()) + 1)
 
-        # Pass 2: link new blocks (mirroring _new_block), write cells
-        # segment by segment, update tails/fills/counts, and record each
-        # append's address.
-        blocks_sorted = np.empty(n, dtype=np.int64)
-        slots_sorted = np.empty(n, dtype=np.int64)
-        for gi, (g, a, b, base, tail) in enumerate(per_group):
-            prev = tail
-            for q in group_new_qs[gi]:
-                block = new_ids[(gi, q)]
-                self._next[block] = -1
-                self._valid_count[block] = 0
-                self._prev[block] = prev
-                if prev >= 0:
-                    self._next[prev] = block
-                else:
-                    self._group_head[g] = block
-                prev = block
-            pos = a
-            while pos < b:
-                q = base + (pos - a)
-                q_floor = q - (q % bs)
-                block = tail if (tail >= 0 and q < bs) else new_ids[(gi, q_floor)]
-                take = min(q_floor + bs, base + (b - a)) - q
-                sl0 = q - q_floor
-                sl1 = sl0 + take
-                row = pool.row(block)
-                row["src"][sl0:sl1] = s_sorted[pos : pos + take]
-                row["dst"][sl0:sl1] = d_sorted[pos : pos + take]
-                row["weight"][sl0:sl1] = w_sorted[pos : pos + take]
-                self._valid_count[block] = self._valid_count[block] + take
-                blocks_sorted[pos : pos + take] = block
-                slots_sorted[pos : pos + take] = np.arange(sl0, sl1)
-                pos += take
-            self._group_tail[g] = prev
-            self._tail_fill[g] = ((base + (b - a) - 1) % bs) + 1
+        # Block of every append: its group's tail or the last fresh block
+        # at or before it (a tail-less group's first append is fresh).
+        block = np.full(n, -1, dtype=np.int64)
+        block[starts] = tail
+        block[fresh] = new
+        block = block[np.maximum.accumulate(np.where(block >= 0, np.arange(n), 0))]
+        slot = q % bs
+
+        # Mirror of _new_block per fresh block, in chain order: the block
+        # before it is the previous append's, or the old tail (maybe none).
+        group_of = np.searchsorted(starts, fresh, side="right") - 1
+        prev = np.where(fresh == starts[group_of], tail[group_of], block[fresh - 1])
+        linked = prev >= 0
+        self._next._data[new] = -1
+        self._valid_count._data[new] = 0
+        self._prev._data[new] = prev
+        self._next._data[prev[linked]] = new[linked]
+        self._group_head._data[uniq[group_of[~linked]]] = new[~linked]
+        last = starts + counts - 1
+        self._group_tail._data[uniq] = block[last]
+        self._tail_fill._data[uniq] = slot[last] + 1
+
+        np.add.at(self._valid_count._data, block, 1)
         blocks_out = np.empty(n, dtype=np.int64)
         slots_out = np.empty(n, dtype=np.int64)
-        blocks_out[order] = blocks_sorted
-        slots_out[order] = slots_sorted
+        blocks_out[order] = block
+        slots_out[order] = slot
+        cells = self.pool._data
+        cells["src"][blocks_out, slots_out] = srcs
+        cells["dst"][blocks_out, slots_out] = dsts
+        cells["weight"][blocks_out, slots_out] = weights
         self._n_valid += n
         self.stats.cal_updates += n
         return blocks_out, slots_out

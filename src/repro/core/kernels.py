@@ -38,10 +38,11 @@ round trip of the Subblock around every
 
 1. **Bulk renaming** — ``np.unique`` collapses the batch to its distinct
    sources; the ones already renamed resolve in one uncharged dict pass,
-   :meth:`~repro.core.sgh.ScatterGatherHash.hash_id` runs only for the
-   unseen ones **in first-appearance order** (so dense ids come out
-   exactly as the scalar stream would assign them) and the remaining
-   per-edge lookup charges are added arithmetically.
+   the unseen ones are assigned in one step
+   (:meth:`~repro.core.sgh.ScatterGatherHash.hash_new_ids`) **in
+   first-appearance order** (so dense ids come out exactly as the scalar
+   stream would assign them) and the remaining per-edge lookup charges
+   are added arithmetically.
 2. **Bulk hashing** — generation-0 Subblock indices and initial buckets
    for the whole batch in two :func:`~repro.core.hashing.mix64_array`
    sweeps.
@@ -65,14 +66,16 @@ round trip of the Subblock around every
    through the cell's pointer or its pending record); the absent ops then
    INSERT from generation 0 with the Robin-Hood walk in closed form
    (:func:`_rhh_walk`), congested ones allocating or following the child
-   and carrying the *evicted* cell down by its own hashes.  Generation 0
-   lives in ``(groups, subblock)`` field matrices gathered once per
-   chunk; deeper levels are read and scattered straight in the overflow
-   pool.  Rounds run while at least :data:`MIN_ROUND_GROUPS` groups are
-   active; the thin tail, every ``enable_rhh=False`` store and any chunk
-   too small to start a round fall to the residue loop — the exact
-   per-op path: each touched Subblock pulled into plain Python lists once
-   and probed via :func:`~repro.core.robin_hood.rhh_find` /
+   and carrying the *evicted* cell down by its own hashes.  Every level
+   is read and scattered straight in its pool — the main region at
+   generation 0 (its capacity is ensured before the rounds, so its arrays
+   cannot regrow mid-chunk), the overflow pool below it: only the cells
+   a walk changes move, nothing is staged.  Rounds run while at least
+   :data:`MIN_ROUND_GROUPS` groups are active; the thin tail, every
+   ``enable_rhh=False`` store and any chunk too small to start a round
+   fall to the residue loop — the exact per-op path: each touched
+   Subblock pulled into plain Python lists once and probed via
+   :func:`~repro.core.robin_hood.rhh_find` /
    :func:`~repro.core.robin_hood.rhh_insert`, dirty Subblocks written
    back with one fancy store per field.  Charges accumulate in local ints
    and flush into ``AccessStats`` once per chunk.
@@ -81,16 +84,17 @@ round trip of the Subblock around every
    chunk, which is its record id) that travels through Robin-Hood
    displacements exactly like a real pointer; after the chunk, the
    records of the ops that placed a new edge are appended to the CAL **in
-   original stream order** (run-length batched by
-   :meth:`CoarseAdjacencyList.append_many`), and one pass over the
-   Subblocks the chunk stored into rewrites the sentinels to the real
+   original stream order** (one arithmetic pass,
+   :meth:`CoarseAdjacencyList.append_many`), and one pass per pool over
+   the Subblocks the chunk stored into — collected as the walks store,
+   generation 0 included — rewrites the sentinels to the real
    addresses.  Duplicate ops that meet a pending cell update the pending
    record (one ``cal_updates`` charge, like the scalar ``update_weight``)
    so the final CAL weight is the last one.
 
-Large batches are processed in contiguous chunks so the matrices and the
-Subblock cache stay bounded; chunking composes trivially (the scalar path
-is itself a sequence of per-edge chunks).
+Large batches are processed in contiguous chunks so the round temporaries
+and the Subblock cache stay bounded; chunking composes trivially (the
+scalar path is itself a sequence of per-edge chunks).
 
 Delete batches: one pass per tree level
 ---------------------------------------
@@ -142,10 +146,11 @@ from repro.errors import CapacityError
 #: sentinel before ``_insert_chunk`` returns, exceptional paths included.
 PENDING_CAL = -3
 
-#: Edges per processing chunk.  Bounds the gen-0 matrices, the round
-#: temporaries and the Subblock list cache (worst case one row or entry per
-#: edge) while keeping the per-chunk NumPy phase costs well amortised.  Chunks are contiguous slices of the input stream, so
-#: chunked execution composes into the same global event order.
+#: Edges per processing chunk.  Bounds the round temporaries and the
+#: Subblock list cache (worst case one row or entry per edge) while keeping
+#: the per-chunk NumPy phase costs well amortised.  Chunks are contiguous
+#: slices of the input stream, so chunked execution composes into the same
+#: global event order.
 CHUNK_EDGES = 32768
 
 #: Fewest active groups an insert round is run for.  A round costs a fixed
@@ -210,8 +215,8 @@ def delete_batch_vector(gt, edges: np.ndarray) -> int:
 def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
     """Bulk original->dense renaming, assigning new ids like the stream would.
 
-    Sources already in the table resolve in one uncharged dict pass;
-    ``hash_id`` runs only for the unseen ones, in first-appearance order so
+    Sources already in the table resolve in one uncharged dict pass; the
+    unseen ones are assigned in one step, in first-appearance order so
     new dense ids match the scalar assignment.  Every other occurrence's
     lookup charge is added arithmetically (``hash_lookups`` is additive, so
     the total — one per edge — is bit-identical).
@@ -222,7 +227,7 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
     uniq_dense = gt.sgh.peek_array(uniq)
     unseen = np.flatnonzero(uniq_dense < 0)
     unseen = unseen[np.argsort(first_idx[unseen])]
-    uniq_dense[unseen] = [gt.sgh.hash_id(orig) for orig in uniq[unseen].tolist()]
+    uniq_dense[unseen] = gt.sgh.hash_new_ids(uniq[unseen])
     gt.stats.hash_lookups += srcs.shape[0] - unseen.shape[0]
     return uniq_dense[inverse]
 
@@ -323,8 +328,8 @@ def _rhh_walk(fields, rows: np.ndarray, cols: np.ndarray, t_emp: np.ndarray,
 
 class _SubblockCache:
     """Plain-list cache of the Subblocks the residue loop touches, written
-    back once per chunk.  (The rounds and the deletes need no cache: see
-    the module docstring.)
+    back once per chunk.  (The rounds and the deletes edit the pools in
+    place and need no cache: see the module docstring.)
 
     Entries are ``(region, block, sb, dsts, weights, probes, cal_blocks,
     cal_slots)`` keyed by a packed int.  Entries are *copies*: pool growth
@@ -333,31 +338,15 @@ class _SubblockCache:
     never invalidated by growth.
     """
 
-    __slots__ = (
-        "_cache", "dirty", "_eba", "_nsb", "_size", "_fields",
-        "_mkey2row", "_mblocks", "_msbs", "_mat", "_mdirty", "_mdetached",
-    )
+    __slots__ = ("_cache", "dirty", "_eba", "_nsb", "_size", "_fields")
 
-    def __init__(self, eba, nsb: int, size: int, blocks: np.ndarray,
-                 sbs: np.ndarray, mat: tuple, dirty_mask: np.ndarray):
-        """Adopt the chunk's pre-gathered ``(k, subblock)`` main-region
-        field matrices ``mat`` (row ``j`` is Subblock ``sbs[j]`` of block
-        ``blocks[j]``) as the primary cache tier for their Subblocks.
-        ``dirty_mask`` is shared with the rounds, which set it as they
-        store into the matrices.
-        """
+    def __init__(self, eba, nsb: int, size: int):
         self._cache: dict[int, tuple] = {}
         self.dirty: dict[int, tuple] = {}
         self._eba = eba
         self._nsb = nsb
         self._size = size
         self._fields: dict[int, tuple] = {}
-        self._mkey2row: dict[int, int] = {}
-        self._mblocks = blocks
-        self._msbs = sbs
-        self._mat = mat
-        self._mdirty = dirty_mask
-        self._mdetached = np.zeros(blocks.shape[0], dtype=bool)
 
     def _field_views(self, region: int) -> tuple:
         """Per-field 2-D views of a pool, re-fetched if the pool regrew.
@@ -379,21 +368,6 @@ class _SubblockCache:
         key = ((block << 1) | region) * self._nsb + sb
         entry = self._cache.get(key)
         if entry is None:
-            j = self._mkey2row.get(key)
-            if j is not None:
-                # Detach the matrix row into list form: from here on the
-                # lists are authoritative for this Subblock, the matrix
-                # row is dead (excluded from the bulk writeback).
-                mD, mW, mP, mCB, mCS = self._mat
-                entry = (MAIN, block, sb, mD[j].tolist(), mW[j].tolist(),
-                         mP[j].tolist(), mCB[j].tolist(), mCS[j].tolist())
-                self._mdetached[j] = True
-                self._cache[key] = entry
-                if self._mdirty[j]:
-                    # Carry the rounds' modifications into the dirty
-                    # set, or they would never be written back.
-                    self.dirty[key] = entry
-                return key, entry
             lo = sb * self._size
             hi = lo + self._size
             fd, fw, fp, fcb, fcs = self._field_views(region)
@@ -403,31 +377,14 @@ class _SubblockCache:
             self._cache[key] = entry
         return key, entry
 
-    def index_rows(self, rows: np.ndarray) -> None:
-        """Make matrix rows ``rows`` reachable from :meth:`load`, which
-        detaches a row into list form only when the per-op loop actually
-        touches it; :meth:`writeback` scatters the still-attached dirty
-        rows straight from the matrices — no list round trip for
-        Subblocks only the rounds handled.
-        """
-        keys = ((self._mblocks[rows] << 1) | MAIN) * self._nsb + self._msbs[rows]
-        self._mkey2row = dict(zip(keys.tolist(), rows.tolist()))
-
     def writeback(self) -> None:
         """Scatter every dirty Subblock back: one fancy store per field.
 
         Dirty keys are distinct ``(region, block, sb)`` triples, so the
-        scatter indices never alias a cell twice; attached matrix rows and
-        detached list entries partition the dirty set the same way.
+        scatter indices never alias a cell twice.
         """
         size = self._size
         span = np.arange(size)
-        m = self._mdirty & ~self._mdetached
-        if m.any():
-            rows = self._mblocks[m][:, None]
-            cols = (self._msbs[m] * size)[:, None] + span
-            for field, matrix in zip(self._field_views(MAIN), self._mat):
-                field[rows, cols] = matrix[m]
         by_region: dict[int, list[tuple]] = {}
         for entry in self.dirty.values():
             by_region.setdefault(entry[0], []).append(entry)
@@ -438,17 +395,18 @@ class _SubblockCache:
                 field[rows, cols] = [e[k] for e in entries]
 
 
-def _patch_pending(pool, blocks: np.ndarray, sbs: np.ndarray, size: int,
+def _patch_pending(pool, touched: list[tuple], nsb: int, size: int,
                    cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
-    """Rewrite every ``PENDING_CAL`` sentinel in the given Subblocks of
-    ``pool`` to its record's CAL address (``-1, -1`` for a dropped one)."""
-    data = pool._data
-    cols = (sbs * size)[:, None] + np.arange(size)
-    r, c = np.nonzero(data["cal_block"][blocks[:, None], cols] == PENDING_CAL)
-    rows, cols = blocks[r], cols[r, c]
-    rid = data["cal_slot"][rows, cols]
-    data["cal_block"][rows, cols] = cal_block[rid]
-    data["cal_slot"][rows, cols] = cal_slot[rid]
+    """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblocks
+    (``(blocks, sbs)`` array pairs) of ``pool`` to its record's CAL address
+    (``-1, -1`` for a dropped one)."""
+    cells = pool._data.reshape(-1, size)  # one row per Subblock
+    sub = np.concatenate([blocks * nsb + sbs for blocks, sbs in touched])
+    r, cols = np.nonzero(cells["cal_block"][sub] == PENDING_CAL)
+    rows = sub[r]
+    rid = cells["cal_slot"][rows, cols]
+    cells["cal_block"][rows, cols] = cal_block[rid]
+    cells["cal_slot"][rows, cols] = cal_slot[rid]
 
 
 def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -494,25 +452,23 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     p_w = weights.copy()
     r_new: list[int] = []
 
-    # Every group's gen-0 Subblock is known from the grouping keys; gather
-    # them all as (k, subblock) field matrices with one fancy index per
-    # field.  Generation 0 of the whole chunk lives in these matrices.
+    # One group per distinct (dense source, gen-0 Subblock) key: its main-
+    # region row and Subblock, and its slice [first_pos, grp_end) of the
+    # sorted stream.
     ukeys, first_pos = np.unique(dense_s * nsb + sb_s, return_index=True)
     blocks = ukeys // nsb
     sbs = ukeys % nsb
-    group_cols = (sbs * size)[:, None] + np.arange(size)
-    mat = tuple(eba.main._data[name][blocks[:, None], group_cols]
-                for name in rhh.CELL_FIELDS)
     g = ukeys.shape[0]
-    row_dirty = np.zeros(g, dtype=bool)
-    cache = _SubblockCache(eba, nsb, size, blocks, sbs, mat, row_dirty)
+    cache = _SubblockCache(eba, nsb, size)
     grp_end = np.append(first_pos[1:], n)
     cur = first_pos.copy()
-    # (blocks, Subblocks) of the overflow pool the rounds stored into.
-    touched: list[tuple] = []
-    # The main-region child matrix never regrows mid-chunk (capacity is
-    # ensured per vertex row up front), so its backing array can be
-    # hoisted; the overflow one can regrow and is re-read per level.
+    # Per pool (MAIN, OVERFLOW): the (blocks, Subblocks) the rounds' walks
+    # stored into — where a pending sentinel may sit.
+    touched: tuple[list, list] = ([], [])
+    # The main region never regrows mid-chunk (capacity is ensured per
+    # vertex row up front), so its cell fields and child matrix can be
+    # hoisted; the overflow ones can regrow and are re-read per level.
+    mfields = tuple(eba.main._data[name] for name in rhh.CELL_FIELDS)
     mchild = eba._main_children._data
     ochild = eba._overflow_children
 
@@ -536,15 +492,16 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # FIND stage down the whole chain (EdgeblockArray.find).
             q = np.arange(cand.shape[0])
             dup = np.zeros(cand.shape[0], dtype=bool)
-            fields, rows, tree, kids = mat, cand, blocks[cand], mchild
-            sb, ib, first_col = sbs[cand], ib_s[pos], 0
+            fields, tree, kids = mfields, blocks[cand], mchild
+            sb, ib = sbs[cand], ib_s[pos]
+            first_col = (sb * size)[:, None]
             for gen in range(max_gen):
                 sought = dst[q]
                 if gen:
-                    rows, kids = tree, ochild._data
+                    kids = ochild._data
                     fields, sb, first_col, ib = _overflow_level(gt, gen, sought)
                 cols, t_hit, t_emp, t_vac = _probe_order(
-                    fields[0], rows, first_col, ib, sought, size)
+                    fields[0], tree, first_col, ib, sought, size)
                 scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
                 wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
                 cs += int(scanned.sum())
@@ -554,10 +511,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 if hit.any():
                     # Duplicate: weight overwritten in place, CAL copy
                     # through the cell's pointer or the pending record.
-                    h_rows, h_cols, h_w = rows[hit], cols[hit, t_hit[hit]], w[q[hit]]
+                    h_rows, h_cols, h_w = tree[hit], cols[hit, t_hit[hit]], w[q[hit]]
                     fields[1][h_rows, h_cols] = h_w
-                    if gen == 0:
-                        row_dirty[h_rows] = True
                     if cal is not None:
                         cb = fields[3][h_rows, h_cols]
                         slot = fields[4][h_rows, h_cols]
@@ -582,28 +537,25 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # *its own* hashes (EdgeblockArray.insert's loop).
             q = np.flatnonzero(~dup)
             cols, t_emp, t_vac = (a[q] for a in probe0)
-            fields, rows, tree, kids = mat, cand[q], blocks[cand[q]], mchild
-            sb, ib = sbs[rows], ib_s[pos[q]]
+            fields, tree, kids = mfields, blocks[cand[q]], mchild
+            sb, ib = sbs[cand[q]], ib_s[pos[q]]
             edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
             if cal is not None:
                 edge[2:] = np.full(q.shape[0], PENDING_CAL), rid[q]
             for gen in range(max_gen):
                 if gen:
-                    rows, kids = tree, ochild._data
+                    kids = ochild._data
                     fields, sb, first_col, ib = _overflow_level(gt, gen, edge[0])
                     cols, _, t_emp, t_vac = _probe_order(
-                        fields[0], rows, first_col, ib, edge[0], size)
+                        fields[0], tree, first_col, ib, edge[0], size)
                 find_len, steps, n_swaps, wrote, full, edge = _rhh_walk(
-                    fields, rows, cols, t_emp, t_vac, edge)
+                    fields, tree, cols, t_emp, t_vac, edge)
                 wf += int(_circular_workblocks_array(
                     ib, np.maximum(find_len, steps), workblock, size).sum())
                 cs += int(find_len.sum()) + int(steps.sum())
                 swaps += int(n_swaps.sum())
                 wb += int(wrote.sum())
-                if gen == 0:
-                    row_dirty[rows[wrote]] = True
-                else:
-                    touched.append((rows[wrote], sb[wrote]))
+                touched[OVERFLOW if gen else MAIN].append((tree[wrote], sb[wrote]))
                 new[rid[q[t_vac < size]]] = True
                 if full.shape[0] == 0:
                     break
@@ -630,9 +582,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         # ---- Residue: the exact per-op loop. ------------------------------
         # What the rounds left — the thin tail below the floor, every op of
         # an `enable_rhh=False` store or of a chunk too small to start a
-        # round — runs here in stream order, against the matrices (gen 0)
-        # and the pool as the rounds left it (deeper levels).
-        cache.index_rows(np.flatnonzero(cur < grp_end))
+        # round — runs here in stream order, against the pools as the
+        # rounds left them.
         rem = np.flatnonzero(np.arange(n) >= np.repeat(cur, grp_end - first_pos))
         rsel = rem[np.argsort(order[rem], kind="stable")]
         l_src = dense_s[rsel].tolist()
@@ -751,7 +702,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     f"edge ({src}, {dst}) exceeded max_generations={max_gen}"
                 )
     finally:
-        # Apply the deferred side effects and write the caches back even
+        # Apply the deferred side effects and write the cache back even
         # when an op raised mid-chunk, so every *completed* op's state
         # lands exactly as the scalar path would have left it.
         new[r_new] = True
@@ -772,14 +723,11 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             cal_block[live], cal_slot[live] = cal.append_many(
                 dense[live], dsts[live], p_w[live])
             late = np.array([entry[:3] for entry in cache.dirty.values()],
-                            dtype=np.int64).reshape(-1, 3).T
-            for region, pool, parts in (
-                    (MAIN, eba.main, [(blocks[row_dirty], sbs[row_dirty])]),
-                    (OVERFLOW, eba.overflow, touched)):
-                mine = late[1:, late[0] == region]
-                b, s = (np.concatenate([part[k] for part in parts] + [mine[k]])
-                        for k in (0, 1))
-                _patch_pending(pool, b, s, size, cal_block, cal_slot)
+                            dtype=np.int64).reshape(-1, 3)
+            for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
+                mine = late[late[:, 0] == region]
+                touched[region].append((mine[:, 1], mine[:, 2]))
+                _patch_pending(pool, touched[region], nsb, size, cal_block, cal_slot)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb

@@ -70,7 +70,9 @@ class BlockPool:
         Structured cell dtype.
     blank:
         Callable producing a blank cell array of a given shape.  Called
-        once, for the one blank row every hand-out copies from.
+        once, for the one blank row every hand-out copies from — as raw
+        bytes: NumPy assigns a packed record field by field, a ``uint8``
+        view of the same memory in one copy (so does growth).
     initial_blocks:
         Rows reserved at construction.
 
@@ -88,7 +90,7 @@ class BlockPool:
             raise ValueError("initial_blocks must be positive")
         self.block_width = int(block_width)
         self.dtype = dtype
-        self._blank_row = blank(self.block_width)
+        self._blank_row = blank(self.block_width).view(np.uint8)
         self._data = np.zeros((initial_blocks, self.block_width), dtype=dtype)
         self._used = 0
         self._free: list[int] = []
@@ -123,7 +125,7 @@ class BlockPool:
         while new_cap < min_rows:
             new_cap *= 4
         fresh = np.zeros((new_cap, self.block_width), dtype=self.dtype)
-        fresh[: self._used] = self._data[: self._used]
+        fresh.view(np.uint8)[: self._used] = self._data.view(np.uint8)[: self._used]
         self._data = fresh
 
     def allocate(self) -> int:
@@ -134,7 +136,7 @@ class BlockPool:
             idx = self._used
             self._grow_to(idx + 1)
             self._used += 1
-        self._data[idx] = self._blank_row
+        self._data.view(np.uint8)[idx] = self._blank_row
         return idx
 
     def allocate_many(self, count: int) -> list[int]:
@@ -145,12 +147,14 @@ class BlockPool:
         """
         ids = [self._free.pop() for _ in range(min(count, len(self._free)))]
         n_fresh = count - len(ids)
+        self._grow_to(self._used + n_fresh)
+        cells = self._data.view(np.uint8)
+        if ids:
+            cells[ids] = self._blank_row
         if n_fresh > 0:
-            self._grow_to(self._used + n_fresh)
+            cells[self._used : self._used + n_fresh] = self._blank_row
             ids.extend(range(self._used, self._used + n_fresh))
             self._used += n_fresh
-        if ids:
-            self._data[ids] = self._blank_row
         return ids
 
     def free(self, index: int) -> None:

@@ -10,6 +10,8 @@ original-id <-> hashed-id is maintained here (paper Sec. III.B).
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.core.stats import AccessStats
@@ -58,6 +60,23 @@ class ScatterGatherHash:
         self._count += 1
         return hashed
 
+    def hash_new_ids(self, originals: np.ndarray) -> np.ndarray:
+        """Bulk :meth:`hash_id` over *distinct, never-seen* ids, in order:
+        the same dense ids, reverse-table growth and one charge per id."""
+        start, stop = self._count, self._count + len(originals)
+        self.stats.hash_lookups += len(originals)
+        self._forward.update(zip(originals.tolist(), range(start, stop)))
+        cap = self._reverse.shape[0]
+        if stop > cap:
+            while cap < stop:
+                cap *= 2
+            grown = np.full(cap, -1, dtype=np.int64)
+            grown[:start] = self._reverse[:start]
+            self._reverse = grown
+        self._reverse[start:stop] = originals
+        self._count = stop
+        return np.arange(start, stop)
+
     def lookup(self, original: int) -> int:
         """Return the dense id for ``original`` without assigning.
 
@@ -90,12 +109,9 @@ class ScatterGatherHash:
         without perturbing the modeled AccessStats.  Never use this on a
         cost-accounted retrieval path; that is :meth:`try_lookup_array`.
         """
-        fwd = self._forward
-        out = np.fromiter(
-            (fwd.get(o, -1) for o in np.asarray(originals, dtype=np.int64).tolist()),
-            dtype=np.int64, count=len(originals),
-        )
-        return out
+        ids = np.asarray(originals, dtype=np.int64).tolist()
+        return np.fromiter(map(self._forward.get, ids, repeat(-1)),
+                           dtype=np.int64, count=len(ids))
 
     def original_id(self, hashed: int) -> int:
         """Inverse mapping: dense id back to the original vertex id."""

@@ -89,9 +89,15 @@ class TestUpdateInvalidate:
 
 
 def _cal_state(cal):
-    used = cal.pool.high_water
-    return (cal.pool.raw().tobytes(), cal._valid_count._data[:used].tolist(),
-            cal.n_edges, cal.stats.cal_updates)
+    """Everything an append can write: cells, free list, every table."""
+    used, groups = cal.pool.high_water, cal.n_groups
+    state = {name: getattr(cal, name)._data[:used].tolist()
+             for name in ("_next", "_prev", "_valid_count")}
+    state.update({name: getattr(cal, name)._data[:groups].tolist()
+                  for name in ("_group_head", "_group_tail", "_tail_fill")})
+    return state | {"cells": cal.pool.raw().tobytes(), "free": list(cal.pool._free),
+                    "groups": groups, "n_edges": cal.n_edges,
+                    "cal_updates": cal.stats.cal_updates}
 
 
 class TestInvalidateMany:
@@ -135,6 +141,74 @@ class TestInvalidateMany:
         with pytest.raises(IndexError):
             cal.invalidate_many(picks[:, 0], picks[:, 1])
         assert _cal_state(cal) == state
+
+
+class TestAppendMany:
+    """``append_many`` against its specification: a loop of ``append`` on
+    a twin — returned addresses and every byte of state equal."""
+
+    @staticmethod
+    def _append_both(pair, srcs):
+        looped, bulk = pair
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = 1000 + looped.n_edges + np.arange(srcs.shape[0])
+        weights = dsts * 0.25
+        want = [looped.append(s, d, w)
+                for s, d, w in zip(srcs.tolist(), dsts.tolist(), weights.tolist())]
+        blocks, slots = bulk.append_many(srcs, dsts, weights)
+        assert blocks.dtype == slots.dtype == np.int64
+        assert list(zip(blocks.tolist(), slots.tolist())) == want
+        assert _cal_state(bulk) == _cal_state(looped)
+
+    def test_empty_batch(self):
+        pair = (make(), make())
+        self._append_both(pair, [])
+        self._append_both(pair, [0, 5, 0])
+        self._append_both(pair, [])
+        assert pair[1].n_edges == 3
+
+    @pytest.mark.parametrize("first", [0, 1, 3, 4, 8])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 13])
+    def test_one_group(self, first, count):
+        """The tail absent, part-filled (1, 3) and exactly full (4, 8)
+        when the batch arrives; the batch ending inside or on a block."""
+        pair = (make(block_size=4), make(block_size=4))
+        self._append_both(pair, [1] * first)
+        self._append_both(pair, [2, 0, 3, 1] * 4 + [1])
+        self._append_both(pair, np.arange(count) % 4)
+
+    @pytest.mark.parametrize("group_width,block_size", [(4, 4), (1, 2), (3, 1), (32, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_many_groups_over_batches(self, group_width, block_size, seed):
+        """Interleaved groups, new groups appearing late and out of order,
+        tails left anywhere by the batch before."""
+        rng = np.random.default_rng(seed)
+        pair = (make(group_width, block_size), make(group_width, block_size))
+        for hi, n in ((12, 50), (12, 1), (40, 200), (7, 33), (90, 64)):
+            self._append_both(pair, rng.integers(0, hi, n))
+        assert pair[1].n_groups == pair[0].n_groups > 1
+
+    def test_every_tail_exactly_full(self):
+        pair = (make(group_width=1, block_size=4), make(group_width=1, block_size=4))
+        self._append_both(pair, np.repeat([5, 0, 3], [4, 8, 4]))
+        assert pair[1]._tail_fill._data[[0, 3, 5]].tolist() == [4, 4, 4]
+        self._append_both(pair, [3, 0, 5, 5, 0, 9])
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_free_list_reuse_in_stream_order(self, seed):
+        """Blocks freed by ``compact_delete`` come back LIFO to whichever
+        group asks first *in the stream*, not first in group order; once
+        the free list is dry the rest are fresh rows."""
+        rng = np.random.default_rng(seed)
+        pair = (make(group_width=2, block_size=2), make(group_width=2, block_size=2))
+        self._append_both(pair, rng.integers(0, 8, 60))
+        for cal in pair:
+            for group in (3, 0, 2):   # empty three chains, tail first
+                while (tail := cal._group_tail[group]) >= 0:
+                    cal.compact_delete(tail, cal._tail_fill[group] - 1)
+        assert len(pair[1].pool._free) >= 6 and pair[1].pool._free == pair[0].pool._free
+        self._append_both(pair, rng.permutation(np.repeat([7, 6, 1, 0, 4, 11], 9)))
+        assert not pair[1].pool._free and pair[1].pool.high_water > 30
 
 
 class TestStreaming:

@@ -526,17 +526,26 @@ def in_batches(edges, weights, k: int):
                                              np.array_split(weights, k))]
 
 
-def count_walks(monkeypatch) -> list[int]:
-    """Record every closed-form walk the rounds make, as the row width of
-    the cell matrix it ran on (``subblock`` at generation 0, ``pagewidth``
-    in the overflow pool)."""
+def count_walks(monkeypatch) -> list[str]:
+    """Record every closed-form walk the rounds make, as the pool whose
+    cell fields it edited in place: ``"main"`` at generation 0,
+    ``"overflow"`` below it.  Told apart by array identity — both pools
+    are ``pagewidth`` wide — so a walk on a copy of either fails here."""
     from repro.core import kernels
-    calls: list[int] = []
-    walk = kernels._rhh_walk
+    calls: list[str] = []
+    walk, chunk = kernels._rhh_walk, kernels._insert_chunk
+    running = []
+
+    def chunked(gt, *rest):
+        running[:] = [gt.eba]
+        return chunk(gt, *rest)
 
     def counted(fields, *rest):
-        calls.append(fields[0].shape[1])
+        (pool,) = [name for name in ("main", "overflow")
+                   if all(f.base is getattr(running[0], name)._data for f in fields)]
+        calls.append(pool)
         return walk(fields, *rest)
+    monkeypatch.setattr(kernels, "_insert_chunk", chunked)
     monkeypatch.setattr(kernels, "_rhh_walk", counted)
     return calls
 
@@ -564,7 +573,7 @@ class TestLevelSynchronousInsert:
         assert tree_shape(vector, 0)[0] >= 3
         assert max(hit_generation(vector, 0, d) for d in range(70)) >= 2
         # Rounds ran, and walked below generation 0 — or never started.
-        assert set(walks) == ({8, 16} if n_hubs == 64 else set())
+        assert set(walks) == ({"main", "overflow"} if n_hubs == 64 else set())
 
     def test_rounds_alone_are_exact(self, monkeypatch):
         """With the floor at one group nothing is left for the residue
@@ -661,7 +670,7 @@ class TestLevelSynchronousInsert:
         ops = [("insert", edges[order], weights[order]),
                ("insert", edges[order][100:1000], weights[:900])]
         _, vector = insert_pair(GTConfig(**SMALL), ops)
-        assert walks.count(8) >= 30 and 16 in walks
+        assert walks.count("main") >= 30 and "overflow" in walks
 
     @pytest.mark.parametrize("n_hubs", [64, 1])
     def test_capacity_error_leaves_no_sentinel(self, n_hubs):

@@ -84,6 +84,33 @@ class TestAllocation:
         assert pool.capacity == 8
         assert pool.raw()[:2].tobytes() == before.tobytes()
 
+    def test_handed_out_rows_are_blank_byte_for_byte(self):
+        """Rows move as bytes: whatever a row held, ``allocate`` and both
+        halves of ``allocate_many`` (free list, fresh) leave exactly the
+        blank row's bytes and touch no other row."""
+        pool = make_pool(initial=2)
+        blank = blank_edge_cells(pool.block_width).tobytes()
+        pool.allocate_many(6)
+        pool.raw().view(np.uint8)[:] = 0xAB
+        for idx in (4, 1, 3):
+            pool.free(idx)
+        handed = [pool.allocate()] + pool.allocate_many(4)
+        assert handed == [3, 1, 4, 6, 7]
+        for idx in handed:
+            assert pool.row(idx).tobytes() == blank
+        for idx in (0, 2, 5):
+            assert pool.row(idx).tobytes() == b"\xab" * len(blank)
+
+    def test_growth_copies_used_rows_and_reserves_zero(self):
+        pool = make_pool(initial=2)
+        pool.allocate_many(2)
+        pool.raw().view(np.uint8)[:] = np.arange(2 * 8 * EDGE_CELL_DTYPE.itemsize).reshape(2, -1) % 251
+        before = pool.raw().tobytes()
+        pool.allocate_many(7)
+        assert pool.capacity == 32 and pool.high_water == 9
+        assert pool.raw()[:2].tobytes() == before
+        assert not pool._data[pool.high_water:].view(np.uint8).any()
+
     def test_free_unallocated_raises(self):
         pool = make_pool()
         with pytest.raises(IndexError):

@@ -100,6 +100,22 @@ class TestGrowthAndBatch:
             assert bulk.stats.hash_lookups == loop.stats.hash_lookups
 
 
+    @pytest.mark.parametrize("counts", [(0,), (1,), (3, 0, 5), (2, 1, 30, 4)])
+    def test_hash_new_ids_is_a_loop_of_hash_id(self, counts):
+        """Same ids, forward and reverse tables (capacity included: growth
+        doubles the same number of times) and charges, batch after batch."""
+        bulk, loop = (ScatterGatherHash(initial_capacity=2) for _ in range(2))
+        fresh = iter(range(7, 10**6, 13))
+        for count in counts:
+            originals = np.array([next(fresh) for _ in range(count)], dtype=np.int64)
+            got = bulk.hash_new_ids(originals)
+            assert got.dtype == np.int64
+            assert got.tolist() == [loop.hash_id(o) for o in originals.tolist()]
+            assert bulk._forward == loop._forward and len(bulk) == len(loop)
+            assert bulk._reverse.tolist() == loop._reverse.tolist()
+            assert bulk.stats.hash_lookups == loop.stats.hash_lookups
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=500))
 def test_sgh_is_a_bijection_onto_dense_prefix(originals):
     """Property: the mapping is a bijection distinct-originals <-> [0, n)."""
