@@ -243,9 +243,9 @@ class EdgeblockArray:
             sb = subblock_index(f_dst, gen, nsb, cfg.seed)
             cells = self._subblock_cells(region, block, sb)
             ib = initial_bucket(f_dst, gen, cfg.subblock, cfg.seed)
-            # The batch kernel's per-op step with a cache lifetime of one
-            # op: fields out to lists, one core call, charges applied,
-            # fields stored back when the core wrote.
+            # Fields out to lists, one core call, charges applied, fields
+            # stored back when the core wrote.  The batch kernel runs this
+            # method itself for every op its rounds leave.
             fields = [cells[name].tolist() for name in rhh.CELL_FIELDS]
             status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot = (
                 rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on,

@@ -207,10 +207,13 @@ class GraphTinker:
         """
         self._validate_ids(src, dst)
         dense_src = self._dense(src, create=True)
-        is_new, location = self.eba.insert(dense_src, dst, weight)
-        if self._analytics_snapshot is not None:
-            # Weight updates change row data too, so mark unconditionally.
-            self._analytics_snapshot.mark_dirty(dense_src)
+        try:
+            is_new, location = self.eba.insert(dense_src, dst, weight)
+        finally:
+            if self._analytics_snapshot is not None:
+                # Weight updates change row data too, and a cascade that
+                # raised has moved cells already: mark unconditionally.
+                self._analytics_snapshot.mark_dirty(dense_src)
         if is_new:
             self.vpa.add_degree(dense_src, 1)
             if self.cal is not None:
@@ -258,7 +261,10 @@ class GraphTinker:
         # The scalar loop zips edges with weights, so a short weights array
         # silently truncates the batch; the vector path mirrors that.
         m = min(edges.shape[0], weights.shape[0])
-        if kern == "vector" and m:
+        # A batch too small to start an insert round would run every op
+        # through EdgeblockArray.insert inside the kernel anyway, so it
+        # takes the per-edge path directly.
+        if kern == "vector" and m >= kernels.MIN_ROUND_GROUPS:
             # The scalar path marks per-edge inside insert_edge; the
             # vector kernel mutates the arrays wholesale, so mark its
             # touched sources at batch granularity — also when it raises,

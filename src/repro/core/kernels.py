@@ -1,17 +1,16 @@
 """Vectorized batch-update kernels (the ``kernel="vector"`` fast path).
 
-One probe core, two drivers
----------------------------
-:mod:`repro.core.robin_hood` holds the only Robin-Hood probe loop.  It is
-driven per operation by :class:`~repro.core.edgeblock_array.EdgeblockArray`
-(the *spec*: the paper's algorithm, the single-edge API, ``kernel="scalar"``)
-and per chunk by this module (the *batch* driver), whose residue loop hands
-the core the same plain-sequence view of a Subblock and applies the charges
-it reports.  The whole-chunk passes — the insert rounds and the delete
-level pass — restate the core over Subblock matrices rolled to probe order:
-:func:`_probe_order` is ``rhh_find``'s stopping rule, :func:`_rhh_walk` the
-closed form of ``rhh_insert``'s displacement walk; the parity tests hold
-both to the core.
+One probe core, one per-op insert
+---------------------------------
+:mod:`repro.core.robin_hood` holds the only Robin-Hood probe loop, and
+:meth:`EdgeblockArray.insert <repro.core.edgeblock_array.EdgeblockArray.insert>`
+is the only per-op insert: the *spec* — the paper's algorithm, the
+single-edge API, what ``kernel="scalar"`` loops over, and what this module
+runs for every op its insert rounds leave.  The whole-chunk passes — the
+insert rounds and the delete level pass — restate the core over Subblock
+matrices rolled to probe order: :func:`_probe_order` is ``rhh_find``'s
+stopping rule, :func:`_rhh_walk` the closed form of ``rhh_insert``'s
+displacement walk; the parity tests hold both to the core.
 
 Equivalence contract
 --------------------
@@ -71,35 +70,40 @@ round trip of the Subblock around every
    generation 0 (its capacity is ensured before the rounds, so its arrays
    cannot regrow mid-chunk), the overflow pool below it: only the cells
    a walk changes move, nothing is staged.  Rounds run while at least
-   :data:`MIN_ROUND_GROUPS` groups are active; the thin tail, every
-   ``enable_rhh=False`` store and any chunk too small to start a round
-   fall to the residue loop — the exact per-op path: each touched
-   Subblock pulled into plain Python lists once and probed via
-   :func:`~repro.core.robin_hood.rhh_find` /
-   :func:`~repro.core.robin_hood.rhh_insert`, dirty Subblocks written
-   back with one fancy store per field.  Charges accumulate in local ints
-   and flush into ``AccessStats`` once per chunk.
+   :data:`MIN_ROUND_GROUPS` groups are active.  What they leave — the thin
+   tail, every op of an ``enable_rhh=False`` store, a chunk too small to
+   start a round — is the *residue*: it runs in stream order through
+   :meth:`~repro.core.edgeblock_array.EdgeblockArray.insert` itself,
+   against the pools as the rounds left them, a new edge carrying a
+   pending CAL pointer like a round op's.  The rounds' charges accumulate
+   in local ints and flush into ``AccessStats`` once per chunk; a residue
+   op charges its own.  (The facade does not call the kernel for a batch
+   of fewer than :data:`MIN_ROUND_GROUPS` edges: it could not start a
+   round.)
 5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
    sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
    chunk, which is its record id) that travels through Robin-Hood
    displacements exactly like a real pointer; after the chunk, the
    records of the ops that placed a new edge are appended to the CAL **in
    original stream order** (one arithmetic pass,
-   :meth:`CoarseAdjacencyList.append_many`), and one pass per pool over
-   the Subblocks the chunk stored into — collected as the walks store,
-   generation 0 included — rewrites the sentinels to the real
-   addresses.  Duplicate ops that meet a pending cell update the pending
-   record (one ``cal_updates`` charge, like the scalar ``update_weight``)
-   so the final CAL weight is the last one.
+   :meth:`CoarseAdjacencyList.append_many`), and one pass per pool
+   rewrites the sentinels to the real addresses.  It covers the
+   Subblocks the rounds' walks stored into — collected as they store,
+   generation 0 included — and, for every group with residue ops, the
+   group's gen-0 Subblock and every overflow row below it, walked level
+   by level down the child matrices: a residue op may push any pending
+   cell anywhere in that subtree.  Duplicate ops that meet a pending cell
+   update the pending record (one ``cal_updates`` charge, like the scalar
+   ``update_weight``) so the final CAL weight is the last one.
 
 Large batches are processed in contiguous chunks so the round temporaries
-and the Subblock cache stay bounded; chunking composes trivially (the
-scalar path is itself a sequence of per-edge chunks).
+stay bounded; chunking composes trivially (the scalar path is itself a
+sequence of per-edge chunks).
 
 Delete batches: one pass per tree level
 ---------------------------------------
-Delete-only deletes cannot observe each other, so they need no grouping,
-rounds or cache.  :func:`~repro.core.robin_hood.rhh_find` stops only on a match or
+Delete-only deletes cannot observe each other, so they need no grouping.
+:func:`~repro.core.robin_hood.rhh_find` stops only on a match or
 (RHH mode) an ``EMPTY`` cell; a delete writes ``TOMBSTONE`` into ``dst``
 and -1 into the two CAL-pointer fields, never touches ``weight``/``probe``
 and never allocates, frees or moves a cell or a child pointer.  Two
@@ -131,12 +135,7 @@ import numpy as np
 
 from repro.core import robin_hood as rhh
 from repro.core.edgeblock_array import MAIN, OVERFLOW
-from repro.core.hashing import (
-    initial_bucket,
-    initial_bucket_array,
-    subblock_index,
-    subblock_index_array,
-)
+from repro.core.hashing import initial_bucket_array, subblock_index_array
 from repro.core.pool import EMPTY, TOMBSTONE
 from repro.errors import CapacityError
 
@@ -146,18 +145,21 @@ from repro.errors import CapacityError
 #: sentinel before ``_insert_chunk`` returns, exceptional paths included.
 PENDING_CAL = -3
 
-#: Edges per processing chunk.  Bounds the round temporaries and the
-#: Subblock list cache (worst case one row or entry per edge) while keeping
-#: the per-chunk NumPy phase costs well amortised.  Chunks are contiguous
-#: slices of the input stream, so chunked execution composes into the same
-#: global event order.
+#: Edges per processing chunk.  Bounds the round temporaries (worst case
+#: one row per edge) while keeping the per-chunk NumPy phase costs well
+#: amortised.  Chunks are contiguous slices of the input stream, so chunked
+#: execution composes into the same global event order.
 CHUNK_EDGES = 32768
 
 #: Fewest active groups an insert round is run for.  A round costs a fixed
 #: ~0.1 ms of NumPy calls per tree level however few ops it carries; below
-#: about this many the exact per-op residue loop is cheaper (the measured
-#: crossover, EXPERIMENTS.md note 10).  Not a correctness switch: rounds
-#: and residue leave the same cells and charges.
+#: about this many running the ops one by one through
+#: ``EdgeblockArray.insert`` is cheaper.  The crossover was first measured
+#: against a list-cached copy of that loop (EXPERIMENTS.md note 10); the
+#: same sweep with the residue on ``EdgeblockArray.insert`` is still flat
+#: from 16 to 64 (note 14).  The facade also sends a batch of fewer edges
+#: than this straight to the per-edge path.  Not a correctness switch:
+#: rounds and residue leave the same cells and charges.
 MIN_ROUND_GROUPS = 32
 
 
@@ -326,75 +328,6 @@ def _rhh_walk(fields, rows: np.ndarray, cols: np.ndarray, t_emp: np.ndarray,
             vacant | (swaps > 0), full, floating)
 
 
-class _SubblockCache:
-    """Plain-list cache of the Subblocks the residue loop touches, written
-    back once per chunk.  (The rounds and the deletes edit the pools in
-    place and need no cache: see the module docstring.)
-
-    Entries are ``(region, block, sb, dsts, weights, probes, cal_blocks,
-    cal_slots)`` keyed by a packed int.  Entries are *copies*: pool growth
-    (overflow allocation during branch-out) may reallocate the backing
-    array mid-chunk, and the writeback re-fetches rows, so cached state is
-    never invalidated by growth.
-    """
-
-    __slots__ = ("_cache", "dirty", "_eba", "_nsb", "_size", "_fields")
-
-    def __init__(self, eba, nsb: int, size: int):
-        self._cache: dict[int, tuple] = {}
-        self.dirty: dict[int, tuple] = {}
-        self._eba = eba
-        self._nsb = nsb
-        self._size = size
-        self._fields: dict[int, tuple] = {}
-
-    def _field_views(self, region: int) -> tuple:
-        """Per-field 2-D views of a pool, re-fetched if the pool regrew.
-
-        Field views are much cheaper to slice per load than structured
-        rows, but overflow growth mid-chunk reallocates the backing array;
-        the identity check on ``_data`` catches that (cached list entries
-        themselves are copies, so they survive growth unharmed).
-        """
-        pool = self._eba.main if region == MAIN else self._eba.overflow
-        data = pool._data
-        cached = self._fields.get(region)
-        if cached is None or cached[0] is not data:
-            cached = self._fields[region] = (
-                data, tuple(data[name] for name in rhh.CELL_FIELDS))
-        return cached[1]
-
-    def load(self, region: int, block: int, sb: int) -> tuple[int, tuple]:
-        key = ((block << 1) | region) * self._nsb + sb
-        entry = self._cache.get(key)
-        if entry is None:
-            lo = sb * self._size
-            hi = lo + self._size
-            fd, fw, fp, fcb, fcs = self._field_views(region)
-            entry = (region, block, sb, fd[block, lo:hi].tolist(),
-                     fw[block, lo:hi].tolist(), fp[block, lo:hi].tolist(),
-                     fcb[block, lo:hi].tolist(), fcs[block, lo:hi].tolist())
-            self._cache[key] = entry
-        return key, entry
-
-    def writeback(self) -> None:
-        """Scatter every dirty Subblock back: one fancy store per field.
-
-        Dirty keys are distinct ``(region, block, sb)`` triples, so the
-        scatter indices never alias a cell twice.
-        """
-        size = self._size
-        span = np.arange(size)
-        by_region: dict[int, list[tuple]] = {}
-        for entry in self.dirty.values():
-            by_region.setdefault(entry[0], []).append(entry)
-        for region, entries in by_region.items():
-            rows = np.fromiter((e[1] for e in entries), np.int64, len(entries))[:, None]
-            cols = np.fromiter((e[2] * size for e in entries), np.int64, len(entries))[:, None] + span
-            for k, field in enumerate(self._field_views(region), start=3):
-                field[rows, cols] = [e[k] for e in entries]
-
-
 def _patch_pending(pool, touched: list[tuple], nsb: int, size: int,
                    cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
     """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblocks
@@ -441,13 +374,15 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     sb_s = sb0[order]
     ib_s = ib0[order]
 
-    # Local charge accumulators, flushed into `stats` once per chunk.
+    # The rounds' charge accumulators, flushed into `stats` once per chunk
+    # (a residue op charges its own, as the scalar path does).
     wf = cs = wb = swaps = found = cal_up = bd = 0
-    # `new[i]`: stream op i placed a new edge.  It is also the pending CAL
-    # record table: a new edge's record id is its stream index (source and
-    # dst are the op's own), `p_w` holds the record weights — a duplicate
-    # that meets a pending cell overwrites its record's — and an op that
-    # raised mid-cascade never sets its flag, which drops its record.
+    # `new[i]`: stream op i placed a new edge in a round; `r_new` lists the
+    # residue's.  Together they are the pending CAL record table: a new
+    # edge's record id is its stream index (source and dst are the op's
+    # own), `p_w` holds the record weights — a duplicate that meets a
+    # pending cell overwrites its record's — and an op that raised
+    # mid-cascade is never flagged, which drops its record.
     new = np.zeros(n, dtype=bool)
     p_w = weights.copy()
     r_new: list[int] = []
@@ -459,7 +394,6 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     blocks = ukeys // nsb
     sbs = ukeys % nsb
     g = ukeys.shape[0]
-    cache = _SubblockCache(eba, nsb, size)
     grp_end = np.append(first_pos[1:], n)
     cur = first_pos.copy()
     # Per pool (MAIN, OVERFLOW): the (blocks, Subblocks) the rounds' walks
@@ -579,162 +513,69 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 )
             cand = cand[cur[cand] < grp_end[cand]]
 
-        # ---- Residue: the exact per-op loop. ------------------------------
+        # ---- Residue: the specification, one op at a time. ---------------
         # What the rounds left — the thin tail below the floor, every op of
         # an `enable_rhh=False` store or of a chunk too small to start a
-        # round — runs here in stream order, against the pools as the
-        # rounds left them.
+        # round — runs in stream order through EdgeblockArray.insert,
+        # against the pools as the rounds left them, with a pending CAL
+        # pointer like a round op's.
         rem = np.flatnonzero(np.arange(n) >= np.repeat(cur, grp_end - first_pos))
-        rsel = rem[np.argsort(order[rem], kind="stable")]
-        l_src = dense_s[rsel].tolist()
-        l_dst = dst_s[rsel].tolist()
-        l_w = w_s[rsel].tolist()
-        l_sb = sb_s[rsel].tolist()
-        l_ib = ib_s[rsel].tolist()
-        l_orig = order[rsel].tolist()
-
-        load = cache.load
-        dirty = cache.dirty
-        rhh_find = rhh.rhh_find
-        rhh_insert = rhh.rhh_insert
-        circ = rhh._circular_workblocks
-        descend = eba._descend
-        INSERTED = rhh.INSERTED
-        UPDATED = rhh.UPDATED
-
-        for i in range(len(l_src)):
-            src = l_src[i]
-            dst = l_dst[i]
-            w = l_w[i]
-
-            # ---- FIND stage across the whole descent chain (mirrors
-            # EdgeblockArray.find called from EdgeblockArray.insert). ----
-            region, block = MAIN, src
-            hit = None
-            for gen in range(max_gen):
-                if gen:
-                    sb = subblock_index(dst, gen, nsb, seed)
-                    ib = initial_bucket(dst, gen, size, seed)
-                else:
-                    sb = l_sb[i]
-                    ib = l_ib[i]
-                key, entry = load(region, block, sb)
-                slot, scanned = rhh_find(entry[3], dst, ib, rhh_on)
-                # Inlined no-wrap case of rhh._circular_workblocks.
-                end = ib + scanned
-                if 0 < scanned and end <= size:
-                    wf += (end - 1) // workblock - ib // workblock + 1
-                else:
-                    wf += circ(ib, scanned, workblock, size)
-                cs += scanned
-                if slot >= 0:
-                    hit = (key, entry, slot)
-                    break
-                # Inlined miss path of eba._descend(..., allocate=False).
-                child = mchild[block, sb] if region == MAIN else ochild._data[block, sb]
-                if child < 0:
-                    break
-                bd += 1
-                region = OVERFLOW
-                block = int(child)
-
-            if hit is not None:
-                # Duplicate: update the EBA weight in place, then the CAL
-                # copy through the cell's pointer (or the pending record).
-                found += 1
-                key, entry, slot = hit
-                entry[4][slot] = w
-                wb += 1
-                dirty[key] = entry
-                if cal is not None:
-                    cb = entry[6][slot]
-                    if cb >= 0:
-                        cal.update_weight(cb, entry[7][slot], w)
-                    elif cb == PENDING_CAL:
-                        p_w[entry[7][slot]] = w
-                        cal_up += 1
-                continue
-
-            # ---- INSERT stage: descend, placing via RHH/TBH. ----------
-            if cal is not None:
-                f_cb = PENDING_CAL
-                f_cs = l_orig[i]
-            else:
-                f_cb = -1
-                f_cs = -1
-            f_dst = dst
-            f_w = w
-            region, block = MAIN, src
-            for gen in range(max_gen):
-                if gen:
-                    sb = subblock_index(f_dst, gen, nsb, seed)
-                    ib = initial_bucket(f_dst, gen, size, seed)
-                else:
-                    sb = l_sb[i]
-                    ib = l_ib[i]
-                key, entry = load(region, block, sb)
-                status, slot, lengths, wrote, nswaps, o_dst, o_w, o_cb, o_cs = rhh_insert(
-                    entry[3], entry[4], entry[5], entry[6], entry[7],
-                    f_dst, f_w, ib, rhh_on, f_cb, f_cs,
-                )
-                assert status != UPDATED, "FIND stage already ruled out duplicates"
-                scanned = max(lengths)
-                end = ib + scanned
-                if 0 < scanned and end <= size:
-                    wf += (end - 1) // workblock - ib // workblock + 1
-                else:
-                    wf += circ(ib, scanned, workblock, size)
-                cs += sum(lengths)
-                swaps += nswaps
-                if wrote:
-                    wb += 1
-                    dirty[key] = entry
-                if status == INSERTED:
-                    r_new.append(l_orig[i])
-                    break
-                region, block = descend(region, block, sb, True)
-                f_dst = o_dst
-                f_w = o_w
-                f_cb = o_cb
-                f_cs = o_cs
-            else:
-                raise CapacityError(
-                    f"edge ({src}, {dst}) exceeded max_generations={max_gen}"
-                )
+        rids = np.sort(order[rem])
+        for rid, src, dst, w in zip(rids.tolist(), dense[rids].tolist(),
+                                    dsts[rids].tolist(), weights[rids].tolist()):
+            ptr = (PENDING_CAL, rid) if cal is not None else (-1, -1)
+            is_new, loc = eba.insert(src, dst, w, *ptr)
+            if is_new:
+                r_new.append(rid)
+            elif cal is not None:
+                # Duplicate: the CAL copy through the cell's pointer or its
+                # pending record (GraphTinker.insert_edge's update branch).
+                cb, slot = eba.get_cal_pointer(loc)
+                if cb >= 0:
+                    cal.update_weight(cb, slot, w)
+                elif cb == PENDING_CAL:
+                    p_w[slot] = w
+                    cal_up += 1
     finally:
-        # Apply the deferred side effects and write the cache back even
-        # when an op raised mid-chunk, so every *completed* op's state
-        # lands exactly as the scalar path would have left it.
+        # Apply the deferred side effects even when an op raised mid-chunk,
+        # so every *completed* op's state lands exactly as the per-op path
+        # would have left it.  EdgeblockArray.insert counted the residue's
+        # new edges in its own degrees and `edges_inserted` already.
+        placed = np.flatnonzero(new)
+        np.add.at(eba._degrees, dense[placed], 1)
         new[r_new] = True
         live = np.flatnonzero(new)
         if live.shape[0]:
             ns = dense[live]
-            np.add.at(eba._degrees, ns, 1)
             gt.vpa.ensure(int(ns.max()))
             np.add.at(gt.vpa.degrees, ns, 1)
-        cache.writeback()
         if cal is not None:
             # Replay the appends in original stream order, then rewrite
-            # every sentinel — displacement may have moved one anywhere on
-            # its chain — in one pass per pool over the Subblocks the
-            # chunk stored into.
+            # every sentinel in one pass per pool.  The rounds' walks
+            # recorded where they stored; a residue op may push any pending
+            # cell anywhere in its group's subtree, so that is the group's
+            # gen-0 Subblock and every overflow row below it.
             cal_block = np.full(n, -1, dtype=np.int64)
             cal_slot = np.full(n, -1, dtype=np.int64)
             cal_block[live], cal_slot[live] = cal.append_many(
                 dense[live], dsts[live], p_w[live])
-            late = np.array([entry[:3] for entry in cache.dirty.values()],
-                            dtype=np.int64).reshape(-1, 3)
+            res = np.flatnonzero(cur < grp_end)
+            touched[MAIN].append((blocks[res], sbs[res]))
+            kids = mchild[blocks[res], sbs[res]]
+            while (rows := kids[kids >= 0].astype(np.int64)).shape[0]:
+                touched[OVERFLOW].append((np.repeat(rows, nsb),
+                                          np.tile(np.arange(nsb), rows.shape[0])))
+                kids = ochild._data[rows].ravel()
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
-                mine = late[late[:, 0] == region]
-                touched[region].append((mine[:, 1], mine[:, 2]))
-                _patch_pending(pool, touched[region], nsb, size, cal_block, cal_slot)
+                if touched[region]:
+                    _patch_pending(pool, touched[region], nsb, size, cal_block, cal_slot)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb
         stats.rhh_swaps += swaps
         stats.branch_descents += bd
         stats.edges_found += found
-        stats.edges_inserted += live.shape[0]
+        stats.edges_inserted += placed.shape[0]
         stats.cal_updates += cal_up
     return int(live.shape[0])
 

@@ -550,6 +550,20 @@ def count_walks(monkeypatch) -> list[str]:
     return calls
 
 
+def kernel_batches(monkeypatch) -> list[int]:
+    """Record the size of every batch the facade hands to the insert
+    kernel (a batch too small to start a round never gets there)."""
+    from repro.core import kernels
+    sizes: list[int] = []
+    vector = kernels.insert_batch_vector
+
+    def entered(gt, edges, weights):
+        sizes.append(edges.shape[0])
+        return vector(gt, edges, weights)
+    monkeypatch.setattr(kernels, "insert_batch_vector", entered)
+    return sizes
+
+
 def no_sentinel_left(gt: GraphTinker) -> bool:
     from repro.core.kernels import PENDING_CAL
     return not any((pool.raw()["cal_block"] == PENDING_CAL).any()
@@ -559,27 +573,31 @@ def no_sentinel_left(gt: GraphTinker) -> bool:
 class TestLevelSynchronousInsert:
     """Insert rounds run every group's r-th op level by level, whatever
     its shape — hits, descents, Robin-Hood walks, branch-outs — and hand
-    the thin tail to the per-op loop; either way the store must be the
-    per-op driver's, up to overflow-row names."""
+    the thin tail to ``EdgeblockArray.insert``; either way the store must
+    be the scalar path's, up to overflow-row names."""
 
     @pytest.mark.parametrize("n_hubs", [64, 1])
     def test_hub_trees_grown_over_batches(self, n_hubs, monkeypatch):
         """64 hubs keep the rounds going; one hub (two groups) never
-        starts one.  Both must pass: the floor is not a correctness
-        switch."""
+        starts one, in batches wide enough to reach the kernel all the
+        same.  Both must pass: the floor is not a correctness switch."""
+        entered = kernel_batches(monkeypatch)
         walks = count_walks(monkeypatch)
         edges, weights = hubs_stream(n_hubs, 70)
-        _, vector = insert_pair(GTConfig(**SMALL), in_batches(edges, weights, 5))
+        ops = in_batches(edges, weights, 5 if n_hubs > 1 else 2)
+        _, vector = insert_pair(GTConfig(**SMALL), ops)
+        assert entered == [op[1].shape[0] for op in ops]
         assert tree_shape(vector, 0)[0] >= 3
         assert max(hit_generation(vector, 0, d) for d in range(70)) >= 2
         # Rounds ran, and walked below generation 0 — or never started.
         assert set(walks) == ({"main", "overflow"} if n_hubs == 64 else set())
 
     def test_rounds_alone_are_exact(self, monkeypatch):
-        """With the floor at one group nothing is left for the residue
-        loop: every op — hit, descent, swap, branch-out — runs in a round
-        and reaches neither the probe core nor the list cache."""
+        """With the floor at one group nothing is left for the residue:
+        every op — hit, descent, swap, branch-out — runs in a round and
+        reaches neither ``EdgeblockArray.insert`` nor the probe core."""
         from repro.core import kernels
+        from repro.core.edgeblock_array import EdgeblockArray
         edges, weights = hubs_stream(5, 70, seed=1)
         ops = in_batches(edges, weights, 3) + [("insert", edges[:200], weights[:200] + 1.0)]
         scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
@@ -591,7 +609,7 @@ class TestLevelSynchronousInsert:
         monkeypatch.setattr(kernels, "MIN_ROUND_GROUPS", 1)
         monkeypatch.setattr(kernels.rhh, "rhh_insert", unreachable)
         monkeypatch.setattr(kernels.rhh, "rhh_find", unreachable)
-        monkeypatch.setattr(kernels._SubblockCache, "load", unreachable)
+        monkeypatch.setattr(EdgeblockArray, "insert", unreachable)
         vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
         for op in ops:
             vector.insert_batch(op[1], op[2])
@@ -650,7 +668,7 @@ class TestLevelSynchronousInsert:
         edges[:, 0] = edges[:, 0] * 3 + 1       # sparse raw ids for the SGH-less store
         ops = in_batches(edges, weights, 3) + [("insert", edges[:500], weights[:500] + 1.0)]
         insert_pair(GTConfig(**{**SMALL, flag: False}), ops)
-        assert bool(walks) == (flag != "enable_rhh")   # no RHH: the residue loop only
+        assert bool(walks) == (flag != "enable_rhh")   # no RHH: the residue only
 
     def test_one_subblock_per_block_is_a_chain(self, monkeypatch):
         walks = count_walks(monkeypatch)
@@ -672,24 +690,49 @@ class TestLevelSynchronousInsert:
         _, vector = insert_pair(GTConfig(**SMALL), ops)
         assert walks.count("main") >= 30 and "overflow" in walks
 
+    def test_residue_pushes_round_placed_cells_below_the_rounds(self, monkeypatch):
+        """41 groups for three rounds, then one hub group's 60 remaining
+        ops in the residue: they fill the hub's one Subblock and push the
+        cells the rounds placed there, CAL pointers still pending, down
+        into overflow rows no round stored into.  The sentinel patch must
+        find them there."""
+        walks = count_walks(monkeypatch)
+        rng = np.random.default_rng(0)
+        light = np.column_stack([np.repeat(np.arange(1, 41), 3), rng.integers(0, 1000, 120)])
+        hub = np.column_stack([np.zeros(63, dtype=np.int64), rng.permutation(5000)[:63]])
+        edges = rng.permutation(np.vstack([light, hub]).astype(np.int64))
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)   # one Subblock a row
+        _, vector = insert_pair(cfg, [("insert", edges, rng.random(edges.shape[0]))])
+        assert set(walks) == {"main"}
+        round_placed = edges[edges[:, 0] == 0, 1][:3]
+        assert min(hit_generation(vector, 0, int(d)) for d in round_placed) >= 1
+        assert no_sentinel_left(vector)
+
     @pytest.mark.parametrize("n_hubs", [64, 1])
-    def test_capacity_error_leaves_no_sentinel(self, n_hubs):
+    def test_capacity_error_leaves_no_sentinel(self, n_hubs, monkeypatch):
         """Two generations of one Subblock hold 16 edges a source; the
-        17th raises from a round (64 hubs) or from the residue loop (one
-        hub), on either kernel, with every completed op applied and no
+        17th raises from a round (64 hubs) or from the residue (one hub,
+        each batch repeated until it is wide enough to reach the kernel),
+        on either kernel, with every completed op applied and no
         ``PENDING_CAL`` sentinel left in either pool."""
+        from repro.core import kernels
         cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=2)
         edges, weights = hubs_stream(n_hubs, 20, seed=17)
+        reps = -(-kernels.MIN_ROUND_GROUPS // (10 * n_hubs))
+        batches = [(np.tile(edges[part], (reps, 1)), np.tile(weights[part], reps))
+                   for part in (slice(0, 10 * n_hubs), slice(10 * n_hubs, None))]
+        entered = kernel_batches(monkeypatch)
         for kernel in ("scalar", "vector"):
             gt = GraphTinker(cfg.with_(kernel=kernel))
-            gt.insert_batch(edges[:10 * n_hubs], weights[:10 * n_hubs])
+            gt.insert_batch(*batches[0])
             with pytest.raises(CapacityError):
-                gt.insert_batch(edges[10 * n_hubs:], weights[10 * n_hubs:])
+                gt.insert_batch(*batches[1])
             assert no_sentinel_left(gt)
             cells = sum(int((pool.raw()["dst"] >= 0).sum())
                         for pool in (gt.eba.main, gt.eba.overflow))
             assert gt.n_edges == gt.vpa.degrees.sum() == gt.stats.edges_inserted == cells
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
+        assert entered == [batch.shape[0] for batch, _ in batches]
 
     def test_closed_form_walk_matches_rhh_insert(self):
         """The level pass's Robin-Hood walk against the probe core, on
@@ -735,10 +778,47 @@ class TestLevelSynchronousInsert:
                 assert tuple(o) == congested[i], i
 
 
+def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):
+    """Fewer edges than ``MIN_ROUND_GROUPS`` cannot start a round, so a
+    ``kernel="vector"`` batch that small runs per edge without entering
+    the kernel: the store is the scalar one byte for byte, the attached
+    snapshot marks every row the batch touched, and the ingest metrics
+    keep the kernel the caller asked for."""
+    import repro.obs as obs
+    from repro.core import kernels
+    from repro.obs.metrics import MetricsRegistry
+    edges, weights = hubs_stream(8, 30, seed=19)
+    batch = np.vstack([edges[:8], edges[8:16] + [0, 500]])   # 8 duplicates, 8 new
+    assert batch.shape[0] < kernels.MIN_ROUND_GROUPS
+    scalar, vector = (GraphTinker(GTConfig(**SMALL)) for _ in range(2))
+    for gt in (scalar, vector):
+        gt.insert_batch(edges, weights)
+        gt.enable_snapshot()
+        gt.neighbors_many(np.arange(8))
+        assert gt.analytics_snapshot.pending_rows == 0
+    scalar.insert_batch(batch, np.arange(16.0), kernel="scalar")
+    entered = kernel_batches(monkeypatch)
+    registry = MetricsRegistry()
+    prior = obs.set_registry(registry)
+    obs.enable()
+    try:
+        vector.insert_batch(batch, np.arange(16.0), kernel="vector")
+    finally:
+        obs.disable()
+        obs.set_registry(prior)
+    assert entered == []
+    a, b = delete_state(scalar), delete_state(vector)
+    assert a == b, [k for k in a if a[k] != b[k]]
+    assert vector.analytics_snapshot.pending_rows == np.unique(batch[:, 0]).shape[0]
+    assert_gather_matches_loop(vector, np.arange(8))
+    assert registry.get("ingest.insert.vector.edges").value == 16
+    assert "ingest.insert.scalar.batches" not in registry
+
+
 class TestHashArrays:
-    """The vectorized hash mirrors must agree with the scalar hashes the
-    residue loop (and the scalar kernel) use — a disagreement would send
-    the rounds' ops to the wrong Subblock/bucket."""
+    """The vectorized hash mirrors must agree with the scalar hashes
+    ``EdgeblockArray`` uses — a disagreement would send the rounds' ops to the
+    wrong Subblock/bucket."""
 
     @pytest.mark.parametrize("generation", [0, 1, 5, 63])
     def test_subblock_index_array(self, generation):

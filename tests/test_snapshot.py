@@ -198,6 +198,21 @@ class TestDirtyTracking:
         assert store.degree(5) == 1
         assert store.neighbors_many([5])[1].tolist() == [9]
 
+    @pytest.mark.parametrize("kernel", ["scalar", "vector"])
+    def test_per_edge_insert_that_raises_still_marks_its_row(self, kernel):
+        """A batch too small for the kernel runs per edge; an insert whose
+        cascade raises has swapped its edge into the full row already, so
+        the row must be dirty although the insert never returned."""
+        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4,
+                                     max_generations=2))
+        store.insert_batch(np.column_stack([np.zeros(16, dtype=np.int64), np.arange(16)]))
+        store.enable_snapshot()
+        store.neighbors_many([0])
+        with pytest.raises(CapacityError):
+            store.insert_batch(np.array([[0, 100]]), kernel=kernel)
+        assert 100 in store.neighbors_many([0])[1].tolist()
+        _assert_same(store, np.array([0]), "cascade that raised")
+
     def test_pending_rows_after_invalidate_counts_rows_grown_since(self):
         store = STORE_MAKERS["gt"]()
         store.insert_batch(np.array([[0, 1], [2, 3]]))
