@@ -261,10 +261,7 @@ class GraphTinker:
         # The scalar loop zips edges with weights, so a short weights array
         # silently truncates the batch; the vector path mirrors that.
         m = min(edges.shape[0], weights.shape[0])
-        # A batch too small to start an insert round would run every op
-        # through EdgeblockArray.insert inside the kernel anyway, so it
-        # takes the per-edge path directly.
-        if kern == "vector" and m >= kernels.MIN_ROUND_GROUPS:
+        if kern == "vector" and m:
             # The scalar path marks per-edge inside insert_edge; the
             # vector kernel mutates the arrays wholesale, so mark its
             # touched sources at batch granularity — also when it raises,

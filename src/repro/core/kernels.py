@@ -77,9 +77,9 @@ round trip of the Subblock around every
    against the pools as the rounds left them, a new edge carrying a
    pending CAL pointer like a round op's.  The rounds' charges accumulate
    in local ints and flush into ``AccessStats`` once per chunk; a residue
-   op charges its own.  (The facade does not call the kernel for a batch
-   of fewer than :data:`MIN_ROUND_GROUPS` edges: it could not start a
-   round.)
+   op charges its own.  (A batch of fewer than :data:`MIN_ROUND_GROUPS`
+   edges could not start a round: :func:`insert_batch_vector` hands it to
+   the per-edge path whole.)
 5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
    sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
    chunk, which is its record id) that travels through Robin-Hood
@@ -157,8 +157,8 @@ CHUNK_EDGES = 32768
 #: ``EdgeblockArray.insert`` is cheaper.  The crossover was first measured
 #: against a list-cached copy of that loop (EXPERIMENTS.md note 10); the
 #: same sweep with the residue on ``EdgeblockArray.insert`` is still flat
-#: from 16 to 64 (note 14).  The facade also sends a batch of fewer edges
-#: than this straight to the per-edge path.  Not a correctness switch:
+#: from 16 to 64 (note 14).  A batch of fewer edges than this skips the
+#: chunk machinery and runs on the per-edge path.  Not a correctness switch:
 #: rounds and residue leave the same cells and charges.
 MIN_ROUND_GROUPS = 32
 
@@ -190,9 +190,12 @@ def insert_batch_vector(gt, edges: np.ndarray, weights: np.ndarray) -> int:
 
     ``edges`` is a validated non-negative ``(n, 2)`` int64 array and
     ``weights`` a float64 array of the same length.  Returns the number
-    of new edges, exactly as the scalar loop would.
+    of new edges, exactly as the scalar loop would.  A batch too small to
+    start a round would be all residue: it runs on the per-edge path.
     """
     n = edges.shape[0]
+    if n < MIN_ROUND_GROUPS:
+        return gt._insert_batch_scalar(edges, weights)
     new = 0
     for start in range(0, n, CHUNK_EDGES):
         stop = min(start + CHUNK_EDGES, n)

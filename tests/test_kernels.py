@@ -205,16 +205,19 @@ class TestEdgeCases:
         cfg = GTConfig(**SMALL, compact_on_delete=True, cal_block_size=4)
         assert_equivalent(*run_pair(cfg, churn_ops(17)))
 
-    def test_short_weights_truncate_batch(self):
+    def test_short_weights_truncate_batch(self, monkeypatch):
         """The scalar loop zips edges with weights; vector must mirror the
-        silent truncation."""
+        silent truncation — inside the kernel, which sees only the first
+        ``len(weights)`` edges."""
         edges = np.column_stack(
-            [np.arange(20, dtype=np.int64), np.arange(20, dtype=np.int64) + 100]
+            [np.arange(60, dtype=np.int64), np.arange(60, dtype=np.int64) + 100]
         )
-        weights = np.ones(12)
+        weights = np.ones(40)
+        entered = kernel_chunks(monkeypatch)
         scalar, vector = run_pair(GTConfig(), [("insert", edges, weights)])
         assert_equivalent(scalar, vector)
-        assert vector.n_edges == 12
+        assert entered == [40]
+        assert vector.n_edges == 40
 
 
 def delete_state(gt: GraphTinker) -> dict:
@@ -550,17 +553,17 @@ def count_walks(monkeypatch) -> list[str]:
     return calls
 
 
-def kernel_batches(monkeypatch) -> list[int]:
-    """Record the size of every batch the facade hands to the insert
-    kernel (a batch too small to start a round never gets there)."""
+def kernel_chunks(monkeypatch) -> list[int]:
+    """Record the size of every chunk the insert kernel runs (a batch too
+    small to start a round never gets that far)."""
     from repro.core import kernels
     sizes: list[int] = []
-    vector = kernels.insert_batch_vector
+    chunk = kernels._insert_chunk
 
     def entered(gt, edges, weights):
         sizes.append(edges.shape[0])
-        return vector(gt, edges, weights)
-    monkeypatch.setattr(kernels, "insert_batch_vector", entered)
+        return chunk(gt, edges, weights)
+    monkeypatch.setattr(kernels, "_insert_chunk", entered)
     return sizes
 
 
@@ -581,7 +584,7 @@ class TestLevelSynchronousInsert:
         """64 hubs keep the rounds going; one hub (two groups) never
         starts one, in batches wide enough to reach the kernel all the
         same.  Both must pass: the floor is not a correctness switch."""
-        entered = kernel_batches(monkeypatch)
+        entered = kernel_chunks(monkeypatch)
         walks = count_walks(monkeypatch)
         edges, weights = hubs_stream(n_hubs, 70)
         ops = in_batches(edges, weights, 5 if n_hubs > 1 else 2)
@@ -721,7 +724,7 @@ class TestLevelSynchronousInsert:
         reps = -(-kernels.MIN_ROUND_GROUPS // (10 * n_hubs))
         batches = [(np.tile(edges[part], (reps, 1)), np.tile(weights[part], reps))
                    for part in (slice(0, 10 * n_hubs), slice(10 * n_hubs, None))]
-        entered = kernel_batches(monkeypatch)
+        entered = kernel_chunks(monkeypatch)
         for kernel in ("scalar", "vector"):
             gt = GraphTinker(cfg.with_(kernel=kernel))
             gt.insert_batch(*batches[0])
@@ -780,8 +783,8 @@ class TestLevelSynchronousInsert:
 
 def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):
     """Fewer edges than ``MIN_ROUND_GROUPS`` cannot start a round, so a
-    ``kernel="vector"`` batch that small runs per edge without entering
-    the kernel: the store is the scalar one byte for byte, the attached
+    ``kernel="vector"`` batch that small runs per edge without running a
+    kernel chunk: the store is the scalar one byte for byte, the attached
     snapshot marks every row the batch touched, and the ingest metrics
     keep the kernel the caller asked for."""
     import repro.obs as obs
@@ -797,7 +800,7 @@ def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):
         gt.neighbors_many(np.arange(8))
         assert gt.analytics_snapshot.pending_rows == 0
     scalar.insert_batch(batch, np.arange(16.0), kernel="scalar")
-    entered = kernel_batches(monkeypatch)
+    entered = kernel_chunks(monkeypatch)
     registry = MetricsRegistry()
     prior = obs.set_registry(registry)
     obs.enable()
