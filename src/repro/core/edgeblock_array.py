@@ -172,23 +172,46 @@ class EdgeblockArray:
         size = self.config.subblock
         return self._pool(region).view(block, sb * size, (sb + 1) * size)
 
-    def _probe(self, region: int, block: int, sb: int, dst: int,
-               gen: int) -> tuple[np.ndarray, int]:
-        """Charged FIND of ``dst`` in one Subblock: ``(cells, slot or -1)``."""
-        cfg = self.config
-        cells = self._subblock_cells(region, block, sb)
-        ib = initial_bucket(dst, gen, cfg.subblock, cfg.seed)
-        slot, scanned = rhh.rhh_find(cells["dst"].tolist(), dst, ib, self._rhh_on)
-        rhh._charge_scan(self.stats, ib, (scanned,), cfg.workblock, cfg.subblock)
-        return cells, slot
+    def _locate(self, src: int, dst: int) -> tuple[int, int, int] | None:
+        """The charged FIND: ``(region, block, cell)`` of ``(src, dst)`` or ``None``.
 
-    def _descend(self, region: int, block: int, sb: int, allocate: bool) -> tuple[int, int] | None:
+        The paper's FIND mode and the only FIND loop here: per generation,
+        hash ``dst`` to its Subblock and initial bucket, scan the Subblock
+        from the bucket (:func:`~repro.core.robin_hood.rhh_find`), stop on
+        a match, else descend into the Subblock's child if it has one.
+        Charges the Workblocks fetched, the cells scanned and every
+        descent; ``edges_found`` is the caller's to charge.
+        """
+        if not 0 <= src < self._n_vertices:
+            return None
+        cfg, stats, rhh_on = self.config, self.stats, self._rhh_on
+        size, nsb, seed = cfg.subblock, cfg.subblocks_per_block, cfg.seed
+        region, block = MAIN, src
+        cells, kids = self.main._data["dst"], self._main_children._data
+        dst = int(dst)
+        for gen in range(cfg.max_generations):
+            sb = subblock_index(dst, gen, nsb, seed)
+            ib = initial_bucket(dst, gen, size, seed)
+            lo = sb * size
+            slot, scanned = rhh.rhh_find(cells[block, lo:lo + size].tolist(), dst, ib, rhh_on)
+            stats.workblock_fetches += rhh._circular_workblocks(ib, scanned, cfg.workblock, size)
+            stats.cells_scanned += scanned
+            if slot >= 0:
+                return region, block, lo + slot
+            block = int(kids[block, sb])
+            if block < 0:
+                return None
+            stats.branch_descents += 1
+            if region == MAIN:
+                region = OVERFLOW
+                cells, kids = self.overflow._data["dst"], self._overflow_children._data
+        return None
+
+    def _descend(self, region: int, block: int, sb: int) -> tuple[int, int]:
         """Follow (or create) the child pointer of a Subblock."""
         children = self._children(region)
         child = children.get(block, sb)
         if child < 0:
-            if not allocate:
-                return None
             child = self.overflow.allocate()
             self._overflow_children.ensure(child + 1)
             self._overflow_children.clear_row(child)
@@ -266,7 +289,7 @@ class EdgeblockArray:
                 self._degrees[src] += 1
                 self.stats.edges_inserted += 1
                 return True, arg_location
-            region, block = self._descend(region, block, sb, allocate=True)
+            region, block = self._descend(region, block, sb)
             f_dst, f_weight = o_dst, o_weight
             f_cal_block, f_cal_slot = o_cal_block, o_cal_slot
         raise CapacityError(
@@ -275,38 +298,29 @@ class EdgeblockArray:
 
     def find(self, src: int, dst: int) -> EdgeLocation | None:
         """Locate edge ``(src, dst)``; ``None`` if absent."""
-        cfg = self.config
-        if src >= self._n_vertices:
+        hit = self._locate(src, dst)
+        if hit is None:
             return None
-        region, block = MAIN, src
-        nsb = cfg.subblocks_per_block
-        dst = int(dst)
-        for gen in range(cfg.max_generations):
-            sb = subblock_index(dst, gen, nsb, cfg.seed)
-            _, slot = self._probe(region, block, sb, dst, gen)
-            if slot >= 0:
-                self.stats.edges_found += 1
-                return EdgeLocation(region, block, sb * cfg.subblock + slot)
-            nxt = self._descend(region, block, sb, allocate=False)
-            if nxt is None:
-                return None
-            region, block = nxt
-        return None
+        self.stats.edges_found += 1
+        return EdgeLocation(*hit)
 
-    def get_weight(self, location: EdgeLocation) -> float:
-        """Weight stored at a cell previously returned by :meth:`find`."""
-        return float(self._pool(location.region).row(location.block)["weight"][location.slot])
+    def get_weight(self, location: tuple[int, int, int]) -> float:
+        """Weight stored at a cell :meth:`find` (or :meth:`_locate`) returned."""
+        region, block, slot = location
+        return float(self._pool(region).row(block)["weight"][slot])
 
     def set_cal_pointer(self, location: EdgeLocation, cal_block: int, cal_slot: int) -> None:
         """Write an edge's CAL-pointer after its CAL copy was appended."""
-        row = self._pool(location.region).row(location.block)
-        row["cal_block"][location.slot] = cal_block
-        row["cal_slot"][location.slot] = cal_slot
+        region, block, slot = location
+        row = self._pool(region).row(block)
+        row["cal_block"][slot] = cal_block
+        row["cal_slot"][slot] = cal_slot
 
     def get_cal_pointer(self, location: EdgeLocation) -> tuple[int, int]:
         """Read an edge's CAL-pointer ``(block, slot)``."""
-        row = self._pool(location.region).row(location.block)
-        return int(row["cal_block"][location.slot]), int(row["cal_slot"][location.slot])
+        region, block, slot = location
+        row = self._pool(region).row(block)
+        return int(row["cal_block"][slot]), int(row["cal_slot"][slot])
 
     def delete(self, src: int, dst: int) -> tuple[int, int] | None:
         """Delete edge ``(src, dst)``.
@@ -316,32 +330,22 @@ class EdgeblockArray:
         ``compact_on_delete`` the hole is refilled by pulling an edge up
         from the deepest descendant edgeblock, shrinking the tree.
         """
-        cfg = self.config
-        if src >= self._n_vertices:
+        hit = self._locate(src, dst)
+        if hit is None:
             return None
-        region, block = MAIN, src
-        nsb = cfg.subblocks_per_block
-        dst = int(dst)
-        for gen in range(cfg.max_generations):
-            sb = subblock_index(dst, gen, nsb, cfg.seed)
-            cells, slot = self._probe(region, block, sb, dst, gen)
-            if slot >= 0:
-                cal_ptr = (int(cells["cal_block"][slot]), int(cells["cal_slot"][slot]))
-                cells["dst"][slot] = TOMBSTONE
-                cells["cal_block"][slot] = -1
-                cells["cal_slot"][slot] = -1
-                self.stats.workblock_writebacks += 1
-                self.stats.tombstones_set += 1
-                self._degrees[src] -= 1
-                self.stats.edges_deleted += 1
-                if cfg.compact_on_delete:
-                    self._compact_hole(region, block, sb, sb * cfg.subblock + slot)
-                return cal_ptr
-            nxt = self._descend(region, block, sb, allocate=False)
-            if nxt is None:
-                return None
-            region, block = nxt
-        return None
+        region, block, cell = hit
+        row = self._pool(region).row(block)
+        cal_ptr = (int(row["cal_block"][cell]), int(row["cal_slot"][cell]))
+        row["dst"][cell] = TOMBSTONE
+        row["cal_block"][cell] = -1
+        row["cal_slot"][cell] = -1
+        self.stats.workblock_writebacks += 1
+        self.stats.tombstones_set += 1
+        self._degrees[src] -= 1
+        self.stats.edges_deleted += 1
+        if self.config.compact_on_delete:
+            self._compact_hole(region, block, cell // self.config.subblock, cell)
+        return cal_ptr
 
     def _compact_hole(self, region: int, block: int, sb: int, cell_index: int) -> None:
         """Delete-and-compact: refill a hole from the child chain.
@@ -402,44 +406,35 @@ class EdgeblockArray:
     # ------------------------------------------------------------------ #
     # retrieval
     # ------------------------------------------------------------------ #
-    def vertex_blocks(self, src: int) -> Iterator[np.ndarray]:
-        """Yield every edgeblock row of ``src``'s branch tree (views).
-
-        Each yielded row is charged as one random block read: incremental-
-        mode analytics pays non-contiguous DRAM accesses per edgeblock,
-        which is precisely the cost the hybrid engine trades off against
-        CAL streaming.
-        """
-        if src >= self._n_vertices:
-            return
-        stack: list[tuple[int, int]] = [(MAIN, src)]
-        while stack:
-            region, block = stack.pop()
-            self.stats.random_block_reads += 1
-            # Inspecting a block touches every cell slot, occupied or not
-            # — the DRAM-traffic reason wide PAGEWIDTHs hurt analytics.
-            self.stats.cells_scanned += self.config.pagewidth
-            yield self._pool(region).row(block)
-            kids = self._children(region).row(block)
-            for child in kids[kids >= 0]:
-                stack.append((OVERFLOW, int(child)))
-
     def neighbors(self, src: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(dst, weight)`` arrays of all live out-edges of ``src``.
 
-        Blocks in :meth:`vertex_blocks` order, cells in slot order: the
-        specification :meth:`neighbors_rows` reproduces for many rows.
+        The one per-row walk, and the specification :meth:`neighbors_rows`
+        reproduces for many rows: edgeblocks in pre-order off a LIFO stack
+        (a block's children in *descending* Subblock order), cells in slot
+        order.  A childless row, most rows, is one masked read.  Each
+        edgeblock visited is charged as one random block read and
+        ``pagewidth`` scanned cells: incremental-mode analytics pays a
+        non-contiguous DRAM access per edgeblock, touching every cell slot
+        occupied or not (the cost the hybrid engine trades off against CAL
+        streaming, and the reason wide PAGEWIDTHs hurt analytics).
         """
-        dsts: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for row in self.vertex_blocks(src):
-            mask = row["dst"] >= 0
-            if mask.any():
-                dsts.append(row["dst"][mask].copy())
-                weights.append(row["weight"][mask].copy())
-        if not dsts:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        return np.concatenate(dsts), np.concatenate(weights)
+        if not 0 <= src < self._n_vertices:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        rows = self.main._data[src:src + 1]
+        stack = [c for c in self._main_children._data[src].tolist() if c >= 0]
+        if stack:
+            kids, deep = self._overflow_children._data, []
+            while stack:
+                block = stack.pop()
+                deep.append(block)
+                stack.extend(c for c in kids[block].tolist() if c >= 0)
+            rows = np.concatenate((rows, self.overflow._data[deep]))
+        self.stats.random_block_reads += rows.shape[0]
+        self.stats.cells_scanned += rows.shape[0] * self.config.pagewidth
+        dst = rows["dst"]
+        live = dst >= 0
+        return dst[live], rows["weight"][live]
 
     def neighbors_rows(
         self, rows: np.ndarray
@@ -451,7 +446,7 @@ class EdgeblockArray:
         row's live cells back to back in exactly the order
         ``neighbors(row)`` yields them, ``counts[i]`` says how many belong
         to ``rows[i]`` and ``n_blocks[i]`` how many edgeblocks
-        ``vertex_blocks(rows[i])`` visits.  Nothing is charged: a caller
+        ``neighbors(rows[i])`` visits.  Nothing is charged: a caller
         on a cost-accounted path charges one random block read and
         ``pagewidth`` scanned cells per block, as the per-row walk does.
         """
@@ -487,7 +482,7 @@ class EdgeblockArray:
         sizes = [np.ones(level.shape[0], dtype=np.int64) for level in blocks]
         for depth in range(len(parents), 0, -1):
             np.add.at(sizes[depth - 1], parents[depth - 1], sizes[depth])
-        # (3) Pre-order positions, top-down.  `vertex_blocks` pops a LIFO
+        # (3) Pre-order positions, top-down.  `neighbors` pops a LIFO
         # stack, so siblings are visited in *descending* Subblock order:
         # a child sits one past its parent plus the subtrees of the
         # siblings listed after it.  A block's children weigh `size - 1`

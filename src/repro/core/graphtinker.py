@@ -31,12 +31,13 @@ from repro.core.config import GTConfig
 from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.sgh import ScatterGatherHash
 from repro.core.stats import STAT_FIELDS, AccessStats
+from repro.core.store import SnapshotHost
 from repro.core.vertex_array import VertexPropertyArray
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
 
-class GraphTinker:
+class GraphTinker(SnapshotHost):
     """A single-instance GraphTinker dynamic graph store.
 
     Parameters
@@ -63,37 +64,12 @@ class GraphTinker:
         self.eba = EdgeblockArray(self.config, self.stats)
         self.cal = CoarseAdjacencyList(self.config, self.stats) if self.config.enable_cal else None
         self.vpa = VertexPropertyArray(self.config.initial_vertices)
-        self._analytics_snapshot = None
         if self.config.snapshot:
             self.enable_snapshot()
 
     # ------------------------------------------------------------------ #
     # analytics snapshot (engine acceleration; see repro.engine.snapshot)
     # ------------------------------------------------------------------ #
-    def enable_snapshot(self):
-        """Attach (and return) the incrementally-maintained CSR view.
-
-        The engine's incremental / vertex-centric loads then become
-        single vectorized gathers; results and modeled AccessStats are
-        bit-identical either way (the snapshot's charge-mirror contract).
-        Imported lazily so stores without the feature never load the
-        engine package.
-        """
-        if self._analytics_snapshot is None:
-            from repro.engine.snapshot import AnalyticsSnapshot
-
-            self._analytics_snapshot = AnalyticsSnapshot(self)
-        return self._analytics_snapshot
-
-    def disable_snapshot(self) -> None:
-        """Detach the CSR view (subsequent loads use the native paths)."""
-        self._analytics_snapshot = None
-
-    @property
-    def analytics_snapshot(self):
-        """The attached :class:`AnalyticsSnapshot`, or ``None``."""
-        return self._analytics_snapshot
-
     def _snapshot_mark_batch(self, srcs: np.ndarray) -> None:
         """Mark a batch's touched dense rows dirty (uncharged bookkeeping)."""
         snap = self._analytics_snapshot
@@ -373,26 +349,28 @@ class GraphTinker:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def has_edge(self, src: int, dst: int) -> bool:
-        """FIND-mode lookup of a single edge."""
-        if int(dst) < 0:
-            return False  # would collide with the EMPTY/TOMBSTONE cells
-        dense_src = self._dense(src, create=False)
-        if dense_src is None:
-            return False
-        return self.eba.find(dense_src, dst) is not None
-
-    def edge_weight(self, src: int, dst: int) -> float | None:
-        """Weight of edge ``(src, dst)`` or ``None`` if absent."""
+    def _find(self, src: int, dst: int) -> tuple[int, int, int] | None:
+        """Charged FIND of original ``(src, dst)``: ``(region, block, cell)``
+        or ``None``, charged as :meth:`EdgeblockArray.find` charges but
+        without building an :class:`EdgeLocation`."""
         if int(dst) < 0:
             return None  # would collide with the EMPTY/TOMBSTONE cells
         dense_src = self._dense(src, create=False)
         if dense_src is None:
             return None
-        loc = self.eba.find(dense_src, dst)
-        if loc is None:
-            return None
-        return self.eba.get_weight(loc)
+        hit = self.eba._locate(dense_src, dst)
+        if hit is not None:
+            self.stats.edges_found += 1
+        return hit
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        """FIND-mode lookup of a single edge."""
+        return self._find(src, dst) is not None
+
+    def edge_weight(self, src: int, dst: int) -> float | None:
+        """Weight of edge ``(src, dst)`` or ``None`` if absent."""
+        hit = self._find(src, dst)
+        return None if hit is None else self.eba.get_weight(hit)
 
     def degree(self, src: int) -> int:
         """Live out-degree of an original source id (0 if never seen)."""

@@ -1,16 +1,20 @@
 """Vectorized batch-update kernels (the ``kernel="vector"`` fast path).
 
-One probe core, one per-op insert
----------------------------------
-:mod:`repro.core.robin_hood` holds the only Robin-Hood probe loop, and
-:meth:`EdgeblockArray.insert <repro.core.edgeblock_array.EdgeblockArray.insert>`
-is the only per-op insert: the *spec* — the paper's algorithm, the
-single-edge API, what ``kernel="scalar"`` loops over, and what this module
-runs for every op its insert rounds leave.  The whole-chunk passes — the
-insert rounds and the delete level pass — restate the core over Subblock
-matrices rolled to probe order: :func:`_probe_order` is ``rhh_find``'s
-stopping rule, :func:`_rhh_walk` the closed form of ``rhh_insert``'s
-displacement walk; the parity tests hold both to the core.
+One probe core, one per-op specification
+----------------------------------------
+:mod:`repro.core.robin_hood` holds the only Robin-Hood probe loops
+(``rhh_find``, ``rhh_insert``) and
+:class:`~repro.core.edgeblock_array.EdgeblockArray` is their only caller:
+the *spec* — the paper's algorithm, the single-edge API, what
+``kernel="scalar"`` loops over, and what this module runs for every op its
+insert rounds leave.  Its FIND is one charged loop, ``_locate`` — the
+duplicate check of ``insert``, ``delete``, ``find`` and the facade's point
+reads all run it — and ``insert``'s INSERT stage is the only per-op
+insert.  The whole-chunk passes — the insert rounds and the delete level
+pass — restate the core over Subblock matrices rolled to probe order:
+:func:`_rolled_probe` is ``rhh_find``'s stopping rule, :func:`_rhh_walk`
+the closed form of ``rhh_insert``'s displacement walk; the parity tests
+hold both to the core.
 
 Equivalence contract
 --------------------
@@ -237,7 +241,7 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
     return uniq_dense[inverse]
 
 
-def _probe_order(cell_dst: np.ndarray, rows: np.ndarray, first_col,
+def _rolled_probe(cell_dst: np.ndarray, rows: np.ndarray, first_col,
                  ib: np.ndarray, dst: np.ndarray, size: int):
     """Probe many Subblocks at once: ``(cols, t_hit, t_emp, t_vac)``.
 
@@ -274,7 +278,7 @@ def _rhh_walk(fields, rows: np.ndarray, cols: np.ndarray, t_emp: np.ndarray,
     """Closed form of :func:`robin_hood.rhh_insert`'s INSERT stage, one
     Subblock per row: the floating ``edge`` (``dst, weight, cal_block,
     cal_slot`` arrays) walks ``cols`` (probe order, from
-    :func:`_probe_order`) of rows ``rows`` of the five cell ``fields``.
+    :func:`_rolled_probe`) of rows ``rows`` of the five cell ``fields``.
 
     The floating probe distance obeys ``fp[t+1] = min(fp[t], Pr[t]) + 1``
     from ``fp[0] = 0``, i.e. ``fp[t] = t + min(0, min_{s<t}(Pr[s] - s))``;
@@ -437,7 +441,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 if gen:
                     kids = ochild._data
                     fields, sb, first_col, ib = _overflow_level(gt, gen, sought)
-                cols, t_hit, t_emp, t_vac = _probe_order(
+                cols, t_hit, t_emp, t_vac = _rolled_probe(
                     fields[0], tree, first_col, ib, sought, size)
                 scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
                 wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
@@ -483,7 +487,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 if gen:
                     kids = ochild._data
                     fields, sb, first_col, ib = _overflow_level(gt, gen, edge[0])
-                    cols, _, t_emp, t_vac = _probe_order(
+                    cols, _, t_emp, t_vac = _rolled_probe(
                         fields[0], tree, first_col, ib, edge[0], size)
                 find_len, steps, n_swaps, wrote, full, edge = _rhh_walk(
                     fields, tree, cols, t_emp, t_vac, edge)
@@ -496,7 +500,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 new[rid[q[t_vac < size]]] = True
                 if full.shape[0] == 0:
                     break
-                # eba._descend(..., allocate=True) for the congested ops.
+                # eba._descend for the congested ops.
                 q, tree, sb = q[full], tree[full], sb[full]
                 child = kids[tree, sb].astype(np.int64)
                 leaf = child < 0
@@ -652,7 +656,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                 sb = subblock_index_array(dst, gen, nsb, seed)
                 ib = initial_bucket_array(dst, gen, size, seed)
                 data = pool._data
-                cols, t_hit, t_emp, _ = _probe_order(
+                cols, t_hit, t_emp, _ = _rolled_probe(
                     data["dst"], block, (sb * size)[:, None], ib, dst, size)
                 if not rhh_on:
                     t_emp = size  # rhh_find scans the whole Subblock
@@ -676,7 +680,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                 deleted += h_rows.shape[0]
 
                 # Misses follow their Subblock's child pointer, if any
-                # (the miss path of eba._descend(..., allocate=False)).
+                # (the miss path of EdgeblockArray._locate).
                 child = children._data[block, sb].astype(np.int64)
                 go = ~hit & (child >= 0)
                 bd += int(go.sum())

@@ -12,18 +12,21 @@ The load unit retrieves a Subblock one Workblock at a time (paper
 Sec. III.B), so this module reports how many distinct Workblocks each
 operation touched; those counts feed the DRAM-access cost model.
 
-One probe core, two drivers
----------------------------
+One probe core, one caller
+--------------------------
 :func:`rhh_find` and :func:`rhh_insert` are the only probe loops in the
 package.  They work on plain Python sequences holding one Subblock's
 fields and never touch :class:`~repro.core.stats.AccessStats`: they
-*return* the scan lengths, swap count and writeback flag, and the driver
-charges them.  The per-op driver
-(:class:`~repro.core.edgeblock_array.EdgeblockArray` — the specification
-and the single-edge API) copies a Subblock out, calls the core once and
-stores it back; the per-chunk batch driver (:mod:`repro.core.kernels`)
-keeps the copies alive across a whole chunk and sums the charges in
-local ints.  Same core, so the two cannot drift.
+*return* the scan lengths, swap count and writeback flag, and the caller
+charges them.  Their one caller is the per-op specification,
+:class:`~repro.core.edgeblock_array.EdgeblockArray`: its FIND loop
+(``_locate``) hands :func:`rhh_find` one Subblock's ``dst`` list per
+tree level, and its INSERT stage copies a Subblock's fields out, calls
+:func:`rhh_insert` once and stores them back.  The batch kernels
+(:mod:`repro.core.kernels`) do not call the core: their whole-chunk
+passes restate it over Subblock matrices, the residue of their insert
+rounds runs through ``EdgeblockArray.insert`` itself, and the parity
+tests hold the restatement to the core.
 
 Cell states are encoded in the ``dst`` field: ``EMPTY`` (never used),
 ``TOMBSTONE`` (deleted; preserves probe chains in delete-only mode), or a
@@ -109,8 +112,8 @@ def rhh_find(
     Python ints (one bulk ``tolist`` beats per-cell structured-scalar
     reads in this hot loop).  The scan starts at ``init_bucket`` and
     wraps within the Subblock.  ``slot`` is ``-1`` when absent and
-    ``scan_len`` is the number of cells inspected, which the driver
-    feeds to :func:`_charge_scan`.
+    ``scan_len`` is the number of cells inspected, which the caller
+    charges with :func:`_circular_workblocks`.
     """
     size = len(dsts)
     empty = _EMPTY

@@ -229,7 +229,6 @@ class ShardedStore(RowStoreDefaults):
         #: (shard-index order) — the Fig. 10 makespan model's input.
         self.last_batch_partitions: list[AccessStats] = [
             AccessStats() for _ in range(self.config.n_shards)]
-        self._analytics_snapshot = None
         self._closed = False
         self._crashed: ShardCrashError | None = None
 
@@ -323,24 +322,6 @@ class ShardedStore(RowStoreDefaults):
     def _mark_dirty(self, src: int) -> None:
         if self._analytics_snapshot is not None and src < self._n_vertices:
             self._analytics_snapshot.mark_dirty(src)
-
-    # ------------------------------------------------------------------ #
-    # analytics snapshot
-    # ------------------------------------------------------------------ #
-    def enable_snapshot(self):
-        """Attach (and return) the incrementally-maintained CSR view."""
-        if self._analytics_snapshot is None:
-            from repro.engine.snapshot import AnalyticsSnapshot
-
-            self._analytics_snapshot = AnalyticsSnapshot(self)
-        return self._analytics_snapshot
-
-    def disable_snapshot(self) -> None:
-        self._analytics_snapshot = None
-
-    @property
-    def analytics_snapshot(self):
-        return self._analytics_snapshot
 
     # ------------------------------------------------------------------ #
     # sizes / protocol surface

@@ -37,7 +37,8 @@ returns ``(src, dst, weight)`` triples equal to the per-vertex loop of
 :func:`repro.engine.snapshot.gather_active_scalar`.
 
 **Snapshot hooks.**  ``enable_snapshot()`` attaches (and returns) the
-incrementally-maintained CSR view; mutators must notify it of every
+incrementally-maintained CSR view (every built-in backend inherits the
+three hooks from :class:`SnapshotHost`); mutators must notify it of every
 dirtied dense row (the dirty-row contract — uncharged bookkeeping).
 The view drives rows through four protocol members:
 ``dense_row_count()`` (how many dense adjacency rows exist),
@@ -171,7 +172,42 @@ STORE_PROTOCOL_MEMBERS: tuple[str, ...] = (
 )
 
 
-class RowStoreDefaults:
+class SnapshotHost:
+    """The analytics-snapshot hooks every snapshot-capable store shares.
+
+    The store holds its :class:`~repro.engine.snapshot.AnalyticsSnapshot`
+    in ``_analytics_snapshot``; the snapshot refers back weakly, so there
+    is no store <-> snapshot cycle to wait on the cyclic collector.
+    """
+
+    _analytics_snapshot = None
+
+    def enable_snapshot(self):
+        """Attach (and return) the incrementally-maintained CSR view.
+
+        The engine's incremental / vertex-centric loads then become
+        single vectorized gathers; results and modeled AccessStats are
+        bit-identical either way (the snapshot's charge-mirror contract).
+        Imported lazily so stores without the feature never load the
+        engine package.
+        """
+        if self._analytics_snapshot is None:
+            from repro.engine.snapshot import AnalyticsSnapshot
+
+            self._analytics_snapshot = AnalyticsSnapshot(self)
+        return self._analytics_snapshot
+
+    def disable_snapshot(self) -> None:
+        """Detach the CSR view (subsequent loads use the native walks)."""
+        self._analytics_snapshot = None
+
+    @property
+    def analytics_snapshot(self):
+        """The attached :class:`AnalyticsSnapshot`, or ``None``."""
+        return self._analytics_snapshot
+
+
+class RowStoreDefaults(SnapshotHost):
     """Row-surface members of a store whose rows *are* original ids and
     whose only walk is ``neighbors``: STINGER, ``tiered``, ``sharded``,
     the teaching baselines.  The two batched members loop over the

@@ -154,33 +154,8 @@ class TieredStore(RowStoreDefaults):
         #: Lifetime tier-transition counters (obs mirrors when enabled).
         self.promotions = 0
         self.demotions = 0
-        self._analytics_snapshot = None
         if self.config.snapshot:
             self.enable_snapshot()
-
-    # ------------------------------------------------------------------ #
-    # analytics snapshot (engine acceleration; see repro.engine.snapshot)
-    # ------------------------------------------------------------------ #
-    def enable_snapshot(self):
-        """Attach (and return) the incrementally-maintained CSR view.
-
-        Same charge-mirror contract as on GraphTinker/STINGER:
-        bit-identical results and modeled AccessStats, wall-clock only.
-        """
-        if self._analytics_snapshot is None:
-            from repro.engine.snapshot import AnalyticsSnapshot
-
-            self._analytics_snapshot = AnalyticsSnapshot(self)
-        return self._analytics_snapshot
-
-    def disable_snapshot(self) -> None:
-        """Detach the CSR view (subsequent loads walk the tiers)."""
-        self._analytics_snapshot = None
-
-    @property
-    def analytics_snapshot(self):
-        """The attached :class:`AnalyticsSnapshot`, or ``None``."""
-        return self._analytics_snapshot
 
     # ------------------------------------------------------------------ #
     # sizes / protocol surface

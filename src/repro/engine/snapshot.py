@@ -55,6 +55,7 @@ Observability (when :mod:`repro.obs` is enabled):
 from __future__ import annotations
 
 import bisect
+import weakref
 
 import numpy as np
 
@@ -127,11 +128,13 @@ class AnalyticsSnapshot:
     ``id_translator`` for the original<->dense mapping (``None`` on
     raw-id stores), and ``full_load_is_row_sweep`` to say whether the FP
     load is this same sweep.  Attach via ``enable_snapshot()`` or the
-    ``snapshot=True`` config flag.
+    ``snapshot=True`` config flag.  The store owns its snapshot and the
+    snapshot refers back weakly, so dropping the store frees both by
+    reference count, without the cyclic collector.
     """
 
     def __init__(self, store):
-        self.store = store
+        self._store = weakref.ref(store)
         self._charges = np.zeros((0, _N_FIELDS), dtype=np.int64)
         self._counts = np.zeros(0, dtype=np.int64)  # live cells per row
         # ``(triple, charge, horizon)`` of the store's own full load, kept
@@ -168,6 +171,11 @@ class AnalyticsSnapshot:
         #: mutation applied before the sync that produced g, and nothing
         #: after.
         self.generation = 0
+
+    @property
+    def store(self):
+        """The store this view mirrors."""
+        return self._store()
 
     # ------------------------------------------------------------------ #
     # dirty tracking (store hooks)

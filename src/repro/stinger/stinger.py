@@ -71,33 +71,8 @@ class Stinger(RowStoreDefaults):
         self._next = np.full(8, -1, dtype=np.int64)  # per-block chain link
         self._n_vertices = 0
         self._n_edges = 0
-        self._analytics_snapshot = None
         if self.config.snapshot:
             self.enable_snapshot()
-
-    # ------------------------------------------------------------------ #
-    # analytics snapshot (engine acceleration; see repro.engine.snapshot)
-    # ------------------------------------------------------------------ #
-    def enable_snapshot(self):
-        """Attach (and return) the incrementally-maintained CSR view.
-
-        Same charge-mirror contract as on GraphTinker: bit-identical
-        results and modeled AccessStats, wall-clock only.
-        """
-        if self._analytics_snapshot is None:
-            from repro.engine.snapshot import AnalyticsSnapshot
-
-            self._analytics_snapshot = AnalyticsSnapshot(self)
-        return self._analytics_snapshot
-
-    def disable_snapshot(self) -> None:
-        """Detach the CSR view (subsequent loads use the chain walks)."""
-        self._analytics_snapshot = None
-
-    @property
-    def analytics_snapshot(self):
-        """The attached :class:`AnalyticsSnapshot`, or ``None``."""
-        return self._analytics_snapshot
 
     # ------------------------------------------------------------------ #
     @property

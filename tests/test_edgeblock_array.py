@@ -192,14 +192,17 @@ class TestRetrieval:
         assert len(seen) == sum(range(1, 6))
         assert seen[(3, 2)] == 32.0
 
-    def test_vertex_blocks_counts_random_reads(self):
+    def test_neighbors_counts_random_reads(self):
         eba = make()
         for d in range(200):
             eba.insert(0, d)
-        before = eba.stats.random_block_reads
-        blocks = list(eba.vertex_blocks(0))
-        assert eba.stats.random_block_reads - before == len(blocks)
-        assert len(blocks) == 1 + eba.overflow.n_used  # single-vertex tree
+        assert eba.overflow.n_used > 0
+        before = eba.stats.snapshot()
+        eba.neighbors(0)
+        delta = eba.stats.delta(before)
+        n_blocks = 1 + eba.overflow.n_used  # single-vertex tree
+        assert delta.random_block_reads == n_blocks
+        assert delta.cells_scanned == n_blocks * eba.config.pagewidth
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_neighbors_rows_is_neighbors_per_row(self, compact):
@@ -216,11 +219,15 @@ class TestRetrieval:
         for rows in (rng.permutation(7), [3, 0, 3, 3, 1, 0], [5], []):
             counts, n_blocks, dst, weight = eba.neighbors_rows(rows)
             assert eba.stats.as_dict() == before  # the caller charges
-            want = [eba.neighbors(r) for r in rows]
+            want, visited = [], []
+            for r in rows:
+                mark = eba.stats.random_block_reads
+                want.append(eba.neighbors(r))
+                visited.append(eba.stats.random_block_reads - mark)
             assert counts.tolist() == [d.shape[0] for d, _ in want]
             assert dst.tolist() == [x for d, _ in want for x in d.tolist()]
             assert weight.tolist() == [x for _, w in want for x in w.tolist()]
-            assert n_blocks.tolist() == [len(list(eba.vertex_blocks(r))) for r in rows]
+            assert n_blocks.tolist() == visited
             before = eba.stats.as_dict()
 
     def test_neighbors_rows_rejects_unallocated_rows(self):

@@ -742,7 +742,7 @@ class TestLevelSynchronousInsert:
         arbitrary Subblocks: empty to full, a tenth of the cells
         tombstoned (probe field stale), real and pending CAL pointers."""
         from repro.core import robin_hood as rhh
-        from repro.core.kernels import PENDING_CAL, _probe_order, _rhh_walk
+        from repro.core.kernels import PENDING_CAL, _rolled_probe, _rhh_walk
         rng = np.random.default_rng(23)
         n, size = 6000, 8
         fill = rng.integers(0, size + 1, n)
@@ -765,7 +765,7 @@ class TestLevelSynchronousInsert:
             want.append((cells, out))
         fields = (D, W, P, CB, CS)
         rows = np.arange(n)
-        cols, t_hit, t_emp, t_vac = _probe_order(D, rows, 0, ib, edge[0], size)
+        cols, t_hit, t_emp, t_vac = _rolled_probe(D, rows, 0, ib, edge[0], size)
         assert (t_hit == size).all()
         find_len, steps, swaps, wrote, full, floating = _rhh_walk(
             fields, rows, cols, t_emp, t_vac, edge)

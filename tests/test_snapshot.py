@@ -11,13 +11,16 @@ observability counters.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.core.config import GTConfig, StingerConfig
 from repro.core.graphtinker import GraphTinker
-from repro.core.store import RowStoreDefaults
+from repro.core.store import RowStoreDefaults, create_store
 from repro.engine.algorithms import BFS
 from repro.engine.hybrid import HybridEngine
 from repro.engine.modes import load_edges_full
@@ -613,6 +616,22 @@ class TestAttachment:
         assert GraphTinker(GTConfig(snapshot=True)).analytics_snapshot
         assert Stinger(StingerConfig(snapshot=True)).analytics_snapshot
         assert GraphTinker(GTConfig()).analytics_snapshot is None
+
+    @pytest.mark.parametrize("backend", ["graphtinker", "stinger", "tiered",
+                                         "sharded"])
+    def test_dropped_store_frees_without_the_cycle_collector(self, backend):
+        store = create_store(backend, snapshot=True)
+        store.insert_batch(np.array([[0, 1], [2, 3]]))
+        store.analytics_snapshot.gather_active(np.array([0, 2]))
+        if backend == "sharded":
+            store.close()
+        ref = weakref.ref(store)
+        gc.disable()
+        try:
+            del store
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_attach_to_populated_store(self, rng):
         store = GraphTinker(GTConfig(pagewidth=16, subblock=4, workblock=2))
