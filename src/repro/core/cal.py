@@ -138,10 +138,10 @@ class CoarseAdjacencyList:
         if block < 0 or self._tail_fill[group] >= self.config.cal_block_size:
             block = self._new_block(group)
         slot = self._tail_fill[group]
-        row = self.pool.row(block)
-        row["src"][slot] = src
-        row["dst"][slot] = dst
-        row["weight"][slot] = weight
+        cells = self.pool.fields
+        cells["src"][block, slot] = src
+        cells["dst"][block, slot] = dst
+        cells["weight"][block, slot] = weight
         self._tail_fill[group] = slot + 1
         self._valid_count[block] = self._valid_count[block] + 1
         self._n_valid += 1
@@ -210,7 +210,7 @@ class CoarseAdjacencyList:
         slots_out = np.empty(n, dtype=np.int64)
         blocks_out[order] = block
         slots_out[order] = slot
-        cells = self.pool._data
+        cells = self.pool.fields
         cells["src"][blocks_out, slots_out] = srcs
         cells["dst"][blocks_out, slots_out] = dsts
         cells["weight"][blocks_out, slots_out] = weights
@@ -220,15 +220,15 @@ class CoarseAdjacencyList:
 
     def update_weight(self, block: int, slot: int, weight: float) -> None:
         """Overwrite the weight of an existing copy via its CAL-pointer."""
-        self.pool.row(block)["weight"][slot] = weight
+        self.pool.fields["weight"][block, slot] = weight
         self.stats.cal_updates += 1
 
     def invalidate(self, block: int, slot: int) -> None:
         """Flag a copy as deleted via its CAL-pointer (no traversal)."""
-        row = self.pool.row(block)
-        if row["src"][slot] == CAL_INVALID:
+        src = self.pool.fields["src"]
+        if src[block, slot] == CAL_INVALID:
             return
-        row["src"][slot] = CAL_INVALID
+        src[block, slot] = CAL_INVALID
         self._valid_count[block] = self._valid_count[block] - 1
         self._n_valid -= 1
         self.stats.cal_updates += 1
@@ -246,7 +246,7 @@ class CoarseAdjacencyList:
             raise IndexError("CAL block was never allocated")
         if slots.min() < 0 or slots.max() >= bs:
             raise IndexError("CAL slot out of range")
-        src = self.pool._data["src"]
+        src = self.pool.fields["src"]
         addr = np.sort(blocks.astype(np.int64) * bs + slots)
         blocks, slots = np.divmod(addr, bs)
         live = src[blocks, slots] != CAL_INVALID
@@ -259,8 +259,9 @@ class CoarseAdjacencyList:
 
     def read_slot(self, block: int, slot: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""
-        row = self.pool.row(block)
-        return int(row["src"][slot]), int(row["dst"][slot]), float(row["weight"][slot])
+        cells = self.pool.fields
+        return (int(cells["src"][block, slot]), int(cells["dst"][block, slot]),
+                float(cells["weight"][block, slot]))
 
     def compact_delete(self, block: int, slot: int):
         """Delete a copy *and keep the group's chain dense*.
@@ -281,30 +282,28 @@ class CoarseAdjacencyList:
         moved into ``(block, slot)`` so the caller can re-point the
         owning EdgeblockArray cell.
         """
-        row = self.pool.row(block)
-        if row["src"][slot] == CAL_INVALID:
+        cells = self.pool.fields
+        if cells["src"][block, slot] == CAL_INVALID:
             return None
-        group = self.group_of(int(row["src"][slot]))
+        group = self.group_of(int(cells["src"][block, slot]))
         tail_block = self._group_tail[group]
         tail_slot = self._tail_fill[group] - 1
         assert tail_block >= 0 and tail_slot >= 0, "dense-chain invariant broken"
 
         moved = None
         if (tail_block, tail_slot) != (block, slot):
-            tail_row = self.pool.row(tail_block)
-            src = int(tail_row["src"][tail_slot])
-            dst = int(tail_row["dst"][tail_slot])
-            row["src"][slot] = src
-            row["dst"][slot] = dst
-            row["weight"][slot] = tail_row["weight"][tail_slot]
-            tail_row["src"][tail_slot] = CAL_INVALID
+            for arr in cells.values():
+                arr[block, slot] = arr[tail_block, tail_slot]
+            src = int(cells["src"][block, slot])
+            dst = int(cells["dst"][block, slot])
+            cells["src"][tail_block, tail_slot] = CAL_INVALID
             # The deleted copy leaves `block`, the moved copy enters it:
             # net zero there; the tail block loses one.
             self._valid_count[tail_block] = self._valid_count[tail_block] - 1
             self.stats.cal_updates += 2
             moved = (src, dst, tail_block, tail_slot)
         else:
-            row["src"][slot] = CAL_INVALID
+            cells["src"][block, slot] = CAL_INVALID
             self._valid_count[block] = self._valid_count[block] - 1
             self.stats.cal_updates += 1
         self._n_valid -= 1
@@ -335,8 +334,8 @@ class CoarseAdjacencyList:
         Every block on a chain is charged as one *sequential* block read
         of ``cal_block_size`` cells — blocks with no live slot included,
         as a real streamer must fetch a block to discover it is empty.
-        The chains are walked once over the link tables; the cells then
-        come out of the pool in one gather.
+        The chains are walked once over the link tables; then one gather
+        per field, ``weight`` and ``dst`` at the live slots only.
         """
         heads = self._group_head._data[: self._n_groups].tolist()
         nxt = self._next._data.tolist()
@@ -347,9 +346,12 @@ class CoarseAdjacencyList:
                 block = nxt[block]
         self.stats.seq_block_reads += len(order)
         self.stats.cells_scanned += len(order) * self.config.cal_block_size
-        cells = self.pool.raw()[np.array(order, dtype=np.intp)].reshape(-1)
-        live = cells["src"] != CAL_INVALID
-        return cells["src"][live], cells["dst"][live], cells["weight"][live]
+        cells, chain = self.pool.fields, np.array(order, dtype=np.intp)
+        src = cells["src"][chain]
+        live = np.flatnonzero(src != CAL_INVALID)
+        at, slot = np.divmod(live, self.config.cal_block_size)
+        block = chain[at]
+        return src.ravel()[live], cells["dst"][block, slot], cells["weight"][block, slot]
 
     def fill_fraction(self) -> float:
         """Live slots / allocated slots — the compaction diagnostic."""

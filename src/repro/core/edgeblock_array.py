@@ -8,10 +8,10 @@ branch out in turn.  Descending the branch chain re-hashes the destination
 id with a generation-dependent hash so edges fan out, which is what gives
 the O(log n) expected probe behaviour versus an adjacency list's O(n).
 
-Both regions are flat :class:`~repro.core.pool.BlockPool`s (one structured
-NumPy array each); Subblock->child links are flat ``int32`` matrices grown
-in lockstep with the pools.  Nothing here allocates per-edge Python
-objects.
+Both regions are flat :class:`~repro.core.pool.BlockPool`s (one
+``(blocks, pagewidth)`` NumPy array per cell field each); Subblock->child
+links are flat ``int32`` matrices grown in lockstep with the pools.
+Nothing here allocates per-edge Python objects.
 """
 
 from __future__ import annotations
@@ -168,10 +168,6 @@ class EdgeblockArray:
     def _pool(self, region: int) -> BlockPool:
         return self.main if region == MAIN else self.overflow
 
-    def _subblock_cells(self, region: int, block: int, sb: int) -> np.ndarray:
-        size = self.config.subblock
-        return self._pool(region).view(block, sb * size, (sb + 1) * size)
-
     def _locate(self, src: int, dst: int) -> tuple[int, int, int] | None:
         """The charged FIND: ``(region, block, cell)`` of ``(src, dst)`` or ``None``.
 
@@ -187,7 +183,7 @@ class EdgeblockArray:
         cfg, stats, rhh_on = self.config, self.stats, self._rhh_on
         size, nsb, seed = cfg.subblock, cfg.subblocks_per_block, cfg.seed
         region, block = MAIN, src
-        cells, kids = self.main._data["dst"], self._main_children._data
+        cells, kids = self.main.fields["dst"], self._main_children._data
         dst = int(dst)
         for gen in range(cfg.max_generations):
             sb = subblock_index(dst, gen, nsb, seed)
@@ -204,7 +200,7 @@ class EdgeblockArray:
             stats.branch_descents += 1
             if region == MAIN:
                 region = OVERFLOW
-                cells, kids = self.overflow._data["dst"], self._overflow_children._data
+                cells, kids = self.overflow.fields["dst"], self._overflow_children._data
         return None
 
     def _descend(self, region: int, block: int, sb: int) -> tuple[int, int]:
@@ -251,40 +247,41 @@ class EdgeblockArray:
         # --- FIND stage across all generations. --------------------------
         existing = self.find(src, dst)
         if existing is not None:
-            row = self._pool(existing.region).row(existing.block)
-            row["weight"][existing.slot] = float(weight)
+            region, block, slot = existing
+            self._pool(region).fields["weight"][block, slot] = float(weight)
             self.stats.workblock_writebacks += 1
             return False, existing
 
         # --- INSERT stage: descend, placing via RHH / Tree-Based Hashing.
         region, block = MAIN, src
-        nsb = cfg.subblocks_per_block
+        nsb, size = cfg.subblocks_per_block, cfg.subblock
         f_dst, f_weight = int(dst), float(weight)
         f_cal_block, f_cal_slot = cal_block, cal_slot
         arg_location: EdgeLocation | None = None
         for gen in range(cfg.max_generations):
             sb = subblock_index(f_dst, gen, nsb, cfg.seed)
-            cells = self._subblock_cells(region, block, sb)
-            ib = initial_bucket(f_dst, gen, cfg.subblock, cfg.seed)
+            lo, pool = sb * size, self._pool(region).fields
+            cells = [pool[name][block, lo:lo + size] for name in rhh.CELL_FIELDS]
+            ib = initial_bucket(f_dst, gen, size, cfg.seed)
             # Fields out to lists, one core call, charges applied, fields
             # stored back when the core wrote.  The batch kernel runs this
             # method itself for every op its rounds leave.
-            fields = [cells[name].tolist() for name in rhh.CELL_FIELDS]
+            fields = [cell.tolist() for cell in cells]
             status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot = (
                 rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on,
                                f_cal_block, f_cal_slot)
             )
             assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
-            rhh._charge_scan(self.stats, ib, lengths, cfg.workblock, cfg.subblock)
+            rhh._charge_scan(self.stats, ib, lengths, cfg.workblock, size)
             self.stats.rhh_swaps += swaps
             if wrote:
-                for name, values in zip(rhh.CELL_FIELDS, fields):
-                    cells[name][:] = values
+                for cell, values in zip(cells, fields):
+                    cell[:] = values
                 self.stats.workblock_writebacks += 1
             # On CONGESTED the argument edge may still have been placed
             # (via a swap); `slot` reports it either way.
             if arg_location is None and slot >= 0:
-                arg_location = EdgeLocation(region, block, sb * cfg.subblock + slot)
+                arg_location = EdgeLocation(region, block, lo + slot)
             if status == rhh.INSERTED:
                 self._degrees[src] += 1
                 self.stats.edges_inserted += 1
@@ -307,20 +304,20 @@ class EdgeblockArray:
     def get_weight(self, location: tuple[int, int, int]) -> float:
         """Weight stored at a cell :meth:`find` (or :meth:`_locate`) returned."""
         region, block, slot = location
-        return float(self._pool(region).row(block)["weight"][slot])
+        return float(self._pool(region).fields["weight"][block, slot])
 
     def set_cal_pointer(self, location: EdgeLocation, cal_block: int, cal_slot: int) -> None:
         """Write an edge's CAL-pointer after its CAL copy was appended."""
         region, block, slot = location
-        row = self._pool(region).row(block)
-        row["cal_block"][slot] = cal_block
-        row["cal_slot"][slot] = cal_slot
+        fields = self._pool(region).fields
+        fields["cal_block"][block, slot] = cal_block
+        fields["cal_slot"][block, slot] = cal_slot
 
     def get_cal_pointer(self, location: EdgeLocation) -> tuple[int, int]:
         """Read an edge's CAL-pointer ``(block, slot)``."""
         region, block, slot = location
-        row = self._pool(region).row(block)
-        return int(row["cal_block"][slot]), int(row["cal_slot"][slot])
+        fields = self._pool(region).fields
+        return int(fields["cal_block"][block, slot]), int(fields["cal_slot"][block, slot])
 
     def delete(self, src: int, dst: int) -> tuple[int, int] | None:
         """Delete edge ``(src, dst)``.
@@ -334,11 +331,11 @@ class EdgeblockArray:
         if hit is None:
             return None
         region, block, cell = hit
-        row = self._pool(region).row(block)
-        cal_ptr = (int(row["cal_block"][cell]), int(row["cal_slot"][cell]))
-        row["dst"][cell] = TOMBSTONE
-        row["cal_block"][cell] = -1
-        row["cal_slot"][cell] = -1
+        fields = self._pool(region).fields
+        cal_ptr = (int(fields["cal_block"][block, cell]), int(fields["cal_slot"][block, cell]))
+        fields["dst"][block, cell] = TOMBSTONE
+        fields["cal_block"][block, cell] = -1
+        fields["cal_slot"][block, cell] = -1
         self.stats.workblock_writebacks += 1
         self.stats.tombstones_set += 1
         self._degrees[src] -= 1
@@ -358,26 +355,24 @@ class EdgeblockArray:
         """
         children = self._children(region)
         child = children.get(block, sb)
-        row = self._pool(region).row(block)
+        fields = self._pool(region).fields
         if child < 0:
             # No descendants: leave the cell truly empty so it is reusable.
-            row["dst"][cell_index] = EMPTY
+            fields["dst"][block, cell_index] = EMPTY
             return
         victim = self._last_occupied_cell(child)
         if victim < 0:
             # Child holds no live edges; prune it if it is a leaf.
-            row["dst"][cell_index] = EMPTY
+            fields["dst"][block, cell_index] = EMPTY
             self._try_free_leaf(region, block, sb, child)
             return
-        child_row = self.overflow.row(child)
-        row["dst"][cell_index] = child_row["dst"][victim]
-        row["weight"][cell_index] = child_row["weight"][victim]
-        row["probe"][cell_index] = 0
-        row["cal_block"][cell_index] = child_row["cal_block"][victim]
-        row["cal_slot"][cell_index] = child_row["cal_slot"][victim]
-        child_row["dst"][victim] = TOMBSTONE
-        child_row["cal_block"][victim] = -1
-        child_row["cal_slot"][victim] = -1
+        below = self.overflow.fields
+        for name, arr in fields.items():
+            arr[block, cell_index] = below[name][child, victim]
+        fields["probe"][block, cell_index] = 0
+        below["dst"][child, victim] = TOMBSTONE
+        below["cal_block"][child, victim] = -1
+        below["cal_slot"][child, victim] = -1
         self.stats.compaction_moves += 1
         self.stats.random_block_reads += 1
         self.stats.workblock_writebacks += 2
@@ -387,15 +382,14 @@ class EdgeblockArray:
 
     def _last_occupied_cell(self, overflow_block: int) -> int:
         """Index of the last live cell in an overflow block, or -1."""
-        dsts = self.overflow.row(overflow_block)["dst"]
+        dsts = self.overflow.fields["dst"][overflow_block]
         occupied = np.flatnonzero(dsts >= 0)
         self.stats.random_block_reads += 1
         return int(occupied[-1]) if occupied.size else -1
 
     def _try_free_leaf(self, region: int, block: int, sb: int, child: int) -> None:
         """Free ``child`` if it has no live edges and no children."""
-        dsts = self.overflow.row(child)["dst"]
-        if (dsts >= 0).any():
+        if (self.overflow.fields["dst"][child] >= 0).any():
             return
         if (self._overflow_children.row(child) >= 0).any():
             return
@@ -421,7 +415,8 @@ class EdgeblockArray:
         """
         if not 0 <= src < self._n_vertices:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        rows = self.main._data[src:src + 1]
+        dst = self.main.fields["dst"][src:src + 1]
+        weight = self.main.fields["weight"][src:src + 1]
         stack = [c for c in self._main_children._data[src].tolist() if c >= 0]
         if stack:
             kids, deep = self._overflow_children._data, []
@@ -429,12 +424,12 @@ class EdgeblockArray:
                 block = stack.pop()
                 deep.append(block)
                 stack.extend(c for c in kids[block].tolist() if c >= 0)
-            rows = np.concatenate((rows, self.overflow._data[deep]))
-        self.stats.random_block_reads += rows.shape[0]
-        self.stats.cells_scanned += rows.shape[0] * self.config.pagewidth
-        dst = rows["dst"]
+            dst = np.concatenate((dst, self.overflow.fields["dst"][deep]))
+            weight = np.concatenate((weight, self.overflow.fields["weight"][deep]))
+        self.stats.random_block_reads += dst.shape[0]
+        self.stats.cells_scanned += dst.shape[0] * self.config.pagewidth
         live = dst >= 0
-        return dst[live], rows["weight"][live]
+        return dst[live], weight[live]
 
     def neighbors_rows(
         self, rows: np.ndarray
@@ -478,6 +473,18 @@ class EdgeblockArray:
             parents.append(parent)
             blocks.append(kids[parent, sb])
             kids = self._overflow_children._data[blocks[-1]]
+        # Only `dst` is gathered whole; the live cells are found once and
+        # `weight` is read at those alone, one flat take per pool.  A
+        # childless slab is in pre-order as gathered.
+        pw = self.config.pagewidth
+        mdst, mweight = self.main.fields["dst"], self.main.fields["weight"].reshape(-1)
+        if not parents:
+            dst = mdst[rows].reshape(-1)
+            live = np.flatnonzero(dst >= 0)
+            at = live // pw
+            return (np.bincount(at, minlength=rows.shape[0]),
+                    np.ones(rows.shape[0], dtype=np.int64),
+                    dst[live], mweight.take(live + (rows[at] - at) * pw))
         # (2) Subtree sizes (in blocks), bottom-up.
         sizes = [np.ones(level.shape[0], dtype=np.int64) for level in blocks]
         for depth in range(len(parents), 0, -1):
@@ -492,21 +499,27 @@ class EdgeblockArray:
         for parent, size, child_size in zip(parents, sizes, sizes[1:]):
             group_end = positions[-1] + 1 + np.cumsum(size - 1)
             positions.append(group_end[parent] - np.cumsum(child_size))
-        # (4) One gather per pool per field into pre-order, one compress.
-        pw = self.config.pagewidth
-        total = int(sizes[0].sum())
+        # (4) One `dst` gather per pool into pre-order and the live cells;
+        # a live cell's pool index is its index in `dst` shifted by its
+        # block's move from pool row to pre-order position.
+        total, top = int(sizes[0].sum()), positions[0]
+        deep, deep_at = np.concatenate(blocks[1:]), np.concatenate(positions[1:])
         dst = np.empty((total, pw), dtype=np.int64)
-        weight = np.empty((total, pw), dtype=np.float64)
-        main, overflow = self.main._data, self.overflow._data
-        dst[positions[0]] = main["dst"][rows]
-        weight[positions[0]] = main["weight"][rows]
-        if parents:
-            deep, at = np.concatenate(blocks[1:]), np.concatenate(positions[1:])
-            dst[at] = overflow["dst"][deep]
-            weight[at] = overflow["weight"][deep]
-        live = dst >= 0
-        counts = np.add.reduceat(live.sum(axis=1), positions[0])
-        return counts, sizes[0], dst[live], weight[live]
+        dst[top], dst[deep_at] = mdst[rows], self.overflow.fields["dst"][deep]
+        dst = dst.reshape(-1)
+        live = np.flatnonzero(dst >= 0)
+        at = live // pw
+        shift = np.empty(total, dtype=np.int64)
+        shift[top], shift[deep_at] = rows, deep
+        cell = live + ((shift - np.arange(total)) * pw)[at]
+        in_main = np.zeros(total, dtype=bool)
+        in_main[top] = True
+        main = in_main[at]
+        weight = np.empty(live.shape[0], dtype=np.float64)
+        weight[main] = mweight.take(cell[main])
+        weight[~main] = self.overflow.fields["weight"].reshape(-1).take(cell[~main])
+        counts = np.add.reduceat(np.bincount(at, minlength=total), top)
+        return counts, sizes[0], dst[live], weight
 
     def iter_all_edges(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """Yield ``(src, dst_array, weight_array)`` over all dense vertices.

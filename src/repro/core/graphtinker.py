@@ -237,11 +237,11 @@ class GraphTinker(SnapshotHost):
         # The scalar loop zips edges with weights, so a short weights array
         # silently truncates the batch; the vector path mirrors that.
         m = min(edges.shape[0], weights.shape[0])
-        if kern == "vector" and m:
-            # The scalar path marks per-edge inside insert_edge; the
-            # vector kernel mutates the arrays wholesale, so mark its
-            # touched sources at batch granularity — also when it raises,
-            # having applied part of the batch.
+        if kern == "vector" and m >= kernels.MIN_ROUND_GROUPS:
+            # The per-edge path (also a batch too small to start a round)
+            # marks per-edge inside insert_edge; the vector kernel mutates
+            # the arrays wholesale, so mark its touched sources at batch
+            # granularity — also when it raises, having applied part of it.
             try:
                 new = kernels.insert_batch_vector(self, edges[:m], weights[:m])
             finally:

@@ -82,8 +82,8 @@ round trip of the Subblock around every
    pending CAL pointer like a round op's.  The rounds' charges accumulate
    in local ints and flush into ``AccessStats`` once per chunk; a residue
    op charges its own.  (A batch of fewer than :data:`MIN_ROUND_GROUPS`
-   edges could not start a round: :func:`insert_batch_vector` hands it to
-   the per-edge path whole.)
+   edges could not start a round: ``GraphTinker.insert_batch`` hands it
+   to the per-edge path whole.)
 5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
    sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
    chunk, which is its record id) that travels through Robin-Hood
@@ -194,12 +194,11 @@ def insert_batch_vector(gt, edges: np.ndarray, weights: np.ndarray) -> int:
 
     ``edges`` is a validated non-negative ``(n, 2)`` int64 array and
     ``weights`` a float64 array of the same length.  Returns the number
-    of new edges, exactly as the scalar loop would.  A batch too small to
-    start a round would be all residue: it runs on the per-edge path.
+    of new edges, exactly as the scalar loop would.  The facade sends a
+    batch of fewer than :data:`MIN_ROUND_GROUPS` edges, which could not
+    start a round, to the per-edge path instead.
     """
     n = edges.shape[0]
-    if n < MIN_ROUND_GROUPS:
-        return gt._insert_batch_scalar(edges, weights)
     new = 0
     for start in range(0, n, CHUNK_EDGES):
         stop = min(start + CHUNK_EDGES, n)
@@ -266,10 +265,10 @@ def _overflow_level(gt, gen: int, dst: np.ndarray):
     pool's five cell fields (re-read per level, the pool may have regrown)
     and each edge's Subblock, first column and initial bucket there."""
     cfg = gt.config
-    data = gt.eba.overflow._data
+    fields = gt.eba.overflow.fields
     sb = subblock_index_array(dst, gen, cfg.subblocks_per_block, cfg.seed)
     ib = initial_bucket_array(dst, gen, cfg.subblock, cfg.seed)
-    return (tuple(data[name] for name in rhh.CELL_FIELDS), sb,
+    return (tuple(fields[name] for name in rhh.CELL_FIELDS), sb,
             (sb * cfg.subblock)[:, None], ib)
 
 
@@ -340,13 +339,15 @@ def _patch_pending(pool, touched: list[tuple], nsb: int, size: int,
     """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblocks
     (``(blocks, sbs)`` array pairs) of ``pool`` to its record's CAL address
     (``-1, -1`` for a dropped one)."""
-    cells = pool._data.reshape(-1, size)  # one row per Subblock
+    # One row per Subblock: both fields are C-contiguous, so a view.
+    blocks_f = pool.fields["cal_block"].reshape(-1, size)
+    slots_f = pool.fields["cal_slot"].reshape(-1, size)
     sub = np.concatenate([blocks * nsb + sbs for blocks, sbs in touched])
-    r, cols = np.nonzero(cells["cal_block"][sub] == PENDING_CAL)
+    r, cols = np.nonzero(blocks_f[sub] == PENDING_CAL)
     rows = sub[r]
-    rid = cells["cal_slot"][rows, cols]
-    cells["cal_block"][rows, cols] = cal_block[rid]
-    cells["cal_slot"][rows, cols] = cal_slot[rid]
+    rid = slots_f[rows, cols]
+    blocks_f[rows, cols] = cal_block[rid]
+    slots_f[rows, cols] = cal_slot[rid]
 
 
 def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -409,7 +410,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     # The main region never regrows mid-chunk (capacity is ensured per
     # vertex row up front), so its cell fields and child matrix can be
     # hoisted; the overflow ones can regrow and are re-read per level.
-    mfields = tuple(eba.main._data[name] for name in rhh.CELL_FIELDS)
+    mfields = tuple(eba.main.fields[name] for name in rhh.CELL_FIELDS)
     mchild = eba._main_children._data
     ochild = eba._overflow_children
 
@@ -458,7 +459,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                         cb = fields[3][h_rows, h_cols]
                         slot = fields[4][h_rows, h_cols]
                         copied = cb >= 0
-                        cal.pool.raw()["weight"][cb[copied], slot[copied]] = h_w[copied]
+                        cal.pool.fields["weight"][cb[copied], slot[copied]] = h_w[copied]
                         pending = cb == PENDING_CAL
                         p_w[slot[pending]] = h_w[pending]
                         cal_up += int(copied.sum()) + int(pending.sum())
@@ -655,7 +656,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                     break
                 sb = subblock_index_array(dst, gen, nsb, seed)
                 ib = initial_bucket_array(dst, gen, size, seed)
-                data = pool._data
+                data = pool.fields
                 cols, t_hit, t_emp, _ = _rolled_probe(
                     data["dst"], block, (sb * size)[:, None], ib, dst, size)
                 if not rhh_on:

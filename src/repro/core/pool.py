@@ -1,16 +1,20 @@
 """Growable flat NumPy pools backing every block-structured store.
 
 The HPC-Python idiom applied throughout this repo (see DESIGN.md §2) is to
-keep *all* edge data in a small number of large, contiguous structured
-arrays and grow them geometrically — never one Python object per edge or per
-block.  :class:`BlockPool` owns one 2-D structured array whose rows are
-blocks (edgeblocks, CAL blocks, STINGER blocks) and whose columns are the
-per-block cells, plus a free-list so blocks released by delete-and-compact
-can be reused.
+keep *all* edge data in a small number of large, contiguous arrays and grow
+them geometrically — never one Python object per edge or per block.  A
+:class:`BlockPool` holds blocks (edgeblocks, CAL blocks, STINGER blocks) of
+``block_width`` cells, laid out one array per cell field: ``fields[name]``
+is a C-contiguous ``(capacity, block_width)`` array, row ``b`` of it is
+field ``name`` of every cell of block ``b``.  All field arrays are
+field-major views into the one byte buffer the pool owns, so a gather of
+``dst`` streams ``dst`` bytes only and never strides over the cells' other
+fields.  A free-list lets blocks released by delete-and-compact be reused.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterator
 
 import numpy as np
@@ -19,8 +23,9 @@ import numpy as np
 EMPTY = np.int64(-1)
 TOMBSTONE = np.int64(-2)
 
-#: Edge-cell record: destination vertex, weight, Robin-Hood probe distance,
-#: and the CAL-pointer (block index + slot) to the edge's compacted copy.
+#: Edge-cell fields: destination vertex, weight, Robin-Hood probe
+#: distance, and the CAL-pointer (block index + slot) to the edge's
+#: compacted copy.
 EDGE_CELL_DTYPE = np.dtype(
     [
         ("dst", np.int64),
@@ -31,7 +36,7 @@ EDGE_CELL_DTYPE = np.dtype(
     ]
 )
 
-#: CAL slot record: each compacted edge also carries its source vertex,
+#: CAL slot fields: each compacted edge also carries its source vertex,
 #: because in the Coarse Adjacency List several sources share a block.
 CAL_CELL_DTYPE = np.dtype(
     [
@@ -60,19 +65,18 @@ def blank_edge_cells(shape: tuple[int, ...] | int) -> np.ndarray:
 
 
 class BlockPool:
-    """A growable pool of fixed-width blocks in one structured array.
+    """A growable pool of fixed-width blocks, one array per cell field.
 
     Parameters
     ----------
     block_width:
         Number of cells per block (row length).
     dtype:
-        Structured cell dtype.
+        Structured cell dtype naming the fields and their types; the pool
+        keeps one plain ``(capacity, block_width)`` array per field.
     blank:
         Callable producing a blank cell array of a given shape.  Called
-        once, for the one blank row every hand-out copies from — as raw
-        bytes: NumPy assigns a packed record field by field, a ``uint8``
-        view of the same memory in one copy (so does growth).
+        once, for the blank row of each field every hand-out copies.
     initial_blocks:
         Rows reserved at construction.
 
@@ -81,7 +85,8 @@ class BlockPool:
     nobody asked for.  Nothing may read a row at or past :attr:`high_water`.
     """
 
-    __slots__ = ("block_width", "dtype", "_blank_row", "_data", "_used", "_free")
+    __slots__ = ("block_width", "dtype", "capacity", "fields", "_blank", "_buffer",
+                 "_used", "_free")
 
     def __init__(self, block_width, dtype, blank, initial_blocks=4):
         if block_width <= 0:
@@ -90,19 +95,36 @@ class BlockPool:
             raise ValueError("initial_blocks must be positive")
         self.block_width = int(block_width)
         self.dtype = dtype
-        self._blank_row = blank(self.block_width).view(np.uint8)
-        self._data = np.zeros((initial_blocks, self.block_width), dtype=dtype)
+        row = blank(self.block_width)
+        self._blank = tuple(row[name].copy() for name in dtype.names)
         self._used = 0
         self._free: list[int] = []
+        self._reserve(initial_blocks)
+
+    def _reserve(self, capacity: int) -> None:
+        """Point :attr:`fields` at a fresh zeroed buffer of ``capacity`` rows.
+
+        Field ``i`` owns one contiguous section of the buffer, rounded up
+        to a 64-byte boundary so every field array starts aligned.  The
+        buffer is an anonymous mapping, not ``np.zeros``: NumPy asks for
+        transparent huge pages on large arrays, and then the partly used
+        head of every section would hold a whole 2 MiB page resident.
+        """
+        #: Rows currently allocated (used + never-used + freed).
+        self.capacity = capacity
+        cells = capacity * self.block_width
+        spans = [-(-cells * self.dtype[name].itemsize // 64) * 64 for name in self.dtype.names]
+        self._buffer = np.frombuffer(mmap.mmap(-1, sum(spans)), dtype=np.uint8)
+        self.fields: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, span in zip(self.dtype.names, spans):
+            section = self._buffer[offset:offset + cells * self.dtype[name].itemsize]
+            self.fields[name] = section.view(self.dtype[name]).reshape(capacity, self.block_width)
+            offset += span
 
     # ------------------------------------------------------------------ #
     # capacity management
     # ------------------------------------------------------------------ #
-    @property
-    def capacity(self) -> int:
-        """Rows currently allocated (used + never-used + freed)."""
-        return self._data.shape[0]
-
     @property
     def n_used(self) -> int:
         """Rows handed out and not freed."""
@@ -124,9 +146,15 @@ class BlockPool:
         new_cap = cap
         while new_cap < min_rows:
             new_cap *= 4
-        fresh = np.zeros((new_cap, self.block_width), dtype=self.dtype)
-        fresh.view(np.uint8)[: self._used] = self._data.view(np.uint8)[: self._used]
-        self._data = fresh
+        old = self.fields
+        self._reserve(new_cap)
+        for name, arr in self.fields.items():
+            arr[: self._used] = old[name][: self._used]
+
+    def blank(self, rows) -> None:
+        """Reset block ``rows`` (an index, slice or index list) to the blank state."""
+        for arr, blank in zip(self.fields.values(), self._blank):
+            arr[rows] = blank
 
     def allocate(self) -> int:
         """Hand out a blank block row and return its index."""
@@ -136,23 +164,25 @@ class BlockPool:
             idx = self._used
             self._grow_to(idx + 1)
             self._used += 1
-        self._data.view(np.uint8)[idx] = self._blank_row
+        self.blank(idx)
         return idx
 
     def allocate_many(self, count: int) -> list[int]:
         """Allocate ``count`` blank blocks (free-list first, then fresh rows).
 
         Same ids in the same order as ``count`` calls of :meth:`allocate`,
-        with one growth and one bulk blanking of the rows handed out.
+        with one growth and one bulk blanking per field of the rows handed
+        out.
         """
+        if count == 1:  # the per-op path: one row blanks cheaper by index than by slice
+            return [self.allocate()]
         ids = [self._free.pop() for _ in range(min(count, len(self._free)))]
         n_fresh = count - len(ids)
         self._grow_to(self._used + n_fresh)
-        cells = self._data.view(np.uint8)
         if ids:
-            cells[ids] = self._blank_row
+            self.blank(ids)
         if n_fresh > 0:
-            cells[self._used : self._used + n_fresh] = self._blank_row
+            self.blank(slice(self._used, self._used + n_fresh))
             ids.extend(range(self._used, self._used + n_fresh))
             self._used += n_fresh
         return ids
@@ -166,23 +196,6 @@ class BlockPool:
         if not (0 <= index < self._used):
             raise IndexError(f"block {index} was never allocated")
         self._free.append(index)
-
-    # ------------------------------------------------------------------ #
-    # access
-    # ------------------------------------------------------------------ #
-    def row(self, index: int) -> np.ndarray:
-        """Return the block row as a *view* (mutations hit the pool)."""
-        if not (0 <= index < self._used):
-            raise IndexError(f"block {index} was never allocated")
-        return self._data[index]
-
-    def view(self, index: int, start: int, stop: int) -> np.ndarray:
-        """Return cells ``[start, stop)`` of a block as a view."""
-        return self.row(index)[start:stop]
-
-    def raw(self) -> np.ndarray:
-        """The full backing array (used rows first); for vectorised scans."""
-        return self._data[: self._used]
 
     def iter_used(self) -> Iterator[int]:
         """Yield indices of blocks currently handed out, in row order."""

@@ -185,8 +185,8 @@ def _walk_vertex(gt, src: int, freed: set[int],
                 where=f"r{region}b{block}"))
             continue
         seen_blocks.add((region, block))
-        row = eba._pool(region).row(block)
-        dsts = row["dst"]
+        cells = eba._pool(region).fields
+        dsts = cells["dst"][block]
         for slot in np.flatnonzero(dsts != EMPTY).tolist():
             dst = int(dsts[slot])
             if dst == int(TOMBSTONE):
@@ -200,9 +200,9 @@ def _walk_vertex(gt, src: int, freed: set[int],
                 continue
             sb = slot // sb_size
             info = _CellInfo(region, block, slot, gen, dst,
-                             float(row["weight"][slot]),
-                             int(row["cal_block"][slot]),
-                             int(row["cal_slot"][slot]))
+                             float(cells["weight"][block, slot]),
+                             int(cells["cal_block"][block, slot]),
+                             int(cells["cal_slot"][block, slot]))
             # Placement: the cell's own generation plus every ancestor
             # generation it descended through must hash consistently,
             # otherwise rhh_find can never reach it.
@@ -229,11 +229,12 @@ def _walk_vertex(gt, src: int, freed: set[int],
                 dist = in_sb - ib
                 if dist < 0:
                     dist += sb_size
-                if int(row["probe"][slot]) != dist:
+                probe = int(cells["probe"][block, slot])
+                if probe != dist:
                     info.placement_ok = False
                     emit(IntegrityViolation(
                         V_MISPLACED, src,
-                        f"dst {dst} stores probe {int(row['probe'][slot])} "
+                        f"dst {dst} stores probe {probe} "
                         f"but sits {dist} past its initial bucket {ib}",
                         where=where))
                 else:
@@ -268,12 +269,12 @@ def _walk_vertex(gt, src: int, freed: set[int],
     return cells_out
 
 
-def _quick_vertex_count(gt, src: int) -> tuple[int, int]:
-    """(live cells, duplicate count) of one vertex, vectorised."""
+def _quick_vertex_count(gt, src: int, freed: set[int] | None = None) -> tuple[int, int, int]:
+    """(live cells, duplicate count, cells whose dst is below the TOMBSTONE
+    sentinel — bit damage) of one vertex, vectorised per block."""
     eba = gt.eba
-    freed = _freed_overflow(eba)
-    live = 0
-    dup = 0
+    freed = _freed_overflow(eba) if freed is None else freed
+    live = dup = bad = 0
     seen: list[np.ndarray] = []
     stack = [(MAIN, src)]
     visited: set[tuple[int, int]] = set()
@@ -282,11 +283,12 @@ def _quick_vertex_count(gt, src: int) -> tuple[int, int]:
         if (region, block) in visited:
             continue  # cycle: the full walker reports it
         visited.add((region, block))
-        row = eba._pool(region).row(block)
-        mask = row["dst"] >= 0
+        dsts = eba._pool(region).fields["dst"][block]
+        mask = dsts >= 0
         live += int(mask.sum())
+        bad += int((dsts < int(TOMBSTONE)).sum())
         if mask.any():
-            seen.append(row["dst"][mask])
+            seen.append(dsts[mask])
         children = eba._children(region).row(block)
         for child in children[children >= 0].tolist():
             if 0 <= child < eba.overflow.high_water and child not in freed:
@@ -294,7 +296,7 @@ def _quick_vertex_count(gt, src: int) -> tuple[int, int]:
     if seen:
         all_dsts = np.concatenate(seen)
         dup = all_dsts.shape[0] - int(np.unique(all_dsts).shape[0])
-    return live, dup
+    return live, dup, bad
 
 
 # --------------------------------------------------------------------- #
@@ -337,11 +339,10 @@ def _run_checks(gt, level: str, report: VerifyReport) -> None:
     cal_owners: dict[tuple[int, int], tuple[int, int]] = {}
     for src in range(eba.n_vertices):
         if level == "quick":
-            live, dup = _quick_vertex_count(gt, src)
+            live, dup, neg = _quick_vertex_count(gt, src, freed)
             if dup:
                 emit(IntegrityViolation(
                     V_DUPLICATE, src, f"{dup} duplicate destination(s)"))
-            neg = _quick_corrupt_cells(gt, src, freed)
             if neg:
                 emit(IntegrityViolation(
                     V_CORRUPT_CELL, src,
@@ -376,26 +377,6 @@ def _run_checks(gt, level: str, report: VerifyReport) -> None:
     if gt.cal is not None:
         _check_cal_global(gt, total_live, cal_owners if level == "full" else None,
                           emit)
-
-
-def _quick_corrupt_cells(gt, src: int, freed: set[int]) -> int:
-    """Count cells whose dst is below the TOMBSTONE sentinel (bit damage)."""
-    eba = gt.eba
-    bad = 0
-    stack = [(MAIN, src)]
-    visited: set[tuple[int, int]] = set()
-    while stack:
-        region, block = stack.pop()
-        if (region, block) in visited:
-            continue
-        visited.add((region, block))
-        row = eba._pool(region).row(block)
-        bad += int((row["dst"] < int(TOMBSTONE)).sum())
-        children = eba._children(region).row(block)
-        for child in children[children >= 0].tolist():
-            if 0 <= child < eba.overflow.high_water and child not in freed:
-                stack.append((OVERFLOW, int(child)))
-    return bad
 
 
 def _check_cal_pointers(gt, src: int, cells: list[_CellInfo],
@@ -441,10 +422,8 @@ def _live_cal_slots(cal):
     for block in range(cal.pool.high_water):
         if block in freed:
             continue
-        row = cal.pool.row(block)
-        for slot in np.flatnonzero(row["src"] != CAL_INVALID).tolist():
-            yield (block, slot, int(row["src"][slot]), int(row["dst"][slot]),
-                   float(row["weight"][slot]))
+        for slot in np.flatnonzero(cal.pool.fields["src"][block] != CAL_INVALID).tolist():
+            yield (block, slot, *cal.read_slot(block, slot))
 
 
 def _check_cal_global(gt, eba_live: int, cal_owners: dict | None,
@@ -639,15 +618,15 @@ def _global_cal_owners(gt) -> dict[tuple[int, int], list[tuple[int, int, float]]
             if (region, block) in visited:
                 continue
             visited.add((region, block))
-            row = eba._pool(region).row(block)
-            for slot in np.flatnonzero(row["dst"] >= 0).tolist():
-                b = int(row["cal_block"][slot])
-                s = int(row["cal_slot"][slot])
+            cells = eba._pool(region).fields
+            for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
+                b = int(cells["cal_block"][block, slot])
+                s = int(cells["cal_slot"][block, slot])
                 if 0 <= b < cal.pool.high_water and b not in freed_cal \
                         and 0 <= s < gt.config.cal_block_size:
                     owners.setdefault((b, s), []).append(
-                        (src, int(row["dst"][slot]),
-                         float(row["weight"][slot])))
+                        (src, int(cells["dst"][block, slot]),
+                         float(cells["weight"][block, slot])))
             children = eba._children(region).row(block)
             for child in children[children >= 0].tolist():
                 if 0 <= child < eba.overflow.high_water and child not in freed:
@@ -704,7 +683,7 @@ def _reconcile_vertex(gt, vertex: int, owners: dict) -> dict[int, float]:
 
 
 def _recount_vertex(gt, vertex: int) -> None:
-    live, _dup = _quick_vertex_count(gt, vertex)
+    live, _, _ = _quick_vertex_count(gt, vertex)
     gt.eba._degrees[vertex] = live
     gt.vpa.ensure(vertex)
     gt.vpa._degree[vertex] = live
@@ -722,8 +701,6 @@ def _wipe_vertex(gt, vertex: int, out: RepairReport,
     claims is left alone: there the flipped field was this vertex's cell
     pointer, and the slot is the other vertex's legitimate copy.
     """
-    from repro.core.pool import blank_edge_cells
-
     eba = gt.eba
     cal = gt.cal
     freed = _freed_overflow(eba)
@@ -738,10 +715,10 @@ def _wipe_vertex(gt, vertex: int, out: RepairReport,
             continue
         visited.add((region, block))
         if cal is not None:
-            row = eba._pool(region).row(block)
-            for slot in np.flatnonzero(row["dst"] >= 0).tolist():
-                b = int(row["cal_block"][slot])
-                s = int(row["cal_slot"][slot])
+            cells = eba._pool(region).fields
+            for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
+                b = int(cells["cal_block"][block, slot])
+                s = int(cells["cal_slot"][block, slot])
                 if 0 <= b < cal.pool.high_water and b not in freed_cal \
                         and 0 <= s < gt.config.cal_block_size:
                     pointed.add((b, s))
@@ -750,11 +727,11 @@ def _wipe_vertex(gt, vertex: int, out: RepairReport,
             if 0 <= child < eba.overflow.high_water and child not in freed:
                 subtree.append(int(child))
                 stack.append((OVERFLOW, int(child)))
-    eba.main.row(vertex)[:] = blank_edge_cells(gt.config.pagewidth)
+    eba.main.blank(vertex)
     eba._main_children.clear_row(vertex)
     for block in dict.fromkeys(subtree):      # dedup, preserve order
         eba._overflow_children.clear_row(block)
-        eba.overflow.row(block)[:] = blank_edge_cells(gt.config.pagewidth)
+        eba.overflow.blank(block)
         eba.overflow.free(block)
         out.freed_blocks += 1
     eba._degrees[vertex] = 0
@@ -788,7 +765,7 @@ def _recount_cal(gt) -> None:
     for block in range(cal.pool.high_water):
         if block in freed:
             continue
-        n = int((cal.pool.row(block)["src"] != CAL_INVALID).sum())
+        n = int((cal.pool.fields["src"][block] != CAL_INVALID).sum())
         cal._valid_count[block] = n
         total += n
     cal._n_valid = total

@@ -240,8 +240,8 @@ class StoreCorruptor:
                 if (region, block) in seen:
                     continue
                 seen.add((region, block))
-                row = eba._pool(region).row(block)
-                for slot in np.flatnonzero(row["dst"] >= 0).tolist():
+                dsts = eba._pool(region).fields["dst"][block]
+                for slot in np.flatnonzero(dsts >= 0).tolist():
                     out.append((src, region, block, slot))
                 children = eba._children(region).row(block)
                 for child in children[children >= 0].tolist():
@@ -250,18 +250,9 @@ class StoreCorruptor:
         return out
 
     def _live_cal_slots(self) -> list[tuple[int, int]]:
-        from repro.core.cal import CAL_INVALID
+        from repro.core.verify import _live_cal_slots
 
-        cal = self.gt.cal
-        freed = set(cal.pool._free)
-        out: list[tuple[int, int]] = []
-        for block in range(cal.pool.high_water):
-            if block in freed:
-                continue
-            row = cal.pool.row(block)
-            for slot in np.flatnonzero(row["src"] != CAL_INVALID).tolist():
-                out.append((block, slot))
-        return out
+        return [(block, slot) for block, slot, *_ in _live_cal_slots(self.gt.cal)]
 
     def _pick(self, candidates: list, what: str):
         if not candidates:
@@ -274,10 +265,10 @@ class StoreCorruptor:
         if kind == "bitflip":
             src, region, block, slot = self._pick(self._live_cells(),
                                                   "bitflip")
-            row = gt.eba._pool(region).row(block)
-            old = int(row["dst"][slot])
+            dsts = gt.eba._pool(region).fields["dst"]
+            old = int(dsts[block, slot])
             new = old ^ (1 << int(self.rng.integers(0, 8)))
-            row["dst"][slot] = new
+            dsts[block, slot] = new
             return InjectedCorruption(kind, (
                 f"flipped dst of cell r{region}b{block}s{slot} "
                 f"(vertex {src}): {old} -> {new}"))
@@ -300,11 +291,11 @@ class StoreCorruptor:
             if gt.cal is None:
                 raise CorruptionError("store has no CAL to corrupt")
             block, slot = self._pick(self._live_cal_slots(), kind)
-            row = gt.cal.pool.row(block)
             field = "src" if kind == "cal-src" else "dst"
-            old = int(row[field][slot])
+            cells = gt.cal.pool.fields[field]
+            old = int(cells[block, slot])
             new = old + 1 if kind == "cal-src" else old ^ 1
-            row[field][slot] = new
+            cells[block, slot] = new
             return InjectedCorruption(kind, (
                 f"damaged CAL slot ({block}, {slot}) {field}: "
                 f"{old} -> {new}"))

@@ -7,7 +7,7 @@ insert must traverse the vertex's entire chain to rule out a duplicate,
 and a delete must traverse until the edge is found — the long probe
 distances GraphTinker attacks.  Deleted slots are flagged and reused.
 
-The block pool is one flat structured NumPy array (same idiom as
+The block pool keeps one flat NumPy array per slot field (same idiom as
 GraphTinker's pools) so the two systems differ only in *algorithm*, not in
 implementation technology; the instrumentation counts the same events so
 the cost model compares like with like:
@@ -130,12 +130,11 @@ class Stinger(RowStoreDefaults):
         last_block = -1
         while block >= 0:
             self.stats.random_block_reads += 1
-            row = self.pool.row(block)
-            dsts = row["dst"]
+            dsts = self.pool.fields["dst"][block]
             self.stats.cells_scanned += dsts.shape[0]
             hit = np.flatnonzero(dsts == dst)
             if hit.size:
-                row["weight"][hit[0]] = weight
+                self.pool.fields["weight"][block, hit[0]] = weight
                 if self._analytics_snapshot is not None:
                     self._analytics_snapshot.mark_dirty(src)
                 return False
@@ -154,9 +153,9 @@ class Stinger(RowStoreDefaults):
                 self._next[last_block] = free_block
             else:
                 self._head[src] = free_block
-        row = self.pool.row(free_block)
-        row["dst"][free_slot] = dst
-        row["weight"][free_slot] = weight
+        cells = self.pool.fields
+        cells["dst"][free_block, free_slot] = dst
+        cells["weight"][free_block, free_slot] = weight
         if self._analytics_snapshot is not None:
             self._analytics_snapshot.mark_dirty(src)
         self.stats.workblock_writebacks += 1
@@ -192,12 +191,11 @@ class Stinger(RowStoreDefaults):
         block = int(self._head[src])
         while block >= 0:
             self.stats.random_block_reads += 1
-            row = self.pool.row(block)
-            dsts = row["dst"]
+            dsts = self.pool.fields["dst"][block]
             self.stats.cells_scanned += dsts.shape[0]
             hit = np.flatnonzero(dsts == dst)
             if hit.size:
-                row["dst"][hit[0]] = _DELETED
+                dsts[hit[0]] = _DELETED
                 if self._analytics_snapshot is not None:
                     self._analytics_snapshot.mark_dirty(src)
                 self.stats.workblock_writebacks += 1
@@ -235,11 +233,11 @@ class Stinger(RowStoreDefaults):
         block = int(self._head[src])
         while block >= 0:
             self.stats.random_block_reads += 1
-            row = self.pool.row(block)
-            live = row["dst"] >= 0
+            dsts = self.pool.fields["dst"][block]
+            live = dsts >= 0
             n = int(live.sum())
             if n:
-                row["dst"][live] = _DELETED
+                dsts[live] = _DELETED
                 self.stats.workblock_writebacks += 1
                 self.stats.tombstones_set += n
                 deleted += n
@@ -264,12 +262,12 @@ class Stinger(RowStoreDefaults):
         block = int(self._head[src])
         while block >= 0:
             self.stats.random_block_reads += 1
-            row = self.pool.row(block)
-            hit = np.flatnonzero(row["dst"] == dst)
-            self.stats.cells_scanned += row["dst"].shape[0]
+            dsts = self.pool.fields["dst"][block]
+            hit = np.flatnonzero(dsts == dst)
+            self.stats.cells_scanned += dsts.shape[0]
             if hit.size:
                 self.stats.edges_found += 1
-                return float(row["weight"][hit[0]])
+                return float(self.pool.fields["weight"][block, hit[0]])
             block = int(self._next[block])
         return None
 
@@ -287,11 +285,11 @@ class Stinger(RowStoreDefaults):
         while block >= 0:
             self.stats.random_block_reads += 1
             self.stats.cells_scanned += self.config.edgeblock_size
-            row = self.pool.row(block)
-            mask = row["dst"] >= 0
+            row = self.pool.fields["dst"][block]
+            mask = row >= 0
             if mask.any():
-                dsts.append(row["dst"][mask].copy())
-                weights.append(row["weight"][mask].copy())
+                dsts.append(row[mask])
+                weights.append(self.pool.fields["weight"][block][mask])
             block = int(self._next[block])
         if not dsts:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
@@ -322,13 +320,13 @@ class Stinger(RowStoreDefaults):
             while block >= 0:
                 self.stats.random_block_reads += 1
                 self.stats.cells_scanned += self.config.edgeblock_size
-                row = self.pool.row(block)
-                mask = row["dst"] >= 0
+                row = self.pool.fields["dst"][block]
+                mask = row >= 0
                 if mask.any():
                     n = int(mask.sum())
                     srcs.append(np.full(n, src, dtype=np.int64))
-                    dsts.append(row["dst"][mask].copy())
-                    weights.append(row["weight"][mask].copy())
+                    dsts.append(row[mask])
+                    weights.append(self.pool.fields["weight"][block][mask])
                 block = int(self._next[block])
         if not srcs:
             empty_i = np.empty(0, dtype=np.int64)

@@ -118,6 +118,14 @@ def reference_cc(ref: ReferenceGraph) -> dict[int, int]:
     return {v: find(v) for v in parent}
 
 
+def pool_bytes(pool, rows=None) -> bytes:
+    """A :class:`~repro.core.pool.BlockPool`'s cells as bytes, field by
+    field: every row ever handed out, or just ``rows`` (an index, slice
+    or index list).  Equal bytes mean equal cells."""
+    rows = slice(pool.high_water) if rows is None else rows
+    return b"".join(arr[rows].tobytes() for arr in pool.fields.values())
+
+
 def assert_store_matches(store, ref: ReferenceGraph) -> None:
     """Assert a store's full edge content equals the reference's."""
     assert store.n_edges == ref.n_edges

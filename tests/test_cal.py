@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cal import CAL_INVALID, CoarseAdjacencyList
 from repro.core.config import GTConfig
+from tests.reference import pool_bytes
 
 
 def make(group_width=4, block_size=4):
@@ -95,7 +96,7 @@ def _cal_state(cal):
              for name in ("_next", "_prev", "_valid_count")}
     state.update({name: getattr(cal, name)._data[:groups].tolist()
                   for name in ("_group_head", "_group_tail", "_tail_fill")})
-    return state | {"cells": cal.pool.raw().tobytes(), "free": list(cal.pool._free),
+    return state | {"cells": pool_bytes(cal.pool), "free": list(cal.pool._free),
                     "groups": groups, "n_edges": cal.n_edges,
                     "cal_updates": cal.stats.cal_updates}
 
@@ -257,7 +258,7 @@ class TestStreaming:
         assert w.tolist() == [1.0, 2.0, 4.0]
         # copies, not views: the pool is untouched by writes to the stream
         dst[:] = 99
-        assert cal.pool.row(0)["dst"].tolist() == [1, 2, 3, 4]
+        assert cal.pool.fields["dst"][0].tolist() == [1, 2, 3, 4]
 
 
 def reference_stream(cal):
@@ -272,11 +273,10 @@ def reference_stream(cal):
         block = cal._group_head[group]
         while block >= 0:
             reads += 1
-            row = cal.pool.row(block)
-            chunk = row[row["src"] != CAL_INVALID]
-            srcs.append(chunk["src"])
-            dsts.append(chunk["dst"])
-            weights.append(chunk["weight"])
+            live = cal.pool.fields["src"][block] != CAL_INVALID
+            srcs.append(cal.pool.fields["src"][block][live])
+            dsts.append(cal.pool.fields["dst"][block][live])
+            weights.append(cal.pool.fields["weight"][block][live])
             block = cal._next[block]
     arrays = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
     return arrays, reads, reads * cal.config.cal_block_size
@@ -417,7 +417,7 @@ class TestCompactDelete:
         for g in range(cal.n_groups):
             b = cal._group_head[g]
             while b >= 0:
-                valid = cal.pool.row(b)["src"] != CAL_INVALID
+                valid = cal.pool.fields["src"][b] != CAL_INVALID
                 if b == cal._group_tail[g]:
                     fill = cal._tail_fill[g]
                     assert valid[:fill].all() and not valid[fill:].any()

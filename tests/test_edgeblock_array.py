@@ -230,6 +230,36 @@ class TestRetrieval:
             assert n_blocks.tolist() == visited
             before = eba.stats.as_dict()
 
+    @pytest.mark.parametrize("name", ["default", "compact", "nosgh", "norhh", "narrow"])
+    def test_neighbors_rows_is_neighbors_per_row_on_golden_configs(self, name):
+        """The read-path golden stores: a request longer than one gather
+        slab (every row twice, shuffled), and a slab of childless rows
+        only — one gather, no pre-order scatter."""
+        from repro.core.edgeblock_array import GATHER_SLAB_ROWS
+        from tests.test_read_path_golden import build
+
+        store, _ = build(name)
+        eba = store.eba
+        rows = np.random.default_rng(5).permutation(np.tile(np.arange(eba.n_vertices), 2))
+        assert rows.shape[0] > GATHER_SLAB_ROWS
+        childless = np.flatnonzero((eba._main_children._data[:eba.n_vertices] < 0).all(axis=1))
+        assert 0 < childless.shape[0] < eba.n_vertices
+        for request in (rows, childless[:GATHER_SLAB_ROWS]):
+            before = eba.stats.as_dict()
+            counts, n_blocks, dst, weight = eba.neighbors_rows(request)
+            assert eba.stats.as_dict() == before  # the caller charges
+            want, visited = [], []
+            for r in request.tolist():
+                mark = eba.stats.random_block_reads
+                want.append(eba.neighbors(r))
+                visited.append(eba.stats.random_block_reads - mark)
+            assert counts.tolist() == [d.shape[0] for d, _ in want]
+            assert n_blocks.tolist() == visited
+            assert np.array_equal(dst, np.concatenate([d for d, _ in want]))
+            assert np.array_equal(weight, np.concatenate([w for _, w in want]))
+            assert (counts.dtype, n_blocks.dtype, dst.dtype, weight.dtype) == (
+                np.int64, np.int64, np.int64, np.float64)
+
     def test_neighbors_rows_rejects_unallocated_rows(self):
         eba = make()
         eba.insert(1, 5)

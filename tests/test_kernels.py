@@ -27,7 +27,7 @@ from repro.core.hashing import (
 )
 from repro.errors import CapacityError
 from repro.workloads import rmat_edges
-from tests.reference import assert_gather_matches_loop
+from tests.reference import assert_gather_matches_loop, pool_bytes
 
 SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
 
@@ -223,8 +223,8 @@ class TestEdgeCases:
 def delete_state(gt: GraphTinker) -> dict:
     """Everything a delete may touch, down to the raw pool bytes."""
     state = {
-        "main": gt.eba.main.raw().tobytes(),
-        "overflow": gt.eba.overflow.raw().tobytes(),
+        "main": pool_bytes(gt.eba.main),
+        "overflow": pool_bytes(gt.eba.overflow),
         "degrees": gt.eba.degrees_view().tolist(),
         "vpa_degrees": gt.vpa.degrees.tolist(),
         "n_edges": gt.n_edges,
@@ -232,7 +232,7 @@ def delete_state(gt: GraphTinker) -> dict:
     }
     if gt.cal is not None:
         used = gt.cal.pool.high_water
-        state["cal"] = gt.cal.pool.raw().tobytes()
+        state["cal"] = pool_bytes(gt.cal.pool)
         state["cal_valid_count"] = gt.cal._valid_count._data[:used].tolist()
         state["cal_n_edges"] = gt.cal.n_edges
     return state
@@ -260,7 +260,8 @@ def hit_generation(gt: GraphTinker, src: int, dst: int) -> int | None:
     region, block = MAIN, gt.dense_id(src)
     for gen in range(cfg.max_generations):
         sb = subblock_index(dst, gen, cfg.subblocks_per_block, cfg.seed)
-        if dst in eba._subblock_cells(region, block, sb)["dst"].tolist():
+        lo = sb * cfg.subblock
+        if dst in eba._pool(region).fields["dst"][block, lo:lo + cfg.subblock].tolist():
             return gen
         block = eba._children(region).get(block, sb)
         if block < 0:
@@ -486,7 +487,7 @@ def tree_rows(gt: GraphTinker) -> list[bytes]:
     stack = [(MAIN, row) for row in reversed(range(eba.n_vertices))]
     while stack:
         region, block = stack.pop()
-        out.append(eba._pool(region).row(block).tobytes())
+        out.append(pool_bytes(eba._pool(region), block))
         kids = eba._children(region).row(block)
         stack.extend((OVERFLOW, int(c)) for c in kids[kids >= 0][::-1])
     return out
@@ -510,7 +511,7 @@ def insert_pair(cfg: GTConfig, ops) -> tuple[GraphTinker, GraphTinker]:
         assert scalar.vpa.degrees.tolist() == vector.vpa.degrees.tolist()
         if scalar.cal is not None:
             assert scalar.cal.n_edges == vector.cal.n_edges
-            assert scalar.cal.pool.raw().tobytes() == vector.cal.pool.raw().tobytes()
+            assert pool_bytes(scalar.cal.pool) == pool_bytes(vector.cal.pool)
     return scalar, vector
 
 
@@ -545,7 +546,7 @@ def count_walks(monkeypatch) -> list[str]:
 
     def counted(fields, *rest):
         (pool,) = [name for name in ("main", "overflow")
-                   if all(f.base is getattr(running[0], name)._data for f in fields)]
+                   if all(f.base is getattr(running[0], name)._buffer for f in fields)]
         calls.append(pool)
         return walk(fields, *rest)
     monkeypatch.setattr(kernels, "_insert_chunk", chunked)
@@ -569,7 +570,7 @@ def kernel_chunks(monkeypatch) -> list[int]:
 
 def no_sentinel_left(gt: GraphTinker) -> bool:
     from repro.core.kernels import PENDING_CAL
-    return not any((pool.raw()["cal_block"] == PENDING_CAL).any()
+    return not any((pool.fields["cal_block"][:pool.high_water] == PENDING_CAL).any()
                    for pool in (gt.eba.main, gt.eba.overflow))
 
 
@@ -619,7 +620,7 @@ class TestLevelSynchronousInsert:
         monkeypatch.undo()
         assert_equivalent(scalar, vector)
         assert tree_rows(scalar) == tree_rows(vector)
-        assert scalar.cal.pool.raw().tobytes() == vector.cal.pool.raw().tobytes()
+        assert pool_bytes(scalar.cal.pool) == pool_bytes(vector.cal.pool)
 
     def test_duplicate_of_an_edge_displaced_in_the_same_chunk(self, monkeypatch):
         """Every edge again, in the chunk that placed it: by then its cell
@@ -731,7 +732,7 @@ class TestLevelSynchronousInsert:
             with pytest.raises(CapacityError):
                 gt.insert_batch(*batches[1])
             assert no_sentinel_left(gt)
-            cells = sum(int((pool.raw()["dst"] >= 0).sum())
+            cells = sum(int((pool.fields["dst"][:pool.high_water] >= 0).sum())
                         for pool in (gt.eba.main, gt.eba.overflow))
             assert gt.n_edges == gt.vpa.degrees.sum() == gt.stats.edges_inserted == cells
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
@@ -816,6 +817,36 @@ def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):
     assert_gather_matches_loop(vector, np.arange(8))
     assert registry.get("ingest.insert.vector.edges").value == 16
     assert "ingest.insert.scalar.batches" not in registry
+
+
+def test_small_vector_batch_marks_its_rows_once(monkeypatch):
+    """The per-edge path a batch below ``MIN_ROUND_GROUPS`` takes marks
+    each row it touches itself (also when it raises): the batch-wide mark
+    must not run on top of it, and the rows left pending are the ones the
+    per-edge marks leave — those of a ``kernel="scalar"`` batch."""
+    from repro.core import kernels
+    edges, weights = hubs_stream(8, 30, seed=19)
+    batch = np.vstack([edges[:8], edges[8:16] + [0, 500]])
+    assert batch.shape[0] < kernels.MIN_ROUND_GROUPS
+    scalar, vector = (GraphTinker(GTConfig(**SMALL)) for _ in range(2))
+    for gt in (scalar, vector):
+        gt.insert_batch(edges, weights)
+        gt.enable_snapshot()
+        gt.neighbors_many(np.arange(8))
+    scalar.insert_batch(batch, np.arange(16.0), kernel="scalar")
+    snapshot = type(vector.analytics_snapshot)
+    bulk_marks = []
+    mark_many = snapshot.mark_dirty_many
+
+    def spy(snap, rows):
+        bulk_marks.append(rows)
+        mark_many(snap, rows)
+    monkeypatch.setattr(snapshot, "mark_dirty_many", spy)
+    vector.insert_batch(batch, np.arange(16.0), kernel="vector")
+    assert bulk_marks == []
+    assert (vector.analytics_snapshot.pending_rows
+            == scalar.analytics_snapshot.pending_rows
+            == np.unique(batch[:, 0]).shape[0])
 
 
 class TestHashArrays:

@@ -179,7 +179,7 @@ class TestDelete:
         eba = self.store()
         _, loc = eba.insert(0, 5)
         assert eba.delete(0, 5) is not None
-        assert eba.main.row(loc.block)["dst"][loc.slot] == TOMBSTONE
+        assert eba.main.fields["dst"][loc.block, loc.slot] == TOMBSTONE
         assert eba.stats.tombstones_set == 1
 
     def test_delete_absent(self):
