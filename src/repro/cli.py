@@ -48,6 +48,7 @@ simulated ``serve --kill-at`` crash), **2** usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -82,6 +83,16 @@ _ALGORITHMS = {
     "cc": (ConnectedComponents, True, False),
     "pagerank": (PageRank, False, False),
 }
+
+
+def _batch_edges(args) -> int:
+    """``--batch-size``, else :class:`~repro.service.GraphService`'s own
+    ``batch_edges`` default: serve, serve-net and top share that one."""
+    from repro.service import GraphService
+
+    if args.batch_size is not None:
+        return args.batch_size
+    return inspect.signature(GraphService).parameters["batch_edges"].default
 
 
 def _edges_for(args) -> np.ndarray:
@@ -331,6 +342,7 @@ def cmd_serve(args) -> int:
         raise WorkloadError(f"{data_dir}: nothing to resume")
 
     edges = rmat_edges(args.scale, args.edges, seed=args.seed)
+    batch = _batch_edges(args)
     if args.obs:
         # Full telemetry: metrics/sketches/flight recorder, so a crash or
         # breaker trip leaves a blackbox-*.json post-mortem in --data-dir.
@@ -365,7 +377,7 @@ def cmd_serve(args) -> int:
     service, rec = GraphService.open(
         data_dir,
         config=config,
-        batch_edges=args.batch_size,
+        batch_edges=batch,
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         injector=injector,
@@ -378,10 +390,10 @@ def cmd_serve(args) -> int:
               f"recovered (checkpoint seq {rec.checkpoint_seq}, "
               f"replayed {rec.replayed_records} WAL records)")
     log.info(kv("serve starting", edges=edges.shape[0], offset=offset,
-                batch_size=args.batch_size, sync=args.sync))
+                batch_size=batch, sync=args.sync))
     try:
-        for start in range(offset, edges.shape[0], args.batch_size):
-            service.submit_insert(edges[start:start + args.batch_size])
+        for start in range(offset, edges.shape[0], batch):
+            service.submit_insert(edges[start:start + batch])
         service.flush_now()
     except ReproError as exc:
         health = service.health()
@@ -452,7 +464,7 @@ def cmd_serve_net(args) -> int:
     service, rec = GraphService.open(
         data_dir,
         config=config,
-        batch_edges=args.batch_size,
+        batch_edges=_batch_edges(args),
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         breaker_threshold=args.breaker_threshold,
@@ -758,18 +770,18 @@ def cmd_top(args) -> int:
     from repro.service import GraphService
 
     edges = rmat_edges(args.scale, args.edges, seed=args.seed)
+    batch = _batch_edges(args)
     obs.enable()
     try:
         with tempfile.TemporaryDirectory(prefix="repro-top-") as tmp:
             service = GraphService(
-                Path(tmp), batch_edges=args.batch_size,
+                Path(tmp), batch_edges=batch,
                 sample_interval=_TOP_INTERVAL_S)
             try:
                 sampler = service._sampler
                 if args.once:
-                    for start in range(0, edges.shape[0], args.batch_size):
-                        service.submit_insert(
-                            edges[start:start + args.batch_size])
+                    for start in range(0, edges.shape[0], batch):
+                        service.submit_insert(edges[start:start + batch])
                     service.flush_now()
                     sampler.sample_once()
                     print(_render_top_frame(service, sampler.ring))
@@ -779,8 +791,8 @@ def cmd_top(args) -> int:
                 while time_mod.monotonic() < deadline:
                     if start < edges.shape[0]:
                         service.submit_insert(
-                            edges[start:start + args.batch_size])
-                        start += args.batch_size
+                            edges[start:start + batch])
+                        start += batch
                     else:
                         start = 0  # loop the stream: top is a demo load
                     time_mod.sleep(_TOP_INTERVAL_S / 4)
@@ -865,6 +877,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--log-level", default="warning", choices=LEVELS,
                         help="repro logger verbosity (default: warning)")
+    # serve, serve-net and top share one micro-batch flag (_batch_edges).
+    batching = argparse.ArgumentParser(add_help=False)
+    batching.add_argument("--batch-size", type=int, default=None,
+                          help="service micro-batch size in edges; serve "
+                               "and top also submit the stream in batches "
+                               "of this many rows (default: the service's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("datasets", parents=[common],
@@ -937,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the metrics as Prometheus text")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("serve", parents=[common],
+    p = sub.add_parser("serve", parents=[common, batching],
                        help="drive an RMAT stream through the durable "
                             "WAL-backed graph service")
     p.add_argument("--data-dir", required=True,
@@ -954,8 +972,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=20_000,
                    help="total input rows in the stream")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=512,
-                   help="input rows per submitted batch")
     p.add_argument("--sync", default="batch",
                    choices=["always", "batch", "never"],
                    help="WAL fsync policy")
@@ -986,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "recorder); crashes leave a blackbox-*.json dump")
     p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("serve-net", parents=[common],
+    p = sub.add_parser("serve-net", parents=[common, batching],
                        help="host a service directory over TCP (frame "
                             "protocol, docs/network.md)")
     p.add_argument("--data-dir", default=None,
@@ -1001,8 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-shard WAL segments (1 = plain store)")
     p.add_argument("--duration", type=float, default=0.0,
                    help="serve for this many seconds (0 = forever)")
-    p.add_argument("--batch-size", type=int, default=2048,
-                   help="service micro-batch size in edges")
     p.add_argument("--sync", default="batch",
                    choices=["always", "batch", "never"],
                    help="WAL fsync policy")
@@ -1090,13 +1104,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batches", type=int, default=8)
     p.set_defaults(func=cmd_figures)
 
-    p = sub.add_parser("top", parents=[common],
+    p = sub.add_parser("top", parents=[common, batching],
                        help="live service dashboard (self-driving demo load)")
     p.add_argument("--scale", type=int, default=12, help="RMAT scale")
     p.add_argument("--edges", type=int, default=20_000,
                    help="input rows in the demo stream")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=512)
     p.add_argument("--duration", type=float, default=10.0,
                    help="seconds to run the live view")
     p.add_argument("--once", action="store_true",

@@ -31,13 +31,13 @@ from repro.core.config import GTConfig
 from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.sgh import ScatterGatherHash
 from repro.core.stats import STAT_FIELDS, AccessStats
-from repro.core.store import SnapshotHost
+from repro.core.store import StoreBase
 from repro.core.vertex_array import VertexPropertyArray
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
 
-class GraphTinker(SnapshotHost):
+class GraphTinker(StoreBase):
     """A single-instance GraphTinker dynamic graph store.
 
     Parameters
@@ -487,31 +487,3 @@ class GraphTinker(SnapshotHost):
         if repair:
             return _verify.repair_graph(self)
         return _verify.verify_graph(self, level=level)
-
-    def check_invariants(self) -> None:
-        """Internal consistency audit (used heavily by the test suite).
-
-        Verifies that per-vertex degrees match the number of live cells in
-        each vertex's edgeblock tree, and that the CAL live-edge count
-        matches the EdgeblockArray's.
-        """
-        stats_backup = self.stats.snapshot()
-        total = 0
-        for dense_src in range(self.eba.n_vertices):
-            dsts, _ = self.eba.neighbors(dense_src)
-            if dsts.shape[0] != self.eba.degree(dense_src):
-                raise AssertionError(
-                    f"degree mismatch for dense vertex {dense_src}: "
-                    f"{dsts.shape[0]} cells vs degree {self.eba.degree(dense_src)}"
-                )
-            if np.unique(dsts).shape[0] != dsts.shape[0]:
-                raise AssertionError(f"duplicate edges for dense vertex {dense_src}")
-            total += dsts.shape[0]
-        if self.cal is not None and self.cal.n_edges != total:
-            raise AssertionError(
-                f"CAL holds {self.cal.n_edges} live copies but the "
-                f"EdgeblockArray holds {total} live edges"
-            )
-        # Auditing must not perturb the access accounting.
-        self.stats.reset()
-        self.stats.merge(stats_backup)

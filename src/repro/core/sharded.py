@@ -192,12 +192,10 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
                 finally:
                     seg.close()
                 payload = None
-            elif cmd == "check_invariants":
-                inner.check_invariants()
-                payload = None
-            elif cmd == "fsck_repair":
-                report = inner.fsck(level=msg[1], repair=True)
-                payload = (report.ok, len(report.rebuilt_vertices))
+            elif cmd == "fsck":
+                _, level, repair = msg
+                payload = _shard_report(
+                    inner, inner.fsck(level=level, repair=repair), shard_index)
             elif cmd == "n_edges":
                 payload = int(inner.n_edges)
             else:
@@ -209,6 +207,31 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
             except (BrokenPipeError, OSError):
                 break
     conn.close()
+
+
+def _shard_report(inner, report, shard: int):
+    """``report`` (a shard's ``VerifyReport`` or ``RepairReport``) in
+    parent terms: vertex ids are original ids and every violation's
+    ``where`` names the shard."""
+    from dataclasses import replace
+
+    from repro.core.verify import RepairReport
+
+    def original(vertices: list[int]) -> list[int]:
+        return inner.original_ids(np.array(vertices, dtype=np.int64)).tolist()
+
+    if isinstance(report, RepairReport):
+        return replace(
+            report,
+            initial=_shard_report(inner, report.initial, shard),
+            final=_shard_report(inner, report.final, shard),
+            rebuilt_vertices=original(report.rebuilt_vertices),
+            recounted_vertices=original(report.recounted_vertices),
+            actions=[f"shard {shard}: {a}" for a in report.actions])
+    return replace(report, violations=[
+        replace(v, vertex=original([v.vertex])[0] if v.vertex >= 0 else -1,
+                where=f"shard{shard}" + (f"/{v.where}" if v.where else ""))
+        for v in report.violations])
 
 
 class ShardedStore(RowStoreDefaults):
@@ -650,63 +673,49 @@ class ShardedStore(RowStoreDefaults):
     # ------------------------------------------------------------------ #
     # integrity
     # ------------------------------------------------------------------ #
-    def _shard_violations(self, violations: list) -> None:
-        """Routing audit: every shard may only hold vertices it owns,
-        and the parent degree cache must match the walked rows (the
-        generic audit already compares walks against ``degree``)."""
-        from repro.core.verify import IntegrityViolation
+    def _fsck_checks(self, violations: list, level: str) -> None:
+        """Every shard's own ``fsck(level)``, plus what only the parent
+        sees: the shards' edge counts against the parent cache, and the
+        routing invariant (a shard only holds vertices that
+        consistent-hash to it).  The generic audit has already compared
+        the scatter-gather walks against the parent degree cache."""
+        from repro.core.verify import IntegrityViolation, V_DEGREE
 
-        backup = self.stats.snapshot()
+        n_shards = self.config.n_shards
+        for k in range(n_shards):
+            self._send(k, ("fsck", level, False))
+        total = 0
+        for k in range(n_shards):
+            report = self._recv(k)
+            violations.extend(report.violations)
+            total += report.n_edges
+        if total != self._n_edges:
+            violations.append(IntegrityViolation(
+                V_DEGREE, -1,
+                f"shard edge counts sum to {total} but the parent cache "
+                f"says {self._n_edges}"))
         for k, (src, _, _) in enumerate(self._export_shards()):
-            if not src.size:
-                continue
-            owners = partition_of_array(np.unique(src),
-                                        self.config.n_shards,
-                                        self.config.seed)
-            for v in np.unique(src)[owners != k].tolist():
+            uniq = np.unique(src)
+            owners = partition_of_array(uniq, n_shards, self.config.seed)
+            for v in uniq[owners != k].tolist():
                 violations.append(IntegrityViolation(
                     V_ROUTING, int(v),
                     f"vertex {v} found in shard {k} but hashes to "
                     f"shard {self._shard_of(int(v))}"))
-        self.stats.reset()
-        self.stats.merge(backup)
 
-    def fsck(self, level: str = "full", repair: bool = False):
-        """Audit (and optionally self-heal) across every shard.
-
-        The generic protocol audit runs against the parent surface
-        (scatter-gather walks), plus the routing invariant: a shard only
-        holds vertices that consistent-hash to it.  ``repair`` delegates
-        to every shard's own ``fsck(repair=True)`` and then rebuilds the
-        parent degree/edge caches from the repaired workers.
-        """
-        from repro.core.store import verify_store_generic
-        from repro.core.verify import RepairReport
-
-        report = verify_store_generic(self, level=level,
-                                      extra_checks=self._shard_violations)
-        if not repair:
-            return report
-        backup = self.stats.snapshot()
-        rebuilt_total = 0
-        for k in range(self.config.n_shards):
-            self._send(k, ("fsck_repair", level))
-        for k in range(self.config.n_shards):
-            _, n_rebuilt = self._recv(k)
-            rebuilt_total += n_rebuilt
-        self._refresh_caches()
-        self.stats.reset()
-        self.stats.merge(backup)
-        if self._analytics_snapshot is not None:
-            self._analytics_snapshot.invalidate()
-        final = verify_store_generic(self, level=level,
-                                     extra_checks=self._shard_violations)
-        return RepairReport(initial=report, final=final,
-                            rebuilt_vertices=list(range(rebuilt_total)))
-
-    def _refresh_caches(self) -> None:
-        """Rebuild the parent degree/edge-count caches from the workers."""
-        backup = self.stats.snapshot()
+    def _fsck_repair(self, out) -> None:
+        """Every shard repairs itself; the parent then rebuilds its
+        degree / edge-count caches from the repaired workers."""
+        n_shards = self.config.n_shards
+        for k in range(n_shards):
+            self._send(k, ("fsck", out.initial.level, True))
+        for k in range(n_shards):
+            shard = self._recv(k)
+            out.rebuilt_vertices += shard.rebuilt_vertices
+            out.recounted_vertices += shard.recounted_vertices
+            out.freed_blocks += shard.freed_blocks
+            out.sgh_fixes += shard.sgh_fixes
+            out.actions += shard.actions
         self._degree[: self._n_vertices] = 0
         total = 0
         for src, _, _ in self._export_shards():
@@ -716,27 +725,6 @@ class ShardedStore(RowStoreDefaults):
                 self._degree[uniq] = counts
                 total += int(src.shape[0])
         self._n_edges = total
-        self.stats.reset()
-        self.stats.merge(backup)
-
-    def check_invariants(self) -> None:
-        """Every shard's own invariants plus the parent caches (test hook)."""
-        backup = self.stats.snapshot()
-        for k in range(self.config.n_shards):
-            self._send(k, ("check_invariants",))
-        for k in range(self.config.n_shards):
-            self._recv(k)
-        total = 0
-        for k in range(self.config.n_shards):
-            self._send(k, ("n_edges",))
-        for k in range(self.config.n_shards):
-            total += self._recv(k)
-        if total != self._n_edges:
-            raise AssertionError(
-                f"shard edge counts sum to {total} but the parent cache "
-                f"says {self._n_edges}")
-        self.stats.reset()
-        self.stats.merge(backup)
 
     # ------------------------------------------------------------------ #
     # lifecycle

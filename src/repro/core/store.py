@@ -38,7 +38,7 @@ returns ``(src, dst, weight)`` triples equal to the per-vertex loop of
 
 **Snapshot hooks.**  ``enable_snapshot()`` attaches (and returns) the
 incrementally-maintained CSR view (every built-in backend inherits the
-three hooks from :class:`SnapshotHost`); mutators must notify it of every
+three hooks from :class:`StoreBase`); mutators must notify it of every
 dirtied dense row (the dirty-row contract — uncharged bookkeeping).
 The view drives rows through four protocol members:
 ``dense_row_count()`` (how many dense adjacency rows exist),
@@ -60,11 +60,13 @@ representation :func:`repro.workloads.persistence.save_snapshot`
 checkpoints; restoring replays it through ``insert_batch`` of a store
 built from the embedded config (see :func:`store_from_config`).
 
-**Integrity.**  ``check_invariants()`` raises ``AssertionError`` on
-internal inconsistency without perturbing the access accounting;
-``fsck(level=..., repair=...)`` returns a
+**Integrity.**  ``fsck(level=..., repair=...)`` returns a
 :class:`~repro.core.verify.VerifyReport` (or ``RepairReport`` when
-repairing) and is what the service's post-recovery audit calls.
+repairing) without perturbing the access accounting; it is what the
+service's post-recovery audit calls.  ``check_invariants()`` is one
+shared definition over it (:class:`StoreBase`): it raises
+``AssertionError`` with the report's summary exactly when
+``fsck(level="full")`` reports a violation.
 
 Registering a backend
 ---------------------
@@ -172,8 +174,9 @@ STORE_PROTOCOL_MEMBERS: tuple[str, ...] = (
 )
 
 
-class SnapshotHost:
-    """The analytics-snapshot hooks every snapshot-capable store shares.
+class StoreBase:
+    """What every built-in store shares: the analytics-snapshot hooks and
+    the integrity assertion over the store's own ``fsck``.
 
     The store holds its :class:`~repro.engine.snapshot.AnalyticsSnapshot`
     in ``_analytics_snapshot``; the snapshot refers back weakly, so there
@@ -206,13 +209,22 @@ class SnapshotHost:
         """The attached :class:`AnalyticsSnapshot`, or ``None``."""
         return self._analytics_snapshot
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` (the fsck summary) exactly when
+        ``fsck(level="full")`` reports a violation; stats untouched."""
+        report = self.fsck(level="full")
+        if not report.ok:
+            raise AssertionError(report.summary())
 
-class RowStoreDefaults(SnapshotHost):
+
+class RowStoreDefaults(StoreBase):
     """Row-surface members of a store whose rows *are* original ids and
     whose only walk is ``neighbors``: STINGER, ``tiered``, ``sharded``,
     the teaching baselines.  The two batched members loop over the
     per-row ones, so they are also the references a backend's own bulk
-    version (GraphTinker's) is tested against.
+    version (GraphTinker's) is tested against.  ``fsck`` is the one
+    audit-and-repair skeleton such a store needs; a backend supplies
+    only its extra checks and its repair body.
     """
 
     def original_ids(self, dense: np.ndarray) -> np.ndarray:
@@ -271,6 +283,80 @@ class RowStoreDefaults(SnapshotHost):
         counts = np.array([a.shape[0] for a in dsts[1:]], dtype=np.int64)
         charges = np.diff(np.array(marks, dtype=np.int64), axis=0)
         return counts, np.concatenate(dsts), np.concatenate(weights), charges
+
+    def fsck(self, level: str = "full", repair: bool = False):
+        """Audit (and with ``repair`` heal) the store; returns a
+        :class:`~repro.core.verify.VerifyReport` or ``RepairReport``.
+
+        The protocol-level audit: per-row walks agree with ``degree``,
+        rows are duplicate-free, and the row degrees sum to ``n_edges``;
+        :meth:`_fsck_checks` appends the backend's own violations.
+        ``repair`` runs the backend's :meth:`_fsck_repair`, invalidates
+        an attached snapshot (repairs move rows behind the dirty-row
+        marks) and re-audits.  Access accounting is restored: auditing
+        and repairing never perturb the modeled counters.
+        """
+        from repro.core.verify import RepairReport
+
+        report = self._audit(level)
+        if not repair:
+            return report
+        out = RepairReport(initial=report, final=report)
+        backup = self.stats.snapshot()
+        try:
+            self._fsck_repair(out)
+        finally:
+            self.stats.reset()
+            self.stats.merge(backup)
+        if self._analytics_snapshot is not None:
+            self._analytics_snapshot.invalidate()
+        out.final = self._audit(level)
+        return out
+
+    def _fsck_checks(self, violations: list, level: str) -> None:
+        """Append the backend's own violations (none by default)."""
+
+    def _fsck_repair(self, out) -> None:
+        """Heal what ``out.initial`` reports, filling ``out``'s vertex
+        lists (nothing to heal by default)."""
+
+    def _audit(self, level: str):
+        """The audit half of :meth:`fsck` (a ``VerifyReport``)."""
+        from repro.core.verify import (
+            IntegrityViolation,
+            V_DEGREE,
+            V_DUPLICATE,
+            VerifyReport,
+        )
+
+        t0 = time.perf_counter()
+        backup = self.stats.snapshot()
+        violations: list = []
+        total = 0
+        n_rows = self.dense_row_count()
+        try:
+            for row in range(n_rows):
+                dsts, _ = self.row_neighbors(row)
+                deg = self.degree(row)
+                if dsts.shape[0] != deg:
+                    violations.append(IntegrityViolation(
+                        V_DEGREE, row,
+                        f"walk found {dsts.shape[0]} edges but degree says {deg}"))
+                if np.unique(dsts).shape[0] != dsts.shape[0]:
+                    violations.append(IntegrityViolation(
+                        V_DUPLICATE, row, "duplicate destinations in one row"))
+                total += dsts.shape[0]
+            if total != self.n_edges:
+                violations.append(IntegrityViolation(
+                    V_DEGREE, -1,
+                    f"rows hold {total} live edges but n_edges says {self.n_edges}"))
+            self._fsck_checks(violations, level)
+        finally:
+            self.stats.reset()
+            self.stats.merge(backup)
+        return VerifyReport(level=level, violations=violations,
+                            n_vertices=n_rows, n_edges=self.n_edges,
+                            elapsed=time.perf_counter() - t0)
 
 
 def validate_store(store: Any, name: str | None = None) -> Any:
@@ -384,56 +470,6 @@ def store_digest(store) -> dict:
     h.update(np.ascontiguousarray(dst[order], dtype=np.int64).tobytes())
     h.update(np.ascontiguousarray(weight[order], dtype=np.float64).tobytes())
     return {"sha256": h.hexdigest(), "n_edges": int(src.shape[0])}
-
-
-# --------------------------------------------------------------------- #
-# generic fsck (row/chain backends without a bespoke verifier)
-# --------------------------------------------------------------------- #
-def verify_store_generic(store, level: str = "full",
-                         extra_checks: Callable[[list], None] | None = None):
-    """Protocol-level integrity audit; returns a ``VerifyReport``.
-
-    Checks what the contract alone guarantees: per-row neighbor walks
-    agree with ``degree``, rows are duplicate-free, and the per-row
-    degrees sum to ``n_edges``.  ``extra_checks(violations)`` lets a
-    backend append its own typed violations (e.g. TieredStore's
-    tier-bound audit).  Access accounting is snapshotted and restored —
-    auditing never perturbs the modeled counters.
-    """
-    from repro.core.verify import (
-        IntegrityViolation,
-        V_DEGREE,
-        V_DUPLICATE,
-        VerifyReport,
-    )
-
-    t0 = time.perf_counter()
-    backup = store.stats.snapshot()
-    violations: list = []
-    total = 0
-    n_rows = store.dense_row_count()
-    for row in range(n_rows):
-        dsts, _ = store.row_neighbors(row)
-        deg = store.degree(int(store.original_ids(np.array([row]))[0]))
-        if dsts.shape[0] != deg:
-            violations.append(IntegrityViolation(
-                V_DEGREE, row,
-                f"walk found {dsts.shape[0]} edges but degree says {deg}"))
-        if np.unique(dsts).shape[0] != dsts.shape[0]:
-            violations.append(IntegrityViolation(
-                V_DUPLICATE, row, "duplicate destinations in one row"))
-        total += dsts.shape[0]
-    if total != store.n_edges:
-        violations.append(IntegrityViolation(
-            V_DEGREE, -1,
-            f"rows hold {total} live edges but n_edges says {store.n_edges}"))
-    if extra_checks is not None:
-        extra_checks(violations)
-    store.stats.reset()
-    store.stats.merge(backup)
-    return VerifyReport(level=level, violations=violations,
-                        n_vertices=n_rows, n_edges=store.n_edges,
-                        elapsed=time.perf_counter() - t0)
 
 
 # --------------------------------------------------------------------- #

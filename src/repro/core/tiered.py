@@ -596,17 +596,21 @@ class TieredStore(RowStoreDefaults):
     # ------------------------------------------------------------------ #
     # integrity
     # ------------------------------------------------------------------ #
-    def _tier_violations(self, violations: list) -> None:
-        """Append tier-assignment violations (the hysteresis invariant)."""
+    def _fsck_checks(self, violations: list, level: str) -> None:
+        """Append tier violations: a row's tier must hold its degree
+        inside the hysteresis band, and the occupancy counters must
+        match the rows."""
         from repro.core.verify import IntegrityViolation
 
         tau1, tau2, h = self.config.tau1, self.config.tau2, self.config.hysteresis
+        counts = [0, 0, 0]
         for src in range(self._n_vertices):
             row = self._rows[src]
             if row is None:
                 continue
             deg = int(self._degree[src])
             tier = self._tier_index(row)
+            counts[tier] += 1
             ok = (
                 (tier == TIER_INLINE and deg <= tau1)
                 or (tier == TIER_SMALL and tau1 - h < deg <= tau2)
@@ -617,38 +621,23 @@ class TieredStore(RowStoreDefaults):
                     V_TIER, src,
                     f"tier {tier} holds degree {deg} outside its "
                     f"hysteresis band (tau1={tau1}, tau2={tau2}, h={h})"))
+        if counts != self._tier_counts:
+            violations.append(IntegrityViolation(
+                V_TIER, -1,
+                f"tier occupancy counters say {self._tier_counts} but "
+                f"the rows count {counts}"))
 
-    def fsck(self, level: str = "full", repair: bool = False):
-        """Audit (and optionally self-heal) the tiered invariants.
-
-        On top of the generic protocol audit (degrees, duplicates, edge
-        counts) this checks the tier-assignment invariant: a row's tier
-        must hold its degree inside the hysteresis band.  ``repair``
-        rebuilds every implicated row into its canonical tier and
-        recounts degrees/edges, returning a
-        :class:`~repro.core.verify.RepairReport`.
-        """
-        from repro.core.store import verify_store_generic
-        from repro.core.verify import RepairReport
-
-        report = verify_store_generic(self, level=level,
-                                      extra_checks=self._tier_violations)
-        if not repair:
-            return report
-        backup = self.stats.snapshot()
-        rebuilt: list[int] = []
+    def _fsck_repair(self, out) -> None:
+        """Rebuild every row into the canonical tier for its live degree
+        (which also deduplicates it), then recount degrees, the edge
+        total and the occupancy counters from the rows."""
+        counts = [0, 0, 0]
         total = 0
         for src in range(self._n_vertices):
             row = self._rows[src]
             if row is None:
                 continue
-            dsts, weights = self._live_items(row)
-            deg = len(dsts)
-            # Canonical tier for the actual degree, rebuilt from the live
-            # items (also deduplicates and recounts a corrupted row).
-            seen: dict[int, float] = {}
-            for d, w in zip(dsts, weights):
-                seen[int(d)] = float(w)
+            seen = {int(d): float(w) for d, w in zip(*self._live_items(row))}
             deg = len(seen)
             old_tier = self._tier_index(row)
             if deg <= self.config.tau1:
@@ -668,60 +657,13 @@ class TieredStore(RowStoreDefaults):
                 new_row = dict(seen)
                 new_tier = TIER_LARGE
             if new_tier != old_tier or deg != int(self._degree[src]):
-                rebuilt.append(src)
+                out.rebuilt_vertices.append(src)
             self._rows[src] = new_row
-            self._tier_counts[old_tier] -= 1
-            self._tier_counts[new_tier] += 1
+            counts[new_tier] += 1
             self._degree[src] = deg
             total += deg
         self._n_edges = total
-        self.stats.reset()
-        self.stats.merge(backup)
-        if self._analytics_snapshot is not None:
-            self._analytics_snapshot.invalidate()
-        final = verify_store_generic(self, level=level,
-                                     extra_checks=self._tier_violations)
-        return RepairReport(initial=report, final=final,
-                            rebuilt_vertices=rebuilt)
-
-    def check_invariants(self) -> None:
-        """Audit degrees, duplicate-freedom, and tier bounds (test hook)."""
-        backup = self.stats.snapshot()
-        total = 0
-        tau1, tau2, h = self.config.tau1, self.config.tau2, self.config.hysteresis
-        counts = [0, 0, 0]
-        for src in range(self._n_vertices):
-            row = self._rows[src]
-            if row is None:
-                continue
-            tier = self._tier_index(row)
-            counts[tier] += 1
-            dsts, _ = self.neighbors(src)
-            deg = int(self._degree[src])
-            if dsts.shape[0] != deg:
-                raise AssertionError(
-                    f"degree mismatch for vertex {src}: "
-                    f"{dsts.shape[0]} live cells vs degree {deg}")
-            if np.unique(dsts).shape[0] != dsts.shape[0]:
-                raise AssertionError(f"duplicate edges for vertex {src}")
-            ok = (
-                (tier == TIER_INLINE and deg <= tau1)
-                or (tier == TIER_SMALL and tau1 - h < deg <= tau2)
-                or (tier == TIER_LARGE and deg > tau2 - h)
-            )
-            if not ok:
-                raise AssertionError(
-                    f"vertex {src}: tier {tier} outside hysteresis band "
-                    f"for degree {deg}")
-            total += deg
-        if total != self._n_edges:
-            raise AssertionError("edge-count mismatch")
-        if counts != self._tier_counts:
-            raise AssertionError(
-                f"tier occupancy counters drifted: {self._tier_counts} "
-                f"recounted as {counts}")
-        self.stats.reset()
-        self.stats.merge(backup)
+        self._tier_counts = counts
 
 
 #: Violation kind for tier-assignment breaks (tiered-store fsck).

@@ -32,9 +32,10 @@ vertex's tree is wiped, and the reconciled edges are reinserted through
 the normal insert path (which also rehashes a damaged block's survivors).
 
 Auditing and repairing never perturb :class:`~repro.core.stats.
-AccessStats` — counts are snapshotted and restored, exactly like
-``GraphTinker.check_invariants`` — and publish ``verify.*`` metrics and a
-``verify.fsck`` span through :mod:`repro.obs` when observability is up.
+AccessStats` — counts are snapshotted and restored — and publish
+``verify.*`` metrics and a ``verify.fsck`` span through :mod:`repro.obs`
+when observability is up.  :func:`verify_graph` is GraphTinker's
+``fsck``, so it is also what ``GraphTinker.check_invariants`` asserts.
 
 See docs/robustness.md for the full invariant/repair catalogue.
 """

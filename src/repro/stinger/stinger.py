@@ -345,54 +345,15 @@ class Stinger(RowStoreDefaults):
         """STINGER's full load *is* the per-vertex chain sweep."""
         return True
 
-    def fsck(self, level: str = "full", repair: bool = False):
-        """Audit the chains against the degree counters.
-
-        Delegates to the generic protocol audit
-        (:func:`repro.core.store.verify_store_generic`): per-row degree
-        agreement, duplicate-freedom, and the global edge count.
-        ``repair`` recounts the degree array and edge total from the
-        live chains (the only shadow state STINGER keeps) and returns a
-        :class:`~repro.core.verify.RepairReport`.
-        """
-        from repro.core.store import verify_store_generic
-        from repro.core.verify import RepairReport
-
-        report = verify_store_generic(self, level=level)
-        if not repair:
-            return report
-        backup = self.stats.snapshot()
-        recounted: list[int] = []
+    def _fsck_repair(self, out) -> None:
+        """Recount the degree array and edge total from the live chains
+        (the only shadow state STINGER keeps)."""
         total = 0
         for src in range(self._n_vertices):
             dsts, _ = self.neighbors(src)
             deg = int(dsts.shape[0])
             if deg != int(self._degree[src]):
-                recounted.append(src)
+                out.recounted_vertices.append(src)
                 self._degree[src] = deg
             total += deg
         self._n_edges = total
-        self.stats.reset()
-        self.stats.merge(backup)
-        if self._analytics_snapshot is not None:
-            self._analytics_snapshot.invalidate()
-        final = verify_store_generic(self, level=level)
-        return RepairReport(initial=report, final=final,
-                            recounted_vertices=recounted)
-
-    # ------------------------------------------------------------------ #
-    def check_invariants(self) -> None:
-        """Audit degrees and duplicate-freedom (test-suite hook)."""
-        backup = self.stats.snapshot()
-        total = 0
-        for src in range(self._n_vertices):
-            dsts, _ = self.neighbors(src)
-            if dsts.shape[0] != self.degree(src):
-                raise AssertionError(f"degree mismatch for vertex {src}")
-            if np.unique(dsts).shape[0] != dsts.shape[0]:
-                raise AssertionError(f"duplicate edges for vertex {src}")
-            total += dsts.shape[0]
-        if total != self._n_edges:
-            raise AssertionError("edge-count mismatch")
-        self.stats.reset()
-        self.stats.merge(backup)

@@ -22,6 +22,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analytics", "--algorithm", "dijkstra"])
 
+    @pytest.mark.parametrize("argv", [["serve", "--data-dir", "d"],
+                                      ["serve-net"], ["top"]])
+    def test_batch_size_defaults_to_the_service(self, argv):
+        # One default for all three: GraphService's batch_edges (2048).
+        from repro.cli import _batch_edges
+
+        parser = build_parser()
+        assert _batch_edges(parser.parse_args(argv)) == 2048
+        assert _batch_edges(parser.parse_args([*argv, "--batch-size", "7"])) == 7
+
 
 class TestDatasets:
     def test_lists_all_six(self, capsys):
