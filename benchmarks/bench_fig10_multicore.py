@@ -1,9 +1,10 @@
 """E4 — Fig. 10: multicore insertion throughput (1-8 cores).
 
 Protocol: hollywood-like stream, interval-partitioned GraphTinker and
-STINGER instances (Sec. III.D); per-batch parallel time is the makespan
-(max over partitions) of the modeled per-partition cost — the critical
-path of the paper's shared-nothing parallelisation.
+STINGER instances (Sec. III.D), one ``ShardedStore`` worker process per
+core; per-batch parallel time is the makespan (max over partitions) of
+the modeled per-partition cost — the critical path of the paper's
+shared-nothing parallelisation.
 
 Modeled vs. measured
 --------------------
@@ -13,13 +14,12 @@ never mixes them:
 * ``modeled-*`` — throughput under the memory-access cost model with the
   max-over-partitions makespan.  This is the paper's multicore claim and
   every assertion below is on these numbers only.
-* ``wall-Medges/s`` — measured wall-clock throughput of the run that
-  produced the deltas.  ``PartitionedStore`` applies partitions one
-  after another, so this column does **not** grow with the core count; it is
-  printed to keep the distinction honest, not to support a claim.  For
-  measured process-parallel ingest speedup see
-  ``benchmarks/bench_sharded_ingest.py`` (``ShardedStore``, which
-  reproduces these same per-partition deltas bit-for-bit).
+* ``wall-Medges/s`` — measured process-parallel wall-clock throughput
+  of the run that produced the deltas (scatter, worker apply, gather).
+  It can only grow with the core count up to the host's cores, and
+  dispatch overhead decides it at these batch sizes; it is printed to
+  keep the distinction honest, not to support a claim.  For the
+  measured ingest speedup see ``benchmarks/bench_sharded_ingest.py``.
 
 Expected shapes: modeled throughput rises with core count for both
 systems; GraphTinker beats STINGER at every core count; STINGER's
@@ -33,7 +33,8 @@ import pytest
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
 from repro.bench.harness import parallel_insertion_run
 from repro.bench.reporting import Table
-from repro.bench.partitioned import PartitionedGraphTinker, PartitionedStinger
+from repro.core.config import ShardedConfig
+from repro.core.sharded import ShardedStore
 
 from _common import emit, stream_for
 
@@ -43,11 +44,13 @@ CORES = [1, 2, 4, 8]
 def run_all():
     out = {}
     for cores in CORES:
-        for kind, cls in (("graphtinker", PartitionedGraphTinker),
-                          ("stinger", PartitionedStinger)):
+        for kind in ("graphtinker", "stinger"):
             stream = stream_for("hollywood_like", n_batches=6)
-            store = cls(cores)
-            ms = parallel_insertion_run(store, stream)
+            store = ShardedStore(ShardedConfig(n_shards=cores, backend=kind))
+            try:
+                ms = parallel_insertion_run(store, stream)
+            finally:
+                store.close()
             out[(kind, cores)] = {
                 "modeled": [m.modeled_throughput(MODEL) for m in ms],
                 "wall": [m.wall_throughput for m in ms],
@@ -61,7 +64,7 @@ def test_fig10_multicore_update_throughput(benchmark):
 
     table = Table(
         "Fig. 10: update throughput vs core count (hollywood_like) — "
-        "modeled makespan vs measured (serial) wall-clock",
+        "modeled makespan vs measured (process-parallel) wall-clock",
         ["system", "cores", "modeled-first", "modeled-last", "modeled-mean",
          "modeled-degradation", "wall-Medges/s"],
     )
@@ -84,7 +87,7 @@ def test_fig10_multicore_update_throughput(benchmark):
     for kind in ("graphtinker", "stinger"):
         # More cores -> more modeled throughput (monotone in this
         # shared-nothing model).  Wall-clock is deliberately NOT asserted
-        # on: PartitionedStore executes partitions serially.
+        # on: it is bounded by the host's cores and dispatch overhead.
         assert means[(kind, 8)] > means[(kind, 1)]
     # STINGER deteriorates across batches much faster than GraphTinker at 8 cores.
     st8 = results[("stinger", 8)]["modeled"]

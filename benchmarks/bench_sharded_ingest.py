@@ -1,8 +1,7 @@
 """Sharded-store ingest bench — measured wall-clock speedup at 4 shards.
 
 The process-per-shard :class:`repro.core.sharded.ShardedStore` is the
-repo's first *measured* multicore path (the ``PartitionedStore`` thread
-path is GIL-serialized and deprecated).  This bench ingests one RMAT
+repo's *measured* multicore path.  This bench ingests one RMAT
 stream through the plain backend, a 1-shard store, and a 4-shard store,
 and reports:
 

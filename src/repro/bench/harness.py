@@ -201,12 +201,10 @@ class ParallelBatchMeasurement:
     """One batch across partitions: makespan = slowest partition.
 
     ``wall_seconds`` is the *measured* wall-clock of the whole batch on
-    whatever execution path produced it — one partition after another
-    for :class:`~repro.bench.partitioned.PartitionedStore`, truly
-    parallel worker processes for
-    :class:`~repro.core.sharded.ShardedStore`.  Keep it separate from
-    the modeled makespan when reporting: the modeled number is the
-    paper's multicore claim, the wall number is what this host did.
+    the :class:`~repro.core.sharded.ShardedStore` worker processes.
+    Keep it separate from the modeled makespan when reporting: the
+    modeled number is the paper's multicore claim, the wall number is
+    what this host did.
     """
 
     batch_index: int
@@ -230,29 +228,23 @@ class ParallelBatchMeasurement:
 def parallel_insertion_run(
     store, stream: EdgeStream
 ) -> list[ParallelBatchMeasurement]:
-    """Insert batches through a partition-parallel store (Sec. III.D).
+    """Insert batches through a :class:`~repro.core.sharded.ShardedStore`
+    (Sec. III.D).
 
     Each batch's parallel time is the maximum of the per-partition
-    modeled costs — the critical path of independent instances.  Accepts
-    both :class:`~repro.bench.partitioned.PartitionedStore` (whose
-    ``insert_batch`` returns the per-partition deltas) and
-    :class:`~repro.core.sharded.ShardedStore` (which returns a count and
-    exposes the deltas as ``last_batch_partitions``); both charge the
-    identical per-partition stats, so the modeled makespan is
-    path-independent while ``wall_seconds`` reflects the actual
-    execution (serial vs. process-parallel).
+    modeled costs (``store.last_batch_partitions``) — the critical path
+    of independent instances.
     """
     out: list[ParallelBatchMeasurement] = []
     for i, batch in enumerate(stream.insert_batches()):
         t0 = time.perf_counter()
-        deltas = store.insert_batch(batch)
+        store.insert_batch(batch)
         wall = time.perf_counter() - t0
-        if not isinstance(deltas, list):  # ShardedStore returns a count
-            deltas = list(store.last_batch_partitions)
         out.append(
             ParallelBatchMeasurement(
                 batch_index=i, n_edges=int(batch.shape[0]),
-                per_partition=deltas, wall_seconds=wall,
+                per_partition=list(store.last_batch_partitions),
+                wall_seconds=wall,
             )
         )
     return out

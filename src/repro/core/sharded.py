@@ -1,22 +1,22 @@
 """Process-per-shard store: true multi-core ingest behind one Store.
 
-:class:`~repro.bench.partitioned.PartitionedStore` proved the paper's
-Fig. 10 *model* — hash-partitioned GraphTinker instances are fully
-independent, so a batch's parallel time is the slowest partition — but
-its ThreadPoolExecutor never escapes the GIL, so the speedup stayed
-modeled.  :class:`ShardedStore` makes it real: each shard is a full
+The paper parallelises GraphTinker (Sec. III.D, Fig. 10) by
+hash-partitioning source vertices into independent instances with no
+cross-talk, so a batch's parallel time is the slowest partition.
+:class:`ShardedStore` is that design run for real: each shard is a full
 Store-protocol backend (any registered backend, built with
 :func:`repro.core.store.create_store`) living in its **own worker
 process**, and the parent speaks the same ``Store`` protocol, so every
 consumer — the engine, the analytics snapshot, the durable service, the
-conformance and differential suites — works unchanged.
+conformance and differential suites — works unchanged.  It is the one
+partitioned store: Fig. 10's modeled makespan and its measured wall
+clock come from the same run.
 
 Architecture
 ------------
 
 * **Routing** — a vertex's home shard is
-  ``partition_of(src, n_shards, seed)`` (:mod:`repro.core.hashing`),
-  the identical consistent-hash router ``PartitionedStore`` uses.  All
+  ``partition_of(src, n_shards, seed)`` (:mod:`repro.core.hashing`).  All
   state for a source row lives in exactly one shard, so shards never
   coordinate.
 * **Dispatch** — commands travel over one duplex pipe per shard.  Batch
@@ -29,9 +29,8 @@ Architecture
   so the merged totals are **bit-identical to the serial lockstep run**
   (the same sub-batches applied to the same backends one after another)
   regardless of worker interleaving.  Batch mutators additionally
-  record the per-shard deltas (:attr:`ShardedStore.last_batch_partitions`)
-  so the Fig. 10 max-over-partitions makespan model keeps working as
-  the charging oracle.
+  record the per-shard deltas (:attr:`ShardedStore.last_batch_partitions`),
+  the input of Fig. 10's max-over-partitions makespan model.
 * **Zero-copy exports** — full-graph reads (``edge_arrays`` /
   ``analytics_edges`` / digests) move the shard's edge pools through
   ``multiprocessing.shared_memory``: the parent allocates one segment
@@ -457,6 +456,12 @@ class ShardedStore(RowStoreDefaults):
             self._publish_worker_rss()
         return total, elapsed
 
+    def _empty_batch(self) -> int:
+        """A batch with no rows reaches no worker and charges no shard."""
+        for k in range(self.config.n_shards):
+            self.last_batch_partitions[k] = AccessStats()
+        return 0
+
     def insert_batch(self, edges: np.ndarray,
                      weights: np.ndarray | None = None) -> int:
         """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
@@ -468,7 +473,7 @@ class ShardedStore(RowStoreDefaults):
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
         if not edges.shape[0]:
-            return 0
+            return self._empty_batch()
         before = self.stats.snapshot() if obs_hooks.enabled else None
         new, elapsed = self._scatter_batch("insert_batch", edges, weights)
         self._n_edges += new
@@ -489,9 +494,7 @@ class ShardedStore(RowStoreDefaults):
                 & (edges[:, 1] >= 0))
         edges = edges[live]
         if not edges.shape[0]:
-            for k in range(self.config.n_shards):
-                self.last_batch_partitions[k] = AccessStats()
-            return 0
+            return self._empty_batch()
         before = self.stats.snapshot() if obs_hooks.enabled else None
         deleted, elapsed = self._scatter_batch("delete_batch", edges, None)
         self._n_edges -= deleted

@@ -81,7 +81,7 @@ class AccessStats:
         )
 
     def merge(self, other: "AccessStats") -> None:
-        """Accumulate ``other`` into ``self`` (used by partitioned instances)."""
+        """Accumulate ``other`` into ``self`` (used by the sharded store's merge)."""
         for name in STAT_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
 

@@ -111,7 +111,7 @@ def publish_store_delta(prefix: str, delta: "AccessStats") -> None:
     """Publish one batch's :class:`AccessStats` delta as counters.
 
     ``prefix`` identifies the publishing store (``"gt"``, ``"stinger"``,
-    ``"part"``); each non-zero field becomes an increment of the
+    ``"sharded"``); each non-zero field becomes an increment of the
     ``<prefix>.<suffix>`` counter in the default registry.  Callers must
     have checked :data:`enabled` already (the snapshot that produced
     ``delta`` is itself gated on it).

@@ -8,7 +8,7 @@ nest: entering a span inside another makes it a child, so a finished run
 yields a trace *tree* whose per-leaf stats deltas sum to the enclosing
 span's delta (and, transitively, to the store's totals).
 
-The tracer is thread-safe in the way the partitioned stores need: the
+The tracer is thread-safe in the way the threaded service needs: the
 active-span stack is thread-local (each thread builds its own subtree),
 while the finished-root list and span bookkeeping are guarded by a lock.
 

@@ -12,8 +12,8 @@ from repro.bench.harness import (
     make_store,
     parallel_insertion_run,
 )
-from repro.bench.partitioned import PartitionedGraphTinker
-from repro.core.config import GTConfig
+from repro.core.config import GTConfig, ShardedConfig
+from repro.core.sharded import ShardedStore
 from repro.engine.algorithms import BFS
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
@@ -92,9 +92,11 @@ class TestParallelRun:
         stream = EdgeStream(edges, 2000)
         makespans = {}
         for cores in (1, 4):
-            store = PartitionedGraphTinker(
-                cores, GTConfig(pagewidth=16, subblock=4, workblock=2)
-            )
-            ms = parallel_insertion_run(store, stream)
+            store = ShardedStore(ShardedConfig(n_shards=cores))
+            try:
+                ms = parallel_insertion_run(store, stream)
+            finally:
+                store.close()
+            assert [len(m.per_partition) for m in ms] == [cores] * len(ms)
             makespans[cores] = sum(m.makespan_cost() for m in ms)
         assert makespans[4] < makespans[1]

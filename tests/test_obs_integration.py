@@ -13,7 +13,8 @@ import pytest
 
 import repro.obs as obs
 from repro.bench.harness import deletion_run, insertion_run, make_store
-from repro.bench.partitioned import PartitionedGraphTinker
+from repro.core.config import ShardedConfig
+from repro.core.sharded import ShardedStore
 from repro.engine import HybridEngine
 from repro.engine.algorithms import BFS
 from repro.obs.metrics import MetricsRegistry
@@ -153,10 +154,19 @@ class TestStorePublication:
         assert snap["stinger.edges.inserted"] == store.stats.edges_inserted
         assert snap["stinger.block.random_reads"] == store.stats.random_block_reads
 
-    def test_partitioned_store_publishes_part_prefix(self, fresh_obs):
+    def test_sharded_store_publishes_sharded_prefix_and_shard_gauges(
+            self, fresh_obs):
         _, registry = fresh_obs
-        store = PartitionedGraphTinker(4)
-        store.insert_batch(_edges(1200))
-        snap = registry.collect()
-        assert snap["part.partitions"] == 4
-        assert snap["part.edges.inserted"] == store.merged_stats().edges_inserted
+        store = ShardedStore(ShardedConfig(n_shards=4))
+        try:
+            store.insert_batch(_edges(1200))
+            snap = registry.collect()
+            assert snap["sharded.edges.inserted"] == store.stats.edges_inserted
+            assert snap["ingest.insert.sharded.edges"] == 1200
+            for k in range(4):
+                assert store.last_batch_partitions[k].edges_inserted > 0
+                assert snap[f"store.shard{k}.queue_depth"] == 0
+                assert snap[f"store.shard{k}.edges_per_s"] > 0
+                assert snap[f"store.shard{k}.rss_kb"] > 0
+        finally:
+            store.close()

@@ -46,7 +46,6 @@ PUBLIC_MODULES = [
     "repro.bench.costmodel",
     "repro.bench.harness",
     "repro.bench.metrics",
-    "repro.bench.partitioned",
     "repro.bench.reporting",
     "repro.obs",
     "repro.obs.export",

@@ -1,55 +1,61 @@
-"""Tests for interval-partitioned parallel instances (Sec. III.D)."""
+"""Interval-partitioned parallel instances (Sec. III.D) on ShardedStore.
+
+The paper's parallelisation hash-partitions source vertices into
+independent instances; :class:`~repro.core.sharded.ShardedStore` is that
+design, and its ``last_batch_partitions`` is Fig. 10's charging oracle.
+These tests pin the partition contracts Fig. 10 relies on; the
+sharding-specific ones (routing, merge, lockstep charges) live in
+``tests/test_sharded.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro import GTConfig, StingerConfig
-from repro.bench.partitioned import (
-    PartitionedGraphTinker,
-    PartitionedStinger,
-    PartitionedStore,
-)
+from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
+from repro.core.config import ShardedConfig
+from repro.core.sharded import ShardedStore
+from repro.core.stats import AccessStats
 from repro.errors import ConfigError
 from tests.reference import ReferenceGraph
 
 
 @pytest.fixture
-def cfg():
-    return GTConfig(pagewidth=16, subblock=4, workblock=2)
+def sharded():
+    stores: list[ShardedStore] = []
+
+    def make(n_shards: int, **kwargs) -> ShardedStore:
+        store = ShardedStore(ShardedConfig(n_shards=n_shards, **kwargs))
+        stores.append(store)
+        return store
+
+    yield make
+    for store in stores:
+        store.close()
+
+
+def _per_shard_edges(store: ShardedStore) -> list[int]:
+    return [store._call(k, ("n_edges",)) for k in range(store.config.n_shards)]
 
 
 class TestPartitioning:
-    def test_partition_batch_covers_everything(self, cfg, random_edges):
-        store = PartitionedGraphTinker(4, cfg)
-        parts = store.partition_batch(random_edges)
-        assert sum(p.shape[0] for p in parts) == random_edges.shape[0]
-
-    def test_partition_is_by_source(self, cfg, random_edges):
+    def test_partition_is_by_source(self, sharded, random_edges):
         """All edges of one source land in one partition (no cross-talk)."""
-        store = PartitionedGraphTinker(4, cfg)
-        parts = store.partition_batch(random_edges)
-        seen: dict[int, int] = {}
-        for pid, part in enumerate(parts):
-            for s in np.unique(part[:, 0]).tolist():
-                assert seen.setdefault(s, pid) == pid
+        store = sharded(4)
+        store.insert_batch(random_edges)
+        for s in np.unique(random_edges[:, 0]).tolist():
+            holders = [k for k in range(4)
+                       if store._call(k, ("neighbors", s))[0].shape[0]]
+            assert holders == [store._shard_of(s)]
 
-    def test_partition_preserves_stream_order(self, cfg):
-        store = PartitionedGraphTinker(2, cfg)
-        edges = np.array([[0, 1], [0, 2], [0, 3]])
-        parts = store.partition_batch(edges)
-        nonempty = [p for p in parts if p.shape[0]]
-        assert len(nonempty) == 1
-        assert nonempty[0][:, 1].tolist() == [1, 2, 3]
-
-    def test_rejects_bad_partition_count(self, cfg):
+    def test_rejects_bad_partition_count(self):
         with pytest.raises(ConfigError):
-            PartitionedGraphTinker(0, cfg)
+            ShardedConfig(n_shards=0)
 
 
 class TestSemantics:
     @pytest.mark.parametrize("nparts", [1, 2, 4, 8])
-    def test_content_independent_of_partition_count(self, cfg, random_edges, nparts):
-        store = PartitionedGraphTinker(nparts, cfg)
+    def test_content_independent_of_partition_count(self, sharded, random_edges, nparts):
+        store = sharded(nparts)
         store.insert_batch(random_edges)
         ref = ReferenceGraph()
         for s, d in random_edges.tolist():
@@ -61,42 +67,42 @@ class TestSemantics:
             assert store.degree(s) == ref.degree(s)
         store.check_invariants()
 
-    def test_delete_batch(self, cfg, random_edges):
-        store = PartitionedGraphTinker(3, cfg)
+    def test_delete_batch(self, sharded, random_edges):
+        store = sharded(3)
         store.insert_batch(random_edges)
         before = store.n_edges
         store.delete_batch(random_edges[:100])
         distinct = len({(s, d) for s, d in random_edges[:100].tolist()})
         assert store.n_edges == before - distinct
 
-    def test_vertices_sum_is_duplicate_free(self, cfg, random_edges):
-        store = PartitionedGraphTinker(4, cfg)
-        store.insert_batch(random_edges)
-        assert store.n_vertices == np.unique(random_edges[:, 0]).shape[0]
-
 
 class TestMeasurement:
-    def test_insert_batch_returns_per_partition_deltas(self, cfg, random_edges):
-        store = PartitionedGraphTinker(4, cfg)
-        deltas = store.insert_batch(random_edges)
+    def test_insert_batch_returns_per_partition_deltas(self, sharded, random_edges):
+        store = sharded(4)
+        store.insert_batch(random_edges)
+        deltas = store.last_batch_partitions
         assert len(deltas) == 4
         assert sum(d.edges_inserted for d in deltas) == store.n_edges
 
-    def test_merged_stats(self, cfg, random_edges):
-        store = PartitionedGraphTinker(2, cfg)
-        store.insert_batch(random_edges)
-        merged = store.merged_stats()
-        assert merged.edges_inserted == store.n_edges
+    def test_merged_stats(self, sharded, random_edges):
+        """Every batch's per-shard deltas sum to the store's own stats."""
+        store = sharded(2)
+        total = AccessStats()
+        for batch in np.array_split(random_edges, 3):
+            store.insert_batch(batch)
+            for delta in store.last_batch_partitions:
+                total.merge(delta)
+        assert total.as_dict() == store.stats.as_dict()
+        assert store.stats.edges_inserted == store.n_edges
 
-    def test_more_partitions_smaller_makespan(self, cfg, random_edges):
+    def test_more_partitions_smaller_makespan(self, sharded, random_edges):
         """The Fig. 10 mechanism: per-partition max cost falls with cores."""
-        from repro.bench.costmodel import DEFAULT_COST_MODEL as M
-
         makespans = {}
         for nparts in (1, 8):
-            store = PartitionedGraphTinker(nparts, cfg)
-            deltas = store.insert_batch(random_edges)
-            makespans[nparts] = max(M.cost(d) for d in deltas)
+            store = sharded(nparts)
+            store.insert_batch(random_edges)
+            makespans[nparts] = max(MODEL.cost(d)
+                                    for d in store.last_batch_partitions)
         assert makespans[8] < makespans[1]
 
 
@@ -105,16 +111,17 @@ class TestPartitionSeeds:
     between partitions but never changes the logical graph."""
 
     @pytest.mark.parametrize("seed", [0, 11, 0xDEAD])
-    def test_seed_is_deterministic(self, cfg, random_edges, seed):
-        a = PartitionedGraphTinker(4, cfg, seed=seed)
-        b = PartitionedGraphTinker(4, cfg, seed=seed)
-        pa = a.partition_batch(random_edges)
-        pb = b.partition_batch(random_edges)
-        for x, y in zip(pa, pb):
-            assert np.array_equal(x, y)
+    def test_seed_is_deterministic(self, sharded, random_edges, seed):
+        a = sharded(4, seed=seed)
+        b = sharded(4, seed=seed)
+        a.insert_batch(random_edges)
+        b.insert_batch(random_edges)
+        assert [d.as_dict() for d in a.last_batch_partitions] == \
+            [d.as_dict() for d in b.last_batch_partitions]
+        assert _per_shard_edges(a) == _per_shard_edges(b)
 
-    def test_different_seeds_same_logical_graph(self, cfg, random_edges):
-        stores = [PartitionedGraphTinker(4, cfg, seed=s) for s in (0, 11)]
+    def test_different_seeds_same_logical_graph(self, sharded, random_edges):
+        stores = [sharded(4, seed=s) for s in (0, 11)]
         for store in stores:
             store.insert_batch(random_edges)
         a, b = stores
@@ -122,11 +129,7 @@ class TestPartitionSeeds:
         for s, d in random_edges[:200].tolist():
             assert a.has_edge(s, d) and b.has_edge(s, d)
         # ...but the placement genuinely differs between the two seeds
-        sizes = [
-            tuple(p.shape[0] for p in store.partition_batch(random_edges))
-            for store in stores
-        ]
-        assert sizes[0] != sizes[1]
+        assert _per_shard_edges(a) != _per_shard_edges(b)
 
 
 class TestPartitionedMachine:
@@ -138,14 +141,10 @@ class TestPartitionedMachine:
         from hypothesis import strategies as st
         from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-        from tests.reference import ReferenceGraph
-
-        cfg = GTConfig(pagewidth=16, subblock=4, workblock=2)
-
         class Machine(RuleBasedStateMachine):
             def __init__(self):
                 super().__init__()
-                self.store = PartitionedGraphTinker(3, cfg)
+                self.store = ShardedStore(ShardedConfig(n_shards=3))
                 self.ref = ReferenceGraph()
 
             @rule(batch=st.lists(
@@ -175,7 +174,10 @@ class TestPartitionedMachine:
                 assert self.store.n_edges == self.ref.n_edges
 
             def teardown(self):
-                self.store.check_invariants()
+                try:
+                    self.store.check_invariants()
+                finally:
+                    self.store.close()
 
         Machine.TestCase.settings = settings(
             max_examples=25, stateful_step_count=40, deadline=None
@@ -184,9 +186,9 @@ class TestPartitionedMachine:
         state.runTest()
 
 
-class TestPartitionedStinger:
-    def test_basic(self, random_edges):
-        store = PartitionedStinger(4, StingerConfig(edgeblock_size=4))
+class TestStingerShards:
+    def test_basic(self, sharded, random_edges):
+        store = sharded(4, backend="stinger")
         store.insert_batch(random_edges)
         distinct = len({(s, d) for s, d in random_edges.tolist()})
         assert store.n_edges == distinct

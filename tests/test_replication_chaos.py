@@ -73,6 +73,15 @@ class TestScheduledFaults:
             with make_replica(tmp_path, proxy.port) as rep:
                 insert(writer, [[200 + i, 300 + i] for i in range(50)])
                 assert rep.wait_caught_up(writer.applied_seq, timeout=30)
+                # A replica caught up before frame 8 meets the cut only
+                # afterwards: wait until it has been felt, then catch up
+                # again before comparing.
+                deadline = time.monotonic() + 30
+                while not (proxy.n_cut >= 1 and rep.service.health()[
+                        "replication"]["n_resubscribes"] >= 1):
+                    assert time.monotonic() < deadline, "the cut never landed"
+                    time.sleep(0.01)
+                assert rep.wait_caught_up(writer.applied_seq, timeout=30)
                 assert digests_match(writer, rep)
                 repl = rep.service.health()["replication"]
                 assert repl["n_resubscribes"] >= 1  # the cut was felt

@@ -15,6 +15,10 @@ against the reference; this module pins the sharding-*specific* contracts:
   triples of the serial per-vertex gather loop, in the same global
   sorted-source order, and charges exactly the serial loop's modeled
   ``AccessStats`` (the charging-oracle contract, bit-for-bit);
+* **lockstep charging** — every batch's per-shard delta
+  (``last_batch_partitions``, Fig. 10's charging oracle) equals what a
+  fresh in-process backend charges for that shard's sub-batch, and an
+  empty batch reports no shard delta at all;
 * a **hypothesis** interleaving oracle that shrinks random op sequences
   against a dict model and the cross-shard placement invariant.
 """
@@ -28,6 +32,7 @@ from repro.core.config import ShardedConfig
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import partition_of, partition_of_array
 from repro.core.sharded import ShardedStore
+from repro.core.stats import AccessStats
 from repro.core.store import create_store, store_digest
 from repro.engine.snapshot import gather_active_scalar, sanitize_active
 from repro.workloads.rmat import rmat_edges
@@ -179,6 +184,38 @@ def test_neighbors_many_merge_is_sorted_and_grouped(factory):
         row = dst[src == v]
         d, w = sharded.neighbors(v)
         assert np.array_equal(row, d)
+
+
+# --------------------------------------------------------------------- #
+# lockstep charging: the Fig. 10 per-partition deltas
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", ["graphtinker", "stinger"])
+def test_partition_deltas_match_serial_lockstep(factory, backend):
+    """Shard *k*'s delta is a fresh backend's charge for sub-batch *k*
+    (the sub-batch keeps stream order), batch after batch."""
+    store = factory(n_shards=N_SHARDS, seed=SEED, backend=backend)
+    twins = [create_store(backend) for _ in range(N_SHARDS)]
+    edges = _stream(1_500)
+    ops = [("insert_batch", batch) for batch in np.array_split(edges, 3)]
+    ops.append(("delete_batch", edges[::4]))
+    for op, batch in ops:
+        getattr(store, op)(batch)
+        owner = partition_of_array(batch[:, 0], N_SHARDS, SEED)
+        for k, twin in enumerate(twins):
+            before = twin.stats.snapshot()
+            getattr(twin, op)(batch[owner == k])
+            assert store.last_batch_partitions[k].as_dict() == \
+                twin.stats.delta(before).as_dict(), f"{op}, shard {k}"
+
+
+@pytest.mark.parametrize("op", ["insert_batch", "delete_batch"])
+def test_empty_batch_reports_no_shard_deltas(factory, op):
+    store = factory(n_shards=2, seed=SEED)
+    store.insert_batch(np.array([[1, 2], [1, 3], [1, 4]]))
+    assert sum(d.edges_inserted for d in store.last_batch_partitions) == 3
+    getattr(store, op)(np.empty((0, 2), dtype=np.int64))
+    assert [d.as_dict() for d in store.last_batch_partitions] == \
+        [AccessStats().as_dict()] * 2
 
 
 # --------------------------------------------------------------------- #
