@@ -103,6 +103,7 @@ class EdgeblockArray:
         self.config = config
         self.stats = stats if stats is not None else AccessStats()
         self._rhh_on = config.enable_rhh and not config.compact_on_delete
+        self._fetches = rhh.subblock_tables(config.subblock, config.workblock)[2]
         pw = config.pagewidth
         self.main = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, config.initial_vertices)
         self.overflow = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, 4)
@@ -180,7 +181,7 @@ class EdgeblockArray:
         """
         if not 0 <= src < self._n_vertices:
             return None
-        cfg, stats, rhh_on = self.config, self.stats, self._rhh_on
+        cfg, stats, rhh_on, fetches = self.config, self.stats, self._rhh_on, self._fetches
         size, nsb, seed = cfg.subblock, cfg.subblocks_per_block, cfg.seed
         region, block = MAIN, src
         cells, kids = self.main.fields["dst"], self._main_children._data
@@ -190,7 +191,7 @@ class EdgeblockArray:
             ib = initial_bucket(dst, gen, size, seed)
             lo = sb * size
             slot, scanned = rhh.rhh_find(cells[block, lo:lo + size].tolist(), dst, ib, rhh_on)
-            stats.workblock_fetches += rhh._circular_workblocks(ib, scanned, cfg.workblock, size)
+            stats.workblock_fetches += fetches[ib][scanned]
             stats.cells_scanned += scanned
             if slot >= 0:
                 return region, block, lo + slot
@@ -272,7 +273,7 @@ class EdgeblockArray:
                                f_cal_block, f_cal_slot)
             )
             assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
-            rhh._charge_scan(self.stats, ib, lengths, cfg.workblock, size)
+            rhh._charge_scan(self.stats, self._fetches, ib, lengths)
             self.stats.rhh_swaps += swaps
             if wrote:
                 for cell, values in zip(cells, fields):

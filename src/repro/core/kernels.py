@@ -11,10 +11,12 @@ insert rounds leave.  Its FIND is one charged loop, ``_locate`` — the
 duplicate check of ``insert``, ``delete``, ``find`` and the facade's point
 reads all run it — and ``insert``'s INSERT stage is the only per-op
 insert.  The whole-chunk passes — the insert rounds and the delete level
-pass — restate the core over Subblock matrices rolled to probe order:
-:func:`_rolled_probe` is ``rhh_find``'s stopping rule, :func:`_rhh_walk`
-the closed form of ``rhh_insert``'s displacement walk; the parity tests
-hold both to the core.
+pass — restate the core over many Subblocks at once, rolled to probe
+order by :func:`_rolled_probe`: :func:`_find` is ``rhh_find``'s stopping
+rule, :func:`_rhh_walk` the closed form of ``rhh_insert``'s displacement
+walk; the parity tests hold both to the core.  Both sides charge
+Workblock fetches from the one per-geometry table,
+:func:`~repro.core.robin_hood.subblock_tables`.
 
 Equivalence contract
 --------------------
@@ -37,7 +39,8 @@ The per-op driver pays per-edge Python overhead five ways: a facade call
 chain, SGH dict traffic, two splitmix64 evaluations, a NumPy-to-list
 round trip of the Subblock around every
 :func:`~repro.core.robin_hood.rhh_insert` call, and per-op
-``AccessStats`` attribute updates.  The vector kernel amortises all five:
+``AccessStats`` attribute updates.  The vector kernel amortises all five,
+and item 5 keeps its own per-pass overhead from taking their place:
 
 1. **Bulk renaming** — ``np.unique`` collapses the batch to its distinct
    sources; the ones already renamed resolve in one uncharged dict pass,
@@ -49,7 +52,8 @@ round trip of the Subblock around every
 2. **Bulk hashing** — generation-0 Subblock indices and initial buckets
    for the whole batch in two :func:`~repro.core.hashing.mix64_array`
    sweeps.
-3. **Grouping** — a stable lexsort by ``(dense source, gen-0 Subblock)``.
+3. **Grouping** — one stable argsort by each op's gen-0 Subblock row,
+   ``dense * nsb + sb``: ``(dense source, gen-0 Subblock)`` in one int.
    Two operations can touch a common edge-cell only if they agree on the
    source *and* on every hash along the descent chain — which implies the
    same gen-0 Subblock — and a displaced edge stays inside its gen-0
@@ -72,8 +76,9 @@ round trip of the Subblock around every
    and carrying the *evicted* cell down by its own hashes.  Every level
    is read and scattered straight in its pool — the main region at
    generation 0 (its capacity is ensured before the rounds, so its arrays
-   cannot regrow mid-chunk), the overflow pool below it: only the cells
-   a walk changes move, nothing is staged.  Rounds run while at least
+   cannot regrow mid-chunk), the overflow pool below it (re-read per
+   level: an allocation may regrow it mid-round): only the cells a walk
+   changes move, nothing is staged.  Rounds run while at least
    :data:`MIN_ROUND_GROUPS` groups are active.  What they leave — the thin
    tail, every op of an ``enable_rhh=False`` store, a chunk too small to
    start a round — is the *residue*: it runs in stream order through
@@ -84,7 +89,16 @@ round trip of the Subblock around every
    op charges its own.  (A batch of fewer than :data:`MIN_ROUND_GROUPS`
    edges could not start a round: ``GraphTinker.insert_batch`` hands it
    to the per-edge path whole.)
-5. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
+5. **Subblocks as rows, geometry as tables** — a cell field is one
+   C-contiguous ``(capacity, pagewidth)`` array, so Subblock row
+   ``b * nsb + sb`` is ``size`` consecutive cells of it.  A level pass
+   does every gather and scatter through one flat index built from the
+   probe-order table ``roll``, and charges fetches by lookup in
+   ``fetches[bucket, length]``; both tables are derived once per
+   geometry (:func:`~repro.core.robin_hood.subblock_tables`).  Rolled
+   cells are held probe-step major, ``(size, ops)``, so the short
+   Subblock axis is never NumPy's inner loop.
+6. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
    sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
    chunk, which is its record id) that travels through Robin-Hood
    displacements exactly like a real pointer; after the chunk, the
@@ -118,12 +132,12 @@ ranks each row by its occurrence number among equal pairs and runs one
 round per rank (one round unless the batch repeats an edge; a round that
 hits nothing lets every repeat still waiting share the next one, so a
 batch of one edge a thousand times over is three rounds).  A round is
-level-synchronous: one fancy index gathers every active op's Subblock,
+level-synchronous: one flat index gathers every active op's Subblock,
 rolled to probe order, from the level's pool (generation 0 is all main
 region, every later generation all overflow); hits are tombstoned with
-one scatter per field; misses whose Subblock has a child carry on to the
-next level.  After the rounds the chunk's degrees drop with one
-``subtract.at`` per array and its CAL copies with one
+one scatter per field through the same index; misses whose Subblock has
+a child carry on to the next level.  After the rounds the chunk's
+degrees drop with one ``subtract.at`` per array and its CAL copies with one
 :meth:`CoarseAdjacencyList.invalidate_many`.
 
 The delete-and-compact configuration is *not* vectorised: compaction
@@ -165,28 +179,6 @@ CHUNK_EDGES = 32768
 #: chunk machinery and runs on the per-edge path.  Not a correctness switch:
 #: rounds and residue leave the same cells and charges.
 MIN_ROUND_GROUPS = 32
-
-
-def _circular_workblocks_array(start: np.ndarray, length: np.ndarray,
-                               workblock: int, size: int) -> np.ndarray:
-    """Vectorized mirror of :func:`robin_hood._circular_workblocks`."""
-    res = np.zeros(start.shape[0], dtype=np.int64)
-    full = length >= size
-    res[full] = size // workblock
-    mid = (length > 0) & ~full
-    s = start[mid]
-    e = s + length[mid]
-    r = np.empty(s.shape[0], dtype=np.int64)
-    nw = e <= size
-    r[nw] = (e[nw] - 1) // workblock - s[nw] // workblock + 1
-    wr = ~nw
-    first = (size - 1) // workblock - s[wr] // workblock + 1
-    tail_last = e[wr] - size - 1
-    second = tail_last // workblock + 1
-    overlap = (tail_last // workblock) == (s[wr] // workblock)
-    r[wr] = first + second - overlap
-    res[mid] = r
-    return res
 
 
 def insert_batch_vector(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -240,114 +232,141 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
     return uniq_dense[inverse]
 
 
-def _rolled_probe(cell_dst: np.ndarray, rows: np.ndarray, first_col,
-                 ib: np.ndarray, dst: np.ndarray, size: int):
-    """Probe many Subblocks at once: ``(cols, t_hit, t_emp, t_vac)``.
+def _rolled_probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray,
+                  roll: np.ndarray):
+    """Gather many Subblocks at once, rolled to probe order: ``(flat, probed)``.
 
-    Subblock ``i`` is the ``size`` cells from column ``first_col[i]`` of
-    row ``rows[i]`` of the 2-D ``dst`` field ``cell_dst``.  ``cols[i, t]``
-    is the column of the ``t``-th cell a probe from bucket ``ib[i]``
-    inspects (the Subblock rolled to probe order); ``t_hit`` / ``t_emp`` /
-    ``t_vac`` are the first ``t`` holding ``dst[i]`` / an ``EMPTY`` cell /
-    a vacancy (``EMPTY`` or ``TOMBSTONE``), ``size`` where there is none.
+    ``cells`` is a pool's ``dst`` field raveled: each field is one
+    C-contiguous ``(capacity, pagewidth)`` array, so Subblock row
+    ``srow = block * nsb + sb`` is ``size`` consecutive cells of it.
+    ``flat[t, i]`` is the flat index of the ``t``-th cell a probe of
+    Subblock row ``srow[i]`` from bucket ``ib[i]`` inspects (``roll`` of
+    :func:`~repro.core.robin_hood.subblock_tables` is symmetric, so its
+    column ``ib[i]`` is that bucket's probe order) and ``probed[t, i]``
+    the ``dst`` value there.  Probe step is the leading axis, so each step
+    of a pass is one vector op over all the Subblocks and the short
+    Subblock axis is never NumPy's inner loop.
     """
-    cols = first_col + (ib[:, None] + np.arange(size)) % size
-    probed = cell_dst[rows[:, None], cols]
-
-    def first(mask: np.ndarray) -> np.ndarray:
-        return np.where(mask.any(axis=1), mask.argmax(axis=1), size)
-
-    return cols, first(probed == dst[:, None]), first(probed == EMPTY), first(probed < 0)
+    flat = srow * roll.shape[0] + roll[:, ib]
+    return flat, cells[flat]
 
 
-def _overflow_level(gt, gen: int, dst: np.ndarray):
-    """Generation ``gen >= 1`` as edges ``dst`` hash into it: the overflow
-    pool's five cell fields (re-read per level, the pool may have regrown)
-    and each edge's Subblock, first column and initial bucket there."""
-    cfg = gt.config
-    fields = gt.eba.overflow.fields
-    sb = subblock_index_array(dst, gen, cfg.subblocks_per_block, cfg.seed)
-    ib = initial_bucket_array(dst, gen, cfg.subblock, cfg.seed)
-    return (tuple(fields[name] for name in rhh.CELL_FIELDS), sb,
-            (sb * cfg.subblock)[:, None], ib)
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per column, the first probe step where ``mask`` holds; the number
+    of steps where none (the count of leading misses)."""
+    searching = ~mask[0]
+    t = searching.astype(np.int64)
+    for step in mask[1:]:
+        searching &= ~step
+        t += searching
+    return t
 
 
-def _rhh_walk(fields, rows: np.ndarray, cols: np.ndarray, t_emp: np.ndarray,
-              t_vac: np.ndarray, edge):
+def _find(flat: np.ndarray, probed: np.ndarray, dst: np.ndarray, rhh_on: bool):
+    """:func:`robin_hood.rhh_find`'s stopping rule over rolled Subblocks:
+    ``(hit, scanned, cells)`` — whether each probe stops on ``dst``, the
+    cells it inspects, and the flat index of each hit cell, in op order.
+    A probe stops on ``dst`` or, in Robin-Hood mode, on an ``EMPTY`` cell."""
+    size = probed.shape[0]
+    t_hit = _first(probed == dst)
+    t_emp = _first(probed == EMPTY) if rhh_on else size
+    hit = t_hit < t_emp
+    h = np.flatnonzero(hit)
+    return hit, np.minimum(np.minimum(t_hit, t_emp) + 1, size), flat[t_hit[h], h]
+
+
+def _level(gt, gen: int, rows: np.ndarray, dst: np.ndarray):
+    """Generation ``gen`` as edges ``dst`` in edgeblock ``rows`` of its
+    pool see it (the main region at generation 0, the overflow pool
+    below): the pool's five raveled cell fields and raveled child
+    pointers — re-read per level, the overflow pool may have regrown —
+    and each edge's Subblock row and initial bucket there."""
+    cfg, eba = gt.config, gt.eba
+    pool, kids = (eba.overflow, eba._overflow_children) if gen else (eba.main, eba._main_children)
+    nsb = cfg.subblocks_per_block
+    return (tuple(pool.fields[name].reshape(-1) for name in rhh.CELL_FIELDS),
+            kids._data.reshape(-1),
+            rows * nsb + subblock_index_array(dst, gen, nsb, cfg.seed),
+            initial_bucket_array(dst, gen, cfg.subblock, cfg.seed))
+
+
+def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
     """Closed form of :func:`robin_hood.rhh_insert`'s INSERT stage, one
-    Subblock per row: the floating ``edge`` (``dst, weight, cal_block,
-    cal_slot`` arrays) walks ``cols`` (probe order, from
-    :func:`_rolled_probe`) of rows ``rows`` of the five cell ``fields``.
+    Subblock per column: the floating ``edge`` (``dst, weight, cal_block,
+    cal_slot`` arrays) walks cells ``flat`` of the five raveled cell
+    ``fields`` (probe order, with their ``dst`` values ``probed``, from
+    :func:`_rolled_probe`).
 
     The floating probe distance obeys ``fp[t+1] = min(fp[t], Pr[t]) + 1``
     from ``fp[0] = 0``, i.e. ``fp[t] = t + min(0, min_{s<t}(Pr[s] - s))``;
     a swap fires at every ``t`` before the first vacancy with
-    ``fp[t] > Pr[t]``.  Each swap column and the vacancy column take the
-    content of the previous swap column (the walking edge itself before
+    ``fp[t] > Pr[t]``.  Each swap step and the vacancy step take the
+    content of the previous swap step (the walking edge itself before
     the first swap) with probe ``fp[t]``; with no vacancy the last swap
-    column's old content floats on.  Tombstoned cells' stale probes sit at
-    or beyond the vacancy and never enter.
+    step's old content floats on.  Tombstoned cells' stale probes sit at
+    or beyond the vacancy and never enter.  Every gather and scatter goes
+    through ``flat``.
 
     Returns ``(find_len, steps, swaps, wrote, full, floating)``: the two
-    scan lengths, swap count and writeback flag per row, the rows left
-    ``CONGESTED`` and their floating edges.
+    scan lengths, swap count and writeback flag per Subblock, the ones
+    left ``CONGESTED`` and their floating edges.
     """
     fd, fw, fp, fcb, fcs = fields
-    n, size = cols.shape
-    span = np.arange(size)
-    resident = fp[rows[:, None], cols].astype(np.int64)
-    slack = np.zeros((n, size), dtype=np.int64)
-    np.minimum.accumulate(resident[:, :-1] - span[:-1], axis=1, out=slack[:, 1:])
-    probe = span + np.minimum(slack, 0)
-    swap = (probe > resident) & (span < t_vac[:, None])
-    vacant = t_vac < size
-    write = swap.copy()
-    write[vacant, t_vac[vacant]] = True
-    # Column whose old content lands in column t: the last swap before t.
-    source = np.full((n, size), -1)
-    np.maximum.accumulate(np.where(swap, span, -1)[:, :-1], axis=1, out=source[:, 1:])
-    r, t = np.nonzero(write)
-    src = source[r, t]
+    size, n = flat.shape
+    span = np.arange(size)[:, None]
+    t_vac = _first(probed < 0)
+    resident = fp[flat].astype(np.int64)
+    probe = np.zeros((size, n), dtype=np.int64)
+    low = probe[0].copy()  # min(0, min_{s<t}(Pr[s] - s))
+    for t in range(1, size):
+        np.minimum(low, resident[t - 1] - (t - 1), out=low)
+        np.add(low, t, out=probe[t])
+    swap = (probe > resident) & (span < t_vac)
+    # last[t]: the last swap step before t (-1: none), whose old content
+    # lands in step t; last[size] is the one that floats on.
+    last = np.full((size + 1, n), -1)
+    for t in range(size):
+        last[t + 1] = np.where(swap[t], t, last[t])
+    k = np.flatnonzero(swap | (span == t_vac))  # written cells, step-major
+    i = k % n
+    src = last.ravel()[k]
     moved = src >= 0
-    cell_rows = rows[r]
-    from_rows, from_cols = cell_rows[moved], cols[r[moved], src[moved]]
-    full = np.flatnonzero(~vacant)
-    last = np.where(swap[full, -1], size - 1, source[full, -1])
-    evicted = last >= 0
-    ev_rows, ev_cols = rows[full[evicted]], cols[full[evicted], last[evicted]]
+    from_cells = flat.ravel()[(src * n + i)[moved]]
+    full = np.flatnonzero(t_vac == size)
+    ev = last[size, full]
+    evicted = ev >= 0
+    ev_cells = flat[ev[evicted], full[evicted]]
     values, floating = [], []
     for own, field in zip(edge, (fd, fw, fcb, fcs)):  # gather all before any store
-        v = own[r]
-        v[moved] = field[from_rows, from_cols]
+        v = own[i]
+        v[moved] = field[from_cells]
         values.append(v)
         f = own[full]
-        f[evicted] = field[ev_rows, ev_cols]
+        f[evicted] = field[ev_cells]
         floating.append(f)
-    to_cols = cols[r, t]
-    fd[cell_rows, to_cols] = values[0]
-    fw[cell_rows, to_cols] = values[1]
-    fp[cell_rows, to_cols] = probe[r, t]
-    fcb[cell_rows, to_cols] = values[2]
-    fcs[cell_rows, to_cols] = values[3]
-    swaps = swap.sum(axis=1)
-    return (np.minimum(t_emp + 1, size), np.minimum(t_vac + 1, size), swaps,
-            vacant | (swaps > 0), full, floating)
+    to = flat.ravel()[k]
+    fd[to] = values[0]
+    fw[to] = values[1]
+    fp[to] = probe.ravel()[k]
+    fcb[to] = values[2]
+    fcs[to] = values[3]
+    swaps = swap.sum(axis=0)
+    return (np.minimum(_first(probed == EMPTY) + 1, size), np.minimum(t_vac + 1, size),
+            swaps, (t_vac < size) | (swaps > 0), full, floating)
 
 
-def _patch_pending(pool, touched: list[tuple], nsb: int, size: int,
+def _patch_pending(pool, touched: list[np.ndarray], size: int,
                    cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
-    """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblocks
-    (``(blocks, sbs)`` array pairs) of ``pool`` to its record's CAL address
-    (``-1, -1`` for a dropped one)."""
-    # One row per Subblock: both fields are C-contiguous, so a view.
-    blocks_f = pool.fields["cal_block"].reshape(-1, size)
-    slots_f = pool.fields["cal_slot"].reshape(-1, size)
-    sub = np.concatenate([blocks * nsb + sbs for blocks, sbs in touched])
-    r, cols = np.nonzero(blocks_f[sub] == PENDING_CAL)
-    rows = sub[r]
-    rid = slots_f[rows, cols]
-    blocks_f[rows, cols] = cal_block[rid]
-    slots_f[rows, cols] = cal_slot[rid]
+    """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblock
+    rows of ``pool`` to its record's CAL address (``-1, -1`` for a
+    dropped one)."""
+    blocks_f = pool.fields["cal_block"].reshape(-1)
+    slots_f = pool.fields["cal_slot"].reshape(-1)
+    cells = (np.concatenate(touched) * size)[:, None] + np.arange(size)
+    cells = cells[blocks_f[cells] == PENDING_CAL]
+    rid = slots_f[cells]
+    blocks_f[cells] = cal_block[rid]
+    slots_f[cells] = cal_slot[rid]
 
 
 def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -364,23 +383,20 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
 
     nsb = cfg.subblocks_per_block
     size = cfg.subblock
-    workblock = cfg.workblock
     seed = cfg.seed
     rhh_on = eba._rhh_on
     max_gen = cfg.max_generations
+    roll, fetches, _ = rhh.subblock_tables(size, cfg.workblock)
 
+    # Group key: each op's gen-0 Subblock row in the main region, i.e.
+    # (dense source, gen-0 Subblock); stream order within a group.
     dsts = edges[:, 1]
-    sb0 = subblock_index_array(dsts, 0, nsb, seed)
-    ib0 = initial_bucket_array(dsts, 0, size, seed)
-
-    # Stable group order: (dense source, gen-0 Subblock), stream order
-    # within a group (the arange tiebreak makes the sort fully explicit).
-    order = np.lexsort((np.arange(n), sb0, dense))
-    dense_s = dense[order]
+    key = dense * nsb + subblock_index_array(dsts, 0, nsb, seed)
+    order = np.argsort(key, kind="stable")
+    key_s = key[order]
     dst_s = dsts[order]
     w_s = weights[order]
-    sb_s = sb0[order]
-    ib_s = ib0[order]
+    ib_s = initial_bucket_array(dst_s, 0, size, seed)
 
     # The rounds' charge accumulators, flushed into `stats` once per chunk
     # (a residue op charges its own, as the scalar path does).
@@ -395,23 +411,21 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     p_w = weights.copy()
     r_new: list[int] = []
 
-    # One group per distinct (dense source, gen-0 Subblock) key: its main-
-    # region row and Subblock, and its slice [first_pos, grp_end) of the
-    # sorted stream.
-    ukeys, first_pos = np.unique(dense_s * nsb + sb_s, return_index=True)
-    blocks = ukeys // nsb
-    sbs = ukeys % nsb
-    g = ukeys.shape[0]
+    # One group per distinct key: its gen-0 Subblock row and its slice
+    # [first_pos, grp_end) of the sorted stream (keys are >= 0).
+    first_pos = np.flatnonzero(np.diff(key_s, prepend=-1))
+    groups = key_s[first_pos]
+    g = groups.shape[0]
     grp_end = np.append(first_pos[1:], n)
     cur = first_pos.copy()
-    # Per pool (MAIN, OVERFLOW): the (blocks, Subblocks) the rounds' walks
+    # Per pool (MAIN, OVERFLOW): the Subblock rows the rounds' walks
     # stored into — where a pending sentinel may sit.
     touched: tuple[list, list] = ([], [])
     # The main region never regrows mid-chunk (capacity is ensured per
-    # vertex row up front), so its cell fields and child matrix can be
-    # hoisted; the overflow ones can regrow and are re-read per level.
-    mfields = tuple(eba.main.fields[name] for name in rhh.CELL_FIELDS)
-    mchild = eba._main_children._data
+    # vertex row up front), so its raveled cell fields and child pointers
+    # can be hoisted; the overflow ones are re-read per level (_level).
+    mfields = tuple(eba.main.fields[name].reshape(-1) for name in rhh.CELL_FIELDS)
+    mkids = eba._main_children._data.reshape(-1)
     ochild = eba._overflow_children
 
     try:
@@ -431,40 +445,34 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             dst = dst_s[pos]
             w = w_s[pos]
 
-            # FIND stage down the whole chain (EdgeblockArray.find).
+            # FIND stage down the whole chain (EdgeblockArray._locate).
             q = np.arange(cand.shape[0])
             dup = np.zeros(cand.shape[0], dtype=bool)
-            fields, tree, kids = mfields, blocks[cand], mchild
-            sb, ib = sbs[cand], ib_s[pos]
-            first_col = (sb * size)[:, None]
+            fields, kids, srow, ib = mfields, mkids, groups[cand], ib_s[pos]
             for gen in range(max_gen):
-                sought = dst[q]
                 if gen:
-                    kids = ochild._data
-                    fields, sb, first_col, ib = _overflow_level(gt, gen, sought)
-                cols, t_hit, t_emp, t_vac = _rolled_probe(
-                    fields[0], tree, first_col, ib, sought, size)
-                scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
-                wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
+                    fields, kids, srow, ib = _level(gt, gen, tree, dst[q])
+                flat, probed = _rolled_probe(fields[0], srow, ib, roll)
+                hit, scanned, cells = _find(flat, probed, dst[q], True)
+                wf += int(fetches[ib, scanned].sum())
                 cs += int(scanned.sum())
                 if gen == 0:
-                    probe0 = (cols, t_emp, t_vac)
-                hit = t_hit < t_emp
+                    probe0 = (flat, probed)
                 if hit.any():
                     # Duplicate: weight overwritten in place, CAL copy
                     # through the cell's pointer or the pending record.
-                    h_rows, h_cols, h_w = tree[hit], cols[hit, t_hit[hit]], w[q[hit]]
-                    fields[1][h_rows, h_cols] = h_w
+                    h_w = w[q[hit]]
+                    fields[1][cells] = h_w
                     if cal is not None:
-                        cb = fields[3][h_rows, h_cols]
-                        slot = fields[4][h_rows, h_cols]
+                        cb = fields[3][cells]
+                        slot = fields[4][cells]
                         copied = cb >= 0
                         cal.pool.fields["weight"][cb[copied], slot[copied]] = h_w[copied]
                         pending = cb == PENDING_CAL
                         p_w[slot[pending]] = h_w[pending]
                         cal_up += int(copied.sum()) + int(pending.sum())
                     dup[q[hit]] = True
-                child = kids[tree, sb].astype(np.int64)
+                child = kids[srow].astype(np.int64)
                 go = ~hit & (child >= 0)
                 if not go.any():
                     break
@@ -478,45 +486,42 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # or congest and carry the floating edge one level down by
             # *its own* hashes (EdgeblockArray.insert's loop).
             q = np.flatnonzero(~dup)
-            cols, t_emp, t_vac = (a[q] for a in probe0)
-            fields, tree, kids = mfields, blocks[cand[q]], mchild
-            sb, ib = sbs[cand[q]], ib_s[pos[q]]
+            flat, probed = (a[:, q] for a in probe0)
+            fields, kids, srow, ib = mfields, mkids, groups[cand[q]], ib_s[pos[q]]
             edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
             if cal is not None:
                 edge[2:] = np.full(q.shape[0], PENDING_CAL), rid[q]
             for gen in range(max_gen):
                 if gen:
-                    kids = ochild._data
-                    fields, sb, first_col, ib = _overflow_level(gt, gen, edge[0])
-                    cols, _, t_emp, t_vac = _rolled_probe(
-                        fields[0], tree, first_col, ib, edge[0], size)
+                    fields, kids, srow, ib = _level(gt, gen, tree, edge[0])
+                    flat, probed = _rolled_probe(fields[0], srow, ib, roll)
                 find_len, steps, n_swaps, wrote, full, edge = _rhh_walk(
-                    fields, tree, cols, t_emp, t_vac, edge)
-                wf += int(_circular_workblocks_array(
-                    ib, np.maximum(find_len, steps), workblock, size).sum())
+                    fields, flat, probed, edge)
+                wf += int(fetches[ib, np.maximum(find_len, steps)].sum())
                 cs += int(find_len.sum()) + int(steps.sum())
                 swaps += int(n_swaps.sum())
                 wb += int(wrote.sum())
-                touched[OVERFLOW if gen else MAIN].append((tree[wrote], sb[wrote]))
-                new[rid[q[t_vac < size]]] = True
+                touched[OVERFLOW if gen else MAIN].append(srow[wrote])
+                new[rid[np.delete(q, full)]] = True
                 if full.shape[0] == 0:
                     break
                 # eba._descend for the congested ops.
-                q, tree, sb = q[full], tree[full], sb[full]
-                child = kids[tree, sb].astype(np.int64)
+                q, srow = q[full], srow[full]
+                child = kids[srow].astype(np.int64)
                 leaf = child < 0
                 if leaf.any():
                     ids = np.asarray(eba.overflow.allocate_many(int(leaf.sum())))
                     ochild.ensure(int(ids.max()) + 1)
                     ochild._data[ids] = -1
-                    (ochild._data if gen else mchild)[tree[leaf], sb[leaf]] = ids
+                    # The overflow child matrix may just have regrown.
+                    (ochild._data.reshape(-1) if gen else mkids)[srow[leaf]] = ids
                     child[leaf] = ids
                     stats.branch_allocations += ids.shape[0]
                 bd += full.shape[0]
                 tree = child
             else:
                 raise CapacityError(
-                    f"edge ({dense_s[pos[q[0]]]}, {dst[q[0]]}) exceeded "
+                    f"edge ({dense[rid[q[0]]]}, {dst[q[0]]}) exceeded "
                     f"max_generations={max_gen}"
                 )
             cand = cand[cur[cand] < grp_end[cand]]
@@ -567,16 +572,15 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             cal_slot = np.full(n, -1, dtype=np.int64)
             cal_block[live], cal_slot[live] = cal.append_many(
                 dense[live], dsts[live], p_w[live])
-            res = np.flatnonzero(cur < grp_end)
-            touched[MAIN].append((blocks[res], sbs[res]))
-            kids = mchild[blocks[res], sbs[res]]
+            res = groups[cur < grp_end]
+            touched[MAIN].append(res)
+            kids = mkids[res]
             while (rows := kids[kids >= 0].astype(np.int64)).shape[0]:
-                touched[OVERFLOW].append((np.repeat(rows, nsb),
-                                          np.tile(np.arange(nsb), rows.shape[0])))
+                touched[OVERFLOW].append(((rows * nsb)[:, None] + np.arange(nsb)).ravel())
                 kids = ochild._data[rows].ravel()
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
                 if touched[region]:
-                    _patch_pending(pool, touched[region], nsb, size, cal_block, cal_slot)
+                    _patch_pending(pool, touched[region], size, cal_block, cal_slot)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb
@@ -618,10 +622,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     dsts = dsts[valid]
     m = dense.shape[0]
 
-    nsb = cfg.subblocks_per_block
-    size = cfg.subblock
-    workblock = cfg.workblock
-    seed = cfg.seed
+    roll, fetches, _ = rhh.subblock_tables(cfg.subblock, cfg.workblock)
     rhh_on = eba._rhh_on
 
     # Occurrence number of each row among the chunk's equal (src, dst)
@@ -650,43 +651,31 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
             src = dense[sel]
             dst = dsts[sel]
             block = src
-            pool, children = eba.main, eba._main_children
             for gen in range(cfg.max_generations):
                 if block.shape[0] == 0:
                     break
-                sb = subblock_index_array(dst, gen, nsb, seed)
-                ib = initial_bucket_array(dst, gen, size, seed)
-                data = pool.fields
-                cols, t_hit, t_emp, _ = _rolled_probe(
-                    data["dst"], block, (sb * size)[:, None], ib, dst, size)
-                if not rhh_on:
-                    t_emp = size  # rhh_find scans the whole Subblock
-                scanned = np.minimum(np.minimum(t_hit, t_emp) + 1, size)
-                wf += int(_circular_workblocks_array(ib, scanned, workblock, size).sum())
+                fields, kids, srow, ib = _level(gt, gen, block, dst)
+                flat, probed = _rolled_probe(fields[0], srow, ib, roll)
+                hit, scanned, cells = _find(flat, probed, dst, rhh_on)
+                wf += int(fetches[ib, scanned].sum())
                 cs += int(scanned.sum())
 
                 # Mirror of EdgeblockArray.delete's hit branch; the CAL
                 # copies are invalidated once per chunk, below.
-                hit = t_hit < t_emp
-                h_rows = block[hit]
-                h_cols = cols[hit, t_hit[hit]]
-                cb = data["cal_block"][h_rows, h_cols]
-                csl = data["cal_slot"][h_rows, h_cols]
-                data["dst"][h_rows, h_cols] = TOMBSTONE
-                data["cal_block"][h_rows, h_cols] = -1
-                data["cal_slot"][h_rows, h_cols] = -1
+                hit_cb.append(fields[3][cells])
+                hit_cs.append(fields[4][cells])
+                fields[0][cells] = TOMBSTONE
+                fields[3][cells] = -1
+                fields[4][cells] = -1
                 hit_srcs.append(src[hit])
-                hit_cb.append(cb)
-                hit_cs.append(csl)
-                deleted += h_rows.shape[0]
+                deleted += cells.shape[0]
 
                 # Misses follow their Subblock's child pointer, if any
                 # (the miss path of EdgeblockArray._locate).
-                child = children._data[block, sb].astype(np.int64)
+                child = kids[srow].astype(np.int64)
                 go = ~hit & (child >= 0)
                 bd += int(go.sum())
                 src, dst, block = src[go], dst[go], child[go]
-                pool, children = eba.overflow, eba._overflow_children
             if settled:
                 break
             settled = deleted == before

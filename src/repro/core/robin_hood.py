@@ -9,8 +9,9 @@ Hashing branches out to a child edgeblock (handled by the caller,
 :mod:`repro.core.edgeblock_array`).
 
 The load unit retrieves a Subblock one Workblock at a time (paper
-Sec. III.B), so this module reports how many distinct Workblocks each
-operation touched; those counts feed the DRAM-access cost model.
+Sec. III.B), so this module reports how many cells each operation
+scanned; the distinct Workblocks they cover, read from one per-geometry
+table (:func:`subblock_tables`), feed the DRAM-access cost model.
 
 One probe core, one caller
 --------------------------
@@ -24,9 +25,9 @@ charges them.  Their one caller is the per-op specification,
 tree level, and its INSERT stage copies a Subblock's fields out, calls
 :func:`rhh_insert` once and stores them back.  The batch kernels
 (:mod:`repro.core.kernels`) do not call the core: their whole-chunk
-passes restate it over Subblock matrices, the residue of their insert
-rounds runs through ``EdgeblockArray.insert`` itself, and the parity
-tests hold the restatement to the core.
+passes restate it over many rolled Subblocks at once, the residue of
+their insert rounds runs through ``EdgeblockArray.insert`` itself, and
+the parity tests hold the restatement to the core.
 
 Cell states are encoded in the ``dst`` field: ``EMPTY`` (never used),
 ``TOMBSTONE`` (deleted; preserves probe chains in delete-only mode), or a
@@ -46,6 +47,10 @@ Correctness notes
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 from repro.core.pool import EMPTY, TOMBSTONE
 from repro.core.stats import AccessStats
 
@@ -63,40 +68,42 @@ _TOMBSTONE = int(TOMBSTONE)
 CELL_FIELDS = ("dst", "weight", "probe", "cal_block", "cal_slot")
 
 
-def _circular_workblocks(start: int, length: int, workblock: int, size: int) -> int:
-    """Distinct Workblocks covered by a circular scan of ``length`` cells.
+@functools.lru_cache(maxsize=None)
+def subblock_tables(size: int, workblock: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """``(roll, fetches, fetch_rows)``: the probe tables of a ``size``-cell Subblock.
 
-    The scan starts at ``start`` and wraps within the Subblock (``size``
-    cells; a multiple of ``workblock`` by configuration), so the covered
-    cells are one or two contiguous segments — no per-cell set needed.
+    ``roll[b]`` is the order in which a probe from bucket ``b`` visits the
+    cells, ``(b + d) % size``; ``fetches[b, n]`` the number of distinct
+    Workblocks (``cell // workblock``) among its first ``n`` — the one
+    definition of the fetch charge, counted from the set it names; and
+    ``fetch_rows`` the same as nested lists, for the per-op charge sites.
     """
-    if length <= 0:
-        return 0
-    if length >= size:
-        return size // workblock
-    end = start + length  # exclusive
-    if end <= size:
-        return (end - 1) // workblock - start // workblock + 1
-    # wrapped: [start, size) plus [0, end - size).  The wrapped tail ends
-    # below `start` (length < size), so it can only re-enter one already
-    # counted Workblock: the one containing `start`.
-    first = (size - 1) // workblock - start // workblock + 1
-    tail_last = end - size - 1
-    second = tail_last // workblock + 1
-    overlap = 1 if tail_last // workblock == start // workblock else 0
-    return first + second - overlap
+    roll = (np.arange(size)[:, None] + np.arange(size)) % size
+    fetch_rows = []
+    for order in roll.tolist():
+        seen: set[int] = set()
+        row = [0]
+        for cell in order:
+            seen.add(cell // workblock)
+            row.append(len(seen))
+        fetch_rows.append(row)
+    fetches = np.array(fetch_rows, dtype=np.int64)
+    for table in (roll, fetches):  # shared by every store of the geometry
+        table.setflags(write=False)
+    return roll, fetches, fetch_rows
 
 
-def _charge_scan(stats: AccessStats, start: int, lengths: tuple[int, ...],
-                 workblock: int, size: int) -> None:
+def _charge_scan(stats: AccessStats, fetches: list, start: int,
+                 lengths: tuple[int, ...]) -> None:
     """Charge fetches/cells for one or more scan passes from ``start``.
 
     All passes of one operation start at the same initial bucket, so
     their Workblock *fetch* union is the longest pass's range (a fetched
     Workblock stays loaded for the whole operation), while *cells
-    scanned* accumulates every pass's inspections.
+    scanned* accumulates every pass's inspections.  ``fetches`` is the
+    geometry's :func:`subblock_tables` ``fetch_rows``.
     """
-    stats.workblock_fetches += _circular_workblocks(start, max(lengths), workblock, size)
+    stats.workblock_fetches += fetches[start][max(lengths)]
     stats.cells_scanned += sum(lengths)
 
 
@@ -113,7 +120,7 @@ def rhh_find(
     reads in this hot loop).  The scan starts at ``init_bucket`` and
     wraps within the Subblock.  ``slot`` is ``-1`` when absent and
     ``scan_len`` is the number of cells inspected, which the caller
-    charges with :func:`_circular_workblocks`.
+    charges from :func:`subblock_tables`.
     """
     size = len(dsts)
     empty = _EMPTY

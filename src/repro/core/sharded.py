@@ -742,7 +742,8 @@ class ShardedStore(RowStoreDefaults):
 
 
 def _shutdown_workers(pipes, procs) -> None:
-    """Best-effort worker teardown (also the GC finalizer)."""
+    """Best-effort, bounded worker teardown (also the GC finalizer): a worker
+    silent for 2 s is terminated, then killed (a stopped one ignores SIGTERM)."""
     for pipe in pipes:
         try:
             pipe.send(("close",))
@@ -750,7 +751,8 @@ def _shutdown_workers(pipes, procs) -> None:
             pass
     for pipe in pipes:
         try:
-            pipe.recv()
+            if pipe.poll(2.0):
+                pipe.recv()
         except (EOFError, OSError):
             pass
         try:
@@ -759,9 +761,10 @@ def _shutdown_workers(pipes, procs) -> None:
             pass
     for proc in procs:
         proc.join(timeout=2.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=2.0)
+        for stop in (proc.terminate, proc.kill):
+            if proc.is_alive():
+                stop()
+                proc.join(timeout=2.0)
 
 
 #: Violation kind for consistent-hash routing breaks (sharded fsck).

@@ -743,7 +743,7 @@ class TestLevelSynchronousInsert:
         arbitrary Subblocks: empty to full, a tenth of the cells
         tombstoned (probe field stale), real and pending CAL pointers."""
         from repro.core import robin_hood as rhh
-        from repro.core.kernels import PENDING_CAL, _rolled_probe, _rhh_walk
+        from repro.core.kernels import PENDING_CAL, _find, _rolled_probe, _rhh_walk
         rng = np.random.default_rng(23)
         n, size = 6000, 8
         fill = rng.integers(0, size + 1, n)
@@ -765,11 +765,11 @@ class TestLevelSynchronousInsert:
                                  True, int(edge[2][i]), int(edge[3][i]))
             want.append((cells, out))
         fields = (D, W, P, CB, CS)
-        rows = np.arange(n)
-        cols, t_hit, t_emp, t_vac = _rolled_probe(D, rows, 0, ib, edge[0], size)
-        assert (t_hit == size).all()
+        roll = rhh.subblock_tables(size, 4)[0]
+        flat, probed = _rolled_probe(D.reshape(-1), np.arange(n), ib, roll)
+        assert not _find(flat, probed, edge[0], True)[0].any()
         find_len, steps, swaps, wrote, full, floating = _rhh_walk(
-            fields, rows, cols, t_emp, t_vac, edge)
+            tuple(f.reshape(-1) for f in fields), flat, probed, edge)
         congested = dict(zip(full.tolist(), zip(*(f.tolist() for f in floating))))
         assert 0 < len(congested) < n and swaps.max() >= 3
         for i, (cells, out) in enumerate(want):
@@ -867,3 +867,74 @@ class TestHashArrays:
         got = initial_bucket_array(dsts, generation, 16, seed=0xBEEF)
         for d, g in zip(dsts.tolist(), got.tolist()):
             assert g == initial_bucket(d, generation, 16, 0xBEEF)
+
+
+def overflow_growth(monkeypatch, gt: GraphTinker) -> list[float]:
+    """Record by what factor each bulk allocation grew ``gt``'s overflow
+    pool.  Only the insert rounds allocate in bulk there; the per-op path
+    takes one row at a time."""
+    from repro.core.pool import BlockPool
+    factors: list[float] = []
+    allocate_many = BlockPool.allocate_many
+
+    def logged(pool, count):
+        before = pool.capacity
+        ids = allocate_many(pool, count)
+        if pool is gt.eba.overflow:
+            factors.append(pool.capacity / before)
+        return ids
+    monkeypatch.setattr(BlockPool, "allocate_many", logged)
+    return factors
+
+
+class TestOverflowRegrowth:
+    """A round that allocates past the overflow pool's capacity moves the
+    pool into a new buffer while deeper levels of the same round are
+    still to walk; every level must read and write the new one."""
+
+    @staticmethod
+    def assert_same(scalar: GraphTinker, vector: GraphTinker) -> None:
+        assert_equivalent(scalar, vector)
+        assert tree_rows(scalar) == tree_rows(vector)
+        assert scalar.eba.degrees_view().tolist() == vector.eba.degrees_view().tolist()
+        assert scalar.vpa.degrees.tolist() == vector.vpa.degrees.tolist()
+        assert pool_bytes(scalar.cal.pool) == pool_bytes(vector.cal.pool)
+        assert no_sentinel_left(vector)
+
+    def test_insert_round_regrows_the_pool(self, monkeypatch):
+        """A hub burst into a fresh store: 64 hubs' gen-0 Subblocks
+        congest in the same rounds and one allocation grows the pool ×4
+        or more, then the round walks the children it just made."""
+        edges, weights = hubs_stream(64, 60, seed=21)
+        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
+        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        growth = overflow_growth(monkeypatch, vector)
+        walks = count_walks(monkeypatch)
+        for gt in (scalar, vector):
+            gt.insert_batch(edges, weights)
+        assert max(growth) >= 4 and "overflow" in walks
+        self.assert_same(scalar, vector)
+
+    def test_delete_pass_right_after_a_regrowth(self, monkeypatch):
+        """Each delete pass follows a burst that regrew the pool ×4 or
+        more inside a round, and reaches the deepest generations the
+        burst built."""
+        edges, weights = hubs_stream(64, 60, seed=22)
+        more, more_w = hubs_stream(64, 240, seed=23)
+        more[:, 1] += 500
+        doomed = np.random.default_rng(24).permutation(edges)
+        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
+        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        growth = overflow_growth(monkeypatch, vector)
+        for burst, w, gone in [(edges, weights, doomed[:3000]),
+                               (more, more_w, np.vstack([doomed[3000:], more]))]:
+            del growth[:]
+            for gt in (scalar, vector):
+                gt.insert_batch(burst, w)
+            assert max(growth) >= 4
+            for gt in (scalar, vector):  # hit_generation charges a lookup
+                assert max(hit_generation(gt, 0, int(d)) for d in burst[burst[:, 0] == 0, 1]) >= 2
+                gt.delete_batch(gone)
+            self.assert_same(scalar, vector)
+        assert vector.n_edges == 0
+        assert vector.stats.tombstones_set == edges.shape[0] + more.shape[0]

@@ -36,9 +36,12 @@ def fresh():
     return Cells(*(blank[name].tolist() for name in rhh.CELL_FIELDS)), AccessStats()
 
 
+FETCHES = rhh.subblock_tables(SB, WB)[2]
+
+
 def insert(cells, stats, dst, weight, bucket, rhh_on=True, cal_block=-1, cal_slot=-1):
     res = Result(*rhh.rhh_insert(*cells, dst, weight, bucket, rhh_on, cal_block, cal_slot))
-    rhh._charge_scan(stats, bucket, res.lengths, WB, SB)
+    rhh._charge_scan(stats, FETCHES, bucket, res.lengths)
     stats.rhh_swaps += res.swaps
     stats.workblock_writebacks += res.wrote
     return res
@@ -46,7 +49,7 @@ def insert(cells, stats, dst, weight, bucket, rhh_on=True, cal_block=-1, cal_slo
 
 def find(cells, stats, dst, bucket, rhh_on=True):
     slot, scanned = rhh.rhh_find(cells.dst, dst, bucket, rhh_on)
-    rhh._charge_scan(stats, bucket, (scanned,), WB, SB)
+    rhh._charge_scan(stats, FETCHES, bucket, (scanned,))
     return slot
 
 
@@ -230,21 +233,35 @@ class TestAccounting:
         assert rhh.rhh_find(cells.dst, 4, 6, True) == (-1, 2)
 
 
-@given(
-    start=st.integers(min_value=0, max_value=63),
-    length=st.integers(min_value=0, max_value=64),
-    workblock=st.sampled_from([1, 2, 4, 8]),
-    size=st.sampled_from([8, 16, 32, 64]),
-)
-def test_circular_workblock_count_matches_bruteforce(start, length, workblock, size):
-    """Property: the closed-form Workblock counter equals set-based dedup."""
-    from repro.core.robin_hood import _circular_workblocks
+def test_circular_workblock_count_matches_bruteforce():
+    """The Workblock-fetch table equals set-based dedup over the cells a
+    scan covers, for every legal geometry up to 64 cells, every bucket and
+    every scan length; its nested-list copy equals the array."""
+    geometries = [(size, wb) for size in (1, 2, 4, 8, 16, 32, 64)
+                  for wb in (1, 2, 4, 8, 16, 32, 64) if wb <= size]
+    for size, workblock in geometries:
+        _, fetches, fetch_rows = rhh.subblock_tables(size, workblock)
+        assert fetches.shape == (size, size + 1)
+        assert fetches.tolist() == fetch_rows
+        for start in range(size):
+            for length in range(size + 1):
+                slots = [(start + i) % size for i in range(length)]
+                expected = len({s // workblock for s in slots})
+                assert fetches[start, length] == expected, (size, workblock, start, length)
 
-    start %= size
-    length = min(length, size)
-    slots = [(start + i) % size for i in range(length)]
-    expected = len({s // workblock for s in slots})
-    assert _circular_workblocks(start, length, workblock, size) == expected
+
+def test_roll_is_the_order_rhh_find_visits():
+    """``roll[b]`` lists the cells a probe from bucket ``b`` inspects, in
+    order: on a Subblock of distinct values, searching for the value in
+    ``roll[b][d]`` stops there after ``d + 1`` cells."""
+    for size in (1, 2, 4, 8, 16):
+        roll = rhh.subblock_tables(size, 1)[0]
+        assert (roll == roll.T).all()  # the kernels read bucket b's order as column b
+        cells = [100 + 7 * c for c in range(size)]
+        for b in range(size):
+            for d, cell in enumerate(roll[b].tolist()):
+                assert rhh.rhh_find(cells, cells[cell], b, False) == (cell, d + 1)
+                assert rhh.rhh_find(cells, cells[cell], b, True) == (cell, d + 1)
 
 
 @settings(max_examples=200)

@@ -25,6 +25,10 @@ against the reference; this module pins the sharding-*specific* contracts:
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+
 import numpy as np
 import pytest
 
@@ -216,6 +220,24 @@ def test_empty_batch_reports_no_shard_deltas(factory, op):
     getattr(store, op)(np.empty((0, 2), dtype=np.int64))
     assert [d.as_dict() for d in store.last_batch_partitions] == \
         [AccessStats().as_dict()] * 2
+
+
+def test_close_is_bounded_on_a_stopped_worker():
+    """A worker that never answers ``close`` (here: SIGSTOPped) is
+    terminated and killed within the budget; none is left alive."""
+    store = ShardedStore(ShardedConfig(n_shards=2, seed=SEED))
+    store.insert_batch(np.array([[1, 2], [2, 3], [3, 4]]))
+    victim = store.worker_pids[0]
+    os.kill(victim, signal.SIGSTOP)
+    closer = threading.Thread(target=store.close, daemon=True)
+    closer.start()
+    closer.join(timeout=15.0)
+    hung = closer.is_alive()
+    if hung:  # unstick the worker so the thread and the process end
+        os.kill(victim, signal.SIGKILL)
+        closer.join()
+    assert not hung, "close() blocked on a stopped worker"
+    assert not any(proc.is_alive() for proc in store._procs)
 
 
 # --------------------------------------------------------------------- #
