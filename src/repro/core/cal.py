@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import GTConfig
-from repro.core.pool import CAL_CELL_DTYPE, BlockPool
+from repro.core.pool import CAL_CELL_DTYPE, BlockPool, grow
 from repro.core.stats import AccessStats
 
 #: ``src`` value marking a vacant / invalidated CAL slot.
@@ -45,15 +45,7 @@ class _GrowIntArray:
         self._data = np.full(initial, fill, dtype=np.int64)
 
     def ensure(self, n: int) -> None:
-        cap = self._data.shape[0]
-        if n <= cap:
-            return
-        new_cap = cap
-        while new_cap < n:
-            new_cap *= 2
-        grown = np.full(new_cap, self._fill, dtype=np.int64)
-        grown[:cap] = self._data
-        self._data = grown
+        self._data = grow(self._data, n, self._fill)
 
     def __getitem__(self, i: int) -> int:
         return int(self._data[i])

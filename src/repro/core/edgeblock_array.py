@@ -23,7 +23,7 @@ import numpy as np
 from repro.core import robin_hood as rhh
 from repro.core.config import GTConfig
 from repro.core.hashing import initial_bucket, subblock_index
-from repro.core.pool import EMPTY, TOMBSTONE, EDGE_CELL_DTYPE, BlockPool, blank_edge_cells
+from repro.core.pool import EMPTY, TOMBSTONE, EDGE_CELL_DTYPE, BlockPool, blank_edge_cells, grow
 from repro.core.stats import AccessStats
 from repro.errors import CapacityError
 
@@ -61,22 +61,14 @@ class EdgeLocation(tuple):
 class _ChildMatrix:
     """Growable ``int32`` matrix of Subblock->child-edgeblock pointers."""
 
-    __slots__ = ("_data", "n_subblocks")
+    __slots__ = ("_data",)
 
     def __init__(self, n_subblocks: int, initial_rows: int = 4):
-        self.n_subblocks = n_subblocks
         self._data = np.full((initial_rows, n_subblocks), -1, dtype=np.int32)
 
     def ensure(self, rows: int) -> None:
-        cap = self._data.shape[0]
-        if rows <= cap:
-            return
-        new_cap = cap
-        while new_cap < rows:
-            new_cap *= 2
-        grown = np.full((new_cap, self.n_subblocks), -1, dtype=np.int32)
-        grown[:cap] = self._data
-        self._data = grown
+        if rows > self._data.shape[0]:
+            self._data = grow(self._data, rows, -1)
 
     def get(self, block: int, sb: int) -> int:
         return int(self._data[block, sb])
@@ -153,11 +145,8 @@ class EdgeblockArray:
         rows = self.main.allocate_many(src + 1 - n)
         assert (rows[0], rows[-1]) == (n, src), "main region rows must stay dense"
         self._main_children.ensure(src + 1)
-        cap = self._degrees.shape[0]
-        if src >= cap:
-            grown = np.zeros(max(src + 1, 2 * cap), dtype=np.int64)
-            grown[:cap] = self._degrees
-            self._degrees = grown
+        if src >= self._degrees.shape[0]:
+            self._degrees = grow(self._degrees, src + 1)
         self._n_vertices = src + 1
 
     # ------------------------------------------------------------------ #

@@ -75,7 +75,6 @@ class GraphTinker(StoreBase):
         snap = self._analytics_snapshot
         if snap is None:
             return
-        srcs = np.unique(np.asarray(srcs, dtype=np.int64))
         if self.sgh is not None:
             dense = self.sgh.peek_array(srcs)
             dense = dense[dense >= 0]

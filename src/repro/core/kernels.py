@@ -42,18 +42,20 @@ round trip of the Subblock around every
 ``AccessStats`` attribute updates.  The vector kernel amortises all five,
 and item 5 keeps its own per-pass overhead from taking their place:
 
-1. **Bulk renaming** — ``np.unique`` collapses the batch to its distinct
-   sources; the ones already renamed resolve in one uncharged dict pass,
-   the unseen ones are assigned in one step
+1. **Bulk renaming** — the batch's sources resolve through the SGH's
+   NumPy index in a few uncharged gather-and-compare rounds
+   (:meth:`~repro.core.sgh.ScatterGatherHash.peek_array`); only the misses
+   are collapsed to distinct ids, assigned in one step
    (:meth:`~repro.core.sgh.ScatterGatherHash.hash_new_ids`) **in
    first-appearance order** (so dense ids come out exactly as the scalar
-   stream would assign them) and the remaining per-edge lookup charges
-   are added arithmetically.
+   stream would assign them), and the per-edge lookup charges are added
+   arithmetically.
 2. **Bulk hashing** — generation-0 Subblock indices and initial buckets
    for the whole batch in two :func:`~repro.core.hashing.mix64_array`
    sweeps.
-3. **Grouping** — one stable argsort by each op's gen-0 Subblock row,
-   ``dense * nsb + sb``: ``(dense source, gen-0 Subblock)`` in one int.
+3. **Grouping** — one stable sort (:func:`_stream_order`) by each op's
+   gen-0 Subblock row, ``dense * nsb + sb``: ``(dense source, gen-0
+   Subblock)`` in one int.
    Two operations can touch a common edge-cell only if they agree on the
    source *and* on every hash along the descent chain — which implies the
    same gen-0 Subblock — and a displaced edge stays inside its gen-0
@@ -105,14 +107,14 @@ and item 5 keeps its own per-pass overhead from taking their place:
    records of the ops that placed a new edge are appended to the CAL **in
    original stream order** (one arithmetic pass,
    :meth:`CoarseAdjacencyList.append_many`), and one pass per pool
-   rewrites the sentinels to the real addresses.  It covers the
-   Subblocks the rounds' walks stored into — collected as they store,
-   generation 0 included — and, for every group with residue ops, the
-   group's gen-0 Subblock and every overflow row below it, walked level
-   by level down the child matrices: a residue op may push any pending
-   cell anywhere in that subtree.  Duplicate ops that meet a pending cell
-   update the pending record (one ``cal_updates`` charge, like the scalar
-   ``update_weight``) so the final CAL weight is the last one.
+   rewrites the sentinels to the real addresses.  It visits only cells a
+   sentinel may sit in: each cell a round's walk stored one into
+   (collected as it stores) and, for every group with residue ops, every
+   cell of the group's gen-0 Subblock and of the overflow rows below it
+   (a residue op may push a pending cell anywhere in that subtree).
+   Duplicate ops that meet a pending cell update the pending record (one
+   ``cal_updates`` charge, like the scalar ``update_weight``) so the
+   final CAL weight is the last one.
 
 Large batches are processed in contiguous chunks so the round temporaries
 stay bounded; chunking composes trivially (the scalar path is itself a
@@ -128,10 +130,12 @@ and never allocates, frees or moves a cell or a child pointer.  Two
 deletes on distinct ``(dense source, dst)`` pairs therefore find the same
 things in either order, every ``AccessStats`` field is a sum, and only
 *repeats of one pair inside a chunk* are ordered.  :func:`_delete_chunk`
-ranks each row by its occurrence number among equal pairs and runs one
-round per rank (one round unless the batch repeats an edge; a round that
-hits nothing lets every repeat still waiting share the next one, so a
-batch of one edge a thousand times over is three rounds).  A round is
+ranks each row by its occurrence number among equal pairs — one sort of
+one packed key, ``dense * m + rank(dst)``, which no id can overflow —
+and runs one round per rank (one round unless the batch repeats an
+edge; a round that hits nothing lets every repeat still waiting share
+the next one, so a batch of one edge a thousand times over is three
+rounds).  A round is
 level-synchronous: one flat index gathers every active op's Subblock,
 rolled to probe order, from the level's pool (generation 0 is all main
 region, every later generation all overflow); hits are tombstoned with
@@ -213,23 +217,27 @@ def delete_batch_vector(gt, edges: np.ndarray) -> int:
 
 
 def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
-    """Bulk original->dense renaming, assigning new ids like the stream would.
-
-    Sources already in the table resolve in one uncharged dict pass; the
-    unseen ones are assigned in one step, in first-appearance order so
-    new dense ids match the scalar assignment.  Every other occurrence's
-    lookup charge is added arithmetically (``hash_lookups`` is additive, so
-    the total — one per edge — is bit-identical).
-    """
+    """Bulk original->dense renaming, assigning new ids like the stream
+    would: the column resolves through the SGH index, and only the misses
+    are collapsed to distinct ids and assigned in first-appearance order.
+    The lookup charges are added arithmetically (one per edge in all)."""
     if gt.sgh is None:
         return srcs
-    uniq, first_idx, inverse = np.unique(srcs, return_index=True, return_inverse=True)
-    uniq_dense = gt.sgh.peek_array(uniq)
-    unseen = np.flatnonzero(uniq_dense < 0)
-    unseen = unseen[np.argsort(first_idx[unseen])]
-    uniq_dense[unseen] = gt.sgh.hash_new_ids(uniq[unseen])
-    gt.stats.hash_lookups += srcs.shape[0] - unseen.shape[0]
-    return uniq_dense[inverse]
+    dense = gt.sgh.peek_array(srcs)
+    miss = np.flatnonzero(dense < 0)
+    uniq, first_idx, inverse = np.unique(srcs[miss], return_index=True, return_inverse=True)
+    by_first = np.argsort(first_idx)
+    new_ids = gt.sgh.hash_new_ids(uniq[by_first])  # in first-appearance order
+    dense[miss] = new_ids[np.argsort(by_first)][inverse]
+    gt.stats.hash_lookups += srcs.shape[0] - uniq.shape[0]
+    return dense
+
+
+def _stream_order(key: np.ndarray) -> np.ndarray:
+    """``argsort(key, kind="stable")`` for a chunk's keys (each in ``[0,
+    n_vertices * CHUNK_EDGES)``): one faster default sort, ties by index."""
+    n = key.shape[0]
+    return np.argsort(key * n + np.arange(n))
 
 
 def _rolled_probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray,
@@ -307,9 +315,10 @@ def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
     or beyond the vacancy and never enter.  Every gather and scatter goes
     through ``flat``.
 
-    Returns ``(find_len, steps, swaps, wrote, full, floating)``: the two
-    scan lengths, swap count and writeback flag per Subblock, the ones
-    left ``CONGESTED`` and their floating edges.
+    Returns ``(find_len, steps, swaps, wrote, full, floating, pending)``:
+    the two scan lengths, swap count and writeback flag per Subblock, the
+    ones left ``CONGESTED``, their floating edges, and the flat index of
+    every cell the walk stored a ``PENDING_CAL`` pointer into.
     """
     fd, fw, fp, fcb, fcs = fields
     size, n = flat.shape
@@ -352,17 +361,17 @@ def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
     fcs[to] = values[3]
     swaps = swap.sum(axis=0)
     return (np.minimum(_first(probed == EMPTY) + 1, size), np.minimum(t_vac + 1, size),
-            swaps, (t_vac < size) | (swaps > 0), full, floating)
+            swaps, (t_vac < size) | (swaps > 0), full, floating, to[values[2] == PENDING_CAL])
 
 
-def _patch_pending(pool, touched: list[np.ndarray], size: int,
+def _patch_pending(pool, touched: list[np.ndarray],
                    cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
-    """Rewrite every ``PENDING_CAL`` sentinel in the ``touched`` Subblock
-    rows of ``pool`` to its record's CAL address (``-1, -1`` for a
-    dropped one)."""
+    """Rewrite every ``PENDING_CAL`` sentinel among the ``touched`` flat
+    cells of ``pool`` to its record's CAL address (``-1, -1`` for a
+    dropped one).  A cell listed twice gets the same address twice."""
     blocks_f = pool.fields["cal_block"].reshape(-1)
     slots_f = pool.fields["cal_slot"].reshape(-1)
-    cells = (np.concatenate(touched) * size)[:, None] + np.arange(size)
+    cells = np.concatenate(touched)
     cells = cells[blocks_f[cells] == PENDING_CAL]
     rid = slots_f[cells]
     blocks_f[cells] = cal_block[rid]
@@ -392,7 +401,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     # (dense source, gen-0 Subblock); stream order within a group.
     dsts = edges[:, 1]
     key = dense * nsb + subblock_index_array(dsts, 0, nsb, seed)
-    order = np.argsort(key, kind="stable")
+    order = _stream_order(key)
     key_s = key[order]
     dst_s = dsts[order]
     w_s = weights[order]
@@ -418,8 +427,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     g = groups.shape[0]
     grp_end = np.append(first_pos[1:], n)
     cur = first_pos.copy()
-    # Per pool (MAIN, OVERFLOW): the Subblock rows the rounds' walks
-    # stored into — where a pending sentinel may sit.
+    # Per pool (MAIN, OVERFLOW): the flat cells the rounds' walks stored a
+    # pending sentinel into.
     touched: tuple[list, list] = ([], [])
     # The main region never regrows mid-chunk (capacity is ensured per
     # vertex row up front), so its raveled cell fields and child pointers
@@ -495,13 +504,13 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, edge[0])
                     flat, probed = _rolled_probe(fields[0], srow, ib, roll)
-                find_len, steps, n_swaps, wrote, full, edge = _rhh_walk(
+                find_len, steps, n_swaps, wrote, full, edge, pending = _rhh_walk(
                     fields, flat, probed, edge)
                 wf += int(fetches[ib, np.maximum(find_len, steps)].sum())
                 cs += int(find_len.sum()) + int(steps.sum())
                 swaps += int(n_swaps.sum())
                 wb += int(wrote.sum())
-                touched[OVERFLOW if gen else MAIN].append(srow[wrote])
+                touched[OVERFLOW if gen else MAIN].append(pending)
                 new[rid[np.delete(q, full)]] = True
                 if full.shape[0] == 0:
                     break
@@ -565,22 +574,24 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         if cal is not None:
             # Replay the appends in original stream order, then rewrite
             # every sentinel in one pass per pool.  The rounds' walks
-            # recorded where they stored; a residue op may push any pending
-            # cell anywhere in its group's subtree, so that is the group's
-            # gen-0 Subblock and every overflow row below it.
+            # recorded where they stored one; a residue op may push any
+            # pending cell anywhere in its group's subtree, so that adds
+            # every cell of the group's gen-0 Subblock and of every
+            # overflow row below it.
             cal_block = np.full(n, -1, dtype=np.int64)
             cal_slot = np.full(n, -1, dtype=np.int64)
             cal_block[live], cal_slot[live] = cal.append_many(
                 dense[live], dsts[live], p_w[live])
             res = groups[cur < grp_end]
-            touched[MAIN].append(res)
+            touched[MAIN].append(((res * size)[:, None] + np.arange(size)).ravel())
             kids = mkids[res]
             while (rows := kids[kids >= 0].astype(np.int64)).shape[0]:
-                touched[OVERFLOW].append(((rows * nsb)[:, None] + np.arange(nsb)).ravel())
+                touched[OVERFLOW].append(((rows * cfg.pagewidth)[:, None]
+                                          + np.arange(cfg.pagewidth)).ravel())
                 kids = ochild._data[rows].ravel()
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
                 if touched[region]:
-                    _patch_pending(pool, touched[region], size, cal_block, cal_slot)
+                    _patch_pending(pool, touched[region], cal_block, cal_slot)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb
@@ -609,9 +620,8 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     srcs = edges[:, 0]
     dsts = edges[:, 1]
     if gt.sgh is not None:
-        uniq, inverse = np.unique(srcs, return_inverse=True)
         stats.hash_lookups += n  # one try_lookup per row
-        dense = gt.sgh.peek_array(uniq)[inverse]
+        dense = gt.sgh.peek_array(srcs)
     else:
         dense = srcs
 
@@ -626,12 +636,15 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     rhh_on = eba._rhh_on
 
     # Occurrence number of each row among the chunk's equal (src, dst)
-    # pairs, in stream order (lexsort is stable): the round it runs in.
-    order = np.lexsort((dsts, dense))
-    d_s = dense[order]
-    t_s = dsts[order]
+    # pairs, in stream order: the round it runs in.  One key per pair,
+    # `dst` as its rank among the chunk's (< m), so the key stays below
+    # n_vertices * m whatever the ids.
+    _, rank = np.unique(dsts, return_inverse=True)
+    key = dense * m + rank
+    order = _stream_order(key)
+    k_s = key[order]
     first = np.ones(m, dtype=bool)
-    first[1:] = (d_s[1:] != d_s[:-1]) | (t_s[1:] != t_s[:-1])
+    first[1:] = k_s[1:] != k_s[:-1]
     idx = np.arange(m)
     occurrence = np.empty(m, dtype=np.int64)
     occurrence[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))

@@ -55,6 +55,19 @@ STINGER_CELL_DTYPE = np.dtype(
 )
 
 
+def grow(arr: np.ndarray, n: int, fill=0) -> np.ndarray:
+    """``arr`` if it has ``n`` rows, else a copy whose row capacity is
+    doubled until it does, the new rows set to ``fill``."""
+    cap = new_cap = arr.shape[0]
+    if n <= cap:
+        return arr
+    while new_cap < n:
+        new_cap *= 2
+    out = np.full((new_cap, *arr.shape[1:]), fill, dtype=arr.dtype)
+    out[:cap] = arr
+    return out
+
+
 def blank_edge_cells(shape: tuple[int, ...] | int) -> np.ndarray:
     """Return an EDGE_CELL array initialised to the empty state."""
     arr = np.zeros(shape, dtype=EDGE_CELL_DTYPE)

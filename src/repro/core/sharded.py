@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.core.config import ShardedConfig
 from repro.core.hashing import partition_of, partition_of_array
+from repro.core.pool import grow
 from repro.core.stats import STAT_FIELDS as _FIELDS, AccessStats
 from repro.core.store import RowStoreDefaults
 from repro.errors import ShardCrashError, VertexNotFoundError
@@ -330,14 +331,7 @@ class ShardedStore(RowStoreDefaults):
         return partition_of(src, self.config.n_shards, self.config.seed)
 
     def _ensure_vertex(self, src: int) -> None:
-        cap = self._degree.shape[0]
-        if src >= cap:
-            new_cap = cap
-            while new_cap <= src:
-                new_cap *= 2
-            degree = np.zeros(new_cap, dtype=np.int64)
-            degree[:cap] = self._degree
-            self._degree = degree
+        self._degree = grow(self._degree, src + 1)
         if src >= self._n_vertices:
             self._n_vertices = src + 1
 

@@ -49,6 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import TieredConfig
+from repro.core.pool import grow
 from repro.core.store import RowStoreDefaults
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
@@ -203,15 +204,8 @@ class TieredStore(RowStoreDefaults):
         return TIER_LARGE
 
     def _ensure_vertex(self, src: int) -> None:
-        cap = len(self._rows)
-        if src >= cap:
-            new_cap = cap
-            while new_cap <= src:
-                new_cap *= 2
-            self._rows.extend([None] * (new_cap - cap))
-            degree = np.zeros(new_cap, dtype=np.int64)
-            degree[:cap] = self._degree
-            self._degree = degree
+        self._degree = grow(self._degree, src + 1)
+        self._rows.extend([None] * (self._degree.shape[0] - len(self._rows)))
         if src >= self._n_vertices:
             self._n_vertices = src + 1
 

@@ -19,7 +19,8 @@ silently relies on:
 * every edge-cell's CAL-pointer resolves to a live CAL slot holding the
   same ``(src, dst, weight)``, every live CAL slot is owned by exactly
   one cell, and the CAL's live count matches the EdgeblockArray's;
-* the SGH forward/reverse renaming tables are mutually inverse;
+* the SGH forward/reverse renaming tables are mutually inverse, and the
+  batch index resolves every forward key as the forward table does;
 * the overflow pool's free-list is sane: no freed block is referenced by
   a child pointer, no live block is shared by two parents or orphaned.
 
@@ -43,6 +44,7 @@ See docs/robustness.md for the full invariant/repair catalogue.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,7 +66,7 @@ V_CAL_DANGLING = "cal-pointer-dangling"  # CAL-pointer outside the CAL
 V_CAL_MISMATCH = "cal-copy-mismatch"    # CAL copy disagrees with owner
 V_CAL_GHOST = "cal-ghost-copy"          # live CAL slot without an owner
 V_CAL_COUNT = "cal-count-mismatch"      # CAL live count vs EBA live count
-V_SGH = "sgh-mapping"                   # forward/reverse tables disagree
+V_SGH = "sgh-mapping"                   # forward/reverse/index disagree
 V_POOL = "pool-freelist"                # freed/orphaned/shared blocks
 
 #: Checks cheap enough for the bounded post-recovery fsck.
@@ -270,34 +272,38 @@ def _walk_vertex(gt, src: int, freed: set[int],
     return cells_out
 
 
+def _tree_blocks(eba, src: int, freed: set[int]):
+    """Yield each ``(region, block)`` of ``src``'s edgeblock tree once, in
+    the order a depth-first walk discovers them, following no child
+    pointer to a freed or never-allocated block and no cycle (the full
+    walker reports those)."""
+    stack = [(MAIN, src)]
+    seen = set(stack)
+    yield stack[0]
+    while stack:
+        region, block = stack.pop()
+        children = eba._children(region).row(block)
+        for child in children[children >= 0].tolist():
+            node = (OVERFLOW, child)
+            if 0 <= child < eba.overflow.high_water and child not in freed and node not in seen:
+                seen.add(node)
+                stack.append(node)
+                yield node
+
+
 def _quick_vertex_count(gt, src: int, freed: set[int] | None = None) -> tuple[int, int, int]:
     """(live cells, duplicate count, cells whose dst is below the TOMBSTONE
     sentinel — bit damage) of one vertex, vectorised per block."""
     eba = gt.eba
     freed = _freed_overflow(eba) if freed is None else freed
-    live = dup = bad = 0
+    live = bad = 0
     seen: list[np.ndarray] = []
-    stack = [(MAIN, src)]
-    visited: set[tuple[int, int]] = set()
-    while stack:
-        region, block = stack.pop()
-        if (region, block) in visited:
-            continue  # cycle: the full walker reports it
-        visited.add((region, block))
+    for region, block in _tree_blocks(eba, src, freed):
         dsts = eba._pool(region).fields["dst"][block]
-        mask = dsts >= 0
-        live += int(mask.sum())
+        live += int((dsts >= 0).sum())
         bad += int((dsts < int(TOMBSTONE)).sum())
-        if mask.any():
-            seen.append(dsts[mask])
-        children = eba._children(region).row(block)
-        for child in children[children >= 0].tolist():
-            if 0 <= child < eba.overflow.high_water and child not in freed:
-                stack.append((OVERFLOW, int(child)))
-    if seen:
-        all_dsts = np.concatenate(seen)
-        dup = all_dsts.shape[0] - int(np.unique(all_dsts).shape[0])
-    return live, dup, bad
+        seen.append(dsts[dsts >= 0])
+    return live, live - int(np.unique(np.concatenate(seen)).shape[0]), bad
 
 
 # --------------------------------------------------------------------- #
@@ -353,10 +359,7 @@ def _run_checks(gt, level: str, report: VerifyReport) -> None:
             live = len(cells)
             dsts = [c.dst for c in cells]
             if len(set(dsts)) != len(dsts):
-                counts: dict[int, int] = {}
-                for d in dsts:
-                    counts[d] = counts.get(d, 0) + 1
-                dups = sorted(d for d, n in counts.items() if n > 1)
+                dups = sorted(d for d, n in Counter(dsts).items() if n > 1)
                 emit(IntegrityViolation(
                     V_DUPLICATE, src,
                     f"destination(s) {dups[:8]} stored more than once"))
@@ -471,6 +474,16 @@ def _check_sgh(gt, emit) -> None:
                 V_SGH, dense,
                 f"forward says {orig} -> {dense} but reverse[{dense}] = "
                 f"{int(reverse[dense])}"))
+    # The batch index must agree with the dict for every key it covers.
+    keys = np.fromiter(sgh._forward, np.int64, len(sgh._forward))
+    got = sgh.peek_array(keys)
+    if sgh._covered != len(sgh):
+        emit(IntegrityViolation(
+            V_SGH, -1, f"SGH index covers {sgh._covered} of {len(sgh)} ids"))
+    for i in np.flatnonzero(got != np.fromiter(sgh._forward.values(), np.int64, keys.shape[0])):
+        emit(IntegrityViolation(
+            V_SGH, -1, f"SGH index resolves {int(keys[i])} to {int(got[i])}, "
+                       f"the forward table to {sgh._forward[int(keys[i])]}"))
 
 
 def _check_pools(gt, freed: set[int], emit) -> None:
@@ -490,11 +503,7 @@ def _check_pools(gt, freed: set[int], emit) -> None:
                 f"overflow free-list entry {idx} was never allocated"))
     # Reference counting: every live overflow block must be the child of
     # exactly one (block, subblock); anything else is a leak or a share.
-    refs: dict[int, int] = {}
-    for matrix in (eba._main_children, eba._overflow_children):
-        data = matrix._data
-        for child in data[data >= 0].tolist():
-            refs[child] = refs.get(child, 0) + 1
+    refs = _child_refs(eba)
     for child, n in refs.items():
         if n > 1:
             emit(IntegrityViolation(
@@ -506,6 +515,12 @@ def _check_pools(gt, freed: set[int], emit) -> None:
                 V_POOL, -1,
                 f"overflow block {block} is allocated but unreachable "
                 f"(orphan)"))
+
+
+def _child_refs(eba) -> Counter:
+    """How many child pointers name each overflow block."""
+    return Counter(child for matrix in (eba._main_children, eba._overflow_children)
+                   for child in matrix._data[matrix._data >= 0].tolist())
 
 
 def _publish(report: VerifyReport) -> None:
@@ -535,7 +550,8 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
       disagree; unclaimed live CAL copies recover edges whose cells were
       wiped), the vertex's tree and CAL copies are cleared, and the
       reconciled edges are reinserted through the normal insert path;
-    * SGH reverse entries are rebuilt from the forward table;
+    * SGH reverse entries and the SGH batch index are rebuilt from the
+      forward table;
     * orphaned overflow blocks are returned to the pool.
 
     Stores running delete-and-compact rebuild wholesale (the CAL dense-
@@ -607,32 +623,28 @@ def _global_cal_owners(gt) -> dict[tuple[int, int], list[tuple[int, int, float]]
     edge-cell claiming it (normally exactly one; corruption can make it
     zero or several)."""
     eba = gt.eba
-    cal = gt.cal
     freed = _freed_overflow(eba)
-    freed_cal = set(cal.pool._free)
+    freed_cal = set(gt.cal.pool._free)
     owners: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
     for src in range(eba.n_vertices):
-        stack = [(MAIN, src)]
-        visited: set[tuple[int, int]] = set()
-        while stack:
-            region, block = stack.pop()
-            if (region, block) in visited:
-                continue
-            visited.add((region, block))
+        for region, block in _tree_blocks(eba, src, freed):
             cells = eba._pool(region).fields
-            for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
-                b = int(cells["cal_block"][block, slot])
-                s = int(cells["cal_slot"][block, slot])
-                if 0 <= b < cal.pool.high_water and b not in freed_cal \
-                        and 0 <= s < gt.config.cal_block_size:
-                    owners.setdefault((b, s), []).append(
-                        (src, int(cells["dst"][block, slot]),
-                         float(cells["weight"][block, slot])))
-            children = eba._children(region).row(block)
-            for child in children[children >= 0].tolist():
-                if 0 <= child < eba.overflow.high_water and child not in freed:
-                    stack.append((OVERFLOW, int(child)))
+            for slot, ptr in _cal_pointers(gt, region, block, freed_cal):
+                owners.setdefault(ptr, []).append(
+                    (src, int(cells["dst"][block, slot]),
+                     float(cells["weight"][block, slot])))
     return owners
+
+
+def _cal_pointers(gt, region: int, block: int, freed_cal: set[int]):
+    """Yield ``(slot, (cal_block, cal_slot))`` for each live cell of the
+    block whose CAL-pointer lands on an allocated, in-bounds CAL slot."""
+    cells = gt.eba._pool(region).fields
+    for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
+        b, s = int(cells["cal_block"][block, slot]), int(cells["cal_slot"][block, slot])
+        if 0 <= b < gt.cal.pool.high_water and b not in freed_cal \
+                and 0 <= s < gt.config.cal_block_size:
+            yield slot, (b, s)
 
 
 def _reconcile_vertex(gt, vertex: int, owners: dict) -> dict[int, float]:
@@ -706,31 +718,12 @@ def _wipe_vertex(gt, vertex: int, out: RepairReport,
     cal = gt.cal
     freed = _freed_overflow(eba)
     freed_cal = set(cal.pool._free) if cal is not None else set()
-    subtree: list[int] = []
-    pointed: set[tuple[int, int]] = set()
-    stack = [(MAIN, vertex)]
-    visited: set[tuple[int, int]] = set()
-    while stack:
-        region, block = stack.pop()
-        if (region, block) in visited:
-            continue
-        visited.add((region, block))
-        if cal is not None:
-            cells = eba._pool(region).fields
-            for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
-                b = int(cells["cal_block"][block, slot])
-                s = int(cells["cal_slot"][block, slot])
-                if 0 <= b < cal.pool.high_water and b not in freed_cal \
-                        and 0 <= s < gt.config.cal_block_size:
-                    pointed.add((b, s))
-        children = eba._children(region).row(block)
-        for child in children[children >= 0].tolist():
-            if 0 <= child < eba.overflow.high_water and child not in freed:
-                subtree.append(int(child))
-                stack.append((OVERFLOW, int(child)))
+    blocks = list(_tree_blocks(eba, vertex, freed))
+    pointed = {ptr for region, block in blocks if cal is not None
+               for _, ptr in _cal_pointers(gt, region, block, freed_cal)}
     eba.main.blank(vertex)
     eba._main_children.clear_row(vertex)
-    for block in dict.fromkeys(subtree):      # dedup, preserve order
+    for _, block in blocks[1:]:             # the overflow rows below it
         eba._overflow_children.clear_row(block)
         eba.overflow.blank(block)
         eba.overflow.free(block)
@@ -761,15 +754,11 @@ def _recount_cal(gt) -> None:
         return
     from repro.core.cal import CAL_INVALID
 
-    freed = set(cal.pool._free)
-    total = 0
-    for block in range(cal.pool.high_water):
-        if block in freed:
-            continue
-        n = int((cal.pool.fields["src"][block] != CAL_INVALID).sum())
-        cal._valid_count[block] = n
-        total += n
-    cal._n_valid = total
+    used = np.ones(cal.pool.high_water, dtype=bool)
+    used[list(cal.pool._free)] = False
+    counts = (cal.pool.fields["src"][: used.shape[0]][used] != CAL_INVALID).sum(axis=1)
+    cal._valid_count._data[np.flatnonzero(used)] = counts
+    cal._n_valid = int(counts.sum())
 
 
 def _repair_sgh(gt, out: RepairReport) -> None:
@@ -783,15 +772,13 @@ def _repair_sgh(gt, out: RepairReport) -> None:
             out.actions.append(
                 f"restored SGH reverse[{dense}] = {orig} from the forward "
                 f"table")
+    sgh._reindex()
 
 
 def _free_orphans(gt, out: RepairReport) -> None:
     eba = gt.eba
     freed = _freed_overflow(eba)
-    refs: set[int] = set()
-    for matrix in (eba._main_children, eba._overflow_children):
-        data = matrix._data
-        refs.update(data[data >= 0].tolist())
+    refs = _child_refs(eba)
     for block in range(eba.overflow.high_water):
         if block not in freed and block not in refs:
             eba._overflow_children.clear_row(block)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.pool import grow
+
 #: Flag bit: vertex is active in the current engine iteration.
 FLAG_ACTIVE = np.uint8(1)
 #: Flag bit: vertex was touched by the latest update batch (inconsistent).
@@ -32,25 +34,13 @@ class VertexPropertyArray:
     def __len__(self) -> int:
         return self._count
 
-    def _grow_to(self, n: int) -> None:
-        cap = self._degree.shape[0]
-        if n <= cap:
-            return
-        new_cap = cap
-        while new_cap < n:
-            new_cap *= 2
-        degree = np.zeros(new_cap, dtype=np.int64)
-        value = np.full(new_cap, np.inf, dtype=np.float64)
-        flags = np.zeros(new_cap, dtype=np.uint8)
-        degree[:cap] = self._degree
-        value[:cap] = self._value
-        flags[:cap] = self._flags
-        self._degree, self._value, self._flags = degree, value, flags
-
     def ensure(self, vid: int) -> None:
         """Make dense ids ``0..vid`` addressable (new slots zeroed/inf)."""
         if vid >= self._count:
-            self._grow_to(vid + 1)
+            if vid >= self._degree.shape[0]:
+                self._degree = grow(self._degree, vid + 1)
+                self._value = grow(self._value, vid + 1, np.inf)
+                self._flags = grow(self._flags, vid + 1)
             self._count = vid + 1
 
     # -- degrees -------------------------------------------------------- #

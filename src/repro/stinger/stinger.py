@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.config import StingerConfig
-from repro.core.pool import STINGER_CELL_DTYPE, BlockPool
+from repro.core.pool import STINGER_CELL_DTYPE, BlockPool, grow
 from repro.core.stats import AccessStats
 from repro.core.store import RowStoreDefaults
 from repro.obs import hooks as obs_hooks
@@ -87,28 +87,12 @@ class Stinger(RowStoreDefaults):
     def _ensure_vertex(self, src: int) -> None:
         if src < self._n_vertices:
             return
-        cap = self._head.shape[0]
-        if src >= cap:
-            new_cap = cap
-            while new_cap <= src:
-                new_cap *= 2
-            head = np.full(new_cap, -1, dtype=np.int64)
-            degree = np.zeros(new_cap, dtype=np.int64)
-            head[:cap] = self._head
-            degree[:cap] = self._degree
-            self._head, self._degree = head, degree
+        self._head = grow(self._head, src + 1, -1)
+        self._degree = grow(self._degree, src + 1)
         self._n_vertices = src + 1
 
     def _ensure_next(self, block: int) -> None:
-        cap = self._next.shape[0]
-        if block < cap:
-            return
-        new_cap = cap
-        while new_cap <= block:
-            new_cap *= 2
-        nxt = np.full(new_cap, -1, dtype=np.int64)
-        nxt[:cap] = self._next
-        self._next = nxt
+        self._next = grow(self._next, block + 1, -1)
 
     # ------------------------------------------------------------------ #
     # updates

@@ -360,6 +360,32 @@ class TestLevelSynchronousDelete:
         # Two charged descents: the second one off the end of the chain.
         assert vector.stats.branch_descents - before == 2
 
+    def test_grouping_key_cannot_overflow(self):
+        """The pair key packs ``dst`` as its rank in the chunk, so no id
+        can overflow it: dsts near 2**62, dense sources past 2**16, pairs
+        repeated up to 5 times.  The last batch puts a miss in front of a
+        present pair repeated behind it, on the same dst from sources
+        whose dense ids agree mod 4: the pairs a key multiplying dense
+        ids by ``max(dst) + 1`` wraps onto one value."""
+        top, n_src = 1 << 62, (1 << 16) + 64
+        idx = np.arange(n_src)
+        src = 10 * idx + 3                           # dense id == index
+        edges = np.vstack([np.column_stack([src, top - idx % 5]),
+                           np.column_stack([src[-64:], top - 7 - np.arange(64)])])
+        a, b = n_src - 4, n_src - 8                  # equal mod 4
+        assert (a - b) % 4 == 0 and min(a, b) >= 1 << 16
+        present = [src[b], top - b % 5]
+        rng = np.random.default_rng(12)
+        late = edges[(edges[:, 0] > src[1 << 16]) & (edges[:, 0] != src[b])]
+        picks = late[rng.integers(0, late.shape[0], 150)]
+        mixed = np.vstack([np.repeat(picks, rng.integers(1, 6, 150), axis=0),
+                           [[src[-1], top - 999], [src[-2], 5]]])
+        crafted = [[src[a], present[1]]] + [present] * 5
+        _, vector = delete_pair(GTConfig(**SMALL), edges,
+                                [rng.permutation(mixed), crafted])
+        assert vector.stats.edges_deleted == np.unique(picks, axis=0).shape[0] + 1
+        vector.check_invariants()
+
     def test_negative_dst_is_a_miss_with_no_charge(self):
         edges = np.array([[1, 2], [1, 3]], dtype=np.int64)
         batch = [[1, -1], [1, -2], [-1, 2], [-1, -1], [9, -1]]
@@ -768,7 +794,7 @@ class TestLevelSynchronousInsert:
         roll = rhh.subblock_tables(size, 4)[0]
         flat, probed = _rolled_probe(D.reshape(-1), np.arange(n), ib, roll)
         assert not _find(flat, probed, edge[0], True)[0].any()
-        find_len, steps, swaps, wrote, full, floating = _rhh_walk(
+        find_len, steps, swaps, wrote, full, floating, _ = _rhh_walk(
             tuple(f.reshape(-1) for f in fields), flat, probed, edge)
         congested = dict(zip(full.tolist(), zip(*(f.tolist() for f in floating))))
         assert 0 < len(congested) < n and swaps.max() >= 3

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.hashing import mix64
 from repro.core.sgh import ScatterGatherHash
 from repro.errors import VertexNotFoundError
 
@@ -114,6 +115,111 @@ class TestGrowthAndBatch:
             assert bulk._forward == loop._forward and len(bulk) == len(loop)
             assert bulk._reverse.tolist() == loop._reverse.tolist()
             assert bulk.stats.hash_lookups == loop.stats.hash_lookups
+
+
+def assert_index_is_the_dict(sgh, ids):
+    """``peek_array`` is a loop of ``dict.get`` (uncharged) and
+    ``try_lookup_array`` a loop of ``try_lookup``, charges included."""
+    ids = np.asarray(ids, dtype=np.int64)
+    want = [sgh._forward.get(i, -1) for i in ids.tolist()]
+    before = sgh.stats.hash_lookups
+    got = sgh.peek_array(ids)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert sgh.stats.hash_lookups == before
+    assert sgh.try_lookup_array(ids).tolist() == want
+    charged = sgh.stats.hash_lookups - before
+    loop = [sgh.try_lookup(i) for i in ids.tolist()]
+    assert [-1 if w is None else w for w in loop] == want
+    assert sgh.stats.hash_lookups - before == 2 * charged == 2 * ids.shape[0]
+
+
+class TestBatchIndex:
+    """The NumPy index ``peek_array`` reads resolves exactly as the dict."""
+
+    def test_sparse_ids_up_to_2_62(self):
+        rng = np.random.default_rng(3)
+        sgh = ScatterGatherHash()
+        ids = np.unique(rng.integers(0, 2**62, 3000, dtype=np.int64))
+        ids = ids[rng.permutation(ids.shape[0])]
+        sgh.hash_new_ids(ids[:1000])
+        for i in ids[1000:1500].tolist():
+            sgh.hash_id(i)
+        sgh.hash_new_ids(ids[1500:2000])
+        probe = np.concatenate([ids, [0, 2**62, 2**63 - 1], ids[::7]])
+        assert_index_is_the_dict(sgh, probe[rng.permutation(probe.shape[0])])
+
+    def test_negative_ids_miss(self):
+        """A free slot holds -1 in both columns: probing for -1 ends there."""
+        negatives = [-1, -2, -1, -(2**63), -12345]
+        empty = ScatterGatherHash()
+        assert_index_is_the_dict(empty, negatives)
+        sgh = ScatterGatherHash()
+        sgh.hash_new_ids(np.arange(0, 600, 3, dtype=np.int64))
+        assert_index_is_the_dict(sgh, negatives + [0, 3, 4])
+        assert (sgh.peek_array(np.full(50, -1)) == -1).all()
+
+    def test_scalar_ids_are_absorbed_on_the_next_batch_call(self):
+        sgh = ScatterGatherHash()
+        sgh.hash_new_ids(np.array([10, 20, 30]))
+        assert sgh._covered == 3
+        assert [sgh.hash_id(i) for i in (40, 20, 50)] == [3, 1, 4]
+        assert sgh._covered == 3 and len(sgh) == 5   # lazy: not yet indexed
+        assert_index_is_the_dict(sgh, [50, 40, 30, 20, 10, 60])
+        assert sgh._covered == 5
+        sgh.hash_id(60)
+        assert sgh.hash_new_ids(np.array([70, 80])).tolist() == [6, 7]
+        assert_index_is_the_dict(sgh, [60, 70, 80, 90])
+
+    def test_ten_growth_rebuilds(self):
+        sgh = ScatterGatherHash(initial_capacity=2)
+        fresh = iter(range(5, 10**9, 7919))
+        capacities = {sgh._keys.shape[0]}
+        for step in range(14):
+            batch = np.array([next(fresh) for _ in range(1 << step)], dtype=np.int64)
+            if step % 3:
+                sgh.hash_new_ids(batch)
+            else:
+                for i in batch.tolist():
+                    sgh.hash_id(i)
+            assert_index_is_the_dict(sgh, np.append(batch, batch + 1))
+            capacities.add(sgh._keys.shape[0])
+            assert 8 * len(sgh) <= sgh._keys.shape[0]
+        assert len(capacities) >= 11
+        assert_index_is_the_dict(sgh, np.fromiter(sgh._forward, np.int64))
+
+    def test_chain_wraps_past_the_table_end(self):
+        """Keys brute-forced to share the last slot as home: the chain
+        crosses the end of the table and continues at slot 0."""
+        cap = 32   # the table four ids at load <= 1/8 take
+        last = [k for k in range(200_000) if mix64(k) & (cap - 1) == cap - 1][:6]
+        sgh = ScatterGatherHash()
+        sgh.hash_new_ids(np.array(last[:4]))
+        assert sgh._keys.shape[0] == cap
+        assert sgh._keys[cap - 1] in last and sgh._keys[0] in last
+        assert_index_is_the_dict(sgh, last + [-1, 0])
+
+
+_ids = st.integers(min_value=0, max_value=2**62)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["hash_id", "hash_new_ids", "peek_array"]),
+                          st.lists(_ids | st.integers(-3, 40), max_size=20)),
+                max_size=25))
+def test_index_tracks_the_dict_under_interleaved_calls(ops):
+    """Property: whatever mix of scalar assignment, bulk assignment and
+    batch lookups, the index resolves every id as the dict does."""
+    sgh = ScatterGatherHash(initial_capacity=1)
+    for op, ids in ops:
+        if op == "hash_id":
+            for i in ids:
+                if i >= 0:
+                    sgh.hash_id(i)
+        elif op == "hash_new_ids":
+            fresh = [i for i in dict.fromkeys(ids) if i >= 0 and i not in sgh]
+            sgh.hash_new_ids(np.array(fresh, dtype=np.int64))
+        else:
+            assert_index_is_the_dict(sgh, ids)
+    assert_index_is_the_dict(sgh, list(sgh._forward) + [-1])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=500))

@@ -17,6 +17,7 @@ import pytest
 import repro.obs as obs
 from repro.core.config import GTConfig
 from repro.core.graphtinker import GraphTinker
+from repro.core.store import store_digest
 from repro.core.verify import (
     RepairReport,
     VerifyReport,
@@ -149,6 +150,56 @@ class TestCorruptionClasses:
         repair = repair_graph(gt)
         assert repair.ok, repair.final.summary()
         assert gt.n_edges == n_ref
+
+
+class TestSghIndex:
+    """The batch index ``peek_array`` reads is audited against the dict,
+    and repair rebuilds it from the dict."""
+
+    def test_overwritten_index_key_is_flagged_and_rebuilt(self):
+        gt, ref = (build(CONFIGS["default"], 31) for _ in range(2))
+        sgh = gt.sgh
+        slot = int(np.flatnonzero(sgh._keys >= 0)[0])
+        victim = int(sgh._keys[slot])
+        sgh._keys[slot] = 10**15          # an id never hashed
+        assert "sgh-mapping" in verify_graph(gt).by_kind()
+        assert gt.fsck(repair=True).ok
+        # The victim's existing edges again, and new ones: a stale index
+        # would rename it afresh and store each of them a second time.
+        src, dst, _ = gt.edge_arrays()
+        mine = dst[src == gt.dense_id(victim)]
+        again = np.column_stack([np.full(mine.shape[0], victim), mine])
+        extra = np.vstack([again, rmat_edges(8, 400, seed=77), [[victim, 4321]]])
+        for store in (gt, ref):
+            store.insert_batch(extra)
+        assert store_digest(gt) == store_digest(ref)
+        assert gt.n_vertices == ref.n_vertices
+        assert verify_graph(gt).ok
+
+    def test_scalar_ids_are_absorbed_from_the_dict_not_reverse(self):
+        """The ``sgh`` corruption writes into ``_reverse`` while the id it
+        breaks, assigned by a scalar insert, still waits to be absorbed;
+        the batch that absorbs it must still rename like the dict."""
+        first = np.column_stack([np.arange(33), np.arange(33) + 1])
+        late = np.column_stack([1000 + 10 * np.arange(30), np.arange(30)])
+        gt, ref = (GraphTinker(CONFIGS["default"]) for _ in range(2))
+        for store in (gt, ref):
+            store.insert_batch(first)
+            for s, d in late.tolist():
+                store.insert_edge(s, d)
+        sgh = gt.sgh
+        capacity = sgh._keys.shape[0]
+        assert sgh._covered == 33 and len(sgh) == 63 <= capacity // 8
+        before = sgh._reverse.copy()
+        StoreCorruptor(gt, seed=0).corrupt("sgh")
+        (broken,) = np.flatnonzero(sgh._reverse != before)
+        assert broken >= sgh._covered             # still waiting to be absorbed
+        for store in (gt, ref):
+            store.insert_batch(np.vstack([late, first]))
+        assert sgh._keys.shape[0] == capacity     # absorbed, not rebuilt
+        assert len(sgh) == len(ref.sgh)
+        assert repair_graph(gt).ok
+        assert store_digest(gt) == store_digest(ref)
 
 
 class TestRandomizedRepair:
