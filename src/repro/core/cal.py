@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import GTConfig
+from repro.core.kernels import _stream_order
 from repro.core.pool import CAL_CELL_DTYPE, BlockPool, grow
 from repro.core.stats import AccessStats
 
@@ -147,11 +148,13 @@ class CoarseAdjacencyList:
         same slot layout, tail/fill evolution, chain links, block
         *allocation order* (and therefore the same pool row ids, free-list
         included) and the same ``cal_updates`` total.  The batch is
-        grouped stably (stream order within a group is the only order the
-        layout depends on) and laid out arithmetically: an append's
-        *virtual slot* ``q`` counts from the start of its group's current
-        tail block, so it lands in slot ``q % bs`` and opens a fresh block
-        exactly when that is 0 past the tail.  Fresh blocks are allocated
+        grouped by one sort of ``group * n + index`` (stream order within
+        a group is the only order the layout depends on; the key stays
+        below 2**63 for dense ids below 2**48 at ``n <= CHUNK_EDGES``)
+        and laid out arithmetically: an append's *virtual slot* ``q``
+        counts from the start of its group's current tail block, so it
+        lands in slot ``q % bs`` and opens a fresh block exactly when
+        that is 0 past the tail.  Fresh blocks are allocated
         in original stream order; links, cells and counts are array
         stores.  This is the vector batch kernel's CAL replay primitive.
         """
@@ -160,8 +163,11 @@ class CoarseAdjacencyList:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         bs = self.config.cal_block_size
         groups = srcs // self.config.cal_group_width
-        order = np.argsort(groups, kind="stable")
-        uniq, starts, counts = np.unique(groups[order], return_index=True, return_counts=True)
+        order = _stream_order(groups)
+        sorted_groups = groups[order]
+        starts = np.flatnonzero(np.diff(sorted_groups, prepend=-1))
+        uniq = sorted_groups[starts]
+        counts = np.diff(starts, append=n)
         self._ensure_group(int(uniq[-1]))
         tail = self._group_tail._data[uniq]
         # A group with a tail continues it (its fill is >= 1 outside
@@ -202,10 +208,9 @@ class CoarseAdjacencyList:
         slots_out = np.empty(n, dtype=np.int64)
         blocks_out[order] = block
         slots_out[order] = slot
-        cells = self.pool.fields
-        cells["src"][blocks_out, slots_out] = srcs
-        cells["dst"][blocks_out, slots_out] = dsts
-        cells["weight"][blocks_out, slots_out] = weights
+        flat = blocks_out * bs + slots_out
+        for name, values in (("src", srcs), ("dst", dsts), ("weight", weights)):
+            self.pool.fields[name].reshape(-1)[flat] = values
         self._n_valid += n
         self.stats.cal_updates += n
         return blocks_out, slots_out
@@ -238,16 +243,15 @@ class CoarseAdjacencyList:
             raise IndexError("CAL block was never allocated")
         if slots.min() < 0 or slots.max() >= bs:
             raise IndexError("CAL slot out of range")
-        src = self.pool.fields["src"]
+        src = self.pool.fields["src"].reshape(-1)
         addr = np.sort(blocks.astype(np.int64) * bs + slots)
-        blocks, slots = np.divmod(addr, bs)
-        live = src[blocks, slots] != CAL_INVALID
+        live = src[addr] != CAL_INVALID
         live[1:] &= addr[1:] != addr[:-1]  # a repeated address counts once
-        blocks = blocks[live]
-        src[blocks, slots[live]] = CAL_INVALID
-        np.subtract.at(self._valid_count._data, blocks, 1)
-        self._n_valid -= blocks.shape[0]
-        self.stats.cal_updates += blocks.shape[0]
+        addr = addr[live]
+        src[addr] = CAL_INVALID
+        np.subtract.at(self._valid_count._data, addr // bs, 1)
+        self._n_valid -= addr.shape[0]
+        self.stats.cal_updates += addr.shape[0]
 
     def read_slot(self, block: int, slot: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""

@@ -94,8 +94,9 @@ and item 5 keeps its own per-pass overhead from taking their place:
 5. **Subblocks as rows, geometry as tables** — a cell field is one
    C-contiguous ``(capacity, pagewidth)`` array, so Subblock row
    ``b * nsb + sb`` is ``size`` consecutive cells of it.  A level pass
-   does every gather and scatter through one flat index built from the
-   probe-order table ``roll``, and charges fetches by lookup in
+   does every gather and scatter through one flat index: one ``take`` of
+   the probe-order table ``roll``'s columns plus each row's base, no 2-D
+   fancy index.  It charges fetches by lookup in
    ``fetches[bucket, length]``; both tables are derived once per
    geometry (:func:`~repro.core.robin_hood.subblock_tables`).  Rolled
    cells are held probe-step major, ``(size, ops)``, so the short
@@ -129,19 +130,21 @@ and -1 into the two CAL-pointer fields, never touches ``weight``/``probe``
 and never allocates, frees or moves a cell or a child pointer.  Two
 deletes on distinct ``(dense source, dst)`` pairs therefore find the same
 things in either order, every ``AccessStats`` field is a sum, and only
-*repeats of one pair inside a chunk* are ordered.  :func:`_delete_chunk`
-ranks each row by its occurrence number among equal pairs — one sort of
-one packed key, ``dense * m + rank(dst)``, which no id can overflow —
-and runs one round per rank (one round unless the batch repeats an
-edge; a round that hits nothing lets every repeat still waiting share
-the next one, so a batch of one edge a thousand times over is three
-rounds).  A round is
-level-synchronous: one flat index gathers every active op's Subblock,
-rolled to probe order, from the level's pool (generation 0 is all main
-region, every later generation all overflow); hits are tombstoned with
-one scatter per field through the same index; misses whose Subblock has
-a child carry on to the next level.  After the rounds the chunk's
-degrees drop with one ``subtract.at`` per array and its CAL copies with one
+*repeats of one pair inside a chunk* are ordered — and a pair is stored
+at most once, so its repeats take one path and hit one cell at one
+level: one of them deletes it, the rest probe past its tombstone and
+miss, and which one wins is unobservable.  :func:`_delete_chunk` is
+therefore one level-synchronous pass, with no grouping: one flat index
+gathers every active op's Subblock, rolled to probe order, from the
+level's pool (generation 0 is all main region, every later generation
+all overflow).  Each hit writes its own index into its cell's
+``cal_slot``, and the hits that read their index back are the winners
+(the field is reset one line later); winners are tombstoned with one
+scatter per field through the same index, and the losers — only when a
+chunk repeats a pair — re-probe the tombstoned level through
+:func:`_find` and carry on as misses.  Misses whose Subblock has a child
+carry on to the next level.  After the pass the chunk's degrees drop
+with one ``subtract.at`` per array and its CAL copies with one
 :meth:`CoarseAdjacencyList.invalidate_many`.
 
 The delete-and-compact configuration is *not* vectorised: compaction
@@ -225,6 +228,9 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
         return srcs
     dense = gt.sgh.peek_array(srcs)
     miss = np.flatnonzero(dense < 0)
+    if miss.shape[0] == 0:
+        gt.stats.hash_lookups += srcs.shape[0]
+        return dense
     uniq, first_idx, inverse = np.unique(srcs[miss], return_index=True, return_inverse=True)
     by_first = np.argsort(first_idx)
     new_ids = gt.sgh.hash_new_ids(uniq[by_first])  # in first-appearance order
@@ -234,8 +240,9 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
 
 
 def _stream_order(key: np.ndarray) -> np.ndarray:
-    """``argsort(key, kind="stable")`` for a chunk's keys (each in ``[0,
-    n_vertices * CHUNK_EDGES)``): one faster default sort, ties by index."""
+    """``argsort(key, kind="stable")`` for ``n`` non-negative keys whose
+    ``(max + 1) * n`` stays below 2**63 (a chunk's group keys are below
+    ``n_vertices * nsb``): one default sort of ``key * n + index``."""
     n = key.shape[0]
     return np.argsort(key * n + np.arange(n))
 
@@ -255,7 +262,7 @@ def _rolled_probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray,
     of a pass is one vector op over all the Subblocks and the short
     Subblock axis is never NumPy's inner loop.
     """
-    flat = srow * roll.shape[0] + roll[:, ib]
+    flat = np.take(roll, ib, axis=1) + srow * roll.shape[0]
     return flat, cells[flat]
 
 
@@ -495,7 +502,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # or congest and carry the floating edge one level down by
             # *its own* hashes (EdgeblockArray.insert's loop).
             q = np.flatnonzero(~dup)
-            flat, probed = (a[:, q] for a in probe0)
+            flat, probed = (a[:, q] for a in probe0) if n_dup else probe0
             fields, kids, srow, ib = mfields, mkids, groups[cand[q]], ib_s[pos[q]]
             edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
             if cal is not None:
@@ -630,68 +637,53 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
         return 0
     dense = dense[valid]
     dsts = dsts[valid]
-    m = dense.shape[0]
 
     roll, fetches, _ = rhh.subblock_tables(cfg.subblock, cfg.workblock)
     rhh_on = eba._rhh_on
-
-    # Occurrence number of each row among the chunk's equal (src, dst)
-    # pairs, in stream order: the round it runs in.  One key per pair,
-    # `dst` as its rank among the chunk's (< m), so the key stays below
-    # n_vertices * m whatever the ids.
-    _, rank = np.unique(dsts, return_inverse=True)
-    key = dense * m + rank
-    order = _stream_order(key)
-    k_s = key[order]
-    first = np.ones(m, dtype=bool)
-    first[1:] = k_s[1:] != k_s[:-1]
-    idx = np.arange(m)
-    occurrence = np.empty(m, dtype=np.int64)
-    occurrence[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
 
     wf = cs = bd = deleted = 0
     hit_srcs: list[np.ndarray] = []
     hit_cb: list[np.ndarray] = []
     hit_cs: list[np.ndarray] = []
-    # A round that hits nothing settles the chunk: every row still waiting
-    # repeats a pair that has just missed, will miss the same way and
-    # write nothing, so all of them share the next — last — round.
-    settled = False
+    src, dst, block = dense, dsts, dense
     try:
-        for rnd in range(int(occurrence.max()) + 1):
-            sel = occurrence >= rnd if settled else occurrence == rnd
-            before = deleted
-            src = dense[sel]
-            dst = dsts[sel]
-            block = src
-            for gen in range(cfg.max_generations):
-                if block.shape[0] == 0:
-                    break
-                fields, kids, srow, ib = _level(gt, gen, block, dst)
-                flat, probed = _rolled_probe(fields[0], srow, ib, roll)
-                hit, scanned, cells = _find(flat, probed, dst, rhh_on)
-                wf += int(fetches[ib, scanned].sum())
-                cs += int(scanned.sum())
-
-                # Mirror of EdgeblockArray.delete's hit branch; the CAL
-                # copies are invalidated once per chunk, below.
-                hit_cb.append(fields[3][cells])
-                hit_cs.append(fields[4][cells])
-                fields[0][cells] = TOMBSTONE
-                fields[3][cells] = -1
-                fields[4][cells] = -1
-                hit_srcs.append(src[hit])
-                deleted += cells.shape[0]
-
-                # Misses follow their Subblock's child pointer, if any
-                # (the miss path of EdgeblockArray._locate).
-                child = kids[srow].astype(np.int64)
-                go = ~hit & (child >= 0)
-                bd += int(go.sum())
-                src, dst, block = src[go], dst[go], child[go]
-            if settled:
+        for gen in range(cfg.max_generations):
+            if block.shape[0] == 0:
                 break
-            settled = deleted == before
+            fields, kids, srow, ib = _level(gt, gen, block, dst)
+            flat, probed = _rolled_probe(fields[0], srow, ib, roll)
+            hit, scanned, cells = _find(flat, probed, dst, rhh_on)
+
+            # Mirror of EdgeblockArray.delete's hit branch; the CAL copies
+            # are invalidated once per chunk, below.  Repeats of one pair
+            # hit one cell: each hit tags its cell with its own index, and
+            # the one whose tag reads back deletes it.
+            cb, slot = fields[3][cells], fields[4][cells]
+            tag = np.arange(cells.shape[0])
+            fields[4][cells] = tag
+            win = fields[4][cells] == tag
+            fields[0][cells] = TOMBSTONE
+            fields[3][cells] = -1
+            fields[4][cells] = -1
+            hit_cb.append(cb[win])
+            hit_cs.append(slot[win])
+            hit_srcs.append(src[hit][win])
+            deleted += int(win.sum())
+            if not win.all():
+                # The others come after the winner in any stream order:
+                # they probe past its tombstone, miss, and carry on.
+                lose = np.flatnonzero(hit)[~win]
+                hit[lose], scanned[lose], _ = _find(
+                    *_rolled_probe(fields[0], srow[lose], ib[lose], roll), dst[lose], rhh_on)
+            wf += int(fetches[ib, scanned].sum())
+            cs += int(scanned.sum())
+
+            # Misses follow their Subblock's child pointer, if any (the
+            # miss path of EdgeblockArray._locate).
+            child = kids[srow].astype(np.int64)
+            go = ~hit & (child >= 0)
+            bd += int(go.sum())
+            src, dst, block = src[go], dst[go], child[go]
         if cal is not None:
             cb = np.concatenate(hit_cb)
             copied = cb >= 0

@@ -189,6 +189,19 @@ class TestAppendMany:
             self._append_both(pair, rng.integers(0, hi, n))
         assert pair[1].n_groups == pair[0].n_groups > 1
 
+    def test_one_full_chunk_over_high_sources(self):
+        """One ``CHUNK_EDGES`` batch over dense ids past 2**16, into tails
+        the batch before left part-filled: ``append_many``'s sort key
+        ``group * n + index`` at its largest in the kernels."""
+        from repro.core.kernels import CHUNK_EDGES
+        rng = np.random.default_rng(5)
+        pair = (make(block_size=8), make(block_size=8))
+        high = 1 << 16
+        self._append_both(pair, high + rng.integers(0, 4096, 3001))
+        fill = pair[1]._tail_fill._data[high // 4:pair[1].n_groups]
+        assert ((fill > 0) & (fill < 8)).any()
+        self._append_both(pair, high + rng.integers(0, 8192, CHUNK_EDGES))
+
     def test_every_tail_exactly_full(self):
         pair = (make(group_width=1, block_size=4), make(group_width=1, block_size=4))
         self._append_both(pair, np.repeat([5, 0, 3], [4, 8, 4]))

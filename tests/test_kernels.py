@@ -318,6 +318,37 @@ class TestLevelSynchronousDelete:
         assert vector.stats.edges_deleted == np.unique(edges[:50], axis=0).shape[0]
         vector.check_invariants()
 
+    def test_repeats_cost_one_pass_per_level(self, monkeypatch):
+        """Repeats of one pair hit one cell; the pass deletes it once and
+        re-probes the rest past its tombstone.  A hub pair stored in an
+        overflow row 600 times over and a missing pair 400 times cost one
+        probe pass per level plus that re-probe, never a pass per repeat."""
+        from repro.core import kernels
+        edges = hub_edges()
+        probe = GraphTinker(GTConfig(**SMALL))
+        probe.insert_batch(edges)
+        deep = next(d for d in range(400) if (hit_generation(probe, 0, d) or 0) >= 1)
+        levels, _ = tree_shape(probe, 0)
+        calls: list[int] = []
+        rolled = kernels._rolled_probe
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return rolled(*args)
+
+        def load(gt, edges):
+            gt.insert_batch(edges)
+            calls.clear()  # count the vector delete only
+        monkeypatch.setattr(kernels, "_rolled_probe", counted)
+        batch = np.random.default_rng(9).permutation(np.vstack([
+            edges[:50], np.repeat([[0, deep]], 600, axis=0),
+            np.repeat([[3, 10_000]], 400, axis=0)]))
+        _, vector = delete_pair(GTConfig(**SMALL), edges, [batch], load=load)
+        assert 0 < len(calls) <= 2 * levels
+        doomed = np.vstack([edges[:50], [[0, deep]]])
+        assert vector.stats.edges_deleted == np.unique(doomed, axis=0).shape[0]
+        vector.check_invariants()
+
     def test_repeats_straddle_chunk_boundary(self, monkeypatch):
         from repro.core import kernels
         monkeypatch.setattr(kernels, "CHUNK_EDGES", 64)
@@ -361,12 +392,12 @@ class TestLevelSynchronousDelete:
         assert vector.stats.branch_descents - before == 2
 
     def test_grouping_key_cannot_overflow(self):
-        """The pair key packs ``dst`` as its rank in the chunk, so no id
-        can overflow it: dsts near 2**62, dense sources past 2**16, pairs
-        repeated up to 5 times.  The last batch puts a miss in front of a
-        present pair repeated behind it, on the same dst from sources
-        whose dense ids agree mod 4: the pairs a key multiplying dense
-        ids by ``max(dst) + 1`` wraps onto one value."""
+        """No id overflows the delete pass: dsts near 2**62, dense
+        sources past 2**16, pairs repeated up to 5 times.  The last batch
+        puts a miss in front of a present pair repeated behind it, on the
+        same dst from sources whose dense ids agree mod 4: the pairs a key
+        multiplying dense ids by ``max(dst) + 1`` would wrap onto one
+        value."""
         top, n_src = 1 << 62, (1 << 16) + 64
         idx = np.arange(n_src)
         src = 10 * idx + 3                           # dense id == index
