@@ -294,6 +294,8 @@ class GraphTinker(StoreBase):
     def delete_batch(self, edges: np.ndarray, kernel: str | None = None) -> int:
         """Delete a batch of edges; return how many actually existed."""
         edges = np.asarray(edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must have shape (n, 2)")
         kern = self._resolve_kernel(kernel)
         before = self.stats.snapshot() if obs_hooks.enabled else None
         t0 = time.perf_counter() if before is not None else 0.0
@@ -305,8 +307,6 @@ class GraphTinker(StoreBase):
         use_vector = (
             kern == "vector"
             and not self.config.compact_on_delete
-            and edges.ndim == 2
-            and edges.shape[1] >= 2
             and edges.shape[0] > 0
             and not (self.sgh is None and bool(edges[:, 0].min() < 0))
         )

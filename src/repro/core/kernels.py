@@ -11,10 +11,12 @@ insert rounds leave.  Its FIND is one charged loop, ``_locate`` — the
 duplicate check of ``insert``, ``delete``, ``find`` and the facade's point
 reads all run it — and ``insert``'s INSERT stage is the only per-op
 insert.  The whole-chunk passes — the insert rounds and the delete level
-pass — restate the core over many Subblocks at once, rolled to probe
-order by :func:`_rolled_probe`: :func:`_find` is ``rhh_find``'s stopping
-rule, :func:`_rhh_walk` the closed form of ``rhh_insert``'s displacement
-walk; the parity tests hold both to the core.  Both sides charge
+pass — restate the core over many Subblocks at once: :func:`_probe` is
+``rhh_find`` (initial bucket first, then :func:`_find`'s stopping rule
+over the Subblocks :func:`_rolled_probe` gathers in probe order),
+:func:`_rhh_walk` ``rhh_insert``'s INSERT stage (a direct placement or
+the closed form of its displacement walk); the parity tests hold both
+to the core.  Both sides charge
 Workblock fetches from the one per-geometry table,
 :func:`~repro.core.robin_hood.subblock_tables`.
 
@@ -73,9 +75,20 @@ and item 5 keeps its own per-pass overhead from taking their place:
    tree level of the round is one NumPy pass.  FIND runs down the child
    matrix (a hit is a duplicate: weight overwritten, CAL copy updated
    through the cell's pointer or its pending record); the absent ops then
-   INSERT from generation 0 with the Robin-Hood walk in closed form
-   (:func:`_rhh_walk`), congested ones allocating or following the child
-   and carrying the *evicted* cell down by its own hashes.  Every level
+   INSERT from generation 0 (:func:`_rhh_walk`), congested ones
+   allocating or following the child and carrying the *evicted* cell
+   down by its own hashes.  Each level pass has two kinds of column, as
+   the paper's load unit stops at the Workblock that settles an op:
+   every op reads its initial-bucket cell first, and only the ops that
+   cell does not settle are gathered rolled and probed further
+   (:func:`_probe`; a hit or, in Robin-Hood mode, an ``EMPTY`` cell
+   settles FIND, a ``TOMBSTONE`` does not).  An absent op whose first
+   cell is vacant takes it with probe 0 and no swap; only ops with a live
+   first cell walk in closed form, on their own columns.  At generation
+   0 the FIND's probe serves the INSERT stage again — its scan lengths
+   and rolled cells — and below it the floating edges are probed the
+   same way.  On sparse rows most ops settle at one cell: a churn step's
+   inserts and deletes mostly never gather a Subblock.  Every level
    is read and scattered straight in its pool — the main region at
    generation 0 (its capacity is ensured before the rounds, so its arrays
    cannot regrow mid-chunk), the overflow pool below it (re-read per
@@ -94,8 +107,9 @@ and item 5 keeps its own per-pass overhead from taking their place:
 5. **Subblocks as rows, geometry as tables** — a cell field is one
    C-contiguous ``(capacity, pagewidth)`` array, so Subblock row
    ``b * nsb + sb`` is ``size`` consecutive cells of it.  A level pass
-   does every gather and scatter through one flat index: one ``take`` of
-   the probe-order table ``roll``'s columns plus each row's base, no 2-D
+   does every gather and scatter through one flat index: ``row * size +
+   bucket`` for the first cell, one ``take`` of the probe-order table
+   ``roll``'s columns plus each row's base for the rolled ones, no 2-D
    fancy index.  It charges fetches by lookup in
    ``fetches[bucket, length]``; both tables are derived once per
    geometry (:func:`~repro.core.robin_hood.subblock_tables`).  Rolled
@@ -134,18 +148,19 @@ things in either order, every ``AccessStats`` field is a sum, and only
 at most once, so its repeats take one path and hit one cell at one
 level: one of them deletes it, the rest probe past its tombstone and
 miss, and which one wins is unobservable.  :func:`_delete_chunk` is
-therefore one level-synchronous pass, with no grouping: one flat index
-gathers every active op's Subblock, rolled to probe order, from the
-level's pool (generation 0 is all main region, every later generation
-all overflow).  Each hit writes its own index into its cell's
-``cal_slot``, and the hits that read their index back are the winners
-(the field is reset one line later); winners are tombstoned with one
-scatter per field through the same index, and the losers — only when a
-chunk repeats a pair — re-probe the tombstoned level through
-:func:`_find` and carry on as misses.  Misses whose Subblock has a child
-carry on to the next level.  After the pass the chunk's degrees drop
-with one ``subtract.at`` per array and its CAL copies with one
-:meth:`CoarseAdjacencyList.invalidate_many`.
+therefore one level-synchronous pass, with no grouping, through
+:func:`_probe`: one flat gather reads every active op's initial-bucket
+cell in the level's pool (generation 0 is all main region, every later
+generation all overflow), and a step-0 hit skips the rolled gather;
+only the others' Subblocks are gathered rolled.  Each hit writes its
+own index into its cell's ``cal_slot``, and the hits that read their
+index back are the winners (the field is reset one line later);
+winners are tombstoned with one scatter per field through the same
+index, and the losers — only when a chunk repeats a pair — re-probe the
+tombstoned level through :func:`_probe` and carry on as misses.  Misses
+whose Subblock has a child carry on to the next level.  After the pass
+the chunk's degrees drop with one ``subtract.at`` per array and its CAL
+copies with one :meth:`CoarseAdjacencyList.invalidate_many`.
 
 The delete-and-compact configuration is *not* vectorised: compaction
 couples arbitrary sources through shared CAL group tails
@@ -269,10 +284,11 @@ def _rolled_probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray,
 def _first(mask: np.ndarray) -> np.ndarray:
     """Per column, the first probe step where ``mask`` holds; the number
     of steps where none (the count of leading misses)."""
-    searching = ~mask[0]
+    keep = ~mask
+    searching = keep[0].copy()
     t = searching.astype(np.int64)
-    for step in mask[1:]:
-        searching &= ~step
+    for step in keep[1:]:
+        searching &= step
         t += searching
     return t
 
@@ -281,13 +297,46 @@ def _find(flat: np.ndarray, probed: np.ndarray, dst: np.ndarray, rhh_on: bool):
     """:func:`robin_hood.rhh_find`'s stopping rule over rolled Subblocks:
     ``(hit, scanned, cells)`` — whether each probe stops on ``dst``, the
     cells it inspects, and the flat index of each hit cell, in op order.
-    A probe stops on ``dst`` or, in Robin-Hood mode, on an ``EMPTY`` cell."""
-    size = probed.shape[0]
-    t_hit = _first(probed == dst)
-    t_emp = _first(probed == EMPTY) if rhh_on else size
-    hit = t_hit < t_emp
-    h = np.flatnonzero(hit)
-    return hit, np.minimum(np.minimum(t_hit, t_emp) + 1, size), flat[t_hit[h], h]
+    A probe stops on ``dst`` or, in Robin-Hood mode, on an ``EMPTY`` cell:
+    one first-step search finds either, and the cell it stops on tells
+    which (a probe that never stops ends on a cell other than ``dst``)."""
+    size, n = probed.shape
+    stop = probed == dst
+    if rhh_on:
+        stop |= probed == EMPTY
+    t = _first(stop)
+    last = np.minimum(t, size - 1) * n + np.arange(n)
+    hit = probed.ravel()[last] == dst
+    return hit, np.minimum(t + 1, size), flat.ravel()[last[hit]]
+
+
+def _probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray, dst: np.ndarray,
+           roll: np.ndarray, rhh_on: bool):
+    """:func:`robin_hood.rhh_find` over many Subblocks, initial bucket
+    first: ``(hit, scanned, at, c0, rolled)`` in op order.
+
+    One flat gather reads each op's initial-bucket cell ``at = srow *
+    size + ib`` of the raveled ``dst`` field ``cells``, holding ``c0``.
+    A match there hits and, in Robin-Hood mode, an ``EMPTY`` cell misses,
+    both with ``scanned == 1`` (a ``TOMBSTONE`` settles nothing: FIND
+    scans past it).  Only the other ops are gathered rolled
+    (:func:`_rolled_probe`) and run through :func:`_find`; ``rolled`` is
+    ``(r, flat, probed)``, their op indices and cells (``None`` cells
+    when every op settled).  ``at`` ends as each hit's cell and every
+    other op's initial-bucket cell.
+    """
+    at = srow * roll.shape[0] + ib
+    c0 = cells[at]
+    hit = c0 == dst
+    scanned = np.ones(at.shape[0], dtype=np.int64)
+    r = np.flatnonzero(~(hit | (c0 == EMPTY)) if rhh_on else ~hit)
+    flat = probed = None
+    if r.shape[0]:
+        flat, probed = _rolled_probe(cells, srow[r], ib[r], roll)
+        h, scanned[r], found = _find(flat, probed, dst[r], rhh_on)
+        hit[r] = h
+        at[r[h]] = found
+    return hit, scanned, at, c0, (r, flat, probed)
 
 
 def _level(gt, gen: int, rows: np.ndarray, dst: np.ndarray):
@@ -305,13 +354,18 @@ def _level(gt, gen: int, rows: np.ndarray, dst: np.ndarray):
             initial_bucket_array(dst, gen, cfg.subblock, cfg.seed))
 
 
-def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
-    """Closed form of :func:`robin_hood.rhh_insert`'s INSERT stage, one
-    Subblock per column: the floating ``edge`` (``dst, weight, cal_block,
-    cal_slot`` arrays) walks cells ``flat`` of the five raveled cell
-    ``fields`` (probe order, with their ``dst`` values ``probed``, from
-    :func:`_rolled_probe`).
+def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
+    """:func:`robin_hood.rhh_insert`'s INSERT stage at one tree level,
+    one Subblock per op, for ops whose FIND missed there: the floating
+    ``edge`` (``dst, weight, cal_block, cal_slot`` arrays) goes into the
+    five raveled cell ``fields``.  ``at``, ``c0`` and ``rolled`` are
+    :func:`_probe`'s for those ops.
 
+    An op whose initial-bucket cell is vacant (``c0 < 0``, ``TOMBSTONE``
+    included) has its vacancy at step 0 and makes no swap: its edge is
+    stored at ``at`` with probe 0.  Only the ops with a live ``c0`` walk,
+    in closed form over their rolled columns (``flat``, with their
+    ``dst`` values ``probed``; :func:`_probe` rolled every one of them).
     The floating probe distance obeys ``fp[t+1] = min(fp[t], Pr[t]) + 1``
     from ``fp[0] = 0``, i.e. ``fp[t] = t + min(0, min_{s<t}(Pr[s] - s))``;
     a swap fires at every ``t`` before the first vacancy with
@@ -322,27 +376,47 @@ def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
     or beyond the vacancy and never enter.  Every gather and scatter goes
     through ``flat``.
 
-    Returns ``(find_len, steps, swaps, wrote, full, floating, pending)``:
-    the two scan lengths, swap count and writeback flag per Subblock, the
-    ones left ``CONGESTED``, their floating edges, and the flat index of
-    every cell the walk stored a ``PENDING_CAL`` pointer into.
+    Returns ``(steps, swaps, wrote, full, floating, pending)``: the
+    INSERT scan length, swap count and writeback flag per op, the ops
+    left ``CONGESTED``, their floating edges, and the flat cells the
+    level stored a ``PENDING_CAL`` pointer into (a list of arrays).
     """
     fd, fw, fp, fcb, fcs = fields
+    vacant = np.flatnonzero(c0 < 0)
+    to = at[vacant]
+    for own, field in zip(edge, (fd, fw, fcb, fcs)):
+        field[to] = own[vacant]
+    fp[to] = 0
+    pending = [to[edge[2][vacant] == PENDING_CAL]]
+    m = at.shape[0]
+    steps = np.ones(m, dtype=np.int64)
+    swaps = np.zeros(m, dtype=np.int64)
+    wrote = np.ones(m, dtype=bool)
+    r, flat, probed = rolled
+    live = c0[r] >= 0
+    walk = r[live]
+    if walk.shape[0] == 0:
+        return steps, swaps, wrote, walk, [own[walk] for own in edge], pending
+    if not live.all():
+        flat, probed = flat[:, live], probed[:, live]
+    edge = [own[walk] for own in edge]
     size, n = flat.shape
     span = np.arange(size)[:, None]
     t_vac = _first(probed < 0)
     resident = fp[flat].astype(np.int64)
+    slack = resident - span  # Pr[s] - s
     probe = np.zeros((size, n), dtype=np.int64)
     low = probe[0].copy()  # min(0, min_{s<t}(Pr[s] - s))
     for t in range(1, size):
-        np.minimum(low, resident[t - 1] - (t - 1), out=low)
+        np.minimum(low, slack[t - 1], out=low)
         np.add(low, t, out=probe[t])
     swap = (probe > resident) & (span < t_vac)
     # last[t]: the last swap step before t (-1: none), whose old content
     # lands in step t; last[size] is the one that floats on.
     last = np.full((size + 1, n), -1)
+    swapped_at = np.where(swap, span, -1)
     for t in range(size):
-        last[t + 1] = np.where(swap[t], t, last[t])
+        np.maximum(last[t], swapped_at[t], out=last[t + 1])
     k = np.flatnonzero(swap | (span == t_vac))  # written cells, step-major
     i = k % n
     src = last.ravel()[k]
@@ -366,9 +440,12 @@ def _rhh_walk(fields, flat: np.ndarray, probed: np.ndarray, edge):
     fp[to] = probe.ravel()[k]
     fcb[to] = values[2]
     fcs[to] = values[3]
-    swaps = swap.sum(axis=0)
-    return (np.minimum(_first(probed == EMPTY) + 1, size), np.minimum(t_vac + 1, size),
-            swaps, (t_vac < size) | (swaps > 0), full, floating, to[values[2] == PENDING_CAL])
+    pending.append(to[values[2] == PENDING_CAL])
+    n_swaps = swap.sum(axis=0)
+    steps[walk] = np.minimum(t_vac + 1, size)
+    swaps[walk] = n_swaps
+    wrote[walk] = (t_vac < size) | (n_swaps > 0)
+    return steps, swaps, wrote, walk[full], floating, pending
 
 
 def _patch_pending(pool, touched: list[np.ndarray],
@@ -468,15 +545,15 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             for gen in range(max_gen):
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, dst[q])
-                flat, probed = _rolled_probe(fields[0], srow, ib, roll)
-                hit, scanned, cells = _find(flat, probed, dst[q], True)
+                hit, scanned, at, c0, rolled = _probe(fields[0], srow, ib, dst[q], roll, True)
                 wf += int(fetches[ib, scanned].sum())
                 cs += int(scanned.sum())
                 if gen == 0:
-                    probe0 = (flat, probed)
+                    probe0 = (srow, ib, scanned, at, c0, rolled)
                 if hit.any():
                     # Duplicate: weight overwritten in place, CAL copy
                     # through the cell's pointer or the pending record.
+                    cells = at[hit]
                     h_w = w[q[hit]]
                     fields[1][cells] = h_w
                     if cal is not None:
@@ -500,24 +577,34 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
 
             # INSERT stage from generation 0 for the absent ops: place,
             # or congest and carry the floating edge one level down by
-            # *its own* hashes (EdgeblockArray.insert's loop).
+            # *its own* hashes (EdgeblockArray.insert's loop).  At
+            # generation 0 the FIND's probe serves again: its scan is
+            # the INSERT stage's FIND scan, and its rolled cells hold
+            # every walker's; below, _probe reads the floating edges'.
             q = np.flatnonzero(~dup)
-            flat, probed = (a[:, q] for a in probe0) if n_dup else probe0
-            fields, kids, srow, ib = mfields, mkids, groups[cand[q]], ib_s[pos[q]]
+            srow, ib, find_len, at, c0, (r, flat, probed) = probe0
+            if n_dup:
+                srow, ib, find_len, at, c0 = (a[q] for a in (srow, ib, find_len, at, c0))
+                keep = ~dup[r]  # renumbered among the absent ops
+                r = (np.cumsum(~dup) - 1)[r[keep]]
+                if flat is not None:
+                    flat, probed = flat[:, keep], probed[:, keep]
+            rolled = (r, flat, probed)
+            fields, kids = mfields, mkids
             edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
             if cal is not None:
                 edge[2:] = np.full(q.shape[0], PENDING_CAL), rid[q]
             for gen in range(max_gen):
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, edge[0])
-                    flat, probed = _rolled_probe(fields[0], srow, ib, roll)
-                find_len, steps, n_swaps, wrote, full, edge, pending = _rhh_walk(
-                    fields, flat, probed, edge)
+                    _, find_len, at, c0, rolled = _probe(fields[0], srow, ib, edge[0], roll, True)
+                steps, n_swaps, wrote, full, edge, pending = _rhh_walk(
+                    fields, at, c0, rolled, edge)
                 wf += int(fetches[ib, np.maximum(find_len, steps)].sum())
                 cs += int(find_len.sum()) + int(steps.sum())
                 swaps += int(n_swaps.sum())
                 wb += int(wrote.sum())
-                touched[OVERFLOW if gen else MAIN].append(pending)
+                touched[OVERFLOW if gen else MAIN].extend(pending)
                 new[rid[np.delete(q, full)]] = True
                 if full.shape[0] == 0:
                     break
@@ -651,8 +738,8 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
             if block.shape[0] == 0:
                 break
             fields, kids, srow, ib = _level(gt, gen, block, dst)
-            flat, probed = _rolled_probe(fields[0], srow, ib, roll)
-            hit, scanned, cells = _find(flat, probed, dst, rhh_on)
+            hit, scanned, at, *_ = _probe(fields[0], srow, ib, dst, roll, rhh_on)
+            cells = at[hit]
 
             # Mirror of EdgeblockArray.delete's hit branch; the CAL copies
             # are invalidated once per chunk, below.  Repeats of one pair
@@ -673,8 +760,8 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
                 # The others come after the winner in any stream order:
                 # they probe past its tombstone, miss, and carry on.
                 lose = np.flatnonzero(hit)[~win]
-                hit[lose], scanned[lose], _ = _find(
-                    *_rolled_probe(fields[0], srow[lose], ib[lose], roll), dst[lose], rhh_on)
+                hit[lose], scanned[lose] = _probe(
+                    fields[0], srow[lose], ib[lose], dst[lose], roll, rhh_on)[:2]
             wf += int(fetches[ib, scanned].sum())
             cs += int(scanned.sum())
 

@@ -441,6 +441,8 @@ class TieredStore(RowStoreDefaults):
     def delete_batch(self, edges: np.ndarray) -> int:
         """Delete a batch of edges; returns how many existed."""
         edges = np.asarray(edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must have shape (n, 2)")
         before = self.stats.snapshot() if obs_hooks.enabled else None
         t0 = time.perf_counter() if before is not None else 0.0
         deleted = 0

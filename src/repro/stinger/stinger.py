@@ -194,6 +194,8 @@ class Stinger(RowStoreDefaults):
     def delete_batch(self, edges: np.ndarray) -> int:
         """Delete a batch of edges; returns how many existed."""
         edges = np.asarray(edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError("edges must have shape (n, 2)")
         before = self.stats.snapshot() if obs_hooks.enabled else None
         deleted = 0
         for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):

@@ -795,12 +795,56 @@ class TestLevelSynchronousInsert:
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
         assert entered == [batch.shape[0] for batch, _ in batches]
 
+    def test_round_rolls_only_the_ops_their_first_cell_leaves_open(self, monkeypatch):
+        """One round over 200 sparse rows, each op its own group: the ops
+        whose initial-bucket cell holds their own edge (a duplicate) or
+        ``EMPTY`` settle there, and no rolled Subblock is gathered for
+        them — the FIND rolls exactly the ops whose first cell holds
+        another edge or a tombstone, and the INSERT stage rolls nothing
+        again.  The store still ends as the per-op path leaves it."""
+        from repro.core import kernels
+        rng = np.random.default_rng(37)
+        srcs = np.repeat(np.arange(200), 3)
+        loaded = np.column_stack([srcs, rng.permutation(5000)[:600]]).astype(np.int64)
+        doomed = loaded[rng.random(600) < 0.2]
+        batch = np.column_stack([np.arange(200), np.where(
+            rng.random(200) < 0.3, loaded[::3, 1], rng.integers(5000, 9000, 200))])
+        stores = []
+        for kernel in ("scalar", "vector"):
+            gt = GraphTinker(GTConfig(**SMALL, kernel=kernel))
+            gt.insert_batch(loaded)
+            gt.delete_batch(doomed)
+            stores.append(gt)
+        cfg, vector = stores[1].config, stores[1]
+        dense = vector.sgh.peek_array(batch[:, 0])  # uncharged
+        srow = dense * cfg.subblocks_per_block + subblock_index_array(
+            batch[:, 1], 0, cfg.subblocks_per_block, cfg.seed)
+        at = srow * cfg.subblock + initial_bucket_array(batch[:, 1], 0, cfg.subblock, cfg.seed)
+        c0 = vector.eba.main.fields["dst"].reshape(-1)[at]
+        open_ = (c0 != batch[:, 1]) & (c0 != -1)
+        assert np.unique(srow).shape[0] == 200 and 0 < open_.sum() < 100
+        assert (c0 == -2).any() and (c0 == batch[:, 1]).any()
+        columns: list[int] = []
+        rolled = kernels._rolled_probe
+
+        def counted(*args):
+            columns.append(args[1].shape[0])
+            return rolled(*args)
+        monkeypatch.setattr(kernels, "_rolled_probe", counted)
+        for gt in stores:
+            gt.insert_batch(batch)
+        assert sum(columns) == int(open_.sum())
+        assert_equivalent(*stores)
+
     def test_closed_form_walk_matches_rhh_insert(self):
         """The level pass's Robin-Hood walk against the probe core, on
         arbitrary Subblocks: empty to full, a tenth of the cells
-        tombstoned (probe field stale), real and pending CAL pointers."""
+        tombstoned (probe field stale), real and pending CAL pointers,
+        and an eighth of the initial buckets each forced ``EMPTY`` and
+        ``TOMBSTONE`` — the direct placements, whose INSERT scan length
+        is the FIND's."""
         from repro.core import robin_hood as rhh
-        from repro.core.kernels import PENDING_CAL, _find, _rolled_probe, _rhh_walk
+        from repro.core.kernels import PENDING_CAL, _probe, _rhh_walk
         rng = np.random.default_rng(23)
         n, size = 6000, 8
         fill = rng.integers(0, size + 1, n)
@@ -808,11 +852,14 @@ class TestLevelSynchronousInsert:
         tomb = rng.random((n, size)) < 0.1
         D = np.where(live, rng.permutation(n * size).reshape(n, size), -1)
         D[tomb] = -2
+        ib = rng.integers(0, size, n)
+        eighth = np.arange(n) // (n // 8)
+        D[eighth == 0, ib[eighth == 0]] = -1
+        D[eighth == 1, ib[eighth == 1]] = -2
         W = rng.random((n, size))
         P = np.where(D == -1, 0, rng.integers(0, size, (n, size))).astype(np.int16)
         CB = np.where(D >= 0, rng.choice([PENDING_CAL, 4, 9], (n, size)), -1).astype(np.int32)
         CS = np.where(D >= 0, rng.integers(0, 64, (n, size)), -1).astype(np.int32)
-        ib = rng.integers(0, size, n)
         edge = [n * size + np.arange(n), rng.random(n),
                 rng.choice([PENDING_CAL, 7], n), np.arange(n)]
         want = []
@@ -823,10 +870,12 @@ class TestLevelSynchronousInsert:
             want.append((cells, out))
         fields = (D, W, P, CB, CS)
         roll = rhh.subblock_tables(size, 4)[0]
-        flat, probed = _rolled_probe(D.reshape(-1), np.arange(n), ib, roll)
-        assert not _find(flat, probed, edge[0], True)[0].any()
-        find_len, steps, swaps, wrote, full, floating, _ = _rhh_walk(
-            tuple(f.reshape(-1) for f in fields), flat, probed, edge)
+        hit, find_len, at, c0, rolled = _probe(D.reshape(-1), np.arange(n), ib, edge[0],
+                                               roll, True)
+        assert not hit.any()
+        assert (c0[eighth == 0] == -1).all() and (c0[eighth == 1] == -2).all()
+        steps, swaps, wrote, full, floating, _ = _rhh_walk(
+            tuple(f.reshape(-1) for f in fields), at, c0, rolled, edge)
         congested = dict(zip(full.tolist(), zip(*(f.tolist() for f in floating))))
         assert 0 < len(congested) < n and swaps.max() >= 3
         for i, (cells, out) in enumerate(want):
@@ -837,6 +886,41 @@ class TestLevelSynchronousInsert:
             assert (w_flag, n_swaps) == (wrote[i], swaps[i]), i
             if status == rhh.CONGESTED:
                 assert tuple(o) == congested[i], i
+
+
+@pytest.mark.parametrize("rhh_on", [True, False])
+def test_first_cell_probe_matches_rhh_find(rhh_on):
+    """The level passes' FIND, initial bucket first, against the probe
+    core on arbitrary Subblocks: a quarter each of the initial buckets
+    hold the sought edge, ``EMPTY``, ``TOMBSTONE`` or another live edge,
+    and the sought edge is elsewhere in the Subblock or absent.  Hit,
+    scan length and hit cell must be ``rhh_find``'s, Robin-Hood mode on
+    (an ``EMPTY`` first cell settles a miss) and off (it settles
+    nothing)."""
+    from repro.core import robin_hood as rhh
+    from repro.core.kernels import _probe
+    rng = np.random.default_rng(31)
+    n, size = 8000, 8
+    rows = np.arange(n)
+    D = np.where(rng.random((n, size)) < 0.6, rng.permutation(n * size).reshape(n, size), -1)
+    D[rng.random((n, size)) < 0.15] = -2
+    ib = rng.integers(0, size, n)
+    kind = rows % 4
+    elsewhere = D[rows, (ib + rng.integers(1, size, n)) % size]
+    dst = np.where((kind > 0) & (elsewhere >= 0) & (rng.random(n) < 0.5),
+                   elsewhere, n * size + rows)
+    D[rows, ib] = np.select([kind == 0, kind == 1, kind == 2], [dst, -1, -2], 2 * n * size + rows)
+    roll = rhh.subblock_tables(size, 4)[0]
+    hit, scanned, at, c0, _ = _probe(D.reshape(-1), rows, ib, dst, roll, rhh_on)
+    for i in range(n):
+        slot, length = rhh.rhh_find(D[i].tolist(), int(dst[i]), int(ib[i]), rhh_on)
+        assert (hit[i], scanned[i]) == (slot >= 0, length), i
+        if slot >= 0:
+            assert at[i] == i * size + slot, i
+    assert hit[kind == 0].all() and (scanned[kind == 0] == 1).all()
+    assert (scanned[kind == 1] == 1).all() == rhh_on
+    for k in (2, 3):
+        assert hit[kind == k].any() and not hit[kind == k].all()
 
 
 def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):

@@ -152,6 +152,23 @@ class TestMutatorSemantics:
             assert store.n_edges == 1
             store.check_invariants()
 
+    def test_malformed_batches_raise_and_change_nothing(self, backend):
+        """Both batch mutators of every backend reject a batch that is not
+        ``(n, 2)`` — 1-D (``[]`` included) or three columns — with the
+        same ``ValueError``, before touching content or counters; an
+        ``(0, 2)`` batch is a no-op."""
+        edges, weights = _stream(11, n=120)
+        store = create_store(backend)
+        store.insert_batch(edges, weights)
+        digest, stats = store_digest(store), store.stats.as_dict()
+        for bad in ([], [1, 2], np.column_stack([edges[:5], edges[:5, :1]])):
+            for mutate in (store.insert_batch, store.delete_batch):
+                with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+                    mutate(np.asarray(bad, dtype=np.int64))
+        assert store.delete_batch(np.empty((0, 2), dtype=np.int64)) == 0
+        assert store.stats.as_dict() == stats   # before the digest reads
+        assert store_digest(store) == digest
+
     def test_batches_equal_scalar_loop(self, backend):
         edges, weights = _stream(7)
         batched = create_store(backend)
