@@ -13,6 +13,11 @@ and deletes go straight to the copy through the owning edge-cell's
 CAL-pointer, never traversing edges — which is why the paper calls CAL's
 maintenance overhead minimal.
 
+A CAL-pointer is one int, the slot's *address* ``block * cal_block_size +
+slot`` (its index in the raveled pool); every method here takes and
+returns addresses, and this module is the only one that builds or splits
+one (:meth:`CoarseAdjacencyList.split`).
+
 Grouping uses the *dense* (SGH-hashed) source ids, so group occupancy
 tracks the set of non-empty vertices at every stage of the graph's life.
 """
@@ -86,6 +91,10 @@ class CoarseAdjacencyList:
     def n_blocks(self) -> int:
         return self.pool.n_used
 
+    def split(self, addr: int) -> tuple[int, int]:
+        """The ``(block, slot)`` of CAL address ``addr``."""
+        return divmod(addr, self.config.cal_block_size)
+
     def group_of(self, src: int) -> int:
         """Group id of dense source ``src`` (a contiguous id range)."""
         return src // self.config.cal_group_width
@@ -118,8 +127,8 @@ class CoarseAdjacencyList:
     # ------------------------------------------------------------------ #
     # O(1) maintenance (called from the GraphTinker facade)
     # ------------------------------------------------------------------ #
-    def append(self, src: int, dst: int, weight: float) -> tuple[int, int]:
-        """Copy a newly inserted edge; return its ``(block, slot)`` address.
+    def append(self, src: int, dst: int, weight: float) -> int:
+        """Copy a newly inserted edge; return its address.
 
         The Logical Vertex Array lookup of the paper — find the group's
         last assigned edgeblock and its next free slot — is O(1) here via
@@ -139,19 +148,21 @@ class CoarseAdjacencyList:
         self._valid_count[block] = self._valid_count[block] + 1
         self._n_valid += 1
         self.stats.cal_updates += 1
-        return block, slot
+        return block * self.config.cal_block_size + slot
 
-    def append_many(self, srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append many copies in order; return ``(blocks, slots)`` arrays.
+    def append_many(self, srcs: np.ndarray, dsts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Append many copies in order; return their addresses.
 
         State-identical to calling :meth:`append` once per element: the
         same slot layout, tail/fill evolution, chain links, block
         *allocation order* (and therefore the same pool row ids, free-list
         included) and the same ``cal_updates`` total.  The batch is
-        grouped by one sort of ``group * n + index`` (stream order within
-        a group is the only order the layout depends on; the key stays
-        below 2**63 for dense ids below 2**48 at ``n <= CHUNK_EDGES``)
-        and laid out arithmetically: an append's *virtual slot* ``q``
+        grouped by one stable sort of its group ids (``_stream_order``:
+        a radix sort while every group id fits in 16 bits, else one sort
+        of ``group * n + index``, whose key stays below 2**63 for dense
+        ids below 2**48 at ``n <= CHUNK_EDGES``; stream order within a
+        group is the only order the layout depends on) and laid out
+        arithmetically: an append's *virtual slot* ``q``
         counts from the start of its group's current tail block, so it
         lands in slot ``q % bs`` and opens a fresh block exactly when
         that is 0 past the tail.  Fresh blocks are allocated
@@ -160,7 +171,7 @@ class CoarseAdjacencyList:
         """
         n = srcs.shape[0]
         if n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64)
         bs = self.config.cal_block_size
         groups = srcs // self.config.cal_group_width
         order = _stream_order(groups)
@@ -204,24 +215,22 @@ class CoarseAdjacencyList:
         self._tail_fill._data[uniq] = slot[last] + 1
 
         np.add.at(self._valid_count._data, block, 1)
-        blocks_out = np.empty(n, dtype=np.int64)
-        slots_out = np.empty(n, dtype=np.int64)
-        blocks_out[order] = block
-        slots_out[order] = slot
-        flat = blocks_out * bs + slots_out
+        addr = np.empty(n, dtype=np.int64)
+        addr[order] = block * bs + slot
         for name, values in (("src", srcs), ("dst", dsts), ("weight", weights)):
-            self.pool.fields[name].reshape(-1)[flat] = values
+            self.pool.fields[name].reshape(-1)[addr] = values
         self._n_valid += n
         self.stats.cal_updates += n
-        return blocks_out, slots_out
+        return addr
 
-    def update_weight(self, block: int, slot: int, weight: float) -> None:
+    def update_weight(self, addr: int, weight: float) -> None:
         """Overwrite the weight of an existing copy via its CAL-pointer."""
-        self.pool.fields["weight"][block, slot] = weight
+        self.pool.fields["weight"][self.split(addr)] = weight
         self.stats.cal_updates += 1
 
-    def invalidate(self, block: int, slot: int) -> None:
+    def invalidate(self, addr: int) -> None:
         """Flag a copy as deleted via its CAL-pointer (no traversal)."""
+        block, slot = self.split(addr)
         src = self.pool.fields["src"]
         if src[block, slot] == CAL_INVALID:
             return
@@ -230,21 +239,20 @@ class CoarseAdjacencyList:
         self._n_valid -= 1
         self.stats.cal_updates += 1
 
-    def invalidate_many(self, blocks: np.ndarray, slots: np.ndarray) -> None:
+    def invalidate_many(self, addrs: np.ndarray) -> None:
         """Flag many copies as deleted; state-identical to a loop of
         :meth:`invalidate` (an already-invalid or repeated address is a
-        no-op), except that a never-allocated block raises before any
-        copy is touched.  The vector delete kernel's CAL scatter.
+        no-op), except that an address outside every allocated block
+        raises before any copy is touched.  The vector delete kernel's
+        CAL scatter.
         """
-        if blocks.shape[0] == 0:
+        if addrs.shape[0] == 0:
             return
         bs = self.config.cal_block_size
-        if blocks.min() < 0 or blocks.max() >= self.pool.high_water:
+        if addrs.min() < 0 or addrs.max() >= self.pool.high_water * bs:
             raise IndexError("CAL block was never allocated")
-        if slots.min() < 0 or slots.max() >= bs:
-            raise IndexError("CAL slot out of range")
         src = self.pool.fields["src"].reshape(-1)
-        addr = np.sort(blocks.astype(np.int64) * bs + slots)
+        addr = np.sort(addrs)
         live = src[addr] != CAL_INVALID
         live[1:] &= addr[1:] != addr[:-1]  # a repeated address counts once
         addr = addr[live]
@@ -253,17 +261,16 @@ class CoarseAdjacencyList:
         self._n_valid -= addr.shape[0]
         self.stats.cal_updates += addr.shape[0]
 
-    def read_slot(self, block: int, slot: int) -> tuple[int, int, float]:
+    def read_slot(self, addr: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""
-        cells = self.pool.fields
-        return (int(cells["src"][block, slot]), int(cells["dst"][block, slot]),
-                float(cells["weight"][block, slot]))
+        cells, at = self.pool.fields, self.split(addr)
+        return int(cells["src"][at]), int(cells["dst"][at]), float(cells["weight"][at])
 
-    def compact_delete(self, block: int, slot: int):
+    def compact_delete(self, addr: int):
         """Delete a copy *and keep the group's chain dense*.
 
         Used by the delete-and-compact mechanism: the hole left at
-        ``(block, slot)`` is refilled with the group's **last** live copy
+        ``addr`` is refilled with the group's **last** live copy
         (the tail slot), the tail shrinks, and a fully emptied tail block
         is unlinked and returned to the pool — so full-processing
         streaming never pays for fragmentation, which is exactly the
@@ -274,11 +281,12 @@ class CoarseAdjacencyList:
         (enforced by the facade's ``compact_on_delete`` configuration).
 
         Returns ``None`` when the deleted slot was itself the tail, or
-        ``(src, dst, old_block, old_slot)`` describing the copy that
-        moved into ``(block, slot)`` so the caller can re-point the
-        owning EdgeblockArray cell.
+        ``(src, dst, old_addr)`` describing the copy that moved into
+        ``addr`` so the caller can re-point the owning EdgeblockArray
+        cell.
         """
         cells = self.pool.fields
+        block, slot = self.split(addr)
         if cells["src"][block, slot] == CAL_INVALID:
             return None
         group = self.group_of(int(cells["src"][block, slot]))
@@ -297,7 +305,7 @@ class CoarseAdjacencyList:
             # net zero there; the tail block loses one.
             self._valid_count[tail_block] = self._valid_count[tail_block] - 1
             self.stats.cal_updates += 2
-            moved = (src, dst, tail_block, tail_slot)
+            moved = (src, dst, tail_block * self.config.cal_block_size + tail_slot)
         else:
             cells["src"][block, slot] = CAL_INVALID
             self._valid_count[block] = self._valid_count[block] - 1

@@ -214,10 +214,10 @@ class EdgeblockArray:
         src: int,
         dst: int,
         weight: float = 1.0,
-        cal_block: int = -1,
-        cal_slot: int = -1,
+        cal: int = -1,
     ) -> tuple[bool, EdgeLocation]:
-        """Insert or update edge ``(src, dst)``.
+        """Insert or update edge ``(src, dst)``; a new edge's cell gets
+        CAL-pointer ``cal``.
 
         Returns ``(is_new, location)`` where ``location`` addresses the
         cell now holding the *argument* edge.  Robin Hood displacement may
@@ -245,8 +245,7 @@ class EdgeblockArray:
         # --- INSERT stage: descend, placing via RHH / Tree-Based Hashing.
         region, block = MAIN, src
         nsb, size = cfg.subblocks_per_block, cfg.subblock
-        f_dst, f_weight = int(dst), float(weight)
-        f_cal_block, f_cal_slot = cal_block, cal_slot
+        f_dst, f_weight, f_cal = int(dst), float(weight), cal
         arg_location: EdgeLocation | None = None
         for gen in range(cfg.max_generations):
             sb = subblock_index(f_dst, gen, nsb, cfg.seed)
@@ -257,9 +256,8 @@ class EdgeblockArray:
             # stored back when the core wrote.  The batch kernel runs this
             # method itself for every op its rounds leave.
             fields = [cell.tolist() for cell in cells]
-            status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot = (
-                rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on,
-                               f_cal_block, f_cal_slot)
+            status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal = (
+                rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on, f_cal)
             )
             assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
             rhh._charge_scan(self.stats, self._fetches, ib, lengths)
@@ -277,8 +275,7 @@ class EdgeblockArray:
                 self.stats.edges_inserted += 1
                 return True, arg_location
             region, block = self._descend(region, block, sb)
-            f_dst, f_weight = o_dst, o_weight
-            f_cal_block, f_cal_slot = o_cal_block, o_cal_slot
+            f_dst, f_weight, f_cal = o_dst, o_weight, o_cal
         raise CapacityError(
             f"edge ({src}, {dst}) exceeded max_generations={cfg.max_generations}"
         )
@@ -296,20 +293,17 @@ class EdgeblockArray:
         region, block, slot = location
         return float(self._pool(region).fields["weight"][block, slot])
 
-    def set_cal_pointer(self, location: EdgeLocation, cal_block: int, cal_slot: int) -> None:
+    def set_cal_pointer(self, location: EdgeLocation, cal: int) -> None:
         """Write an edge's CAL-pointer after its CAL copy was appended."""
         region, block, slot = location
-        fields = self._pool(region).fields
-        fields["cal_block"][block, slot] = cal_block
-        fields["cal_slot"][block, slot] = cal_slot
+        self._pool(region).fields["cal"][block, slot] = cal
 
-    def get_cal_pointer(self, location: EdgeLocation) -> tuple[int, int]:
-        """Read an edge's CAL-pointer ``(block, slot)``."""
+    def get_cal_pointer(self, location: EdgeLocation) -> int:
+        """Read an edge's CAL-pointer (a CAL address, -1 for none)."""
         region, block, slot = location
-        fields = self._pool(region).fields
-        return int(fields["cal_block"][block, slot]), int(fields["cal_slot"][block, slot])
+        return int(self._pool(region).fields["cal"][block, slot])
 
-    def delete(self, src: int, dst: int) -> tuple[int, int] | None:
+    def delete(self, src: int, dst: int) -> int | None:
         """Delete edge ``(src, dst)``.
 
         Returns the edge's CAL-pointer (so the facade can invalidate the
@@ -322,10 +316,9 @@ class EdgeblockArray:
             return None
         region, block, cell = hit
         fields = self._pool(region).fields
-        cal_ptr = (int(fields["cal_block"][block, cell]), int(fields["cal_slot"][block, cell]))
+        cal_ptr = int(fields["cal"][block, cell])
         fields["dst"][block, cell] = TOMBSTONE
-        fields["cal_block"][block, cell] = -1
-        fields["cal_slot"][block, cell] = -1
+        fields["cal"][block, cell] = -1
         self.stats.workblock_writebacks += 1
         self.stats.tombstones_set += 1
         self._degrees[src] -= 1
@@ -361,8 +354,7 @@ class EdgeblockArray:
             arr[block, cell_index] = below[name][child, victim]
         fields["probe"][block, cell_index] = 0
         below["dst"][child, victim] = TOMBSTONE
-        below["cal_block"][child, victim] = -1
-        below["cal_slot"][child, victim] = -1
+        below["cal"][child, victim] = -1
         self.stats.compaction_moves += 1
         self.stats.random_block_reads += 1
         self.stats.workblock_writebacks += 2

@@ -192,13 +192,12 @@ class GraphTinker(StoreBase):
         if is_new:
             self.vpa.add_degree(dense_src, 1)
             if self.cal is not None:
-                block, slot = self.cal.append(dense_src, dst, weight)
-                self.eba.set_cal_pointer(location, block, slot)
+                self.eba.set_cal_pointer(location, self.cal.append(dense_src, dst, weight))
         else:
             if self.cal is not None:
-                block, slot = self.eba.get_cal_pointer(location)
-                if block >= 0:
-                    self.cal.update_weight(block, slot, weight)
+                cal_ptr = self.eba.get_cal_pointer(location)
+                if cal_ptr >= 0:
+                    self.cal.update_weight(cal_ptr, weight)
         return is_new
 
     def _resolve_kernel(self, kernel: str | None) -> str:
@@ -277,18 +276,18 @@ class GraphTinker(StoreBase):
         if self._analytics_snapshot is not None:
             self._analytics_snapshot.mark_dirty(dense_src)
         self.vpa.add_degree(dense_src, -1)
-        if self.cal is not None and cal_ptr[0] >= 0:
+        if self.cal is not None and cal_ptr >= 0:
             if self.config.compact_on_delete:
-                moved = self.cal.compact_delete(*cal_ptr)
+                moved = self.cal.compact_delete(cal_ptr)
                 if moved is not None:
                     # The group's tail copy filled the hole; re-point the
                     # owning EdgeblockArray cell at the copy's new home.
-                    m_src, m_dst, _, _ = moved
+                    m_src, m_dst, _ = moved
                     loc = self.eba.find(m_src, m_dst)
                     assert loc is not None, "CAL copy without an owner"
-                    self.eba.set_cal_pointer(loc, *cal_ptr)
+                    self.eba.set_cal_pointer(loc, cal_ptr)
             else:
-                self.cal.invalidate(*cal_ptr)
+                self.cal.invalidate(cal_ptr)
         return True
 
     def delete_batch(self, edges: np.ndarray, kernel: str | None = None) -> int:

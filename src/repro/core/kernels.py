@@ -115,18 +115,20 @@ and item 5 keeps its own per-pass overhead from taking their place:
    geometry (:func:`~repro.core.robin_hood.subblock_tables`).  Rolled
    cells are held probe-step major, ``(size, ops)``, so the short
    Subblock axis is never NumPy's inner loop.
-6. **Stream-ordered CAL replay** — new edges get a *pending* CAL-pointer
-   sentinel (``cal_block == -3``, ``cal_slot ==`` the op's index in the
-   chunk, which is its record id) that travels through Robin-Hood
-   displacements exactly like a real pointer; after the chunk, the
-   records of the ops that placed a new edge are appended to the CAL **in
-   original stream order** (one arithmetic pass,
-   :meth:`CoarseAdjacencyList.append_many`), and one pass per pool
-   rewrites the sentinels to the real addresses.  It visits only cells a
-   sentinel may sit in: each cell a round's walk stored one into
-   (collected as it stores) and, for every group with residue ops, every
-   cell of the group's gen-0 Subblock and of the overflow rows below it
-   (a residue op may push a pending cell anywhere in that subtree).
+6. **Stream-ordered CAL replay** — a cell's CAL-pointer is one int64
+   field, ``cal``, and a new edge gets a *pending* one, ``PENDING_CAL -
+   rid`` (``<= PENDING_CAL``; ``rid``, its record id, is the op's index in
+   the chunk), that travels through Robin-Hood displacements exactly like
+   a real CAL address; after the chunk, the records of the ops that
+   placed a new edge are appended to the CAL **in original stream order**
+   (one arithmetic pass, :meth:`CoarseAdjacencyList.append_many`), and
+   one pass per pool rewrites the sentinels to the real addresses: one
+   gather of ``cal``, a ``<= PENDING_CAL`` filter and one scatter.  It
+   visits only cells a sentinel may sit in: each cell a round's walk
+   stored one into (collected as it stores) and, for every group with
+   residue ops, every cell of the group's gen-0 Subblock and of the
+   overflow rows below it (a residue op may push a pending cell anywhere
+   in that subtree).
    Duplicate ops that meet a pending cell update the pending record (one
    ``cal_updates`` charge, like the scalar ``update_weight``) so the
    final CAL weight is the last one.
@@ -140,7 +142,7 @@ Delete batches: one pass per tree level
 Delete-only deletes cannot observe each other, so they need no grouping.
 :func:`~repro.core.robin_hood.rhh_find` stops only on a match or
 (RHH mode) an ``EMPTY`` cell; a delete writes ``TOMBSTONE`` into ``dst``
-and -1 into the two CAL-pointer fields, never touches ``weight``/``probe``
+and -1 into the CAL-pointer ``cal``, never touches ``weight``/``probe``
 and never allocates, frees or moves a cell or a child pointer.  Two
 deletes on distinct ``(dense source, dst)`` pairs therefore find the same
 things in either order, every ``AccessStats`` field is a sum, and only
@@ -152,9 +154,10 @@ therefore one level-synchronous pass, with no grouping, through
 :func:`_probe`: one flat gather reads every active op's initial-bucket
 cell in the level's pool (generation 0 is all main region, every later
 generation all overflow), and a step-0 hit skips the rolled gather;
-only the others' Subblocks are gathered rolled.  Each hit writes its
-own index into its cell's ``cal_slot``, and the hits that read their
-index back are the winners (the field is reset one line later);
+only the others' Subblocks are gathered rolled.  Each hit reads its
+cell's ``cal`` once and then writes its own index there, and the hits
+that read their index back are the winners (``cal`` is reset to -1 one
+line later);
 winners are tombstoned with one scatter per field through the same
 index, and the losers — only when a chunk repeats a pair — re-probe the
 tombstoned level through :func:`_probe` and carry on as misses.  Misses
@@ -179,10 +182,12 @@ from repro.core.hashing import initial_bucket_array, subblock_index_array
 from repro.core.pool import EMPTY, TOMBSTONE
 from repro.errors import CapacityError
 
-#: ``cal_block`` sentinel marking "CAL copy not appended yet; ``cal_slot``
-#: holds the pending-record id".  Must stay distinct from the -1 (no copy)
-#: marker and never escape the kernel: the patch pass rewrites every
-#: sentinel before ``_insert_chunk`` returns, exceptional paths included.
+#: Top of the pending CAL-pointer range: a cell whose ``cal`` is
+#: ``PENDING_CAL - rid`` (so ``<= PENDING_CAL``) holds pending record
+#: ``rid``, whose CAL copy is not appended yet.  Stays clear of the -1
+#: (no copy) marker and never escapes the kernel: the patch pass rewrites
+#: every sentinel before ``_insert_chunk`` returns, exceptional paths
+#: included.
 PENDING_CAL = -3
 
 #: Edges per processing chunk.  Bounds the round temporaries (worst case
@@ -257,8 +262,12 @@ def _dense_ids_for_insert(gt, srcs: np.ndarray) -> np.ndarray:
 def _stream_order(key: np.ndarray) -> np.ndarray:
     """``argsort(key, kind="stable")`` for ``n`` non-negative keys whose
     ``(max + 1) * n`` stays below 2**63 (a chunk's group keys are below
-    ``n_vertices * nsb``): one default sort of ``key * n + index``."""
+    ``n_vertices * nsb``).  Keys that all fit in 16 bits take NumPy's
+    stable radix sort of them as ``uint16``; others one default sort of
+    ``key * n + index``.  Either way the order is the same."""
     n = key.shape[0]
+    if n and key.max() < 1 << 16:
+        return np.argsort(key.astype(np.uint16), kind="stable")
     return np.argsort(key * n + np.arange(n))
 
 
@@ -342,7 +351,7 @@ def _probe(cells: np.ndarray, srow: np.ndarray, ib: np.ndarray, dst: np.ndarray,
 def _level(gt, gen: int, rows: np.ndarray, dst: np.ndarray):
     """Generation ``gen`` as edges ``dst`` in edgeblock ``rows`` of its
     pool see it (the main region at generation 0, the overflow pool
-    below): the pool's five raveled cell fields and raveled child
+    below): the pool's four raveled cell fields and raveled child
     pointers — re-read per level, the overflow pool may have regrown —
     and each edge's Subblock row and initial bucket there."""
     cfg, eba = gt.config, gt.eba
@@ -357,8 +366,8 @@ def _level(gt, gen: int, rows: np.ndarray, dst: np.ndarray):
 def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     """:func:`robin_hood.rhh_insert`'s INSERT stage at one tree level,
     one Subblock per op, for ops whose FIND missed there: the floating
-    ``edge`` (``dst, weight, cal_block, cal_slot`` arrays) goes into the
-    five raveled cell ``fields``.  ``at``, ``c0`` and ``rolled`` are
+    ``edge`` (``dst, weight, cal`` arrays) goes into the four raveled
+    cell ``fields``.  ``at``, ``c0`` and ``rolled`` are
     :func:`_probe`'s for those ops.
 
     An op whose initial-bucket cell is vacant (``c0 < 0``, ``TOMBSTONE``
@@ -379,15 +388,15 @@ def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     Returns ``(steps, swaps, wrote, full, floating, pending)``: the
     INSERT scan length, swap count and writeback flag per op, the ops
     left ``CONGESTED``, their floating edges, and the flat cells the
-    level stored a ``PENDING_CAL`` pointer into (a list of arrays).
+    level stored a pending CAL-pointer into (a list of arrays).
     """
-    fd, fw, fp, fcb, fcs = fields
+    fd, fw, fp, fc = fields
     vacant = np.flatnonzero(c0 < 0)
     to = at[vacant]
-    for own, field in zip(edge, (fd, fw, fcb, fcs)):
+    for own, field in zip(edge, (fd, fw, fc)):
         field[to] = own[vacant]
     fp[to] = 0
-    pending = [to[edge[2][vacant] == PENDING_CAL]]
+    pending = [to[edge[2][vacant] <= PENDING_CAL]]
     m = at.shape[0]
     steps = np.ones(m, dtype=np.int64)
     swaps = np.zeros(m, dtype=np.int64)
@@ -427,7 +436,7 @@ def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     evicted = ev >= 0
     ev_cells = flat[ev[evicted], full[evicted]]
     values, floating = [], []
-    for own, field in zip(edge, (fd, fw, fcb, fcs)):  # gather all before any store
+    for own, field in zip(edge, (fd, fw, fc)):  # gather all before any store
         v = own[i]
         v[moved] = field[from_cells]
         values.append(v)
@@ -438,9 +447,8 @@ def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     fd[to] = values[0]
     fw[to] = values[1]
     fp[to] = probe.ravel()[k]
-    fcb[to] = values[2]
-    fcs[to] = values[3]
-    pending.append(to[values[2] == PENDING_CAL])
+    fc[to] = values[2]
+    pending.append(to[values[2] <= PENDING_CAL])
     n_swaps = swap.sum(axis=0)
     steps[walk] = np.minimum(t_vac + 1, size)
     swaps[walk] = n_swaps
@@ -448,18 +456,15 @@ def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     return steps, swaps, wrote, walk[full], floating, pending
 
 
-def _patch_pending(pool, touched: list[np.ndarray],
-                   cal_block: np.ndarray, cal_slot: np.ndarray) -> None:
-    """Rewrite every ``PENDING_CAL`` sentinel among the ``touched`` flat
-    cells of ``pool`` to its record's CAL address (``-1, -1`` for a
+def _patch_pending(pool, touched: list[np.ndarray], addr: np.ndarray) -> None:
+    """Rewrite every pending CAL-pointer among the ``touched`` flat cells
+    of ``pool`` to its record's CAL address ``addr[rid]`` (-1 for a
     dropped one).  A cell listed twice gets the same address twice."""
-    blocks_f = pool.fields["cal_block"].reshape(-1)
-    slots_f = pool.fields["cal_slot"].reshape(-1)
+    cal = pool.fields["cal"].reshape(-1)
     cells = np.concatenate(touched)
-    cells = cells[blocks_f[cells] == PENDING_CAL]
-    rid = slots_f[cells]
-    blocks_f[cells] = cal_block[rid]
-    slots_f[cells] = cal_slot[rid]
+    ptr = cal[cells]
+    pending = ptr <= PENDING_CAL
+    cal[cells[pending]] = addr[PENDING_CAL - ptr[pending]]
 
 
 def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
@@ -557,12 +562,11 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     h_w = w[q[hit]]
                     fields[1][cells] = h_w
                     if cal is not None:
-                        cb = fields[3][cells]
-                        slot = fields[4][cells]
-                        copied = cb >= 0
-                        cal.pool.fields["weight"][cb[copied], slot[copied]] = h_w[copied]
-                        pending = cb == PENDING_CAL
-                        p_w[slot[pending]] = h_w[pending]
+                        ptr = fields[3][cells]
+                        copied = ptr >= 0
+                        cal.pool.fields["weight"].reshape(-1)[ptr[copied]] = h_w[copied]
+                        pending = ptr <= PENDING_CAL
+                        p_w[PENDING_CAL - ptr[pending]] = h_w[pending]
                         cal_up += int(copied.sum()) + int(pending.sum())
                     dup[q[hit]] = True
                 child = kids[srow].astype(np.int64)
@@ -591,9 +595,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     flat, probed = flat[:, keep], probed[:, keep]
             rolled = (r, flat, probed)
             fields, kids = mfields, mkids
-            edge = [dst[q], w[q], np.full(q.shape[0], -1), np.full(q.shape[0], -1)]
-            if cal is not None:
-                edge[2:] = np.full(q.shape[0], PENDING_CAL), rid[q]
+            edge = [dst[q], w[q], PENDING_CAL - rid[q] if cal is not None
+                    else np.full(q.shape[0], -1)]
             for gen in range(max_gen):
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, edge[0])
@@ -639,18 +642,17 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         rids = np.sort(order[rem])
         for rid, src, dst, w in zip(rids.tolist(), dense[rids].tolist(),
                                     dsts[rids].tolist(), weights[rids].tolist()):
-            ptr = (PENDING_CAL, rid) if cal is not None else (-1, -1)
-            is_new, loc = eba.insert(src, dst, w, *ptr)
+            is_new, loc = eba.insert(src, dst, w, PENDING_CAL - rid if cal is not None else -1)
             if is_new:
                 r_new.append(rid)
             elif cal is not None:
                 # Duplicate: the CAL copy through the cell's pointer or its
                 # pending record (GraphTinker.insert_edge's update branch).
-                cb, slot = eba.get_cal_pointer(loc)
-                if cb >= 0:
-                    cal.update_weight(cb, slot, w)
-                elif cb == PENDING_CAL:
-                    p_w[slot] = w
+                ptr = eba.get_cal_pointer(loc)
+                if ptr >= 0:
+                    cal.update_weight(ptr, w)
+                elif ptr <= PENDING_CAL:
+                    p_w[PENDING_CAL - ptr] = w
                     cal_up += 1
     finally:
         # Apply the deferred side effects even when an op raised mid-chunk,
@@ -672,10 +674,8 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             # pending cell anywhere in its group's subtree, so that adds
             # every cell of the group's gen-0 Subblock and of every
             # overflow row below it.
-            cal_block = np.full(n, -1, dtype=np.int64)
-            cal_slot = np.full(n, -1, dtype=np.int64)
-            cal_block[live], cal_slot[live] = cal.append_many(
-                dense[live], dsts[live], p_w[live])
+            addr = np.full(n, -1, dtype=np.int64)
+            addr[live] = cal.append_many(dense[live], dsts[live], p_w[live])
             res = groups[cur < grp_end]
             touched[MAIN].append(((res * size)[:, None] + np.arange(size)).ravel())
             kids = mkids[res]
@@ -685,7 +685,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                 kids = ochild._data[rows].ravel()
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
                 if touched[region]:
-                    _patch_pending(pool, touched[region], cal_block, cal_slot)
+                    _patch_pending(pool, touched[region], addr)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.workblock_writebacks += wb
@@ -730,8 +730,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
 
     wf = cs = bd = deleted = 0
     hit_srcs: list[np.ndarray] = []
-    hit_cb: list[np.ndarray] = []
-    hit_cs: list[np.ndarray] = []
+    hit_cal: list[np.ndarray] = []
     src, dst, block = dense, dsts, dense
     try:
         for gen in range(cfg.max_generations):
@@ -743,17 +742,15 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
 
             # Mirror of EdgeblockArray.delete's hit branch; the CAL copies
             # are invalidated once per chunk, below.  Repeats of one pair
-            # hit one cell: each hit tags its cell with its own index, and
-            # the one whose tag reads back deletes it.
-            cb, slot = fields[3][cells], fields[4][cells]
+            # hit one cell: each hit tags its cell's CAL-pointer with its
+            # own index, and the one whose tag reads back deletes it.
+            ptr = fields[3][cells]
             tag = np.arange(cells.shape[0])
-            fields[4][cells] = tag
-            win = fields[4][cells] == tag
+            fields[3][cells] = tag
+            win = fields[3][cells] == tag
             fields[0][cells] = TOMBSTONE
             fields[3][cells] = -1
-            fields[4][cells] = -1
-            hit_cb.append(cb[win])
-            hit_cs.append(slot[win])
+            hit_cal.append(ptr[win])
             hit_srcs.append(src[hit][win])
             deleted += int(win.sum())
             if not win.all():
@@ -772,9 +769,8 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
             bd += int(go.sum())
             src, dst, block = src[go], dst[go], child[go]
         if cal is not None:
-            cb = np.concatenate(hit_cb)
-            copied = cb >= 0
-            cal.invalidate_many(cb[copied], np.concatenate(hit_cs)[copied])
+            ptr = np.concatenate(hit_cal)
+            cal.invalidate_many(ptr[ptr >= 0])
     finally:
         # Whatever was tombstoned before an exception keeps its degree
         # and counter effects, as on the per-op path.

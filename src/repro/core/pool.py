@@ -24,15 +24,15 @@ EMPTY = np.int64(-1)
 TOMBSTONE = np.int64(-2)
 
 #: Edge-cell fields: destination vertex, weight, Robin-Hood probe
-#: distance, and the CAL-pointer (block index + slot) to the edge's
-#: compacted copy.
+#: distance, and the CAL-pointer to the edge's compacted copy: one CAL
+#: address, the copy's index in the raveled CAL pool (-1 for none; built
+#: and split only by :mod:`repro.core.cal`).
 EDGE_CELL_DTYPE = np.dtype(
     [
         ("dst", np.int64),
         ("weight", np.float64),
         ("probe", np.int16),
-        ("cal_block", np.int32),
-        ("cal_slot", np.int32),
+        ("cal", np.int64),
     ]
 )
 
@@ -72,8 +72,7 @@ def blank_edge_cells(shape: tuple[int, ...] | int) -> np.ndarray:
     """Return an EDGE_CELL array initialised to the empty state."""
     arr = np.zeros(shape, dtype=EDGE_CELL_DTYPE)
     arr["dst"] = EMPTY
-    arr["cal_block"] = -1
-    arr["cal_slot"] = -1
+    arr["cal"] = -1
     return arr
 
 

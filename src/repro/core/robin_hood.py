@@ -65,7 +65,7 @@ _EMPTY = int(EMPTY)
 _TOMBSTONE = int(TOMBSTONE)
 
 #: Edge-cell fields in the order :func:`rhh_insert` takes their sequences.
-CELL_FIELDS = ("dst", "weight", "probe", "cal_block", "cal_slot")
+CELL_FIELDS = ("dst", "weight", "probe", "cal")
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,18 +140,16 @@ def rhh_insert(
     dsts: list,
     weights: list,
     probes: list,
-    cal_blocks: list,
-    cal_slots: list,
+    cals: list,
     dst: int,
     weight: float,
     init_bucket: int,
     enable_rhh: bool,
-    cal_block: int = -1,
-    cal_slot: int = -1,
+    cal: int = -1,
 ) -> tuple:
-    """Insert ``(dst, weight)`` into one Subblock.
+    """Insert ``(dst, weight)`` with CAL-pointer ``cal`` into one Subblock.
 
-    The Subblock is five parallel sequences of Python ints/floats (in
+    The Subblock is four parallel sequences of Python ints/floats (in
     :data:`CELL_FIELDS` order), mutated in place.  Runs the FIND stage
     first (update-in-place if the edge exists), then the INSERT stage.
     With ``enable_rhh`` the Robin Hood displacement algorithm balances
@@ -161,7 +159,7 @@ def rhh_insert(
     Returns the outcome and every charge it implies, for the driver to
     apply:
 
-    ``(status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal_block, o_cal_slot)``
+    ``(status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal)``
 
     ``slot`` is where the *argument* edge now lives (``-1`` if it was not
     placed), ``lengths`` feeds :func:`_charge_scan` (fetches = union over
@@ -200,18 +198,17 @@ def rhh_insert(
 
     if found_slot >= 0:
         weights[found_slot] = weight
-        return (UPDATED, found_slot, (find_len,), True, 0, -1, 0.0, -1, -1)
+        return (UPDATED, found_slot, (find_len,), True, 0, -1, 0.0, -1)
 
     # --- INSERT stage. ---------------------------------------------------
     if not enable_rhh:
         if first_vacant < 0:
-            return (CONGESTED, -1, (find_len,), False, 0, dst, weight, cal_block, cal_slot)
+            return (CONGESTED, -1, (find_len,), False, 0, dst, weight, cal)
         dsts[first_vacant] = dst
         weights[first_vacant] = weight
         probes[first_vacant] = _distance(init_bucket, first_vacant, size)
-        cal_blocks[first_vacant] = cal_block
-        cal_slots[first_vacant] = cal_slot
-        return (INSERTED, first_vacant, (find_len,), True, 0, -1, 0.0, -1, -1)
+        cals[first_vacant] = cal
+        return (INSERTED, first_vacant, (find_len,), True, 0, -1, 0.0, -1)
 
     # Robin Hood displacement: walk the probe path with a floating edge,
     # swapping whenever the floating edge is strictly poorer than the
@@ -220,8 +217,7 @@ def rhh_insert(
     float_dst = dst
     float_weight = weight
     float_probe = 0
-    float_cal_block = cal_block
-    float_cal_slot = cal_slot
+    float_cal = cal
     placed_slot = -1
     swaps = 0
 
@@ -235,31 +231,27 @@ def rhh_insert(
             dsts[slot] = float_dst
             weights[slot] = float_weight
             probes[slot] = float_probe
-            cal_blocks[slot] = float_cal_block
-            cal_slots[slot] = float_cal_slot
+            cals[slot] = float_cal
             if placed_slot < 0:
                 placed_slot = slot
-            return (INSERTED, placed_slot, (find_len, steps + 1), True, swaps, -1, 0.0, -1, -1)
+            return (INSERTED, placed_slot, (find_len, steps + 1), True, swaps, -1, 0.0, -1)
         resident_probe = probes[slot]
         if float_probe > resident_probe:
             # Swap: the floating edge takes the bucket, the resident floats.
             swaps += 1
             r_dst = dsts[slot]
             r_weight = weights[slot]
-            r_cal_block = cal_blocks[slot]
-            r_cal_slot = cal_slots[slot]
+            r_cal = cals[slot]
             dsts[slot] = float_dst
             weights[slot] = float_weight
             probes[slot] = float_probe
-            cal_blocks[slot] = float_cal_block
-            cal_slots[slot] = float_cal_slot
+            cals[slot] = float_cal
             if placed_slot < 0:
                 placed_slot = slot
             float_dst = r_dst
             float_weight = r_weight
             float_probe = resident_probe
-            float_cal_block = r_cal_block
-            float_cal_slot = r_cal_slot
+            float_cal = r_cal
         float_probe += 1
         slot += 1
         steps += 1
@@ -276,8 +268,7 @@ def rhh_insert(
         swaps,
         float_dst,
         float_weight,
-        float_cal_block,
-        float_cal_slot,
+        float_cal,
     )
 
 

@@ -112,8 +112,7 @@ class GraphTinkerUnits:
         trace.record("insert-edge", f"block {tag}{location.block} slot {location.slot}")
         trace.record("writeback", f"{delta.workblock_writebacks} workblocks")
         if gt.cal is not None:
-            cal_block, cal_slot = gt.eba.get_cal_pointer(location)
-            trace.record("writeback", f"CAL copy @({cal_block},{cal_slot})")
+            trace.record("writeback", f"CAL copy @{gt.eba.get_cal_pointer(location)}")
         return True, trace
 
     def delete_edge_traced(self, src: int, dst: int) -> tuple[bool, UnitTrace]:
@@ -126,7 +125,7 @@ class GraphTinkerUnits:
         gt = self.gt
         trace = UnitTrace()
         dense_src, location, _ = self._peek(src, dst)
-        had_cal_copy = location is not None and gt.eba.get_cal_pointer(location)[0] >= 0
+        had_cal_copy = location is not None and gt.eba.get_cal_pointer(location) >= 0
         before = gt.stats.snapshot()
         deleted = gt.delete_edge(src, dst)
         delta = gt.stats.delta(before)

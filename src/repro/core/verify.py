@@ -156,8 +156,7 @@ class _CellInfo:
     generation: int
     dst: int
     weight: float
-    cal_block: int
-    cal_slot: int
+    cal: int             # CAL-pointer: a CAL address
     placement_ok: bool = True
 
 
@@ -204,8 +203,7 @@ def _walk_vertex(gt, src: int, freed: set[int],
             sb = slot // sb_size
             info = _CellInfo(region, block, slot, gen, dst,
                              float(cells["weight"][block, slot]),
-                             int(cells["cal_block"][block, slot]),
-                             int(cells["cal_slot"][block, slot]))
+                             int(cells["cal"][block, slot]))
             # Placement: the cell's own generation plus every ancestor
             # generation it descended through must hash consistently,
             # otherwise rhh_find can never reach it.
@@ -343,7 +341,7 @@ def _run_checks(gt, level: str, report: VerifyReport) -> None:
     _check_sgh(gt, emit)
 
     total_live = 0
-    cal_owners: dict[tuple[int, int], tuple[int, int]] = {}
+    cal_owners: dict[int, tuple[int, int]] = {}
     for src in range(eba.n_vertices):
         if level == "quick":
             live, dup, neg = _quick_vertex_count(gt, src, freed)
@@ -383,33 +381,38 @@ def _run_checks(gt, level: str, report: VerifyReport) -> None:
                           emit)
 
 
+def _resolves(cal, addr: int, freed_cal: set[int]) -> bool:
+    """Whether CAL address ``addr`` names a slot of an allocated block."""
+    block = cal.split(addr)[0]
+    return addr >= 0 and block < cal.pool.high_water and block not in freed_cal
+
+
 def _check_cal_pointers(gt, src: int, cells: list[_CellInfo],
                         cal_owners: dict, emit) -> None:
     cal = gt.cal
     freed_cal = set(cal.pool._free)
     for c in cells:
         where = f"r{c.region}b{c.block}s{c.slot}"
-        b, s = c.cal_block, c.cal_slot
-        if not (0 <= b < cal.pool.high_water) or b in freed_cal \
-                or not (0 <= s < gt.config.cal_block_size):
+        if not _resolves(cal, c.cal, freed_cal):
             emit(IntegrityViolation(
                 V_CAL_DANGLING, src,
-                f"edge ({src}, {c.dst}) points at CAL ({b}, {s}) which "
-                f"does not exist", where=where))
+                f"edge ({src}, {c.dst}) points at CAL address {c.cal} "
+                f"which does not exist", where=where))
             continue
-        if (b, s) in cal_owners:
-            o_src, o_dst = cal_owners[(b, s)]
+        at = cal.split(c.cal)
+        if c.cal in cal_owners:
+            o_src, o_dst = cal_owners[c.cal]
             emit(IntegrityViolation(
                 V_CAL_MISMATCH, src,
-                f"edge ({src}, {c.dst}) shares CAL slot ({b}, {s}) with "
+                f"edge ({src}, {c.dst}) shares CAL slot {at} with "
                 f"edge ({o_src}, {o_dst})", where=where))
             continue
-        cal_owners[(b, s)] = (src, c.dst)
-        cs, cd, cw = cal.read_slot(b, s)
+        cal_owners[c.cal] = (src, c.dst)
+        cs, cd, cw = cal.read_slot(c.cal)
         if cs != src or cd != c.dst:
             emit(IntegrityViolation(
                 V_CAL_MISMATCH, src,
-                f"edge ({src}, {c.dst}) owns CAL slot ({b}, {s}) which "
+                f"edge ({src}, {c.dst}) owns CAL slot {at} which "
                 f"holds ({cs}, {cd})", where=where))
         elif cw != c.weight:
             emit(IntegrityViolation(
@@ -419,25 +422,26 @@ def _check_cal_pointers(gt, src: int, cells: list[_CellInfo],
 
 
 def _live_cal_slots(cal):
-    """Yield ``(block, slot, src, dst, weight)`` for every live CAL slot."""
+    """Yield ``(addr, src, dst, weight)`` for every live CAL slot, in
+    address order (a slot's address is its index in the raveled pool)."""
     from repro.core.cal import CAL_INVALID
 
-    freed = set(cal.pool._free)
-    for block in range(cal.pool.high_water):
-        if block in freed:
-            continue
-        for slot in np.flatnonzero(cal.pool.fields["src"][block] != CAL_INVALID).tolist():
-            yield (block, slot, *cal.read_slot(block, slot))
+    used = np.ones(cal.pool.high_water, dtype=bool)
+    used[list(cal.pool._free)] = False
+    live = (cal.pool.fields["src"][: used.shape[0]] != CAL_INVALID) & used[:, None]
+    for addr in np.flatnonzero(live).tolist():
+        yield (addr, *cal.read_slot(addr))
 
 
 def _check_cal_global(gt, eba_live: int, cal_owners: dict | None,
                       emit) -> None:
     cal = gt.cal
     actual_live = 0
-    for block, slot, src, dst, _w in _live_cal_slots(cal):
+    for addr, src, dst, _w in _live_cal_slots(cal):
         actual_live += 1
-        if cal_owners is not None and (block, slot) not in cal_owners:
+        if cal_owners is not None and addr not in cal_owners:
             vertex = src if 0 <= src < gt.eba.n_vertices else -1
+            block, slot = cal.split(addr)
             emit(IntegrityViolation(
                 V_CAL_GHOST, vertex,
                 f"live CAL slot ({block}, {slot}) = ({src}, {dst}) has "
@@ -618,14 +622,14 @@ def _apply_repairs(gt, report: VerifyReport, out: RepairReport) -> None:
     _recount_cal(gt)
 
 
-def _global_cal_owners(gt) -> dict[tuple[int, int], list[tuple[int, int, float]]]:
+def _global_cal_owners(gt) -> dict[int, list[tuple[int, int, float]]]:
     """Map every resolvable CAL-pointer to the ``(src, dst, w)`` of each
     edge-cell claiming it (normally exactly one; corruption can make it
     zero or several)."""
     eba = gt.eba
     freed = _freed_overflow(eba)
     freed_cal = set(gt.cal.pool._free)
-    owners: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
+    owners: dict[int, list[tuple[int, int, float]]] = {}
     for src in range(eba.n_vertices):
         for region, block in _tree_blocks(eba, src, freed):
             cells = eba._pool(region).fields
@@ -637,14 +641,13 @@ def _global_cal_owners(gt) -> dict[tuple[int, int], list[tuple[int, int, float]]
 
 
 def _cal_pointers(gt, region: int, block: int, freed_cal: set[int]):
-    """Yield ``(slot, (cal_block, cal_slot))`` for each live cell of the
-    block whose CAL-pointer lands on an allocated, in-bounds CAL slot."""
+    """Yield ``(slot, addr)`` for each live cell of the block whose
+    CAL-pointer ``addr`` lands on a slot of an allocated CAL block."""
     cells = gt.eba._pool(region).fields
     for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
-        b, s = int(cells["cal_block"][block, slot]), int(cells["cal_slot"][block, slot])
-        if 0 <= b < gt.cal.pool.high_water and b not in freed_cal \
-                and 0 <= s < gt.config.cal_block_size:
-            yield slot, (b, s)
+        addr = int(cells["cal"][block, slot])
+        if _resolves(gt.cal, addr, freed_cal):
+            yield slot, addr
 
 
 def _reconcile_vertex(gt, vertex: int, owners: dict) -> dict[int, float]:
@@ -658,14 +661,14 @@ def _reconcile_vertex(gt, vertex: int, owners: dict) -> dict[int, float]:
     cells = _walk_vertex(gt, vertex, _freed_overflow(gt.eba), lambda _v: None)
     cal = gt.cal
     merged: dict[int, float] = {}
-    claimed: set[tuple[int, int]] = set()
-    cal_mine: dict[tuple[int, int], tuple[int, float]] = {}
+    claimed: set[int] = set()
+    cal_mine: dict[int, tuple[int, float]] = {}
     if cal is not None:
-        for block, slot, src, dst, w in _live_cal_slots(cal):
+        for addr, src, dst, w in _live_cal_slots(cal):
             if src == vertex:
-                cal_mine[(block, slot)] = (dst, w)
+                cal_mine[addr] = (dst, w)
     for c in cells:
-        ptr = (c.cal_block, c.cal_slot)
+        ptr = c.cal
         entry = cal_mine.get(ptr)
         if entry is not None and entry[0] == c.dst:
             # Copies agree on the edge; on a weight mismatch neither side
@@ -732,14 +735,14 @@ def _wipe_vertex(gt, vertex: int, out: RepairReport,
     gt.vpa.ensure(vertex)
     gt.vpa._degree[vertex] = 0
     if cal is not None:
-        for b, s in pointed:
+        for addr in pointed:
             if owners is not None and any(
-                    o[0] != vertex for o in owners.get((b, s), [])):
+                    o[0] != vertex for o in owners.get(addr, [])):
                 continue
-            cal.invalidate(b, s)
-        for block, slot, src, _dst, _w in list(_live_cal_slots(cal)):
+            cal.invalidate(addr)
+        for addr, src, _dst, _w in list(_live_cal_slots(cal)):
             if src == vertex:
-                cal.invalidate(block, slot)
+                cal.invalidate(addr)
 
 
 def _recount_cal(gt) -> None:

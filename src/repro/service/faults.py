@@ -249,10 +249,10 @@ class StoreCorruptor:
                         stack.append((OVERFLOW, int(child)))
         return out
 
-    def _live_cal_slots(self) -> list[tuple[int, int]]:
+    def _live_cal_slots(self) -> list[int]:
         from repro.core.verify import _live_cal_slots
 
-        return [(block, slot) for block, slot, *_ in _live_cal_slots(self.gt.cal)]
+        return [addr for addr, *_ in _live_cal_slots(self.gt.cal)]
 
     def _pick(self, candidates: list, what: str):
         if not candidates:
@@ -290,14 +290,14 @@ class StoreCorruptor:
         if kind in ("cal-src", "cal-dst"):
             if gt.cal is None:
                 raise CorruptionError("store has no CAL to corrupt")
-            block, slot = self._pick(self._live_cal_slots(), kind)
+            addr = self._pick(self._live_cal_slots(), kind)
             field = "src" if kind == "cal-src" else "dst"
-            cells = gt.cal.pool.fields[field]
-            old = int(cells[block, slot])
+            cells = gt.cal.pool.fields[field].reshape(-1)
+            old = int(cells[addr])
             new = old + 1 if kind == "cal-src" else old ^ 1
-            cells[block, slot] = new
+            cells[addr] = new
             return InjectedCorruption(kind, (
-                f"damaged CAL slot ({block}, {slot}) {field}: "
+                f"damaged CAL slot {gt.cal.split(addr)} {field}: "
                 f"{old} -> {new}"))
         if kind == "truncate":
             blocks = list(gt.eba.overflow.iter_used())

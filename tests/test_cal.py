@@ -14,6 +14,11 @@ def make(group_width=4, block_size=4):
     )
 
 
+def addr_of(cal, block, slot):
+    """The CAL address of ``(block, slot)``; ``cal.split`` inverts it."""
+    return block * cal.config.cal_block_size + slot
+
+
 class TestGrouping:
     def test_group_of(self):
         cal = make(group_width=4)
@@ -38,13 +43,13 @@ class TestGrouping:
 class TestAppend:
     def test_append_returns_address(self):
         cal = make()
-        block, slot = cal.append(0, 7, 2.0)
-        assert cal.read_slot(block, slot) == (0, 7, 2.0)
+        addr = cal.append(0, 7, 2.0)
+        assert cal.read_slot(addr) == (0, 7, 2.0)
 
     def test_chain_extension_when_block_full(self):
         cal = make(group_width=4, block_size=2)
         addrs = [cal.append(0, d, 1.0) for d in range(5)]
-        blocks = {b for b, _ in addrs}
+        blocks = {cal.split(a)[0] for a in addrs}
         assert len(blocks) == 3  # ceil(5/2)
         assert cal.n_edges == 5
 
@@ -61,22 +66,22 @@ class TestAppend:
 class TestUpdateInvalidate:
     def test_update_weight(self):
         cal = make()
-        b, s = cal.append(0, 7, 1.0)
-        cal.update_weight(b, s, 9.0)
-        assert cal.read_slot(b, s)[2] == 9.0
+        addr = cal.append(0, 7, 1.0)
+        cal.update_weight(addr, 9.0)
+        assert cal.read_slot(addr)[2] == 9.0
 
     def test_invalidate(self):
         cal = make()
-        b, s = cal.append(0, 7, 1.0)
-        cal.invalidate(b, s)
+        addr = cal.append(0, 7, 1.0)
+        cal.invalidate(addr)
         assert cal.n_edges == 0
-        assert cal.read_slot(b, s)[0] == CAL_INVALID
+        assert cal.read_slot(addr)[0] == CAL_INVALID
 
     def test_invalidate_idempotent(self):
         cal = make()
-        b, s = cal.append(0, 7, 1.0)
-        cal.invalidate(b, s)
-        cal.invalidate(b, s)
+        addr = cal.append(0, 7, 1.0)
+        cal.invalidate(addr)
+        cal.invalidate(addr)
         assert cal.n_edges == 0
 
     def test_maintenance_is_o1_no_traversal(self):
@@ -117,30 +122,33 @@ class TestInvalidateMany:
         (looped, bulk), addrs = self._loaded_pair()
         picks = np.random.default_rng(6).permutation(addrs)[:50]
         # One address twice and one already-invalid address: both no-ops.
-        picks = np.vstack([picks, picks[:1]])
+        picks = np.concatenate([picks, picks[:1]])
         for cal in (looped, bulk):
-            cal.invalidate(*picks[7].tolist())
-        for b, s in picks.tolist():
-            looped.invalidate(b, s)
-        bulk.invalidate_many(picks[:, 0], picks[:, 1])
+            cal.invalidate(int(picks[7]))
+        for addr in picks.tolist():
+            looped.invalidate(addr)
+        bulk.invalidate_many(picks)
         assert _cal_state(bulk) == _cal_state(looped)
         assert bulk.n_edges == 40
 
     def test_idempotent_and_empty(self):
         (_, cal), addrs = self._loaded_pair()
-        cal.invalidate_many(addrs[:10, 0], addrs[:10, 1])
+        cal.invalidate_many(addrs[:10])
         state = _cal_state(cal)
-        cal.invalidate_many(addrs[:10, 0], addrs[:10, 1])
-        cal.invalidate_many(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        cal.invalidate_many(addrs[:10])
+        cal.invalidate_many(np.empty(0, dtype=np.int64))
         assert _cal_state(cal) == state
 
-    @pytest.mark.parametrize("bad", [(10_000, 0), (-1, 0), (0, 4), (0, -1)])
+    # (block, slot); block None: the first block past the last allocated one.
+    @pytest.mark.parametrize("bad", [(10_000, 0), (-1, 0), (None, 0), (0, -1)])
     def test_bad_address_raises_before_mutating(self, bad):
         (_, cal), addrs = self._loaded_pair()
         state = _cal_state(cal)
-        picks = np.vstack([addrs[:10], [bad]])
+        block, slot = bad
+        block = cal.pool.high_water if block is None else block
+        picks = np.append(addrs[:10], addr_of(cal, block, slot))
         with pytest.raises(IndexError):
-            cal.invalidate_many(picks[:, 0], picks[:, 1])
+            cal.invalidate_many(picks)
         assert _cal_state(cal) == state
 
 
@@ -156,9 +164,9 @@ class TestAppendMany:
         weights = dsts * 0.25
         want = [looped.append(s, d, w)
                 for s, d, w in zip(srcs.tolist(), dsts.tolist(), weights.tolist())]
-        blocks, slots = bulk.append_many(srcs, dsts, weights)
-        assert blocks.dtype == slots.dtype == np.int64
-        assert list(zip(blocks.tolist(), slots.tolist())) == want
+        addrs = bulk.append_many(srcs, dsts, weights)
+        assert addrs.dtype == np.int64
+        assert addrs.tolist() == want
         assert _cal_state(bulk) == _cal_state(looped)
 
     def test_empty_batch(self):
@@ -219,7 +227,7 @@ class TestAppendMany:
         for cal in pair:
             for group in (3, 0, 2):   # empty three chains, tail first
                 while (tail := cal._group_tail[group]) >= 0:
-                    cal.compact_delete(tail, cal._tail_fill[group] - 1)
+                    cal.compact_delete(addr_of(cal, tail, cal._tail_fill[group] - 1))
         assert len(pair[1].pool._free) >= 6 and pair[1].pool._free == pair[0].pool._free
         self._append_both(pair, rng.permutation(np.repeat([7, 6, 1, 0, 4, 11], 9)))
         assert not pair[1].pool._free and pair[1].pool.high_water > 30
@@ -240,8 +248,8 @@ class TestStreaming:
     def test_stream_skips_invalidated(self):
         cal = make()
         addrs = [cal.append(0, d, 1.0) for d in range(10)]
-        for b, s in addrs[::2]:
-            cal.invalidate(b, s)
+        for addr in addrs[::2]:
+            cal.invalidate(addr)
         src, dst, _ = cal.stream_edges()
         assert sorted(dst.tolist()) == list(range(1, 10, 2))
 
@@ -265,7 +273,7 @@ class TestStreaming:
         cal.append(0, 2, 2.0)
         addr = cal.append(0, 3, 3.0)
         cal.append(0, 4, 4.0)
-        cal.invalidate(*addr)
+        cal.invalidate(addr)
         src, dst, w = cal.stream_edges()
         assert dst.tolist() == [1, 2, 4]
         assert w.tolist() == [1.0, 2.0, 4.0]
@@ -321,7 +329,7 @@ class TestStreamOracle:
         dead = [cal.append(0, d, 1.0) for d in range(5)]    # group 0: 3 blocks
         cal.append(4, 7, 2.0)                               # group 1
         for addr in dead:
-            cal.invalidate(*addr)
+            cal.invalidate(addr)
         cal.stats.reset()
         src, dst, _ = assert_stream_matches_reference(cal)
         assert (src.tolist(), dst.tolist()) == ([4], [7])
@@ -339,7 +347,7 @@ class TestStreamOracle:
         cal = make(group_width=4, block_size=2)
         addrs = [cal.append(0, d, 1.0) for d in range(6)]   # blocks 0,1,2
         for addr in reversed(addrs[2:]):
-            cal.compact_delete(*addr)                       # frees 2 then 1
+            cal.compact_delete(addr)                       # frees 2 then 1
         for d in range(3):
             cal.append(8, 100 + d, 2.0)                     # group 2 reuses 1, 2
         cal.append(0, 50, 3.0)                              # group 0 gets a fresh row
@@ -367,26 +375,26 @@ class TestCompactDelete:
     def test_delete_tail_slot_shrinks(self):
         cal = make(group_width=4, block_size=4)
         addrs = [cal.append(0, d, 1.0) for d in range(3)]
-        assert cal.compact_delete(*addrs[-1]) is None  # tail: no move
+        assert cal.compact_delete(addrs[-1]) is None  # tail: no move
         assert cal.n_edges == 2
 
     def test_delete_inner_slot_moves_tail(self):
         cal = make(group_width=4, block_size=4)
         addrs = [cal.append(0, d, float(d)) for d in range(3)]
-        moved = cal.compact_delete(*addrs[0])
+        moved = cal.compact_delete(addrs[0])
         assert moved is not None
-        src, dst, old_block, old_slot = moved
+        src, dst, old_addr = moved
         assert (src, dst) == (0, 2)
-        assert (old_block, old_slot) == addrs[2]
+        assert old_addr == addrs[2]
         # the moved copy now lives at the deleted slot
-        assert cal.read_slot(*addrs[0]) == (0, 2, 2.0)
+        assert cal.read_slot(addrs[0]) == (0, 2, 2.0)
 
     def test_emptied_tail_block_freed_and_unlinked(self):
         cal = make(group_width=4, block_size=2)
         addrs = [cal.append(0, d, 1.0) for d in range(4)]  # two blocks
         blocks_before = cal.n_blocks
-        cal.compact_delete(*addrs[3])
-        cal.compact_delete(*addrs[2])
+        cal.compact_delete(addrs[3])
+        cal.compact_delete(addrs[2])
         assert cal.n_blocks == blocks_before - 1
         # chain still streams the surviving copies
         _, dst, _ = cal.stream_edges()
@@ -396,7 +404,7 @@ class TestCompactDelete:
         cal = make(group_width=4, block_size=2)
         addrs = [cal.append(0, d, 1.0) for d in range(3)]
         for addr in reversed(addrs):
-            cal.compact_delete(*addr)
+            cal.compact_delete(addr)
         assert cal.n_edges == 0
         assert cal.stream_edges()[0].size == 0
         # the group accepts fresh appends afterwards
@@ -406,8 +414,8 @@ class TestCompactDelete:
     def test_idempotent_on_invalid_slot(self):
         cal = make()
         addr = cal.append(0, 1, 1.0)
-        cal.compact_delete(*addr)
-        assert cal.compact_delete(*addr) is None
+        cal.compact_delete(addr)
+        assert cal.compact_delete(addr) is None
 
     def test_dense_chain_invariant_under_churn(self, rng):
         from repro.core.cal import CAL_INVALID
@@ -423,7 +431,7 @@ class TestCompactDelete:
             else:
                 key = next(iter(live))
                 addr = live.pop(key)
-                moved = cal.compact_delete(*addr)
+                moved = cal.compact_delete(addr)
                 if moved is not None:
                     m_src, m_dst, *_ = moved
                     live[(m_src, m_dst)] = addr
@@ -449,7 +457,7 @@ class TestFillFraction:
     def test_after_invalidation(self):
         cal = make(block_size=4)
         addrs = [cal.append(0, d, 1.0) for d in range(4)]
-        cal.invalidate(*addrs[0])
+        cal.invalidate(addrs[0])
         assert cal.fill_fraction() == 0.75
 
     def test_empty_structure(self):

@@ -100,9 +100,9 @@ class TestInsertFind:
 class TestDelete:
     def test_delete_only_tombstones(self):
         eba = make()
-        eba.insert(0, 5, cal_block=3, cal_slot=1)
+        eba.insert(0, 5, cal=3 * 64 + 1)
         cal_ptr = eba.delete(0, 5)
-        assert cal_ptr == (3, 1)
+        assert cal_ptr == 3 * 64 + 1
         assert eba.find(0, 5) is None
         assert eba.degree(0) == 0
         assert eba.stats.tombstones_set == 1
@@ -165,13 +165,13 @@ class TestDeleteAndCompact:
     def test_compaction_moves_cal_pointer_with_edge(self):
         eba = make(compact=True)
         for d in range(100):
-            eba.insert(0, d, cal_block=d, cal_slot=d % 7)
+            eba.insert(0, d, cal=d * 64 + d % 7)
         # delete half; survivors must still report their own CAL pointers
         for d in range(0, 100, 2):
             eba.delete(0, d)
         for d in range(1, 100, 2):
             loc = eba.find(0, d)
-            assert eba.get_cal_pointer(loc) == (d, d % 7)
+            assert eba.get_cal_pointer(loc) == d * 64 + d % 7
 
 
 class TestRetrieval:
@@ -272,15 +272,15 @@ class TestCalPointerPlumbing:
     def test_set_get_cal_pointer(self):
         eba = make()
         _, loc = eba.insert(0, 9)
-        eba.set_cal_pointer(loc, 4, 6)
-        assert eba.get_cal_pointer(loc) == (4, 6)
+        eba.set_cal_pointer(loc, 4 * 64 + 6)
+        assert eba.get_cal_pointer(loc) == 4 * 64 + 6
 
     def test_displacement_preserves_cal_pointers(self):
         """RHH swaps and branch-outs must carry CAL pointers with edges."""
         eba = make()
         for d in range(300):
             _, loc = eba.insert(0, d)
-            eba.set_cal_pointer(loc, d, d % 5)
+            eba.set_cal_pointer(loc, d * 64 + d % 5)
         for d in range(300):
             loc = eba.find(0, d)
-            assert eba.get_cal_pointer(loc) == (d, d % 5), d
+            assert eba.get_cal_pointer(loc) == d * 64 + d % 5, d

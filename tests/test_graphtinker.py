@@ -154,8 +154,7 @@ class TestCompactModeCAL:
         for (s, d), w in list(ref.items())[:300]:
             dense = gt.dense_id(s)
             loc = gt.eba.find(dense, d)
-            cb, cs = gt.eba.get_cal_pointer(loc)
-            assert gt.cal.read_slot(cb, cs) == (dense, d, w)
+            assert gt.cal.read_slot(gt.eba.get_cal_pointer(loc)) == (dense, d, w)
 
     def test_streaming_matches_contents_after_deletions(self, rng):
         gt = self._compact_gt()

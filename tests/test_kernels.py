@@ -627,7 +627,7 @@ def kernel_chunks(monkeypatch) -> list[int]:
 
 def no_sentinel_left(gt: GraphTinker) -> bool:
     from repro.core.kernels import PENDING_CAL
-    return not any((pool.fields["cal_block"][:pool.high_water] == PENDING_CAL).any()
+    return not any((pool.fields["cal"][:pool.high_water] <= PENDING_CAL).any()
                    for pool in (gt.eba.main, gt.eba.overflow))
 
 
@@ -795,6 +795,38 @@ class TestLevelSynchronousInsert:
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
         assert entered == [batch.shape[0] for batch, _ in batches]
 
+    @pytest.mark.parametrize("enable_rhh", [True, False])
+    def test_pending_records_at_both_ends_of_a_chunk(self, enable_rhh, monkeypatch):
+        """One ``CHUNK_EDGES`` chunk in which duplicates meet pending cells
+        at both ends of the record range: record 0 (the chunk's first op,
+        duplicated twice, the last time three ops before the end) and
+        record ``CHUNK_EDGES - 2`` (duplicated by the chunk's last op, so
+        the highest record a duplicate can meet).  The ops run in rounds
+        with Robin Hood on and in the residue with it off.  Each CAL copy
+        must hold the last weight written, and no pending pointer may
+        survive."""
+        from repro.core.kernels import CHUNK_EDGES
+        entered = kernel_chunks(monkeypatch)
+        rng = np.random.default_rng(29)
+        edges = np.column_stack([rng.integers(0, 4096, CHUNK_EDGES),
+                                 rng.integers(0, 1 << 20, CHUNK_EDGES)])
+        weights = rng.random(CHUNK_EDGES)
+        low, high = (5000, 11), (5001, 13)      # sources no other op uses
+        at = {0: (low, 1.0), CHUNK_EDGES // 2: (low, 4.5),
+              CHUNK_EDGES - 3: (low, 7.5), CHUNK_EDGES - 2: (high, 2.0),
+              CHUNK_EDGES - 1: (high, 9.25)}
+        for i, (edge, w) in at.items():
+            edges[i], weights[i] = edge, w
+        gt = GraphTinker(GTConfig(kernel="vector", enable_rhh=enable_rhh))
+        gt.insert_batch(edges, weights)
+        assert entered == [CHUNK_EDGES]
+        assert no_sentinel_left(gt)
+        for (src, dst), w in ((low, 7.5), (high, 9.25)):
+            dense = gt.dense_id(src)
+            ptr = gt.eba.get_cal_pointer(gt.eba.find(dense, dst))
+            assert gt.cal.read_slot(ptr) == (dense, dst, w)
+        assert gt.cal.n_edges == gt.n_edges
+
     def test_round_rolls_only_the_ops_their_first_cell_leaves_open(self, monkeypatch):
         """One round over 200 sparse rows, each op its own group: the ops
         whose initial-bucket cell holds their own edge (a duplicate) or
@@ -858,17 +890,22 @@ class TestLevelSynchronousInsert:
         D[eighth == 1, ib[eighth == 1]] = -2
         W = rng.random((n, size))
         P = np.where(D == -1, 0, rng.integers(0, size, (n, size))).astype(np.int16)
-        CB = np.where(D >= 0, rng.choice([PENDING_CAL, 4, 9], (n, size)), -1).astype(np.int32)
-        CS = np.where(D >= 0, rng.integers(0, 64, (n, size)), -1).astype(np.int32)
+
+        def pointer(block, slot):
+            """(block, slot) as a CAL-pointer: record ``slot`` when pending."""
+            return np.where(block == PENDING_CAL, PENDING_CAL - slot, block * 64 + slot)
+        CB = np.where(D >= 0, rng.choice([PENDING_CAL, 4, 9], (n, size)), -1)
+        CS = np.where(D >= 0, rng.integers(0, 64, (n, size)), -1)
+        C = np.where(D >= 0, pointer(CB, CS), -1)
         edge = [n * size + np.arange(n), rng.random(n),
-                rng.choice([PENDING_CAL, 7], n), np.arange(n)]
+                pointer(rng.choice([PENDING_CAL, 7], n), np.arange(n))]
         want = []
         for i in range(n):
-            cells = [m[i].tolist() for m in (D, W, P, CB, CS)]
+            cells = [m[i].tolist() for m in (D, W, P, C)]
             out = rhh.rhh_insert(*cells, int(edge[0][i]), float(edge[1][i]), int(ib[i]),
-                                 True, int(edge[2][i]), int(edge[3][i]))
+                                 True, int(edge[2][i]))
             want.append((cells, out))
-        fields = (D, W, P, CB, CS)
+        fields = (D, W, P, C)
         roll = rhh.subblock_tables(size, 4)[0]
         hit, find_len, at, c0, rolled = _probe(D.reshape(-1), np.arange(n), ib, edge[0],
                                                roll, True)
@@ -958,6 +995,17 @@ def test_batch_too_small_for_a_round_takes_the_per_edge_path(monkeypatch):
     assert_gather_matches_loop(vector, np.arange(8))
     assert registry.get("ingest.insert.vector.edges").value == 16
     assert "ingest.insert.scalar.batches" not in registry
+
+
+@pytest.mark.parametrize("hi", [1, 1 << 16, (1 << 16) + 1, 1 << 40])
+def test_stream_order_is_a_stable_sort(hi):
+    """Keys that fit in 16 bits take the radix sort, wider ones the
+    tie-broken default sort; both must be ``argsort(kind="stable")``."""
+    from repro.core.kernels import _stream_order
+    key = np.random.default_rng(hi % 97).integers(0, hi, 5000)
+    key[:50] = hi - 1      # ties at the top of the range
+    assert np.array_equal(_stream_order(key), np.argsort(key, kind="stable"))
+    assert _stream_order(key[:0]).shape == (0,)
 
 
 def test_small_vector_batch_marks_its_rows_once(monkeypatch):

@@ -36,8 +36,7 @@ class TestBlankCells:
     def test_blank_state(self):
         arr = blank_edge_cells((3, 4))
         assert (arr["dst"] == EMPTY).all()
-        assert (arr["cal_block"] == -1).all()
-        assert (arr["cal_slot"] == -1).all()
+        assert (arr["cal"] == -1).all()
         assert (arr["weight"] == 0).all()
         assert (arr["probe"] == 0).all()
 
@@ -102,7 +101,7 @@ class TestAllocation:
         fresh = pool.allocate()
         assert pool_bytes(pool, fresh) == blank
         pool.fields["dst"][fresh] = 9
-        pool.fields["cal_block"][fresh] = 5
+        pool.fields["cal"][fresh] = 5
         pool.fields["probe"][fresh] = 3
         pool.free(fresh)
         recycled = pool.allocate()

@@ -1,6 +1,6 @@
 """Unit + property tests for the per-Subblock Robin Hood core.
 
-The core works on five plain sequences (one per edge-cell field) and
+The core works on four plain sequences (one per edge-cell field) and
 reports its charges instead of applying them; ``insert``/``find`` below
 are the thinnest possible driver so the cases can still assert on
 ``AccessStats``.  Deletion is not a core operation (it is a FIND plus a
@@ -26,12 +26,12 @@ Cells = namedtuple("Cells", rhh.CELL_FIELDS)
 Result = namedtuple(
     "Result",
     "status slot lengths wrote swaps overflow_dst overflow_weight "
-    "overflow_cal_block overflow_cal_slot",
+    "overflow_cal",
 )
 
 
 def fresh():
-    """A blank Subblock as the five field lists, plus a stats sink."""
+    """A blank Subblock as the four field lists, plus a stats sink."""
     blank = blank_edge_cells(SB)
     return Cells(*(blank[name].tolist() for name in rhh.CELL_FIELDS)), AccessStats()
 
@@ -39,8 +39,8 @@ def fresh():
 FETCHES = rhh.subblock_tables(SB, WB)[2]
 
 
-def insert(cells, stats, dst, weight, bucket, rhh_on=True, cal_block=-1, cal_slot=-1):
-    res = Result(*rhh.rhh_insert(*cells, dst, weight, bucket, rhh_on, cal_block, cal_slot))
+def insert(cells, stats, dst, weight, bucket, rhh_on=True, cal=-1):
+    res = Result(*rhh.rhh_insert(*cells, dst, weight, bucket, rhh_on, cal))
     rhh._charge_scan(stats, FETCHES, bucket, res.lengths)
     stats.rhh_swaps += res.swaps
     stats.workblock_writebacks += res.wrote
@@ -55,7 +55,7 @@ def find(cells, stats, dst, bucket, rhh_on=True):
 
 def tombstone(cells, slot):
     cells.dst[slot] = int(TOMBSTONE)
-    cells.cal_block[slot] = cells.cal_slot[slot] = -1
+    cells.cal[slot] = -1
 
 
 def live(cells):
@@ -135,14 +135,14 @@ class TestRobinHoodDisplacement:
     def test_congested_overflow_carries_cal_pointer(self):
         cells, stats = fresh()
         for d in range(SB):
-            insert(cells, stats, d, 1.0, 0, cal_block=d, cal_slot=d)
-        res = insert(cells, stats, 99, 2.0, 0, cal_block=77, cal_slot=8)
+            insert(cells, stats, d, 1.0, 0, cal=d)
+        res = insert(cells, stats, 99, 2.0, 0, cal=77 * 64 + 8)
         assert res.status == rhh.CONGESTED
         # whoever floats out must carry its own CAL pointer
         if res.overflow_dst == 99:
-            assert (res.overflow_cal_block, res.overflow_cal_slot) == (77, 8)
+            assert res.overflow_cal == 77 * 64 + 8
         else:
-            assert res.overflow_cal_block == res.overflow_dst  # residents had cal_block=d
+            assert res.overflow_cal == res.overflow_dst  # residents had cal=d
 
 
 class TestFind:
@@ -201,9 +201,9 @@ class TestDelete:
 
     def test_delete_clears_cal_pointer(self):
         eba = self.store()
-        _, loc = eba.insert(0, 5, cal_block=3, cal_slot=4)
-        assert eba.delete(0, 5) == (3, 4)
-        assert eba.get_cal_pointer(loc) == (-1, -1)
+        _, loc = eba.insert(0, 5, cal=3 * 64 + 4)
+        assert eba.delete(0, 5) == 3 * 64 + 4
+        assert eba.get_cal_pointer(loc) == -1
 
 
 class TestAccounting:

@@ -193,7 +193,7 @@ class TestDirtyTracking:
         assert live > 2
         assert store.neighbors_many([0, 5])[0].shape[0] == live
 
-        def broken(blocks, slots):
+        def broken(addrs):
             raise RuntimeError("CAL scatter failed")
         monkeypatch.setattr(store.cal, "invalidate_many", broken)
         with pytest.raises(RuntimeError):
