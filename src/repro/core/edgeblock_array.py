@@ -99,7 +99,7 @@ class EdgeblockArray:
         pw = config.pagewidth
         self.main = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, config.initial_vertices)
         self.overflow = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, 4)
-        nsb = config.subblocks_per_block
+        self._nsb = nsb = config.subblocks_per_block
         self._main_children = _ChildMatrix(nsb, config.initial_vertices)
         self._overflow_children = _ChildMatrix(nsb, 4)
         self._n_vertices = 0
@@ -158,7 +158,8 @@ class EdgeblockArray:
     def _pool(self, region: int) -> BlockPool:
         return self.main if region == MAIN else self.overflow
 
-    def _locate(self, src: int, dst: int) -> tuple[int, int, int] | None:
+    def _locate(self, src: int, dst: int, lists: dict | None = None,
+                trail: list | None = None, hashes=()) -> tuple[int, int, int] | None:
         """The charged FIND: ``(region, block, cell)`` of ``(src, dst)`` or ``None``.
 
         The paper's FIND mode and the only FIND loop here: per generation,
@@ -167,19 +168,34 @@ class EdgeblockArray:
         a match, else descend into the Subblock's child if it has one.
         Charges the Workblocks fetched, the cells scanned and every
         descent; ``edges_found`` is the caller's to charge.
+
+        A point read passes neither ``lists`` nor ``trail`` and reads each
+        ``dst`` list from the pool.  :meth:`insert` passes both: the
+        Subblocks are read through ``lists`` (see :meth:`_subblock`) and
+        each level's ``(lists entry, sb, ib)`` is appended to ``trail``;
+        ``hashes`` is :meth:`insert`'s.
         """
         if not 0 <= src < self._n_vertices:
             return None
         cfg, stats, rhh_on, fetches = self.config, self.stats, self._rhh_on, self._fetches
-        size, nsb, seed = cfg.subblock, cfg.subblocks_per_block, cfg.seed
+        size, nsb, seed = cfg.subblock, self._nsb, cfg.seed
         region, block = MAIN, src
         cells, kids = self.main.fields["dst"], self._main_children._data
         dst = int(dst)
         for gen in range(cfg.max_generations):
-            sb = subblock_index(dst, gen, nsb, seed)
-            ib = initial_bucket(dst, gen, size, seed)
-            lo = sb * size
-            slot, scanned = rhh.rhh_find(cells[block, lo:lo + size].tolist(), dst, ib, rhh_on)
+            if lists is None:  # a point read: nothing kept
+                sb = subblock_index(dst, gen, nsb, seed)
+                ib = initial_bucket(dst, gen, size, seed)
+                lo = sb * size
+                dsts = cells[block, lo:lo + size].tolist()
+            else:
+                sb, ib = hashes[gen] if gen < len(hashes) else (
+                    subblock_index(dst, gen, nsb, seed), initial_bucket(dst, gen, size, seed))
+                lo = sb * size
+                sub = self._subblock(lists, region, block, sb)
+                trail.append((sub, sb, ib))
+                dsts = sub[0]
+            slot, scanned = rhh.rhh_find(dsts, dst, ib, rhh_on)
             stats.workblock_fetches += fetches[ib][scanned]
             stats.cells_scanned += scanned
             if slot >= 0:
@@ -192,6 +208,58 @@ class EdgeblockArray:
                 region = OVERFLOW
                 cells, kids = self.overflow.fields["dst"], self._overflow_children._data
         return None
+
+    def _subblock(self, lists: dict, region: int, block: int, sb: int) -> list:
+        """The ``lists`` entry of Subblock ``sb`` of ``block`` in ``region``.
+
+        An entry is ``[dst, weight, probe, cal, dirty, region, block,
+        lo]``: the Subblock's cell fields as Python lists, read from the
+        pool on first use — ``dst`` at once, the other three only when an
+        INSERT enters the Subblock (:meth:`_load`) — a bitmask of the
+        cells written since, which :meth:`write_back` stores, and where
+        the Subblock starts.  Keyed by Subblock row ``block * nsb + sb``,
+        bit-inverted in the overflow region.  Until then the entry, not
+        the pool, holds the Subblock's cells.
+        """
+        key = block * self._nsb + sb
+        if region != MAIN:
+            key = ~key
+        sub = lists.get(key)
+        if sub is None:
+            size = self.config.subblock
+            lo = sb * size
+            dsts = self._pool(region).fields["dst"][block, lo:lo + size].tolist()
+            sub = lists[key] = [dsts, None, None, None, 0, region, block, lo]
+        return sub
+
+    def _load(self, sub: list) -> None:
+        """Read the ``weight`` / ``probe`` / ``cal`` lists of a ``lists``
+        entry whose Subblock an INSERT enters."""
+        region, block, lo = sub[5], sub[6], sub[7]
+        hi, fields = lo + self.config.subblock, self._pool(region).fields
+        sub[1] = fields["weight"][block, lo:hi].tolist()
+        sub[2] = fields["probe"][block, lo:hi].tolist()
+        sub[3] = fields["cal"][block, lo:hi].tolist()
+
+    def write_back(self, lists: dict) -> None:
+        """Store the written cells of every ``lists`` entry in its pool
+        and empty ``lists``.
+
+        Reads each pool's field arrays afresh: an allocation may have
+        regrown the overflow pool since the lists were read."""
+        for sub in lists.values():
+            dirty, slots = sub[4], []
+            while dirty:
+                low = dirty & -dirty
+                slots.append(low.bit_length() - 1)
+                dirty ^= low
+            if slots:
+                fields, block, lo = self._pool(sub[5]).fields, sub[6], sub[7]
+                for name, values in zip(rhh.CELL_FIELDS, sub):
+                    arr = fields[name]
+                    for s in slots:
+                        arr[block, lo + s] = values[s]
+        lists.clear()
 
     def _descend(self, region: int, block: int, sb: int) -> tuple[int, int]:
         """Follow (or create) the child pointer of a Subblock."""
@@ -215,6 +283,8 @@ class EdgeblockArray:
         dst: int,
         weight: float = 1.0,
         cal: int = -1,
+        lists: dict | None = None,
+        hashes=(),
     ) -> tuple[bool, EdgeLocation]:
         """Insert or update edge ``(src, dst)``; a new edge's cell gets
         CAL-pointer ``cal``.
@@ -230,55 +300,90 @@ class EdgeblockArray:
         stage place a new edge.  Interleaving the stages per Subblock
         would let a duplicate be placed at a shallower generation than
         its existing copy.
+
+        Each Subblock is read from its pool once.  FIND reads every
+        level's ``dst`` list and hashes into a ``lists`` entry
+        (:meth:`_subblock`); INSERT reuses them down the argument edge's
+        own chain, up to the level where a swap places it, and reads
+        ``weight`` / ``probe`` / ``cal`` only for the Subblocks it enters.
+        Below that the floating edge is another edge, hashed afresh.  Only
+        the cells :func:`~repro.core.robin_hood.rhh_insert` wrote are
+        stored back, once the op is over — an op that raises included, so
+        the levels it wrote land (docs/robustness.md).  Charges are those
+        of the two full passes.
+
+        ``lists`` lets a caller pass one set of entries through many ops
+        and store it with :meth:`write_back` itself: the batch kernel's
+        residue does so per independent group.  Until then the pools
+        are stale for those Subblocks; read a cell's CAL pointer with
+        :meth:`get_cal_pointer` and the same ``lists``.  ``hashes``, if
+        given, holds ``dst``'s ``(sb, ib)`` for the first levels (the
+        kernel computes them for all its residue ops at once).
         """
-        cfg = self.config
         self.ensure_vertex(src)
+        dst, weight = int(dst), float(weight)
+        own = lists is None
+        if own:
+            lists = {}
+        try:
+            cfg, stats = self.config, self.stats
+            size, nsb, seed, rhh_on = cfg.subblock, self._nsb, cfg.seed, self._rhh_on
 
-        # --- FIND stage across all generations. --------------------------
-        existing = self.find(src, dst)
-        if existing is not None:
-            region, block, slot = existing
-            self._pool(region).fields["weight"][block, slot] = float(weight)
-            self.stats.workblock_writebacks += 1
-            return False, existing
+            # --- FIND stage across all generations. ----------------------
+            trail: list = []
+            hit = self._locate(src, dst, lists, trail, hashes)
+            if hit is not None:
+                region, block, cell = hit
+                sub = trail[-1][0]  # the hit's level: keep its lists current
+                if sub[1] is not None:
+                    sub[1][cell - sub[7]] = weight
+                self._pool(region).fields["weight"][block, cell] = weight
+                stats.edges_found += 1
+                stats.workblock_writebacks += 1
+                return False, EdgeLocation(region, block, cell)
 
-        # --- INSERT stage: descend, placing via RHH / Tree-Based Hashing.
-        region, block = MAIN, src
-        nsb, size = cfg.subblocks_per_block, cfg.subblock
-        f_dst, f_weight, f_cal = int(dst), float(weight), cal
-        arg_location: EdgeLocation | None = None
-        for gen in range(cfg.max_generations):
-            sb = subblock_index(f_dst, gen, nsb, cfg.seed)
-            lo, pool = sb * size, self._pool(region).fields
-            cells = [pool[name][block, lo:lo + size] for name in rhh.CELL_FIELDS]
-            ib = initial_bucket(f_dst, gen, size, cfg.seed)
-            # Fields out to lists, one core call, charges applied, fields
-            # stored back when the core wrote.  The batch kernel runs this
-            # method itself for every op its rounds leave.
-            fields = [cell.tolist() for cell in cells]
-            status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal = (
-                rhh.rhh_insert(*fields, f_dst, f_weight, ib, self._rhh_on, f_cal)
+            # --- INSERT stage: descend, placing via RHH / Tree-Based Hashing.
+            region, block = MAIN, src
+            f_dst, f_weight, f_cal = dst, weight, cal
+            arg_location: EdgeLocation | None = None
+            for gen in range(cfg.max_generations):
+                if arg_location is None and gen < len(trail):
+                    sub, sb, ib = trail[gen]  # the argument edge's FIND level
+                else:
+                    sb = subblock_index(f_dst, gen, nsb, seed)
+                    ib = initial_bucket(f_dst, gen, size, seed)
+                    sub = self._subblock(lists, region, block, sb)
+                if sub[1] is None:
+                    self._load(sub)
+                status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal = rhh.rhh_insert(
+                    sub[0], sub[1], sub[2], sub[3], f_dst, f_weight, ib, rhh_on, f_cal)
+                assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
+                rhh._charge_scan(stats, self._fetches, ib, lengths)
+                stats.rhh_swaps += swaps
+                if wrote:
+                    # The core wrote from `slot`, the first cell it stored
+                    # into, to the last cell of its pass: the walk's end
+                    # (Robin Hood) or `slot` alone (a plain probe).
+                    span = lengths[1] - (slot - ib) % size if len(lengths) > 1 else 1
+                    dirty = ((1 << span) - 1) << slot
+                    sub[4] |= (dirty | dirty >> size) & ((1 << size) - 1)
+                    stats.workblock_writebacks += 1
+                # On CONGESTED the argument edge may still have been placed
+                # (via a swap); `slot` reports it either way.
+                if arg_location is None and slot >= 0:
+                    arg_location = EdgeLocation(region, block, sb * size + slot)
+                if status == rhh.INSERTED:
+                    self._degrees[src] += 1
+                    stats.edges_inserted += 1
+                    return True, arg_location
+                region, block = self._descend(region, block, sb)
+                f_dst, f_weight, f_cal = o_dst, o_weight, o_cal
+            raise CapacityError(
+                f"edge ({src}, {dst}) exceeded max_generations={cfg.max_generations}"
             )
-            assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
-            rhh._charge_scan(self.stats, self._fetches, ib, lengths)
-            self.stats.rhh_swaps += swaps
-            if wrote:
-                for cell, values in zip(cells, fields):
-                    cell[:] = values
-                self.stats.workblock_writebacks += 1
-            # On CONGESTED the argument edge may still have been placed
-            # (via a swap); `slot` reports it either way.
-            if arg_location is None and slot >= 0:
-                arg_location = EdgeLocation(region, block, lo + slot)
-            if status == rhh.INSERTED:
-                self._degrees[src] += 1
-                self.stats.edges_inserted += 1
-                return True, arg_location
-            region, block = self._descend(region, block, sb)
-            f_dst, f_weight, f_cal = o_dst, o_weight, o_cal
-        raise CapacityError(
-            f"edge ({src}, {dst}) exceeded max_generations={cfg.max_generations}"
-        )
+        finally:
+            if own:
+                self.write_back(lists)
 
     def find(self, src: int, dst: int) -> EdgeLocation | None:
         """Locate edge ``(src, dst)``; ``None`` if absent."""
@@ -298,9 +403,15 @@ class EdgeblockArray:
         region, block, slot = location
         self._pool(region).fields["cal"][block, slot] = cal
 
-    def get_cal_pointer(self, location: EdgeLocation) -> int:
-        """Read an edge's CAL-pointer (a CAL address, -1 for none)."""
+    def get_cal_pointer(self, location: EdgeLocation, lists: dict | None = None) -> int:
+        """Read an edge's CAL-pointer (a CAL address, -1 for none), from
+        the ``lists`` entry of its Subblock if :meth:`insert` read one."""
         region, block, slot = location
+        if lists:
+            sb, at = divmod(slot, self.config.subblock)
+            cals = self._subblock(lists, region, block, sb)[3]
+            if cals is not None:
+                return cals[at]
         return int(self._pool(region).fields["cal"][block, slot])
 
     def delete(self, src: int, dst: int) -> int | None:

@@ -32,7 +32,8 @@ the cost model or any query can observe is part of the contract; the only
 licensed difference is which *overflow-pool row index* a child edgeblock
 happens to get (an internal name the structure never exposes — counts,
 shapes, contents and all future charges are invariant under it; the
-insert rounds allocate children in round order, not stream order).
+insert rounds allocate children in round order and the residue in group
+order, not stream order).
 ``tests/test_kernels.py`` and ``tests/test_differential.py`` enforce this.
 
 Where the speed comes from
@@ -96,10 +97,17 @@ and item 5 keeps its own per-pass overhead from taking their place:
    changes move, nothing is staged.  Rounds run while at least
    :data:`MIN_ROUND_GROUPS` groups are active.  What they leave — the thin
    tail, every op of an ``enable_rhh=False`` store, a chunk too small to
-   start a round — is the *residue*: it runs in stream order through
+   start a round — is the *residue*: it runs through
    :meth:`~repro.core.edgeblock_array.EdgeblockArray.insert` itself,
    against the pools as the rounds left them, a new edge carrying a
-   pending CAL pointer like a round op's.  The rounds' charges accumulate
+   pending CAL pointer like a round op's.  It runs group by group (groups
+   share no cell and every charge is a sum, so the order across groups
+   shows only in overflow-row names), and a group's ops pass one set of
+   Subblock lists (``insert``'s ``lists``) from op to op: each Subblock
+   is read from its pool once and stored back once, when the group is
+   done or one of its ops raises.  Each op's FIND hashes come in
+   (``insert``'s ``hashes``) from one vector pass per tree level the
+   residue groups hold.  The rounds' charges accumulate
    in local ints and flush into ``AccessStats`` once per chunk; a residue
    op charges its own.  (A batch of fewer than :data:`MIN_ROUND_GROUPS`
    edges could not start a round: ``GraphTinker.insert_batch`` hands it
@@ -202,9 +210,12 @@ CHUNK_EDGES = 32768
 #: ``EdgeblockArray.insert`` is cheaper.  The crossover was first measured
 #: against a list-cached copy of that loop (EXPERIMENTS.md note 10); the
 #: same sweep with the residue on ``EdgeblockArray.insert`` is still flat
-#: from 16 to 64 (note 14).  A batch of fewer edges than this skips the
-#: chunk machinery and runs on the per-edge path.  Not a correctness switch:
-#: rounds and residue leave the same cells and charges.
+#: from 16 to 64 (note 14), and still is with the residue on per-group
+#: Subblock lists, on the power-law load and on 2 k-edge analytics
+#: batches alike; 128 is slower on the load (note 23).  A batch of fewer
+#: edges than this skips the chunk machinery and runs on the per-edge
+#: path.  Not a correctness switch: rounds and residue leave the same
+#: cells and charges.
 MIN_ROUND_GROUPS = 32
 
 
@@ -456,6 +467,15 @@ def _rhh_walk(fields, at: np.ndarray, c0: np.ndarray, rolled, edge):
     return steps, swaps, wrote, walk[full], floating, pending
 
 
+def _subtree_levels(eba, srows: np.ndarray):
+    """Yield the overflow rows below main-region Subblock rows ``srows``,
+    one array per tree level, top down."""
+    kids = eba._main_children._data.reshape(-1)[srows]
+    while (rows := kids[kids >= 0].astype(np.int64)).shape[0]:
+        yield rows
+        kids = eba._overflow_children._data[rows].ravel()
+
+
 def _patch_pending(pool, touched: list[np.ndarray], addr: np.ndarray) -> None:
     """Rewrite every pending CAL-pointer among the ``touched`` flat cells
     of ``pool`` to its record's CAL address ``addr[rid]`` (-1 for a
@@ -635,25 +655,52 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         # ---- Residue: the specification, one op at a time. ---------------
         # What the rounds left — the thin tail below the floor, every op of
         # an `enable_rhh=False` store or of a chunk too small to start a
-        # round — runs in stream order through EdgeblockArray.insert,
-        # against the pools as the rounds left them, with a pending CAL
-        # pointer like a round op's.
+        # round — runs through EdgeblockArray.insert, against the pools as
+        # the rounds left them, with a pending CAL pointer like a round
+        # op's.  Group by group (groups share no cell and every charge is
+        # a sum), in stream order inside each and in the order of their
+        # first residue op among them (an op that raises stops the stream
+        # near where the per-op path would); a group's ops share one set
+        # of Subblock lists, stored back once when the group is done.
         rem = np.flatnonzero(np.arange(n) >= np.repeat(cur, grp_end - first_pos))
-        rids = np.sort(order[rem])
-        for rid, src, dst, w in zip(rids.tolist(), dense[rids].tolist(),
-                                    dsts[rids].tolist(), weights[rids].tolist()):
-            is_new, loc = eba.insert(src, dst, w, PENDING_CAL - rid if cal is not None else -1)
-            if is_new:
-                r_new.append(rid)
-            elif cal is not None:
-                # Duplicate: the CAL copy through the cell's pointer or its
-                # pending record (GraphTinker.insert_edge's update branch).
-                ptr = eba.get_cal_pointer(loc)
-                if ptr >= 0:
-                    cal.update_weight(ptr, w)
-                elif ptr <= PENDING_CAL:
-                    p_w[PENDING_CAL - ptr] = w
-                    cal_up += 1
+        if rem.shape[0]:
+            heads = np.flatnonzero(np.diff(key_s[rem], prepend=-1))
+            first = np.repeat(order[rem[heads]], np.diff(heads, append=rem.shape[0]))
+            rem = rem[np.argsort(first, kind="stable")]
+            rids = order[rem]
+            # FIND's hashes for every residue op, one vector pass per level
+            # the deepest residue group's tree holds (an op that goes deeper
+            # hashes on by itself).
+            depth = 1 + sum(1 for _ in _subtree_levels(eba, groups[cur < grp_end]))
+            rdst = dst_s[rem]
+            hashes = np.stack([np.column_stack((subblock_index_array(rdst, gen, nsb, seed),
+                                                initial_bucket_array(rdst, gen, size, seed)))
+                               for gen in range(depth)], axis=1).tolist()
+            lists: dict = {}
+            try:
+                last = -1
+                for rid, k, src, dst, w, h in zip(rids.tolist(), key_s[rem].tolist(),
+                                                  dense[rids].tolist(), rdst.tolist(),
+                                                  w_s[rem].tolist(), hashes):
+                    if k != last:
+                        eba.write_back(lists)
+                        last = k
+                    is_new, loc = eba.insert(src, dst, w, PENDING_CAL - rid if cal is not None
+                                             else -1, lists, h)
+                    if is_new:
+                        r_new.append(rid)
+                    elif cal is not None:
+                        # Duplicate: the CAL copy through the cell's pointer or
+                        # its pending record (GraphTinker.insert_edge's update
+                        # branch); the pointer is the group's, not yet stored.
+                        ptr = eba.get_cal_pointer(loc, lists)
+                        if ptr >= 0:
+                            cal.update_weight(ptr, w)
+                        elif ptr <= PENDING_CAL:
+                            p_w[PENDING_CAL - ptr] = w
+                            cal_up += 1
+            finally:
+                eba.write_back(lists)
     finally:
         # Apply the deferred side effects even when an op raised mid-chunk,
         # so every *completed* op's state lands exactly as the per-op path
@@ -678,11 +725,9 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             addr[live] = cal.append_many(dense[live], dsts[live], p_w[live])
             res = groups[cur < grp_end]
             touched[MAIN].append(((res * size)[:, None] + np.arange(size)).ravel())
-            kids = mkids[res]
-            while (rows := kids[kids >= 0].astype(np.int64)).shape[0]:
+            for rows in _subtree_levels(eba, res):
                 touched[OVERFLOW].append(((rows * cfg.pagewidth)[:, None]
                                           + np.arange(cfg.pagewidth)).ravel())
-                kids = ochild._data[rows].ravel()
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
                 if touched[region]:
                     _patch_pending(pool, touched[region], addr)

@@ -22,8 +22,9 @@ fields and never touch :class:`~repro.core.stats.AccessStats`: they
 charges them.  Their one caller is the per-op specification,
 :class:`~repro.core.edgeblock_array.EdgeblockArray`: its FIND loop
 (``_locate``) hands :func:`rhh_find` one Subblock's ``dst`` list per
-tree level, and its INSERT stage copies a Subblock's fields out, calls
-:func:`rhh_insert` once and stores them back.  The batch kernels
+tree level, and its INSERT stage hands :func:`rhh_insert` a Subblock's
+four field lists per level — reusing what FIND read — and stores back
+the cells it wrote.  The batch kernels
 (:mod:`repro.core.kernels`) do not call the core: their whole-chunk
 passes restate it over many rolled Subblocks at once, the residue of
 their insert rounds runs through ``EdgeblockArray.insert`` itself, and

@@ -7,9 +7,10 @@ which yields the skewed (power-law-ish) degree distributions of social
 and web graphs — the same distributions that stress per-vertex probe
 distance in dynamic graph stores.
 
-The implementation is fully vectorised: all ``scale`` levels are drawn
-for the whole edge batch at once (two uniform arrays per level), per the
-HPC-Python guides' "no per-item Python loops" rule.
+The implementation is fully vectorised: each of the ``scale`` levels is
+one uniform draw for the whole edge batch into one reused buffer, counted
+into a quadrant index and shifted into both ids, per the HPC-Python
+guides' "no per-item Python loops" rule.
 """
 
 from __future__ import annotations
@@ -67,22 +68,35 @@ def rmat_edges(
         raise WorkloadError("quadrant probabilities must be positive and sum to 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
-    src = np.zeros(n_edges, dtype=np.int64)
-    dst = np.zeros(n_edges, dtype=np.int64)
-    for level in range(scale):
+    # Ids accumulate most significant level first (Horner) in the
+    # narrowest unsigned type that holds 2**scale - 1.
+    ids = np.min_scalar_type((1 << scale) - 1)
+    src = np.zeros(n_edges, dtype=ids)
+    dst = np.zeros(n_edges, dtype=ids)
+    u = np.empty(n_edges)
+    q = np.empty(n_edges, dtype=np.uint8)
+    above = np.empty(n_edges, dtype=bool)
+    for _ in range(scale):
         if noise:
             jitter = 1.0 + noise * (rng.random(4) - 0.5)
             pa, pb, pc, pd = probs * jitter / (probs * jitter).sum()
         else:
             pa, pb, pc, pd = probs
-        u = rng.random(n_edges)
-        # Quadrant choice: src bit set for quadrants c|d, dst bit for b|d.
-        src_bit = u >= (pa + pb)
-        dst_bit = (u >= pa) & (u < pa + pb) | (u >= pa + pb + pc)
-        bit = np.int64(1) << np.int64(scale - 1 - level)
-        src += bit * src_bit
-        dst += bit * dst_bit
-    return np.column_stack([src, dst])
+        rng.random(n_edges, out=u)
+        # Quadrant q = thresholds passed: a=0, b=1, c=2, d=3, so the src
+        # bit is set for c|d (q >> 1) and the dst bit for b|d (q & 1).
+        np.greater_equal(u, pa, out=q)
+        for threshold in (pa + pb, pa + pb + pc):
+            np.greater_equal(u, threshold, out=above)
+            q += above
+        src <<= 1
+        src |= q >> 1
+        dst <<= 1
+        dst |= q & 1
+    out = np.empty((n_edges, 2), dtype=np.int64)
+    out[:, 0] = src
+    out[:, 1] = dst
+    return out
 
 
 def rmat_edges_unique(

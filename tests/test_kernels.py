@@ -769,6 +769,64 @@ class TestLevelSynchronousInsert:
         assert min(hit_generation(vector, 0, int(d)) for d in round_placed) >= 1
         assert no_sentinel_left(vector)
 
+    @pytest.mark.parametrize("enable_rhh", [True, False])
+    def test_residue_runs_group_by_group(self, enable_rhh, monkeypatch):
+        """Three hubs, two gen-0 Subblocks each: six groups whose residue
+        ops interleave in one chunk behind 40 light groups that keep three
+        rounds going (Robin Hood on; with it off every op is residue).
+        The residue runs group by group on one set of Subblock lists per
+        group, and duplicates at the chunk's end meet a pending record
+        placed in a round, one placed earlier in the residue (its cell
+        still only in the group's lists) and a real CAL pointer from the
+        batch before.  Cells, CAL bytes, degrees and every counter must
+        be the scalar path's."""
+        from repro.core.edgeblock_array import EdgeblockArray
+        cfg = GTConfig(**SMALL, enable_rhh=enable_rhh)
+        nsb, rng = cfg.subblocks_per_block, np.random.default_rng(31)
+        hub_rows = lambda dsts: np.column_stack(  # noqa: E731
+            [np.repeat([0, 1, 2], len(dsts)), np.tile(dsts, 3)]).astype(np.int64)
+        earlier = hub_rows(np.arange(20))
+        same_sb = [d for d in range(1000) if subblock_index(d, 0, nsb, cfg.seed) == 0]
+        light = np.column_stack([np.repeat(np.arange(10, 50), 3), same_sb[:120]])
+        hubs = rng.permutation(hub_rows(np.arange(100, 160)))
+        group = hubs[:, 0] * nsb + [subblock_index(int(d), 0, nsb, cfg.seed) for d in hubs[:, 1]]
+        firsts = [np.flatnonzero(group == g)[:10] for g in np.unique(group)]
+        round_placed = hubs[[at[0] for at in firsts]]
+        residue_placed = hubs[[at[-1] for at in firsts]]
+        again = np.vstack([round_placed, residue_placed, earlier[::7]])
+        chunk = np.vstack([light, hubs, again])
+        weights = rng.random(chunk.shape[0])
+
+        assert np.count_nonzero(np.diff(group)) > 6   # the stream interleaves them
+
+        # The group key of every op the last vector chunk ran per op.
+        from repro.core import kernels
+        residue: list[int] = []
+        insert, chunk_of = EdgeblockArray.insert, kernels._insert_chunk
+
+        def recorded(self, src, dst, weight=1.0, cal=-1, lists=None, hashes=()):
+            if self.config.kernel == "vector":
+                residue.append(src * nsb + subblock_index(dst, 0, nsb, cfg.seed))
+            return insert(self, src, dst, weight, cal, lists, hashes)
+
+        def entered(*args):
+            residue.clear()
+            return chunk_of(*args)
+        monkeypatch.setattr(EdgeblockArray, "insert", recorded)
+        monkeypatch.setattr(kernels, "_insert_chunk", entered)
+        _, vector = insert_pair(cfg, [("insert", earlier, rng.random(60)),
+                                      ("insert", chunk, weights)])
+        runs = [key for at, key in enumerate(residue) if at == 0 or residue[at - 1] != key]
+        assert len(runs) == len(set(runs)) == (6 if enable_rhh else 46)
+        # Robin Hood on: each group's first three ops ran in the rounds.
+        assert len(residue) == chunk.shape[0] - (120 + 3 * 6 if enable_rhh else 0)
+        assert vector.stats.edges_found == again.shape[0]
+        src, dst, w = vector.cal.stream_edges()
+        got = dict(zip(zip(vector.original_ids(src).tolist(), dst.tolist()), w.tolist()))
+        for (s, d), x in zip(again.tolist(), weights[-again.shape[0]:].tolist()):
+            assert got[(s, d)] == x
+        assert no_sentinel_left(vector)
+
     @pytest.mark.parametrize("n_hubs", [64, 1])
     def test_capacity_error_leaves_no_sentinel(self, n_hubs, monkeypatch):
         """Two generations of one Subblock hold 16 edges a source; the

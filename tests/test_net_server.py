@@ -64,7 +64,7 @@ class TestOpRoundTrips:
 
     def test_hello_negotiates_version_and_codec(self, server):
         with GraphClient(port=server.port) as c:
-            assert c.codec in ("json", "msgpack")
+            assert c.codec == "json"
 
     def test_point_reads_after_insert(self, client):
         client.insert_edges([[1, 2], [1, 3], [2, 3]])

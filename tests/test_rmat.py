@@ -94,3 +94,50 @@ def test_rmat_unique_properties(scale, n, seed):
     assert edges.min() >= 0 if n else True
     keys = (edges[:, 0].astype(np.int64) << scale) | edges[:, 1]
     assert np.unique(keys).shape[0] == n
+
+
+def loop_rmat(scale, n_edges, a=0.57, b=0.19, c=0.19, d=0.05, seed=0, noise=0.1):
+    """The generator as it was written before the single-buffer form:
+    two bit masks per level added into int64 ids.  The reference the
+    quadrant-index form must reproduce edge for edge."""
+    probs = np.array([a, b, c, d], dtype=np.float64)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    src = np.zeros(n_edges, dtype=np.int64)
+    dst = np.zeros(n_edges, dtype=np.int64)
+    for level in range(scale):
+        if noise:
+            jitter = 1.0 + noise * (rng.random(4) - 0.5)
+            pa, pb, pc, pd = probs * jitter / (probs * jitter).sum()
+        else:
+            pa, pb, pc, pd = probs
+        u = rng.random(n_edges)
+        src_bit = u >= (pa + pb)
+        dst_bit = (u >= pa) & (u < pa + pb) | (u >= pa + pb + pc)
+        bit = np.int64(1) << np.int64(scale - 1 - level)
+        src += bit * src_bit
+        dst += bit * dst_bit
+    return np.column_stack([src, dst])
+
+
+class TestAgainstTheLoop:
+    @pytest.mark.parametrize("scale, n_edges, kwargs", [
+        (1, 5000, {}),
+        (62, 5000, {}),
+        (15, 0, {}),
+        (15, 20000, {"noise": 0.0}),
+        (8, 3000, {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25, "noise": 0.0}),
+        (33, 2000, {"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_edges(self, scale, n_edges, kwargs, seed):
+        got = rmat_edges(scale, n_edges, seed=seed, **kwargs)
+        want = loop_rmat(scale, n_edges, seed=seed, **kwargs)
+        assert got.dtype == np.int64 and got.shape == (n_edges, 2)
+        assert np.array_equal(got, want)
+
+    def test_passed_in_generator_advances_alike(self):
+        mine, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for scale in (5, 16, 40):
+            assert np.array_equal(rmat_edges(scale, 1000, seed=mine),
+                                  loop_rmat(scale, 1000, seed=ref))
+        assert mine.random() == ref.random()
