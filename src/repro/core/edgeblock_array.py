@@ -172,8 +172,8 @@ class EdgeblockArray:
         A point read passes neither ``lists`` nor ``trail`` and reads each
         ``dst`` list from the pool.  :meth:`insert` passes both: the
         Subblocks are read through ``lists`` (see :meth:`_subblock`) and
-        each level's ``(lists entry, sb, ib)`` is appended to ``trail``;
-        ``hashes`` is :meth:`insert`'s.
+        each level's ``(lists entry, sb, ib, scanned)`` is appended to
+        ``trail``; ``hashes`` is :meth:`insert`'s.
         """
         if not 0 <= src < self._n_vertices:
             return None
@@ -193,9 +193,10 @@ class EdgeblockArray:
                     subblock_index(dst, gen, nsb, seed), initial_bucket(dst, gen, size, seed))
                 lo = sb * size
                 sub = self._subblock(lists, region, block, sb)
-                trail.append((sub, sb, ib))
                 dsts = sub[0]
             slot, scanned = rhh.rhh_find(dsts, dst, ib, rhh_on)
+            if trail is not None:
+                trail.append((sub, sb, ib, scanned))
             stats.workblock_fetches += fetches[ib][scanned]
             stats.cells_scanned += scanned
             if slot >= 0:
@@ -241,9 +242,10 @@ class EdgeblockArray:
         sub[2] = fields["probe"][block, lo:hi].tolist()
         sub[3] = fields["cal"][block, lo:hi].tolist()
 
-    def write_back(self, lists: dict) -> None:
+    def write_back(self, lists: dict, stored: tuple[list, list] | None = None) -> None:
         """Store the written cells of every ``lists`` entry in its pool
-        and empty ``lists``.
+        and empty ``lists``; with ``stored``, append each stored cell's
+        flat index (``block * pagewidth + cell``) to ``stored[region]``.
 
         Reads each pool's field arrays afresh: an allocation may have
         regrown the overflow pool since the lists were read."""
@@ -259,6 +261,9 @@ class EdgeblockArray:
                     arr = fields[name]
                     for s in slots:
                         arr[block, lo + s] = values[s]
+                if stored is not None:
+                    base = block * self.config.pagewidth + lo
+                    stored[sub[5]].extend([base + s for s in slots])
         lists.clear()
 
     def _descend(self, region: int, block: int, sb: int) -> tuple[int, int]:
@@ -305,7 +310,8 @@ class EdgeblockArray:
         level's ``dst`` list and hashes into a ``lists`` entry
         (:meth:`_subblock`); INSERT reuses them down the argument edge's
         own chain, up to the level where a swap places it, and reads
-        ``weight`` / ``probe`` / ``cal`` only for the Subblocks it enters.
+        ``weight`` / ``probe`` / ``cal`` only for the Subblocks it enters
+        (in Robin-Hood mode FIND's scan length serves too, unrepeated).
         Below that the floating edge is another edge, hashed afresh.  Only
         the cells :func:`~repro.core.robin_hood.rhh_insert` wrote are
         stored back, once the op is over — an op that raises included, so
@@ -348,15 +354,17 @@ class EdgeblockArray:
             arg_location: EdgeLocation | None = None
             for gen in range(cfg.max_generations):
                 if arg_location is None and gen < len(trail):
-                    sub, sb, ib = trail[gen]  # the argument edge's FIND level
+                    sub, sb, ib, scanned = trail[gen]  # the argument edge's FIND level
                 else:
                     sb = subblock_index(f_dst, gen, nsb, seed)
                     ib = initial_bucket(f_dst, gen, size, seed)
                     sub = self._subblock(lists, region, block, sb)
+                    scanned = 0
                 if sub[1] is None:
                     self._load(sub)
                 status, slot, lengths, wrote, swaps, o_dst, o_weight, o_cal = rhh.rhh_insert(
-                    sub[0], sub[1], sub[2], sub[3], f_dst, f_weight, ib, rhh_on, f_cal)
+                    sub[0], sub[1], sub[2], sub[3], f_dst, f_weight, ib, rhh_on, f_cal,
+                    scanned)
                 assert status != rhh.UPDATED, "FIND stage already ruled out duplicates"
                 rhh._charge_scan(stats, self._fetches, ib, lengths)
                 stats.rhh_swaps += swaps

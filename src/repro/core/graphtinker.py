@@ -68,21 +68,6 @@ class GraphTinker(StoreBase):
             self.enable_snapshot()
 
     # ------------------------------------------------------------------ #
-    # analytics snapshot (engine acceleration; see repro.engine.snapshot)
-    # ------------------------------------------------------------------ #
-    def _snapshot_mark_batch(self, srcs: np.ndarray) -> None:
-        """Mark a batch's touched dense rows dirty (uncharged bookkeeping)."""
-        snap = self._analytics_snapshot
-        if snap is None:
-            return
-        if self.sgh is not None:
-            dense = self.sgh.peek_array(srcs)
-            dense = dense[dense >= 0]
-        else:
-            dense = srcs[(srcs >= 0) & (srcs < self.eba.n_vertices)]
-        snap.mark_dirty_many(dense)
-
-    # ------------------------------------------------------------------ #
     # id translation
     # ------------------------------------------------------------------ #
     def _dense(self, src: int, create: bool) -> int | None:
@@ -235,15 +220,11 @@ class GraphTinker(StoreBase):
         # The scalar loop zips edges with weights, so a short weights array
         # silently truncates the batch; the vector path mirrors that.
         m = min(edges.shape[0], weights.shape[0])
+        # Both paths mark the analytics snapshot's dirty rows themselves:
+        # the per-edge one (also a batch too small to start a round) inside
+        # insert_edge, the vector kernel per chunk from its dense ids.
         if kern == "vector" and m >= kernels.MIN_ROUND_GROUPS:
-            # The per-edge path (also a batch too small to start a round)
-            # marks per-edge inside insert_edge; the vector kernel mutates
-            # the arrays wholesale, so mark its touched sources at batch
-            # granularity — also when it raises, having applied part of it.
-            try:
-                new = kernels.insert_batch_vector(self, edges[:m], weights[:m])
-            finally:
-                self._snapshot_mark_batch(edges[:m, 0])
+            new = kernels.insert_batch_vector(self, edges[:m], weights[:m])
         else:
             new = self._insert_batch_scalar(edges, weights)
         if before is not None:
@@ -310,10 +291,7 @@ class GraphTinker(StoreBase):
             and not (self.sgh is None and bool(edges[:, 0].min() < 0))
         )
         if use_vector:
-            try:
-                deleted = kernels.delete_batch_vector(self, edges)
-            finally:
-                self._snapshot_mark_batch(edges[:, 0])
+            deleted = kernels.delete_batch_vector(self, edges)
         else:
             deleted = 0
             for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):

@@ -133,17 +133,20 @@ and item 5 keeps its own per-pass overhead from taking their place:
    one pass per pool rewrites the sentinels to the real addresses: one
    gather of ``cal``, a ``<= PENDING_CAL`` filter and one scatter.  It
    visits only cells a sentinel may sit in: each cell a round's walk
-   stored one into (collected as it stores) and, for every group with
-   residue ops, every cell of the group's gen-0 Subblock and of the
-   overflow rows below it (a residue op may push a pending cell anywhere
-   in that subtree).
+   stored one into and each cell the residue's
+   :meth:`~repro.core.edgeblock_array.EdgeblockArray.write_back` stored
+   (both collected as they store; a rounds' pending cell that a residue
+   op moves is stored again through ``write_back``).
    Duplicate ops that meet a pending cell update the pending record (one
    ``cal_updates`` charge, like the scalar ``update_weight``) so the
    final CAL weight is the last one.
 
 Large batches are processed in contiguous chunks so the round temporaries
 stay bounded; chunking composes trivially (the scalar path is itself a
-sequence of per-edge chunks).
+sequence of per-edge chunks).  Each chunk marks the rows it touched dirty
+in the store's analytics snapshot once, from the dense ids it already
+holds, in a ``finally``: an insert chunk its sources, a delete chunk the
+rows that lost an edge.
 
 Delete batches: one pass per tree level
 ---------------------------------------
@@ -537,7 +540,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     grp_end = np.append(first_pos[1:], n)
     cur = first_pos.copy()
     # Per pool (MAIN, OVERFLOW): the flat cells the rounds' walks stored a
-    # pending sentinel into.
+    # pending sentinel into, then those the residue stored.
     touched: tuple[list, list] = ([], [])
     # The main region never regrows mid-chunk (capacity is ensured per
     # vertex row up front), so its raveled cell fields and child pointers
@@ -677,13 +680,14 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                                                 initial_bucket_array(rdst, gen, size, seed)))
                                for gen in range(depth)], axis=1).tolist()
             lists: dict = {}
+            stored: tuple[list, list] = ([], [])  # flat cells write_back stored
             try:
                 last = -1
                 for rid, k, src, dst, w, h in zip(rids.tolist(), key_s[rem].tolist(),
                                                   dense[rids].tolist(), rdst.tolist(),
                                                   w_s[rem].tolist(), hashes):
                     if k != last:
-                        eba.write_back(lists)
+                        eba.write_back(lists, stored)
                         last = k
                     is_new, loc = eba.insert(src, dst, w, PENDING_CAL - rid if cal is not None
                                              else -1, lists, h)
@@ -700,12 +704,16 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                             p_w[PENDING_CAL - ptr] = w
                             cal_up += 1
             finally:
-                eba.write_back(lists)
+                eba.write_back(lists, stored)
+                for region in (MAIN, OVERFLOW):
+                    touched[region].append(np.array(stored[region], dtype=np.int64))
     finally:
         # Apply the deferred side effects even when an op raised mid-chunk,
         # so every *completed* op's state lands exactly as the per-op path
         # would have left it.  EdgeblockArray.insert counted the residue's
         # new edges in its own degrees and `edges_inserted` already.
+        if (snap := gt._analytics_snapshot) is not None:
+            snap.mark_dirty_many(dense)
         placed = np.flatnonzero(new)
         np.add.at(eba._degrees, dense[placed], 1)
         new[r_new] = True
@@ -716,18 +724,10 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             np.add.at(gt.vpa.degrees, ns, 1)
         if cal is not None:
             # Replay the appends in original stream order, then rewrite
-            # every sentinel in one pass per pool.  The rounds' walks
-            # recorded where they stored one; a residue op may push any
-            # pending cell anywhere in its group's subtree, so that adds
-            # every cell of the group's gen-0 Subblock and of every
-            # overflow row below it.
+            # every sentinel in one pass per pool, over the cells the
+            # rounds' walks and the residue's write-backs stored.
             addr = np.full(n, -1, dtype=np.int64)
             addr[live] = cal.append_many(dense[live], dsts[live], p_w[live])
-            res = groups[cur < grp_end]
-            touched[MAIN].append(((res * size)[:, None] + np.arange(size)).ravel())
-            for rows in _subtree_levels(eba, res):
-                touched[OVERFLOW].append(((rows * cfg.pagewidth)[:, None]
-                                          + np.arange(cfg.pagewidth)).ravel())
             for region, pool in ((MAIN, eba.main), (OVERFLOW, eba.overflow)):
                 if touched[region]:
                     _patch_pending(pool, touched[region], addr)
@@ -752,21 +752,15 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     # delete_edge returns on it before the SGH lookup, so such a row is a
     # miss with no hash_lookups charge: drop it ahead of the renaming.
     edges = edges[edges[:, 1] >= 0]
-    n = edges.shape[0]
-    if n == 0:
-        return 0
-
     srcs = edges[:, 0]
     dsts = edges[:, 1]
     if gt.sgh is not None:
-        stats.hash_lookups += n  # one try_lookup per row
+        stats.hash_lookups += edges.shape[0]  # one try_lookup per row
         dense = gt.sgh.peek_array(srcs)
     else:
         dense = srcs
 
     valid = (dense >= 0) & (dense < eba.n_vertices)
-    if not valid.any():
-        return 0
     dense = dense[valid]
     dsts = dsts[valid]
 
@@ -774,8 +768,10 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     rhh_on = eba._rhh_on
 
     wf = cs = bd = deleted = 0
-    hit_srcs: list[np.ndarray] = []
-    hit_cal: list[np.ndarray] = []
+    # The rows that lost an edge (the snapshot's dirty rows) and their
+    # cells' CAL pointers, one array per level.
+    hit_srcs: list[np.ndarray] = [dense[:0]]
+    hit_cal: list[np.ndarray] = [dense[:0]]
     src, dst, block = dense, dsts, dense
     try:
         for gen in range(cfg.max_generations):
@@ -819,8 +815,10 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     finally:
         # Whatever was tombstoned before an exception keeps its degree
         # and counter effects, as on the per-op path.
+        ds = np.concatenate(hit_srcs)
+        if (snap := gt._analytics_snapshot) is not None:
+            snap.mark_dirty_many(ds)  # also empty: it ends the capture epoch
         if deleted:
-            ds = np.concatenate(hit_srcs)
             np.subtract.at(eba._degrees, ds, 1)
             gt.vpa.ensure(int(ds.max()))
             np.subtract.at(gt.vpa.degrees, ds, 1)

@@ -23,8 +23,8 @@ charges them.  Their one caller is the per-op specification,
 :class:`~repro.core.edgeblock_array.EdgeblockArray`: its FIND loop
 (``_locate``) hands :func:`rhh_find` one Subblock's ``dst`` list per
 tree level, and its INSERT stage hands :func:`rhh_insert` a Subblock's
-four field lists per level — reusing what FIND read — and stores back
-the cells it wrote.  The batch kernels
+four field lists per level — reusing what FIND read, scan length
+included — and stores back the cells it wrote.  The batch kernels
 (:mod:`repro.core.kernels`) do not call the core: their whole-chunk
 passes restate it over many rolled Subblocks at once, the residue of
 their insert rounds runs through ``EdgeblockArray.insert`` itself, and
@@ -147,6 +147,7 @@ def rhh_insert(
     init_bucket: int,
     enable_rhh: bool,
     cal: int = -1,
+    find_len: int = 0,
 ) -> tuple:
     """Insert ``(dst, weight)`` with CAL-pointer ``cal`` into one Subblock.
 
@@ -155,7 +156,9 @@ def rhh_insert(
     first (update-in-place if the edge exists), then the INSERT stage.
     With ``enable_rhh`` the Robin Hood displacement algorithm balances
     probe distances; without it (delete-and-compact configuration) a
-    plain linear probe to the first vacant cell is used.
+    plain linear probe to the first vacant cell is used.  In Robin-Hood
+    mode a nonzero ``find_len``, the length of a missed :func:`rhh_find`
+    scan of this Subblock for ``dst``, stands in for the FIND stage.
 
     Returns the outcome and every charge it implies, for the driver to
     apply:
@@ -178,24 +181,24 @@ def rhh_insert(
     # --- FIND stage: replace the weight if the edge already exists. -----
     found_slot = -1
     first_vacant = -1
-    find_len = 0
-    for distance in range(size):
-        slot = init_bucket + distance
-        if slot >= size:
-            slot -= size
-        find_len = distance + 1
-        cell_dst = dsts[slot]
-        if cell_dst == dst:
-            found_slot = slot
-            break
-        if cell_dst == empty:
-            if first_vacant < 0:
-                first_vacant = slot
-            if enable_rhh:
-                # Nothing lives beyond an empty cell in delete-only mode.
+    if not (enable_rhh and find_len):
+        for distance in range(size):
+            slot = init_bucket + distance
+            if slot >= size:
+                slot -= size
+            find_len = distance + 1
+            cell_dst = dsts[slot]
+            if cell_dst == dst:
+                found_slot = slot
                 break
-        elif cell_dst == tombstone and first_vacant < 0:
-            first_vacant = slot
+            if cell_dst == empty:
+                if first_vacant < 0:
+                    first_vacant = slot
+                if enable_rhh:
+                    # Nothing lives beyond an empty cell in delete-only mode.
+                    break
+            elif cell_dst == tombstone and first_vacant < 0:
+                first_vacant = slot
 
     if found_slot >= 0:
         weights[found_slot] = weight

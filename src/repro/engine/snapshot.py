@@ -24,8 +24,9 @@ gather replays the summed charges of exactly the rows the native loop
 would have visited.
 
 **Dirty tracking**: stores mark a dense row dirty on every mutation that
-touches it (single-edge calls mark inline; batch kernels mark the batch's
-source set).  A gather first *syncs*: new vertices extend the row table,
+touches it (single-edge calls mark inline; batch kernels mark once per
+chunk from their own dense ids), into a mask of one flag per row.  A
+gather first *syncs*: new vertices extend the row table,
 all dirty rows are re-measured in one ``measure_rows`` call (data, order
 and charge are those of the native walk, so row contents are
 bit-identical to a fresh per-vertex call), and that measurement is
@@ -54,7 +55,6 @@ Observability (when :mod:`repro.obs` is enabled):
 
 from __future__ import annotations
 
-import bisect
 import weakref
 
 import numpy as np
@@ -140,7 +140,8 @@ class AnalyticsSnapshot:
         # ``(triple, charge, horizon)`` of the store's own full load, kept
         # from the first such load after a mutation to the next dirty mark.
         self._full: tuple | None = None
-        self._dirty: set[int] = set()
+        # One flag per row of the table: re-measure it on the next sync.
+        self._dirty = np.zeros(0, dtype=bool)
         self._all_dirty = False
         self._flat_ok = False
         self._indptr = np.zeros(1, dtype=np.int64)
@@ -185,13 +186,20 @@ class AnalyticsSnapshot:
         return self._counts.shape[0]
 
     def mark_dirty(self, row: int) -> None:
-        """One mutation touched dense row ``row``; re-measure it on next use."""
-        self._dirty.add(int(row))
+        """One mutation touched dense row ``row``; re-measure it on next use.
+
+        A row past the table is new, and every new row is measured when
+        the table grows, so marking one is a no-op (beyond ending the
+        full-load capture's epoch, as every mark does)."""
+        if row < self._dirty.shape[0]:
+            self._dirty[row] = True
         self._full = None
 
     def mark_dirty_many(self, rows: np.ndarray) -> None:
-        """Batch-kernel hook: mark every touched dense row at once."""
-        self._dirty.update(np.unique(np.asarray(rows, dtype=np.int64)).tolist())
+        """Batch-kernel hook: mark every touched dense row at once
+        (repeats allowed; rows past the table as in :meth:`mark_dirty`)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self._dirty[rows[rows < self._dirty.shape[0]]] = True
         self._full = None
 
     def invalidate(self) -> None:
@@ -218,7 +226,7 @@ class AnalyticsSnapshot:
         if self._all_dirty:
             return max(self.n_rows, self.store.dense_row_count())
         new_rows = max(0, self.store.dense_row_count() - self.n_rows)
-        return len(self._dirty) + new_rows
+        return int(np.count_nonzero(self._dirty)) + new_rows
 
     # ------------------------------------------------------------------ #
     # lock-free read-path accessors (repro.net serving tier)
@@ -310,7 +318,7 @@ class AnalyticsSnapshot:
         if n_store > n:
             # Zero placeholders: every new row is dirty, so measured below
             # (or, under a budget, empty until its turn comes).
-            self._dirty.update(range(n, n_store))
+            self._dirty = np.concatenate([self._dirty, np.ones(n_store - n, dtype=bool)])
             self._charges = np.vstack(
                 [self._charges, np.zeros((n_store - n, _N_FIELDS), dtype=np.int64)]
             )
@@ -318,32 +326,29 @@ class AnalyticsSnapshot:
                 [self._counts, np.zeros(n_store - n, dtype=np.int64)])
             self._flat_ok = False
         if self._all_dirty:
-            self._dirty.update(range(self.n_rows))
+            self._dirty[:] = True
             self._all_dirty = False
-        if not self._dirty:
+        rows = np.flatnonzero(self._dirty)
+        if rows.size == 0:
             return _empty_triple()
-        todo = sorted(self._dirty)
-        if max_rows is not None and len(todo) > max_rows:
-            i = bisect.bisect_left(todo, self._patch_cursor)
-            todo = (todo[i:] + todo[:i])[:max_rows]
-            self._patch_cursor = todo[-1] + 1
-            self._dirty.difference_update(todo)
-            todo.sort()
-        else:
-            self._dirty = set()
-        rows = np.array(todo, dtype=np.int64)
+        if max_rows is not None and rows.size > max_rows:
+            i = int(np.searchsorted(rows, self._patch_cursor))
+            rows = np.concatenate([rows[i:], rows[:i]])[:max_rows]
+            self._patch_cursor = int(rows[-1]) + 1
+            rows.sort()
+        self._dirty[rows] = False
         counts, dst, weight, charges = self.store.measure_rows(rows)
         self._counts[rows] = counts
         self._charges[rows] = charges
-        self.patched_rows += len(todo)
+        self.patched_rows += rows.size
         if obs_hooks.enabled:
-            self._counter("patched_rows", len(todo))
+            self._counter("patched_rows", rows.size)
             from repro.obs.metrics import get_registry
 
             get_registry().quantile(
                 "engine.snapshot.patch_rows",
                 "rows re-measured per snapshot sync",
-            ).record(len(todo))
+            ).record(rows.size)
         self._flat_ok = False
         return rows, dst, weight
 

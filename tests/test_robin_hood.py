@@ -309,3 +309,28 @@ def test_subblock_model_equivalence(ops, rhh_mode):
             model.pop(dst, None)
         # full-content check
         assert live(cells) == model
+
+
+@settings(max_examples=200)
+@given(
+    fill=st.lists(st.tuples(st.integers(min_value=0, max_value=31), st.booleans()),
+                  max_size=12),
+    dst=st.integers(min_value=32, max_value=40),
+    bucket=st.integers(min_value=0, max_value=SB - 1),
+    rhh_mode=st.booleans(),
+)
+def test_handed_in_find_scan_matches_the_core_scan(fill, dst, bucket, rhh_mode):
+    """``rhh_insert`` given the length of a missed ``rhh_find`` scan (what
+    ``EdgeblockArray.insert`` hands it on the levels its FIND read) returns
+    the same outcome and leaves the same cells as when it scans itself."""
+    cells, _ = fresh()
+    for d, dead in fill:
+        slot = rhh.rhh_insert(*cells, d, float(d), d % SB, rhh_mode)[1]
+        if dead and slot >= 0:
+            tombstone(cells, slot)
+    twin = Cells(*(list(field) for field in cells))
+    own = rhh.rhh_insert(*cells, dst, 0.5, bucket, rhh_mode, 7)
+    slot, scanned = rhh.rhh_find(twin.dst, dst, bucket, rhh_mode)
+    assert slot == -1
+    assert rhh.rhh_insert(*twin, dst, 0.5, bucket, rhh_mode, 7, scanned) == own
+    assert twin == cells
