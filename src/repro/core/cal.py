@@ -261,6 +261,14 @@ class CoarseAdjacencyList:
         self._n_valid -= addr.shape[0]
         self.stats.cal_updates += addr.shape[0]
 
+    def live_addresses(self) -> np.ndarray:
+        """Addresses of every live copy, ascending: the valid slots of the
+        blocks currently handed out."""
+        hw = self.pool.high_water
+        used = np.ones(hw, dtype=bool)
+        used[self.pool._free] = False
+        return np.flatnonzero((self.pool.fields["src"][:hw] != CAL_INVALID) & used[:, None])
+
     def read_slot(self, addr: int) -> tuple[int, int, float]:
         """Return ``(src, dst, weight)`` stored at a CAL address."""
         cells, at = self.pool.fields, self.split(addr)

@@ -31,7 +31,7 @@ from repro.core.config import GTConfig
 from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.sgh import ScatterGatherHash
 from repro.core.stats import STAT_FIELDS, AccessStats
-from repro.core.store import StoreBase
+from repro.core.store import StoreBase, check_edge_batch
 from repro.core.vertex_array import VertexPropertyArray
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
@@ -205,11 +205,7 @@ class GraphTinker(StoreBase):
         are event-identical (see :mod:`repro.core.kernels`), so the choice
         only affects wall-clock time.
         """
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
+        edges, _ = check_edge_batch(edges)
         if weights is None:
             weights = np.ones(edges.shape[0], dtype=np.float64)
         else:
@@ -273,9 +269,7 @@ class GraphTinker(StoreBase):
 
     def delete_batch(self, edges: np.ndarray, kernel: str | None = None) -> int:
         """Delete a batch of edges; return how many actually existed."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
+        edges, _ = check_edge_batch(edges, negative_ok=True)
         kern = self._resolve_kernel(kernel)
         before = self.stats.snapshot() if obs_hooks.enabled else None
         t0 = time.perf_counter() if before is not None else 0.0

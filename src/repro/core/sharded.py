@@ -69,7 +69,7 @@ from repro.core.config import ShardedConfig
 from repro.core.hashing import partition_of, partition_of_array
 from repro.core.pool import grow
 from repro.core.stats import STAT_FIELDS as _FIELDS, AccessStats
-from repro.core.store import RowStoreDefaults
+from repro.core.store import RowStoreDefaults, check_edge_batch
 from repro.errors import ShardCrashError, VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
@@ -459,11 +459,7 @@ class ShardedStore(RowStoreDefaults):
     def insert_batch(self, edges: np.ndarray,
                      weights: np.ndarray | None = None) -> int:
         """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
+        edges, _ = check_edge_batch(edges)
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
         if not edges.shape[0]:
@@ -479,9 +475,7 @@ class ShardedStore(RowStoreDefaults):
 
     def delete_batch(self, edges: np.ndarray) -> int:
         """Delete a batch of edges; returns how many existed."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
+        edges, _ = check_edge_batch(edges, negative_ok=True)
         # Rows that cannot exist never reach a worker: negative ids and
         # unallocated sources miss for free, same as the other backends.
         live = ((edges[:, 0] >= 0) & (edges[:, 0] < self._n_vertices)

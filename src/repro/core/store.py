@@ -96,7 +96,7 @@ from repro.core.config import (
     TieredConfig,
 )
 from repro.core.stats import STAT_FIELDS, AccessStats
-from repro.errors import StoreProtocolError
+from repro.errors import StoreProtocolError, WorkloadError
 
 
 @runtime_checkable
@@ -357,6 +357,34 @@ class RowStoreDefaults(StoreBase):
         return VerifyReport(level=level, violations=violations,
                             n_vertices=n_rows, n_edges=self.n_edges,
                             elapsed=time.perf_counter() - t0)
+
+
+def check_edge_batch(edges: Any, weights: Any = None, *,
+                     negative_ok: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Admit one edge batch: ``(edges, weights)`` as int64 / float64 arrays.
+
+    ``edges`` must have shape ``(n, 2)`` and, unless ``negative_ok`` (a
+    delete of a negative id is a miss, not an error), non-negative ids:
+    the edge-cell encoding reserves -1 / -2 as its EMPTY / TOMBSTONE
+    sentinels.  ``weights``, when given, must hold one weight per edge.
+    Raises :class:`~repro.errors.WorkloadError` (a ``ValueError``).  The
+    one validator of the backends' batch mutators, the service's
+    admission and the wire's request parsing, so a batch a store would
+    reject is refused before the write-ahead log sees it.
+    """
+    try:
+        edges = np.asarray(edges, dtype=np.int64)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise WorkloadError(f"edges or weights are not numeric: {exc}") from exc
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise WorkloadError(f"edges must have shape (n, 2), got {edges.shape}")
+    if not negative_ok and edges.size and edges.min() < 0:
+        raise WorkloadError("vertex ids must be non-negative")
+    if weights is not None and (weights.ndim != 1 or weights.shape[0] != edges.shape[0]):
+        raise WorkloadError("weights length must match edge count")
+    return edges, weights
 
 
 def validate_store(store: Any, name: str | None = None) -> Any:

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.core.config import TieredConfig
 from repro.core.pool import grow
-from repro.core.store import RowStoreDefaults
+from repro.core.store import RowStoreDefaults, check_edge_batch
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
@@ -366,11 +366,7 @@ class TieredStore(RowStoreDefaults):
     def insert_batch(self, edges: np.ndarray,
                      weights: np.ndarray | None = None) -> int:
         """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
+        edges, _ = check_edge_batch(edges)
         if weights is None:
             weights = np.ones(edges.shape[0], dtype=np.float64)
         before = self.stats.snapshot() if obs_hooks.enabled else None
@@ -440,9 +436,7 @@ class TieredStore(RowStoreDefaults):
 
     def delete_batch(self, edges: np.ndarray) -> int:
         """Delete a batch of edges; returns how many existed."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
+        edges, _ = check_edge_batch(edges, negative_ok=True)
         before = self.stats.snapshot() if obs_hooks.enabled else None
         t0 = time.perf_counter() if before is not None else 0.0
         deleted = 0

@@ -3,8 +3,8 @@
 A dynamic-graph store that serves traffic for weeks accumulates risk that
 crash recovery alone cannot cover: a bit flip in an EdgeblockArray slot, a
 degree counter that drifted, a CAL copy that no longer matches its owner.
-This module walks every structure of a :class:`~repro.core.graphtinker.
-GraphTinker` instance and checks the invariants the rest of the code base
+This module audits every structure of a :class:`~repro.core.graphtinker.
+GraphTinker` instance against the invariants the rest of the code base
 silently relies on:
 
 * every live edge-cell sits in the Subblock its destination hashes to at
@@ -24,35 +24,40 @@ silently relies on:
 * the overflow pool's free-list is sane: no freed block is referenced by
   a child pointer, no live block is shared by two parents or orphaned.
 
-Violations are classified into typed :class:`IntegrityViolation` records.
-:func:`repair_graph` self-heals by *rebuilding the affected vertex's edge
-set*: the EdgeblockArray and the CAL are mutually redundant copies of
-every edge, so a damaged cell is reconciled against its CAL copy (and
-vice versa) using the hash-placement rules as the tiebreaker, the
-vertex's tree is wiped, and the reconciled edges are reinserted through
-the normal insert path (which also rehashes a damaged block's survivors).
+The audit is a fixed number of NumPy passes over the pools, not a walk
+per vertex: one level-by-level discovery of every edgeblock tree (main
+rows, then ``np.nonzero`` on the child matrices) gives each live cell its
+root vertex, its generation and its ancestor chain, and each check is
+then one pass over those arrays.  ``level="quick"`` runs the passes that
+need neither hashing nor the CAL-pointers.
+
+:func:`repair_graph` recounts damage confined to the degree counters in
+place.  Anything else reconciles the whole edge set once — the
+EdgeblockArray and the CAL are redundant copies of every edge, and
+hash-placement validity decides between them — and rebuilds the store
+from the reconciled edges with one ``insert_batch``.
 
 Auditing and repairing never perturb :class:`~repro.core.stats.
 AccessStats` — counts are snapshotted and restored — and publish
 ``verify.*`` metrics and a ``verify.fsck`` span through :mod:`repro.obs`
 when observability is up.  :func:`verify_graph` is GraphTinker's
 ``fsck``, so it is also what ``GraphTinker.check_invariants`` asserts.
-
 See docs/robustness.md for the full invariant/repair catalogue.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 import repro.obs as obs
-from repro.core.edgeblock_array import MAIN, OVERFLOW
-from repro.core.hashing import initial_bucket, subblock_index
+from repro.core.cal import CoarseAdjacencyList
+from repro.core.edgeblock_array import OVERFLOW, EdgeblockArray
+from repro.core.hashing import initial_bucket_array, subblock_index_array
 from repro.core.pool import EMPTY, TOMBSTONE
+from repro.core.vertex_array import VertexPropertyArray
 from repro.obs import hooks as obs_hooks
 
 #: Violation kinds (the ``IntegrityViolation.kind`` vocabulary).
@@ -144,164 +149,119 @@ class RepairReport:
 
 
 # --------------------------------------------------------------------- #
-# structure walking
+# tree discovery
 # --------------------------------------------------------------------- #
-@dataclass
-class _CellInfo:
-    """One live edge-cell as seen by the sweep."""
+class _Sweep:
+    """Every edgeblock tree of the store and every live cell in it.
 
-    region: int
-    block: int
-    slot: int            # cell index within the block row
-    generation: int
-    dst: int
-    weight: float
-    cal: int             # CAL-pointer: a CAL address
-    placement_ok: bool = True
+    ``roots[g]`` / ``blocks[g]``: the generation-``g`` edgeblocks (main
+    rows at 0) and the dense vertex whose tree holds each;
+    ``parents[g - 1]`` / ``descents[g - 1]``: each one's parent (an index
+    into generation ``g - 1``) and the parent Subblock it hangs off.  One
+    entry per live cell, generation by generation, in ``root``, ``gen``,
+    ``at`` (its edgeblock's index in its generation), ``block`` (pool
+    row), ``slot`` and ``dst``; the full audit fills ``placed`` (hash
+    placement, probe distance and probe path hold) and ``resolves`` (the
+    CAL-pointer names a slot of an allocated CAL block).
+    """
 
+    def __init__(self, eba, emit):
+        n, hw = eba.n_vertices, eba.overflow.high_water
+        free = np.asarray(eba.overflow._free, dtype=np.int64)
+        freed = np.zeros(hw, dtype=bool)
+        freed[free[(free >= 0) & (free < hw)]] = True
+        #: Child pointers naming each overflow block.
+        self.refs = np.bincount(np.concatenate(
+            [m._data[m._data >= 0] for m in (eba._main_children, eba._overflow_children)]),
+            minlength=hw)
+        # Unless some block has two parents, no tree reaches one twice.
+        shared = bool(self.refs.size) and self.refs.max() > 1
+        self.roots = [np.arange(n, dtype=np.int64)]
+        self.blocks = [np.arange(n, dtype=np.int64)]
+        self.parents: list[np.ndarray] = []
+        self.descents: list[np.ndarray] = []
+        seen = np.empty(0, dtype=np.int64)
+        kids = eba._main_children._data[:n]
+        while True:
+            parent, sb = np.nonzero(kids >= 0)
+            if parent.size == 0:
+                break
+            child = kids[parent, sb].astype(np.int64)
+            root = self.roots[-1][parent]
+            never = child >= hw
+            dead = np.zeros_like(never)
+            dead[~never] = freed[child[~never]]
+            for i in np.flatnonzero(never | dead).tolist():
+                what = "overflow block {} which was never allocated" if never[i] \
+                    else "freed overflow block {}"
+                emit(V_POOL, int(root[i]), "child pointer -> " + what.format(child[i]),
+                     f"r{min(len(self.parents), OVERFLOW)}b{self.blocks[-1][parent[i]]}sb{sb[i]}")
+            keep = ~(never | dead)
+            if shared:
+                # A block reached a second time from the same tree (a
+                # cycle, or two parents in one tree) is reported, not
+                # re-expanded.
+                key = root * hw + child
+                first = np.zeros_like(keep)
+                first[np.unique(key, return_index=True)[1]] = True
+                keep &= first
+                keep[keep] = ~np.isin(key[keep], seen)
+                for i in np.flatnonzero(~(keep | never | dead)).tolist():
+                    emit(V_POOL, int(root[i]), f"edgeblock cycle through block {child[i]}",
+                         f"r{OVERFLOW}b{child[i]}")
+                seen = np.concatenate((seen, key[keep]))
+            self.parents.append(parent[keep])
+            self.descents.append(sb[keep])
+            self.roots.append(root[keep])
+            self.blocks.append(child[keep])
+            kids = eba._overflow_children._data[self.blocks[-1]]
 
-def _freed_overflow(eba) -> set[int]:
-    return set(eba.overflow._free)
+        cells = []
+        pw = eba.config.pagewidth
+        for gen, (roots, blocks) in enumerate(zip(self.roots, self.blocks)):
+            dst = (eba.main.fields["dst"][:n] if gen == 0
+                   else eba.overflow.fields["dst"][blocks]).reshape(-1)
+            if dst.size and dst.min() < TOMBSTONE:
+                for cell in np.flatnonzero(dst < TOMBSTONE).tolist():
+                    at, slot = divmod(cell, pw)
+                    emit(V_CORRUPT_CELL, int(roots[at]),
+                         f"dst {dst[cell]} is neither a vertex id nor a sentinel",
+                         f"r{min(gen, OVERFLOW)}b{blocks[at]}s{slot}")
+            live = np.flatnonzero(dst >= 0)
+            at, slot = np.divmod(live, pw)
+            cells.append((roots[at], np.full(at.shape[0], gen), at, blocks[at],
+                          slot, dst[live]))
+        self.root, self.gen, self.at, self.block, self.slot, self.dst = (
+            np.concatenate(column).astype(np.int64) for column in zip(*cells))
+        self.bounds = np.cumsum([0] + [c[0].shape[0] for c in cells])
+        self.placed = np.ones(self.dst.shape[0], dtype=bool)
+        self.resolves = np.zeros(self.dst.shape[0], dtype=bool)
 
+    def read(self, eba, name: str, slot: np.ndarray | None = None,
+             rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Field ``name`` of the cells ``rows`` (at ``slot`` in each one's
+        edgeblock, its own slot by default; ``slot`` may be 2-D)."""
+        block, main = self.block[rows], self.gen[rows] == 0
+        slot = self.slot[rows] if slot is None else slot
+        cell = (block if slot.ndim == 1 else block[:, None]) * eba.config.pagewidth + slot
+        out = np.empty(slot.shape, dtype=eba.main.fields[name].dtype)
+        for pool, sel in ((eba.main, main), (eba.overflow, ~main)):
+            out[sel] = pool.fields[name].reshape(-1).take(cell[sel])
+        return out
 
-def _walk_vertex(gt, src: int, freed: set[int],
-                 emit) -> list[_CellInfo]:
-    """Collect live cells of one vertex's edgeblock tree, checking
-    placement/probe rules along the way (``emit`` receives violations)."""
-    eba = gt.eba
-    cfg = gt.config
-    nsb = cfg.subblocks_per_block
-    sb_size = cfg.subblock
-    rhh_on = eba._rhh_on
-    cells_out: list[_CellInfo] = []
-    # (region, block, generation, path) where path is a tuple of
-    # (generation, subblock) constraints every edge below must satisfy.
-    stack: list[tuple[int, int, int, tuple[tuple[int, int], ...]]] = [
-        (MAIN, src, 0, ())]
-    seen_blocks: set[tuple[int, int]] = set()
-    while stack:
-        region, block, gen, path = stack.pop()
-        if (region, block) in seen_blocks:
-            emit(IntegrityViolation(
-                V_POOL, src, f"edgeblock cycle through block {block}",
-                where=f"r{region}b{block}"))
-            continue
-        seen_blocks.add((region, block))
-        cells = eba._pool(region).fields
-        dsts = cells["dst"][block]
-        for slot in np.flatnonzero(dsts != EMPTY).tolist():
-            dst = int(dsts[slot])
-            if dst == int(TOMBSTONE):
-                continue
-            where = f"r{region}b{block}s{slot}"
-            if dst < 0:
-                emit(IntegrityViolation(
-                    V_CORRUPT_CELL, src,
-                    f"dst {dst} is neither a vertex id nor a sentinel",
-                    where=where))
-                continue
-            sb = slot // sb_size
-            info = _CellInfo(region, block, slot, gen, dst,
-                             float(cells["weight"][block, slot]),
-                             int(cells["cal"][block, slot]))
-            # Placement: the cell's own generation plus every ancestor
-            # generation it descended through must hash consistently,
-            # otherwise rhh_find can never reach it.
-            if subblock_index(dst, gen, nsb, cfg.seed) != sb:
-                info.placement_ok = False
-                emit(IntegrityViolation(
-                    V_MISPLACED, src,
-                    f"dst {dst} sits in subblock {sb} but hashes to "
-                    f"{subblock_index(dst, gen, nsb, cfg.seed)} at "
-                    f"generation {gen}", where=where))
-            else:
-                for anc_gen, anc_sb in path:
-                    if subblock_index(dst, anc_gen, nsb, cfg.seed) != anc_sb:
-                        info.placement_ok = False
-                        emit(IntegrityViolation(
-                            V_MISPLACED, src,
-                            f"dst {dst} descended through subblock "
-                            f"{anc_sb} at generation {anc_gen} but hashes "
-                            f"elsewhere — unreachable", where=where))
-                        break
-            if info.placement_ok and rhh_on:
-                ib = initial_bucket(dst, gen, sb_size, cfg.seed)
-                in_sb = slot - sb * sb_size
-                dist = in_sb - ib
-                if dist < 0:
-                    dist += sb_size
-                probe = int(cells["probe"][block, slot])
-                if probe != dist:
-                    info.placement_ok = False
-                    emit(IntegrityViolation(
-                        V_MISPLACED, src,
-                        f"dst {dst} stores probe {probe} "
-                        f"but sits {dist} past its initial bucket {ib}",
-                        where=where))
-                else:
-                    for step in range(dist):
-                        probe_slot = sb * sb_size + (ib + step) % sb_size
-                        if int(dsts[probe_slot]) == int(EMPTY):
-                            info.placement_ok = False
-                            emit(IntegrityViolation(
-                                V_UNREACHABLE, src,
-                                f"dst {dst} lies beyond an EMPTY cell on "
-                                f"its probe path (FIND stops early)",
-                                where=where))
-                            break
-            cells_out.append(info)
-        children = eba._children(region).row(block)
-        for sb in np.flatnonzero(children >= 0).tolist():
-            child = int(children[sb])
-            where = f"r{region}b{block}sb{sb}"
-            if child >= eba.overflow.high_water:
-                emit(IntegrityViolation(
-                    V_POOL, src,
-                    f"child pointer -> overflow block {child} which was "
-                    f"never allocated", where=where))
-                continue
-            if child in freed:
-                emit(IntegrityViolation(
-                    V_POOL, src,
-                    f"child pointer -> freed overflow block {child}",
-                    where=where))
-                continue
-            stack.append((OVERFLOW, child, gen + 1, path + ((gen, sb),)))
-    return cells_out
+    def where(self, i: int) -> str:
+        return f"r{min(int(self.gen[i]), OVERFLOW)}b{self.block[i]}s{self.slot[i]}"
 
 
-def _tree_blocks(eba, src: int, freed: set[int]):
-    """Yield each ``(region, block)`` of ``src``'s edgeblock tree once, in
-    the order a depth-first walk discovers them, following no child
-    pointer to a freed or never-allocated block and no cycle (the full
-    walker reports those)."""
-    stack = [(MAIN, src)]
-    seen = set(stack)
-    yield stack[0]
-    while stack:
-        region, block = stack.pop()
-        children = eba._children(region).row(block)
-        for child in children[children >= 0].tolist():
-            node = (OVERFLOW, child)
-            if 0 <= child < eba.overflow.high_water and child not in freed and node not in seen:
-                seen.add(node)
-                stack.append(node)
-                yield node
-
-
-def _quick_vertex_count(gt, src: int, freed: set[int] | None = None) -> tuple[int, int, int]:
-    """(live cells, duplicate count, cells whose dst is below the TOMBSTONE
-    sentinel — bit damage) of one vertex, vectorised per block."""
-    eba = gt.eba
-    freed = _freed_overflow(eba) if freed is None else freed
-    live = bad = 0
-    seen: list[np.ndarray] = []
-    for region, block in _tree_blocks(eba, src, freed):
-        dsts = eba._pool(region).fields["dst"][block]
-        live += int((dsts >= 0).sum())
-        bad += int((dsts < int(TOMBSTONE)).sum())
-        seen.append(dsts[dsts >= 0])
-    return live, live - int(np.unique(np.concatenate(seen)).shape[0]), bad
+def _pair_keys(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One int64 per pair ``(a[i], b[i])`` (both ``>= 0``) that sorts as
+    the pairs do; where ``a * (max(b) + 1)`` could overflow, ``b`` is
+    replaced by its rank among its distinct values."""
+    span = int(b.max()) + 1 if b.size else 1
+    if not a.size or int(a.max()) < (1 << 62) // span:
+        return a * span + b
+    values, rank = np.unique(b, return_inverse=True)
+    return a * values.shape[0] + rank
 
 
 # --------------------------------------------------------------------- #
@@ -310,221 +270,219 @@ def _quick_vertex_count(gt, src: int, freed: set[int] | None = None) -> tuple[in
 def verify_graph(gt, level: str = "full") -> VerifyReport:
     """Audit every structural invariant of ``gt``; never mutates it.
 
-    ``level="quick"`` runs the bounded post-recovery subset (degree /
-    duplicate / count / SGH / free-list checks, all vectorised per
-    block); ``"full"`` additionally checks per-cell hash placement,
+    ``level="quick"`` runs the bounded post-recovery subset (tree and
+    free-list structure, corrupt cells, degree / duplicate / count / SGH
+    checks); ``"full"`` additionally checks per-cell hash placement,
     probe-path reachability, and every CAL pointer both ways.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown fsck level {level!r} (choose from {LEVELS})")
     stats_backup = gt.stats.snapshot()
-    started = time.monotonic()
-    report = VerifyReport(level=level, n_vertices=gt.eba.n_vertices)
     try:
-        with obs.span("verify.fsck", level=level):
-            _run_checks(gt, level, report)
-        report.elapsed = time.monotonic() - started
-        _publish(report)
+        return _audit(gt, level)[0]
     finally:
         # Auditing must not perturb the access accounting.
         gt.stats.reset()
         gt.stats.merge(stats_backup)
-    return report
 
 
-def _run_checks(gt, level: str, report: VerifyReport) -> None:
-    eba = gt.eba
-    emit = report.violations.append
-    freed = _freed_overflow(eba)
+def _audit(gt, level: str) -> tuple[VerifyReport, _Sweep]:
+    started = time.monotonic()
+    report = VerifyReport(level=level, n_vertices=gt.eba.n_vertices)
 
-    _check_pools(gt, freed, emit)
-    _check_sgh(gt, emit)
+    def emit(kind: str, vertex: int, detail: str, where: str = "") -> None:
+        report.violations.append(IntegrityViolation(kind, vertex, detail, where))
 
-    total_live = 0
-    cal_owners: dict[int, tuple[int, int]] = {}
-    for src in range(eba.n_vertices):
-        if level == "quick":
-            live, dup, neg = _quick_vertex_count(gt, src, freed)
-            if dup:
-                emit(IntegrityViolation(
-                    V_DUPLICATE, src, f"{dup} duplicate destination(s)"))
-            if neg:
-                emit(IntegrityViolation(
-                    V_CORRUPT_CELL, src,
-                    f"{neg} cell(s) hold invalid destination values"))
+    with obs.span("verify.fsck", level=level):
+        sweep = _Sweep(gt.eba, emit)
+        _check_pools(gt.eba, sweep.refs, emit)
+        _check_sgh(gt, emit)
+        if level == "full":
+            _check_placement(gt, sweep, emit)
+        _check_counts(gt, sweep, emit)
+        if gt.cal is not None:
+            _check_cal(gt, sweep, level == "full", emit)
+    report.n_edges = int(sweep.dst.shape[0])
+    report.elapsed = time.monotonic() - started
+    _publish(report)
+    return report, sweep
+
+
+def _check_placement(gt, sweep: _Sweep, emit) -> None:
+    """Hash placement at every generation of every cell's descent, then
+    (Robin-Hood mode) its probe distance and probe path; clears
+    ``sweep.placed`` where any fails."""
+    cfg, eba = gt.config, gt.eba
+    nsb, size, seed = cfg.subblocks_per_block, cfg.subblock, cfg.seed
+    own = sweep.slot // size
+    for gen in range(len(sweep.blocks)):
+        lo, hi = sweep.bounds[gen], sweep.bounds[gen + 1]
+        dst = sweep.dst[lo:hi]
+        hashed = subblock_index_array(dst, gen, nsb, seed)
+        # The shallowest ancestor generation whose Subblock disagrees.
+        anc_gen, anc_sb = np.full(hi - lo, -1), np.zeros(hi - lo, dtype=np.int64)
+        at = sweep.at[lo:hi]
+        for g in range(gen, 0, -1):
+            sb = sweep.descents[g - 1][at]
+            bad = subblock_index_array(dst, g - 1, nsb, seed) != sb
+            anc_gen[bad], anc_sb[bad] = g - 1, sb[bad]
+            at = sweep.parents[g - 1][at]
+        for i in np.flatnonzero((hashed != own[lo:hi]) | (anc_gen >= 0)).tolist():
+            j = lo + i
+            sweep.placed[j] = False
+            emit(V_MISPLACED, int(sweep.root[j]),
+                 f"dst {dst[i]} sits in subblock {own[j]} but hashes to {hashed[i]} "
+                 f"at generation {gen}" if hashed[i] != own[j] else
+                 f"dst {dst[i]} descended through subblock {anc_sb[i]} at generation "
+                 f"{anc_gen[i]} but hashes elsewhere — unreachable", sweep.where(j))
+    if not eba._rhh_on:
+        return
+    cells = np.flatnonzero(sweep.placed)
+    ib = np.empty(cells.shape[0], dtype=np.int64)
+    for gen in range(len(sweep.blocks)):
+        sel = sweep.gen[cells] == gen
+        ib[sel] = initial_bucket_array(sweep.dst[cells[sel]], gen, size, seed)
+    base = own[cells] * size
+    dist = (sweep.slot[cells] - base - ib) % size
+    probe = sweep.read(eba, "probe", rows=cells)
+    blocked = probe != dist
+    # Only a cell past its initial bucket has a probe path to check.
+    far = np.flatnonzero(~blocked & (dist > 0))
+    steps = np.arange(dist[far].max() if far.size else 0)
+    path = sweep.read(eba, "dst", base[far, None] + (ib[far, None] + steps) % size, cells[far])
+    blocked[far] = ((path == EMPTY) & (steps < dist[far, None])).any(axis=1)
+    for i in np.flatnonzero(blocked).tolist():
+        j = int(cells[i])
+        sweep.placed[j] = False
+        if probe[i] != dist[i]:
+            emit(V_MISPLACED, int(sweep.root[j]), f"dst {sweep.dst[j]} stores probe "
+                 f"{probe[i]} but sits {dist[i]} past its initial bucket {ib[i]}",
+                 sweep.where(j))
         else:
-            cells = _walk_vertex(gt, src, freed, emit)
-            live = len(cells)
-            dsts = [c.dst for c in cells]
-            if len(set(dsts)) != len(dsts):
-                dups = sorted(d for d, n in Counter(dsts).items() if n > 1)
-                emit(IntegrityViolation(
-                    V_DUPLICATE, src,
-                    f"destination(s) {dups[:8]} stored more than once"))
-            if gt.cal is not None:
-                _check_cal_pointers(gt, src, cells, cal_owners, emit)
-        if live != eba.degree(src):
-            emit(IntegrityViolation(
-                V_DEGREE, src,
-                f"degree counter says {eba.degree(src)} but the tree "
-                f"holds {live} live cells"))
-        if gt.vpa.degree(src) != eba.degree(src):
-            emit(IntegrityViolation(
-                V_VPA_DEGREE, src,
-                f"VertexPropertyArray degree {gt.vpa.degree(src)} != "
-                f"EdgeblockArray degree {eba.degree(src)}"))
-        total_live += live
-    report.n_edges = total_live
-
-    if gt.cal is not None:
-        _check_cal_global(gt, total_live, cal_owners if level == "full" else None,
-                          emit)
+            emit(V_UNREACHABLE, int(sweep.root[j]), f"dst {sweep.dst[j]} lies beyond "
+                 f"an EMPTY cell on its probe path (FIND stops early)", sweep.where(j))
 
 
-def _resolves(cal, addr: int, freed_cal: set[int]) -> bool:
-    """Whether CAL address ``addr`` names a slot of an allocated block."""
-    block = cal.split(addr)[0]
-    return addr >= 0 and block < cal.pool.high_water and block not in freed_cal
+def _check_counts(gt, sweep: _Sweep, emit) -> None:
+    """Degree counters against the live cells, and duplicate destinations."""
+    n = gt.eba.n_vertices
+    live = np.bincount(sweep.root, minlength=n)
+    degrees = gt.eba._degrees[:n]
+    for v in np.flatnonzero(live != degrees).tolist():
+        emit(V_DEGREE, v, f"degree counter says {degrees[v]} but the tree holds "
+                          f"{live[v]} live cells")
+    vpa = np.zeros(n, dtype=np.int64)
+    vpa[:min(n, len(gt.vpa))] = gt.vpa._degree[:min(n, len(gt.vpa))]
+    for v in np.flatnonzero(vpa != degrees).tolist():
+        emit(V_VPA_DEGREE, v, f"VertexPropertyArray degree {vpa[v]} != "
+                              f"EdgeblockArray degree {degrees[v]}")
+    order = np.argsort(_pair_keys(sweep.root, sweep.dst))
+    root, dst = sweep.root[order], sweep.dst[order]
+    again = np.flatnonzero((root[1:] == root[:-1]) & (dst[1:] == dst[:-1])) + 1
+    for v in sorted(set(root[again].tolist())):
+        dups = np.unique(dst[again[root[again] == v]])
+        emit(V_DUPLICATE, v, f"destination(s) {dups[:8].tolist()} stored more than once")
 
 
-def _check_cal_pointers(gt, src: int, cells: list[_CellInfo],
-                        cal_owners: dict, emit) -> None:
-    cal = gt.cal
-    freed_cal = set(cal.pool._free)
-    for c in cells:
-        where = f"r{c.region}b{c.block}s{c.slot}"
-        if not _resolves(cal, c.cal, freed_cal):
-            emit(IntegrityViolation(
-                V_CAL_DANGLING, src,
-                f"edge ({src}, {c.dst}) points at CAL address {c.cal} "
-                f"which does not exist", where=where))
-            continue
-        at = cal.split(c.cal)
-        if c.cal in cal_owners:
-            o_src, o_dst = cal_owners[c.cal]
-            emit(IntegrityViolation(
-                V_CAL_MISMATCH, src,
-                f"edge ({src}, {c.dst}) shares CAL slot {at} with "
-                f"edge ({o_src}, {o_dst})", where=where))
-            continue
-        cal_owners[c.cal] = (src, c.dst)
-        cs, cd, cw = cal.read_slot(c.cal)
-        if cs != src or cd != c.dst:
-            emit(IntegrityViolation(
-                V_CAL_MISMATCH, src,
-                f"edge ({src}, {c.dst}) owns CAL slot {at} which "
-                f"holds ({cs}, {cd})", where=where))
-        elif cw != c.weight:
-            emit(IntegrityViolation(
-                V_CAL_MISMATCH, src,
-                f"edge ({src}, {c.dst}) weight {c.weight} but its CAL "
-                f"copy says {cw}", where=where))
+def _check_cal(gt, sweep: _Sweep, full: bool, emit) -> None:
+    """CAL-pointers both ways (full) and the CAL's live counts."""
+    cal, n = gt.cal, gt.eba.n_vertices
+    live = cal.live_addresses()
+    if full:
+        allocated = np.ones(cal.pool.high_water, dtype=bool)
+        allocated[cal.pool._free] = False
+        addr = sweep.read(gt.eba, "cal")
+        block = addr // gt.config.cal_block_size
+        sweep.resolves = (addr >= 0) & (block < allocated.shape[0])
+        sweep.resolves[sweep.resolves] = allocated[block[sweep.resolves]]
+        for i in np.flatnonzero(~sweep.resolves).tolist():
+            emit(V_CAL_DANGLING, int(sweep.root[i]), f"edge ({sweep.root[i]}, "
+                 f"{sweep.dst[i]}) points at CAL address {addr[i]} which does not "
+                 f"exist", sweep.where(i))
+        # Each address's first claimant, in discovery order, owns it;
+        # later ones share it.
+        claim = np.flatnonzero(sweep.resolves)
+        claim = claim[np.argsort(addr[claim], kind="stable")]
+        first = np.ones(claim.shape[0], dtype=bool)
+        first[1:] = addr[claim[1:]] != addr[claim[:-1]]
+        owner = claim[np.maximum.accumulate(np.where(first, np.arange(claim.shape[0]), 0))]
+        for i, o in zip(claim[~first].tolist(), owner[~first].tolist()):
+            emit(V_CAL_MISMATCH, int(sweep.root[i]), f"edge ({sweep.root[i]}, "
+                 f"{sweep.dst[i]}) shares CAL slot {cal.split(int(addr[i]))} with edge "
+                 f"({sweep.root[o]}, {sweep.dst[o]})", sweep.where(i))
+        owned = claim[first]
+        cs, cd, cw = (cal.pool.fields[k].reshape(-1)[addr[owned]] for k in ("src", "dst", "weight"))
+        weight = sweep.read(gt.eba, "weight", rows=owned)
+        moved = (cs != sweep.root[owned]) | (cd != sweep.dst[owned])
+        for k in np.flatnonzero(moved | (cw != weight)).tolist():
+            i = int(owned[k])
+            emit(V_CAL_MISMATCH, int(sweep.root[i]), f"edge ({sweep.root[i]}, "
+                 f"{sweep.dst[i]}) " + (f"owns CAL slot {cal.split(int(addr[i]))} which "
+                 f"holds ({cs[k]}, {cd[k]})" if moved[k] else
+                 f"weight {weight[k]} but its CAL copy says {cw[k]}"), sweep.where(i))
+        for a in live[~np.isin(live, addr[owned])].tolist():
+            (block, slot), s = cal.split(a), int(cal.pool.fields["src"].reshape(-1)[a])
+            emit(V_CAL_GHOST, s if 0 <= s < n else -1, f"live CAL slot ({block}, "
+                 f"{slot}) = ({s}, {cal.pool.fields['dst'][block, slot]}) has no owning "
+                 f"edge-cell", f"cal{block}s{slot}")
+    if cal.n_edges != live.shape[0]:
+        emit(V_CAL_COUNT, -1, f"CAL count says {cal.n_edges} live copies but "
+                              f"{live.shape[0]} slots are live")
+    if live.shape[0] != sweep.dst.shape[0]:
+        emit(V_CAL_COUNT, -1, f"CAL holds {live.shape[0]} live copies but the "
+                              f"EdgeblockArray holds {sweep.dst.shape[0]} live edges")
 
 
-def _live_cal_slots(cal):
-    """Yield ``(addr, src, dst, weight)`` for every live CAL slot, in
-    address order (a slot's address is its index in the raveled pool)."""
-    from repro.core.cal import CAL_INVALID
-
-    used = np.ones(cal.pool.high_water, dtype=bool)
-    used[list(cal.pool._free)] = False
-    live = (cal.pool.fields["src"][: used.shape[0]] != CAL_INVALID) & used[:, None]
-    for addr in np.flatnonzero(live).tolist():
-        yield (addr, *cal.read_slot(addr))
-
-
-def _check_cal_global(gt, eba_live: int, cal_owners: dict | None,
-                      emit) -> None:
-    cal = gt.cal
-    actual_live = 0
-    for addr, src, dst, _w in _live_cal_slots(cal):
-        actual_live += 1
-        if cal_owners is not None and addr not in cal_owners:
-            vertex = src if 0 <= src < gt.eba.n_vertices else -1
-            block, slot = cal.split(addr)
-            emit(IntegrityViolation(
-                V_CAL_GHOST, vertex,
-                f"live CAL slot ({block}, {slot}) = ({src}, {dst}) has "
-                f"no owning edge-cell", where=f"cal{block}s{slot}"))
-    if cal.n_edges != actual_live:
-        emit(IntegrityViolation(
-            V_CAL_COUNT, -1,
-            f"CAL count says {cal.n_edges} live copies but {actual_live} "
-            f"slots are live"))
-    if actual_live != eba_live:
-        emit(IntegrityViolation(
-            V_CAL_COUNT, -1,
-            f"CAL holds {actual_live} live copies but the EdgeblockArray "
-            f"holds {eba_live} live edges"))
+def _sgh_pairs(sgh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward table as ``(original, dense)`` arrays; dense in range."""
+    keys = np.fromiter(sgh._forward, np.int64, len(sgh._forward))
+    dense = np.fromiter(sgh._forward.values(), np.int64, keys.shape[0])
+    return keys, dense, (dense >= 0) & (dense < len(sgh))
 
 
 def _check_sgh(gt, emit) -> None:
-    if gt.sgh is None:
-        return
     sgh = gt.sgh
+    if sgh is None:
+        return
     if len(sgh) != gt.eba.n_vertices:
-        emit(IntegrityViolation(
-            V_SGH, -1,
-            f"SGH maps {len(sgh)} vertices but the main region holds "
-            f"{gt.eba.n_vertices} rows"))
-    reverse = sgh._reverse
-    for orig, dense in sgh._forward.items():
-        if not (0 <= dense < len(sgh)):
-            emit(IntegrityViolation(
-                V_SGH, -1, f"original {orig} maps to out-of-range dense "
-                           f"id {dense}"))
-        elif int(reverse[dense]) != orig:
-            emit(IntegrityViolation(
-                V_SGH, dense,
-                f"forward says {orig} -> {dense} but reverse[{dense}] = "
-                f"{int(reverse[dense])}"))
-    # The batch index must agree with the dict for every key it covers.
-    keys = np.fromiter(sgh._forward, np.int64, len(sgh._forward))
+        emit(V_SGH, -1, f"SGH maps {len(sgh)} vertices but the main region holds "
+                        f"{gt.eba.n_vertices} rows")
+    keys, dense, inside = _sgh_pairs(sgh)
+    for i in np.flatnonzero(~inside).tolist():
+        emit(V_SGH, -1, f"original {keys[i]} maps to out-of-range dense id {dense[i]}")
+    reverse = np.full(keys.shape[0], -1, dtype=np.int64)
+    reverse[inside] = sgh._reverse[dense[inside]]
+    for i in np.flatnonzero(inside & (reverse != keys)).tolist():
+        emit(V_SGH, int(dense[i]), f"forward says {keys[i]} -> {dense[i]} but "
+                                   f"reverse[{dense[i]}] = {reverse[i]}")
+    # The batch index must agree with the dict for every key, once it has
+    # absorbed the ids scalar inserts assigned (``peek_array`` does that).
     got = sgh.peek_array(keys)
     if sgh._covered != len(sgh):
-        emit(IntegrityViolation(
-            V_SGH, -1, f"SGH index covers {sgh._covered} of {len(sgh)} ids"))
-    for i in np.flatnonzero(got != np.fromiter(sgh._forward.values(), np.int64, keys.shape[0])):
-        emit(IntegrityViolation(
-            V_SGH, -1, f"SGH index resolves {int(keys[i])} to {int(got[i])}, "
-                       f"the forward table to {sgh._forward[int(keys[i])]}"))
+        emit(V_SGH, -1, f"SGH index covers {sgh._covered} of {len(sgh)} ids")
+    for i in np.flatnonzero(got != dense).tolist():
+        emit(V_SGH, -1, f"SGH index resolves {keys[i]} to {got[i]}, the forward "
+                        f"table to {dense[i]}")
 
 
-def _check_pools(gt, freed: set[int], emit) -> None:
-    eba = gt.eba
+def _check_pools(eba, refs: np.ndarray, emit) -> None:
     if eba.main._free:
-        emit(IntegrityViolation(
-            V_POOL, -1,
-            f"main-region free-list is not empty ({len(eba.main._free)} "
-            f"entries) — top-parent rows are never freed"))
-    if len(freed) != len(eba.overflow._free):
-        emit(IntegrityViolation(
-            V_POOL, -1, "overflow free-list holds duplicate entries"))
-    for idx in freed:
-        if not (0 <= idx < eba.overflow.high_water):
-            emit(IntegrityViolation(
-                V_POOL, -1,
-                f"overflow free-list entry {idx} was never allocated"))
+        emit(V_POOL, -1, f"main-region free-list is not empty ({len(eba.main._free)} "
+                         f"entries) — top-parent rows are never freed")
+    hw, free = eba.overflow.high_water, eba.overflow._free
+    if len(set(free)) != len(free):
+        emit(V_POOL, -1, "overflow free-list holds duplicate entries")
+    for idx in sorted(set(free)):
+        if not 0 <= idx < hw:
+            emit(V_POOL, -1, f"overflow free-list entry {idx} was never allocated")
     # Reference counting: every live overflow block must be the child of
     # exactly one (block, subblock); anything else is a leak or a share.
-    refs = _child_refs(eba)
-    for child, n in refs.items():
-        if n > 1:
-            emit(IntegrityViolation(
-                V_POOL, -1,
-                f"overflow block {child} is referenced by {n} parents"))
-    for block in range(eba.overflow.high_water):
-        if block not in freed and block not in refs:
-            emit(IntegrityViolation(
-                V_POOL, -1,
-                f"overflow block {block} is allocated but unreachable "
-                f"(orphan)"))
-
-
-def _child_refs(eba) -> Counter:
-    """How many child pointers name each overflow block."""
-    return Counter(child for matrix in (eba._main_children, eba._overflow_children)
-                   for child in matrix._data[matrix._data >= 0].tolist())
+    for child in np.flatnonzero(refs > 1).tolist():
+        emit(V_POOL, -1, f"overflow block {child} is referenced by {refs[child]} parents")
+    orphan = refs[:hw] == 0
+    orphan[[i for i in free if 0 <= i < hw]] = False
+    for block in np.flatnonzero(orphan).tolist():
+        emit(V_POOL, -1, f"overflow block {block} is allocated but unreachable (orphan)")
 
 
 def _publish(report: VerifyReport) -> None:
@@ -545,41 +503,30 @@ def _publish(report: VerifyReport) -> None:
 def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
     """Self-heal ``gt`` from the violations in ``report``.
 
-    Strategy (docs/robustness.md):
-
-    * degree-only damage is fixed by recounting the vertex's live cells;
-    * anything structural rebuilds the vertex: its true edge set is
-      reconciled from the EdgeblockArray cells and their CAL copies
-      (hash-placement validity decides which copy to trust when they
-      disagree; unclaimed live CAL copies recover edges whose cells were
-      wiped), the vertex's tree and CAL copies are cleared, and the
-      reconciled edges are reinserted through the normal insert path;
-    * SGH reverse entries and the SGH batch index are rebuilt from the
-      forward table;
-    * orphaned overflow blocks are returned to the pool.
-
-    Stores running delete-and-compact rebuild wholesale (the CAL dense-
-    chain invariant cannot survive per-vertex hole-punching).  A final
+    SGH reverse entries and the SGH batch index are rebuilt from the
+    forward table; then damage confined to degree counters is recounted
+    in place, and anything else rebuilds the store — fresh
+    EdgeblockArray, CAL and VertexPropertyArray, the same SGH — from one
+    ``insert_batch`` of the edge set :func:`_reconcile` trusts.  A final
     full fsck is embedded in the returned :class:`RepairReport`.
     """
-    if report is None:
-        report = verify_graph(gt, level="full")
-    elif report.level != "full":
-        # Repair plans need per-cell evidence; re-audit at full depth.
-        report = verify_graph(gt, level="full")
     stats_backup = gt.stats.snapshot()
-    out = RepairReport(initial=report, final=report)
     try:
+        # Repair needs the full audit's per-cell evidence.
+        fresh, sweep = _audit(gt, "full")
+        if report is None or report.level != "full":
+            report = fresh
+        out = RepairReport(initial=report, final=report)
         with obs.span("verify.repair", violations=len(report.violations)):
             if not report.ok:
-                _apply_repairs(gt, report, out)
+                _apply_repairs(gt, report, sweep, out)
                 # Repairs move cells behind the stores' mutation hooks, so
                 # any attached analytics snapshot must re-measure from
                 # scratch rather than trust its dirty-row tracking.
                 snap = getattr(gt, "analytics_snapshot", None)
                 if snap is not None:
                     snap.invalidate()
-                out.final = verify_graph(gt, level="full")
+                out.final = _audit(gt, "full")[0]
             _publish_repair(out)
     finally:
         gt.stats.reset()
@@ -587,240 +534,93 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
     return out
 
 
-def _apply_repairs(gt, report: VerifyReport, out: RepairReport) -> None:
+def _apply_repairs(gt, report: VerifyReport, sweep: _Sweep, out: RepairReport) -> None:
     _repair_sgh(gt, out)
-
+    damage = {v.kind for v in report.violations} - {V_SGH}
     degree_kinds = {V_DEGREE, V_VPA_DEGREE}
-    by_vertex: dict[int, set[str]] = {}
-    for v in report.violations:
-        if v.vertex >= 0:
-            by_vertex.setdefault(v.vertex, set()).add(v.kind)
-
-    if gt.config.compact_on_delete and any(
-            kinds - degree_kinds for kinds in by_vertex.values()):
-        _rebuild_store(gt, out)
+    if not damage <= degree_kinds:
+        _rebuild_store(gt, *_reconcile(gt, sweep), out)
         return
-
-    plans: dict[int, dict[int, float]] = {}
-    owners = _global_cal_owners(gt) if gt.cal is not None else {}
-    for vertex, kinds in sorted(by_vertex.items()):
-        if kinds <= degree_kinds:
-            _recount_vertex(gt, vertex)
-            out.recounted_vertices.append(vertex)
-            out.actions.append(f"recounted degree of vertex {vertex}")
-        else:
-            plans[vertex] = _reconcile_vertex(gt, vertex, owners)
-    for vertex, merged in plans.items():
-        _wipe_vertex(gt, vertex, out, owners)
-        original = gt.original_id(vertex)
-        for dst in sorted(merged):
-            gt.insert_edge(original, dst, merged[dst])
-        out.rebuilt_vertices.append(vertex)
-        out.actions.append(
-            f"rebuilt vertex {vertex} with {len(merged)} reconciled edges")
-    _free_orphans(gt, out)
-    _recount_cal(gt)
+    live = np.bincount(sweep.root, minlength=gt.eba.n_vertices)
+    for vertex in sorted({v.vertex for v in report.violations
+                          if v.kind in degree_kinds and v.vertex >= 0}):
+        gt.eba._degrees[vertex] = live[vertex]
+        gt.vpa.ensure(vertex)
+        gt.vpa._degree[vertex] = live[vertex]
+        out.recounted_vertices.append(vertex)
+        out.actions.append(f"recounted degree of vertex {vertex}")
 
 
-def _global_cal_owners(gt) -> dict[int, list[tuple[int, int, float]]]:
-    """Map every resolvable CAL-pointer to the ``(src, dst, w)`` of each
-    edge-cell claiming it (normally exactly one; corruption can make it
-    zero or several)."""
-    eba = gt.eba
-    freed = _freed_overflow(eba)
-    freed_cal = set(gt.cal.pool._free)
-    owners: dict[int, list[tuple[int, int, float]]] = {}
-    for src in range(eba.n_vertices):
-        for region, block in _tree_blocks(eba, src, freed):
-            cells = eba._pool(region).fields
-            for slot, ptr in _cal_pointers(gt, region, block, freed_cal):
-                owners.setdefault(ptr, []).append(
-                    (src, int(cells["dst"][block, slot]),
-                     float(cells["weight"][block, slot])))
-    return owners
+def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trusted edge set ``(src, dst, weight)``, dense sources, sorted
+    and one entry per ``(src, dst)``.
 
+    The EdgeblockArray cell and its CAL copy (the slot its pointer names,
+    when that slot holds the cell's vertex) are redundant; per cell:
 
-def _cal_pointers(gt, region: int, block: int, freed_cal: set[int]):
-    """Yield ``(slot, addr)`` for each live cell of the block whose
-    CAL-pointer ``addr`` lands on a slot of an allocated CAL block."""
-    cells = gt.eba._pool(region).fields
-    for slot in np.flatnonzero(cells["dst"][block] >= 0).tolist():
-        addr = int(cells["cal"][block, slot])
-        if _resolves(gt.cal, addr, freed_cal):
-            yield slot, addr
+    * copies agree on the destination → keep it, with the CAL weight
+      (on a weight mismatch neither side is provably right);
+    * placement holds → keep the cell (the CAL side is wrong or absent);
+    * placement broken, copy present → keep the copy (the cell flipped);
+    * placement broken, no copy → drop the cell, unless the store has no
+      CAL at all: then keep it, and the rebuild rehashes it.
 
-
-def _reconcile_vertex(gt, vertex: int, owners: dict) -> dict[int, float]:
-    """Compute the trusted edge set ``{dst: weight}`` of one vertex.
-
-    The EdgeblockArray cell and its CAL copy are redundant; when they
-    disagree, the copy whose placement rules still hold wins (a flipped
-    destination almost surely fails the hash-placement check, a flipped
-    CAL slot leaves the cell's placement intact).
+    A live CAL copy that no cell's pointer names recovers an edge whose
+    cell was lost.  Where two candidates name one ``(src, dst)``, agreeing
+    copies win, then a lone cell or copy, then a recovered edge.
     """
-    cells = _walk_vertex(gt, vertex, _freed_overflow(gt.eba), lambda _v: None)
-    cal = gt.cal
-    merged: dict[int, float] = {}
-    claimed: set[int] = set()
-    cal_mine: dict[int, tuple[int, float]] = {}
+    src, dst, cal = sweep.root, sweep.dst, gt.cal
+    weight = sweep.read(gt.eba, "weight")
+    rank = np.zeros(src.shape[0], dtype=np.int64)
     if cal is not None:
-        for addr, src, dst, w in _live_cal_slots(cal):
-            if src == vertex:
-                cal_mine[addr] = (dst, w)
-    for c in cells:
-        ptr = c.cal
-        entry = cal_mine.get(ptr)
-        if entry is not None and entry[0] == c.dst:
-            # Copies agree on the edge; on a weight mismatch neither side
-            # is provably right, so the CAL copy wins deterministically.
-            merged[c.dst] = entry[1]
-            claimed.add(ptr)
-        elif c.placement_ok:
-            merged[c.dst] = c.weight          # CAL side wrong or dangling
-            if entry is not None:
-                claimed.add(ptr)
-        elif entry is not None:
-            merged[entry[0]] = entry[1]       # cell flipped; CAL copy wins
-            claimed.add(ptr)
-        elif cal is None:
-            # No redundant copy to consult: keep the id and let the
-            # reinsertion rehash it into a consistent placement.
-            merged[c.dst] = c.weight
-    # Live CAL copies of this vertex that no cell claims recover edges
-    # whose cells were wiped — unless some *other* vertex's cell owns the
-    # slot (then the slot's src is the flipped field, not the cell).
-    for ptr, (dst, w) in cal_mine.items():
-        if ptr in claimed:
-            continue
-        if any(o[0] != vertex for o in owners.get(ptr, [])):
-            continue          # the slot's src field is the flipped copy
-        merged.setdefault(dst, w)
-    return merged
+        addr = np.where(sweep.resolves, sweep.read(gt.eba, "cal"), 0)
+        cs, cd, cw = (cal.pool.fields[k].reshape(-1) for k in ("src", "dst", "weight"))
+        mine = sweep.resolves & (cs[addr] == src)
+        agree = mine & (cd[addr] == dst)
+        copy = agree | (mine & ~sweep.placed)
+        keep = copy | sweep.placed
+        live = cal.live_addresses()
+        lost = live[~np.isin(live, addr[sweep.resolves])]
+        lost = lost[(cs[lost] >= 0) & (cs[lost] < gt.eba.n_vertices)]
+        src = np.concatenate((src[keep], cs[lost]))
+        dst = np.concatenate((np.where(copy, cd[addr], dst)[keep], cd[lost]))
+        weight = np.concatenate((np.where(copy, cw[addr], weight)[keep], cw[lost]))
+        rank = np.concatenate((np.where(agree, 0, 1)[keep], np.full(lost.shape[0], 2)))
+    key = _pair_keys(src, dst)
+    order = np.argsort(key * 3 + rank)
+    order = order[np.diff(key[order], prepend=-1) != 0]  # rank 0 first in each pair
+    return src[order], dst[order], weight[order]
 
 
-def _recount_vertex(gt, vertex: int) -> None:
-    live, _, _ = _quick_vertex_count(gt, vertex)
-    gt.eba._degrees[vertex] = live
-    gt.vpa.ensure(vertex)
-    gt.vpa._degree[vertex] = live
-
-
-def _wipe_vertex(gt, vertex: int, out: RepairReport,
-                 owners: dict | None = None) -> None:
-    """Erase one vertex's tree, CAL copies, and degree counters.
-
-    CAL copies are retired two ways: every slot a cell of this vertex
-    *points at* (catches slots whose ``src`` field was flipped to some
-    other vertex — they must not survive as ghosts), and every live slot
-    whose ``src`` says this vertex (catches copies whose owning cell was
-    destroyed).  A pointed-at slot that some *other* vertex's cell also
-    claims is left alone: there the flipped field was this vertex's cell
-    pointer, and the slot is the other vertex's legitimate copy.
-    """
-    eba = gt.eba
-    cal = gt.cal
-    freed = _freed_overflow(eba)
-    freed_cal = set(cal.pool._free) if cal is not None else set()
-    blocks = list(_tree_blocks(eba, vertex, freed))
-    pointed = {ptr for region, block in blocks if cal is not None
-               for _, ptr in _cal_pointers(gt, region, block, freed_cal)}
-    eba.main.blank(vertex)
-    eba._main_children.clear_row(vertex)
-    for _, block in blocks[1:]:             # the overflow rows below it
-        eba._overflow_children.clear_row(block)
-        eba.overflow.blank(block)
-        eba.overflow.free(block)
-        out.freed_blocks += 1
-    eba._degrees[vertex] = 0
-    gt.vpa.ensure(vertex)
-    gt.vpa._degree[vertex] = 0
-    if cal is not None:
-        for addr in pointed:
-            if owners is not None and any(
-                    o[0] != vertex for o in owners.get(addr, [])):
-                continue
-            cal.invalidate(addr)
-        for addr, src, _dst, _w in list(_live_cal_slots(cal)):
-            if src == vertex:
-                cal.invalidate(addr)
-
-
-def _recount_cal(gt) -> None:
-    """Re-derive the CAL's live counters from the slots themselves.
-
-    Rebuild actions invalidate and append copies through the normal CAL
-    API, but a corruption that *directly* zapped a slot's ``src`` field
-    bypassed the counter bookkeeping; recounting squares the ledger.
-    """
-    cal = gt.cal
-    if cal is None:
-        return
-    from repro.core.cal import CAL_INVALID
-
-    used = np.ones(cal.pool.high_water, dtype=bool)
-    used[list(cal.pool._free)] = False
-    counts = (cal.pool.fields["src"][: used.shape[0]][used] != CAL_INVALID).sum(axis=1)
-    cal._valid_count._data[np.flatnonzero(used)] = counts
-    cal._n_valid = int(counts.sum())
+def _rebuild_store(gt, src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
+                   out: RepairReport) -> None:
+    """Re-create the EdgeblockArray, CAL and VertexPropertyArray from the
+    reconciled edges; the SGH is kept, so every dense id keeps its row."""
+    n_vertices = gt.eba.n_vertices
+    out.freed_blocks = gt.eba.overflow.n_used
+    gt.eba = EdgeblockArray(gt.config, gt.stats)
+    gt.cal = CoarseAdjacencyList(gt.config, gt.stats) if gt.config.enable_cal else None
+    gt.vpa = VertexPropertyArray(gt.config.initial_vertices)
+    if n_vertices:
+        # Vertices left with no edges keep their rows: SGH ids stay aligned.
+        gt.eba.ensure_vertex(n_vertices - 1)
+    gt.insert_batch(np.column_stack((gt.original_ids(src), dst)), weight)
+    out.rebuilt_vertices = list(range(n_vertices))
+    out.actions.append(f"rebuilt the store ({n_vertices} vertices) from "
+                       f"{src.shape[0]} reconciled edges")
 
 
 def _repair_sgh(gt, out: RepairReport) -> None:
     if gt.sgh is None:
         return
-    sgh = gt.sgh
-    for orig, dense in sgh._forward.items():
-        if 0 <= dense < len(sgh) and int(sgh._reverse[dense]) != orig:
-            sgh._reverse[dense] = orig
-            out.sgh_fixes += 1
-            out.actions.append(
-                f"restored SGH reverse[{dense}] = {orig} from the forward "
-                f"table")
-    sgh._reindex()
-
-
-def _free_orphans(gt, out: RepairReport) -> None:
-    eba = gt.eba
-    freed = _freed_overflow(eba)
-    refs = _child_refs(eba)
-    for block in range(eba.overflow.high_water):
-        if block not in freed and block not in refs:
-            eba._overflow_children.clear_row(block)
-            eba.overflow.free(block)
-            out.freed_blocks += 1
-            out.actions.append(f"freed orphan overflow block {block}")
-
-
-def _rebuild_store(gt, out: RepairReport) -> None:
-    """Wholesale rebuild: reconcile every vertex, re-create the stores.
-
-    Used for delete-and-compact configurations, where per-vertex hole
-    punching would break the CAL dense-chain invariant.
-    """
-    from repro.core.cal import CoarseAdjacencyList
-    from repro.core.edgeblock_array import EdgeblockArray
-    from repro.core.vertex_array import VertexPropertyArray
-
-    owners = _global_cal_owners(gt) if gt.cal is not None else {}
-    plans = {v: _reconcile_vertex(gt, v, owners)
-             for v in range(gt.eba.n_vertices)}
-    n_vertices = gt.eba.n_vertices
-    gt.eba = EdgeblockArray(gt.config, gt.stats)
-    gt.cal = (CoarseAdjacencyList(gt.config, gt.stats)
-              if gt.config.enable_cal else None)
-    gt.vpa = VertexPropertyArray(gt.config.initial_vertices)
-    if n_vertices:
-        # Re-allocate every dense row up front: vertices left with zero
-        # edges must keep their rows so SGH ids stay aligned.
-        gt.eba.ensure_vertex(n_vertices - 1)
-    for vertex in range(n_vertices):
-        original = gt.original_id(vertex)
-        merged = plans[vertex]
-        for dst in sorted(merged):
-            gt.insert_edge(original, dst, merged[dst])
-        out.rebuilt_vertices.append(vertex)
-    out.actions.append(
-        f"rebuilt entire store ({n_vertices} vertices) — delete-and-"
-        f"compact stores repair wholesale")
+    keys, dense, inside = _sgh_pairs(gt.sgh)
+    keys, dense = keys[inside], dense[inside]
+    broken = np.flatnonzero(gt.sgh._reverse[dense] != keys)
+    gt.sgh._reverse[dense[broken]] = keys[broken]
+    out.sgh_fixes += broken.shape[0]
+    out.actions += [f"restored SGH reverse[{dense[i]}] = {keys[i]} from the "
+                    f"forward table" for i in broken.tolist()]
+    gt.sgh._reindex()
 
 
 def _publish_repair(out: RepairReport) -> None:
@@ -829,7 +629,6 @@ def _publish_repair(out: RepairReport) -> None:
     registry = obs.get_registry()
     registry.counter("verify.repairs").inc()
     registry.counter("verify.rebuilt_vertices").inc(len(out.rebuilt_vertices))
-    registry.counter("verify.recounted_vertices").inc(
-        len(out.recounted_vertices))
+    registry.counter("verify.recounted_vertices").inc(len(out.recounted_vertices))
     registry.counter("verify.freed_blocks").inc(out.freed_blocks)
     registry.gauge("verify.repair_ok").set(1 if out.ok else 0)

@@ -71,6 +71,7 @@ from functools import partial
 import numpy as np
 
 import repro.obs as obs
+from repro.core.store import check_edge_batch
 from repro.errors import (
     CursorGapError,
     ProtocolError,
@@ -449,7 +450,7 @@ class _GraphConnection(asyncio.Protocol):
         full queue is a typed ``QUEUE_FULL`` now, the loop never waits
         for space.  A durable write parks this connection's queue until
         the ticket or the deadline timer calls :meth:`_finish_write`."""
-        edges, weights = _parse_edges(args)
+        edges, weights = _parse_edges(op, args)
         service = self.server.service
         if op == "insert_edges":
             ticket = service.submit_insert(edges, weights, timeout=0)
@@ -746,29 +747,17 @@ class _GraphConnection(asyncio.Protocol):
         raise WorkloadError(f"unhandled admin op {op!r}")
 
 
-def _parse_edges(args) -> tuple[np.ndarray, np.ndarray | None]:
+def _parse_edges(op: str, args) -> tuple[np.ndarray, np.ndarray | None]:
+    """The edges and weights of a mutation, admitted by the stores' own
+    validator (a refusal is a ``WorkloadError``, ``BAD_REQUEST`` on the
+    wire) before the service logs anything."""
     edges = args.get("edges")
     if edges is None:
         raise WorkloadError("missing 'edges' argument")
-    try:
-        arr = np.asarray(edges, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise WorkloadError(f"edges not convertible to int64: {exc}") from exc
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise WorkloadError(
-            f"edges must be an (n, 2) array, got shape {arr.shape}")
-    weights = args.get("weights")
-    if weights is not None:
-        try:
-            weights = np.asarray(weights, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise WorkloadError(
-                f"weights not convertible to float64: {exc}") from exc
-        if weights.shape[0] != arr.shape[0]:
-            raise WorkloadError("weights length must match edge count")
-    return arr, weights
+    if edges == []:  # JSON has no (0, 2) array: `[]` is the empty batch
+        edges = np.empty((0, 2), dtype=np.int64)
+    return check_edge_batch(edges, args.get("weights"),
+                            negative_ok=op == "delete_edges")
 
 
 def _int_arg(args: dict, name: str) -> int:

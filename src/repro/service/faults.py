@@ -249,11 +249,6 @@ class StoreCorruptor:
                         stack.append((OVERFLOW, int(child)))
         return out
 
-    def _live_cal_slots(self) -> list[int]:
-        from repro.core.verify import _live_cal_slots
-
-        return [addr for addr, *_ in _live_cal_slots(self.gt.cal)]
-
     def _pick(self, candidates: list, what: str):
         if not candidates:
             raise CorruptionError(f"no viable target for {what}")
@@ -290,7 +285,7 @@ class StoreCorruptor:
         if kind in ("cal-src", "cal-dst"):
             if gt.cal is None:
                 raise CorruptionError("store has no CAL to corrupt")
-            addr = self._pick(self._live_cal_slots(), kind)
+            addr = self._pick(gt.cal.live_addresses().tolist(), kind)
             field = "src" if kind == "cal-src" else "dst"
             cells = gt.cal.pool.fields[field].reshape(-1)
             old = int(cells[addr])

@@ -41,12 +41,13 @@ from pathlib import Path
 import numpy as np
 
 import repro.obs as obs
-from repro.core.store import store_from_config
+from repro.core.store import check_edge_batch, store_from_config
 from repro.errors import (
     BreakerOpenError,
     QueueFullError,
     ServiceError,
     ShedError,
+    WorkloadError,
 )
 from repro.obs import hooks as obs_hooks
 from repro.obs.log import get_logger, kv
@@ -398,13 +399,13 @@ class GraphService:
 
     def _submit(self, op: int, edges: np.ndarray,
                 weights: np.ndarray | None, timeout: float | None) -> Ticket:
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ServiceError("submitted edges must have shape (n, 2)")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape[0] != edges.shape[0]:
-                raise ServiceError("weights length must match edge count")
+        # Admission: a batch the store would reject must not be logged,
+        # or replaying the log would fail the same way on every reopen.
+        try:
+            edges, weights = check_edge_batch(edges, weights,
+                                              negative_ok=op == OP_DELETE)
+        except WorkloadError as exc:
+            raise ServiceError(f"submitted batch refused: {exc}") from exc
         request = _Request(op, edges, weights)
         timeout = self.submit_timeout if timeout is None else timeout
         deadline = time.monotonic() + timeout

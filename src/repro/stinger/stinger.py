@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.config import StingerConfig
 from repro.core.pool import STINGER_CELL_DTYPE, BlockPool, grow
 from repro.core.stats import AccessStats
-from repro.core.store import RowStoreDefaults
+from repro.core.store import RowStoreDefaults, check_edge_batch
 from repro.obs import hooks as obs_hooks
 from repro.errors import VertexNotFoundError
 
@@ -150,11 +150,7 @@ class Stinger(RowStoreDefaults):
 
     def insert_batch(self, edges: np.ndarray, weights: np.ndarray | None = None) -> int:
         """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
+        edges, _ = check_edge_batch(edges)
         if weights is None:
             weights = np.ones(edges.shape[0], dtype=np.float64)
         before = self.stats.snapshot() if obs_hooks.enabled else None
@@ -193,9 +189,7 @@ class Stinger(RowStoreDefaults):
 
     def delete_batch(self, edges: np.ndarray) -> int:
         """Delete a batch of edges; returns how many existed."""
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
+        edges, _ = check_edge_batch(edges, negative_ok=True)
         before = self.stats.snapshot() if obs_hooks.enabled else None
         deleted = 0
         for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):

@@ -205,3 +205,28 @@ def test_writes_never_touch_the_pool(tmp_path):
             got = c.insert_edges(np.array([[1, 2], [1, 3]]).tolist())
             assert (got["seq"], got["n_edges"]) == (1, 2)
             assert c.delete_edges([[1, 3]])["seq"] == 2
+
+
+def test_negative_id_is_refused_before_the_log(tmp_path):
+    """Admission runs before the WAL: a negative id is ``BAD_REQUEST``,
+    nothing is logged, the next write from another connection is acked,
+    and the directory reopens to exactly the acked writes."""
+    from repro.core.store import store_digest
+    from repro.errors import WorkloadError
+
+    with GraphService(tmp_path) as svc, serve(svc) as thread:
+        with GraphClient(port=thread.port) as a, GraphClient(port=thread.port) as b:
+            assert a.insert_edges([[1, 2]])["seq"] == 1
+            with pytest.raises(WorkloadError) as refused:
+                a.insert_edges([[-5, 3]])
+            assert refused.value.code == "BAD_REQUEST"
+            assert b.insert_edges([[4, 5], [4, 6]])["seq"] == 2
+            acked = b.digest()
+    assert acked["applied_seq"] == 2
+    reopened, recovery = GraphService.open(tmp_path)
+    try:
+        assert recovery.fsck.ok
+        assert store_digest(recovery.store)["sha256"] == acked["sha256"]
+        assert recovery.store.n_edges == acked["n_edges"] == 3
+    finally:
+        reopened.close()
