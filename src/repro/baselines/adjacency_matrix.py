@@ -11,8 +11,6 @@ capacity and refuses ids beyond it rather than growing quadratically.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.stats import AccessStats
@@ -26,6 +24,8 @@ _SCAN_BLOCK = 64
 
 class AdjacencyMatrixStore(RowStoreDefaults):
     """Dense adjacency-matrix dynamic graph store (small graphs only)."""
+
+    obs_name = "adjacency_matrix"
 
     def __init__(self, capacity: int = 1024):
         if capacity <= 0:
@@ -71,20 +71,6 @@ class AdjacencyMatrixStore(RowStoreDefaults):
         self._max_vertex = max(self._max_vertex, src, dst)
         return is_new
 
-    def insert_batch(self, edges: np.ndarray, weights: np.ndarray | None = None) -> int:
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.float64)
-        new = 0
-        for (s, d), w in zip(edges.tolist(), np.asarray(weights, float).tolist()):
-            if self.insert_edge(s, d, w):
-                new += 1
-        return new
-
     def delete_edge(self, src: int, dst: int) -> bool:
         """O(1): one random write."""
         src, dst = self._check(src, dst)
@@ -95,10 +81,6 @@ class AdjacencyMatrixStore(RowStoreDefaults):
         self._n_edges -= 1
         self.stats.edges_deleted += 1
         return True
-
-    def delete_batch(self, edges: np.ndarray) -> int:
-        edges = np.asarray(edges, dtype=np.int64)
-        return sum(self.delete_edge(s, d) for s, d in edges.tolist())
 
     # ------------------------------------------------------------------ #
     def has_edge(self, src: int, dst: int) -> bool:
@@ -141,11 +123,6 @@ class AdjacencyMatrixStore(RowStoreDefaults):
         src, dst = np.nonzero(self._present[:n, :n])
         return (src.astype(np.int64), dst.astype(np.int64),
                 self._weight[src, dst])
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        src, dst, w = self.analytics_edges()
-        for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist()):
-            yield s, d, x
 
     # ------------------------------------------------------------------ #
     # engine surface (repro.core.store protocol subset; no CSR snapshot)

@@ -27,7 +27,6 @@ protocol.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +41,8 @@ _SCAN_BLOCK = 64
 
 class CSRRebuildStore(RowStoreDefaults):
     """Edge log + rebuild-to-CSR-before-analytics dynamic store."""
+
+    obs_name = "csr_rebuild"
 
     def __init__(self) -> None:
         self.stats = AccessStats()
@@ -80,20 +81,6 @@ class CSRRebuildStore(RowStoreDefaults):
         self._n_vertices = max(self._n_vertices, src + 1, dst + 1)
         return is_new
 
-    def insert_batch(self, edges: np.ndarray, weights: np.ndarray | None = None) -> int:
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError("edges must have shape (n, 2)")
-        if edges.size and edges.min() < 0:
-            raise ValueError("vertex ids must be non-negative")
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.float64)
-        new = 0
-        for (s, d), w in zip(edges.tolist(), np.asarray(weights, float).tolist()):
-            if self.insert_edge(s, d, w):
-                new += 1
-        return new
-
     def delete_edge(self, src: int, dst: int) -> bool:
         self.stats.hash_lookups += 1
         self.stats.random_block_reads += 1  # edge-scale log bucket access
@@ -102,10 +89,6 @@ class CSRRebuildStore(RowStoreDefaults):
         self._dirty = True
         self.stats.edges_deleted += 1
         return True
-
-    def delete_batch(self, edges: np.ndarray) -> int:
-        edges = np.asarray(edges, dtype=np.int64)
-        return sum(self.delete_edge(s, d) for s, d in edges.tolist())
 
     def has_edge(self, src: int, dst: int) -> bool:
         self.stats.hash_lookups += 1
@@ -183,11 +166,6 @@ class CSRRebuildStore(RowStoreDefaults):
             return 0
         self._fresh()
         return int(self._indptr[src + 1] - self._indptr[src])
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        src, dst, w = self.analytics_edges()
-        for s, d, x in zip(src.tolist(), dst.tolist(), w.tolist()):
-            yield s, d, x
 
     # ------------------------------------------------------------------ #
     # engine surface (repro.core.store protocol subset; no CSR snapshot)

@@ -104,10 +104,14 @@ class ScatterGatherHash:
         """Uncharged bulk original->dense lookup (-1 where unknown), for
         bookkeeping that must not perturb the modeled AccessStats (the
         batch kernels, the snapshot's dirty tracking); a cost-accounted
-        path uses :meth:`try_lookup_array`.  Each round of the index probe
-        stops the ids whose slot holds their key or is free."""
-        ids = np.asarray(originals, dtype=np.int64)
+        path uses :meth:`try_lookup_array`."""
         self._cover()
+        return self._probe(originals)
+
+    def _probe(self, originals: np.ndarray) -> np.ndarray:
+        """The index as it stands (ids not covered yet miss): each probe
+        round stops the ids whose slot holds their key or is free."""
+        ids = np.asarray(originals, dtype=np.int64)
         keys, vals = self._keys, self._vals
         out = np.empty(ids.shape[0], dtype=np.int64)
         todo = np.arange(ids.shape[0])

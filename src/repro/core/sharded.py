@@ -61,7 +61,6 @@ import time
 import weakref
 from multiprocessing import get_context, resource_tracker
 from multiprocessing import shared_memory as shm_mod
-from typing import Iterator
 
 import numpy as np
 
@@ -241,6 +240,8 @@ class ShardedStore(RowStoreDefaults):
     ``n_vertices`` is the highest source id ever inserted plus one,
     ``original_ids`` is the identity, and there is no id translator.
     """
+
+    obs_name = "sharded"
 
     def __init__(self, config: ShardedConfig | None = None):
         self.config = config if config is not None else ShardedConfig()
@@ -468,8 +469,8 @@ class ShardedStore(RowStoreDefaults):
         new, elapsed = self._scatter_batch("insert_batch", edges, weights)
         self._n_edges += new
         if before is not None:
-            obs_hooks.publish_store_delta("sharded", self.stats.delta(before))
-            obs_hooks.publish_ingest("insert", "sharded",
+            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
+            obs_hooks.publish_ingest("insert", self.obs_name,
                                      int(edges.shape[0]), elapsed)
         return new
 
@@ -487,8 +488,8 @@ class ShardedStore(RowStoreDefaults):
         deleted, elapsed = self._scatter_batch("delete_batch", edges, None)
         self._n_edges -= deleted
         if before is not None:
-            obs_hooks.publish_store_delta("sharded", self.stats.delta(before))
-            obs_hooks.publish_ingest("delete", "sharded",
+            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
+            obs_hooks.publish_ingest("delete", self.obs_name,
                                      int(edges.shape[0]), elapsed)
         return deleted
 
@@ -516,18 +517,13 @@ class ShardedStore(RowStoreDefaults):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def _find(self, src: int, dst: int) -> float | None:
+    def edge_weight(self, src: int, dst: int) -> float | None:
+        src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
             return None
         weight, delta = self._call(self._shard_of(src), ("find", src, dst))
         self._merge_delta(delta)
         return weight
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        return self._find(int(src), int(dst)) is not None
-
-    def edge_weight(self, src: int, dst: int) -> float | None:
-        return self._find(int(src), int(dst))
 
     def degree(self, src: int) -> int:
         """Live out-degree (uncharged — a parent-local cache read)."""
@@ -650,16 +646,6 @@ class ShardedStore(RowStoreDefaults):
         return (np.concatenate([p[0] for p in parts]),
                 np.concatenate([p[1] for p in parts]),
                 np.concatenate([p[2] for p in parts]))
-
-    def analytics_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Engine load path; shard rows are already original ids."""
-        return self.edge_arrays()
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield every live edge, in ``edge_arrays`` order."""
-        src, dst, weight = self.edge_arrays()
-        for s, d, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
-            yield int(s), int(d), float(w)
 
     # ------------------------------------------------------------------ #
     # integrity

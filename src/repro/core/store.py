@@ -97,6 +97,7 @@ from repro.core.config import (
 )
 from repro.core.stats import STAT_FIELDS, AccessStats
 from repro.errors import StoreProtocolError, WorkloadError
+from repro.obs import hooks as obs_hooks
 
 
 @runtime_checkable
@@ -218,14 +219,73 @@ class StoreBase:
 
 
 class RowStoreDefaults(StoreBase):
-    """Row-surface members of a store whose rows *are* original ids and
-    whose only walk is ``neighbors``: STINGER, ``tiered``, ``sharded``,
-    the teaching baselines.  The two batched members loop over the
-    per-row ones, so they are also the references a backend's own bulk
-    version (GraphTinker's) is tested against.  ``fsck`` is the one
-    audit-and-repair skeleton such a store needs; a backend supplies
-    only its extra checks and its repair body.
+    """Everything a row store derives from its per-row core.
+
+    A row store (STINGER, ``tiered``, ``sharded``, the teaching
+    baselines) keys rows by original id and walks them only with
+    ``neighbors``.  It writes ``insert_edge``, ``delete_edge``,
+    ``edge_weight``, ``neighbors``, ``degree`` and ``delete_vertex``;
+    here the batch mutators are the per-op loop and the full load is the
+    charged ``neighbors`` sweep, which is what ``full_load_is_row_sweep``
+    promises the snapshot.  The batched members are also the references
+    a backend's own bulk version (GraphTinker's) is tested against.
+    ``fsck`` is the one audit-and-repair skeleton such a store needs; a
+    backend supplies only its extra checks and its repair body.
     """
+
+    #: The name a store's batches publish under when :mod:`repro.obs` is
+    #: enabled: ``<obs_name>.*`` stats counters, ``ingest.<op>.<obs_name>.*``.
+    obs_name: str
+
+    def insert_batch(self, edges: np.ndarray,
+                     weights: np.ndarray | None = None) -> int:
+        """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
+        edges, weights = check_edge_batch(edges, weights)
+        if weights is None:
+            weights = np.ones(edges.shape[0], dtype=np.float64)
+        return self._per_op("insert", self.insert_edge, edges, weights.tolist())
+
+    def delete_batch(self, edges: np.ndarray) -> int:
+        """Delete a batch of edges; returns how many existed."""
+        edges, _ = check_edge_batch(edges, negative_ok=True)
+        return self._per_op("delete", self.delete_edge, edges)
+
+    def _per_op(self, op: str, mutate, edges: np.ndarray, *weights) -> int:
+        """Run ``mutate`` over the batch's rows in order; publish the
+        batch's stats delta and ingest counters when obs is enabled."""
+        before = self.stats.snapshot() if obs_hooks.enabled else None
+        t0 = time.perf_counter()
+        count = int(sum(map(mutate, edges[:, 0].tolist(), edges[:, 1].tolist(),
+                            *weights)))
+        if before is not None:
+            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
+            obs_hooks.publish_ingest(op, self.obs_name, int(edges.shape[0]),
+                                     time.perf_counter() - t0)
+        return count
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        return self.edge_weight(src, dst) is not None
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All live edges as ``(src, dst, weight)`` arrays: the charged
+        ``neighbors`` walk of every row, in row order."""
+        n_rows = self.dense_row_count()
+        walks = [self.neighbors(row) for row in range(n_rows)]
+        return (np.repeat(np.arange(n_rows, dtype=np.int64),
+                          [d.shape[0] for d, _ in walks]),
+                np.concatenate([np.empty(0, dtype=np.int64)]
+                               + [d for d, _ in walks]),
+                np.concatenate([np.empty(0, dtype=np.float64)]
+                               + [w for _, w in walks]))
+
+    def analytics_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Engine load path; a row store's rows are already original ids."""
+        return self.edge_arrays()
+
+    def edges(self) -> Iterator[tuple[int, int, float]]:
+        """Yield every live edge as ``(src, dst, weight)``."""
+        src, dst, weight = self.analytics_edges()
+        yield from zip(src.tolist(), dst.tolist(), weight.tolist())
 
     def original_ids(self, dense: np.ndarray) -> np.ndarray:
         """The identity translation."""

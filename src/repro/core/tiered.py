@@ -43,14 +43,11 @@ available in-process via :attr:`TieredStore.promotions` /
 
 from __future__ import annotations
 
-import time
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.config import TieredConfig
 from repro.core.pool import grow
-from repro.core.store import RowStoreDefaults, check_edge_batch
+from repro.core.store import RowStoreDefaults
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
@@ -141,6 +138,8 @@ class TieredStore(RowStoreDefaults):
     >>> ts.tier_of(1)
     0
     """
+
+    obs_name = "tiered"
 
     def __init__(self, config: TieredConfig | None = None):
         from repro.core.stats import AccessStats
@@ -365,21 +364,9 @@ class TieredStore(RowStoreDefaults):
 
     def insert_batch(self, edges: np.ndarray,
                      weights: np.ndarray | None = None) -> int:
-        """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
-        edges, _ = check_edge_batch(edges)
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.float64)
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        t0 = time.perf_counter() if before is not None else 0.0
-        new = 0
-        for s, d, w in zip(edges[:, 0].tolist(), edges[:, 1].tolist(),
-                           np.asarray(weights, dtype=np.float64).tolist()):
-            if self.insert_edge(s, d, w):
-                new += 1
-        if before is not None:
-            obs_hooks.publish_store_delta("tiered", self.stats.delta(before))
-            obs_hooks.publish_ingest("insert", "tiered", int(edges.shape[0]),
-                                     time.perf_counter() - t0)
+        """The row-store batch, then the tier gauges when obs is enabled."""
+        new = super().insert_batch(edges, weights)
+        if obs_hooks.enabled:
             self._publish_tier_gauges()
         return new
 
@@ -435,18 +422,9 @@ class TieredStore(RowStoreDefaults):
         return True
 
     def delete_batch(self, edges: np.ndarray) -> int:
-        """Delete a batch of edges; returns how many existed."""
-        edges, _ = check_edge_batch(edges, negative_ok=True)
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        t0 = time.perf_counter() if before is not None else 0.0
-        deleted = 0
-        for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
-            if self.delete_edge(s, d):
-                deleted += 1
-        if before is not None:
-            obs_hooks.publish_store_delta("tiered", self.stats.delta(before))
-            obs_hooks.publish_ingest("delete", "tiered", int(edges.shape[0]),
-                                     time.perf_counter() - t0)
+        """The row-store batch, then the tier gauges when obs is enabled."""
+        deleted = super().delete_batch(edges)
+        if obs_hooks.enabled:
             self._publish_tier_gauges()
         return deleted
 
@@ -476,8 +454,9 @@ class TieredStore(RowStoreDefaults):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def _find(self, src: int, dst: int) -> float | None:
+    def edge_weight(self, src: int, dst: int) -> float | None:
         """Charged single-edge lookup; ``None`` when absent."""
+        src, dst = int(src), int(dst)
         if (src < 0 or src >= self._n_vertices or dst < 0
                 or self._rows[src] is None):
             return None  # negative dst would match the EMPTY/TOMB slots
@@ -508,12 +487,6 @@ class TieredStore(RowStoreDefaults):
             self.stats.edges_found += 1
             return row[dst]
         return None
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        return self._find(int(src), int(dst)) is not None
-
-    def edge_weight(self, src: int, dst: int) -> float | None:
-        return self._find(int(src), int(dst))
 
     def degree(self, src: int) -> int:
         """Live out-degree (uncharged — a direct degree-array read)."""
@@ -546,42 +519,6 @@ class TieredStore(RowStoreDefaults):
         self.stats.cells_scanned += len(row)
         return (np.fromiter(row.keys(), dtype=np.int64, count=len(row)),
                 np.fromiter(row.values(), dtype=np.float64, count=len(row)))
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield every live edge as ``(src, dst, weight)``."""
-        for src in range(self._n_vertices):
-            if self._rows[src] is None:
-                continue
-            dsts, weights = self.neighbors(src)
-            for d, w in zip(dsts.tolist(), weights.tolist()):
-                yield src, int(d), float(w)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All live edges as arrays — the tiered FP load path.
-
-        Literally the per-row :meth:`neighbors` sweep, so its summed
-        charge equals the sum of the per-row walks (what
-        ``full_load_is_row_sweep`` promises the snapshot).
-        """
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for src in range(self._n_vertices):
-            if self._rows[src] is None:
-                continue
-            d, w = self.neighbors(src)
-            if d.shape[0]:
-                srcs.append(np.full(d.shape[0], src, dtype=np.int64))
-                dsts.append(d)
-                weights.append(w)
-        if not srcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
-
-    def analytics_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Engine load path; tiered rows are already original ids."""
-        return self.edge_arrays()
 
     # ------------------------------------------------------------------ #
     # integrity

@@ -455,14 +455,17 @@ def _check_sgh(gt, emit) -> None:
     for i in np.flatnonzero(inside & (reverse != keys)).tolist():
         emit(V_SGH, int(dense[i]), f"forward says {keys[i]} -> {dense[i]} but "
                                    f"reverse[{dense[i]}] = {reverse[i]}")
-    # The batch index must agree with the dict for every key, once it has
-    # absorbed the ids scalar inserts assigned (``peek_array`` does that).
-    got = sgh.peek_array(keys)
-    if sgh._covered != len(sgh):
-        emit(V_SGH, -1, f"SGH index covers {sgh._covered} of {len(sgh)} ids")
-    for i in np.flatnonzero(got != dense).tolist():
-        emit(V_SGH, -1, f"SGH index resolves {keys[i]} to {got[i]}, the forward "
-                        f"table to {dense[i]}")
+    # The batch index as it stands: it holds the dict's first ``_covered``
+    # keys (the ids scalar inserts assigned since are absorbed by the next
+    # batch call, not by the audit) and no other.
+    covered = sgh._covered
+    if covered > len(sgh):
+        emit(V_SGH, -1, f"SGH index covers {covered} of {len(sgh)} ids")
+    got = sgh._probe(keys)
+    want = np.where(np.arange(keys.shape[0]) < covered, dense, -1)
+    for i in np.flatnonzero(got != want).tolist():
+        emit(V_SGH, -1, f"SGH index resolves {keys[i]} to {got[i]}, expected "
+                        f"{want[i]} (-1 until covered)")
 
 
 def _check_pools(eba, refs: np.ndarray, emit) -> None:

@@ -19,15 +19,12 @@ the cost model compares like with like:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.core.config import StingerConfig
 from repro.core.pool import STINGER_CELL_DTYPE, BlockPool, grow
 from repro.core.stats import AccessStats
-from repro.core.store import RowStoreDefaults, check_edge_batch
-from repro.obs import hooks as obs_hooks
+from repro.core.store import RowStoreDefaults
 from repro.errors import VertexNotFoundError
 
 #: Slot-state sentinels in the ``dst`` field.
@@ -46,6 +43,11 @@ class Stinger(RowStoreDefaults):
 
     The public API mirrors :class:`~repro.core.graphtinker.GraphTinker`
     so benchmarks and the engine can drive either store interchangeably.
+    The batch mutators and the full load are :class:`RowStoreDefaults`'s.
+    Unlike GraphTinker's CAL streaming, the full load *is* the
+    per-vertex chain sweep (random block reads), including vertices
+    that turn out to be empty; that access pattern is the 10x analytics
+    gap of Figs. 11-13.
 
     Examples
     --------
@@ -55,6 +57,8 @@ class Stinger(RowStoreDefaults):
     >>> st.insert_edge(1, 2)   # duplicate: weight update, not a new edge
     False
     """
+
+    obs_name = "stinger"
 
     def __init__(self, config: StingerConfig | None = None):
         self.config = config if config is not None else StingerConfig()
@@ -148,21 +152,6 @@ class Stinger(RowStoreDefaults):
         self.stats.edges_inserted += 1
         return True
 
-    def insert_batch(self, edges: np.ndarray, weights: np.ndarray | None = None) -> int:
-        """Insert an ``(n, 2)`` edge batch; returns the number of new edges."""
-        edges, _ = check_edge_batch(edges)
-        if weights is None:
-            weights = np.ones(edges.shape[0], dtype=np.float64)
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        new = 0
-        for s, d, w in zip(edges[:, 0].tolist(), edges[:, 1].tolist(),
-                           np.asarray(weights, dtype=np.float64).tolist()):
-            if self.insert_edge(s, d, w):
-                new += 1
-        if before is not None:
-            obs_hooks.publish_store_delta("stinger", self.stats.delta(before))
-        return new
-
     def delete_edge(self, src: int, dst: int) -> bool:
         """Delete ``(src, dst)``; flags the slot for reuse."""
         src, dst = int(src), int(dst)
@@ -186,18 +175,6 @@ class Stinger(RowStoreDefaults):
                 return True
             block = int(self._next[block])
         return False
-
-    def delete_batch(self, edges: np.ndarray) -> int:
-        """Delete a batch of edges; returns how many existed."""
-        edges, _ = check_edge_batch(edges, negative_ok=True)
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        deleted = 0
-        for s, d in zip(edges[:, 0].tolist(), edges[:, 1].tolist()):
-            if self.delete_edge(s, d):
-                deleted += 1
-        if before is not None:
-            obs_hooks.publish_store_delta("stinger", self.stats.delta(before))
-        return deleted
 
     def delete_vertex(self, src: int) -> int:
         """Delete every out-edge of ``src``; return how many existed.
@@ -232,9 +209,6 @@ class Stinger(RowStoreDefaults):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def has_edge(self, src: int, dst: int) -> bool:
-        return self.edge_weight(src, dst) is not None
-
     def edge_weight(self, src: int, dst: int) -> float | None:
         src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
@@ -274,48 +248,6 @@ class Stinger(RowStoreDefaults):
         if not dsts:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         return np.concatenate(dsts), np.concatenate(weights)
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Yield every live edge as ``(src, dst, weight)``."""
-        for src in range(self._n_vertices):
-            if self._degree[src] == 0 and self._head[src] < 0:
-                continue
-            dsts, weights = self.neighbors(src)
-            for d, w in zip(dsts.tolist(), weights.tolist()):
-                yield src, int(d), float(w)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All live edges as arrays — STINGER's analytics load path.
-
-        Unlike GraphTinker's CAL streaming, this sweeps every vertex's
-        chain (random block reads), including vertices that turn out to
-        be empty; that access pattern is the 10x analytics gap of
-        Figs. 11-13.
-        """
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        weights: list[np.ndarray] = []
-        for src in range(self._n_vertices):
-            block = int(self._head[src])
-            while block >= 0:
-                self.stats.random_block_reads += 1
-                self.stats.cells_scanned += self.config.edgeblock_size
-                row = self.pool.fields["dst"][block]
-                mask = row >= 0
-                if mask.any():
-                    n = int(mask.sum())
-                    srcs.append(np.full(n, src, dtype=np.int64))
-                    dsts.append(row[mask])
-                    weights.append(self.pool.fields["weight"][block][mask])
-                block = int(self._next[block])
-        if not srcs:
-            empty_i = np.empty(0, dtype=np.int64)
-            return empty_i, empty_i.copy(), np.empty(0, dtype=np.float64)
-        return np.concatenate(srcs), np.concatenate(dsts), np.concatenate(weights)
-
-    def analytics_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Engine load path; STINGER ids are already original ids."""
-        return self.edge_arrays()
 
     # ------------------------------------------------------------------ #
     # snapshot row surface (the rest is RowStoreDefaults: raw ids)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import AdjacencyMatrixStore, CSRRebuildStore
-from repro.errors import CapacityError, VertexNotFoundError
+from repro.errors import CapacityError, VertexNotFoundError, WorkloadError
 from tests.reference import ReferenceGraph, assert_store_matches
 
 
@@ -127,6 +127,18 @@ class TestCSRRebuild:
         src, dst, w = c.analytics_edges()
         assert src.size == 0
         c.check_invariants()
+
+
+@pytest.mark.parametrize("make", [lambda: AdjacencyMatrixStore(capacity=16),
+                                  CSRRebuildStore], ids=["matrix", "csr"])
+@pytest.mark.parametrize("bad", [[1, 2], [[1, 2, 3]]], ids=["1d", "n_by_3"])
+def test_malformed_batches_raise_workload_error(make, bad):
+    store = make()
+    with pytest.raises(WorkloadError):
+        store.insert_batch(bad)
+    with pytest.raises(WorkloadError):
+        store.delete_batch(bad)
+    assert store.n_edges == 0 and store.stats.as_dict() == make().stats.as_dict()
 
 
 class TestEngineOnBaselines:

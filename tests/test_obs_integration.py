@@ -154,6 +154,20 @@ class TestStorePublication:
         assert snap["stinger.edges.inserted"] == store.stats.edges_inserted
         assert snap["stinger.block.random_reads"] == store.stats.random_block_reads
 
+    def test_stinger_batches_publish_ingest_like_tiered(self, fresh_obs):
+        _, registry = fresh_obs
+        for kind in ("stinger", "tiered"):
+            store = make_store(kind)
+            edges = _edges(800)
+            store.insert_batch(edges)
+            store.delete_batch(edges[:300])
+            snap = registry.collect()
+            assert snap[f"ingest.insert.{kind}.batches"] == 1
+            assert snap[f"ingest.insert.{kind}.edges"] == 800
+            assert snap[f"ingest.delete.{kind}.edges"] == 300
+            assert snap[f"{kind}.edges.inserted"] == store.stats.edges_inserted
+            assert snap[f"{kind}.edges.deleted"] == store.stats.edges_deleted
+
     def test_sharded_store_publishes_sharded_prefix_and_shard_gauges(
             self, fresh_obs):
         _, registry = fresh_obs

@@ -177,12 +177,14 @@ class TestMutatorSemantics:
         want = sum(scalar.insert_edge(s, d, w) for (s, d), w
                    in zip(edges.tolist(), weights.tolist()))
         assert got == want
+        assert batched.stats.as_dict() == scalar.stats.as_dict()
         assert store_digest(batched) == store_digest(scalar)
 
         dels = edges[::2]
         got = batched.delete_batch(dels)
         want = sum(scalar.delete_edge(s, d) for s, d in dels.tolist())
         assert got == want
+        assert batched.stats.as_dict() == scalar.stats.as_dict()
         assert store_digest(batched) == store_digest(scalar)
 
     def test_delete_vertex_drops_all_out_edges(self, backend):

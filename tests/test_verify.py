@@ -176,6 +176,20 @@ class TestSghIndex:
         assert gt.n_vertices == ref.n_vertices
         assert verify_graph(gt).ok
 
+    def test_audit_reads_the_index_as_it_stands(self):
+        """A scalar insert's id waits uncovered; the audit neither absorbs
+        it nor reports it, and still flags an uncovered id the index holds."""
+        gt = GraphTinker(CONFIGS["default"])
+        gt.insert_batch(np.column_stack([np.arange(33), np.arange(33) + 1]))
+        gt.insert_edge(500, 6)
+        sgh = gt.sgh
+        assert sgh._covered == 33 and len(sgh) == 34
+        assert gt.fsck(level="full").ok
+        assert sgh._covered == 33
+        sgh._place(np.array([500]), np.array([7]))   # a stray entry
+        sgh._covered -= 1
+        assert "sgh-mapping" in gt.fsck(level="full").by_kind()
+
     def test_scalar_ids_are_absorbed_from_the_dict_not_reverse(self):
         """The ``sgh`` corruption writes into ``_reverse`` while the id it
         breaks, assigned by a scalar insert, still waits to be absorbed;
