@@ -49,6 +49,12 @@ class AdjacencyMatrixStore(RowStoreDefaults):
             )
         return src, dst
 
+    def _cell(self, src: int, dst: int) -> tuple[int, int] | None:
+        """Matrix index of ``(src, dst)``, or ``None`` for an id outside
+        ``[0, capacity)``: a read's or a delete's uncharged miss."""
+        src, dst = int(src), int(dst)
+        return (src, dst) if 0 <= min(src, dst) and max(src, dst) < self.capacity else None
+
     @property
     def n_edges(self) -> int:
         return self._n_edges
@@ -73,31 +79,28 @@ class AdjacencyMatrixStore(RowStoreDefaults):
 
     def delete_edge(self, src: int, dst: int) -> bool:
         """O(1): one random write."""
-        src, dst = self._check(src, dst)
-        self.stats.random_block_reads += 1
-        if not self._present[src, dst]:
+        cell = self._cell(src, dst)
+        if cell is None:
             return False
-        self._present[src, dst] = False
+        self.stats.random_block_reads += 1
+        if not self._present[cell]:
+            return False
+        self._present[cell] = False
         self._n_edges -= 1
         self.stats.edges_deleted += 1
         return True
 
     # ------------------------------------------------------------------ #
-    def has_edge(self, src: int, dst: int) -> bool:
-        src, dst = self._check(src, dst)
-        self.stats.random_block_reads += 1
-        return bool(self._present[src, dst])
-
     def edge_weight(self, src: int, dst: int) -> float | None:
-        src, dst = self._check(src, dst)
-        self.stats.random_block_reads += 1
-        if not self._present[src, dst]:
+        cell = self._cell(src, dst)
+        if cell is None:
             return None
-        return float(self._weight[src, dst])
+        self.stats.random_block_reads += 1
+        return float(self._weight[cell]) if self._present[cell] else None
 
     def degree(self, src: int) -> int:
         src = int(src)
-        if src > self._max_vertex:
+        if not 0 <= src <= self._max_vertex:
             return 0
         n = self.n_vertices
         self.stats.cells_scanned += n  # scan the row
@@ -106,7 +109,7 @@ class AdjacencyMatrixStore(RowStoreDefaults):
 
     def neighbors(self, src: int) -> tuple[np.ndarray, np.ndarray]:
         src = int(src)
-        if src > self._max_vertex:
+        if not 0 <= src <= self._max_vertex:
             raise VertexNotFoundError(src)
         n = self.n_vertices
         self.stats.cells_scanned += n

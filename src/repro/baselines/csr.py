@@ -152,7 +152,7 @@ class CSRRebuildStore(RowStoreDefaults):
 
     def neighbors(self, src: int) -> tuple[np.ndarray, np.ndarray]:
         src = int(src)
-        if src >= self._n_vertices:
+        if not 0 <= src < self._n_vertices:
             raise VertexNotFoundError(src)
         self._fresh()
         lo, hi = int(self._indptr[src]), int(self._indptr[src + 1])
@@ -162,7 +162,7 @@ class CSRRebuildStore(RowStoreDefaults):
 
     def degree(self, src: int) -> int:
         src = int(src)
-        if src >= self._n_vertices:
+        if not 0 <= src < self._n_vertices:
             return 0
         self._fresh()
         return int(self._indptr[src + 1] - self._indptr[src])

@@ -36,6 +36,10 @@ OVERFLOW = 1
 #: asked for — a constant like the kernels' ``CHUNK_EDGES``, not an option.
 GATHER_SLAB_ROWS = 1024
 
+#: Bound of an :class:`EdgeblockArray`'s tree-hash memo, which clears at
+#: this size: full, it holds ~4.5 MiB (a dict slot and an int key an entry).
+TREE_HASH_MEMO_ENTRIES = 1 << 16
+
 
 class EdgeLocation(tuple):
     """Physical address of an edge-cell: ``(region, block, slot)``."""
@@ -105,6 +109,8 @@ class EdgeblockArray:
         self._n_vertices = 0
         #: live (non-tombstone) edges per dense source id, grown on demand.
         self._degrees = np.zeros(config.initial_vertices, dtype=np.int64)
+        self._memo: dict[int, tuple[int, int]] = {}
+        self._pairs = [(sb, ib) for sb in range(nsb) for ib in range(config.subblock)]
 
     # ------------------------------------------------------------------ #
     # vertex rows
@@ -158,12 +164,29 @@ class EdgeblockArray:
     def _pool(self, region: int) -> BlockPool:
         return self.main if region == MAIN else self.overflow
 
+    def _tree_hash(self, dst: int, gen: int) -> tuple[int, int]:
+        """``(sb, ib)`` of ``dst`` at generation ``gen``: every per-op
+        path's tree hashes.  They depend on nothing else in one store, so
+        they are memoised, keyed ``dst * max_generations + gen``, in a
+        memo that is never persisted nor charged (``hash_lookups`` counts
+        SGH probes); its values share the ``_pairs`` tuples."""
+        key = dst * self.config.max_generations + gen
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) >= TREE_HASH_MEMO_ENTRIES:
+                self._memo.clear()
+            size, seed = self.config.subblock, self.config.seed
+            hit = self._memo[key] = self._pairs[subblock_index(dst, gen, self._nsb, seed) * size
+                                                + initial_bucket(dst, gen, size, seed)]
+        return hit
+
     def _locate(self, src: int, dst: int, lists: dict | None = None,
                 trail: list | None = None, hashes=()) -> tuple[int, int, int] | None:
         """The charged FIND: ``(region, block, cell)`` of ``(src, dst)`` or ``None``.
 
         The paper's FIND mode and the only FIND loop here: per generation,
-        hash ``dst`` to its Subblock and initial bucket, scan the Subblock
+        hash ``dst`` to its Subblock and initial bucket (``hashes`` for
+        the levels it holds, else :meth:`_tree_hash`), scan the Subblock
         from the bucket (:func:`~repro.core.robin_hood.rhh_find`), stop on
         a match, else descend into the Subblock's child if it has one.
         Charges the Workblocks fetched, the cells scanned and every
@@ -178,20 +201,15 @@ class EdgeblockArray:
         if not 0 <= src < self._n_vertices:
             return None
         cfg, stats, rhh_on, fetches = self.config, self.stats, self._rhh_on, self._fetches
-        size, nsb, seed = cfg.subblock, self._nsb, cfg.seed
-        region, block = MAIN, src
+        size, region, block = cfg.subblock, MAIN, src
         cells, kids = self.main.fields["dst"], self._main_children._data
         dst = int(dst)
         for gen in range(cfg.max_generations):
+            sb, ib = hashes[gen] if gen < len(hashes) else self._tree_hash(dst, gen)
+            lo = sb * size
             if lists is None:  # a point read: nothing kept
-                sb = subblock_index(dst, gen, nsb, seed)
-                ib = initial_bucket(dst, gen, size, seed)
-                lo = sb * size
                 dsts = cells[block, lo:lo + size].tolist()
             else:
-                sb, ib = hashes[gen] if gen < len(hashes) else (
-                    subblock_index(dst, gen, nsb, seed), initial_bucket(dst, gen, size, seed))
-                lo = sb * size
                 sub = self._subblock(lists, region, block, sb)
                 dsts = sub[0]
             slot, scanned = rhh.rhh_find(dsts, dst, ib, rhh_on)
@@ -312,7 +330,7 @@ class EdgeblockArray:
         own chain, up to the level where a swap places it, and reads
         ``weight`` / ``probe`` / ``cal`` only for the Subblocks it enters
         (in Robin-Hood mode FIND's scan length serves too, unrepeated).
-        Below that the floating edge is another edge, hashed afresh.  Only
+        Below that the floating edge is another edge (:meth:`_tree_hash`).  Only
         the cells :func:`~repro.core.robin_hood.rhh_insert` wrote are
         stored back, once the op is over — an op that raises included, so
         the levels it wrote land (docs/robustness.md).  Charges are those
@@ -333,7 +351,7 @@ class EdgeblockArray:
             lists = {}
         try:
             cfg, stats = self.config, self.stats
-            size, nsb, seed, rhh_on = cfg.subblock, self._nsb, cfg.seed, self._rhh_on
+            size, rhh_on = cfg.subblock, self._rhh_on
 
             # --- FIND stage across all generations. ----------------------
             trail: list = []
@@ -356,8 +374,7 @@ class EdgeblockArray:
                 if arg_location is None and gen < len(trail):
                     sub, sb, ib, scanned = trail[gen]  # the argument edge's FIND level
                 else:
-                    sb = subblock_index(f_dst, gen, nsb, seed)
-                    ib = initial_bucket(f_dst, gen, size, seed)
+                    sb, ib = self._tree_hash(f_dst, gen)
                     sub = self._subblock(lists, region, block, sb)
                     scanned = 0
                 if sub[1] is None:

@@ -141,6 +141,26 @@ def test_malformed_batches_raise_workload_error(make, bad):
     assert store.n_edges == 0 and store.stats.as_dict() == make().stats.as_dict()
 
 
+# The matrix's misses are uncharged; CSR's probe its (unbounded) rows.
+@pytest.mark.parametrize("make,uncharged", [(lambda: AdjacencyMatrixStore(capacity=16), True),
+                                            (CSRRebuildStore, False)], ids=["matrix", "csr"])
+def test_out_of_range_ids_are_misses(make, uncharged):
+    store = make()
+    store.insert_edge(15, 15, 2.0)
+    store.insert_edge(0, 1)
+    before = store.stats.as_dict()
+    for src, dst in [(-1, 0), (0, -1), (16, 0), (0, 16), (-1, 99)]:
+        assert store.has_edge(src, dst) is False
+        assert store.edge_weight(src, dst) is None
+        assert store.delete_edge(src, dst) is False
+    assert store.degree(-1) == 0
+    with pytest.raises(VertexNotFoundError):
+        store.neighbors(-1)
+    if uncharged:
+        assert store.stats.as_dict() == before
+    assert store.n_edges == 2 and store.edge_weight(15, 15) == 2.0
+
+
 class TestEngineOnBaselines:
     """The engine must run unmodified on any conforming store."""
 

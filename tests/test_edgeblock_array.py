@@ -284,3 +284,48 @@ class TestCalPointerPlumbing:
         for d in range(300):
             loc = eba.find(0, d)
             assert eba.get_cal_pointer(loc) == d * 64 + d % 5, d
+
+
+class TestTreeHashMemo:
+    """The per-store memo of the tree hashes changes no answer, cell or
+    charge, whether it keeps everything or clears on every miss."""
+
+    @staticmethod
+    def run_mix(compact: bool):
+        from repro.core.graphtinker import GraphTinker
+        from repro.core.store import store_digest
+
+        gt = GraphTinker(GTConfig(pagewidth=8, subblock=2, workblock=1, max_generations=64,
+                                  compact_on_delete=compact))
+        rng = np.random.default_rng(11)
+        answers, longest = [], 0
+        for _ in range(3000):
+            src, dst = int(rng.integers(0, 6)), int(rng.integers(0, 400))
+            op = rng.random()
+            if op < 0.4:
+                answers.append(gt.insert_edge(src, dst, float(rng.random())))
+            elif op < 0.55:
+                answers.append(gt.delete_edge(src, dst))
+            elif op < 0.75:
+                answers.append(gt.has_edge(src, dst))
+            elif op < 0.95:
+                answers.append(gt.edge_weight(src, dst))
+            else:  # a small batch: the vector kernel's rounds, then its residue
+                edges = np.column_stack([rng.integers(0, 6, 40), rng.integers(0, 400, 40)])
+                answers.append(gt.insert_batch(edges, rng.random(40), kernel="vector"))
+            longest = max(longest, len(gt.eba._memo))
+        return {"digest": store_digest(gt), "degrees": gt.eba.degrees_view().tolist(),
+                "cal": [a.tolist() for a in gt.cal.stream_edges()], "answers": answers,
+                "stats": gt.stats.as_dict()}, gt.eba._memo, longest
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["rhh", "compact"])
+    def test_cap_changes_nothing(self, compact, monkeypatch):
+        from repro.core import edgeblock_array
+
+        full, memo, _ = self.run_mix(compact)
+        gens = {key % 64 for key in memo}
+        assert max(gens) >= 3 and len(memo) > 1
+        monkeypatch.setattr(edgeblock_array, "TREE_HASH_MEMO_ENTRIES", 1)
+        cleared, memo, longest = self.run_mix(compact)
+        assert cleared == full
+        assert len(memo) <= 1 and longest <= 1
