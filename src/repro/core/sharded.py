@@ -19,10 +19,13 @@ Architecture
   ``partition_of(src, n_shards, seed)`` (:mod:`repro.core.hashing`).  All
   state for a source row lives in exactly one shard, so shards never
   coordinate.
-* **Dispatch** — commands travel over one duplex pipe per shard.  Batch
-  mutations are split by the vectorized router (stream order preserved
-  within a shard), **scattered to every owning shard first and then
-  gathered**, so shard workers genuinely overlap on multi-core hosts.
+* **Dispatch** — one message shape travels over one duplex pipe per
+  shard: ``(method, args, touched)`` runs the inner store's
+  ``method(*args)`` and returns its result, its charged delta and the
+  degrees of the ``touched`` sources.  Batch mutations are split by the
+  vectorized router (stream order preserved within a shard),
+  **scattered to every owning shard first and then gathered**, so shard
+  workers genuinely overlap on multi-core hosts.
 * **Charging** — every worker response carries the
   :class:`~repro.core.stats.AccessStats` delta its inner store charged;
   the parent merges the deltas into its own ``stats``.  Deltas are sums,
@@ -31,19 +34,19 @@ Architecture
   regardless of worker interleaving.  Batch mutators additionally
   record the per-shard deltas (:attr:`ShardedStore.last_batch_partitions`),
   the input of Fig. 10's max-over-partitions makespan model.
-* **Zero-copy exports** — full-graph reads (``edge_arrays`` /
-  ``analytics_edges`` / digests) move the shard's edge pools through
-  ``multiprocessing.shared_memory``: the parent allocates one segment
-  per shard, the worker writes its ``(src, dst, weight)`` pool arrays
-  into it, and the parent maps NumPy views directly over the buffer —
-  no pickling, no pipe copy.  Only the final cross-shard concatenation
-  copies.
+* **Exports** — full-graph reads (``edge_arrays`` /
+  ``analytics_edges`` / digests) ask every shard for its
+  ``analytics_edges`` triple before reading any reply, so the workers
+  materialize their exports concurrently; the triples come back over
+  the pipes (socket buffers widened to :data:`PIPE_BUFFER_BYTES`) and
+  are concatenated in shard order.
 * **Degree cache** — the parent mirrors per-vertex degrees (updated
   from worker responses, probed *unchanged* by snapshot/restore
   machinery), so ``degree`` and the ``gather_active_scalar`` degree
   pre-filter stay uncharged parent-local reads, exactly like the other
   backends.
-* **Failure** — a dead worker (``kill -9``, OOM) surfaces as a typed
+* **Failure** — a dead worker (``kill -9``, OOM), or one silent for
+  :data:`SHARD_REPLY_TIMEOUT_S`, surfaces as a typed
   :class:`~repro.errors.ShardCrashError` on the next dispatch.  The
   surviving shards are intact; the service layer recovers by replaying
   the crashed shard's own WAL segments (see docs/sharding.md).
@@ -57,10 +60,11 @@ Observability (when :mod:`repro.obs` is enabled): per-shard gauges
 from __future__ import annotations
 
 import os
+import select
+import socket
 import time
 import weakref
-from multiprocessing import get_context, resource_tracker
-from multiprocessing import shared_memory as shm_mod
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -76,130 +80,82 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
-def _delta_tuple(stats: AccessStats, before: AccessStats) -> tuple[int, ...]:
-    delta = stats.delta(before)
-    return tuple(getattr(delta, f) for f in _FIELDS)
+#: Longest a parent waits for one shard reply before the worker counts as
+#: hung: then :class:`~repro.errors.ShardCrashError` poisons the store.
+#: The slowest reply seen in the tier-1 suite, ``bench_sharded_ingest``
+#: and ``bench_fig10_multicore`` took 0.38 s (a Fig. 10 batch on a
+#: 2-core host); the deadline is over 10x that and at least 60 s.
+SHARD_REPLY_TIMEOUT_S = 60.0
+
+#: Socket buffer asked for on each pipe end, so a bulk reply (an export's
+#: triples) crosses in few wakeups; the kernel caps it at
+#: ``net.core.wmem_max`` / ``rmem_max``.
+PIPE_BUFFER_BYTES = 4 << 20
 
 
 def _shard_worker(conn, backend: str, shard_index: int) -> None:
-    """Worker-process loop: one inner Store, commands in, payloads out.
+    """Worker-process loop: one inner Store behind one message shape.
 
-    Every reply is ``(True, payload)`` or ``(False, exception)``; the
-    parent re-raises transported exceptions verbatim.  Degree probes run
-    under a stats snapshot/restore so they can never perturb the charged
-    delta, whatever the inner backend charges for ``degree``.
+    A message ``(method, args, touched)`` calls the inner store's
+    ``method(*args)`` (or one of the adapters below) and replies
+    ``(True, (result, delta, (srcs, degrees)))``: the call's charged
+    AccessStats delta, and the degrees of the distinct ``touched``
+    sources.  A failure replies ``(False, exception)``; the parent
+    re-raises transported exceptions verbatim.  Degree probes run under
+    a stats snapshot/restore so they can never perturb the charged
+    delta, whatever the inner backend charges for ``degree``.  ``None``
+    stops the worker.
     """
     from repro.core.store import create_store
 
     inner = create_store(backend)
 
-    def probe_degrees(srcs):
+    def rows(srcs):
+        # The scatter half of a frontier gather (and ``neighbors``): one
+        # charged walk per source, empty for a source never seen here.
+        out = []
+        for src in srcs:
+            try:
+                out.append(inner.neighbors(src))
+            except VertexNotFoundError:
+                out.append((_EMPTY_I, _EMPTY_F))
+        return out
+
+    def degrees(touched):
+        # A batch's source column (its distinct sources are found here,
+        # in the worker) or a list of sources; a list stays a list, as
+        # pickling a small array costs more than most calls.
+        if isinstance(touched, np.ndarray):
+            touched = np.unique(touched)
+        if not len(touched):
+            return touched, ()
         mid = inner.stats.snapshot()
-        degs = [inner.degree(int(s)) for s in srcs]
+        degs = [inner.degree(int(v)) for v in touched]
         inner.stats.reset()
         inner.stats.merge(mid)
-        return degs
+        return touched, degs
 
-    staged = None  # pending edge_arrays export between stage and fill
+    adapters = {
+        "rows": rows,
+        "fsck": lambda level, repair: _shard_report(
+            inner, inner.fsck(level=level, repair=repair), shard_index),
+        "n_edges": lambda: int(inner.n_edges),
+    }
+
     while True:
         try:
             msg = conn.recv()
         except (EOFError, OSError):
             break
-        cmd = msg[0]
+        if msg is None:
+            break
+        method, args, touched = msg
         try:
             before = inner.stats.snapshot()
-            if cmd == "close":
-                conn.send((True, None))
-                break
-            elif cmd == "insert_edge":
-                _, src, dst, weight = msg
-                is_new = inner.insert_edge(src, dst, weight)
-                delta = _delta_tuple(inner.stats, before)
-                payload = (is_new, probe_degrees([src])[0], delta)
-            elif cmd == "delete_edge":
-                _, src, dst = msg
-                existed = inner.delete_edge(src, dst)
-                delta = _delta_tuple(inner.stats, before)
-                payload = (existed, probe_degrees([src])[0], delta)
-            elif cmd == "delete_vertex":
-                _, src = msg
-                deleted = inner.delete_vertex(src)
-                delta = _delta_tuple(inner.stats, before)
-                payload = (deleted, probe_degrees([src])[0], delta)
-            elif cmd == "insert_batch":
-                _, edges, weights = msg
-                n_new = inner.insert_batch(edges, weights)
-                delta = _delta_tuple(inner.stats, before)
-                uniq = np.unique(edges[:, 0])
-                payload = (n_new, uniq,
-                           np.array(probe_degrees(uniq), dtype=np.int64),
-                           delta)
-            elif cmd == "delete_batch":
-                _, edges = msg
-                n_del = inner.delete_batch(edges)
-                delta = _delta_tuple(inner.stats, before)
-                uniq = np.unique(edges[:, 0])
-                payload = (n_del, uniq,
-                           np.array(probe_degrees(uniq), dtype=np.int64),
-                           delta)
-            elif cmd == "find":
-                _, src, dst = msg
-                weight = inner.edge_weight(src, dst)
-                payload = (weight, _delta_tuple(inner.stats, before))
-            elif cmd == "neighbors":
-                _, src = msg
-                try:
-                    dsts, weights = inner.neighbors(src)
-                except VertexNotFoundError:
-                    dsts, weights = _EMPTY_I, _EMPTY_F
-                payload = (dsts, weights, _delta_tuple(inner.stats, before))
-            elif cmd == "neighbors_multi":
-                # Sorted source list: the scatter half of a frontier
-                # gather; one charged walk per source, one merged delta.
-                _, srcs = msg
-                rows = []
-                for src in srcs:
-                    try:
-                        rows.append(inner.neighbors(src))
-                    except VertexNotFoundError:
-                        rows.append((_EMPTY_I, _EMPTY_F))
-                payload = (rows, _delta_tuple(inner.stats, before))
-            elif cmd == "edge_stage":
-                # analytics_edges: original ids on every backend (a
-                # GraphTinker shard's edge_arrays would be dense ids).
-                staged = inner.analytics_edges()
-                payload = (int(staged[0].shape[0]),
-                           _delta_tuple(inner.stats, before))
-            elif cmd == "edge_fill":
-                _, shm_name = msg
-                src, dst, weight = staged
-                staged = None
-                n = src.shape[0]
-                seg = shm_mod.SharedMemory(name=shm_name)
-                try:
-                    # Python 3.11 registers attachments with the resource
-                    # tracker; the parent owns this segment's lifetime,
-                    # so drop the worker-side claim before closing.
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(seg._name, "shared_memory")
-                    buf = np.ndarray((3, n), dtype=np.int64, buffer=seg.buf)
-                    buf[0] = src
-                    buf[1] = dst
-                    buf[2] = weight.view(np.int64)
-                finally:
-                    seg.close()
-                payload = None
-            elif cmd == "fsck":
-                _, level, repair = msg
-                payload = _shard_report(
-                    inner, inner.fsck(level=level, repair=repair), shard_index)
-            elif cmd == "n_edges":
-                payload = int(inner.n_edges)
-            else:
-                raise ValueError(f"unknown shard command {cmd!r}")
-            conn.send((True, payload))
+            result = (adapters.get(method) or getattr(inner, method))(*args)
+            delta = inner.stats.delta(before)
+            delta = tuple(getattr(delta, f) for f in _FIELDS)
+            conn.send((True, (result, delta, degrees(touched))))
         except BaseException as exc:  # transported to the parent
             try:
                 conn.send((False, exc))
@@ -259,8 +215,13 @@ class ShardedStore(RowStoreDefaults):
         ctx = get_context("fork")
         self._pipes = []
         self._procs = []
+        self._pollers = []  # one per pipe: cheaper than Connection.poll
         for k in range(self.config.n_shards):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
+            for conn in (parent_conn, child_conn):
+                with socket.socket(fileno=os.dup(conn.fileno())) as sock:
+                    for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+                        sock.setsockopt(socket.SOL_SOCKET, opt, PIPE_BUFFER_BYTES)
             proc = ctx.Process(
                 target=_shard_worker,
                 args=(child_conn, self.config.backend, k),
@@ -269,6 +230,8 @@ class ShardedStore(RowStoreDefaults):
             child_conn.close()
             self._pipes.append(parent_conn)
             self._procs.append(proc)
+            self._pollers.append(select.poll())
+            self._pollers[-1].register(parent_conn.fileno(), select.POLLIN)
         self._finalizer = weakref.finalize(
             self, _shutdown_workers, self._pipes, self._procs)
         if self.config.snapshot:
@@ -294,7 +257,7 @@ class ShardedStore(RowStoreDefaults):
         """
         proc = self._procs[shard]
         err = ShardCrashError(
-            f"shard {shard} worker (pid {proc.pid}) died "
+            f"shard {shard} worker (pid {proc.pid}) lost "
             f"(exitcode {proc.exitcode}): {exc}")
         if self._crashed is None:
             self._crashed = err
@@ -309,9 +272,12 @@ class ShardedStore(RowStoreDefaults):
             raise self._crash(shard, exc) from None
 
     def _recv(self, shard: int):
+        """One reply ``(result, delta, (srcs, degrees))`` from ``shard``."""
         if self._crashed is not None:
             raise self._crashed
         try:
+            if not self._pollers[shard].poll(SHARD_REPLY_TIMEOUT_S * 1000):
+                raise TimeoutError(f"no reply in {SHARD_REPLY_TIMEOUT_S} s")
             ok, payload = self._pipes[shard].recv()
         except (EOFError, OSError) as exc:
             raise self._crash(shard, exc) from None
@@ -323,8 +289,21 @@ class ShardedStore(RowStoreDefaults):
         self._send(shard, msg)
         return self._recv(shard)
 
+    def _take(self, reply) -> tuple:
+        """Fold a reply's degrees into the cache and its delta into
+        ``stats``; returns ``(result, delta, touched sources)``."""
+        result, delta, (srcs, degrees) = reply
+        if len(srcs):
+            self._ensure_vertex(int(srcs[-1]))
+            self._degree[srcs] = degrees
+        return result, self._merge_delta(delta), srcs
+
+    def _on(self, src: int, method: str, *args, touched=()):
+        """``method(*args)`` on ``src``'s home shard; returns its result."""
+        return self._take(self._call(self._shard_of(src), (method, args, touched)))[0]
+
     def _merge_delta(self, delta: tuple[int, ...]) -> AccessStats:
-        stats = AccessStats(**dict(zip(_FIELDS, delta)))
+        stats = AccessStats(*delta)
         self.stats.merge(stats)
         return stats
 
@@ -364,13 +343,9 @@ class ShardedStore(RowStoreDefaults):
         if src < 0 or dst < 0:
             raise ValueError(
                 f"vertex ids must be non-negative, got ({src}, {dst})")
-        is_new, degree, delta = self._call(
-            self._shard_of(src), ("insert_edge", src, dst, weight))
-        self._ensure_vertex(src)
-        self._degree[src] = degree
+        is_new = self._on(src, "insert_edge", src, dst, weight, touched=[src])
         if is_new:
             self._n_edges += 1
-        self._merge_delta(delta)
         self._mark_dirty(src)
         return is_new
 
@@ -378,13 +353,9 @@ class ShardedStore(RowStoreDefaults):
         src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
             return False
-        existed, degree, delta = self._call(
-            self._shard_of(src), ("delete_edge", src, dst))
-        self._degree[src] = degree
+        existed = self._on(src, "delete_edge", src, dst, touched=[src])
         if existed:
             self._n_edges -= 1
-        self._merge_delta(delta)
-        if existed:
             self._mark_dirty(src)
         return existed
 
@@ -392,70 +363,56 @@ class ShardedStore(RowStoreDefaults):
         src = int(src)
         if src < 0 or src >= self._n_vertices:
             return 0
-        deleted, degree, delta = self._call(
-            self._shard_of(src), ("delete_vertex", src))
-        self._degree[src] = degree
+        deleted = self._on(src, "delete_vertex", src, touched=[src])
         self._n_edges -= deleted
-        self._merge_delta(delta)
         if deleted:
             self._mark_dirty(src)
         return deleted
 
     def _scatter_batch(self, cmd: str, edges: np.ndarray,
-                       weights: np.ndarray | None) -> tuple[int, float]:
+                       weights: np.ndarray | None = None) -> int:
         """Scatter a mutation batch, gather counts/degrees/deltas.
 
         Sends every shard its sub-batch before reading any reply — the
         workers run concurrently; the parent's merge order (ascending
-        shard index) is fixed, so the merged stats are deterministic.
+        shard index) is fixed, so the merged stats are deterministic.  A
+        batch with no rows reaches no worker and charges no shard.
         """
-        n_shards = self.config.n_shards
-        shard_ids = partition_of_array(edges[:, 0], n_shards,
+        shard_ids = partition_of_array(edges[:, 0], self.config.n_shards,
                                        self.config.seed)
+        publish = obs_hooks.enabled and edges.shape[0] > 0
+        before = self.stats.snapshot() if publish else None
         t0 = time.perf_counter()
-        sent: list[int] = []
-        sub_rows: dict[int, int] = {}
-        for k in range(n_shards):
+        sent: list[tuple[int, int]] = []
+        for k in range(self.config.n_shards):
             mask = shard_ids == k
             if not mask.any():
                 self.last_batch_partitions[k] = AccessStats()
                 continue
             sub = edges[mask]
-            if cmd == "insert_batch":
-                sub_w = None if weights is None else weights[mask]
-                self._send(k, (cmd, sub, sub_w))
-            else:
-                self._send(k, (cmd, sub))
-            sent.append(k)
-            sub_rows[k] = int(sub.shape[0])
-            if obs_hooks.enabled:
+            args = (sub,) if weights is None else (sub, weights[mask])
+            self._send(k, (cmd, args, sub[:, 0]))
+            sent.append((k, int(sub.shape[0])))
+            if publish:
                 self._shard_gauge(k, "queue_depth", int(sub.shape[0]))
         total = 0
-        for k in sent:
-            count, uniq, degrees, delta = self._recv(k)
+        for k, _ in sent:
+            count, self.last_batch_partitions[k], uniq = self._take(self._recv(k))
             total += count
-            if uniq.size:
-                self._ensure_vertex(int(uniq[-1]))
-                self._degree[uniq] = degrees
-            self.last_batch_partitions[k] = self._merge_delta(delta)
             if self._analytics_snapshot is not None:
                 self._analytics_snapshot.mark_dirty_many(uniq)
-            if obs_hooks.enabled:
+            if publish:
                 self._shard_gauge(k, "queue_depth", 0)
         elapsed = time.perf_counter() - t0
-        if obs_hooks.enabled:
-            for k in sent:
-                self._shard_gauge(
-                    k, "edges_per_s",
-                    sub_rows[k] / elapsed if elapsed > 0 else 0.0)
+        if publish:
+            for k, rows in sent:
+                self._shard_gauge(k, "edges_per_s",
+                                  rows / elapsed if elapsed > 0 else 0.0)
             self._publish_worker_rss()
-        return total, elapsed
-
-    def _empty_batch(self) -> int:
-        """A batch with no rows reaches no worker and charges no shard."""
-        for k in range(self.config.n_shards):
-            self.last_batch_partitions[k] = AccessStats()
-        return 0
+            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
+            obs_hooks.publish_ingest(cmd.split("_")[0], self.obs_name,
+                                     int(edges.shape[0]), elapsed)
+        return total
 
     def insert_batch(self, edges: np.ndarray,
                      weights: np.ndarray | None = None) -> int:
@@ -463,15 +420,8 @@ class ShardedStore(RowStoreDefaults):
         edges, _ = check_edge_batch(edges)
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
-        if not edges.shape[0]:
-            return self._empty_batch()
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        new, elapsed = self._scatter_batch("insert_batch", edges, weights)
+        new = self._scatter_batch("insert_batch", edges, weights)
         self._n_edges += new
-        if before is not None:
-            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
-            obs_hooks.publish_ingest("insert", self.obs_name,
-                                     int(edges.shape[0]), elapsed)
         return new
 
     def delete_batch(self, edges: np.ndarray) -> int:
@@ -481,16 +431,8 @@ class ShardedStore(RowStoreDefaults):
         # unallocated sources miss for free, same as the other backends.
         live = ((edges[:, 0] >= 0) & (edges[:, 0] < self._n_vertices)
                 & (edges[:, 1] >= 0))
-        edges = edges[live]
-        if not edges.shape[0]:
-            return self._empty_batch()
-        before = self.stats.snapshot() if obs_hooks.enabled else None
-        deleted, elapsed = self._scatter_batch("delete_batch", edges, None)
+        deleted = self._scatter_batch("delete_batch", edges[live])
         self._n_edges -= deleted
-        if before is not None:
-            obs_hooks.publish_store_delta(self.obs_name, self.stats.delta(before))
-            obs_hooks.publish_ingest("delete", self.obs_name,
-                                     int(edges.shape[0]), elapsed)
         return deleted
 
     def _publish_worker_rss(self) -> None:
@@ -521,9 +463,7 @@ class ShardedStore(RowStoreDefaults):
         src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
             return None
-        weight, delta = self._call(self._shard_of(src), ("find", src, dst))
-        self._merge_delta(delta)
-        return weight
+        return self._on(src, "edge_weight", src, dst)
 
     def degree(self, src: int) -> int:
         """Live out-degree (uncharged — a parent-local cache read)."""
@@ -535,10 +475,8 @@ class ShardedStore(RowStoreDefaults):
         src = int(src)
         if src < 0 or src >= self._n_vertices:
             raise VertexNotFoundError(src)
-        dsts, weights, delta = self._call(self._shard_of(src),
-                                          ("neighbors", src))
-        self._merge_delta(delta)
-        return dsts, weights
+        (row,) = self._on(src, "rows", [src])
+        return row
 
     def neighbors_many(
         self, active: np.ndarray
@@ -570,12 +508,11 @@ class ShardedStore(RowStoreDefaults):
         for k in range(self.config.n_shards):
             owned = active[shard_ids == k]
             if owned.size:
-                self._send(k, ("neighbors_multi", owned.tolist()))
+                self._send(k, ("rows", (owned.tolist(),), ()))
                 sent.append((k, owned))
         per_vertex: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k, owned in sent:
-            rows, delta = self._recv(k)
-            self._merge_delta(delta)
+            rows = self._take(self._recv(k))[0]
             for src, (dsts, weights) in zip(owned.tolist(), rows):
                 per_vertex[src] = (dsts, weights)
         srcs, dsts, weights = [], [], []
@@ -591,61 +528,21 @@ class ShardedStore(RowStoreDefaults):
                 np.concatenate(weights))
 
     # ------------------------------------------------------------------ #
-    # full-graph exports (shared-memory path)
+    # full-graph exports
     # ------------------------------------------------------------------ #
     def _export_shards(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Pull every shard's edge pools through shared memory.
-
-        Two phases, both scattered before gathering: *stage* (the worker
-        materializes its charged ``edge_arrays`` and reports the size)
-        and *fill* (the parent allocates one shared-memory segment per
-        shard; the worker writes its pools straight into it).  The
-        returned arrays are copies of the mapped views; the segments are
-        unlinked before returning.
-        """
-        n_shards = self.config.n_shards
-        for k in range(n_shards):
-            self._send(k, ("edge_stage",))
-        counts = []
-        for k in range(n_shards):
-            n, delta = self._recv(k)
-            self._merge_delta(delta)
-            counts.append(n)
-        out: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        filling: list[tuple[int, shm_mod.SharedMemory]] = []
-        for k, n in enumerate(counts):
-            if not n:
-                out.append((_EMPTY_I.copy(), _EMPTY_I.copy(),
-                            _EMPTY_F.copy()))
-                continue
-            seg = shm_mod.SharedMemory(create=True, size=3 * 8 * n)
-            self._send(k, ("edge_fill", seg.name))
-            filling.append((k, seg))
-            out.append(None)
-        for k, seg in filling:
-            try:
-                self._recv(k)
-                n = counts[k]
-                buf = np.ndarray((3, n), dtype=np.int64, buffer=seg.buf)
-                out[k] = (buf[0].copy(), buf[1].copy(),
-                          buf[2].copy().view(np.float64))
-            finally:
-                seg.close()
-                # When the fork-inherited resource tracker is shared with
-                # the worker, the worker's attach/unregister pair already
-                # removed this name; re-register so unlink's unregister
-                # finds it (registration is a set add — idempotent when
-                # the trackers are separate).
-                resource_tracker.register(seg._name, "shared_memory")
-                seg.unlink()
-        return out
+        """Every shard's charged ``analytics_edges`` triple, in shard
+        order: asked of every shard before any reply is read, so the
+        workers materialize their exports concurrently.  (Original ids
+        on every backend; a GraphTinker shard's ``edge_arrays`` would be
+        dense ids.)"""
+        for k in range(self.config.n_shards):
+            self._send(k, ("analytics_edges", (), ()))
+        return [self._take(self._recv(k))[0] for k in range(self.config.n_shards)]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All live edges, concatenated in shard-index order."""
-        parts = self._export_shards()
-        return (np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]))
+        return tuple(np.concatenate(column) for column in zip(*self._export_shards()))
 
     # ------------------------------------------------------------------ #
     # integrity
@@ -660,10 +557,10 @@ class ShardedStore(RowStoreDefaults):
 
         n_shards = self.config.n_shards
         for k in range(n_shards):
-            self._send(k, ("fsck", level, False))
+            self._send(k, ("fsck", (level, False), ()))
         total = 0
         for k in range(n_shards):
-            report = self._recv(k)
+            report = self._recv(k)[0]
             violations.extend(report.violations)
             total += report.n_edges
         if total != self._n_edges:
@@ -685,9 +582,9 @@ class ShardedStore(RowStoreDefaults):
         degree / edge-count caches from the repaired workers."""
         n_shards = self.config.n_shards
         for k in range(n_shards):
-            self._send(k, ("fsck", out.initial.level, True))
+            self._send(k, ("fsck", (out.initial.level, True), ()))
         for k in range(n_shards):
-            shard = self._recv(k)
+            shard = self._recv(k)[0]
             out.rebuilt_vertices += shard.rebuilt_vertices
             out.recounted_vertices += shard.recounted_vertices
             out.freed_blocks += shard.freed_blocks
@@ -720,7 +617,7 @@ def _shutdown_workers(pipes, procs) -> None:
     silent for 2 s is terminated, then killed (a stopped one ignores SIGTERM)."""
     for pipe in pipes:
         try:
-            pipe.send(("close",))
+            pipe.send(None)
         except (BrokenPipeError, OSError):
             pass
     for pipe in pipes:

@@ -563,10 +563,15 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     * copies agree on the destination → keep it, with the CAL weight
       (on a weight mismatch neither side is provably right);
-    * placement holds → keep the cell (the CAL side is wrong or absent);
+    * placement holds → keep the cell (the CAL side is wrong or absent),
+      except where an agreeing pair of the same vertex already holds the
+      cell's destination: an edge is stored once, so the copy wins;
     * placement broken, copy present → keep the copy (the cell flipped);
     * placement broken, no copy → drop the cell, unless the store has no
-      CAL at all: then keep it, and the rebuild rehashes it.
+      CAL at all: then keep it, and the rebuild rehashes it;
+    * no copy, and the pointer names a copy that a cell of that copy's
+      own vertex also names → drop the cell (its block is borrowed into
+      a second tree), whether or not its placement holds there.
 
     A live CAL copy that no cell's pointer names recovers an edge whose
     cell was lost.  Where two candidates name one ``(src, dst)``, agreeing
@@ -580,8 +585,11 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cs, cd, cw = (cal.pool.fields[k].reshape(-1) for k in ("src", "dst", "weight"))
         mine = sweep.resolves & (cs[addr] == src)
         agree = mine & (cd[addr] == dst)
-        copy = agree | (mine & ~sweep.placed)
-        keep = copy | sweep.placed
+        pair = _pair_keys(src, dst)
+        taken = np.isin(pair, pair[agree])
+        copy = agree | (mine & (~sweep.placed | (taken & ~agree)))
+        borrowed = sweep.resolves & ~mine & np.isin(addr, addr[mine])
+        keep = copy | (sweep.placed & ~borrowed)
         live = cal.live_addresses()
         lost = live[~np.isin(live, addr[sweep.resolves])]
         lost = lost[(cs[lost] >= 0) & (cs[lost] < gt.eba.n_vertices)]

@@ -156,10 +156,7 @@ def test_tree_damage_is_found_and_rebuilt(damage):
     repair = repair_graph(store)
     assert repair.ok, repair.final.summary()
     assert repair.rebuilt_vertices == list(range(store.n_vertices))
-    if damage != "second-parent":
-        # A block in two trees lends its cells to the second vertex
-        # wherever their placement happens to hold there (CHANGES.md).
-        assert edge_set(store) == reference
+    assert edge_set(store) == reference
 
 
 if __name__ == "__main__":

@@ -82,8 +82,8 @@ def test_same_seed_places_identically(factory):
     b = factory(n_shards=N_SHARDS, seed=SEED)
     a.insert_batch(edges)
     b.insert_batch(edges)
-    per_shard_a = [a._call(k, ("n_edges",)) for k in range(N_SHARDS)]
-    per_shard_b = [b._call(k, ("n_edges",)) for k in range(N_SHARDS)]
+    per_shard_a = [a._call(k, ("n_edges", (), ()))[0] for k in range(N_SHARDS)]
+    per_shard_b = [b._call(k, ("n_edges", (), ()))[0] for k in range(N_SHARDS)]
     assert per_shard_a == per_shard_b
     assert sum(per_shard_a) == a.n_edges
     # Every shard holds something on this stream — the router spreads.
@@ -96,8 +96,8 @@ def test_seed_changes_placement_not_content(factory):
     b = factory(n_shards=N_SHARDS, seed=99)
     a.insert_batch(edges)
     b.insert_batch(edges)
-    assert [a._call(k, ("n_edges",)) for k in range(N_SHARDS)] != \
-        [b._call(k, ("n_edges",)) for k in range(N_SHARDS)]
+    assert [a._call(k, ("n_edges", (), ()))[0] for k in range(N_SHARDS)] != \
+        [b._call(k, ("n_edges", (), ()))[0] for k in range(N_SHARDS)]
     assert store_digest(a) == store_digest(b)
 
 
@@ -108,7 +108,7 @@ def test_no_edge_leaks_to_non_owner_shard(factory):
     for src in np.unique(edges[:, 0])[:40].tolist():
         owner = store._shard_of(src)
         for k in range(N_SHARDS):
-            dsts, _, _ = store._call(k, ("neighbors", src))
+            (dsts, _), = store._call(k, ("rows", ([src],), ()))[0]
             if k == owner:
                 assert dsts.shape[0] == store.degree(src)
             else:
@@ -289,7 +289,7 @@ def test_sharded_interleavings_preserve_content(ops):
                 assert dict(zip(dsts.tolist(), ws.tolist())) == row
             owner = store._shard_of(v)
             for k in range(N_SHARDS):
-                dsts, _, _ = store._call(k, ("neighbors", v))
+                (dsts, _), = store._call(k, ("rows", ([v],), ()))[0]
                 expect = len(row) if k == owner else 0
                 assert dsts.shape[0] == expect, \
                     f"vertex {v}: shard {k} holds {dsts.shape[0]} edges"

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 import zipfile
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.core import sharded as sharded_mod
 from repro.core.config import ShardedConfig
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import partition_of_array
@@ -112,6 +114,26 @@ def test_killed_worker_poisons_the_whole_store(store):
     # The uncharged parent-local degree cache still answers (reads no
     # pipe), and close() remains clean.
     assert store.degree(survivor_src) >= 0
+
+
+def test_stopped_worker_fails_in_bounded_time(store, monkeypatch):
+    """A worker that never answers (SIGSTOP) is a crash once the reply
+    deadline passes, not a hang."""
+    store.insert_batch(rmat_edges(7, 600, seed=6))
+    victim = 2
+    pid = store.worker_pids[victim]
+    monkeypatch.setattr(sharded_mod, "SHARD_REPLY_TIMEOUT_S", 0.5)
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        src = next(v for v in range(200) if store._shard_of(v) == victim)
+        t0 = time.monotonic()
+        with pytest.raises(ShardCrashError, match=r"shard 2.*no reply"):
+            store.insert_edge(src, 1)
+        assert 0.5 <= time.monotonic() - t0 < 5.0
+        with pytest.raises(ShardCrashError, match=r"shard 2"):
+            store.neighbors(src)
+    finally:
+        os.kill(pid, signal.SIGKILL)
 
 
 # --------------------------------------------------------------------- #

@@ -11,6 +11,8 @@ Two properties anchor the suite:
   copies make lossless healing possible).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,24 @@ class TestCorruptionClasses:
         repair = repair_graph(gt)
         assert repair.ok, repair.final.summary()
         assert gt.n_edges == n_ref
+
+    def test_cell_duplicating_an_agreeing_pair_heals_from_its_copy(self):
+        """A main-row cell overwritten with the destination of another
+        cell of its vertex that shares its gen-0 Subblock and initial
+        bucket still places; the edge is stored once, so its CAL copy
+        wins and the lost destination comes back."""
+        gt = build(CONFIGS["default"], 11)
+        reference = edge_set(gt)
+        dst = gt.eba.main.fields["dst"]
+        v, a, b = next(
+            (v, a, b) for v in range(gt.eba.n_vertices)
+            for a, b in itertools.combinations(np.flatnonzero(dst[v] >= 0).tolist(), 2)
+            if gt.eba._tree_hash(int(dst[v, a]), 0) == gt.eba._tree_hash(int(dst[v, b]), 0))
+        dst[v, b] = dst[v, a]
+        assert verify_graph(gt, level="full").by_kind() == {
+            "duplicate-edge": 1, "cal-copy-mismatch": 1}
+        assert repair_graph(gt).ok
+        assert edge_set(gt) == reference
 
 
 class TestSghIndex:
