@@ -38,15 +38,16 @@ Architecture
   ``analytics_edges`` / digests) ask every shard for its
   ``analytics_edges`` triple before reading any reply, so the workers
   materialize their exports concurrently; the triples come back over
-  the pipes (socket buffers widened to :data:`PIPE_BUFFER_BYTES`) and
-  are concatenated in shard order.
+  the pipes and are concatenated in shard order.  A message's large
+  array buffers cross out of band (:func:`_put` / :func:`_get`):
+  written from the sender's array, read straight into the receiver's.
 * **Degree cache** — the parent mirrors per-vertex degrees (updated
   from worker responses, probed *unchanged* by snapshot/restore
   machinery), so ``degree`` and the ``gather_active_scalar`` degree
   pre-filter stay uncharged parent-local reads, exactly like the other
   backends.
 * **Failure** — a dead worker (``kill -9``, OOM), or one silent for
-  :data:`SHARD_REPLY_TIMEOUT_S`, surfaces as a typed
+  :data:`SHARD_REPLY_TIMEOUT_S` on a one-edge call, surfaces as a typed
   :class:`~repro.errors.ShardCrashError` on the next dispatch.  The
   surviving shards are intact; the service layer recovers by replaying
   the crashed shard's own WAL segments (see docs/sharding.md).
@@ -60,7 +61,7 @@ Observability (when :mod:`repro.obs` is enabled): per-shard gauges
 from __future__ import annotations
 
 import os
-import select
+import pickle
 import socket
 import time
 import weakref
@@ -80,17 +81,52 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
 
-#: Longest a parent waits for one shard reply before the worker counts as
-#: hung: then :class:`~repro.errors.ShardCrashError` poisons the store.
-#: The slowest reply seen in the tier-1 suite, ``bench_sharded_ingest``
-#: and ``bench_fig10_multicore`` took 0.38 s (a Fig. 10 batch on a
-#: 2-core host); the deadline is over 10x that and at least 60 s.
+#: Longest a parent waits for the reply to a one-edge call
+#: (``insert_edge`` / ``delete_edge`` / ``edge_weight``) before the worker
+#: counts as hung: then :class:`~repro.errors.ShardCrashError` poisons the
+#: store.  The slowest such reply seen in the tier-1 suite,
+#: ``bench_sharded_ingest`` and ``bench_fig10_multicore`` took 8.6 ms
+#: (2-core host); the deadline is over 10x that and at least 60 s.  Calls
+#: whose run time grows with the data (batches, exports, ``fsck``, row
+#: walks, ``delete_vertex``) have no deadline: they wait for the worker,
+#: and a dead one still ends the wait.
 SHARD_REPLY_TIMEOUT_S = 60.0
 
-#: Socket buffer asked for on each pipe end, so a bulk reply (an export's
-#: triples) crosses in few wakeups; the kernel caps it at
-#: ``net.core.wmem_max`` / ``rmem_max``.
-PIPE_BUFFER_BYTES = 4 << 20
+#: Array buffers at least this large cross a pipe out of band, not
+#: copied into the pickle; smaller ones (a per-op row) ride inside it.
+OOB_BYTES = 1 << 16
+
+
+def _put(conn, sock, obj) -> None:
+    """Send ``obj`` as one protocol-5 pickle, then each of its
+    out-of-band buffers raw over ``sock`` (a duplicate of ``conn``'s
+    socket), each after its 8-byte length."""
+    bufs = []
+    conn.send_bytes(pickle.dumps(obj, protocol=5, buffer_callback=lambda b: (
+        b.raw().nbytes < OOB_BYTES or bufs.append(b.raw()))))
+    for buf in bufs:
+        sock.sendall(buf.nbytes.to_bytes(8, "little"))
+        sock.sendall(buf)
+
+
+def _get(conn, sock):
+    """Receive what :func:`_put` sent; the unpickler pulls each buffer
+    off ``sock`` as it reaches it, into a fresh array."""
+    def fill(buf):
+        view = memoryview(buf).cast("B")
+        while view.nbytes:
+            got = sock.recv_into(view)
+            if not got:
+                raise EOFError("pipe closed mid-message")
+            view = view[got:]
+        return buf
+
+    def buffers():
+        while True:
+            size = int.from_bytes(fill(bytearray(8)), "little")
+            yield fill(np.empty(size, dtype=np.uint8))
+
+    return pickle.loads(conn.recv_bytes(), buffers=buffers())
 
 
 def _shard_worker(conn, backend: str, shard_index: int) -> None:
@@ -100,33 +136,37 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
     ``method(*args)`` (or one of the adapters below) and replies
     ``(True, (result, delta, (srcs, degrees)))``: the call's charged
     AccessStats delta, and the degrees of the distinct ``touched``
-    sources.  A failure replies ``(False, exception)``; the parent
-    re-raises transported exceptions verbatim.  Degree probes run under
-    a stats snapshot/restore so they can never perturb the charged
-    delta, whatever the inner backend charges for ``degree``.  ``None``
-    stops the worker.
+    sources (``True``: a batch's own source column).  A failure replies
+    ``(False, exception)``; the parent re-raises transported exceptions
+    verbatim.  Degree probes run under a stats snapshot/restore so they
+    can never perturb the charged delta, whatever the inner backend
+    charges for ``degree``.  ``None`` stops the worker.
     """
     from repro.core.store import create_store
 
     inner = create_store(backend)
+    sock = socket.socket(fileno=os.dup(conn.fileno()))
 
     def rows(srcs):
         # The scatter half of a frontier gather (and ``neighbors``): one
-        # charged walk per source, empty for a source never seen here.
-        out = []
+        # charged walk per source, none for a source never seen here,
+        # returned as one (src, dst, weight) triple in ``srcs`` order.
+        out = [(_EMPTY_I, _EMPTY_I, _EMPTY_F)]
         for src in srcs:
             try:
-                out.append(inner.neighbors(src))
+                dsts, weights = inner.neighbors(src)
             except VertexNotFoundError:
-                out.append((_EMPTY_I, _EMPTY_F))
-        return out
+                continue
+            out.append((np.full(dsts.shape[0], src, dtype=np.int64), dsts, weights))
+        return tuple(np.concatenate(column) for column in zip(*out))
 
-    def degrees(touched):
-        # A batch's source column (its distinct sources are found here,
-        # in the worker) or a list of sources; a list stays a list, as
-        # pickling a small array costs more than most calls.
-        if isinstance(touched, np.ndarray):
-            touched = np.unique(touched)
+    def degrees(touched, args):
+        # ``True`` names a batch's source column, ``args[0][:, 0]`` (its
+        # distinct sources are found here, in the worker); otherwise a
+        # list of sources, as pickling a small array costs more than
+        # most calls.
+        if touched is True:
+            touched = np.unique(args[0][:, 0])
         if not len(touched):
             return touched, ()
         mid = inner.stats.snapshot()
@@ -144,7 +184,7 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
 
     while True:
         try:
-            msg = conn.recv()
+            msg = _get(conn, sock)
         except (EOFError, OSError):
             break
         if msg is None:
@@ -155,12 +195,13 @@ def _shard_worker(conn, backend: str, shard_index: int) -> None:
             result = (adapters.get(method) or getattr(inner, method))(*args)
             delta = inner.stats.delta(before)
             delta = tuple(getattr(delta, f) for f in _FIELDS)
-            conn.send((True, (result, delta, degrees(touched))))
+            _put(conn, sock, (True, (result, delta, degrees(touched, args))))
         except BaseException as exc:  # transported to the parent
             try:
-                conn.send((False, exc))
+                _put(conn, sock, (False, exc))
             except (BrokenPipeError, OSError):
                 break
+    sock.close()
     conn.close()
 
 
@@ -214,14 +255,10 @@ class ShardedStore(RowStoreDefaults):
 
         ctx = get_context("fork")
         self._pipes = []
+        self._socks = []  # a socket on each pipe's fd, for raw buffers
         self._procs = []
-        self._pollers = []  # one per pipe: cheaper than Connection.poll
         for k in range(self.config.n_shards):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
-            for conn in (parent_conn, child_conn):
-                with socket.socket(fileno=os.dup(conn.fileno())) as sock:
-                    for opt in (socket.SO_SNDBUF, socket.SO_RCVBUF):
-                        sock.setsockopt(socket.SOL_SOCKET, opt, PIPE_BUFFER_BYTES)
             proc = ctx.Process(
                 target=_shard_worker,
                 args=(child_conn, self.config.backend, k),
@@ -229,11 +266,10 @@ class ShardedStore(RowStoreDefaults):
             proc.start()
             child_conn.close()
             self._pipes.append(parent_conn)
+            self._socks.append(socket.socket(fileno=os.dup(parent_conn.fileno())))
             self._procs.append(proc)
-            self._pollers.append(select.poll())
-            self._pollers[-1].register(parent_conn.fileno(), select.POLLIN)
         self._finalizer = weakref.finalize(
-            self, _shutdown_workers, self._pipes, self._procs)
+            self, _shutdown_workers, self._pipes, self._socks, self._procs)
         if self.config.snapshot:
             self.enable_snapshot()
 
@@ -257,7 +293,7 @@ class ShardedStore(RowStoreDefaults):
         """
         proc = self._procs[shard]
         err = ShardCrashError(
-            f"shard {shard} worker (pid {proc.pid}) lost "
+            f"shard {shard} worker (pid {proc.pid}) died "
             f"(exitcode {proc.exitcode}): {exc}")
         if self._crashed is None:
             self._crashed = err
@@ -267,27 +303,29 @@ class ShardedStore(RowStoreDefaults):
         if self._crashed is not None:
             raise self._crashed
         try:
-            self._pipes[shard].send(msg)
+            _put(self._pipes[shard], self._socks[shard], msg)
         except (BrokenPipeError, OSError) as exc:
             raise self._crash(shard, exc) from None
 
-    def _recv(self, shard: int):
-        """One reply ``(result, delta, (srcs, degrees))`` from ``shard``."""
+    def _recv(self, shard: int, bounded: bool = False):
+        """One reply ``(result, delta, (srcs, degrees))`` from ``shard``;
+        a ``bounded`` call waits at most :data:`SHARD_REPLY_TIMEOUT_S`."""
         if self._crashed is not None:
             raise self._crashed
+        pipe = self._pipes[shard]
         try:
-            if not self._pollers[shard].poll(SHARD_REPLY_TIMEOUT_S * 1000):
+            if bounded and not pipe.poll(SHARD_REPLY_TIMEOUT_S):
                 raise TimeoutError(f"no reply in {SHARD_REPLY_TIMEOUT_S} s")
-            ok, payload = self._pipes[shard].recv()
+            ok, payload = _get(pipe, self._socks[shard])
         except (EOFError, OSError) as exc:
             raise self._crash(shard, exc) from None
         if not ok:
             raise payload
         return payload
 
-    def _call(self, shard: int, msg: tuple):
+    def _call(self, shard: int, msg: tuple, bounded: bool = False):
         self._send(shard, msg)
-        return self._recv(shard)
+        return self._recv(shard, bounded)
 
     def _take(self, reply) -> tuple:
         """Fold a reply's degrees into the cache and its delta into
@@ -296,16 +334,14 @@ class ShardedStore(RowStoreDefaults):
         if len(srcs):
             self._ensure_vertex(int(srcs[-1]))
             self._degree[srcs] = degrees
-        return result, self._merge_delta(delta), srcs
+        delta = AccessStats(*delta)
+        self.stats.merge(delta)
+        return result, delta, srcs
 
-    def _on(self, src: int, method: str, *args, touched=()):
+    def _on(self, src: int, method: str, *args, touched=(), bounded=False):
         """``method(*args)`` on ``src``'s home shard; returns its result."""
-        return self._take(self._call(self._shard_of(src), (method, args, touched)))[0]
-
-    def _merge_delta(self, delta: tuple[int, ...]) -> AccessStats:
-        stats = AccessStats(*delta)
-        self.stats.merge(stats)
-        return stats
+        shard = self._shard_of(src)
+        return self._take(self._call(shard, (method, args, touched), bounded))[0]
 
     def _shard_of(self, src: int) -> int:
         return partition_of(src, self.config.n_shards, self.config.seed)
@@ -343,7 +379,8 @@ class ShardedStore(RowStoreDefaults):
         if src < 0 or dst < 0:
             raise ValueError(
                 f"vertex ids must be non-negative, got ({src}, {dst})")
-        is_new = self._on(src, "insert_edge", src, dst, weight, touched=[src])
+        is_new = self._on(src, "insert_edge", src, dst, weight,
+                          touched=[src], bounded=True)
         if is_new:
             self._n_edges += 1
         self._mark_dirty(src)
@@ -353,7 +390,8 @@ class ShardedStore(RowStoreDefaults):
         src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
             return False
-        existed = self._on(src, "delete_edge", src, dst, touched=[src])
+        existed = self._on(src, "delete_edge", src, dst, touched=[src],
+                           bounded=True)
         if existed:
             self._n_edges -= 1
             self._mark_dirty(src)
@@ -391,7 +429,7 @@ class ShardedStore(RowStoreDefaults):
                 continue
             sub = edges[mask]
             args = (sub,) if weights is None else (sub, weights[mask])
-            self._send(k, (cmd, args, sub[:, 0]))
+            self._send(k, (cmd, args, True))
             sent.append((k, int(sub.shape[0])))
             if publish:
                 self._shard_gauge(k, "queue_depth", int(sub.shape[0]))
@@ -463,7 +501,7 @@ class ShardedStore(RowStoreDefaults):
         src, dst = int(src), int(dst)
         if src < 0 or src >= self._n_vertices or dst < 0:
             return None
-        return self._on(src, "edge_weight", src, dst)
+        return self._on(src, "edge_weight", src, dst, bounded=True)
 
     def degree(self, src: int) -> int:
         """Live out-degree (uncharged — a parent-local cache read)."""
@@ -475,8 +513,8 @@ class ShardedStore(RowStoreDefaults):
         src = int(src)
         if src < 0 or src >= self._n_vertices:
             raise VertexNotFoundError(src)
-        (row,) = self._on(src, "rows", [src])
-        return row
+        _, dsts, weights = self._on(src, "rows", [src])
+        return dsts, weights
 
     def neighbors_many(
         self, active: np.ndarray
@@ -485,10 +523,11 @@ class ShardedStore(RowStoreDefaults):
 
         Sanitizes like every backend (sorted unique, negatives dropped),
         scatters each shard its owned sources (sorted sub-order), then
-        reassembles the per-vertex rows **in global sorted-source
-        order** — exactly the triples and exactly the summed charges of
-        the serial :func:`~repro.engine.snapshot.gather_active_scalar`
-        loop.  Served from the CSR snapshot instead when one is attached.
+        stable-sorts the gathered rows by source, which restores **global
+        sorted-source order** with every row intact — exactly the triples
+        and exactly the summed charges of the serial
+        :func:`~repro.engine.snapshot.gather_active_scalar` loop.  Served
+        from the CSR snapshot instead when one is attached.
         """
         from repro.engine.snapshot import sanitize_active
 
@@ -498,34 +537,20 @@ class ShardedStore(RowStoreDefaults):
         # The uncharged degree pre-filter of the scalar loop, vectorized
         # against the parent-local degree cache.
         active = active[active < self._n_vertices]
-        if active.size:
-            active = active[self._degree[active] > 0]
-        if not active.size:
-            return _EMPTY_I.copy(), _EMPTY_I.copy(), _EMPTY_F.copy()
+        active = active[self._degree[active] > 0]
         shard_ids = partition_of_array(active, self.config.n_shards,
                                        self.config.seed)
-        sent: list[tuple[int, np.ndarray]] = []
+        sent: list[int] = []
         for k in range(self.config.n_shards):
             owned = active[shard_ids == k]
             if owned.size:
                 self._send(k, ("rows", (owned.tolist(),), ()))
-                sent.append((k, owned))
-        per_vertex: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for k, owned in sent:
-            rows = self._take(self._recv(k))[0]
-            for src, (dsts, weights) in zip(owned.tolist(), rows):
-                per_vertex[src] = (dsts, weights)
-        srcs, dsts, weights = [], [], []
-        for src in active.tolist():
-            d, w = per_vertex[src]
-            if d.shape[0]:
-                srcs.append(np.full(d.shape[0], src, dtype=np.int64))
-                dsts.append(d)
-                weights.append(w)
-        if not srcs:
-            return _EMPTY_I.copy(), _EMPTY_I.copy(), _EMPTY_F.copy()
-        return (np.concatenate(srcs), np.concatenate(dsts),
-                np.concatenate(weights))
+                sent.append(k)
+        parts = [(_EMPTY_I, _EMPTY_I, _EMPTY_F)]
+        parts += [self._take(self._recv(k))[0] for k in sent]
+        src, dst, weight = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(src, kind="stable")
+        return src[order], dst[order], weight[order]
 
     # ------------------------------------------------------------------ #
     # full-graph exports
@@ -609,17 +634,18 @@ class ShardedStore(RowStoreDefaults):
             return
         self._closed = True
         self._finalizer.detach()
-        _shutdown_workers(self._pipes, self._procs)
+        _shutdown_workers(self._pipes, self._socks, self._procs)
 
 
-def _shutdown_workers(pipes, procs) -> None:
+def _shutdown_workers(pipes, socks, procs) -> None:
     """Best-effort, bounded worker teardown (also the GC finalizer): a worker
     silent for 2 s is terminated, then killed (a stopped one ignores SIGTERM)."""
-    for pipe in pipes:
+    for pipe, sock in zip(pipes, socks):
         try:
-            pipe.send(None)
+            _put(pipe, sock, None)
         except (BrokenPipeError, OSError):
             pass
+        sock.close()
     for pipe in pipes:
         try:
             if pipe.poll(2.0):

@@ -44,7 +44,7 @@ class TestPartitioning:
         store.insert_batch(random_edges)
         for s in np.unique(random_edges[:, 0]).tolist():
             holders = [k for k in range(4)
-                       if store._call(k, ("rows", ([s],), ()))[0][0][0].shape[0]]
+                       if store._call(k, ("rows", ([s],), ()))[0][0].shape[0]]
             assert holders == [store._shard_of(s)]
 
     def test_rejects_bad_partition_count(self):

@@ -32,6 +32,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import sharded as sharded_mod
 from repro.core.config import ShardedConfig
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import partition_of, partition_of_array
@@ -108,7 +109,7 @@ def test_no_edge_leaks_to_non_owner_shard(factory):
     for src in np.unique(edges[:, 0])[:40].tolist():
         owner = store._shard_of(src)
         for k in range(N_SHARDS):
-            (dsts, _), = store._call(k, ("rows", ([src],), ()))[0]
+            _, dsts, _ = store._call(k, ("rows", ([src],), ()))[0]
             if k == owner:
                 assert dsts.shape[0] == store.degree(src)
             else:
@@ -136,6 +137,29 @@ def test_digest_invariant_under_shard_count(factory):
         store.delete_batch(dels)
         assert store_digest(store) == want, f"n_shards={n_shards}"
         assert store.n_edges == plain.n_edges
+
+
+def test_out_of_band_buffers_change_nothing(factory, monkeypatch):
+    """With every array buffer sent out of band (threshold 0, so empty
+    ones too) content, answers and charges equal the default threshold's,
+    under which this stream's small buffers ride inside the pickle."""
+    edges = _stream(1_200)
+    weights = np.random.default_rng(3).random(edges.shape[0])
+    default = factory(n_shards=N_SHARDS, seed=SEED)
+    monkeypatch.setattr(sharded_mod, "OOB_BYTES", 0)
+    raw = factory(n_shards=N_SHARDS, seed=SEED)  # workers fork patched
+    everyone = np.arange(130, dtype=np.int64)
+    for store in (default, raw):
+        store.insert_batch(edges, weights)
+        store.delete_batch(edges[::5])
+    assert store_digest(raw) == store_digest(default)
+    for g, w in zip(raw.neighbors_many(everyone),
+                    default.neighbors_many(everyone)):
+        assert np.array_equal(g, w)
+    for v in np.unique(edges[:, 0])[:20].tolist():
+        for g, w in zip(raw.neighbors(v), default.neighbors(v)):
+            assert np.array_equal(g, w)
+    assert raw.stats.as_dict() == default.stats.as_dict()
 
 
 # --------------------------------------------------------------------- #
@@ -289,7 +313,7 @@ def test_sharded_interleavings_preserve_content(ops):
                 assert dict(zip(dsts.tolist(), ws.tolist())) == row
             owner = store._shard_of(v)
             for k in range(N_SHARDS):
-                (dsts, _), = store._call(k, ("rows", ([v],), ()))[0]
+                _, dsts, _ = store._call(k, ("rows", ([v],), ()))[0]
                 expect = len(row) if k == owner else 0
                 assert dsts.shape[0] == expect, \
                     f"vertex {v}: shard {k} holds {dsts.shape[0]} edges"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import zipfile
 
@@ -134,6 +135,43 @@ def test_stopped_worker_fails_in_bounded_time(store, monkeypatch):
             store.neighbors(src)
     finally:
         os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("call", ["insert_batch", "edge_arrays", "repair",
+                                  "neighbors_many", "delete_vertex"])
+def test_slow_bulk_call_outlives_the_reply_deadline(store, monkeypatch, call):
+    """Calls whose run time grows with the data (batches, exports, repair,
+    row walks) wait for a slow worker past the one-edge reply deadline."""
+    edges = rmat_edges(7, 600, seed=6)
+    victim = 2
+    src = next(v for v in edges[:, 0].tolist() if store._shard_of(v) == victim)
+    ref = GraphTinker()
+    ref.insert_batch(edges)
+    if call != "insert_batch":
+        store.insert_batch(edges)
+    if call == "delete_vertex":
+        ref.delete_vertex(src)
+    run = {
+        "insert_batch": lambda: store.insert_batch(edges),
+        "edge_arrays": store.edge_arrays,
+        "repair": lambda: store.fsck(repair=True),
+        "neighbors_many": lambda: store.neighbors_many(
+            np.arange(store.n_vertices)),
+        "delete_vertex": lambda: store.delete_vertex(src),
+    }[call]
+    pid = store.worker_pids[victim]
+    monkeypatch.setattr(sharded_mod, "SHARD_REPLY_TIMEOUT_S", 0.1)
+    os.kill(pid, signal.SIGSTOP)
+    resume = threading.Timer(0.6, os.kill, (pid, signal.SIGCONT))
+    resume.start()
+    try:
+        t0 = time.monotonic()
+        run()
+        assert time.monotonic() - t0 >= 0.5
+    finally:
+        resume.cancel()
+        os.kill(pid, signal.SIGCONT)
+    assert store_digest(store) == store_digest(ref)
 
 
 # --------------------------------------------------------------------- #
