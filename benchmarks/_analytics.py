@@ -14,10 +14,11 @@ from typing import Callable
 import numpy as np
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_after_each_batch, make_store
+from repro.bench.harness import analytics_after_each_batch
 from repro.bench.reporting import Table
 from repro.core.config import EngineConfig
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.workloads.streams import highest_degree_roots, symmetrize
 
 from _common import emit, stream_for
@@ -68,7 +69,7 @@ def run_figure(program_factory: Callable, needs_roots: bool, undirected: bool,
             from repro.workloads.streams import EdgeStream
 
             stream = EdgeStream(edges, max(1, edges.shape[0] // 4))
-            store = make_store(kind)
+            store = create_store(kind)
             measurements = analytics_after_each_batch(
                 store, stream, program_factory, policy, roots=roots,
                 weights=weights, engine_kwargs={"config": engine_cfg},

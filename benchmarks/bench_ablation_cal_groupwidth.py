@@ -19,9 +19,10 @@ groups, saturating once tails amortise.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.streams import highest_degree_roots
 
@@ -35,7 +36,7 @@ def run_all():
     stream = stream_for("rmat_1m_10m", n_batches=1)
     root = int(highest_degree_roots(stream.edges, 1)[0])
     for width in WIDTHS:
-        store = make_store("graphtinker", GTConfig(cal_group_width=width))
+        store = create_store("graphtinker", GTConfig(cal_group_width=width))
         store.insert_batch(stream.edges)
         fill = store.cal.fill_fraction()
         blocks = store.cal.n_blocks

@@ -18,8 +18,9 @@ must not hinge on the default coefficients.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 from repro.workloads.streams import highest_degree_roots
 from repro.engine.algorithms import BFS
 
@@ -40,7 +41,7 @@ def run_all(model: CostModel = DEFAULT_COST_MODEL):
     root = int(highest_degree_roots(stream.edges, 1)[0])
     out = {}
     for kind in CONFIGS:
-        store = make_store(kind)
+        store = create_store(kind)
         store.insert_batch(stream.edges)
         store.stats.reset()
         m = analytics_once(store, BFS, "full", roots=[root])

@@ -13,9 +13,10 @@ trade-off: Workblock *fetch counts* fall as Workblocks widen, while
 import pytest
 
 from repro.bench.costmodel import CostModel
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 
 from _common import emit, stream_for
 
@@ -26,7 +27,7 @@ def run_all():
     out = {}
     for wb in WORKBLOCKS:
         stream = stream_for("hollywood_like", n_batches=2)
-        store = make_store("graphtinker", GTConfig(workblock=wb))
+        store = create_store("graphtinker", GTConfig(workblock=wb))
         measurements = insertion_run(store, stream)
         fetches = sum(m.stats_delta.workblock_fetches for m in measurements)
         # DRAM transfer: a Workblock fetch moves `wb` cells regardless of

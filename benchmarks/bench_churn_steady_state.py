@@ -19,10 +19,11 @@ Expected shapes:
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.churn import sliding_window
 from repro.workloads.streams import highest_degree_roots
@@ -37,7 +38,7 @@ MECHANISMS = [
 
 
 def run_mechanism(label, kind, cfg, edges, window, step):
-    store = make_store(kind, gt_config=cfg)
+    store = create_store(kind, cfg)
     churn_stats = AccessStats()
     ops = 0
     for churn_step in sliding_window(edges, window, step):

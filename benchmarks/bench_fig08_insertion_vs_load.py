@@ -13,9 +13,10 @@ widening as load grows; STINGER degrades far faster.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.metrics import load_stability
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 
 from _common import emit, emit_line, stream_for
 
@@ -27,7 +28,7 @@ def run_all():
     results = {}
     for kind in SYSTEMS:
         stream = stream_for("hollywood_like", n_batches=8)
-        store = make_store(kind)
+        store = create_store(kind)
         results[kind] = insertion_run(store, stream)
     return results
 

@@ -10,9 +10,10 @@ degree; GraphTinker's descent is logarithmic).
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.reporting import Table
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.workloads.datasets import DATASET_ORDER
 
 from _common import edge_budget, emit, stream_for
@@ -23,7 +24,7 @@ def run_all():
     for dataset in DATASET_ORDER:
         for kind in ("graphtinker", "stinger"):
             stream = stream_for(dataset, n_batches=4)
-            store = make_store(kind)
+            store = create_store(kind)
             measurements = insertion_run(store, stream)
             merged = AccessStats()
             for m in measurements:

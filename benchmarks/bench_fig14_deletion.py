@@ -14,9 +14,10 @@ beat STINGER.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import deletion_run, make_store
+from repro.bench.harness import deletion_run
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 
 from _common import emit, stream_for
 
@@ -31,7 +32,7 @@ def run_all():
     out = {}
     for label, kind, cfg in SYSTEMS:
         stream = stream_for("rmat_2m_32m", n_batches=8)
-        store = make_store(kind, gt_config=cfg)
+        store = create_store(kind, cfg)
         store.insert_batch(stream.edges)
         store.stats.reset()
         measurements = deletion_run(store, stream, seed=3)

@@ -15,9 +15,10 @@ retrieval path while the live edge count shrinks; both beat STINGER.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.streams import highest_degree_roots
 
@@ -36,7 +37,7 @@ def run_all():
     for label, kind, cfg in SYSTEMS:
         stream = stream_for("rmat_2m_32m", n_batches=N_BATCHES)
         root = int(highest_degree_roots(stream.edges, 1)[0])
-        store = make_store(kind, gt_config=cfg)
+        store = create_store(kind, cfg)
         store.insert_batch(stream.edges)
         series = []
         for batch in stream.delete_batches(seed=3):

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS, SSSP, ConnectedComponents
 from repro.workloads.streams import EdgeStream, highest_degree_roots, symmetrize
 
@@ -38,7 +39,7 @@ def run_all():
             if algo_name == "SSSP" else None
         )
         for label, kind, cfg in MECHANISMS:
-            store = make_store(kind, gt_config=cfg)
+            store = create_store(kind, cfg)
             store.insert_batch(stream.edges, weights)
             series = []
             for batch in stream.delete_batches(seed=3):

@@ -13,10 +13,11 @@ PW=256 the most stable.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.metrics import load_stability
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 
 from _common import emit, stream_for
 
@@ -27,7 +28,7 @@ def run_all():
     out = {}
     for pw in PAGEWIDTHS:
         stream = stream_for("hollywood_like", n_batches=6)
-        store = make_store("graphtinker", GTConfig(pagewidth=pw))
+        store = create_store("graphtinker", GTConfig(pagewidth=pw))
         ms = insertion_run(store, stream)
         out[pw] = [m.modeled_throughput(MODEL) for m in ms]
     return out

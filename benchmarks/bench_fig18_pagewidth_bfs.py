@@ -14,9 +14,10 @@ analytics throughput.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.streams import highest_degree_roots
 
@@ -30,7 +31,7 @@ def run_all():
     stream = stream_for("hollywood_like", n_batches=1)
     root = int(highest_degree_roots(stream.edges, 1)[0])
     for pw in PAGEWIDTHS:
-        store = make_store("graphtinker", GTConfig(pagewidth=pw))
+        store = create_store("graphtinker", GTConfig(pagewidth=pw))
         store.insert_batch(stream.edges)
         store.stats.reset()
         m = analytics_once(store, BFS, "incremental", roots=[root])

@@ -23,9 +23,10 @@ import numpy as np
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
+from repro.core.store import create_store
 from repro.workloads.streams import highest_degree_roots, interleaved_schedule
 from repro.engine.algorithms import BFS
 
@@ -46,7 +47,7 @@ def run_experiment(dataset: str, pagewidth: int, updates: int, analytics: int) -
     """Total modeled time of one update/analytics-mix experiment."""
     stream = stream_for(dataset, n_batches=6)
     roots = highest_degree_roots(stream.edges, 20)
-    store = make_store("graphtinker", GTConfig(pagewidth=pagewidth))
+    store = create_store("graphtinker", GTConfig(pagewidth=pagewidth))
     schedule = dict(interleaved_schedule(stream.n_batches, updates, analytics))
     total_cost = 0.0
     root_cycle = 0

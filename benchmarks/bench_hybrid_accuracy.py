@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
 from repro.core.config import EngineConfig
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.engine import HybridEngine
 from repro.engine.algorithms import BFS, ConnectedComponents
 from repro.engine.modes import FULL, INCREMENTAL
@@ -48,7 +48,7 @@ def run_policy(policy: str, program_cls, undirected: bool):
 
     stream = EdgeStream(edges, max(1, edges.shape[0] // 4))
     roots = None if undirected else [int(highest_degree_roots(edges, 1)[0])]
-    store = make_store("graphtinker")
+    store = create_store("graphtinker")
     cfg = EngineConfig(threshold=MODEL.hybrid_threshold())
     merged = AccessStats()
     work = 0

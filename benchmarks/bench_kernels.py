@@ -20,11 +20,12 @@ batch-by-batch, then deleted in seeded-shuffled batches of the same size
 import gc
 import os
 import time
+from functools import partial
 
 import pytest
 
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
 
@@ -51,13 +52,15 @@ def _timed(store_op, batches) -> float:
 def _ingest_then_delete(kernel: str) -> dict:
     edges = rmat_edges(SCALE, N_EDGES, seed=7)
     stream = EdgeStream(edges, max(1, N_EDGES // N_BATCHES))
-    store = make_store("graphtinker", kernel=kernel)
-    t_insert = _timed(store.insert_batch, stream.insert_batches())
+    store = create_store("graphtinker")
+    t_insert = _timed(partial(store.insert_batch, kernel=kernel),
+                      stream.insert_batches())
     loaded = {
         "edges": sorted(zip(*(a.tolist() for a in store.edge_arrays()))),
         "stats": store.stats.as_dict(),
     }
-    t_delete = _timed(store.delete_batch, stream.delete_batches(seed=7))
+    t_delete = _timed(partial(store.delete_batch, kernel=kernel),
+                      stream.delete_batches(seed=7))
     return {"t_insert": t_insert, "t_delete": t_delete, "loaded": loaded,
             "emptied_stats": store.stats.as_dict(), "n_left": store.n_edges}
 
@@ -67,9 +70,9 @@ def run_all():
     # on a small prefix so the timed runs compare kernels, not cold starts.
     prefix = rmat_edges(SCALE, 5_000, seed=3)
     for kernel in ("scalar", "vector"):
-        warm = make_store("graphtinker", kernel=kernel)
-        warm.insert_batch(prefix)
-        warm.delete_batch(prefix)
+        warm = create_store("graphtinker")
+        warm.insert_batch(prefix, kernel=kernel)
+        warm.delete_batch(prefix, kernel=kernel)
     return {kernel: _ingest_then_delete(kernel) for kernel in ("scalar", "vector")}
 
 

@@ -23,8 +23,8 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
 
@@ -40,7 +40,7 @@ OVERHEAD_MAX = float(os.environ.get("REPRO_OBS_OVERHEAD_MAX", "0.10"))
 def _ingest_once(enabled: bool) -> float:
     edges = rmat_edges(SCALE, N_EDGES, seed=7)
     stream = EdgeStream(edges, max(1, N_EDGES // N_BATCHES))
-    store = make_store("graphtinker")
+    store = create_store("graphtinker")
     gc.collect()
     gc.disable()
     try:
@@ -55,7 +55,7 @@ def _ingest_once(enabled: bool) -> float:
 
 def run_all():
     # Warm the path (allocator pools, lazy obs imports) before timing.
-    warm = make_store("graphtinker")
+    warm = create_store("graphtinker")
     with obs.enabled_scope(True):
         warm.insert_batch(rmat_edges(SCALE, 5_000, seed=3))
     obs.get_registry().reset()

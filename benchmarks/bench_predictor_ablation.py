@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
 from repro.core.config import EngineConfig
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.engine import BFS, HybridEngine
 from repro.workloads.streams import EdgeStream, highest_degree_roots
 
@@ -33,7 +33,7 @@ def run_predictor(predictor: str):
         else MODEL.hybrid_threshold_degree(avg_degree)
     )
     cfg = EngineConfig(predictor=predictor, threshold=threshold)
-    store = make_store("graphtinker")
+    store = create_store("graphtinker")
     merged = AccessStats()
     work = 0
     flips = 0

@@ -24,10 +24,11 @@ compact copy incrementally.
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
 from repro.baselines import CSRRebuildStore
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.streams import highest_degree_roots
 
@@ -57,7 +58,7 @@ def run_all():
     for kind in ("graphtinker", "csr", "stinger"):
         stream = stream_for("rmat_1m_10m", n_batches=6)
         root = int(highest_degree_roots(stream.edges, 1)[0])
-        store = CSRRebuildStore() if kind == "csr" else make_store(kind)
+        store = CSRRebuildStore() if kind == "csr" else create_store(kind)
         out[kind] = run_store(store, stream, root)
     return out
 

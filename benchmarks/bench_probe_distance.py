@@ -11,21 +11,21 @@ bucketed by vertex degree.
 import numpy as np
 import pytest
 
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
 from repro.core.probes import (
     degree_vs_probe_curve,
     graphtinker_probe_summary,
     stinger_probe_summary,
 )
+from repro.core.store import create_store
 
 from _common import emit, stream_for
 
 
 def run_all():
     stream = stream_for("hollywood_like", n_batches=1)
-    gt = make_store("graphtinker")
-    st = make_store("stinger")
+    gt = create_store("graphtinker")
+    st = create_store("stinger")
     gt.insert_batch(stream.edges)
     st.insert_batch(stream.edges)
     return {

@@ -14,9 +14,10 @@ comparison at three scale factors and checks the invariants:
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.reporting import Table
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.workloads import load_dataset
 from repro.workloads.streams import EdgeStream
 
@@ -30,7 +31,7 @@ def run_factor(factor: float) -> dict[str, float]:
     stream = EdgeStream(edges, max(1, edges.shape[0] // 6))
     out = {}
     for kind in ("graphtinker", "stinger"):
-        store = make_store(kind)
+        store = create_store(kind)
         measurements = insertion_run(store, EdgeStream(edges, stream.batch_size))
         merged = AccessStats()
         for m in measurements:

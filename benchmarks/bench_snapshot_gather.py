@@ -32,8 +32,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.engine.hybrid import HybridEngine
 from repro.workloads import rmat_edges
@@ -57,7 +57,7 @@ def _frontier_sweep(system: str, snapshot: bool):
     snapshot must patch those and serve the rest from cache)."""
     edges = rmat_edges(SCALE, N_EDGES, seed=7)
     roots = [int(r) for r in highest_degree_roots(edges, N_ROOTS)]
-    store = make_store(system, snapshot=snapshot)
+    store = create_store(system, snapshot=snapshot)
     store.insert_batch(edges)
     churn = rmat_edges(SCALE, CHURN_EDGES * N_CHURN_ROUNDS, seed=11)
 
@@ -97,7 +97,7 @@ def run_all():
     for system in ("graphtinker", "stinger"):
         # Warm both paths (lazy imports, allocator pools) on a small prefix.
         for snapshot in (False, True):
-            warm = make_store(system, snapshot=snapshot)
+            warm = create_store(system, snapshot=snapshot)
             warm.insert_batch(rmat_edges(SCALE, 2_000, seed=3))
             eng = HybridEngine(warm, BFS(), policy="incremental")
             eng.reset(roots=[0])

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import make_store
 from repro.bench.reporting import Table
 from repro.core.config import GTConfig
 from repro.core.stats import AccessStats
+from repro.core.store import create_store
 from repro.engine import modes
 
 from _common import emit, stream_for
@@ -39,7 +39,7 @@ def run_all():
     out = {}
     for pw in (16, 64, 256):
         stream = stream_for("rmat_1m_10m", n_batches=1)
-        store = make_store("graphtinker", GTConfig(pagewidth=pw))
+        store = create_store("graphtinker", GTConfig(pagewidth=pw))
         store.insert_batch(stream.edges)
         store.stats.reset()
         out[(pw, "EC")] = measure_load(store, modes.load_edges_full)

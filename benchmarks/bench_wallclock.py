@@ -22,8 +22,9 @@ import time
 
 import pytest
 
-from repro.bench.harness import analytics_once, make_store
+from repro.bench.harness import analytics_once
 from repro.bench.reporting import Table
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads.streams import highest_degree_roots
 
@@ -38,7 +39,7 @@ def run_all():
 
     # --- insertion: wall-clock AND modeled -------------------------------
     for kind in ("graphtinker", "stinger"):
-        store = make_store(kind)
+        store = create_store(kind)
         t0 = time.perf_counter()
         store.insert_batch(stream.edges)
         out[("insert-wall", kind)] = stream.n_edges / (time.perf_counter() - t0)
@@ -47,7 +48,7 @@ def run_all():
     # --- FP analytics: wall-clock AND modeled ----------------------------
     root = int(highest_degree_roots(stream.edges, 1)[0])
     for kind in ("graphtinker", "stinger"):
-        store = make_store(kind)
+        store = create_store(kind)
         store.insert_batch(stream.edges)
         store.stats.reset()
         t0 = time.perf_counter()

@@ -19,7 +19,7 @@ import numpy as np
 from repro import GraphTinker, GTConfig
 from repro.engine import BFS, HybridEngine
 from repro.workloads import rmat_edges
-from repro.workloads.persistence import restore_graphtinker, save_snapshot
+from repro.workloads.persistence import restore_store, save_snapshot
 from repro.workloads.streams import EdgeStream, highest_degree_roots
 
 
@@ -41,7 +41,7 @@ def main() -> None:
               f"({snap.stat().st_size / 1024:.0f} KiB compressed)")
 
         # ---- session 2: resume into a re-tuned configuration ----------
-        session2 = restore_graphtinker(
+        session2 = restore_store(
             snap, GTConfig(pagewidth=128, compact_on_delete=True)
         )
     print(f"resumed into PW=128 compact store: {session2.n_edges} edges")

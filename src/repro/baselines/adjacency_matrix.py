@@ -26,6 +26,8 @@ class AdjacencyMatrixStore(RowStoreDefaults):
     """Dense adjacency-matrix dynamic graph store (small graphs only)."""
 
     obs_name = "adjacency_matrix"
+    #: No config dataclass: a teaching baseline is never checkpointed.
+    config = None
 
     def __init__(self, capacity: int = 1024):
         if capacity <= 0:
@@ -89,6 +91,20 @@ class AdjacencyMatrixStore(RowStoreDefaults):
         self._n_edges -= 1
         self.stats.edges_deleted += 1
         return True
+
+    def delete_vertex(self, src: int) -> int:
+        """Clear row ``src`` in one sweep; return how many edges it held."""
+        src = int(src)
+        if not 0 <= src <= self._max_vertex:
+            return 0
+        n = self.n_vertices
+        self.stats.cells_scanned += n
+        self.stats.seq_block_reads += -(-n // _SCAN_BLOCK)
+        deleted = int(self._present[src].sum())
+        self._present[src] = False
+        self._n_edges -= deleted
+        self.stats.edges_deleted += deleted
+        return deleted
 
     # ------------------------------------------------------------------ #
     def edge_weight(self, src: int, dst: int) -> float | None:

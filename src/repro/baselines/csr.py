@@ -43,6 +43,8 @@ class CSRRebuildStore(RowStoreDefaults):
     """Edge log + rebuild-to-CSR-before-analytics dynamic store."""
 
     obs_name = "csr_rebuild"
+    #: No config dataclass: a teaching baseline is never checkpointed.
+    config = None
 
     def __init__(self) -> None:
         self.stats = AccessStats()
@@ -89,6 +91,15 @@ class CSRRebuildStore(RowStoreDefaults):
         self._dirty = True
         self.stats.edges_deleted += 1
         return True
+
+    def delete_vertex(self, src: int) -> int:
+        """Delete every out-edge of ``src`` (its CSR row, one log delete
+        per edge); return how many existed."""
+        src = int(src)
+        if not 0 <= src < self._n_vertices:
+            return 0
+        dsts, _ = self.neighbors(src)
+        return sum(self.delete_edge(src, d) for d in dsts.tolist())
 
     def has_edge(self, src: int, dst: int) -> bool:
         self.stats.hash_lookups += 1

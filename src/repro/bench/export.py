@@ -75,7 +75,8 @@ def export_insertion_figure(
     produce plot data without going through pytest.
     """
     from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-    from repro.bench.harness import insertion_run, make_store
+    from repro.bench.harness import insertion_run
+    from repro.core.store import create_store
     from repro.workloads import load_dataset
     from repro.workloads.streams import EdgeStream
 
@@ -86,7 +87,7 @@ def export_insertion_figure(
     for label, kind in (("GT+CAL", "graphtinker"), ("GT-noCAL", "gt_nocal"),
                         ("STINGER", "stinger")):
         stream = EdgeStream(edges, max(1, edges.shape[0] // n_batches))
-        store = make_store(kind)
+        store = create_store(kind)
         ms = insertion_run(store, stream)
         fig.add_series(label, [m.modeled_throughput(MODEL) for m in ms[:n_batches]])
     return fig.write(directory)

@@ -21,46 +21,10 @@ import numpy as np
 
 from repro.bench.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.bench.metrics import BatchMeasurement, run_batched
-from repro.core.config import (
-    GTConfig,
-    ShardedConfig,
-    StingerConfig,
-    TieredConfig,
-)
 from repro.core.stats import AccessStats
-from repro.core.store import create_store
 from repro.engine.hybrid import ComputeResult, HybridEngine
 from repro.engine.gas import GASProgram
 from repro.workloads.streams import EdgeStream
-
-
-def make_store(kind: str, gt_config: GTConfig | None = None,
-               stinger_config: StingerConfig | None = None,
-               kernel: str | None = None,
-               snapshot: bool | None = None,
-               tiered_config: TieredConfig | None = None,
-               sharded_config: ShardedConfig | None = None):
-    """Build a store by registry name: ``"graphtinker"``, ``"gt_nocal"``,
-    ``"gt_nosgh"``, ``"gt_plain"`` (both off), ``"stinger"``,
-    ``"tiered"``, ``"sharded"`` — see
-    :func:`repro.core.store.backend_names`.
-
-    Thin wrapper over :func:`repro.core.store.create_store` keeping the
-    historical per-family config keywords.  ``kernel`` overrides the
-    batch-ingest kernel of the GraphTinker kinds
-    (``"scalar"``/``"vector"``); ``snapshot`` attaches the CSR analytics
-    snapshot (every kind).  Neither ever changes any modeled number,
-    only wall-clock speed.
-    """
-    if kind == "stinger":
-        config = stinger_config
-    elif kind == "tiered":
-        config = tiered_config
-    elif kind == "sharded":
-        config = sharded_config
-    else:
-        config = gt_config
-    return create_store(kind, config, kernel=kernel, snapshot=snapshot)
 
 
 # --------------------------------------------------------------------- #

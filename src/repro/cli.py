@@ -57,10 +57,11 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ReproError, WorkloadError
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run, make_store
+from repro.bench.harness import insertion_run
 from repro.bench.reporting import Table
+from repro.core.config import ShardedConfig
 from repro.core.probes import graphtinker_probe_summary, stinger_probe_summary
-from repro.core.store import store_digest
+from repro.core.store import backend_names, create_store, store_digest
 from repro.engine import HybridEngine
 from repro.engine.algorithms import BFS, SSSP, ConnectedComponents, PageRank
 from repro.obs.log import LEVELS, configure_logging, get_logger, kv
@@ -131,24 +132,18 @@ def cmd_load(args) -> int:
     stream = EdgeStream(edges, max(1, edges.shape[0] // args.batches))
     table = Table(
         f"insertion throughput: {args.dataset} ({edges.shape[0]} edges, "
-        f"{stream.n_batches} batches, kernel={args.kernel})",
+        f"{stream.n_batches} batches)",
         ["system"] + [f"batch{i}" for i in range(stream.n_batches)],
     )
     report: dict = {
         "dataset": args.dataset,
         "edges": int(edges.shape[0]),
         "batches": stream.n_batches,
-        "kernel": args.kernel,
         "systems": [],
     }
     for kind in args.systems:
-        sharded_config = None
-        if kind == "sharded":
-            from repro.core.config import ShardedConfig
-
-            sharded_config = ShardedConfig(n_shards=max(1, args.shards))
-        store = make_store(kind, kernel=args.kernel,
-                           sharded_config=sharded_config)
+        store = create_store(kind, ShardedConfig(n_shards=max(1, args.shards))
+                             if kind == "sharded" else None)
         ms = insertion_run(store, EdgeStream(edges, stream.batch_size))
         log.info(kv("insertion run finished", system=kind,
                     edges=store.n_edges,
@@ -156,8 +151,6 @@ def cmd_load(args) -> int:
         table.add_row([kind] + [m.modeled_throughput(MODEL) for m in ms])
         report["systems"].append({
             "system": kind,
-            "kernel": None if kind in ("stinger", "tiered", "sharded")
-            else args.kernel,
             "shards": args.shards if kind == "sharded" else None,
             "modeled_throughput": [m.modeled_throughput(MODEL) for m in ms],
             "wall_seconds": [m.wall_seconds for m in ms],
@@ -187,7 +180,7 @@ def cmd_analytics(args) -> int:
     edges = _edges_for(args)
     if undirected:
         edges = symmetrize(edges)
-    store = make_store(args.system, snapshot=args.snapshot)
+    store = create_store(args.system, snapshot=args.snapshot)
     store.insert_batch(edges)
     engine = HybridEngine(store, program_cls(), policy=args.policy)
     root = None
@@ -270,7 +263,7 @@ def cmd_trace(args) -> int:
     """
     edges = _edges_for(args)
     stream = EdgeStream(edges, max(1, edges.shape[0] // args.batches))
-    store = make_store(args.system)
+    store = create_store(args.system)
     tracer = obs.get_tracer()
     tracer.reset()
     obs.get_registry().reset()
@@ -360,8 +353,6 @@ def cmd_serve(args) -> int:
             hard=args.hard_faults)
     config = None
     if args.shards > 1 or args.system == "sharded":
-        from repro.core.config import ShardedConfig
-
         inner = (args.system if args.system not in (None, "sharded")
                  else "graphtinker")
         config = ShardedConfig(n_shards=max(1, args.shards), backend=inner)
@@ -370,10 +361,7 @@ def cmd_serve(args) -> int:
                 "--kill-at/--fail-every inject into the plain WAL; they "
                 "are not supported with --shards (per-shard logs)")
     elif args.system is not None:
-        from repro.core.config import GTConfig, StingerConfig, TieredConfig
-
-        config = {"graphtinker": GTConfig, "stinger": StingerConfig,
-                  "tiered": TieredConfig}[args.system]()
+        config = create_store(args.system).config  # the backend's default
     service, rec = GraphService.open(
         data_dir,
         config=config,
@@ -456,11 +444,7 @@ def cmd_serve_net(args) -> int:
         print(f"serving ephemeral state in {data_dir}")
     else:
         data_dir = Path(args.data_dir)
-    config = None
-    if args.shards > 1:
-        from repro.core.config import ShardedConfig
-
-        config = ShardedConfig(n_shards=args.shards)
+    config = ShardedConfig(n_shards=args.shards) if args.shards > 1 else None
     service, rec = GraphService.open(
         data_dir,
         config=config,
@@ -851,8 +835,8 @@ def cmd_blackbox(args) -> int:
 
 def cmd_probe(args) -> int:
     edges = _edges_for(args)
-    gt = make_store("graphtinker")
-    st = make_store("stinger")
+    gt = create_store("graphtinker")
+    st = create_store("stinger")
     gt.insert_batch(edges)
     st.insert_batch(edges)
     table = Table(
@@ -904,17 +888,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=48_000)
     p.add_argument("--batches", type=int, default=6)
     p.add_argument("--systems", nargs="+", default=["graphtinker", "stinger"],
-                   choices=["graphtinker", "gt_nocal", "gt_nosgh", "gt_plain",
-                            "stinger", "tiered", "sharded"])
-    p.add_argument("--kernel", default="vector", choices=["vector", "scalar"],
-                   help="batch-ingest kernel for the GraphTinker systems "
-                        "(bit-identical results; wall-clock only)")
+                   choices=backend_names())
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="worker processes for the 'sharded' system "
                         "(digest is shard-count invariant)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write per-system throughput (modeled + wall) "
-                        "and the kernel used as JSON")
+                        "as JSON")
     p.set_defaults(func=cmd_load)
 
     p = sub.add_parser("analytics", parents=[common],

@@ -79,23 +79,14 @@ class GTConfig:
         Number of main-region edgeblock rows pre-allocated.
     seed:
         Seed for the (deterministic) hash-mixing constants.
-    kernel:
-        Batch-ingest implementation used by ``insert_batch`` /
-        ``delete_batch``: ``"vector"`` (default) runs the NumPy-assisted
-        batch kernels of :mod:`repro.core.kernels`; ``"scalar"`` runs the
-        per-edge reference path.  The two are event-identical — same
-        store state, bit-identical :class:`~repro.core.stats.AccessStats`
-        — which tests/test_kernels.py enforces; the switch therefore
-        only ever changes wall-clock speed, never any modeled number.
     snapshot:
         Attach the incrementally-maintained CSR analytics snapshot
         (:class:`~repro.engine.snapshot.AnalyticsSnapshot`) at
         construction, turning the engine's incremental / vertex-centric
-        frontier loads into single vectorized gathers.  Same contract as
-        ``kernel``: bit-identical results and bit-identical modeled
-        ``AccessStats`` with the feature on or off — only wall-clock
-        changes (the analytics oracle in tests/test_differential.py
-        enforces this).
+        frontier loads into single vectorized gathers.  Bit-identical
+        results and bit-identical modeled ``AccessStats`` with the
+        feature on or off — only wall-clock changes (the analytics
+        oracle in tests/test_differential.py enforces this).
     """
 
     pagewidth: int = DEFAULT_PAGEWIDTH
@@ -110,7 +101,6 @@ class GTConfig:
     max_generations: int = DEFAULT_MAX_GENERATIONS
     initial_vertices: int = 16
     seed: int = 0x9E3779B9
-    kernel: str = "vector"
     snapshot: bool = False
 
     def __post_init__(self) -> None:
@@ -136,8 +126,6 @@ class GTConfig:
             raise ConfigError("max_generations must be positive")
         if self.initial_vertices <= 0:
             raise ConfigError("initial_vertices must be positive")
-        if self.kernel not in ("scalar", "vector"):
-            raise ConfigError(f"unknown kernel {self.kernel!r} (expected 'scalar' or 'vector')")
 
     @property
     def subblocks_per_block(self) -> int:

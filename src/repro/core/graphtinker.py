@@ -185,8 +185,9 @@ class GraphTinker(StoreBase):
                     self.cal.update_weight(cal_ptr, weight)
         return is_new
 
-    def _resolve_kernel(self, kernel: str | None) -> str:
-        kern = self.config.kernel if kernel is None else kernel
+    @staticmethod
+    def _resolve_kernel(kernel: str | None) -> str:
+        kern = "vector" if kernel is None else kernel
         if kern not in ("scalar", "vector"):
             raise ValueError(f"unknown kernel {kern!r} (expected 'scalar' or 'vector')")
         return kern
@@ -200,10 +201,12 @@ class GraphTinker(StoreBase):
         """Insert an ``(n, 2)`` batch of edges; return the number of new ones.
 
         This is the paper's batch-update entry point (1M-edge batches in
-        the evaluation).  Weights default to 1.0.  ``kernel`` overrides
-        the configured batch implementation for this call; both kernels
-        are event-identical (see :mod:`repro.core.kernels`), so the choice
-        only affects wall-clock time.
+        the evaluation).  Weights default to 1.0.  ``kernel`` picks this
+        call's batch implementation: ``"vector"`` (``None``, the default)
+        runs the NumPy batch kernels of :mod:`repro.core.kernels`,
+        ``"scalar"`` the per-edge reference loop.  Both are
+        event-identical — same store state, bit-identical AccessStats —
+        so the choice only affects wall-clock time.
         """
         edges, _ = check_edge_batch(edges)
         if weights is None:
@@ -268,7 +271,8 @@ class GraphTinker(StoreBase):
         return True
 
     def delete_batch(self, edges: np.ndarray, kernel: str | None = None) -> int:
-        """Delete a batch of edges; return how many actually existed."""
+        """Delete a batch of edges; return how many actually existed
+        (``kernel`` as in :meth:`insert_batch`)."""
         edges, _ = check_edge_batch(edges, negative_ok=True)
         kern = self._resolve_kernel(kernel)
         before = self.stats.snapshot() if obs_hooks.enabled else None

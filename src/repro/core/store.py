@@ -72,18 +72,23 @@ Registering a backend
 ---------------------
 
 Call :func:`register_backend` with a name and a factory
-``(config=None, *, kernel=None, snapshot=None) -> Store``; the factory's
+``(config=None, *, snapshot=None) -> Store``; the factory's
 product is validated against the protocol at construction time
 (:func:`validate_store` raises a typed
 :class:`~repro.errors.StoreProtocolError` naming every missing member).
 A registered backend is automatically covered by the conformance suite
 (``tests/test_store_conformance.py``) and reachable from
-``make_store`` / the CLI ``--system`` flags.
+:func:`create_store` / the CLI ``--system`` flags.  The registry is the
+one table from a backend name, or a built-in config class, to a store:
+:func:`store_from_config` and the checkpoint reader look config classes
+up in it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import importlib
 import time
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
@@ -468,7 +473,7 @@ def validate_store(store: Any, name: str | None = None) -> Any:
 # backend registry
 # --------------------------------------------------------------------- #
 #: name -> (factory, description).  Factories take
-#: ``(config=None, *, kernel=None, snapshot=None)``.
+#: ``(config=None, *, snapshot=None)``.
 _BACKENDS: dict[str, tuple[Callable[..., Any], str]] = {}
 
 
@@ -476,11 +481,11 @@ def register_backend(name: str, factory: Callable[..., Any],
                      description: str = "", replace: bool = False) -> None:
     """Register a backend factory under ``name``.
 
-    The factory must accept ``(config=None, *, kernel=None,
-    snapshot=None)`` and return a protocol-complete store (the product
-    is validated on every :func:`create_store` call).  Registration makes
-    the backend reachable from ``make_store`` / the CLI and enrolls it in
-    the conformance suite.
+    The factory must accept ``(config=None, *, snapshot=None)`` and
+    return a protocol-complete store (the product is validated on every
+    :func:`create_store` call).  Registration makes the backend reachable
+    from :func:`create_store` / the CLI and enrolls it in the
+    conformance suite.
     """
     if name in _BACKENDS and not replace:
         raise ValueError(f"backend {name!r} is already registered")
@@ -493,9 +498,12 @@ def backend_names() -> list[str]:
 
 
 def create_store(name: str, config: Any | None = None, *,
-                 kernel: str | None = None,
                  snapshot: bool | None = None) -> Any:
-    """Build (and protocol-validate) a registered backend by name."""
+    """Build (and protocol-validate) a registered backend by name.
+
+    ``config`` defaults to the backend's own default config; ``snapshot``
+    overrides its ``snapshot`` field (attach the CSR analytics view).
+    """
     try:
         factory, _ = _BACKENDS[name]
     except KeyError:
@@ -503,38 +511,41 @@ def create_store(name: str, config: Any | None = None, *,
             f"unknown store kind {name!r} (registered: "
             f"{', '.join(backend_names())})"
         ) from None
-    return validate_store(factory(config, kernel=kernel, snapshot=snapshot),
-                          name=name)
+    return validate_store(factory(config, snapshot=snapshot), name=name)
+
+
+def _family_heads() -> Iterator[tuple[str, "_Builtin"]]:
+    """Each built-in backend that pins no ablation, with its name."""
+    for name, (factory, _) in _BACKENDS.items():
+        if isinstance(factory, _Builtin) and not factory.ablation:
+            yield name, factory
 
 
 def store_from_config(config: Any | None):
     """Build the backend a config object describes (persistence/recovery).
 
-    ``GTConfig`` -> GraphTinker, ``StingerConfig`` -> STINGER,
-    ``TieredConfig`` -> TieredStore, ``ShardedConfig`` -> the
-    process-per-shard :class:`~repro.core.sharded.ShardedStore`;
-    ``None`` -> paper-default GraphTinker.  This is how a v2
-    checkpoint's embedded writer config rebuilds the *same backend* it
-    was written by.
+    The built-in backend whose config class is ``type(config)`` and that
+    pins no ablation builds it (``GTConfig`` -> GraphTinker,
+    ``StingerConfig`` -> STINGER, ...); ``None`` -> paper-default
+    GraphTinker.  This is how a v2 checkpoint's embedded writer config
+    rebuilds the *same backend* it was written by.
     """
-    from repro.core.graphtinker import GraphTinker
-    from repro.core.tiered import TieredStore
-    from repro.stinger import Stinger
-
     if config is None:
-        return GraphTinker(GTConfig())
-    if isinstance(config, GTConfig):
-        return GraphTinker(config)
-    if isinstance(config, StingerConfig):
-        return Stinger(config)
-    if isinstance(config, TieredConfig):
-        return TieredStore(config)
-    if isinstance(config, ShardedConfig):
-        from repro.core.sharded import ShardedStore
-
-        return ShardedStore(config)
+        return create_store("graphtinker")
+    for name, factory in _family_heads():
+        if factory.config_class is type(config):
+            return create_store(name, config)
     raise StoreProtocolError(
         f"no backend registered for config type {type(config).__name__}")
+
+
+def config_class(class_name: str) -> type | None:
+    """The built-in config class called ``class_name``, or ``None`` (how
+    a checkpoint's embedded config finds its dataclass again)."""
+    for _, factory in _family_heads():
+        if factory.config_class.__name__ == class_name:
+            return factory.config_class
+    return None
 
 
 # --------------------------------------------------------------------- #
@@ -563,63 +574,43 @@ def store_digest(store) -> dict:
 # --------------------------------------------------------------------- #
 # built-in backends
 # --------------------------------------------------------------------- #
-def _gt_factory(transform=None):
-    def make(config=None, *, kernel=None, snapshot=None):
-        from repro.core.graphtinker import GraphTinker
+class _Builtin:
+    """The factory of every built-in backend: its store class (imported
+    on first use), its config class, and the config fields an ablation
+    pins over whatever config it is given."""
 
-        cfg = config if config is not None else GTConfig()
-        if kernel is not None:
-            cfg = cfg.with_(kernel=kernel)
+    def __init__(self, store_class: str, config_class: type, **ablation: Any):
+        self.store_class = store_class
+        self.config_class = config_class
+        self.ablation = ablation
+
+    def __call__(self, config: Any | None = None, *,
+                 snapshot: bool | None = None) -> Any:
+        cfg = config if config is not None else self.config_class()
+        changes = dict(self.ablation)
         if snapshot is not None:
-            cfg = cfg.with_(snapshot=snapshot)
-        if transform is not None:
-            cfg = transform(cfg)
-        return GraphTinker(cfg)
-    return make
+            changes["snapshot"] = snapshot
+        if changes:
+            cfg = dataclasses.replace(cfg, **changes)
+        module, cls = self.store_class.rsplit(".", 1)
+        return getattr(importlib.import_module(module), cls)(cfg)
 
 
-def _stinger_factory(config=None, *, kernel=None, snapshot=None):
-    from dataclasses import replace
-
-    from repro.stinger import Stinger
-
-    cfg = config if config is not None else StingerConfig()
-    if snapshot is not None:
-        cfg = replace(cfg, snapshot=snapshot)
-    return Stinger(cfg)
-
-
-def _tiered_factory(config=None, *, kernel=None, snapshot=None):
-    from repro.core.tiered import TieredStore
-
-    cfg = config if config is not None else TieredConfig()
-    if snapshot is not None:
-        cfg = cfg.with_(snapshot=snapshot)
-    return TieredStore(cfg)
-
-
-register_backend("graphtinker", _gt_factory(),
+_GT = "repro.core.graphtinker.GraphTinker"
+register_backend("graphtinker", _Builtin(_GT, GTConfig),
                  "the paper's full data structure (SGH + RHH/TBH + CAL)")
-register_backend("gt_nocal", _gt_factory(lambda c: c.with_(enable_cal=False)),
+register_backend("gt_nocal", _Builtin(_GT, GTConfig, enable_cal=False),
                  "GraphTinker ablation: no Coarse Adjacency List")
-register_backend("gt_nosgh", _gt_factory(lambda c: c.with_(enable_sgh=False)),
+register_backend("gt_nosgh", _Builtin(_GT, GTConfig, enable_sgh=False),
                  "GraphTinker ablation: no Scatter-Gather Hashing")
 register_backend("gt_plain",
-                 _gt_factory(lambda c: c.with_(enable_cal=False,
-                                               enable_sgh=False)),
+                 _Builtin(_GT, GTConfig, enable_cal=False, enable_sgh=False),
                  "GraphTinker ablation: both CAL and SGH off")
-register_backend("stinger", _stinger_factory,
+register_backend("stinger", _Builtin("repro.stinger.Stinger", StingerConfig),
                  "the STINGER chained-edgeblock baseline")
-def _sharded_factory(config=None, *, kernel=None, snapshot=None):
-    from repro.core.sharded import ShardedStore
-
-    cfg = config if config is not None else ShardedConfig()
-    if snapshot is not None:
-        cfg = cfg.with_(snapshot=snapshot)
-    return ShardedStore(cfg)
-
-
-register_backend("tiered", _tiered_factory,
+register_backend("tiered",
+                 _Builtin("repro.core.tiered.TieredStore", TieredConfig),
                  "degree-tiered adaptive backend (inline/small-set/hash)")
-register_backend("sharded", _sharded_factory,
+register_backend("sharded",
+                 _Builtin("repro.core.sharded.ShardedStore", ShardedConfig),
                  "process-per-shard parallel store (consistent-hash routed)")

@@ -51,7 +51,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import GTConfig
-from repro.core.graphtinker import GraphTinker
+from repro.core.store import store_from_config
 from repro.errors import (
     CursorGapError,
     NotWriterError,
@@ -320,8 +320,7 @@ class ReplicaService:
             # history.
             for ckpt in list_checkpoints(self.directory):
                 ckpt.unlink(missing_ok=True)
-            store = GraphTinker(self._config if self._config is not None
-                                else GTConfig())
+            store = store_from_config(self._config)
             snap = store.enable_snapshot()
             edges = np.column_stack((src, dst))
             for lo in range(0, edges.shape[0], _RESYNC_CHUNK):

@@ -11,9 +11,9 @@ snapshot into a delete-and-compact store).
 Format history
 --------------
 * **v1** — edges + weights only (read-compatible forever).
-* **v2** — adds a versioned header: the writer's config (``GTConfig`` /
-  ``StingerConfig`` as JSON), the writing ``repro`` version, and an
-  optional free-form ``meta`` dict.  The service-layer checkpoint
+* **v2** — adds a versioned header: the writer's config (any built-in
+  backend's config dataclass as JSON), the writing ``repro`` version,
+  and an optional free-form ``meta`` dict.  The service-layer checkpoint
   manager (:mod:`repro.service.checkpoint`) rides on ``meta`` to embed
   the last-applied WAL sequence.
 """
@@ -24,26 +24,17 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
-from repro.core.config import (
-    GTConfig,
-    ShardedConfig,
-    StingerConfig,
-    TieredConfig,
-)
-from repro.core.graphtinker import GraphTinker
+from repro.core.store import config_class, store_from_config
 from repro.errors import WorkloadError
 
 #: Format markers stored inside every snapshot.
 _FORMAT_V1 = "repro-graph-snapshot-v1"
 _FORMAT_V2 = "repro-graph-snapshot-v2"
 _FORMAT = _FORMAT_V2  # what save_snapshot writes
-
-_CONFIG_CLASSES = {"GTConfig": GTConfig, "StingerConfig": StingerConfig,
-                   "TieredConfig": TieredConfig,
-                   "ShardedConfig": ShardedConfig}
 
 
 @dataclass
@@ -54,7 +45,7 @@ class Snapshot:
     weights: np.ndarray
     version: int
     repro_version: str | None = None
-    writer_config: GTConfig | StingerConfig | TieredConfig | None = None
+    writer_config: Any | None = None
     meta: dict | None = None
 
     @property
@@ -93,14 +84,18 @@ def save_snapshot(store, path: str | Path, meta: dict | None = None) -> int:
     return int(src.shape[0])
 
 
-def _parse_config(config_json: str) -> GTConfig | StingerConfig | TieredConfig | None:
+def _parse_config(config_json: str) -> Any | None:
     if not config_json:
         return None
     payload = json.loads(config_json)
-    cls = _CONFIG_CLASSES.get(payload.get("class"))
+    cls = config_class(payload.get("class"))
     if cls is None:
         return None
-    return cls(**payload["fields"])
+    fields = dict(payload["fields"])
+    # GTConfig had a ``kernel`` field until the batch kernel became a
+    # per-call choice; checkpoints written before then still open.
+    fields.pop("kernel", None)
+    return cls(**fields)
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
@@ -146,50 +141,15 @@ def read_snapshot_meta(path: str | Path) -> dict | None:
     return json.loads(meta_json) if meta_json else None
 
 
-def load_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a snapshot; returns ``(edges, weights)`` (v1-era interface)."""
-    snap = read_snapshot(path)
-    return snap.edges, snap.weights
+def restore_store(path: str | Path, config=None):
+    """Build a fresh store from a snapshot and replay its edges into it.
 
-
-def restore_graphtinker(path: str | Path, config: GTConfig | None = None,
-                        use_writer_config: bool = False) -> GraphTinker:
-    """Build a fresh GraphTinker from a snapshot.
-
-    The replayed inserts arrive in the writer's CAL-stream order, which
-    groups edges by source — so the restored structure starts life
-    well-packed regardless of the original arrival order.
-
-    ``use_writer_config`` restores under the writer's embedded
-    :class:`GTConfig` (v2 snapshots written by a GraphTinker) when no
-    explicit ``config`` is given; the default keeps the receiving-store
-    semantics (fresh defaults).
+    :func:`repro.core.store.store_from_config` picks the backend from
+    ``config`` when given, else from the writer's config a v2 snapshot
+    embeds (a STINGER checkpoint restores into a STINGER), else from the
+    paper-default ``GTConfig`` (a v1 snapshot carries no header).
     """
     snap = read_snapshot(path)
-    if config is None and use_writer_config and isinstance(snap.writer_config, GTConfig):
-        config = snap.writer_config
-    gt = GraphTinker(config if config is not None else GTConfig())
-    gt.insert_batch(snap.edges, snap.weights)
-    return gt
-
-
-def restore_store(path: str | Path, config=None, use_writer_config: bool = True):
-    """Build a fresh store of the *writer's* kind from a snapshot.
-
-    The backend-generic sibling of :func:`restore_graphtinker`: a v2
-    snapshot embeds the writing store's config, and
-    :func:`repro.core.store.store_from_config` maps that config back to
-    its backend class — so a TieredStore checkpoint restores into a
-    TieredStore, a STINGER one into a STINGER, and so on.  An explicit
-    ``config`` (or a v1 snapshot, which carries no header) restores into
-    whatever backend that config selects — GraphTinker defaults when
-    ``None``.
-    """
-    from repro.core.store import store_from_config
-
-    snap = read_snapshot(path)
-    if config is None and use_writer_config and snap.writer_config is not None:
-        config = snap.writer_config
-    store = store_from_config(config)
+    store = store_from_config(config if config is not None else snap.writer_config)
     store.insert_batch(snap.edges, snap.weights)
     return store

@@ -10,6 +10,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.graphtinker import GraphTinker
+
+
+class KernelGraphTinker(GraphTinker):
+    """A GraphTinker whose batch calls run ``kernel`` unless a call names
+    its own.  The batch kernel is a per-call choice; the kernel-parity
+    suites hold one store per kernel and drive both alike."""
+
+    def __init__(self, config=None, kernel: str = "scalar"):
+        super().__init__(config)
+        self.kernel = kernel
+
+    def insert_batch(self, edges, weights=None, kernel=None):
+        return super().insert_batch(edges, weights, kernel or self.kernel)
+
+    def delete_batch(self, edges, kernel=None):
+        return super().delete_batch(edges, kernel or self.kernel)
+
 
 class ReferenceGraph:
     """Minimal correct dynamic directed multigraph-without-duplicates."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import AdjacencyMatrixStore, CSRRebuildStore
+from repro.core.store import validate_store
 from repro.errors import CapacityError, VertexNotFoundError, WorkloadError
 from tests.reference import ReferenceGraph, assert_store_matches
 
@@ -159,6 +160,20 @@ def test_out_of_range_ids_are_misses(make, uncharged):
     if uncharged:
         assert store.stats.as_dict() == before
     assert store.n_edges == 2 and store.edge_weight(15, 15) == 2.0
+
+
+@pytest.mark.parametrize("make", [lambda: AdjacencyMatrixStore(capacity=16),
+                                  CSRRebuildStore], ids=["matrix", "csr"])
+def test_passes_validate_store(make):
+    """The baselines speak the whole Store protocol; they are not
+    registered backends, so the conformance suite never builds them."""
+    store = validate_store(make())
+    assert store.config is None
+    store.insert_batch(np.array([[7, 1], [7, 2], [7, 3], [3, 7]]))
+    assert store.delete_vertex(7) == 3
+    assert store.delete_vertex(7) == store.delete_vertex(15) == store.delete_vertex(-1) == 0
+    assert store.degree(7) == 0 and store.n_edges == 1 and store.has_edge(3, 7)
+    store.check_invariants()
 
 
 class TestEngineOnBaselines:

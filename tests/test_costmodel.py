@@ -57,7 +57,8 @@ class TestOrderingStability:
     def make_gt_vs_stinger_deltas(self):
         import numpy as np
 
-        from repro.bench.harness import insertion_run, make_store
+        from repro.bench.harness import insertion_run
+        from repro.core.store import create_store
         from repro.workloads import rmat_edges
         from repro.workloads.streams import EdgeStream
 
@@ -66,7 +67,7 @@ class TestOrderingStability:
         stream = EdgeStream(edges, 5000)
         out = {}
         for kind in ("graphtinker", "stinger"):
-            store = make_store(kind)
+            store = create_store(kind)
             measurements = insertion_run(store, stream)
             out[kind] = measurements[-1]  # last (most loaded) batch
         return out

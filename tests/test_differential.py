@@ -46,6 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.stinger import Stinger
 from repro.workloads.rmat import rmat_edges
 from tests.reference import (
+    KernelGraphTinker,
     ReferenceGraph,
     reference_bfs,
     reference_cc,
@@ -153,8 +154,8 @@ def _probe(systems, ref: ReferenceGraph, vertices, ctx: str) -> None:
 @pytest.mark.parametrize("name,cfg", CONFIGS, ids=[c[0] for c in CONFIGS])
 def test_differential(name, cfg, seed, sharded_factory):
     systems = [
-        ("gt-scalar", GraphTinker(cfg.with_(kernel="scalar"))),
-        ("gt-vector", GraphTinker(cfg.with_(kernel="vector"))),
+        ("gt-scalar", KernelGraphTinker(cfg, "scalar")),
+        ("gt-vector", GraphTinker(cfg)),
         ("stinger", Stinger(StingerConfig(edgeblock_size=4))),
         ("tiered", TieredStore(TIERED_CFG)),
         ("sharded", sharded_factory(n_shards=3, seed=seed)),
@@ -250,9 +251,9 @@ def make_churn_stream(seed: int):
 @pytest.mark.parametrize("name,cfg", CONFIGS, ids=[c[0] for c in CONFIGS])
 def test_analytics_lockstep(name, cfg, seed, sharded_factory):
     systems = [
-        ("gt-scalar", GraphTinker(cfg.with_(kernel="scalar"))),
-        ("gt-vector", GraphTinker(cfg.with_(kernel="vector"))),
-        ("gt-snapshot", GraphTinker(cfg.with_(kernel="vector", snapshot=True))),
+        ("gt-scalar", KernelGraphTinker(cfg, "scalar")),
+        ("gt-vector", GraphTinker(cfg)),
+        ("gt-snapshot", GraphTinker(cfg.with_(snapshot=True))),
         ("stinger", Stinger(StingerConfig(edgeblock_size=4))),
         ("stinger-snapshot",
          Stinger(StingerConfig(edgeblock_size=4, snapshot=True))),

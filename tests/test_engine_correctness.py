@@ -18,7 +18,7 @@ from repro.workloads.streams import symmetrize
 POLICIES = ["full", "incremental", "hybrid"]
 
 
-def make_store(kind):
+def build_store(kind):
     if kind == "gt":
         return GraphTinker(GTConfig(pagewidth=16, subblock=4, workblock=2))
     return Stinger(StingerConfig(edgeblock_size=4))
@@ -41,7 +41,7 @@ def graph_data():
 class TestBFS:
     def test_levels_match_networkx(self, graph_data, store_kind, policy):
         edges, weights, G = graph_data
-        store = make_store(store_kind)
+        store = build_store(store_kind)
         store.insert_batch(edges, weights)
         engine = HybridEngine(store, BFS(), policy=policy)
         root = int(edges[0, 0])
@@ -78,7 +78,7 @@ class TestCC:
     def test_labels_match_networkx_components(self, graph_data, store_kind, policy):
         edges, _, _ = graph_data
         sym = symmetrize(edges)
-        store = make_store(store_kind)
+        store = build_store(store_kind)
         store.insert_batch(sym)
         engine = HybridEngine(store, ConnectedComponents(), policy=policy)
         engine.reset()
@@ -93,7 +93,7 @@ class TestCC:
     def test_isolated_vertices_keep_own_label(self, graph_data, store_kind, policy):
         edges, _, _ = graph_data
         sym = symmetrize(edges)
-        store = make_store(store_kind)
+        store = build_store(store_kind)
         store.insert_batch(sym)
         engine = HybridEngine(store, ConnectedComponents(), policy=policy)
         engine.reset()

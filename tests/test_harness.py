@@ -9,11 +9,11 @@ from repro.bench.harness import (
     analytics_once,
     deletion_run,
     insertion_run,
-    make_store,
     parallel_insertion_run,
 )
 from repro.core.config import GTConfig, ShardedConfig
 from repro.core.sharded import ShardedStore
+from repro.core.store import create_store
 from repro.engine.algorithms import BFS
 from repro.workloads import rmat_edges
 from repro.workloads.streams import EdgeStream
@@ -27,23 +27,23 @@ def edges():
 
 class TestMakeStore:
     def test_feature_toggles(self):
-        assert make_store("graphtinker").cal is not None
-        assert make_store("gt_nocal").cal is None
-        assert make_store("gt_nosgh").sgh is None
-        plain = make_store("gt_plain")
+        assert create_store("graphtinker").cal is not None
+        assert create_store("gt_nocal").cal is None
+        assert create_store("gt_nosgh").sgh is None
+        plain = create_store("gt_plain")
         assert plain.cal is None and plain.sgh is None
         from repro.stinger import Stinger
 
-        assert isinstance(make_store("stinger"), Stinger)
+        assert isinstance(create_store("stinger"), Stinger)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            make_store("bogus")
+            create_store("bogus")
 
 
 class TestInsertionRun:
     def test_measurements_per_batch(self, edges):
-        store = make_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
+        store = create_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
         stream = EdgeStream(edges, 1500)
         ms = insertion_run(store, stream)
         assert len(ms) == stream.n_batches
@@ -54,7 +54,7 @@ class TestInsertionRun:
 
 class TestDeletionRun:
     def test_empties_store(self, edges):
-        store = make_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
+        store = create_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
         store.insert_batch(edges)
         stream = EdgeStream(edges, 2000)
         ms = deletion_run(store, stream)
@@ -64,7 +64,7 @@ class TestDeletionRun:
 
 class TestAnalyticsProtocols:
     def test_after_each_batch(self, edges):
-        store = make_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
+        store = create_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
         stream = EdgeStream(edges[:3000], 1000)
         root = int(edges[0, 0])
         ms = analytics_after_each_batch(store, stream, BFS, "hybrid", roots=[root])
@@ -74,7 +74,7 @@ class TestAnalyticsProtocols:
         assert ms[-1].iterations > 0
 
     def test_analytics_once_policies_agree_on_work_shape(self, edges):
-        store = make_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
+        store = create_store("graphtinker", GTConfig(pagewidth=16, subblock=4, workblock=2))
         store.insert_batch(edges)
         root = int(edges[0, 0])
         fp = analytics_once(store, BFS, "full", roots=[root])

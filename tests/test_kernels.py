@@ -27,7 +27,7 @@ from repro.core.hashing import (
 )
 from repro.errors import CapacityError
 from repro.workloads import rmat_edges
-from tests.reference import assert_gather_matches_loop, pool_bytes
+from tests.reference import KernelGraphTinker, assert_gather_matches_loop, pool_bytes
 
 SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
 
@@ -52,7 +52,7 @@ def run_pair(cfg: GTConfig, ops) -> tuple[GraphTinker, GraphTinker]:
     scalar-kernel store and a vector-kernel store; return both."""
     stores = []
     for kernel in ("scalar", "vector"):
-        gt = GraphTinker(cfg.with_(kernel=kernel))
+        gt = KernelGraphTinker(cfg, kernel)
         for op in ops:
             if op[0] == "insert":
                 _, edges, weights = op
@@ -122,7 +122,7 @@ class TestStreamEquivalence:
 class TestEdgeCases:
     def test_empty_batch(self):
         empty = np.empty((0, 2), dtype=np.int64)
-        gt = GraphTinker(GTConfig(kernel="vector"))
+        gt = GraphTinker(GTConfig())
         assert gt.insert_batch(empty) == 0
         assert gt.delete_batch(empty) == 0
         assert gt.stats.as_dict() == GraphTinker(GTConfig()).stats.as_dict()
@@ -193,8 +193,8 @@ class TestEdgeCases:
         ops = [("insert", edges, rng.random(600)), ("delete", doomed)]
         scalar, vector = run_pair(GTConfig(**SMALL), ops)
         assert_equivalent(scalar, vector)
-        a = GraphTinker(GTConfig(kernel="scalar"))
-        b = GraphTinker(GTConfig(kernel="vector"))
+        a = KernelGraphTinker(GTConfig(), "scalar")
+        b = KernelGraphTinker(GTConfig(), "vector")
         a.insert_batch(edges)
         b.insert_batch(edges)
         assert a.delete_batch(doomed) == b.delete_batch(doomed)
@@ -554,8 +554,8 @@ def insert_pair(cfg: GTConfig, ops) -> tuple[GraphTinker, GraphTinker]:
     """:func:`run_pair`, holding the two stores equal after *every* batch:
     counters, edges and fsck, then cells path by path, degrees and the
     CAL byte for byte."""
-    scalar = GraphTinker(cfg.with_(kernel="scalar"))
-    vector = GraphTinker(cfg.with_(kernel="vector"))
+    scalar = KernelGraphTinker(cfg, "scalar")
+    vector = KernelGraphTinker(cfg, "vector")
     for op in ops:
         for gt in (scalar, vector):
             if op[0] == "insert":
@@ -661,7 +661,7 @@ class TestLevelSynchronousInsert:
         from repro.core.edgeblock_array import EdgeblockArray
         edges, weights = hubs_stream(5, 70, seed=1)
         ops = in_batches(edges, weights, 3) + [("insert", edges[:200], weights[:200] + 1.0)]
-        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
+        scalar = KernelGraphTinker(GTConfig(**SMALL), "scalar")
         for op in ops:
             scalar.insert_batch(op[1], op[2])
 
@@ -671,7 +671,7 @@ class TestLevelSynchronousInsert:
         monkeypatch.setattr(kernels.rhh, "rhh_insert", unreachable)
         monkeypatch.setattr(kernels.rhh, "rhh_find", unreachable)
         monkeypatch.setattr(EdgeblockArray, "insert", unreachable)
-        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        vector = KernelGraphTinker(GTConfig(**SMALL), "vector")
         for op in ops:
             vector.insert_batch(op[1], op[2])
         monkeypatch.undo()
@@ -802,16 +802,21 @@ class TestLevelSynchronousInsert:
         # The group key of every op the last vector chunk ran per op.
         from repro.core import kernels
         residue: list[int] = []
+        in_chunk: list[bool] = []  # only the vector store runs chunks
         insert, chunk_of = EdgeblockArray.insert, kernels._insert_chunk
 
         def recorded(self, src, dst, weight=1.0, cal=-1, lists=None, hashes=()):
-            if self.config.kernel == "vector":
+            if in_chunk:
                 residue.append(src * nsb + subblock_index(dst, 0, nsb, cfg.seed))
             return insert(self, src, dst, weight, cal, lists, hashes)
 
         def entered(*args):
             residue.clear()
-            return chunk_of(*args)
+            in_chunk.append(True)
+            try:
+                return chunk_of(*args)
+            finally:
+                in_chunk.pop()
         monkeypatch.setattr(EdgeblockArray, "insert", recorded)
         monkeypatch.setattr(kernels, "_insert_chunk", entered)
         _, vector = insert_pair(cfg, [("insert", earlier, rng.random(60)),
@@ -842,7 +847,7 @@ class TestLevelSynchronousInsert:
                    for part in (slice(0, 10 * n_hubs), slice(10 * n_hubs, None))]
         entered = kernel_chunks(monkeypatch)
         for kernel in ("scalar", "vector"):
-            gt = GraphTinker(cfg.with_(kernel=kernel))
+            gt = KernelGraphTinker(cfg, kernel)
             gt.insert_batch(*batches[0])
             with pytest.raises(CapacityError):
                 gt.insert_batch(*batches[1])
@@ -875,7 +880,7 @@ class TestLevelSynchronousInsert:
               CHUNK_EDGES - 1: (high, 9.25)}
         for i, (edge, w) in at.items():
             edges[i], weights[i] = edge, w
-        gt = GraphTinker(GTConfig(kernel="vector", enable_rhh=enable_rhh))
+        gt = GraphTinker(GTConfig(enable_rhh=enable_rhh))
         gt.insert_batch(edges, weights)
         assert entered == [CHUNK_EDGES]
         assert no_sentinel_left(gt)
@@ -901,7 +906,7 @@ class TestLevelSynchronousInsert:
             rng.random(200) < 0.3, loaded[::3, 1], rng.integers(5000, 9000, 200))])
         stores = []
         for kernel in ("scalar", "vector"):
-            gt = GraphTinker(GTConfig(**SMALL, kernel=kernel))
+            gt = KernelGraphTinker(GTConfig(**SMALL), kernel)
             gt.insert_batch(loaded)
             gt.delete_batch(doomed)
             stores.append(gt)
@@ -1153,8 +1158,8 @@ class TestOverflowRegrowth:
         congest in the same rounds and one allocation grows the pool ×4
         or more, then the round walks the children it just made."""
         edges, weights = hubs_stream(64, 60, seed=21)
-        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
-        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        scalar = KernelGraphTinker(GTConfig(**SMALL), "scalar")
+        vector = KernelGraphTinker(GTConfig(**SMALL), "vector")
         growth = overflow_growth(monkeypatch, vector)
         walks = count_walks(monkeypatch)
         for gt in (scalar, vector):
@@ -1170,8 +1175,8 @@ class TestOverflowRegrowth:
         more, more_w = hubs_stream(64, 240, seed=23)
         more[:, 1] += 500
         doomed = np.random.default_rng(24).permutation(edges)
-        scalar = GraphTinker(GTConfig(**SMALL, kernel="scalar"))
-        vector = GraphTinker(GTConfig(**SMALL, kernel="vector"))
+        scalar = KernelGraphTinker(GTConfig(**SMALL), "scalar")
+        vector = KernelGraphTinker(GTConfig(**SMALL), "vector")
         growth = overflow_growth(monkeypatch, vector)
         for burst, w, gone in [(edges, weights, doomed[:3000]),
                                (more, more_w, np.vstack([doomed[3000:], more]))]:
@@ -1185,3 +1190,35 @@ class TestOverflowRegrowth:
             self.assert_same(scalar, vector)
         assert vector.n_edges == 0
         assert vector.stats.tombstones_set == edges.shape[0] + more.shape[0]
+
+
+def test_dataset_load_is_kernel_independent():
+    """``hollywood_like``'s first 8,000 edges in 3 batches into
+    ``graphtinker`` and ``gt_plain``, once with each per-call kernel: the
+    per-batch modeled throughput, the block accesses, the final edge
+    count and the content digest must all be equal (only wall-clock may
+    differ)."""
+    from functools import partial
+
+    from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
+    from repro.bench.metrics import run_batched
+    from repro.core.store import create_store, store_digest
+    from repro.workloads import load_dataset
+    from repro.workloads.streams import EdgeStream
+
+    edges = load_dataset("hollywood_like")[1][:8_000]
+    batches = list(EdgeStream(edges, -(-edges.shape[0] // 3)).insert_batches())
+    assert len(batches) == 3
+    for backend in ("graphtinker", "gt_plain"):
+        reports = []
+        for kernel in ("scalar", "vector"):
+            store = create_store(backend)
+            ms = run_batched(batches, partial(store.insert_batch, kernel=kernel),
+                             store.stats)
+            reports.append({
+                "modeled_throughput": [m.modeled_throughput(MODEL) for m in ms],
+                "block_accesses": store.stats.total_block_accesses,
+                "final_edges": store.n_edges,
+                "digest": store_digest(store),
+            })
+        assert reports[0] == reports[1], backend

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.bench.harness import deletion_run, insertion_run, make_store
+from repro.bench.harness import deletion_run, insertion_run
 from repro.core.config import ShardedConfig
 from repro.core.sharded import ShardedStore
+from repro.core.store import create_store
 from repro.engine import HybridEngine
 from repro.engine.algorithms import BFS
 from repro.obs.metrics import MetricsRegistry
@@ -52,7 +53,7 @@ class TestDisabledParity:
             if enabled:
                 obs.enable()
             try:
-                store = make_store(kind)
+                store = create_store(kind)
                 insertion_run(store, EdgeStream(edges, 1000))
                 return store.stats.as_dict()
             finally:
@@ -66,7 +67,7 @@ class TestDisabledParity:
         tracer, registry = Tracer(), MetricsRegistry()
         prior_t, prior_r = obs.set_tracer(tracer), obs.set_registry(registry)
         try:
-            store = make_store("graphtinker")
+            store = create_store("graphtinker")
             insertion_run(store, EdgeStream(_edges(500), 250))
             assert tracer.roots == []
             assert registry.collect() == {}
@@ -78,7 +79,7 @@ class TestDisabledParity:
 class TestTraceTreeSumsToStoreTotals:
     def test_insertion_spans_sum_to_store_stats(self, fresh_obs):
         tracer, _ = fresh_obs
-        store = make_store("graphtinker")
+        store = create_store("graphtinker")
         insertion_run(store, EdgeStream(_edges(), 600))
         spans = tracer.find("insert_batch")
         assert len(spans) == 5
@@ -88,7 +89,7 @@ class TestTraceTreeSumsToStoreTotals:
     def test_deletion_spans_carry_deltas(self, fresh_obs):
         tracer, _ = fresh_obs
         edges = _edges(1000)
-        store = make_store("graphtinker")
+        store = create_store("graphtinker")
         store.insert_batch(edges)
         before = store.stats.snapshot()
         deletion_run(store, EdgeStream(edges, 500))
@@ -102,7 +103,7 @@ class TestTraceTreeSumsToStoreTotals:
 class TestEngineSpansAndMetrics:
     def test_one_span_per_mode_decision(self, fresh_obs):
         tracer, registry = fresh_obs
-        store = make_store("graphtinker")
+        store = create_store("graphtinker")
         store.insert_batch(_edges())
         engine = HybridEngine(store, BFS(), policy="hybrid")
         engine.reset(roots=[int(_edges()[0, 0])])
@@ -125,7 +126,7 @@ class TestEngineSpansAndMetrics:
 
     def test_iteration_span_deltas_sum_to_compute_delta(self, fresh_obs):
         tracer, _ = fresh_obs
-        store = make_store("graphtinker")
+        store = create_store("graphtinker")
         store.insert_batch(_edges())
         engine = HybridEngine(store, BFS(), policy="full")
         engine.reset(roots=[int(_edges()[0, 0])])
@@ -139,7 +140,7 @@ class TestEngineSpansAndMetrics:
 class TestStorePublication:
     def test_graphtinker_publishes_gt_prefixed_counters(self, fresh_obs):
         _, registry = fresh_obs
-        store = make_store("graphtinker")
+        store = create_store("graphtinker")
         store.insert_batch(_edges())
         snap = registry.collect()
         assert snap["gt.edges.inserted"] == store.stats.edges_inserted
@@ -148,7 +149,7 @@ class TestStorePublication:
 
     def test_stinger_publishes_stinger_prefixed_counters(self, fresh_obs):
         _, registry = fresh_obs
-        store = make_store("stinger")
+        store = create_store("stinger")
         store.insert_batch(_edges(800))
         snap = registry.collect()
         assert snap["stinger.edges.inserted"] == store.stats.edges_inserted
@@ -157,7 +158,7 @@ class TestStorePublication:
     def test_stinger_batches_publish_ingest_like_tiered(self, fresh_obs):
         _, registry = fresh_obs
         for kind in ("stinger", "tiered"):
-            store = make_store(kind)
+            store = create_store(kind)
             edges = _edges(800)
             store.insert_batch(edges)
             store.delete_batch(edges[:300])

@@ -1,5 +1,8 @@
 """Tests for snapshot save/restore."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,8 @@ from repro.errors import WorkloadError
 from repro.stinger import Stinger
 from repro.workloads import rmat_edges
 from repro.workloads.persistence import (
-    load_snapshot,
     read_snapshot,
-    restore_graphtinker,
+    restore_store,
     save_snapshot,
 )
 
@@ -30,7 +32,7 @@ class TestRoundtrip:
         path = tmp_path / "snap.npz"
         n = save_snapshot(populated, path)
         assert n == populated.n_edges
-        restored = restore_graphtinker(path)
+        restored = restore_store(path)
         assert restored.n_edges == populated.n_edges
         assert sorted(restored.edges()) == sorted(populated.edges())
         restored.check_invariants()
@@ -38,7 +40,7 @@ class TestRoundtrip:
     def test_restore_into_different_config(self, populated, tmp_path):
         path = tmp_path / "snap.npz"
         save_snapshot(populated, path)
-        restored = restore_graphtinker(
+        restored = restore_store(
             path, GTConfig(pagewidth=32, compact_on_delete=True)
         )
         assert sorted(restored.edges()) == sorted(populated.edges())
@@ -50,17 +52,18 @@ class TestRoundtrip:
         st.insert_batch(edges)
         path = tmp_path / "snap.npz"
         save_snapshot(st, path)
-        gt = restore_graphtinker(path)
+        gt = restore_store(path, GTConfig())
         assert sorted(gt.edges()) == sorted(st.edges())
 
     def test_empty_store(self, tmp_path):
         gt = GraphTinker(GTConfig(pagewidth=16, subblock=4, workblock=2))
         path = tmp_path / "snap.npz"
         assert save_snapshot(gt, path) == 0
-        edges, weights = load_snapshot(path)
+        snap = read_snapshot(path)
+        edges, weights = snap.edges, snap.weights
         assert edges.shape == (0, 2)
         assert weights.shape == (0,)
-        restored = restore_graphtinker(path)
+        restored = restore_store(path)
         assert restored.n_edges == 0
         restored.check_invariants()
 
@@ -84,10 +87,10 @@ class TestFormatV2:
     def test_restore_with_writer_config(self, populated, tmp_path):
         path = tmp_path / "snap.npz"
         save_snapshot(populated, path)
-        restored = restore_graphtinker(path, use_writer_config=True)
+        restored = restore_store(path)
         assert restored.config == populated.config
-        # Default behaviour is unchanged: receiving-store semantics.
-        assert restore_graphtinker(path).config == GTConfig()
+        # An explicit config wins: receiving-store semantics.
+        assert restore_store(path, GTConfig()).config == GTConfig()
 
     def test_stinger_config_embedded(self, tmp_path, rng):
         st = Stinger(StingerConfig(edgeblock_size=4))
@@ -109,7 +112,7 @@ class TestFormatV2:
         snap = read_snapshot(path)
         assert snap.version == 1
         assert snap.writer_config is None and snap.repro_version is None
-        gt = restore_graphtinker(path)
+        gt = restore_store(path)
         assert sorted(gt.edges()) == [(1, 3, 1.0), (2, 4, 2.5)]
 
     def test_unknown_format_raises_actionably(self, tmp_path):
@@ -118,7 +121,7 @@ class TestFormatV2:
                  src=np.empty(0, np.int64), dst=np.empty(0, np.int64),
                  weight=np.empty(0))
         with pytest.raises(WorkloadError, match="unknown snapshot format"):
-            load_snapshot(path)
+            read_snapshot(path)
 
 
 class TestValidation:
@@ -126,12 +129,13 @@ class TestValidation:
         path = tmp_path / "other.npz"
         np.savez(path, a=np.arange(3))
         with pytest.raises(WorkloadError):
-            load_snapshot(path)
+            read_snapshot(path)
 
     def test_load_returns_edges_and_weights(self, populated, tmp_path):
         path = tmp_path / "snap.npz"
         save_snapshot(populated, path)
-        edges, weights = load_snapshot(path)
+        snap = read_snapshot(path)
+        edges, weights = snap.edges, snap.weights
         assert edges.shape[0] == weights.shape[0] == populated.n_edges
         assert edges.shape[1] == 2
 
@@ -141,4 +145,49 @@ class TestValidation:
                  src=np.array([1, 2], np.int64), dst=np.array([3, 4], np.int64),
                  weight=np.array([1.0]))
         with pytest.raises(WorkloadError, match="length mismatch"):
-            load_snapshot(path)
+            read_snapshot(path)
+
+
+class TestKernelFieldCheckpoints:
+    """``GTConfig`` once had a ``kernel`` field, so every v2 checkpoint
+    written then carries ``"kernel": "vector"`` among the embedded
+    config's fields.  Such a file, written here by hand, still opens."""
+
+    CONFIG = GTConfig(pagewidth=16, subblock=4, workblock=2)
+    EDGES = [(1, 3, 1.0), (2, 4, 2.5), (2, 5, 0.5)]
+
+    def write(self, path):
+        fields = dataclasses.asdict(self.CONFIG)
+        fields["kernel"] = "vector"
+        src, dst, weight = (np.array(col) for col in zip(*self.EDGES))
+        np.savez_compressed(
+            path,
+            format=np.array("repro-graph-snapshot-v2"),
+            repro_version=np.array("0.1.0"),
+            config_json=np.array(json.dumps({"class": "GTConfig",
+                                             "fields": fields})),
+            meta_json=np.array(json.dumps({"last_seq": 3, "cum_edges": 3})),
+            src=src.astype(np.int64),
+            dst=dst.astype(np.int64),
+            weight=weight.astype(np.float64),
+        )
+
+    def test_restore_store(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        self.write(path)
+        assert read_snapshot(path).writer_config == self.CONFIG
+        store = restore_store(path)
+        assert type(store) is GraphTinker and store.config == self.CONFIG
+        assert sorted(store.edges()) == self.EDGES
+        store.check_invariants()
+
+    def test_recover(self, tmp_path):
+        from repro.service.checkpoint import checkpoint_path
+        from repro.service.recovery import recover
+
+        self.write(checkpoint_path(tmp_path, 3))
+        result = recover(tmp_path, verify="full")
+        assert type(result.store) is GraphTinker
+        assert result.store.config == self.CONFIG
+        assert sorted(result.store.edges()) == self.EDGES
+        assert result.last_seq == 3 and result.fsck.ok

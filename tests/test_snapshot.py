@@ -183,7 +183,7 @@ class TestDirtyTracking:
         rows it touched must be dirty all the same (the scalar path marks
         per edge, so it never had the gap)."""
         store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4,
-                                     max_generations=2, kernel="vector"))
+                                     max_generations=2))
         store.insert_batch(np.array([[0, 1000], [5, 7]]))
         store.enable_snapshot()
         assert store.neighbors_many([0, 5])[0].shape[0] == 2

@@ -28,6 +28,7 @@ from repro.core.store import (
     create_store,
     register_backend,
     store_digest,
+    store_from_config,
     validate_store,
 )
 from repro.errors import StoreProtocolError, VertexNotFoundError
@@ -72,6 +73,18 @@ class TestProtocolSurface:
         for member in STORE_PROTOCOL_MEMBERS:
             assert hasattr(store, member), f"{backend} lacks {member}"
 
+    def test_config_rebuilds_the_same_backend(self, backend):
+        """The registry is the one name/config -> store table: a built
+        store's config rebuilds its class with an equal config."""
+        store = create_store(backend)
+        twin = store_from_config(store.config)
+        try:
+            assert type(twin) is type(store)
+            assert twin.config == store.config
+        finally:
+            for built in (store, twin):
+                getattr(built, "close", lambda: None)()
+
     def test_incomplete_backend_raises_typed_error(self):
         class Incomplete:
             """Has a few members, misses most of the contract."""
@@ -88,7 +101,7 @@ class TestProtocolSurface:
         assert "neighbors_many" in str(err.value)
 
         register_backend("conftest-incomplete", lambda config=None, *,
-                         kernel=None, snapshot=None: Incomplete())
+                         snapshot=None: Incomplete())
         try:
             with pytest.raises(StoreProtocolError):
                 create_store("conftest-incomplete")
@@ -101,7 +114,7 @@ class TestProtocolSurface:
     def test_duplicate_registration_refused(self):
         with pytest.raises(ValueError):
             register_backend("graphtinker", lambda config=None, *,
-                             kernel=None, snapshot=None: None)
+                             snapshot=None: None)
 
     def test_unknown_backend_name(self):
         with pytest.raises(ValueError):

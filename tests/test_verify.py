@@ -237,7 +237,11 @@ class TestSghIndex:
 
 
 class TestRandomizedRepair:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4] + [
+        pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=(
+            "repair reports ok but heals to another edge set; "
+            "docs/robustness.md, Known defect")))
+        for seed in (40, 47)])
     def test_multiple_corruptions_heal_to_reference(self, seed):
         gt = build(CONFIGS["default"], seed + 100)
         reference = edge_set(gt)
