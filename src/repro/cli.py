@@ -129,7 +129,7 @@ def cmd_generate(args) -> int:
 
 def cmd_load(args) -> int:
     edges = _edges_for(args)
-    stream = EdgeStream(edges, max(1, edges.shape[0] // args.batches))
+    stream = EdgeStream(edges, max(1, -(-edges.shape[0] // args.batches)))
     table = Table(
         f"insertion throughput: {args.dataset} ({edges.shape[0]} edges, "
         f"{stream.n_batches} batches)",
@@ -262,7 +262,7 @@ def cmd_trace(args) -> int:
     ``AccessStats`` deltas sum to the store's own totals.
     """
     edges = _edges_for(args)
-    stream = EdgeStream(edges, max(1, edges.shape[0] // args.batches))
+    stream = EdgeStream(edges, max(1, -(-edges.shape[0] // args.batches)))
     store = create_store(args.system)
     tracer = obs.get_tracer()
     tracer.reset()
@@ -654,16 +654,19 @@ def cmd_fsck(args) -> int:
         for injected in corruptor.corrupt_random(args.corrupt):
             print(f"injected {injected.kind}: {injected.detail}")
 
+    def show(report, prefix: str = "") -> None:
+        print(prefix + report.summary())
+        shown = report.violations[:_SHOWN_ROWS]
+        for violation in shown:
+            print(f"  [{violation.kind}] vertex={violation.vertex} "
+                  f"{violation.where}: {violation.detail}")
+        if len(report.violations) > len(shown):
+            print(f"  ... and {len(report.violations) - len(shown)} more")
+
     report = store.fsck()
-    print(report.summary())
+    show(report)
     if report.ok:
         return 0
-    shown = report.violations[:_SHOWN_ROWS]
-    for violation in shown:
-        print(f"  [{violation.kind}] vertex={violation.vertex} "
-              f"{violation.where}: {violation.detail}")
-    if len(report.violations) > len(shown):
-        print(f"  ... and {len(report.violations) - len(shown)} more")
     if not args.repair:
         return 1
 
@@ -672,7 +675,7 @@ def cmd_fsck(args) -> int:
           f"{len(repair.recounted_vertices)} recounted, "
           f"{repair.freed_blocks} blocks freed, "
           f"{repair.sgh_fixes} SGH fixes")
-    print(f"post-repair: {repair.final.summary()}")
+    show(repair.final, "post-repair: ")
     if not repair.ok:
         return 1
     if args.checkpoint:

@@ -1,7 +1,7 @@
 """The GraphTinker facade — the paper's public data-structure API.
 
 Ties together the Scatter-Gather Hashing unit, the EdgeblockArray (Robin
-Hood + Tree-Based Hashing), the VertexPropertyArray and the Coarse
+Hood + Tree-Based Hashing, and the per-vertex degrees) and the Coarse
 Adjacency List into the dynamic-graph store evaluated in the paper:
 
 * :meth:`GraphTinker.insert_edge` / :meth:`insert_batch` — FIND-then-INSERT
@@ -32,7 +32,6 @@ from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.sgh import ScatterGatherHash
 from repro.core.stats import STAT_FIELDS, AccessStats
 from repro.core.store import StoreBase, check_edge_batch
-from repro.core.vertex_array import VertexPropertyArray
 from repro.errors import VertexNotFoundError
 from repro.obs import hooks as obs_hooks
 
@@ -63,7 +62,6 @@ class GraphTinker(StoreBase):
         self.sgh = ScatterGatherHash(self.stats) if self.config.enable_sgh else None
         self.eba = EdgeblockArray(self.config, self.stats)
         self.cal = CoarseAdjacencyList(self.config, self.stats) if self.config.enable_cal else None
-        self.vpa = VertexPropertyArray(self.config.initial_vertices)
         if self.config.snapshot:
             self.enable_snapshot()
 
@@ -175,7 +173,6 @@ class GraphTinker(StoreBase):
                 # raised has moved cells already: mark unconditionally.
                 self._analytics_snapshot.mark_dirty(dense_src)
         if is_new:
-            self.vpa.add_degree(dense_src, 1)
             if self.cal is not None:
                 self.eba.set_cal_pointer(location, self.cal.append(dense_src, dst, weight))
         else:
@@ -255,7 +252,6 @@ class GraphTinker(StoreBase):
             return False
         if self._analytics_snapshot is not None:
             self._analytics_snapshot.mark_dirty(dense_src)
-        self.vpa.add_degree(dense_src, -1)
         if self.cal is not None and cal_ptr >= 0:
             if self.config.compact_on_delete:
                 moved = self.cal.compact_delete(cal_ptr)

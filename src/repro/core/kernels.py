@@ -173,7 +173,7 @@ winners are tombstoned with one scatter per field through the same
 index, and the losers — only when a chunk repeats a pair — re-probe the
 tombstoned level through :func:`_probe` and carry on as misses.  Misses
 whose Subblock has a child carry on to the next level.  After the pass
-the chunk's degrees drop with one ``subtract.at`` per array and its CAL
+the chunk's degrees drop with one ``subtract.at`` and its CAL
 copies with one :meth:`CoarseAdjacencyList.invalidate_many`.
 
 The delete-and-compact configuration is *not* vectorised: compaction
@@ -718,10 +718,6 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         np.add.at(eba._degrees, dense[placed], 1)
         new[r_new] = True
         live = np.flatnonzero(new)
-        if live.shape[0]:
-            ns = dense[live]
-            gt.vpa.ensure(int(ns.max()))
-            np.add.at(gt.vpa.degrees, ns, 1)
         if cal is not None:
             # Replay the appends in original stream order, then rewrite
             # every sentinel in one pass per pool, over the cells the
@@ -820,8 +816,6 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
             snap.mark_dirty_many(ds)  # also empty: it ends the capture epoch
         if deleted:
             np.subtract.at(eba._degrees, ds, 1)
-            gt.vpa.ensure(int(ds.max()))
-            np.subtract.at(gt.vpa.degrees, ds, 1)
         stats.workblock_fetches += wf
         stats.cells_scanned += cs
         stats.branch_descents += bd

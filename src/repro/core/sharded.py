@@ -604,7 +604,10 @@ class ShardedStore(RowStoreDefaults):
 
     def _fsck_repair(self, out) -> None:
         """Every shard repairs itself; the parent then rebuilds its
-        degree / edge-count caches from the repaired workers."""
+        degree / edge-count caches from the repaired workers.  A shard's
+        ``repair-undecided`` violations go into ``out.final``."""
+        from repro.core.verify import V_UNDECIDED
+
         n_shards = self.config.n_shards
         for k in range(n_shards):
             self._send(k, ("fsck", (out.initial.level, True), ()))
@@ -615,6 +618,8 @@ class ShardedStore(RowStoreDefaults):
             out.freed_blocks += shard.freed_blocks
             out.sgh_fixes += shard.sgh_fixes
             out.actions += shard.actions
+            out.final.violations += [v for v in shard.final.violations
+                                     if v.kind == V_UNDECIDED]
         self._degree[: self._n_vertices] = 0
         total = 0
         for src, _, _ in self._export_shards():

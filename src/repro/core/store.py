@@ -361,12 +361,12 @@ class RowStoreDefaults(StoreBase):
         marks) and re-audits.  Access accounting is restored: auditing
         and repairing never perturb the modeled counters.
         """
-        from repro.core.verify import RepairReport
+        from repro.core.verify import RepairReport, VerifyReport
 
         report = self._audit(level)
         if not repair:
             return report
-        out = RepairReport(initial=report, final=report)
+        out = RepairReport(initial=report, final=VerifyReport(level))
         backup = self.stats.snapshot()
         try:
             self._fsck_repair(out)
@@ -375,7 +375,9 @@ class RowStoreDefaults(StoreBase):
             self.stats.merge(backup)
         if self._analytics_snapshot is not None:
             self._analytics_snapshot.invalidate()
+        undecided = out.final.violations  # invisible to the re-audit
         out.final = self._audit(level)
+        out.final.violations += undecided
         return out
 
     def _fsck_checks(self, violations: list, level: str) -> None:
@@ -383,7 +385,8 @@ class RowStoreDefaults(StoreBase):
 
     def _fsck_repair(self, out) -> None:
         """Heal what ``out.initial`` reports, filling ``out``'s vertex
-        lists (nothing to heal by default)."""
+        lists, and ``out.final`` with what it could not decide (nothing
+        to heal by default)."""
 
     def _audit(self, level: str):
         """The audit half of :meth:`fsck` (a ``VerifyReport``)."""

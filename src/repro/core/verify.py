@@ -13,9 +13,9 @@ silently relies on:
 * in Robin-Hood mode, each cell's stored probe distance matches its
   wrapped distance from the destination's initial bucket, and no EMPTY
   cell interrupts the probe path (which would make the edge unreachable);
-* per-vertex degree counters (EdgeblockArray and VertexPropertyArray)
-  equal the number of live cells in the vertex's edgeblock tree, and no
-  destination appears twice in one tree (no duplicate/ghost edges);
+* per-vertex degree counters equal the number of live cells in the
+  vertex's edgeblock tree, and no destination appears twice in one tree
+  (no duplicate/ghost edges);
 * every edge-cell's CAL-pointer resolves to a live CAL slot holding the
   same ``(src, dst, weight)``, every live CAL slot is owned by exactly
   one cell, and the CAL's live count matches the EdgeblockArray's;
@@ -35,7 +35,10 @@ need neither hashing nor the CAL-pointers.
 place.  Anything else reconciles the whole edge set once — the
 EdgeblockArray and the CAL are redundant copies of every edge, and
 hash-placement validity decides between them — and rebuilds the store
-from the reconciled edges with one ``insert_batch``.
+from the reconciled edges with one ``insert_batch``.  Where that evidence
+cannot decide a cell's destination, repair keeps the cell's and names
+the edge in its final report (``repair-undecided``), which is then not
+``ok``.
 
 Auditing and repairing never perturb :class:`~repro.core.stats.
 AccessStats` — counts are snapshotted and restored — and publish
@@ -57,12 +60,10 @@ from repro.core.cal import CoarseAdjacencyList
 from repro.core.edgeblock_array import OVERFLOW, EdgeblockArray
 from repro.core.hashing import initial_bucket_array, subblock_index_array
 from repro.core.pool import EMPTY, TOMBSTONE
-from repro.core.vertex_array import VertexPropertyArray
 from repro.obs import hooks as obs_hooks
 
 #: Violation kinds (the ``IntegrityViolation.kind`` vocabulary).
 V_DEGREE = "degree-mismatch"            # EBA degree counter vs live cells
-V_VPA_DEGREE = "vpa-degree-mismatch"    # VertexPropertyArray degree drifted
 V_DUPLICATE = "duplicate-edge"          # same dst twice in one vertex tree
 V_CORRUPT_CELL = "corrupt-cell"         # dst is not a valid id or sentinel
 V_MISPLACED = "misplaced-edge"          # Subblock/probe placement broken
@@ -73,10 +74,7 @@ V_CAL_GHOST = "cal-ghost-copy"          # live CAL slot without an owner
 V_CAL_COUNT = "cal-count-mismatch"      # CAL live count vs EBA live count
 V_SGH = "sgh-mapping"                   # forward/reverse/index disagree
 V_POOL = "pool-freelist"                # freed/orphaned/shared blocks
-
-#: Checks cheap enough for the bounded post-recovery fsck.
-QUICK_KINDS = (V_DEGREE, V_VPA_DEGREE, V_DUPLICATE, V_CORRUPT_CELL,
-               V_CAL_COUNT, V_SGH, V_POOL)
+V_UNDECIDED = "repair-undecided"        # repair kept an unconfirmed dst
 
 LEVELS = ("quick", "full")
 
@@ -371,11 +369,6 @@ def _check_counts(gt, sweep: _Sweep, emit) -> None:
     for v in np.flatnonzero(live != degrees).tolist():
         emit(V_DEGREE, v, f"degree counter says {degrees[v]} but the tree holds "
                           f"{live[v]} live cells")
-    vpa = np.zeros(n, dtype=np.int64)
-    vpa[:min(n, len(gt.vpa))] = gt.vpa._degree[:min(n, len(gt.vpa))]
-    for v in np.flatnonzero(vpa != degrees).tolist():
-        emit(V_VPA_DEGREE, v, f"VertexPropertyArray degree {vpa[v]} != "
-                              f"EdgeblockArray degree {degrees[v]}")
     order = np.argsort(_pair_keys(sweep.root, sweep.dst))
     root, dst = sweep.root[order], sweep.dst[order]
     again = np.flatnonzero((root[1:] == root[:-1]) & (dst[1:] == dst[:-1])) + 1
@@ -509,9 +502,11 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
     SGH reverse entries and the SGH batch index are rebuilt from the
     forward table; then damage confined to degree counters is recounted
     in place, and anything else rebuilds the store — fresh
-    EdgeblockArray, CAL and VertexPropertyArray, the same SGH — from one
-    ``insert_batch`` of the edge set :func:`_reconcile` trusts.  A final
-    full fsck is embedded in the returned :class:`RepairReport`.
+    EdgeblockArray and CAL, the same SGH — from one ``insert_batch`` of
+    the edge set :func:`_reconcile` trusts.  A final full fsck is
+    embedded in the returned :class:`RepairReport`, followed by one
+    ``repair-undecided`` violation per edge whose destination the
+    evidence could not decide.
     """
     stats_backup = gt.stats.snapshot()
     try:
@@ -522,7 +517,7 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
         out = RepairReport(initial=report, final=report)
         with obs.span("verify.repair", violations=len(report.violations)):
             if not report.ok:
-                _apply_repairs(gt, report, sweep, out)
+                undecided = _apply_repairs(gt, report, sweep, out)
                 # Repairs move cells behind the stores' mutation hooks, so
                 # any attached analytics snapshot must re-measure from
                 # scratch rather than trust its dirty-row tracking.
@@ -530,6 +525,7 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
                 if snap is not None:
                     snap.invalidate()
                 out.final = _audit(gt, "full")[0]
+                out.final.violations += undecided
             _publish_repair(out)
     finally:
         gt.stats.reset()
@@ -537,26 +533,35 @@ def repair_graph(gt, report: VerifyReport | None = None) -> RepairReport:
     return out
 
 
-def _apply_repairs(gt, report: VerifyReport, sweep: _Sweep, out: RepairReport) -> None:
+def _apply_repairs(gt, report: VerifyReport, sweep: _Sweep, out: RepairReport) -> list:
+    """Repair ``gt``; returns the ``repair-undecided`` violations."""
     _repair_sgh(gt, out)
-    damage = {v.kind for v in report.violations} - {V_SGH}
-    degree_kinds = {V_DEGREE, V_VPA_DEGREE}
-    if not damage <= degree_kinds:
-        _rebuild_store(gt, *_reconcile(gt, sweep), out)
-        return
+    if not {v.kind for v in report.violations} <= {V_SGH, V_DEGREE}:
+        src, dst, weight, undecided = _reconcile(gt, sweep)
+        _rebuild_store(gt, src, dst, weight, out)
+        return undecided
     live = np.bincount(sweep.root, minlength=gt.eba.n_vertices)
     for vertex in sorted({v.vertex for v in report.violations
-                          if v.kind in degree_kinds and v.vertex >= 0}):
+                          if v.kind == V_DEGREE and v.vertex >= 0}):
         gt.eba._degrees[vertex] = live[vertex]
-        gt.vpa.ensure(vertex)
-        gt.vpa._degree[vertex] = live[vertex]
         out.recounted_vertices.append(vertex)
         out.actions.append(f"recounted degree of vertex {vertex}")
+    return []
 
 
-def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _places_alike(eba, sweep: _Sweep, i: int, other: int) -> bool:
+    """Whether destination ``other`` would pass the placement check in
+    placed cell ``i`` too: the same Subblock at the cell's generation and
+    every ancestor's, and in Robin-Hood mode the same initial bucket."""
+    a, b = ([eba._tree_hash(d, g) for g in range(int(sweep.gen[i]) + 1)]
+            for d in (int(sweep.dst[i]), other))
+    return [sb for sb, _ in a] == [sb for sb, _ in b] and (not eba._rhh_on or a[-1] == b[-1])
+
+
+def _reconcile(gt, sweep: _Sweep):
     """The trusted edge set ``(src, dst, weight)``, dense sources, sorted
-    and one entry per ``(src, dst)``.
+    and one entry per ``(src, dst)``, and the ``repair-undecided``
+    violations of the cells kept on no evidence.
 
     The EdgeblockArray cell and its CAL copy (the slot its pointer names,
     when that slot holds the cell's vertex) are redundant; per cell:
@@ -573,6 +578,11 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       own vertex also names → drop the cell (its block is borrowed into
       a second tree), whether or not its placement holds there.
 
+    Two of these keep a destination that nothing confirms, and each such
+    cell is named undecided: a placed cell whose own copy's destination
+    would pass the placement check in that cell too (either side may
+    have flipped), and a misplaced cell in a store with no CAL.
+
     A live CAL copy that no cell's pointer names recovers an edge whose
     cell was lost.  Where two candidates name one ``(src, dst)``, agreeing
     copies win, then a lone cell or copy, then a recovered edge.
@@ -580,7 +590,9 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     src, dst, cal = sweep.root, sweep.dst, gt.cal
     weight = sweep.read(gt.eba, "weight")
     rank = np.zeros(src.shape[0], dtype=np.int64)
-    if cal is not None:
+    if cal is None:
+        doubt = {i: None for i in np.flatnonzero(~sweep.placed).tolist()}
+    else:
         addr = np.where(sweep.resolves, sweep.read(gt.eba, "cal"), 0)
         cs, cd, cw = (cal.pool.fields[k].reshape(-1) for k in ("src", "dst", "weight"))
         mine = sweep.resolves & (cs[addr] == src)
@@ -590,6 +602,8 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         copy = agree | (mine & (~sweep.placed | (taken & ~agree)))
         borrowed = sweep.resolves & ~mine & np.isin(addr, addr[mine])
         keep = copy | (sweep.placed & ~borrowed)
+        doubt = {i: int(cd[addr[i]]) for i in np.flatnonzero(mine & ~copy).tolist()}
+        doubt = {i: d for i, d in doubt.items() if _places_alike(gt.eba, sweep, i, d)}
         live = cal.live_addresses()
         lost = live[~np.isin(live, addr[sweep.resolves])]
         lost = lost[(cs[lost] >= 0) & (cs[lost] < gt.eba.n_vertices)]
@@ -600,18 +614,22 @@ def _reconcile(gt, sweep: _Sweep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     key = _pair_keys(src, dst)
     order = np.argsort(key * 3 + rank)
     order = order[np.diff(key[order], prepend=-1) != 0]  # rank 0 first in each pair
-    return src[order], dst[order], weight[order]
+    undecided = [IntegrityViolation(
+        V_UNDECIDED, int(sweep.root[i]), f"kept destination {sweep.dst[i]}; " + (
+            "it is misplaced and no CAL copy confirms it" if d is None
+            else f"its CAL copy says {d}, which places there too"), sweep.where(i))
+        for i, d in doubt.items()]
+    return src[order], dst[order], weight[order], undecided
 
 
 def _rebuild_store(gt, src: np.ndarray, dst: np.ndarray, weight: np.ndarray,
                    out: RepairReport) -> None:
-    """Re-create the EdgeblockArray, CAL and VertexPropertyArray from the
-    reconciled edges; the SGH is kept, so every dense id keeps its row."""
+    """Re-create the EdgeblockArray and the CAL from the reconciled
+    edges; the SGH is kept, so every dense id keeps its row."""
     n_vertices = gt.eba.n_vertices
     out.freed_blocks = gt.eba.overflow.n_used
     gt.eba = EdgeblockArray(gt.config, gt.stats)
     gt.cal = CoarseAdjacencyList(gt.config, gt.stats) if gt.config.enable_cal else None
-    gt.vpa = VertexPropertyArray(gt.config.initial_vertices)
     if n_vertices:
         # Vertices left with no edges keep their rows: SGH ids stay aligned.
         gt.eba.ensure_vertex(n_vertices - 1)

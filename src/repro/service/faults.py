@@ -202,8 +202,7 @@ class StoreCorruptor:
 
     * ``bitflip`` — flip one low bit of a live edge-cell's destination
       (a DRAM bit flip; breaks hash placement and/or the CAL copy).
-    * ``degree`` / ``vpa-degree`` — drift a per-vertex degree counter
-      (a lost update).
+    * ``degree`` — drift a per-vertex degree counter (a lost update).
     * ``cal-src`` / ``cal-dst`` — damage a live CAL slot's source or
       destination field (the copy no longer matches its owner).
     * ``truncate`` — return a live overflow edgeblock to the free-list
@@ -217,8 +216,7 @@ class StoreCorruptor:
     silently testing nothing.
     """
 
-    KINDS = ("bitflip", "degree", "vpa-degree", "cal-src", "cal-dst",
-             "truncate", "sgh")
+    KINDS = ("bitflip", "degree", "cal-src", "cal-dst", "truncate", "sgh")
 
     def __init__(self, gt, seed: int = 0):
         self.gt = gt
@@ -274,14 +272,6 @@ class StoreCorruptor:
             gt.eba._degrees[v] += delta
             return InjectedCorruption(kind, (
                 f"drifted EBA degree of vertex {v} by +{delta}"))
-        if kind == "vpa-degree":
-            v = self._pick([v for v in range(gt.eba.n_vertices)
-                            if gt.eba.degree(v) > 0], "vpa-degree")
-            delta = int(self.rng.integers(1, 4))
-            gt.vpa.ensure(v)
-            gt.vpa._degree[v] += delta
-            return InjectedCorruption(kind, (
-                f"drifted VPA degree of vertex {v} by +{delta}"))
         if kind in ("cal-src", "cal-dst"):
             if gt.cal is None:
                 raise CorruptionError("store has no CAL to corrupt")

@@ -3,7 +3,7 @@
 A dynamic-graph deployment checkpoints its store between sessions.  The
 portable representation is the live edge set (original ids + weights),
 saved as a compressed ``.npz``; restoring replays it through the normal
-insert path, so every structure (EBA, SGH, CAL, VPA) is rebuilt
+insert path, so every structure (EBA, SGH, CAL) is rebuilt
 consistent with the configuration of the *receiving* store — which may
 legitimately differ from the writer's (e.g. restore a delete-only
 snapshot into a delete-and-compact store).

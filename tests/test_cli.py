@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.workloads.io import read_edge_list
+from tests.test_verify import flip_target, same_bucket
 
 
 class TestParser:
@@ -65,6 +67,14 @@ class TestLoad:
         out = capsys.readouterr().out
         assert "graphtinker" in out and "stinger" in out
         assert "batch1" in out
+
+    def test_runs_exactly_the_requested_batches(self, tmp_path, capsys):
+        """8000 edges in 3 batches is 3 batches, not 4 with a remainder."""
+        report = tmp_path / "load.json"
+        assert main(["load", "--edges", "8000", "--batches", "3",
+                     "--systems", "graphtinker", "--json", str(report)]) == 0
+        assert "(8000 edges, 3 batches)" in capsys.readouterr().out
+        assert json.loads(report.read_text())["batches"] == 3
 
 
 class TestAnalytics:
@@ -218,6 +228,24 @@ class TestServiceDirectoryTools:
         after = capsys.readouterr().out
         assert "replayed 0 WAL records" in after
         assert "clean" in after and "FAILED" not in after
+
+    def test_fsck_repair_lists_what_it_could_not_decide(self, data_dir, capsys,
+                                                        monkeypatch):
+        """A cell flip repair cannot decide: the final report lists it,
+        and fsck exits 1."""
+        from repro.service import StoreCorruptor
+
+        def flip(self, n=1, kinds=None):
+            v, slot, new = flip_target(self.gt, same_bucket)
+            self.gt.eba.main.fields["dst"][v, slot] = new
+            return []
+
+        monkeypatch.setattr(StoreCorruptor, "corrupt_random", flip)
+        assert main(["fsck", "--data-dir", data_dir, "--corrupt", "1",
+                     "--repair"]) == 1
+        out = capsys.readouterr().out
+        assert "post-repair: fsck[full] FAILED" in out
+        assert "  [repair-undecided] vertex=" in out
 
     def test_blackbox_list(self, tmp_path, capsys):
         from repro.obs.recorder import FlightRecorder, blackbox_path

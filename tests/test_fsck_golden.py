@@ -8,8 +8,9 @@ and seeds 0, 7 and 42 it builds ``test_verify.build(config, seed)``,
 applies ``StoreCorruptor(store, seed).corrupt(kind)`` and records
 ``verify_graph(level="full").by_kind()``; a kind with no viable target
 (``CorruptionError``) is recorded as ``null`` and skipped.  After the
-audit, ``repair_graph`` must report ``ok`` and leave the edge count the
-recorded repair left (``repaired``): the count before the damage
+audit, ``repair_graph`` must report ``ok`` — or, in the :data:`UNDECIDED`
+cases, name only edges it could not decide — and leave the edge count
+the recorded repair left (``repaired``): the count before the damage
 (``n_edges``) in every case but a truncated overflow block in a store
 without a CAL, whose subtree's edges have no second copy to come back
 from.  Regenerate the goldens, only from a commit whose audit and repair
@@ -29,6 +30,15 @@ from tests.test_verify import CONFIGS, build, edge_set
 
 GOLDENS_PATH = Path(__file__).with_name("fsck_goldens.json")
 SEEDS = (0, 7, 42)
+
+#: The cases whose damage leaves a cell destination no evidence decides:
+#: a flipped cell or CAL copy whose other destination would place in the
+#: cell too (``compact`` has no Robin Hood, so only its Subblock counts),
+#: and a misplaced cell in a store with no CAL.
+UNDECIDED = {
+    "bitflip/compact/42", "cal-dst/compact/7", "cal-dst/compact/42",
+    "bitflip/no_cal/0", "bitflip/no_cal/7", "bitflip/no_cal/42",
+}
 
 
 def case_id(kind: str, name: str, seed: int) -> str:
@@ -80,7 +90,10 @@ def test_audit_reproduces_golden_and_repair_heals(case):
     report = verify_graph(store, level="full")
     assert report.by_kind() == golden["by_kind"]
     repair = repair_graph(store, report)
-    assert repair.ok, repair.final.summary()
+    if case in UNDECIDED:
+        assert set(repair.final.by_kind()) == {"repair-undecided"}
+    else:
+        assert repair.ok, repair.final.summary()
     assert store.n_edges == golden["repaired"]
 
 

@@ -226,7 +226,6 @@ def delete_state(gt: GraphTinker) -> dict:
         "main": pool_bytes(gt.eba.main),
         "overflow": pool_bytes(gt.eba.overflow),
         "degrees": gt.eba.degrees_view().tolist(),
-        "vpa_degrees": gt.vpa.degrees.tolist(),
         "n_edges": gt.n_edges,
         "stats": gt.stats.as_dict(),
     }
@@ -565,7 +564,6 @@ def insert_pair(cfg: GTConfig, ops) -> tuple[GraphTinker, GraphTinker]:
         assert_equivalent(scalar, vector)
         assert tree_rows(scalar) == tree_rows(vector)
         assert scalar.eba.degrees_view().tolist() == vector.eba.degrees_view().tolist()
-        assert scalar.vpa.degrees.tolist() == vector.vpa.degrees.tolist()
         if scalar.cal is not None:
             assert scalar.cal.n_edges == vector.cal.n_edges
             assert pool_bytes(scalar.cal.pool) == pool_bytes(vector.cal.pool)
@@ -854,7 +852,7 @@ class TestLevelSynchronousInsert:
             assert no_sentinel_left(gt)
             cells = sum(int((pool.fields["dst"][:pool.high_water] >= 0).sum())
                         for pool in (gt.eba.main, gt.eba.overflow))
-            assert gt.n_edges == gt.vpa.degrees.sum() == gt.stats.edges_inserted == cells
+            assert gt.n_edges == gt.eba.degrees_view().sum() == gt.stats.edges_inserted == cells
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
         assert entered == [batch.shape[0] for batch, _ in batches]
 
@@ -1149,7 +1147,6 @@ class TestOverflowRegrowth:
         assert_equivalent(scalar, vector)
         assert tree_rows(scalar) == tree_rows(vector)
         assert scalar.eba.degrees_view().tolist() == vector.eba.degrees_view().tolist()
-        assert scalar.vpa.degrees.tolist() == vector.vpa.degrees.tolist()
         assert pool_bytes(scalar.cal.pool) == pool_bytes(vector.cal.pool)
         assert no_sentinel_left(vector)
 

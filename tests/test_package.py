@@ -22,7 +22,6 @@ PUBLIC_MODULES = [
     "repro.core.robin_hood",
     "repro.core.sgh",
     "repro.core.stats",
-    "repro.core.vertex_array",
     "repro.baselines",
     "repro.baselines.adjacency_matrix",
     "repro.baselines.csr",

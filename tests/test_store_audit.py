@@ -10,7 +10,8 @@ every registered backend, and the two checks that only a backend's
   repair recounts them;
 * ``sharded`` — the parent's audit includes every shard's own audit,
   with vertex ids translated back to original ids and ``where`` naming
-  the shard, and a repair reports the shards' own vertex lists.
+  the shard, and a repair reports the shards' own vertex lists and the
+  edges their repairs could not decide.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.core.store import backend_names, create_store
 from repro.core.tiered import TIER_INLINE, TieredStore
 from repro.service import StoreCorruptor
 from repro.workloads.rmat import rmat_edges
+from tests.test_verify import flip_target, same_bucket
 
 N_SHARDS = 3
 
@@ -78,16 +80,16 @@ def test_tiered_fsck_audits_and_recounts_occupancy():
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def drifted_shards(monkeypatch):
-    """A sharded store whose every shard drifts one VertexPropertyArray
-    degree on its first audit: damage only a shard's own fsck can see
-    (the parent's degree cache mirrors the EdgeblockArray counters)."""
+    """A sharded store whose every shard drifts one EdgeblockArray degree
+    counter on its first audit: damage only a shard's own fsck can see
+    (an audit sends no degrees back to the parent's degree cache)."""
     real_fsck = GraphTinker.fsck
     armed = [True]      # per process: each forked worker has its own copy
 
     def drifting_fsck(self, level="full", repair=False):
         if armed[0]:
             armed[0] = False
-            StoreCorruptor(self, seed=0).corrupt("vpa-degree")
+            StoreCorruptor(self, seed=0).corrupt("degree")
         return real_fsck(self, level=level, repair=repair)
 
     monkeypatch.setattr(GraphTinker, "fsck", drifting_fsck)
@@ -98,7 +100,7 @@ def drifted_shards(monkeypatch):
 
 
 def _drifted(report) -> list:
-    return [v for v in report.violations if v.kind == "vpa-degree-mismatch"]
+    return [v for v in report.violations if v.kind == "degree-mismatch"]
 
 
 def test_sharded_fsck_surfaces_shard_violations(drifted_shards):
@@ -110,7 +112,7 @@ def test_sharded_fsck_surfaces_shard_violations(drifted_shards):
         # An original id, owned by the shard that reported it.
         assert store._shard_of(v.vertex) == int(v.where[len("shard"):])
         assert store.degree(v.vertex) > 0
-    with pytest.raises(AssertionError, match="vpa-degree-mismatch"):
+    with pytest.raises(AssertionError, match="degree-mismatch"):
         store.check_invariants()
 
 
@@ -125,3 +127,30 @@ def test_sharded_repair_reports_shard_vertices(drifted_shards):
     assert repair.rebuilt_vertices == []
     assert store.stats.as_dict() == before
     store.check_invariants()
+
+
+def test_sharded_repair_keeps_the_shards_undecided_edges(monkeypatch):
+    """A shard's repair that cannot decide a destination names it; the
+    parent's re-audit cannot see that, so the name survives into the
+    parent's final report and the repair is not ok."""
+    real_fsck = GraphTinker.fsck
+
+    def flipping_fsck(self, level="full", repair=False):
+        if repair:  # flip a cell to a destination that places alike
+            v, slot, new = flip_target(self, same_bucket)
+            self.eba.main.fields["dst"][v, slot] = new
+        return real_fsck(self, level=level, repair=repair)
+
+    monkeypatch.setattr(GraphTinker, "fsck", flipping_fsck)
+    store = ShardedStore(ShardedConfig(n_shards=N_SHARDS))  # forks now
+    try:
+        store.insert_batch(_stream())
+        repair = store.fsck(repair=True)
+        assert not repair.ok
+        assert repair.final.by_kind() == {"repair-undecided": N_SHARDS}
+        assert sorted(v.where.split("/")[0] for v in repair.final.violations) == [
+            f"shard{k}" for k in range(N_SHARDS)]
+        for v in repair.final.violations:
+            assert store._shard_of(v.vertex) == int(v.where[len("shard"):].split("/")[0])
+    finally:
+        store.close()
