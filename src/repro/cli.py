@@ -48,7 +48,9 @@ simulated ``serve --kill-at`` crash), **2** usage errors (argparse).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -57,7 +59,7 @@ import numpy as np
 import repro.obs as obs
 from repro.errors import ReproError, WorkloadError
 from repro.bench.costmodel import DEFAULT_COST_MODEL as MODEL
-from repro.bench.harness import insertion_run
+from repro.bench.metrics import run_batched
 from repro.bench.reporting import Table
 from repro.core.config import ShardedConfig
 from repro.core.probes import graphtinker_probe_summary, stinger_probe_summary
@@ -68,7 +70,7 @@ from repro.obs.log import LEVELS, configure_logging, get_logger, kv
 from repro.workloads import load_dataset, rmat_edges
 from repro.workloads.datasets import DATASET_ORDER, dataset_properties
 from repro.workloads.io import write_edge_list
-from repro.workloads.streams import EdgeStream, highest_degree_roots, symmetrize
+from repro.workloads.streams import highest_degree_roots, symmetrize
 
 log = get_logger("cli")
 
@@ -127,24 +129,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _batches(edges: np.ndarray, n_batches: int) -> list[np.ndarray]:
+    """``n_batches`` batches (fewer only if there are fewer edges), sizes as ``np.array_split``."""
+    return np.array_split(edges, max(1, min(n_batches, edges.shape[0])))
+
+
+def _write(path: str, text: str, what: str = "JSON report") -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text)
+    print(f"wrote {what} to {path}")
+
+
 def cmd_load(args) -> int:
     edges = _edges_for(args)
-    stream = EdgeStream(edges, max(1, -(-edges.shape[0] // args.batches)))
+    batches = _batches(edges, args.batches)
     table = Table(
         f"insertion throughput: {args.dataset} ({edges.shape[0]} edges, "
-        f"{stream.n_batches} batches)",
-        ["system"] + [f"batch{i}" for i in range(stream.n_batches)],
+        f"{len(batches)} batches)",
+        ["system"] + [f"batch{i}" for i in range(len(batches))],
     )
     report: dict = {
         "dataset": args.dataset,
         "edges": int(edges.shape[0]),
-        "batches": stream.n_batches,
+        "batches": len(batches),
         "systems": [],
     }
     for kind in args.systems:
         store = create_store(kind, ShardedConfig(n_shards=max(1, args.shards))
                              if kind == "sharded" else None)
-        ms = insertion_run(store, EdgeStream(edges, stream.batch_size))
+        ms = run_batched(batches, store.insert_batch, store.stats, "insert_batch")
         log.info(kv("insertion run finished", system=kind,
                     edges=store.n_edges,
                     block_accesses=store.stats.total_block_accesses))
@@ -166,12 +179,7 @@ def cmd_load(args) -> int:
             closer()
     table.print()
     if args.json:
-        import json
-
-        target = Path(args.json)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote JSON report to {args.json}")
+        _write(args.json, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -210,9 +218,6 @@ def cmd_analytics(args) -> int:
         # modeled access deltas, the per-iteration trace, and a digest of
         # the full property vector.  Only the "snapshot" key may differ
         # between a --snapshot and a plain run (CI diffs the rest).
-        import hashlib
-        import json
-
         report = {
             "dataset": args.dataset,
             "algorithm": args.algorithm,
@@ -235,10 +240,7 @@ def cmd_analytics(args) -> int:
             "values_sha256": hashlib.sha256(
                 np.ascontiguousarray(engine.values).tobytes()).hexdigest(),
         }
-        target = Path(args.json)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote JSON report to {args.json}")
+        _write(args.json, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -262,7 +264,7 @@ def cmd_trace(args) -> int:
     ``AccessStats`` deltas sum to the store's own totals.
     """
     edges = _edges_for(args)
-    stream = EdgeStream(edges, max(1, -(-edges.shape[0] // args.batches)))
+    batches = _batches(edges, args.batches)
     store = create_store(args.system)
     tracer = obs.get_tracer()
     tracer.reset()
@@ -272,8 +274,8 @@ def cmd_trace(args) -> int:
         with obs.span("trace", stats=store.stats, dataset=args.dataset,
                       system=args.system):
             log.info(kv("traced load starting", dataset=args.dataset,
-                        edges=edges.shape[0], batches=stream.n_batches))
-            insertion_run(store, stream)
+                        edges=edges.shape[0], batches=len(batches)))
+            run_batched(batches, store.insert_batch, store.stats, "insert_batch")
             engine = HybridEngine(store, BFS(), policy="hybrid")
             root = int(highest_degree_roots(edges, 1)[0])
             engine.reset(roots=[root])
@@ -304,10 +306,7 @@ def cmd_trace(args) -> int:
          "Prometheus metrics"),
     ):
         if path:
-            target = Path(path)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(render())
-            print(f"wrote {what} to {path}")
+            _write(path, render(), what)
     return 0
 
 

@@ -16,13 +16,13 @@ Nothing here allocates per-edge Python objects.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.core import robin_hood as rhh
 from repro.core.config import GTConfig
-from repro.core.hashing import initial_bucket, subblock_index
+from repro.core.hashing import tree_hash
 from repro.core.pool import EMPTY, TOMBSTONE, EDGE_CELL_DTYPE, BlockPool, blank_edge_cells, grow
 from repro.core.stats import AccessStats
 from repro.errors import CapacityError
@@ -41,25 +41,12 @@ GATHER_SLAB_ROWS = 1024
 TREE_HASH_MEMO_ENTRIES = 1 << 16
 
 
-class EdgeLocation(tuple):
+class EdgeLocation(NamedTuple):
     """Physical address of an edge-cell: ``(region, block, slot)``."""
 
-    __slots__ = ()
-
-    def __new__(cls, region: int, block: int, slot: int):
-        return super().__new__(cls, (region, block, slot))
-
-    @property
-    def region(self) -> int:
-        return self[0]
-
-    @property
-    def block(self) -> int:
-        return self[1]
-
-    @property
-    def slot(self) -> int:
-        return self[2]
+    region: int
+    block: int
+    slot: int
 
 
 class _ChildMatrix:
@@ -100,6 +87,7 @@ class EdgeblockArray:
         self.stats = stats if stats is not None else AccessStats()
         self._rhh_on = config.enable_rhh and not config.compact_on_delete
         self._fetches = rhh.subblock_tables(config.subblock, config.workblock)[2]
+        self._geometry = (config.subblock, config.pagewidth, config.max_generations)
         pw = config.pagewidth
         self.main = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, config.initial_vertices)
         self.overflow = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, 4)
@@ -127,9 +115,7 @@ class EdgeblockArray:
 
     def degree(self, src: int) -> int:
         """Live out-degree of dense source ``src`` (0 if row not allocated)."""
-        if src >= self._n_vertices:
-            return 0
-        return int(self._degrees[src])
+        return self._degrees.item(src) if src < self._n_vertices else 0
 
     def degrees_view(self) -> np.ndarray:
         """Degrees of all dense vertices (read-only view)."""
@@ -175,9 +161,9 @@ class EdgeblockArray:
         if hit is None:
             if len(self._memo) >= TREE_HASH_MEMO_ENTRIES:
                 self._memo.clear()
-            size, seed = self.config.subblock, self.config.seed
-            hit = self._memo[key] = self._pairs[subblock_index(dst, gen, self._nsb, seed) * size
-                                                + initial_bucket(dst, gen, size, seed)]
+            size = self.config.subblock
+            sb, ib = tree_hash(dst, gen, self._nsb, size, self.config.seed)
+            hit = self._memo[key] = self._pairs[sb * size + ib]
         return hit
 
     def _locate(self, src: int, dst: int, lists: dict | None = None,
@@ -186,46 +172,45 @@ class EdgeblockArray:
 
         The paper's FIND mode and the only FIND loop here: per generation,
         hash ``dst`` to its Subblock and initial bucket (``hashes`` for
-        the levels it holds, else :meth:`_tree_hash`), scan the Subblock
-        from the bucket (:func:`~repro.core.robin_hood.rhh_find`), stop on
-        a match, else descend into the Subblock's child if it has one.
-        Charges the Workblocks fetched, the cells scanned and every
+        the levels it holds, else the memo or :meth:`_tree_hash`), scan
+        the Subblock from the bucket (:func:`~repro.core.robin_hood.rhh_find`),
+        stop on a match, else descend into the Subblock's child if it has
+        one.  Charges the Workblocks fetched, the cells scanned and every
         descent; ``edges_found`` is the caller's to charge.
 
-        A point read passes neither ``lists`` nor ``trail`` and reads each
-        ``dst`` list from the pool.  :meth:`insert` passes both: the
-        Subblocks are read through ``lists`` (see :meth:`_subblock`) and
-        each level's ``(lists entry, sb, ib, scanned)`` is appended to
-        ``trail``; ``hashes`` is :meth:`insert`'s.
+        A point read passes neither ``lists`` nor ``trail`` and reads only
+        the cells its probe visits, one ``dst.item`` at a time from the
+        pool.  :meth:`insert` passes both: the Subblocks are read through
+        ``lists`` (see :meth:`_subblock`) and each level's ``(lists entry,
+        sb, ib, scanned)`` is appended to ``trail``; ``hashes`` also comes from it.
         """
         if not 0 <= src < self._n_vertices:
             return None
-        cfg, stats, rhh_on, fetches = self.config, self.stats, self._rhh_on, self._fetches
-        size, region, block = cfg.subblock, MAIN, src
-        cells, kids = self.main.fields["dst"], self._main_children._data
-        dst = int(dst)
-        for gen in range(cfg.max_generations):
-            sb, ib = hashes[gen] if gen < len(hashes) else self._tree_hash(dst, gen)
+        stats, rhh_on, fetches = self.stats, self._rhh_on, self._fetches
+        (size, pw, gens), region, block = self._geometry, MAIN, src
+        read, kids = self.main.fields["dst"].item, self._main_children._data
+        memo, dst = self._memo, int(dst)
+        for gen in range(gens):
+            hit = hashes[gen] if gen < len(hashes) else memo.get(dst * gens + gen)
+            sb, ib = hit if hit is not None else self._tree_hash(dst, gen)
             lo = sb * size
             if lists is None:  # a point read: nothing kept
-                dsts = cells[block, lo:lo + size].tolist()
+                slot, scanned = rhh.rhh_find(read, block * pw + lo, size, dst, ib, rhh_on)
             else:
                 sub = self._subblock(lists, region, block, sb)
-                dsts = sub[0]
-            slot, scanned = rhh.rhh_find(dsts, dst, ib, rhh_on)
-            if trail is not None:
+                slot, scanned = rhh.rhh_find(sub[0].__getitem__, 0, size, dst, ib, rhh_on)
                 trail.append((sub, sb, ib, scanned))
             stats.workblock_fetches += fetches[ib][scanned]
             stats.cells_scanned += scanned
             if slot >= 0:
                 return region, block, lo + slot
-            block = int(kids[block, sb])
+            block = kids.item(block, sb)
             if block < 0:
                 return None
             stats.branch_descents += 1
             if region == MAIN:
                 region = OVERFLOW
-                cells, kids = self.overflow.fields["dst"], self._overflow_children._data
+                read, kids = self.overflow.fields["dst"].item, self._overflow_children._data
         return None
 
     def _subblock(self, lists: dict, region: int, block: int, sb: int) -> list:
@@ -420,8 +405,7 @@ class EdgeblockArray:
 
     def get_weight(self, location: tuple[int, int, int]) -> float:
         """Weight stored at a cell :meth:`find` (or :meth:`_locate`) returned."""
-        region, block, slot = location
-        return float(self._pool(region).fields["weight"][block, slot])
+        return self._pool(location[0]).fields["weight"].item(location[1], location[2])
 
     def set_cal_pointer(self, location: EdgeLocation, cal: int) -> None:
         """Write an edge's CAL-pointer after its CAL copy was appended."""
@@ -524,8 +508,8 @@ class EdgeblockArray:
         The one per-row walk, and the specification :meth:`neighbors_rows`
         reproduces for many rows: edgeblocks in pre-order off a LIFO stack
         (a block's children in *descending* Subblock order), cells in slot
-        order.  A childless row, most rows, is one masked read.  Each
-        edgeblock visited is charged as one random block read and
+        order: one mask over the visited cells, applied to each field.
+        Each edgeblock visited is charged as one random block read and
         ``pagewidth`` scanned cells: incremental-mode analytics pays a
         non-contiguous DRAM access per edgeblock, touching every cell slot
         occupied or not (the cost the hybrid engine trades off against CAL
@@ -533,19 +517,20 @@ class EdgeblockArray:
         """
         if not 0 <= src < self._n_vertices:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        dst = self.main.fields["dst"][src:src + 1]
-        weight = self.main.fields["weight"][src:src + 1]
-        stack = [c for c in self._main_children._data[src].tolist() if c >= 0]
-        if stack:
+        dst, weight = self.main.fields["dst"][src], self.main.fields["weight"][src]
+        stack = self._main_children._data[src].tolist()
+        if max(stack) >= 0:
             kids, deep = self._overflow_children._data, []
             while stack:
                 block = stack.pop()
-                deep.append(block)
-                stack.extend(c for c in kids[block].tolist() if c >= 0)
-            dst = np.concatenate((dst, self.overflow.fields["dst"][deep]))
-            weight = np.concatenate((weight, self.overflow.fields["weight"][deep]))
-        self.stats.random_block_reads += dst.shape[0]
-        self.stats.cells_scanned += dst.shape[0] * self.config.pagewidth
+                if block >= 0:
+                    deep.append(block)
+                    stack.extend(kids[block].tolist())
+            fields = self.overflow.fields
+            dst = np.concatenate((dst, fields["dst"][deep].reshape(-1)))
+            weight = np.concatenate((weight, fields["weight"][deep].reshape(-1)))
+        self.stats.random_block_reads += dst.shape[0] // self.config.pagewidth
+        self.stats.cells_scanned += dst.shape[0]
         live = dst >= 0
         return dst[live], weight[live]
 

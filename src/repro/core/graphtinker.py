@@ -69,15 +69,18 @@ class GraphTinker(StoreBase):
     # id translation
     # ------------------------------------------------------------------ #
     def _dense(self, src: int, create: bool) -> int | None:
-        """Translate an original source id to the internal dense id."""
-        if self.sgh is None:
+        """Translate an original source id to the internal dense id; a lookup
+        reads the SGH dict itself, charged as :meth:`ScatterGatherHash.try_lookup`."""
+        sgh = self.sgh
+        if sgh is None:
             src = int(src)
             if src < 0 and not create:
                 return None  # negative ids are always a lookup miss
             return src
         if create:
-            return self.sgh.hash_id(src)
-        return self.sgh.try_lookup(src)
+            return sgh.hash_id(src)
+        sgh.stats.hash_lookups += 1
+        return sgh._forward.get(int(src))
 
     def dense_id(self, src: int) -> int:
         """Public translation original -> dense (raises if unknown)."""
@@ -323,7 +326,8 @@ class GraphTinker(StoreBase):
         """Charged FIND of original ``(src, dst)``: ``(region, block, cell)``
         or ``None``, charged as :meth:`EdgeblockArray.find` charges but
         without building an :class:`EdgeLocation`."""
-        if int(dst) < 0:
+        dst = int(dst)
+        if dst < 0:
             return None  # would collide with the EMPTY/TOMBSTONE cells
         dense_src = self._dense(src, create=False)
         if dense_src is None:

@@ -16,15 +16,17 @@ table (:func:`subblock_tables`), feed the DRAM-access cost model.
 One probe core, one caller
 --------------------------
 :func:`rhh_find` and :func:`rhh_insert` are the only probe loops in the
-package.  They work on plain Python sequences holding one Subblock's
-fields and never touch :class:`~repro.core.stats.AccessStats`: they
-*return* the scan lengths, swap count and writeback flag, and the caller
-charges them.  Their one caller is the per-op specification,
+package.  :func:`rhh_find` runs over a cell reader: a Subblock list for
+insert's FIND, the pool for a point read; :func:`rhh_insert` over plain
+Python sequences holding one Subblock's fields.  Neither touches
+:class:`~repro.core.stats.AccessStats`: they *return* the scan lengths,
+swap count and writeback flag, and the caller charges them.  Their one
+caller is the per-op specification,
 :class:`~repro.core.edgeblock_array.EdgeblockArray`: its FIND loop
-(``_locate``) hands :func:`rhh_find` one Subblock's ``dst`` list per
-tree level, and its INSERT stage hands :func:`rhh_insert` a Subblock's
-four field lists per level — reusing what FIND read, scan length
-included — and stores back the cells it wrote.  The batch kernels
+(``_locate``) hands :func:`rhh_find` one Subblock's reader per tree
+level, and its INSERT stage hands :func:`rhh_insert` a Subblock's four
+field lists per level — reusing what FIND read, scan length included —
+and stores back the cells it wrote.  The batch kernels
 (:mod:`repro.core.kernels`) do not call the core: their whole-chunk
 passes restate it over many rolled Subblocks at once, the residue of
 their insert rounds runs through ``EdgeblockArray.insert`` itself, and
@@ -61,7 +63,8 @@ UPDATED = 1  #: edge already present; weight overwritten
 CONGESTED = 2  #: Subblock full; caller must branch out with the overflow edge
 
 #: Cell-state sentinels as Python ints (the probe loops compare against
-#: ``tolist`` output; a NumPy scalar on one side would box every test).
+#: ``tolist`` / ``item`` output; a NumPy scalar on one side would box
+#: every test).
 _EMPTY = int(EMPTY)
 _TOMBSTONE = int(TOMBSTONE)
 
@@ -109,27 +112,29 @@ def _charge_scan(stats: AccessStats, fetches: list, start: int,
 
 
 def rhh_find(
-    dsts: list,
+    read,
+    base: int,
+    size: int,
     dst: int,
     init_bucket: int,
     rhh_mode: bool,
 ) -> tuple[int, int]:
-    """Search one Subblock for ``dst``; return ``(slot, scan_len)``.
+    """Search one ``size``-cell Subblock for ``dst``; return ``(slot, scan_len)``.
 
-    ``dsts`` is the Subblock's ``dst`` field as a plain sequence of
-    Python ints (one bulk ``tolist`` beats per-cell structured-scalar
-    reads in this hot loop).  The scan starts at ``init_bucket`` and
-    wraps within the Subblock.  ``slot`` is ``-1`` when absent and
-    ``scan_len`` is the number of cells inspected, which the caller
-    charges from :func:`subblock_tables`.
+    ``read(base + slot)`` is the ``dst`` of cell ``slot`` as a Python
+    int: a Subblock list's ``__getitem__`` with base 0 for insert's FIND,
+    the pool's ``dst.item`` with the Subblock's flat index for a point
+    read, which then reads only the cells it visits.  The scan starts at
+    ``init_bucket`` and wraps within the Subblock.  ``slot`` is ``-1``
+    when absent and ``scan_len`` is the number of cells inspected, which
+    the caller charges from :func:`subblock_tables`.
     """
-    size = len(dsts)
     empty = _EMPTY
     for distance in range(size):
         slot = init_bucket + distance
         if slot >= size:
             slot -= size
-        cell_dst = dsts[slot]
+        cell_dst = read(base + slot)
         if cell_dst == dst:
             return slot, distance + 1
         if rhh_mode and cell_dst == empty:
@@ -210,7 +215,7 @@ def rhh_insert(
             return (CONGESTED, -1, (find_len,), False, 0, dst, weight, cal)
         dsts[first_vacant] = dst
         weights[first_vacant] = weight
-        probes[first_vacant] = _distance(init_bucket, first_vacant, size)
+        probes[first_vacant] = (first_vacant - init_bucket) % size
         cals[first_vacant] = cal
         return (INSERTED, first_vacant, (find_len,), True, 0, -1, 0.0, -1)
 
@@ -274,9 +279,3 @@ def rhh_insert(
         float_weight,
         float_cal,
     )
-
-
-def _distance(init_bucket: int, slot: int, size: int) -> int:
-    """Wrapped probe distance from ``init_bucket`` to ``slot``."""
-    d = slot - init_bucket
-    return d if d >= 0 else d + size

@@ -76,6 +76,17 @@ class TestLoad:
         assert "(8000 edges, 3 batches)" in capsys.readouterr().out
         assert json.loads(report.read_text())["batches"] == 3
 
+    def test_batches_split_evenly_when_they_do_not_divide(self, tmp_path, capsys):
+        """9 edges in 4 batches is 3 + 2 + 2 + 2, not three batches of 3."""
+        report = tmp_path / "load.json"
+        assert main(["load", "--edges", "9", "--batches", "4",
+                     "--systems", "graphtinker", "--json", str(report)]) == 0
+        assert "(9 edges, 4 batches)" in capsys.readouterr().out
+        loaded = json.loads(report.read_text())
+        assert loaded["batches"] == 4
+        assert len(loaded["systems"][0]["wall_seconds"]) == 4
+        assert loaded["systems"][0]["final_edges"] > 0
+
 
 class TestAnalytics:
     @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "cc", "pagerank"])
@@ -120,6 +131,13 @@ class TestTrace:
         assert "engine.compute" in out
         assert "span-delta cross-check" in out
         assert "WARNING" not in out
+
+    def test_runs_exactly_the_requested_batches(self, capsys):
+        assert main(["trace", "--edges", "9", "--batches", "4"]) == 0
+        out = capsys.readouterr().out
+        assert [line.split()[-1] for line in out.splitlines()
+                if line.lstrip().startswith("insert_batch ")] == [
+                    f"batch={i}" for i in range(4)]
 
     def test_leaves_obs_disabled_afterwards(self):
         import repro.obs as obs

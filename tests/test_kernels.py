@@ -1010,8 +1010,9 @@ def test_first_cell_probe_matches_rhh_find(rhh_on):
     D[rows, ib] = np.select([kind == 0, kind == 1, kind == 2], [dst, -1, -2], 2 * n * size + rows)
     roll = rhh.subblock_tables(size, 4)[0]
     hit, scanned, at, c0, _ = _probe(D.reshape(-1), rows, ib, dst, roll, rhh_on)
+    flat = D.item
     for i in range(n):
-        slot, length = rhh.rhh_find(D[i].tolist(), int(dst[i]), int(ib[i]), rhh_on)
+        slot, length = rhh.rhh_find(flat, i * size, size, int(dst[i]), int(ib[i]), rhh_on)
         assert (hit[i], scanned[i]) == (slot >= 0, length), i
         if slot >= 0:
             assert at[i] == i * size + slot, i

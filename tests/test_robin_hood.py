@@ -48,7 +48,7 @@ def insert(cells, stats, dst, weight, bucket, rhh_on=True, cal=-1):
 
 
 def find(cells, stats, dst, bucket, rhh_on=True):
-    slot, scanned = rhh.rhh_find(cells.dst, dst, bucket, rhh_on)
+    slot, scanned = rhh.rhh_find(cells.dst.__getitem__, 0, SB, dst, bucket, rhh_on)
     rhh._charge_scan(stats, FETCHES, bucket, (scanned,))
     return slot
 
@@ -229,8 +229,8 @@ class TestAccounting:
         cells, _ = fresh()
         res = Result(*rhh.rhh_insert(*cells, 3, 1.0, 6, True))
         assert (res.status, res.lengths, res.wrote, res.swaps) == (rhh.INSERTED, (1, 1), True, 0)
-        assert rhh.rhh_find(cells.dst, 3, 6, True) == (6, 1)
-        assert rhh.rhh_find(cells.dst, 4, 6, True) == (-1, 2)
+        assert rhh.rhh_find(cells.dst.__getitem__, 0, SB, 3, 6, True) == (6, 1)
+        assert rhh.rhh_find(cells.dst.__getitem__, 0, SB, 4, 6, True) == (-1, 2)
 
 
 def test_circular_workblock_count_matches_bruteforce():
@@ -260,8 +260,8 @@ def test_roll_is_the_order_rhh_find_visits():
         cells = [100 + 7 * c for c in range(size)]
         for b in range(size):
             for d, cell in enumerate(roll[b].tolist()):
-                assert rhh.rhh_find(cells, cells[cell], b, False) == (cell, d + 1)
-                assert rhh.rhh_find(cells, cells[cell], b, True) == (cell, d + 1)
+                assert rhh.rhh_find(cells.__getitem__, 0, size, cells[cell], b, False) == (cell, d + 1)
+                assert rhh.rhh_find(cells.__getitem__, 0, size, cells[cell], b, True) == (cell, d + 1)
 
 
 @settings(max_examples=200)
@@ -330,7 +330,7 @@ def test_handed_in_find_scan_matches_the_core_scan(fill, dst, bucket, rhh_mode):
             tombstone(cells, slot)
     twin = Cells(*(list(field) for field in cells))
     own = rhh.rhh_insert(*cells, dst, 0.5, bucket, rhh_mode, 7)
-    slot, scanned = rhh.rhh_find(twin.dst, dst, bucket, rhh_mode)
+    slot, scanned = rhh.rhh_find(twin.dst.__getitem__, 0, SB, dst, bucket, rhh_mode)
     assert slot == -1
     assert rhh.rhh_insert(*twin, dst, 0.5, bucket, rhh_mode, 7, scanned) == own
     assert twin == cells
