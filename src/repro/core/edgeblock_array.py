@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core import robin_hood as rhh
 from repro.core.config import GTConfig
-from repro.core.hashing import tree_hash
+from repro.core.hashing import initial_bucket, subblock_index
 from repro.core.pool import EMPTY, TOMBSTONE, EDGE_CELL_DTYPE, BlockPool, blank_edge_cells, grow
 from repro.core.stats import AccessStats
 from repro.errors import CapacityError
@@ -161,9 +161,9 @@ class EdgeblockArray:
         if hit is None:
             if len(self._memo) >= TREE_HASH_MEMO_ENTRIES:
                 self._memo.clear()
-            size = self.config.subblock
-            sb, ib = tree_hash(dst, gen, self._nsb, size, self.config.seed)
-            hit = self._memo[key] = self._pairs[sb * size + ib]
+            size, seed = self.config.subblock, self.config.seed
+            hit = self._memo[key] = self._pairs[subblock_index(dst, gen, self._nsb, seed) * size
+                                                + initial_bucket(dst, gen, size, seed)]
         return hit
 
     def _locate(self, src: int, dst: int, lists: dict | None = None,
@@ -172,10 +172,10 @@ class EdgeblockArray:
 
         The paper's FIND mode and the only FIND loop here: per generation,
         hash ``dst`` to its Subblock and initial bucket (``hashes`` for
-        the levels it holds, else the memo or :meth:`_tree_hash`), scan
-        the Subblock from the bucket (:func:`~repro.core.robin_hood.rhh_find`),
-        stop on a match, else descend into the Subblock's child if it has
-        one.  Charges the Workblocks fetched, the cells scanned and every
+        the levels it holds, else :meth:`_tree_hash`), scan the Subblock
+        from the bucket (:func:`~repro.core.robin_hood.rhh_find`), stop on
+        a match, else descend into the Subblock's child if it has one.
+        Charges the Workblocks fetched, the cells scanned and every
         descent; ``edges_found`` is the caller's to charge.
 
         A point read passes neither ``lists`` nor ``trail`` and reads only
@@ -189,10 +189,9 @@ class EdgeblockArray:
         stats, rhh_on, fetches = self.stats, self._rhh_on, self._fetches
         (size, pw, gens), region, block = self._geometry, MAIN, src
         read, kids = self.main.fields["dst"].item, self._main_children._data
-        memo, dst = self._memo, int(dst)
+        dst = int(dst)
         for gen in range(gens):
-            hit = hashes[gen] if gen < len(hashes) else memo.get(dst * gens + gen)
-            sb, ib = hit if hit is not None else self._tree_hash(dst, gen)
+            sb, ib = hashes[gen] if gen < len(hashes) else self._tree_hash(dst, gen)
             lo = sb * size
             if lists is None:  # a point read: nothing kept
                 slot, scanned = rhh.rhh_find(read, block * pw + lo, size, dst, ib, rhh_on)

@@ -69,18 +69,15 @@ class GraphTinker(StoreBase):
     # id translation
     # ------------------------------------------------------------------ #
     def _dense(self, src: int, create: bool) -> int | None:
-        """Translate an original source id to the internal dense id; a lookup
-        reads the SGH dict itself, charged as :meth:`ScatterGatherHash.try_lookup`."""
-        sgh = self.sgh
-        if sgh is None:
+        """Translate an original source id to the internal dense id."""
+        if self.sgh is None:
             src = int(src)
             if src < 0 and not create:
                 return None  # negative ids are always a lookup miss
             return src
         if create:
-            return sgh.hash_id(src)
-        sgh.stats.hash_lookups += 1
-        return sgh._forward.get(int(src))
+            return self.sgh.hash_id(src)
+        return self.sgh.try_lookup(src)
 
     def dense_id(self, src: int) -> int:
         """Public translation original -> dense (raises if unknown)."""

@@ -64,19 +64,6 @@ def initial_bucket(dst: int, generation: int, subblock_size: int, seed: int) -> 
     return mix64(dst, ~seed & _MASK64 ^ (generation * 0xA24BAED4)) % subblock_size
 
 
-def tree_hash(dst: int, generation: int, n_subblocks: int, subblock_size: int,
-              seed: int) -> tuple[int, int]:
-    """``(subblock_index(...), initial_bucket(...))`` in one call, both
-    splitmix64 finalizers written out (no nested :func:`mix64` frames)."""
-    z = (dst + (seed ^ (generation * 0x51ED2701)) + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * _C1) & _MASK64
-    z = ((z ^ (z >> 27)) * _C2) & _MASK64
-    y = (dst + (~seed & _MASK64 ^ (generation * 0xA24BAED4)) + 0x9E3779B97F4A7C15) & _MASK64
-    y = ((y ^ (y >> 30)) * _C1) & _MASK64
-    y = ((y ^ (y >> 27)) * _C2) & _MASK64
-    return (z ^ (z >> 31)) % n_subblocks, (y ^ (y >> 31)) % subblock_size
-
-
 def subblock_index_array(dsts: np.ndarray, generation: int, n_subblocks: int, seed: int) -> np.ndarray:
     """Vectorised :func:`subblock_index` (returns int64 subblock ids).
 

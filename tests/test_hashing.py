@@ -11,7 +11,6 @@ from repro.core.hashing import (
     partition_of,
     partition_of_array,
     subblock_index,
-    tree_hash,
 )
 
 
@@ -55,15 +54,6 @@ class TestDerivedHashes:
     def test_initial_bucket_in_range(self, dst, gen):
         b = initial_bucket(dst, gen, 8, seed=0x9E3779B9)
         assert 0 <= b < 8
-
-    @given(st.integers(min_value=0, max_value=2**62), st.integers(min_value=0, max_value=63),
-           st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([1, 2, 4, 8, 64]),
-           st.integers(min_value=0, max_value=2**64 - 1))
-    def test_tree_hash_is_both_hashes(self, dst, gen, n_subblocks, size, seed):
-        """The per-op tree hash, both mixes in one call, is exactly the
-        Subblock selector and the initial bucket."""
-        assert tree_hash(dst, gen, n_subblocks, size, seed) == (
-            subblock_index(dst, gen, n_subblocks, seed), initial_bucket(dst, gen, size, seed))
 
     def test_generations_decorrelate(self):
         """Tree-Based Hashing relies on re-randomised Subblock choices
