@@ -321,7 +321,12 @@ def cmd_serve(args) -> int:
     """
     # The service layer is imported lazily: plain bench/trace invocations
     # never load it (ROADMAP: nothing new on the hot path).
-    from repro.service import FaultInjector, GraphService, SimulatedCrash
+    from repro.service import (
+        FaultInjector,
+        GraphService,
+        SimulatedCrash,
+        TransientFaultInjector,
+    )
 
     data_dir = Path(args.data_dir)
     has_state = data_dir.is_dir() and any(data_dir.iterdir())
@@ -345,8 +350,6 @@ def cmd_serve(args) -> int:
     if args.kill_at is not None:
         injector = FaultInjector(args.kill_at)
     elif args.fail_every:
-        from repro.service import TransientFaultInjector
-
         injector = TransientFaultInjector(
             fail_every=args.fail_every, fail_times=args.fail_times,
             hard=args.hard_faults)
@@ -355,10 +358,6 @@ def cmd_serve(args) -> int:
         inner = (args.system if args.system not in (None, "sharded")
                  else "graphtinker")
         config = ShardedConfig(n_shards=max(1, args.shards), backend=inner)
-        if injector is not None:
-            raise WorkloadError(
-                "--kill-at/--fail-every inject into the plain WAL; they "
-                "are not supported with --shards (per-shard logs)")
     elif args.system is not None:
         config = create_store(args.system).config  # the backend's default
     service, rec = GraphService.open(

@@ -30,10 +30,7 @@ from repro.service.checkpoint import (
 )
 from repro.service.faults import (
     CorruptionError,
-    CrashableFile,
     FaultInjector,
-    FaultyWriteAheadLog,
-    FlakyWriteAheadLog,
     InjectedCorruption,
     InjectedWalFault,
     SimulatedCrash,
@@ -59,11 +56,8 @@ __all__ = [
     "CheckpointInfo",
     "CheckpointManager",
     "CorruptionError",
-    "CrashableFile",
     "DEFAULT_POLL_RECORDS",
     "FaultInjector",
-    "FaultyWriteAheadLog",
-    "FlakyWriteAheadLog",
     "GraphService",
     "InjectedCorruption",
     "InjectedWalFault",

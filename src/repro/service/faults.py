@@ -2,23 +2,25 @@
 
 Three fault families drive the robustness machinery:
 
-* **Crash at a byte** (:class:`FaultInjector` / :class:`CrashableFile` /
-  :class:`FaultyWriteAheadLog`) — simulate ``kill -9`` mid-``write(2)``
-  at an exact global WAL byte offset, leaving a torn record on disk.
-  Exercises recovery (PR 2).
+* **Crash at a byte** (:class:`FaultInjector` / :class:`SimulatedCrash`)
+  — simulate ``kill -9`` mid-``write(2)`` at an exact global WAL byte
+  offset, leaving a torn record on disk.  Exercises recovery.
 * **Transient WAL I/O errors** (:class:`TransientFaultInjector` /
-  :class:`FlakyWriteAheadLog` / :class:`InjectedWalFault`) — scheduled
-  ``OSError``-family failures on append/sync, the kind a real disk or
-  filesystem produces under pressure and then stops producing.
-  Exercises the service's retry/backoff and circuit breaker.
+  :class:`InjectedWalFault`) — scheduled ``OSError``-family failures of
+  record appends, the kind a real disk or filesystem produces under
+  pressure and then stops producing.  Exercises the service's
+  retry/backoff and circuit breaker.
 * **Store corruption** (:class:`StoreCorruptor`) — in-memory damage to a
   live GraphTinker: bit flips in edgeblock cells, drifted degree
   counters, zapped CAL slots, truncated overflow pools.  Exercises the
   fsck (:mod:`repro.core.verify`) and its self-healing repair.
 
-The crash injector counts bytes across segment rotations, so an offset
-can land inside any segment, inside a record header, inside a payload,
-or even inside the 8-byte segment magic.
+Both WAL injectors go to ``WriteAheadLog(injector=)`` (or
+``GraphService(injector=)``, which hands it on) and answer one question
+before every write a chain makes, segment magic included:
+``fault(seq, data)`` returns ``None`` or ``(landed, exc)`` — that many
+leading bytes land, then ``exc`` is raised.  ``seq`` is the record's
+sequence in its chain, ``None`` for the magic.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ReproError
-from repro.service.wal import WriteAheadLog
 
 
 class SimulatedCrash(ReproError):
@@ -34,66 +35,32 @@ class SimulatedCrash(ReproError):
 
 
 class FaultInjector:
-    """Shared byte budget across every file the faulty WAL opens."""
+    """Kill the writer at one global WAL byte offset.
+
+    The byte budget spans every write of every chain the log opens, so
+    the offset can land inside any segment, record header, payload, or
+    8-byte segment magic.  :class:`SimulatedCrash` is not an ``OSError``:
+    the append keeps its torn bytes, as a dead process would.
+    """
 
     def __init__(self, crash_at_bytes: int):
         if crash_at_bytes < 0:
             raise ValueError("crash offset must be non-negative")
         self.crash_at_bytes = crash_at_bytes
         self.written = 0
-        self.fired = False
 
-    def wrap(self, file) -> "CrashableFile":
-        return CrashableFile(file, self)
-
-
-class CrashableFile:
-    """File proxy that truncates the fatal write and raises."""
-
-    def __init__(self, file, injector: FaultInjector):
-        self._file = file
-        self._injector = injector
-
-    def write(self, data: bytes) -> int:
-        inj = self._injector
-        room = inj.crash_at_bytes - inj.written
+    def fault(self, seq: int | None, data: bytes):
+        room = self.crash_at_bytes - self.written
         if len(data) <= room:
-            inj.written += len(data)
-            return self._file.write(data)
-        # The kill lands mid-write: only the prefix reaches the OS.
-        if room > 0:
-            self._file.write(data[:room])
-            inj.written = inj.crash_at_bytes
-        self._file.flush()
-        inj.fired = True
-        raise SimulatedCrash(
-            f"simulated kill at WAL byte offset {inj.crash_at_bytes} "
-            f"(write of {len(data)} bytes torn after {max(room, 0)})"
-        )
-
-    def __getattr__(self, name):
-        return getattr(self._file, name)
+            self.written += len(data)
+            return None
+        landed = max(room, 0)
+        self.written += landed
+        return landed, SimulatedCrash(
+            f"simulated kill at WAL byte offset {self.crash_at_bytes} "
+            f"(write of {len(data)} bytes torn after {landed})")
 
 
-class _CrashableChain(WriteAheadLog.chain_cls):
-    def _open_segment(self) -> None:
-        super()._open_segment()
-        self._file = self.log.injector.wrap(self._file)
-
-
-class FaultyWriteAheadLog(WriteAheadLog):
-    """A :class:`WriteAheadLog` whose segment files die on schedule."""
-
-    chain_cls = _CrashableChain
-
-    def __init__(self, *args, injector: FaultInjector, **kwargs):
-        self.injector = injector
-        super().__init__(*args, **kwargs)
-
-
-# --------------------------------------------------------------------- #
-# transient WAL I/O faults (retry / circuit-breaker fodder)
-# --------------------------------------------------------------------- #
 class InjectedWalFault(OSError):
     """A scheduled transient WAL I/O failure.
 
@@ -105,6 +72,11 @@ class InjectedWalFault(OSError):
 
 class TransientFaultInjector:
     """Deterministic schedule of transient WAL append failures.
+
+    A failure lands *half* the record's bytes before raising
+    :class:`InjectedWalFault`, so the appender's rollback (truncate back
+    to the record boundary) is genuinely exercised — a retry must find a
+    record-aligned log.  The segment magic never fails.
 
     Parameters
     ----------
@@ -134,44 +106,18 @@ class TransientFaultInjector:
         self.injected = 0
         self._attempts: dict[int, int] = {}
 
-    def should_fail(self, seq: int) -> bool:
-        """Consume one attempt on ``seq``; True if it must fail."""
-        if self.fail_every <= 0 or seq % self.fail_every:
-            return False
+    def fault(self, seq: int | None, data: bytes):
+        if seq is None or self.fail_every <= 0 or seq % self.fail_every:
+            return None
         if self.total is not None and self.injected >= self.total:
-            return False
+            return None
         attempts = self._attempts.get(seq, 0)
         self._attempts[seq] = attempts + 1
-        if self.hard or attempts < self.fail_times:
-            self.injected += 1
-            return True
-        return False
-
-
-class _FlakyChain(WriteAheadLog.chain_cls):
-    def _write_blob(self, blob: bytes) -> None:
-        if self.log.injector.should_fail(self.next_seq):
-            self._file.write(blob[: max(1, len(blob) // 2)])
-            self._file.flush()
-            raise InjectedWalFault(
-                f"injected transient WAL failure at seq {self.next_seq}")
-        super()._write_blob(blob)
-
-
-class FlakyWriteAheadLog(WriteAheadLog):
-    """A :class:`WriteAheadLog` whose appends fail transiently on schedule.
-
-    A scheduled failure lands *half* the record's bytes before raising
-    :class:`InjectedWalFault`, so the appender's rollback (truncate back
-    to the record boundary) is genuinely exercised — a retry must find a
-    record-aligned log.
-    """
-
-    chain_cls = _FlakyChain
-
-    def __init__(self, *args, injector: TransientFaultInjector, **kwargs):
-        self.injector = injector
-        super().__init__(*args, **kwargs)
+        if not (self.hard or attempts < self.fail_times):
+            return None
+        self.injected += 1
+        return max(1, len(data) // 2), InjectedWalFault(
+            f"injected transient WAL failure at seq {seq}")
 
 
 # --------------------------------------------------------------------- #

@@ -189,31 +189,15 @@ class GraphService:
         self._store = store if store is not None else store_from_config(config)
         if wal is None:
             # One log whatever the backend: the store config says how many
-            # shard chains it has (none for an unsharded store) and the
-            # injector, if any, picks the fault-injecting variant.
+            # shard chains it has (none for an unsharded store); an
+            # injector, if any, schedules faults in every chain's writes.
             store_config = getattr(self._store, "config", None)
-            n_shards = getattr(store_config, "n_shards", 0)
-            wal_cls, fault = WriteAheadLog, {}
-            if injector is not None:
-                if n_shards:
-                    raise ServiceError(
-                        "WAL fault injection is not supported with a sharded "
-                        "store (per-shard logs; inject into a plain backend)")
-                from repro.service.faults import (
-                    FaultyWriteAheadLog,
-                    FlakyWriteAheadLog,
-                    TransientFaultInjector,
-                )
-
-                wal_cls = (FlakyWriteAheadLog
-                           if isinstance(injector, TransientFaultInjector)
-                           else FaultyWriteAheadLog)
-                fault = {"injector": injector}
-            wal = wal_cls(
-                self.directory, n_shards=n_shards,
+            wal = WriteAheadLog(
+                self.directory, n_shards=getattr(store_config, "n_shards", 0),
                 seed=getattr(store_config, "seed", 0),
                 segment_bytes=segment_bytes, sync=sync,
-                min_last_seq=applied_seq, min_cum_edges=cum_edges, **fault)
+                min_last_seq=applied_seq, min_cum_edges=cum_edges,
+                injector=injector)
         self._wal = wal
         if self._wal.last_seq != applied_seq:
             raise ServiceError(
@@ -524,19 +508,9 @@ class GraphService:
                 self._cond.notify_all()
             try:
                 self._flush(batch)
-            except OSError as exc:
-                # Transient I/O kind (real disk errors and injected ones
-                # travel as OSError).  With a breaker configured the
-                # service survives: this batch fails, the breaker counts
-                # it, and enough consecutive failures trip it open.
-                # Without a breaker, keep PR 2's fail-stop semantics.
-                if self.breaker_threshold > 0:
-                    self._flush_failed(batch, exc)
-                    continue
-                self._go_fatal(batch, exc)
-                return
             except Exception as exc:  # noqa: BLE001 - flusher is the fault wall
-                self._go_fatal(batch, exc)
+                if self._fail(batch, exc):
+                    continue
                 return
             with self._cond:
                 self._flushing = False
@@ -551,20 +525,6 @@ class GraphService:
                             get_recorder().record("breaker.close")
                 self._cond.notify_all()
 
-    def _go_fatal(self, batch: list[_Request], exc: BaseException) -> None:
-        with self._cond:
-            self._fatal = exc
-            self._flushing = False
-            for request in [*batch, *self._queue]:
-                request.ticket._resolve(None, exc)
-            self._queue.clear()
-            self._pending_edges = 0
-            self._cond.notify_all()
-        if obs_hooks.enabled:
-            get_recorder().record("service.fatal", error=repr(exc),
-                                  n_requests=len(batch))
-            self._dump_blackbox("fatal", error=repr(exc))
-
     def _dump_blackbox(self, reason: str, **context) -> None:
         """Best-effort flight-recorder post-mortem in the service dir.
 
@@ -578,40 +538,63 @@ class GraphService:
         except Exception:  # noqa: BLE001 - post-mortem is best-effort
             pass
 
-    def _flush_failed(self, batch: list[_Request], exc: BaseException) -> None:
-        """Record one non-fatal flush failure; maybe trip the breaker."""
+    def _fail(self, batch: list[_Request], exc: BaseException) -> bool:
+        """Fail one flush's tickets; returns whether the writer serves on.
+
+        It serves on, and the breaker counts the failure, only when a
+        breaker is configured, ``exc`` is the transient I/O kind (real and
+        injected disk errors travel as ``OSError``) and nothing of this
+        flush reached the log.  Otherwise the writer stops as a crash
+        would: records the log holds but the store never applied are
+        replayed when the directory reopens, so the live store never
+        disagrees with what its log recovers.
+        """
+        survive = (self.breaker_threshold > 0 and isinstance(exc, OSError)
+                   and self._wal.last_seq == self._applied_seq)
+        tripped = False
         with self._cond:
             self._flushing = False
             for request in batch:
                 request.ticket._resolve(None, exc)
-            self._breaker_failures += 1
-            tripped = self._breaker_failures >= self.breaker_threshold
-            if tripped:
-                self._breaker_state = "open"
-                self._breaker_opened_at = time.monotonic()
+            if survive:
+                self._breaker_failures += 1
+                tripped = self._breaker_failures >= self.breaker_threshold
+                if tripped:
+                    self._breaker_state = "open"
+                    self._breaker_opened_at = time.monotonic()
+                    error = BreakerOpenError(
+                        f"circuit breaker opened after "
+                        f"{self._breaker_failures} consecutive flush "
+                        f"failures (last: {exc})")
+                    error.__cause__ = exc
+            else:
+                self._fatal = error = exc
+            if tripped or not survive:
                 # Everything still queued would hit the same wall; fail
                 # it fast rather than letting tickets hang.
-                error = BreakerOpenError(
-                    f"circuit breaker opened after "
-                    f"{self._breaker_failures} consecutive flush "
-                    f"failures (last: {exc})")
-                error.__cause__ = exc
                 for request in self._queue:
                     request.ticket._resolve(None, error)
                 self._queue.clear()
                 self._pending_edges = 0
             self._cond.notify_all()
-        if obs_hooks.enabled:
-            registry = obs.get_registry()
-            registry.counter("service.breaker.failures").inc()
-            get_recorder().record("flush.failed", error=repr(exc),
-                                  consecutive=self._breaker_failures)
-            if tripped:
-                registry.counter("service.breaker.opened").inc()
-                get_recorder().record(
-                    "breaker.open", consecutive=self._breaker_failures,
-                    threshold=self.breaker_threshold, error=repr(exc))
-                self._dump_blackbox("breaker-open", error=repr(exc))
+        if not obs_hooks.enabled:
+            return survive
+        if not survive:
+            get_recorder().record("service.fatal", error=repr(exc),
+                                  n_requests=len(batch))
+            self._dump_blackbox("fatal", error=repr(exc))
+            return False
+        registry = obs.get_registry()
+        registry.counter("service.breaker.failures").inc()
+        get_recorder().record("flush.failed", error=repr(exc),
+                              consecutive=self._breaker_failures)
+        if tripped:
+            registry.counter("service.breaker.opened").inc()
+            get_recorder().record(
+                "breaker.open", consecutive=self._breaker_failures,
+                threshold=self.breaker_threshold, error=repr(exc))
+            self._dump_blackbox("breaker-open", error=repr(exc))
+        return True
 
     def _wal_op(self, fn):
         """Run one WAL operation with exponential backoff + jitter.

@@ -320,8 +320,9 @@ class _Chain:
     """Appender over one segment chain of a :class:`WriteAheadLog`.
 
     Private to the log that owns it (``self.log`` supplies the directory,
-    segment size and sync policy); :meth:`_open_segment` and
-    :meth:`_write_blob` are the fault-injection seams.
+    segment size and sync policy).  Every byte it writes, the segment
+    magic included, goes through :meth:`_write_blob`: the one seam
+    :class:`_FaultChain` overrides.
     """
 
     def __init__(self, log: "WriteAheadLog", prefix: str):
@@ -349,8 +350,7 @@ class _Chain:
                             prefix=self.prefix)
         self._file = open(path, "ab")
         if self._file.tell() == 0:
-            self._file.write(SEGMENT_MAGIC)
-            self._file.flush()
+            self._write_blob(SEGMENT_MAGIC)
         self._segment_size = self._file.tell()
 
     def append(self, op: int, edges: np.ndarray,
@@ -367,6 +367,8 @@ class _Chain:
         start = self._file.tell()
         try:
             self._write_blob(blob)
+            if self.log.sync_policy == "always":
+                os.fsync(self._file.fileno())
         except OSError:
             # A transient I/O error may have landed part of the record;
             # truncate back to the boundary so the log stays record-
@@ -389,11 +391,9 @@ class _Chain:
         return seq
 
     def _write_blob(self, blob: bytes) -> None:
-        """Write one encoded record (the fault-injection seam)."""
+        """Write and flush one record or segment magic."""
         self._file.write(blob)
         self._file.flush()
-        if self.log.sync_policy == "always":
-            os.fsync(self._file.fileno())
 
     def _rollback(self, offset: int) -> None:
         """Erase a partially written record after a failed append."""
@@ -433,6 +433,27 @@ class _Chain:
             self._file = None
 
 
+class _FaultChain(_Chain):
+    """A chain whose writes fail on ``log.injector``'s schedule.
+
+    Before each write the injector's ``fault(seq, data)`` returns
+    ``None`` (the write goes through) or ``(landed, exc)``: that many
+    leading bytes reach the file, then ``exc`` is raised
+    (:mod:`repro.service.faults`).  ``seq`` is the record's sequence,
+    ``None`` for the segment magic (the write at offset 0).
+    """
+
+    def _write_blob(self, blob: bytes) -> None:
+        seq = self.next_seq if self._file.tell() else None
+        fault = self.log.injector.fault(seq, blob)
+        if fault is None:
+            return super()._write_blob(blob)
+        landed, exc = fault
+        self._file.write(blob[:landed])
+        self._file.flush()
+        raise exc
+
+
 class WriteAheadLog:
     """Appender over a service directory's segment chains (single writer).
 
@@ -456,11 +477,9 @@ class WriteAheadLog:
 
     Opening an existing directory resumes numbering after the last
     durable record of every chain (scanning drops a torn tail, exactly as
-    recovery would).
+    recovery would).  An ``injector`` (:mod:`repro.service.faults`)
+    makes every chain's writes fail on its schedule.
     """
-
-    #: Per-chain appender class (the fault-injecting logs swap it).
-    chain_cls = _Chain
 
     def __init__(self, directory: str | Path, *,
                  n_shards: int = 0,
@@ -468,7 +487,8 @@ class WriteAheadLog:
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  sync: str = "batch",
                  min_last_seq: int = 0,
-                 min_cum_edges: int = 0):
+                 min_cum_edges: int = 0,
+                 injector=None):
         if sync not in SYNC_POLICIES:
             raise ServiceError(
                 f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
@@ -482,7 +502,9 @@ class WriteAheadLog:
         self.seed = seed
         self.segment_bytes = segment_bytes
         self.sync_policy = sync
-        self._chains = [self.chain_cls(self, chain_prefix(c))
+        self.injector = injector
+        chain_cls = _Chain if injector is None else _FaultChain
+        self._chains = [chain_cls(self, chain_prefix(c))
                         for c in range(n_shards + 1)]
         self._base, self.shards = self._chains[0], self._chains[1:]
         # A checkpoint may have pruned the whole log away; the cursor the
@@ -549,11 +571,11 @@ class WriteAheadLog:
         durable and cannot be rolled back.  The log remembers which
         shards succeeded and a *retry of the identical append* (the
         service's per-append retry loop) skips them, so retries never
-        duplicate rows.  A batch abandoned mid-append (no retry, e.g.
-        breaker trip) stays partially logged — replay then applies only
-        the landed shards' rows, which is the documented cross-shard
-        non-atomicity (``docs/sharding.md``); the ticket never resolved,
-        so no durability promise is broken.
+        duplicate rows.  A batch abandoned mid-append stays partially
+        logged — replay applies only the landed shards' rows, the
+        documented cross-shard non-atomicity (``docs/sharding.md``) — so
+        the service stops its writer rather than serve a store that lacks
+        them.
         """
         if not self.shards:
             return self._base.append(op, edges, weights)

@@ -1,0 +1,142 @@
+"""A failed flush never leaves the service's log ahead of its store.
+
+The flusher commits WAL-first, so a flush can fail after some of its
+records reached the log.  The writer may keep serving (the circuit
+breaker counts the failure) only if nothing of the flush was logged;
+otherwise it stops as a crash would, and reopening the directory
+replays what the log holds.  Either way the live store equals what its
+own directory recovers.
+"""
+
+import shutil
+
+import numpy as np
+import pytest
+
+from repro.core.config import ShardedConfig
+from repro.core.hashing import partition_of_array
+from repro.core.store import store_digest
+from repro.errors import ReproError, ServiceError
+from repro.service import GraphService, TransientFaultInjector, recover
+from repro.workloads import rmat_edges
+
+
+def recovered_digest(directory, scratch):
+    """Digest of what ``directory`` recovers, read from a copy of it."""
+    shutil.copytree(directory, scratch)
+    return store_digest(recover(scratch, verify=None).store)
+
+
+def lingering_service(directory, **kwargs):
+    """A service that flushes only on ``flush_now``: one flush per call."""
+    return GraphService(directory, batch_edges=10_000, flush_interval=60,
+                        breaker_threshold=5, **kwargs)
+
+
+def test_mixed_flush_that_fails_after_its_insert_stops_the_writer(tmp_path):
+    # Record 1 (the insert group) lands; record 2 (the delete group)
+    # fails once.  Serving on would leave record 1 logged but unapplied.
+    svc = lingering_service(
+        tmp_path / "d", injector=TransientFaultInjector(fail_every=2,
+                                                        fail_times=1))
+    try:
+        first = svc.submit_insert(np.array([[0, 1], [0, 2]]))
+        second = svc.submit_delete(np.array([[0, 1]]))
+        with pytest.raises(ServiceError, match="stopped after flush failure"):
+            svc.flush_now(timeout=10)
+        assert isinstance(svc.fatal_error, OSError)
+        for ticket in (first, second):
+            with pytest.raises(OSError):
+                ticket.wait(10)
+        with pytest.raises(ServiceError):
+            svc.submit_insert(np.array([[1, 2]]))
+    finally:
+        svc.close()
+    svc, result = GraphService.open(tmp_path / "d")
+    with svc:
+        assert result.last_seq == 1
+        assert svc.n_edges == 2
+        svc.submit_insert(np.array([[1, 2]])).wait(10)
+        assert svc.n_edges == 3
+
+
+def test_failed_sync_after_appends_stops_the_writer(tmp_path, monkeypatch):
+    svc = lingering_service(tmp_path / "d")
+    try:
+        def broken_sync():
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(svc._wal, "sync", broken_sync)
+        ticket = svc.submit_insert(np.array([[0, 1]]))
+        with pytest.raises(ServiceError):
+            svc.flush_now(timeout=10)
+        with pytest.raises(OSError):
+            ticket.wait(10)
+        assert svc.fatal_error is not None
+        assert svc.health()["breaker"]["consecutive_failures"] == 0
+    finally:
+        monkeypatch.undo()
+        svc.close()
+    result = recover(tmp_path / "d")
+    assert result.store.n_edges == 1
+
+
+def test_sharded_append_given_up_midway_stops_the_writer(tmp_path):
+    cfg = ShardedConfig(n_shards=2, seed=7)
+    edges = rmat_edges(7, 400, seed=3)
+    owner = partition_of_array(edges[:, 0], 2, 7)
+    # Shard 1's chain takes record 1 alone; the next batch lands shard
+    # 0's record 1 and then fails on shard 1's record 2, for good.
+    svc = lingering_service(
+        tmp_path / "d", config=cfg,
+        injector=TransientFaultInjector(fail_every=2, hard=True))
+    try:
+        svc.submit_insert(edges[owner == 1][:10])
+        svc.flush_now(timeout=30)
+        svc.submit_insert(edges[:100])
+        with pytest.raises(ServiceError, match="stopped after flush failure"):
+            svc.flush_now(timeout=30)
+        assert svc._wal.cursor == [0, 1, 1]
+    finally:
+        svc.close()
+        svc._store.close()
+    result = recover(tmp_path / "d", config=cfg)
+    try:
+        assert result.last_seq == 2
+    finally:
+        result.store.close()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_writer_that_serves_on_matches_its_log(tmp_path, seed):
+    """Random single- and mixed-op flushes under transient faults: after
+    every failed flush the writer has either stopped or equals its log."""
+    rng = np.random.default_rng(seed)
+    pool = rmat_edges(6, 600, seed=seed)
+    svc = lingering_service(
+        tmp_path / "d", injector=TransientFaultInjector(fail_every=3,
+                                                        fail_times=1))
+    failed = 0
+    try:
+        for step in range(12):
+            tickets = []
+            for _ in range(int(rng.integers(1, 4))):
+                rows = pool[rng.integers(0, pool.shape[0], size=20)]
+                tickets.append(svc.submit_delete(rows) if rng.random() < 0.3
+                               else svc.submit_insert(rows))
+            try:
+                svc.flush_now(timeout=10)
+            except ReproError:
+                pass
+            if svc.fatal_error is not None:
+                break
+            if all(ticket.error is None for ticket in tickets):
+                continue
+            failed += 1
+            assert store_digest(svc._store) == recovered_digest(
+                tmp_path / "d", tmp_path / f"copy{step}")
+    finally:
+        svc.close()
+    assert failed or svc.fatal_error is not None
+    svc, _ = GraphService.open(tmp_path / "d")
+    svc.close()

@@ -23,7 +23,7 @@ from repro.service import (
     list_segments,
     recover,
 )
-from repro.service.wal import OP_INSERT
+from repro.service.wal import OP_INSERT, SEGMENT_MAGIC
 from repro.workloads import rmat_edges
 
 BATCH = 150
@@ -120,6 +120,29 @@ class TestRandomizedKills:
         assert registry.gauge("service.recovery.last_seq").value \
             == result.last_seq
         assert finish_stream(tmp_path, edges) == reference_set(edges)
+
+    def test_kill_inside_a_rotated_segments_magic(self, tmp_path, edges):
+        # One record per segment: the second segment's 8-byte magic starts
+        # right after the first segment's bytes.  The injector counts the
+        # magic too, so a kill 3 bytes into it tears the magic itself.
+        clean, _ = GraphService.open(tmp_path / "clean", segment_bytes=256)
+        with clean:
+            clean.submit_insert(edges[:BATCH]).wait(30)
+        (first,) = list_segments(tmp_path / "clean")
+        directory = tmp_path / "crash"
+        service, _ = GraphService.open(
+            directory, segment_bytes=256,
+            injector=FaultInjector(first.stat().st_size + 3))
+        with service:
+            service.submit_insert(edges[:BATCH]).wait(30)
+            with pytest.raises(SimulatedCrash):
+                service.submit_insert(edges[BATCH:2 * BATCH]).wait(30)
+        torn = list_segments(directory)[-1]
+        assert torn.read_bytes() == SEGMENT_MAGIC[:3]
+        result = recover(directory)
+        assert result.torn_offset == 0 and not torn.exists()
+        assert result.cum_edges == BATCH
+        assert finish_stream(directory, edges) == reference_set(edges)
 
 
 class TestRecoveryProtocol:
