@@ -947,8 +947,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "backend on --resume, else graphtinker)")
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="shard worker processes; N > 1 serves through the "
-                        "sharded store with per-shard WAL segments "
-                        "(--system then selects the per-shard backend)")
+                        "sharded store (--system then selects the per-shard "
+                        "backend); a directory resumes under any count")
     p.add_argument("--scale", type=int, default=10, help="RMAT scale")
     p.add_argument("--edges", type=int, default=20_000,
                    help="total input rows in the stream")
@@ -994,8 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port-file", default=None, metavar="PATH",
                    help="write the bound port here once listening")
     p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="serve through the process-per-shard store with "
-                        "per-shard WAL segments (1 = plain store)")
+                   help="serve through the process-per-shard store "
+                        "(1 = plain store); the WAL is one log either way")
     p.add_argument("--duration", type=float, default=0.0,
                    help="serve for this many seconds (0 = forever)")
     p.add_argument("--sync", default="batch",

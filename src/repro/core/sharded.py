@@ -289,7 +289,7 @@ class ShardedStore(RowStoreDefaults):
         the workers' actual state, so the store cannot keep serving —
         every subsequent operation re-raises the first crash until the
         caller discards the store and re-opens the service directory
-        (per-shard WAL replay restores the durable state).
+        (WAL replay restores the durable state).
         """
         proc = self._procs[shard]
         err = ShardCrashError(

@@ -67,8 +67,8 @@ class ShardCrashError(ServiceError):
     ``kill -9``-ed, OOM-killed, or crashed) or when a dispatched command
     never gets a response.  The surviving shards' state is intact; the
     recovery action is to discard the parent store and re-open the
-    service directory — per-shard WAL segments replay independently, so
-    only the crashed shard's tail is re-applied.
+    service directory, whose one WAL replays the records past the last
+    checkpoint into a fresh set of workers.
     """
 
 

@@ -6,7 +6,8 @@ into a network service:
 * :mod:`repro.net.frames` — length-prefixed JSON frame codec shared by
   every peer.
 * :mod:`repro.net.protocol` — protocol version, op table, typed error
-  code ↔ exception mapping, the canonical state digest.
+  code ↔ exception mapping.  ``store_digest``, the canonical state
+  digest, is :func:`repro.core.store.store_digest`, exported here too.
 * :mod:`repro.net.readpath` — immutable CSR :class:`ReadView` captures
   and the lock-free graph queries served from them.
 * :mod:`repro.net.server` — the asyncio :class:`GraphServer` (and the
@@ -31,6 +32,7 @@ See docs/network.md for the protocol spec, replication cursor rules and
 staleness semantics.
 """
 
+from repro.core.store import store_digest
 from repro.net.aioclient import AsyncGraphClient
 from repro.net.chaos import ChaosProxy
 from repro.net.client import GraphClient, ReplicaSet
@@ -46,7 +48,6 @@ from repro.net.protocol import (
     OPS,
     PROTOCOL_VERSION,
     RETRYABLE_CODES,
-    store_digest,
     wal_record_from_wire,
     wal_record_to_wire,
 )

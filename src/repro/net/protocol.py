@@ -245,22 +245,3 @@ def json_safe(value):
     if isinstance(value, np.bool_):
         return bool(value)
     return value
-
-
-# --------------------------------------------------------------------- #
-# state digest (differential testing across the wire)
-# --------------------------------------------------------------------- #
-def store_digest(store) -> dict:
-    """Canonical content digest of a store's live edge set.
-
-    Order-independent: the edge arrays are lexsorted by ``(src, dst)``
-    before hashing, so any two stores holding the same logical edges —
-    whatever physical layout or insertion order produced them — digest
-    identically.  This is the equality oracle the wire-vs-in-process
-    differential tests compare.  Re-exported from
-    :func:`repro.core.store.store_digest`, which computes it through the
-    formal protocol surface (``edge_arrays`` + ``original_ids``).
-    """
-    from repro.core.store import store_digest as _core_digest
-
-    return _core_digest(store)

@@ -51,7 +51,7 @@ import numpy as np
 
 import repro.obs as obs
 from repro.core.config import GTConfig
-from repro.core.store import store_from_config
+from repro.core.store import store_digest, store_from_config
 from repro.errors import (
     CursorGapError,
     NotWriterError,
@@ -61,7 +61,7 @@ from repro.errors import (
     StaleReadError,
 )
 from repro.net.client import GraphClient
-from repro.net.protocol import store_digest, wal_record_from_wire
+from repro.net.protocol import wal_record_from_wire
 from repro.net.session import backoff_delay
 from repro.obs import hooks as obs_hooks
 from repro.obs.log import get_logger, kv

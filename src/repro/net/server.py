@@ -71,7 +71,7 @@ from functools import partial
 import numpy as np
 
 import repro.obs as obs
-from repro.core.store import check_edge_batch
+from repro.core.store import check_edge_batch, store_digest
 from repro.errors import (
     CursorGapError,
     ProtocolError,
@@ -92,7 +92,6 @@ from repro.net.protocol import (
     PROTOCOL_VERSION,
     error_response,
     json_safe,
-    store_digest,
     wal_record_to_wire,
 )
 from repro.net.readpath import (
@@ -549,28 +548,13 @@ class _GraphConnection(asyncio.Protocol):
             return lambda: self._repl_status(args)
         return lambda: self._repl_resync(args)
 
-    def _tailable_wal(self):
-        """The writer's log, refused when a :class:`WalTailer` cannot ship it.
-
-        The tailer follows the base chain only; a log with shard chains
-        would advertise a ``writer_seq`` no stream ever reaches, and the
-        replica would lag forever without an error.
-        """
-        wal = self.server.service._wal
-        if wal.n_shards:
-            raise ServiceError(
-                f"replication of a sharded writer is unsupported: this "
-                f"log keeps {wal.n_shards} shard chains and WAL shipping "
-                f"streams the base chain only")
-        return wal
-
     def _repl_subscribe(self, args: dict) -> dict:
         server = self.server
         service = server.service
         after_seq = int(args.get("after_seq", 0))
         cum_edges = int(args.get("cum_edges", 0))
         replica_id = str(args.get("replica_id") or f"conn-{id(self):x}")
-        wal = self._tailable_wal()
+        wal = service._wal
         if after_seq > wal.last_seq:
             raise CursorGapError(
                 f"subscription cursor {after_seq} is ahead of this "
@@ -599,7 +583,7 @@ class _GraphConnection(asyncio.Protocol):
                 "writer_cum_edges": int(wal.cum_edges)}
 
     def _repl_wal_batch(self, args: dict) -> dict:
-        wal = self._tailable_wal()
+        wal = self.server.service._wal
         if self.repl_tailer is None:
             raise WorkloadError("wal_batch before subscribe on this "
                                 "connection")

@@ -19,17 +19,11 @@ from __future__ import annotations
 import os
 import zipfile
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 from repro.errors import ServiceError, WorkloadError
 from repro.service import wal as wal_mod
-from repro.workloads.persistence import (
-    Snapshot,
-    read_snapshot,
-    read_snapshot_meta,
-    save_snapshot,
-)
+from repro.workloads.persistence import Snapshot, read_snapshot, save_snapshot
 
 CHECKPOINT_PREFIX = "checkpoint-"
 CHECKPOINT_SUFFIX = ".npz"
@@ -109,25 +103,22 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
 
-    def write(self, store, last_seq: int, cum_edges: int,
-              meta: dict | None = None) -> Path:
+    def write(self, store, last_seq: int, cum_edges: int) -> Path:
         """Checkpoint ``store`` as-of WAL ``last_seq``; prune behind it.
 
         The caller guarantees the store has applied exactly the WAL
         records up to ``last_seq`` (the service holds its store lock
         across the snapshot).
         """
-        full_meta = dict(meta or ())
-        full_meta["last_seq"] = int(last_seq)
-        full_meta["cum_edges"] = int(cum_edges)
         final = checkpoint_path(self.directory, last_seq)
         tmp = final.with_suffix(".tmp.npz")
-        save_snapshot(store, tmp, meta=full_meta)
+        save_snapshot(store, tmp, meta={"last_seq": int(last_seq),
+                                        "cum_edges": int(cum_edges)})
         os.replace(tmp, final)
-        self._prune(full_meta)
+        self._prune(last_seq)
         return final
 
-    def _prune(self, meta: dict) -> None:
+    def _prune(self, last_seq: int) -> None:
         checkpoints = list_checkpoints(self.directory)
         if len(checkpoints) > self.keep:
             for path in checkpoints[:-self.keep]:
@@ -135,19 +126,8 @@ class CheckpointManager:
             checkpoints = checkpoints[-self.keep:]
         # WAL segments may only be dropped up to the *oldest surviving*
         # checkpoint: recovery falls back to it if a newer one turns out
-        # unreadable, and needs every chain's tail from there onward.
-        # Its cursors come from the snapshot header alone — pruning never
-        # reads a graph.  Each chain has its own sequence space, so the
-        # bound is per chain; a chain the oldest survivor predates (a
-        # plain checkpoint in a directory that later went sharded) is
-        # pinned at 0 until that checkpoint ages out.
-        try:
-            oldest, _ = wal_mod.checkpoint_cursors(
-                read_snapshot_meta(checkpoints[0]))
-        except _UNREADABLE:
-            return
-        now, _ = wal_mod.checkpoint_cursors(meta)
-        for chain, (new, old) in enumerate(zip_longest(now, oldest,
-                                                       fillvalue=0)):
-            wal_mod.prune_segments(self.directory, min(new, old),
-                                   prefix=wal_mod.chain_prefix(chain))
+        # unreadable, and needs the log from there onward.  Its cursor is
+        # in its file name, so pruning never opens a snapshot.
+        oldest = int(checkpoints[0].name[len(CHECKPOINT_PREFIX):
+                                         -len(CHECKPOINT_SUFFIX)])
+        wal_mod.prune_segments(self.directory, min(last_seq, oldest))

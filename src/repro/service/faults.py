@@ -17,10 +17,10 @@ Three fault families drive the robustness machinery:
 
 Both WAL injectors go to ``WriteAheadLog(injector=)`` (or
 ``GraphService(injector=)``, which hands it on) and answer one question
-before every write a chain makes, segment magic included:
+before every write the log makes, segment magic included:
 ``fault(seq, data)`` returns ``None`` or ``(landed, exc)`` — that many
 leading bytes land, then ``exc`` is raised.  ``seq`` is the record's
-sequence in its chain, ``None`` for the magic.
+sequence, ``None`` for the magic.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ class SimulatedCrash(ReproError):
 class FaultInjector:
     """Kill the writer at one global WAL byte offset.
 
-    The byte budget spans every write of every chain the log opens, so
-    the offset can land inside any segment, record header, payload, or
-    8-byte segment magic.  :class:`SimulatedCrash` is not an ``OSError``:
-    the append keeps its torn bytes, as a dead process would.
+    The byte budget spans every write the log makes, so the offset can
+    land inside any segment, record header, payload, or 8-byte segment
+    magic.  :class:`SimulatedCrash` is not an ``OSError``: the append
+    keeps its torn bytes, as a dead process would.
     """
 
     def __init__(self, crash_at_bytes: int):

@@ -6,9 +6,9 @@ The protocol (docs/service.md has the full diagram):
    store under the writer's embedded :class:`~repro.core.config.GTConfig`
    (or a caller-supplied one).  No checkpoint at all is fine: recovery
    starts from an empty store at sequence 0.
-2. Physically truncate a torn final record of every chain (so the
-   on-disk log is clean and a *second* recovery sees exactly the same
-   bytes — recovery is idempotent).
+2. Physically truncate a torn final record (so the on-disk log is
+   clean and a *second* recovery sees exactly the same bytes — recovery
+   is idempotent).
 3. Replay the WAL in sequence order, **skipping** every record with
    ``seq <= checkpoint.last_seq`` (already inside the snapshot) and
    applying the rest through the normal batch paths.  A gap between the
@@ -16,14 +16,10 @@ The protocol (docs/service.md has the full diagram):
    two WAL records — raises :class:`~repro.errors.ServiceError`; the
    missing updates cannot be reconstructed.
 
-A directory is a set of chains — the base chain plus one per shard, each
-with its own sequence space and its own skip cursor in the checkpoint's
-cursor vector (:func:`repro.service.wal.checkpoint_cursors`) — and
-there is one replay routine for all of them: scan each chain of a group
-independently, apply the pending records in rounds whose rows scatter to
-the shard workers concurrently (docs/sharding.md).  It runs over the
-base chain, then over the shard chains; a plain directory has only the
-first group, where it is ordinary sequential replay.
+The log is one chain whatever the store: a sharded store takes each
+record through its own batch path, which scatters the rows to the shard
+workers (docs/sharding.md), so a directory recovers under any shard
+count.
 
 Everything is observable through ``service.recovery.*`` metrics
 (replayed/skipped record and edge counts, the checkpoint sequence, torn
@@ -35,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 import repro.obs as obs
 from repro.core.store import store_from_config
@@ -60,8 +54,6 @@ class RecoveryResult:
     skipped_records: int = 0
     torn_offset: int | None = None
     replayed_seqs: list[int] = field(default_factory=list)
-    #: Shard count of a sharded recovery (0 for a plain directory).
-    n_shards: int = 0
     #: Post-recovery fsck outcome (a ``repro.core.verify.VerifyReport``),
     #: or ``None`` when verification was disabled.  Never raises: a CRC
     #: check can only vouch for the *bytes* of a checkpoint, so recovery
@@ -95,106 +87,27 @@ def _publish(result: RecoveryResult) -> None:
             len(result.fsck.violations))
 
 
-def _shard_count(directory: Path, config, recorded: int) -> int:
-    """Shard chains to recover with (0 = a plain directory).
-
-    The largest of: what the checkpoint recorded, what the config asks
-    for, and the highest shard chain with a segment on disk (a shard
-    that never appended leaves no file, so the disk is a lower bound).
-    A checkpoint that recorded a different non-zero count is a reshard,
-    which no replay can honour.
-    """
-    on_disk = max((parsed[0] for p in directory.iterdir()
-                   if (parsed := wal_mod.parse_segment_name(p.name))),
-                  default=0)
-    n = max(recorded, getattr(config, "n_shards", 0), on_disk)
-    if recorded not in (0, n):
-        raise ServiceError(
-            f"{directory}: checkpoint was taken with {recorded} shards but "
-            f"recovery sees {n} — resharding an existing directory is not "
-            f"supported (reload the data instead)"
-        )
-    return n
-
-
-def _pending(directory: Path, prefix: str, cursor: int,
-             result: RecoveryResult):
-    """One chain's records past its checkpoint cursor, gap-checked."""
-    last = cursor
-    for record in wal_mod.iter_records(directory, prefix=prefix):
-        if record.seq <= cursor:
+def _replay(directory: Path, store, result: RecoveryResult) -> None:
+    """Apply every record past the checkpoint's cursor, in sequence order."""
+    result.torn_offset = wal_mod.truncate_torn_tail(directory)
+    for record in wal_mod.iter_records(directory):
+        if record.seq <= result.last_seq:
             result.skipped_records += 1
             continue
-        if record.seq != last + 1:
+        if record.seq != result.last_seq + 1:
             raise ServiceError(
-                f"{directory}: WAL sequence gap in chain {prefix}* — store "
-                f"is at {last} but the next surviving record is "
+                f"{directory}: WAL sequence gap — store is at "
+                f"{result.last_seq} but the next surviving record is "
                 f"{record.seq}; updates in between are lost"
             )
-        last = record.seq
-        yield record
-
-
-def _cat(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _replay(directory: Path, store, meta: dict | None,
-            result: RecoveryResult, config) -> None:
-    """Replay every chain past the checkpoint's cursor vector.
-
-    Chains are replayed in groups — the base chain alone, then all shard
-    chains together — because the base chain predates every sharded
-    record (a directory flips to sharded at most once, and nothing
-    appends to the base chain afterwards).  A plain directory is the
-    first group only.
-
-    Within a group each chain is scanned independently (own contiguous
-    sequence space, own skip cursor) and the pending records are applied
-    in *rounds*: round ``r`` takes every chain's ``r``-th pending record
-    and scatters the same-op rows through one store batch.  Interval
-    partitioning makes the shard chains' key spaces disjoint, so records
-    from different chains commute — within a round the shard workers
-    apply their rows concurrently, which is what makes sharded replay
-    parallel rather than a serialized merge.  A one-chain group
-    degenerates to sequential replay, one record per round.
-    """
-    seqs, cums = wal_mod.checkpoint_cursors(meta)
-    n_shards = _shard_count(directory, config, len(seqs) - 1)
-    seqs += [0] * (n_shards + 1 - len(seqs))
-    cums += [0] * (n_shards + 1 - len(cums))
-    prefixes = [wal_mod.chain_prefix(c) for c in range(n_shards + 1)]
-    for prefix in prefixes:
-        torn = wal_mod.truncate_torn_tail(directory, prefix=prefix)
-        if result.torn_offset is None:
-            result.torn_offset = torn
-
-    for group in ([0], range(1, n_shards + 1)):
-        streams = {c: _pending(directory, prefixes[c], seqs[c], result)
-                   for c in group}
-        while streams:
-            inserts, deletes = [], []
-            for chain in list(streams):
-                record = next(streams[chain], None)
-                if record is None:
-                    del streams[chain]
-                    continue
-                (inserts if record.op == wal_mod.OP_INSERT
-                 else deletes).append(record)
-                seqs[chain], cums[chain] = record.seq, record.cum_edges
-                result.replayed_records += 1
-                result.replayed_edges += record.n_edges
-            if inserts:
-                store.insert_batch(_cat([r.edges for r in inserts]),
-                                   _cat([r.weights for r in inserts]))
-            if deletes:
-                store.delete_batch(_cat([r.edges for r in deletes]))
-            if inserts or deletes:
-                result.replayed_seqs.append(sum(seqs))
-
-    result.last_seq = sum(seqs)
-    result.cum_edges = sum(cums)
-    result.n_shards = n_shards
+        if record.op == wal_mod.OP_INSERT:
+            store.insert_batch(record.edges, record.weights)
+        else:
+            store.delete_batch(record.edges)
+        result.last_seq, result.cum_edges = record.seq, record.cum_edges
+        result.replayed_records += 1
+        result.replayed_edges += record.n_edges
+        result.replayed_seqs.append(record.seq)
 
 
 def recover(directory: str | Path, config=None,
@@ -237,9 +150,7 @@ def recover(directory: str | Path, config=None,
             checkpoint_seq=last_seq,
             checkpoint_path=checkpoint.path if checkpoint else None,
         )
-        _replay(directory, store,
-                checkpoint.snapshot.meta if checkpoint else None,
-                result, config)
+        _replay(directory, store, result)
         if verify is not None:
             result.fsck = store.fsck(level=verify)
             span.set_attr("fsck_violations", len(result.fsck.violations))
@@ -256,7 +167,6 @@ def recover(directory: str | Path, config=None,
         "replayed_records": result.replayed_records,
         "replayed_edges": result.replayed_edges,
         "skipped_records": result.skipped_records,
-        "n_shards": result.n_shards,
         "torn_truncated": result.torn_offset is not None,
         "fsck_violations": (len(result.fsck.violations)
                             if result.fsck is not None else None),

@@ -121,7 +121,10 @@ class Ticket:
                     "service.ticket.callback_errors").inc()
 
     def _resolve(self, seq: int | None, error: BaseException | None) -> None:
+        """Settle the ticket; its first resolution is final."""
         with self._lock:
+            if self._event.is_set():
+                return
             self.seq = seq
             self.error = error
             self._event.set()
@@ -188,14 +191,8 @@ class GraphService:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._store = store if store is not None else store_from_config(config)
         if wal is None:
-            # One log whatever the backend: the store config says how many
-            # shard chains it has (none for an unsharded store); an
-            # injector, if any, schedules faults in every chain's writes.
-            store_config = getattr(self._store, "config", None)
             wal = WriteAheadLog(
-                self.directory, n_shards=getattr(store_config, "n_shards", 0),
-                seed=getattr(store_config, "seed", 0),
-                segment_bytes=segment_bytes, sync=sync,
+                self.directory, segment_bytes=segment_bytes, sync=sync,
                 min_last_seq=applied_seq, min_cum_edges=cum_edges,
                 injector=injector)
         self._wal = wal
@@ -508,6 +505,12 @@ class GraphService:
                 self._cond.notify_all()
             try:
                 self._flush(batch)
+                # The batch's tickets resolved durable: from here on a
+                # failure (the automatic checkpoint's) is not theirs.
+                batch = []
+                if (self.checkpoint_every and self._applied_seq
+                        - self._last_ckpt_seq >= self.checkpoint_every):
+                    self.checkpoint()
             except Exception as exc:  # noqa: BLE001 - flusher is the fault wall
                 if self._fail(batch, exc):
                     continue
@@ -539,7 +542,8 @@ class GraphService:
             pass
 
     def _fail(self, batch: list[_Request], exc: BaseException) -> bool:
-        """Fail one flush's tickets; returns whether the writer serves on.
+        """Fail one flush's tickets (none when the automatic checkpoint
+        after it failed); returns whether the writer serves on.
 
         It serves on, and the breaker counts the failure, only when a
         breaker is configured, ``exc`` is the transient I/O kind (real and
@@ -689,9 +693,6 @@ class GraphService:
                 "service.flush.ms", "micro-batch flush wall latency (ms)"
             ).record((time.monotonic() - start) * 1e3)
             registry.gauge("service.queue.depth").set(len(self._queue))
-        if (self.checkpoint_every
-                and self._applied_seq - self._last_ckpt_seq >= self.checkpoint_every):
-            self.checkpoint()
 
     # ------------------------------------------------------------------ #
     # durability
@@ -701,8 +702,7 @@ class GraphService:
         with self._store_lock:
             with self._cond:
                 seq, cum = self._applied_seq, self._cum_edges
-            path = self._ckpt.write(self._store, seq, cum,
-                                    meta=self._wal.checkpoint_meta())
+            path = self._ckpt.write(self._store, seq, cum)
             self._last_ckpt_seq = seq
             self._last_ckpt_at = time.monotonic()
         if obs_hooks.enabled:

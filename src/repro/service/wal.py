@@ -12,13 +12,9 @@ A WAL directory holds numbered segment files::
     wal-00000000000000000001.seg      <- first record is sequence 1
     wal-00000000000000000042.seg      <- rotated; first record is seq 42
 
-That is the *base* chain.  A sharded service (``--shards N``) adds one
-independent chain per shard in the same directory,
-``wal-shard<k>-<seq>.seg``; each chain has its own contiguous sequence
-space and replays independently on recovery (docs/sharding.md).  One
-class, :class:`WriteAheadLog`, owns all of them: its cursor is the
-vector ``[base, shard_0 … shard_{K-1}]`` (summing to the scalar
-``last_seq`` the service tracks), and a plain log is the ``K = 0`` case.
+One chain of segments, whatever the store: a sharded service logs each
+flush group as one record and replay hands it to the store's batch path,
+which scatters the rows to the shard workers (docs/sharding.md).
 
 Each segment starts with an 8-byte magic (``GTWAL001``) followed by
 back-to-back records.  A record is a fixed header plus a payload::
@@ -101,57 +97,41 @@ class WalRecord:
         return int(self.edges.shape[0])
 
 
-def chain_prefix(chain: int) -> str:
-    """Segment-name prefix of one chain, by cursor-vector index.
-
-    Chain 0 is the base chain (``wal-``); chain ``k + 1`` is shard
-    ``k``'s (``wal-shard<k>-``).
-    """
-    return SEGMENT_PREFIX if chain == 0 else f"{SEGMENT_PREFIX}shard{chain - 1}-"
-
-
-def shard_prefix(shard: int) -> str:
-    """Segment-name prefix of one shard's chain (``wal-shard<k>-``)."""
-    return chain_prefix(shard + 1)
-
-
 _SEGMENT_NAME = re.compile(
-    rf"{SEGMENT_PREFIX}(?:shard(\d+)-)?(\d+){re.escape(SEGMENT_SUFFIX)}")
-
-
-def parse_segment_name(name: str) -> tuple[int, int] | None:
-    """``(chain, first_seq)`` a segment file name declares, else ``None``.
-
-    The one parser of ``wal-[shard<k>-]<digits>.seg``.  ``chain`` indexes
-    the cursor vector (:func:`chain_prefix`).
-    """
-    m = _SEGMENT_NAME.fullmatch(name)
-    if m is None:
-        return None
-    return (0 if m[1] is None else int(m[1]) + 1), int(m[2])
+    rf"{SEGMENT_PREFIX}(shard\d+-)?(\d+){re.escape(SEGMENT_SUFFIX)}")
 
 
 def segment_first_seq(path: Path) -> int:
     """The first sequence number a segment file's name declares."""
-    return parse_segment_name(path.name)[1]
+    return int(path.name[len(SEGMENT_PREFIX):-len(SEGMENT_SUFFIX)])
 
 
-def segment_path(directory: Path, first_seq: int,
-                 prefix: str = SEGMENT_PREFIX) -> Path:
-    return directory / f"{prefix}{first_seq:020d}{SEGMENT_SUFFIX}"
+def segment_path(directory: Path, first_seq: int) -> Path:
+    return directory / f"{SEGMENT_PREFIX}{first_seq:020d}{SEGMENT_SUFFIX}"
 
 
-def list_segments(directory: str | Path,
-                  prefix: str = SEGMENT_PREFIX) -> list[Path]:
-    """One chain's segment files, ordered by first sequence number."""
+def list_segments(directory: str | Path) -> list[Path]:
+    """The log's segment files, ordered by first sequence number.
+
+    Every reader and the writer list segments here, so a directory that
+    still holds an older layout's per-shard segment
+    (``wal-shard<k>-<seq>.seg``) is refused with :class:`ServiceError`
+    naming the file, rather than its records being silently skipped.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         return []
     out = []
     for p in directory.iterdir():
-        parsed = parse_segment_name(p.name)
-        if parsed is not None and chain_prefix(parsed[0]) == prefix:
-            out.append((parsed[1], p))
+        m = _SEGMENT_NAME.fullmatch(p.name)
+        if m is None:
+            continue
+        if m[1]:
+            raise ServiceError(
+                f"{p}: per-shard WAL segment from an older log layout; this "
+                f"build keeps one chain and cannot replay it (see "
+                f"docs/sharding.md, 'One log and recovery')")
+        out.append((int(m[2]), p))
     return [p for _, p in sorted(out)]
 
 
@@ -258,15 +238,15 @@ def scan_segment(path: str | Path, tolerate_torn_tail: bool = False,
     return records, scan.offset
 
 
-def iter_records(directory: str | Path, tolerate_torn_tail: bool = True,
-                 prefix: str = SEGMENT_PREFIX) -> Iterator[WalRecord]:
+def iter_records(directory: str | Path,
+                 tolerate_torn_tail: bool = True) -> Iterator[WalRecord]:
     """Yield every record across all segments in sequence order.
 
     Enforces contiguous sequence numbering across records; a gap raises
     :class:`ServiceError`.  A torn tail in the **last** segment is
     dropped (when tolerated); torn data anywhere else is corruption.
     """
-    segments = list_segments(directory, prefix=prefix)
+    segments = list_segments(directory)
     last_seq: int | None = None
     for i, path in enumerate(segments):
         is_last = i == len(segments) - 1
@@ -282,15 +262,14 @@ def iter_records(directory: str | Path, tolerate_torn_tail: bool = True,
             yield rec
 
 
-def truncate_torn_tail(directory: str | Path,
-                       prefix: str = SEGMENT_PREFIX) -> int | None:
+def truncate_torn_tail(directory: str | Path) -> int | None:
     """Physically drop a torn final record from the last segment.
 
     Returns the truncation byte offset, or ``None`` if the tail was
     clean.  Makes recovery idempotent on disk: a second scan sees a
     clean log.
     """
-    segments = list_segments(directory, prefix=prefix)
+    segments = list_segments(directory)
     if not segments:
         return None
     last = segments[-1]
@@ -316,18 +295,32 @@ def _registry():
     return get_registry()
 
 
-class _Chain:
-    """Appender over one segment chain of a :class:`WriteAheadLog`.
+class WriteAheadLog:
+    """Appender over a service directory's segment chain (single writer).
 
-    Private to the log that owns it (``self.log`` supplies the directory,
-    segment size and sync policy).  Every byte it writes, the segment
-    magic included, goes through :meth:`_write_blob`: the one seam
-    :class:`_FaultChain` overrides.
+    Opening an existing directory resumes numbering after the last
+    durable record (scanning drops a torn tail, exactly as recovery
+    would).  Every byte it writes, the segment magic included, goes
+    through :meth:`_write_blob`, which is where an ``injector``
+    (:mod:`repro.service.faults`) makes writes fail on its schedule.
     """
 
-    def __init__(self, log: "WriteAheadLog", prefix: str):
-        self.log = log
-        self.prefix = prefix
+    def __init__(self, directory: str | Path, *,
+                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+                 sync: str = "batch",
+                 min_last_seq: int = 0,
+                 min_cum_edges: int = 0,
+                 injector=None):
+        if sync not in SYNC_POLICIES:
+            raise ServiceError(
+                f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
+        if segment_bytes < _HEADER.size + len(SEGMENT_MAGIC):
+            raise ServiceError("segment_bytes is smaller than one record header")
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.segment_bytes = segment_bytes
+        self.sync_policy = sync
+        self.injector = injector
         self._file = None
         self._segment_size = 0
         self.last_seq = 0
@@ -336,26 +329,34 @@ class _Chain:
         # A writer must not leave torn bytes mid-log: once we append a new
         # segment after them, the tear would no longer be "the tail" and
         # readers would (rightly) call it corruption.
-        truncate_torn_tail(log.directory, prefix=prefix)
-        for rec in iter_records(log.directory, prefix=prefix):
+        truncate_torn_tail(self.directory)
+        for rec in iter_records(self.directory):
             self.last_seq = rec.seq
             self.cum_edges = rec.cum_edges
+        # A checkpoint may have pruned the whole log away; the cursor the
+        # caller recovered (checkpoint header) still rules numbering.
+        if min_last_seq > self.last_seq:
+            self.last_seq = min_last_seq
+            self.cum_edges = max(min_cum_edges, self.cum_edges)
 
     @property
     def next_seq(self) -> int:
         return self.last_seq + 1
 
     def _open_segment(self) -> None:
-        path = segment_path(self.log.directory, self.next_seq,
-                            prefix=self.prefix)
-        self._file = open(path, "ab")
+        self._file = open(segment_path(self.directory, self.next_seq), "ab")
         if self._file.tell() == 0:
             self._write_blob(SEGMENT_MAGIC)
         self._segment_size = self._file.tell()
 
     def append(self, op: int, edges: np.ndarray,
                weights: np.ndarray | None = None) -> int:
-        """Append one record; returns its sequence number in this chain."""
+        """Append one record; returns its sequence number.
+
+        The record is flushed to the OS before returning (fsynced too
+        under the ``"always"`` policy), so a killed process never loses
+        an append that returned.
+        """
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ServiceError("WAL records hold (n, 2) edge arrays")
@@ -367,7 +368,7 @@ class _Chain:
         start = self._file.tell()
         try:
             self._write_blob(blob)
-            if self.log.sync_policy == "always":
+            if self.sync_policy == "always":
                 os.fsync(self._file.fileno())
         except OSError:
             # A transient I/O error may have landed part of the record;
@@ -384,14 +385,29 @@ class _Chain:
         if registry is not None:
             registry.counter("service.wal.appends").inc()
             registry.counter("service.wal.bytes").inc(len(blob))
-            if self.log.sync_policy == "always":
+            if self.sync_policy == "always":
                 registry.counter("service.wal.syncs").inc()
-        if self._segment_size >= self.log.segment_bytes:
+        if self._segment_size >= self.segment_bytes:
             self._rotate()
         return seq
 
     def _write_blob(self, blob: bytes) -> None:
-        """Write and flush one record or segment magic."""
+        """Write and flush one record or segment magic.
+
+        With an injector, its ``fault(seq, data)`` is asked first: it
+        returns ``None`` (the write goes through) or ``(landed, exc)``,
+        that many leading bytes reach the file, then ``exc`` is raised.
+        ``seq`` is the record's sequence, ``None`` for the segment magic
+        (the write at offset 0).
+        """
+        if self.injector is not None:
+            seq = self.next_seq if self._file.tell() else None
+            fault = self.injector.fault(seq, blob)
+            if fault is not None:
+                landed, exc = fault
+                self._file.write(blob[:landed])
+                self._file.flush()
+                raise exc
         self._file.write(blob)
         self._file.flush()
 
@@ -407,6 +423,7 @@ class _Chain:
             pass
 
     def sync(self) -> None:
+        """fsync the open segment (the ``"batch"`` policy's commit point)."""
         if self._file is not None:
             registry = _registry()
             self._file.flush()
@@ -432,190 +449,6 @@ class _Chain:
             self._file.close()
             self._file = None
 
-
-class _FaultChain(_Chain):
-    """A chain whose writes fail on ``log.injector``'s schedule.
-
-    Before each write the injector's ``fault(seq, data)`` returns
-    ``None`` (the write goes through) or ``(landed, exc)``: that many
-    leading bytes reach the file, then ``exc`` is raised
-    (:mod:`repro.service.faults`).  ``seq`` is the record's sequence,
-    ``None`` for the segment magic (the write at offset 0).
-    """
-
-    def _write_blob(self, blob: bytes) -> None:
-        seq = self.next_seq if self._file.tell() else None
-        fault = self.log.injector.fault(seq, blob)
-        if fault is None:
-            return super()._write_blob(blob)
-        landed, exc = fault
-        self._file.write(blob[:landed])
-        self._file.flush()
-        raise exc
-
-
-class WriteAheadLog:
-    """Appender over a service directory's segment chains (single writer).
-
-    The log owns the *base* chain (``wal-<seq>.seg``) plus ``n_shards``
-    shard chains (``wal-shard<k>-<seq>.seg``); ``n_shards=0`` is a plain
-    log, whose appends go straight to the base chain.  With shards, every
-    edge row is logged in the chain of the shard its ``src`` hashes to
-    (:func:`repro.core.hashing.partition_of_array`, the router
-    :class:`repro.core.sharded.ShardedStore` uses), so on recovery the
-    chains replay independently — and, their key spaces being disjoint,
-    in parallel.  The base chain then only holds the history a directory
-    carried before it went sharded; nothing appends to it afterwards.
-
-    Each chain has its own contiguous sequence space.  The log's
-    :attr:`cursor` is the vector ``[base, shard_0 … shard_{K-1}]`` of
-    chain positions and the scalar ``last_seq`` the service tracks is its
-    sum: every append advances exactly one chain per shard it touches, so
-    the sum is monotonic and recoverable from the segment files alone.
-    ``cum_edges`` sums the same way and keeps its stream-resume meaning
-    (rows are partitioned disjointly).
-
-    Opening an existing directory resumes numbering after the last
-    durable record of every chain (scanning drops a torn tail, exactly as
-    recovery would).  An ``injector`` (:mod:`repro.service.faults`)
-    makes every chain's writes fail on its schedule.
-    """
-
-    def __init__(self, directory: str | Path, *,
-                 n_shards: int = 0,
-                 seed: int = 0,
-                 segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-                 sync: str = "batch",
-                 min_last_seq: int = 0,
-                 min_cum_edges: int = 0,
-                 injector=None):
-        if sync not in SYNC_POLICIES:
-            raise ServiceError(
-                f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
-        if segment_bytes < _HEADER.size + len(SEGMENT_MAGIC):
-            raise ServiceError("segment_bytes is smaller than one record header")
-        if n_shards < 0:
-            raise ServiceError("n_shards must be >= 0")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.n_shards = n_shards
-        self.seed = seed
-        self.segment_bytes = segment_bytes
-        self.sync_policy = sync
-        self.injector = injector
-        chain_cls = _Chain if injector is None else _FaultChain
-        self._chains = [chain_cls(self, chain_prefix(c))
-                        for c in range(n_shards + 1)]
-        self._base, self.shards = self._chains[0], self._chains[1:]
-        # A checkpoint may have pruned the whole log away; the cursor the
-        # caller recovered (checkpoint header) still rules numbering.
-        if min_last_seq > self.last_seq:
-            self._base.last_seq += min_last_seq - self.last_seq
-            self._base.cum_edges += max(min_cum_edges - self.cum_edges, 0)
-        # Retry bookkeeping: which shards already landed the record that
-        # a transient OSError interrupted (see append()).
-        self._resume: tuple[tuple, set[int]] | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def cursor(self) -> list[int]:
-        """Chain positions ``[base, shard_0 … shard_{K-1}]``."""
-        return [chain.last_seq for chain in self._chains]
-
-    @property
-    def last_seq(self) -> int:
-        return sum(self.cursor)
-
-    @property
-    def next_seq(self) -> int:
-        return self.last_seq + 1
-
-    @property
-    def cum_edges(self) -> int:
-        return sum(chain.cum_edges for chain in self._chains)
-
-    @property
-    def n_rotations(self) -> int:
-        return sum(chain.n_rotations for chain in self._chains)
-
-    def checkpoint_meta(self) -> dict:
-        """The cursor vector as checkpoint-header keys.
-
-        A plain log adds nothing: the checkpoint's own ``last_seq`` /
-        ``cum_edges`` *are* its base cursor (:func:`checkpoint_cursors`
-        reads both forms back).
-        """
-        if not self.shards:
-            return {}
-        return {
-            "n_shards": self.n_shards,
-            "shard_seed": self.seed,
-            "shard_seqs": [chain.last_seq for chain in self.shards],
-            "shard_cum": [chain.cum_edges for chain in self.shards],
-            "base_seq": self._base.last_seq,
-            "base_cum": self._base.cum_edges,
-        }
-
-    def append(self, op: int, edges: np.ndarray,
-               weights: np.ndarray | None = None) -> int:
-        """Append one record; returns the log's sequence after it.
-
-        The record is flushed to the OS before returning (fsynced too
-        under the ``"always"`` policy), so a killed process never loses
-        an append that returned.
-
-        With shards, each owning shard's chain gets exactly one record
-        holding its rows in stream order; shards that own no rows are
-        untouched.  A transient ``OSError`` can interrupt that loop after
-        some chains already landed their sub-record; those records are
-        durable and cannot be rolled back.  The log remembers which
-        shards succeeded and a *retry of the identical append* (the
-        service's per-append retry loop) skips them, so retries never
-        duplicate rows.  A batch abandoned mid-append stays partially
-        logged — replay applies only the landed shards' rows, the
-        documented cross-shard non-atomicity (``docs/sharding.md``) — so
-        the service stops its writer rather than serve a store that lacks
-        them.
-        """
-        if not self.shards:
-            return self._base.append(op, edges, weights)
-        from repro.core.hashing import partition_of_array
-
-        edges = np.asarray(edges, dtype=np.int64)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ServiceError("WAL records hold (n, 2) edge arrays")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-        token = (op, edges.shape[0], zlib.crc32(edges.tobytes()))
-        done: set[int] = set()
-        if self._resume is not None and self._resume[0] == token:
-            done = self._resume[1]
-        shard_ids = partition_of_array(edges[:, 0], self.n_shards, self.seed)
-        try:
-            for k, chain in enumerate(self.shards):
-                if k in done:
-                    continue
-                mask = shard_ids == k
-                if not mask.any():
-                    continue
-                chain.append(op, edges[mask],
-                             weights[mask] if weights is not None else None)
-                done.add(k)
-        except OSError:
-            self._resume = (token, done)
-            raise
-        self._resume = None
-        return self.last_seq
-
-    def sync(self) -> None:
-        """fsync every open chain (the ``"batch"`` policy's commit point)."""
-        for chain in self._chains:
-            chain.sync()
-
-    def close(self) -> None:
-        for chain in self._chains:
-            chain.close()
-
     def __enter__(self) -> "WriteAheadLog":
         return self
 
@@ -623,37 +456,15 @@ class WriteAheadLog:
         self.close()
 
 
-def checkpoint_cursors(meta: dict | None) -> tuple[list[int], list[int]]:
-    """``(seqs, cums)`` cursor vectors a checkpoint's meta header covers.
-
-    The inverse of :meth:`WriteAheadLog.checkpoint_meta`, and the only
-    reader of its keys.  Both vectors are ``[base, shard_0 … shard_{K-1}]``
-    with ``K`` as the checkpoint recorded it.  A meta without shard keys
-    is a plain checkpoint — its snapshot covers exactly the base chain up
-    to ``last_seq`` — so old checkpoints, and a directory that flipped
-    from plain to sharded, need no migration.  No checkpoint at all
-    (``None``) is the zero cursor.
-    """
-    if meta is None:
-        return [0], [0]
-    if "shard_seqs" not in meta:
-        return [int(meta["last_seq"])], [int(meta.get("cum_edges", 0))]
-    seqs = [int(s) for s in meta["shard_seqs"]]
-    cums = [int(c) for c in meta.get("shard_cum", [0] * len(seqs))]
-    return ([int(meta.get("base_seq", 0)), *seqs],
-            [int(meta.get("base_cum", 0)), *cums])
-
-
-def prune_segments(directory: str | Path, upto_seq: int,
-                   prefix: str = SEGMENT_PREFIX) -> list[Path]:
-    """Delete one chain's segments made obsolete by a checkpoint.
+def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:
+    """Delete the segments a checkpoint made obsolete.
 
     A segment is obsolete when every record in it has ``seq <= upto_seq``
     — equivalently, when the *next* segment's first sequence is
     ``<= upto_seq + 1``.  The last segment is always kept (it is the
     active append target).  Returns the deleted paths.
     """
-    segments = list_segments(directory, prefix=prefix)
+    segments = list_segments(directory)
     deleted: list[Path] = []
     for path, nxt in zip(segments, segments[1:]):
         if segment_first_seq(nxt) > upto_seq + 1:

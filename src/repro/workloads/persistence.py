@@ -130,17 +130,6 @@ def read_snapshot(path: str | Path) -> Snapshot:
     )
 
 
-def read_snapshot_meta(path: str | Path) -> dict | None:
-    """Only the ``meta`` header of a snapshot; the edge arrays stay unread.
-
-    ``np.load`` on an ``.npz`` is lazy per member, so this costs the zip
-    directory plus one small string whatever the graph size.
-    """
-    with np.load(path, allow_pickle=False) as data:
-        meta_json = str(data["meta_json"]) if "meta_json" in data else ""
-    return json.loads(meta_json) if meta_json else None
-
-
 def restore_store(path: str | Path, config=None):
     """Build a fresh store from a snapshot and replay its edges into it.
 

@@ -17,7 +17,12 @@ from repro.core.config import ShardedConfig
 from repro.core.hashing import partition_of_array
 from repro.core.store import store_digest
 from repro.errors import ReproError, ServiceError
-from repro.service import GraphService, TransientFaultInjector, recover
+from repro.service import (
+    CheckpointManager,
+    GraphService,
+    TransientFaultInjector,
+    recover,
+)
 from repro.workloads import rmat_edges
 
 
@@ -81,30 +86,61 @@ def test_failed_sync_after_appends_stops_the_writer(tmp_path, monkeypatch):
     assert result.store.n_edges == 1
 
 
-def test_sharded_append_given_up_midway_stops_the_writer(tmp_path):
+def test_sharded_append_given_up_lands_nothing(tmp_path):
+    """A sharded batch is one record: an append given up after a
+    transient fault lands none of its rows, so the writer serves on and
+    still equals what its directory recovers."""
     cfg = ShardedConfig(n_shards=2, seed=7)
     edges = rmat_edges(7, 400, seed=3)
     owner = partition_of_array(edges[:, 0], 2, 7)
-    # Shard 1's chain takes record 1 alone; the next batch lands shard
-    # 0's record 1 and then fails on shard 1's record 2, for good.
+    assert set(owner[:100].tolist()) == {0, 1}
     svc = lingering_service(
         tmp_path / "d", config=cfg,
-        injector=TransientFaultInjector(fail_every=2, hard=True))
+        injector=TransientFaultInjector(fail_every=2, fail_times=1))
     try:
         svc.submit_insert(edges[owner == 1][:10])
         svc.flush_now(timeout=30)
-        svc.submit_insert(edges[:100])
-        with pytest.raises(ServiceError, match="stopped after flush failure"):
-            svc.flush_now(timeout=30)
-        assert svc._wal.cursor == [0, 1, 1]
+        failed = svc.submit_insert(edges[:100])   # record 2 fails once
+        svc.flush_now(timeout=30)
+        with pytest.raises(OSError):
+            failed.wait(10)
+        assert svc.fatal_error is None
+        assert svc._wal.last_seq == svc.applied_seq == 1
+        served = svc.submit_insert(edges[100:200])
+        svc.flush_now(timeout=30)
+        assert served.wait(10) == 2
+        live = store_digest(svc._store)
+        assert live == recovered_digest(tmp_path / "d", tmp_path / "copy")
     finally:
         svc.close()
         svc._store.close()
     result = recover(tmp_path / "d", config=cfg)
     try:
         assert result.last_seq == 2
+        assert store_digest(result.store) == live
+        assert result.store.n_edges == svc.n_edges
     finally:
         result.store.close()
+
+
+def test_failed_auto_checkpoint_keeps_durable_tickets(tmp_path, monkeypatch):
+    """The automatic checkpoint runs after the flush's tickets resolved
+    durable; its failure must not turn them into errors."""
+    def broken_write(self, *args, **kwargs):
+        raise OSError("injected checkpoint failure")
+
+    monkeypatch.setattr(CheckpointManager, "write", broken_write)
+    svc = GraphService(tmp_path / "d", checkpoint_every=1,
+                       breaker_threshold=5)
+    try:
+        ticket = svc.submit_insert(np.array([[0, 1]]))
+        svc.flush_now(timeout=10)
+        assert ticket.wait(10) == 1
+        assert ticket.error is None
+        assert svc.has_edge(0, 1)
+        assert svc.fatal_error is None
+    finally:
+        svc.close()
 
 
 @pytest.mark.parametrize("seed", range(4))

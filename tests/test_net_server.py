@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.core.graphtinker import GraphTinker
+from repro.core.store import store_digest
 from repro.errors import NetError, ProtocolError, WorkloadError
 from repro.net.aioclient import AsyncGraphClient
 from repro.net.client import GraphClient
 from repro.net.frames import FrameDecoder, encode_frame
-from repro.net.protocol import PROTOCOL_VERSION, store_digest
+from repro.net.protocol import PROTOCOL_VERSION
 from repro.net.server import ServerThread
 from repro.service import GraphService, recover
 from repro.workloads import rmat_edges

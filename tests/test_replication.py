@@ -12,7 +12,7 @@ Three layers, bottom-up:
   floors, failover, staleness metadata).
 
 The convergence oracle throughout is
-:func:`~repro.net.protocol.store_digest` — an order-insensitive hash of
+:func:`~repro.core.store.store_digest` — an order-insensitive hash of
 the full edge multiset, so "replica equals writer" is exact, not
 sampled.  Fault-schedule variants live in ``test_replication_chaos.py``.
 """
@@ -23,20 +23,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import ShardedConfig
+from repro.core.store import store_digest
 from repro.errors import (
     NotWriterError,
     ReplicationError,
-    ServiceError,
     StaleReadError,
     WorkloadError,
 )
 from repro.net.client import GraphClient, ReplicaSet
-from repro.net.protocol import (
-    RETRYABLE_CODES,
-    store_digest,
-    wal_record_from_wire,
-    wal_record_to_wire,
-)
+from repro.net.protocol import wal_record_from_wire, wal_record_to_wire
 from repro.net.replication import ReplicaServer, ReplicaService
 from repro.net.server import ServerThread
 from repro.service import GraphService
@@ -208,32 +203,30 @@ class TestReplicationWireOps:
                                            "cum_edges": 999,
                                            "replica_id": "t1"})
 
-    def test_sharded_writer_refuses_wal_shipping(self, tmp_path):
-        """The tailer streams the base chain only; a writer whose log has
-        shard chains must say so instead of advertising a ``writer_seq``
-        no ``wal_batch`` ever reaches (a silent, unbounded replica lag)."""
-        svc, rec = GraphService.open(
-            tmp_path / "sharded-writer", config=ShardedConfig(n_shards=2),
-            flush_interval=0.005)
-        try:
-            insert(svc, [[v, v + 1] for v in range(40)])
-            assert svc.applied_seq > 0
-            with ServerThread(svc, view_refresh_s=0.0) as thread, \
-                    GraphClient(port=thread.port) as c:
-                for op, args in (
-                        ("subscribe", {"after_seq": 0, "cum_edges": 0,
-                                       "replica_id": "t1"}),
-                        ("wal_batch", {"max_records": 10, "wait_s": 5.0})):
-                    with pytest.raises(ServiceError,
-                                       match="sharded writer") as err:
-                        c.call(op, args)
-                    assert not isinstance(err.value, ReplicationError)
-                    assert err.value.code not in RETRYABLE_CODES
-                # Refused, not broken: the connection still serves.
-                assert c.call("resync", {})["last_seq"] == svc.applied_seq
-        finally:
-            svc.close()
-            rec.store.close()
+    def test_sharded_writer_ships_its_wal(self, tmp_path):
+        """The tailer follows the one log whatever the writer's store, so
+        a replica catches up to a sharded writer's digest."""
+        for n_shards in (0, 1, 3):
+            config = ShardedConfig(n_shards=n_shards) if n_shards else None
+            svc, rec = GraphService.open(tmp_path / f"writer{n_shards}",
+                                         config=config, flush_interval=0.005)
+            try:
+                insert(svc, [[v, v + 1] for v in range(40)])
+                svc.submit_delete(np.array([[3, 4], [9, 10]])).wait(10)
+                insert(svc, [[v, 2 * v + 7] for v in range(60)])
+                with ServerThread(svc, view_refresh_s=0.0) as thread, \
+                        ReplicaServer(tmp_path / f"replica{n_shards}",
+                                      "127.0.0.1", thread.port,
+                                      replica_id="r1", poll_wait_s=0.2,
+                                      view_refresh_s=0.0,
+                                      backoff=0.05) as rep:
+                    assert rep.wait_caught_up(svc.applied_seq)
+                    assert rep.service.applied_seq == svc.applied_seq == 3
+                    assert replica_digest(rep.service) == writer_digest(svc)
+            finally:
+                svc.close()
+                if n_shards:
+                    rec.store.close()
 
     def test_resync_ships_consistent_snapshot(self, writer, writer_server):
         insert(writer, [[1, 2], [2, 3], [1, 2]])  # duplicate collapses

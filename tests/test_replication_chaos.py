@@ -20,10 +20,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.store import store_digest
 from repro.net.chaos import ChaosProxy
 from repro.net.client import GraphClient, ReplicaSet
 from repro.net.loadgen import run_loadgen
-from repro.net.protocol import RETRYABLE_CODES, store_digest
+from repro.net.protocol import RETRYABLE_CODES
 from repro.net.replication import ReplicaServer
 from repro.net.server import ServerThread
 from repro.service import GraphService

@@ -6,38 +6,39 @@ The sharded service's failure story has three legs, each pinned here:
   :class:`~repro.errors.ShardCrashError` (a :class:`ServiceError`) at
   the next store operation that touches the dead pipe — never a hang,
   never a bare ``EOFError``;
-* recovery of a crashed sharded service replays **only the crashed
-  shard's WAL tail** — the surviving shards' chains are fully covered by
-  the checkpoint cursors — and the recovered digest equals the durable
-  (uncrashed) prefix of the input stream, bit-for-bit;
-* a :class:`~repro.service.wal.WriteAheadLog` with shard chains survives
-  the service's verbatim append retry after a transient ``OSError``:
-  shards that already landed their sub-record are skipped, so retries
-  never duplicate rows (the resume-token mechanism).
+* recovery of a crashed sharded service replays only the one log's
+  tail past the checkpoint, and the recovered digest equals the durable
+  (uncrashed) prefix of the input stream, bit-for-bit — under the shard
+  count that wrote the directory or any other;
+* a sharded batch is one WAL record, so an append that fails with a
+  transient ``OSError`` lands nothing: the service's verbatim retry, or
+  a different batch, logs exactly its own rows.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import threading
 import time
-import zipfile
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.core import sharded as sharded_mod
-from repro.core.config import ShardedConfig
+from repro.core.config import GTConfig, ShardedConfig
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import partition_of_array
 from repro.core.sharded import ShardedStore
 from repro.core.store import store_digest
 from repro.errors import ReproError, ServiceError, ShardCrashError
 from repro.service import (
+    FaultInjector,
     GraphService,
     SimulatedCrash,
+    TransientFaultInjector,
     list_checkpoints,
     load_checkpoint,
     recover,
@@ -46,12 +47,9 @@ from repro.service import checkpoint as checkpoint_mod
 from repro.service.wal import (
     OP_INSERT,
     WriteAheadLog,
-    chain_prefix,
-    checkpoint_cursors,
     iter_records,
     list_segments,
     segment_first_seq,
-    shard_prefix,
 )
 from repro.workloads import rmat_edges
 
@@ -175,7 +173,7 @@ def test_slow_bulk_call_outlives_the_reply_deadline(store, monkeypatch, call):
 
 
 # --------------------------------------------------------------------- #
-# service crash + recovery: only the crashed shard's tail replays
+# service crash + recovery: only the tail past the checkpoint replays
 # --------------------------------------------------------------------- #
 def test_recovery_replays_only_crashed_shards_tail(tmp_path):
     edges = rmat_edges(8, 2400, seed=11)
@@ -183,10 +181,10 @@ def test_recovery_replays_only_crashed_shards_tail(tmp_path):
                                      flush_interval=0.002)
     for start in range(0, edges.shape[0], BATCH):
         service.submit_insert(edges[start:start + BATCH]).wait(30)
-    service.checkpoint()  # every shard's cursor now covers phase A
+    service.checkpoint()  # covers phase A
+    ckpt_seq = service.applied_seq
 
-    # Phase B routes exclusively to the victim shard's vertices, so the
-    # victim's chain is the only one with records past its cursor.
+    # Phase B routes exclusively to the victim shard's vertices.
     victim = 2
     more = rmat_edges(8, 1200, seed=12)
     owned = more[partition_of_array(
@@ -208,11 +206,14 @@ def test_recovery_replays_only_crashed_shards_tail(tmp_path):
 
     rec2 = recover(tmp_path, config=CFG)
     try:
-        assert rec2.n_shards == N_SHARDS
-        # Only the victim's tail replayed: phase-B appends plus the
-        # killed append (durable in the WAL, never applied).
+        # Only the tail past the checkpoint replayed: phase-B appends
+        # plus the killed append (durable in the WAL, never applied).
         assert rec2.replayed_records == n_b + 1
-        assert list_segments(tmp_path, prefix=shard_prefix(victim))
+        assert rec2.replayed_seqs == list(range(ckpt_seq + 1,
+                                                ckpt_seq + n_b + 2))
+        assert rec2.last_seq == ckpt_seq + n_b + 1
+        assert list_segments(tmp_path)
+        assert not list(tmp_path.glob("wal-shard*"))
         # Digest equals the durable prefix: A + B + the killed batch.
         durable = np.vstack([edges, owned, owned[:50]])
         assert store_digest(rec2.store) == _digest_of_prefix(durable)
@@ -260,105 +261,69 @@ def test_post_recovery_digest_equals_uncrashed_prefix(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# sharded WAL append retry: the resume token prevents duplication
+# a sharded batch is one record: a failed append lands nothing
 # --------------------------------------------------------------------- #
-def test_sharded_wal_retry_skips_landed_shards(tmp_path, monkeypatch):
-    wal = WriteAheadLog(tmp_path, n_shards=N_SHARDS, seed=SEED)
+def test_sharded_wal_retry_skips_landed_shards(tmp_path):
+    """The service's verbatim retry after a transient ``OSError`` logs
+    every row of a batch that spans all shards exactly once."""
     edges = rmat_edges(7, 300, seed=9)
     shard_ids = partition_of_array(edges[:, 0], N_SHARDS, SEED)
-    touched = sorted(set(shard_ids.tolist()))
-    assert len(touched) == N_SHARDS, "stream must touch every shard"
-
-    # First shard lands its sub-record, then the disk 'fails' once.
-    real_append = type(wal.shards[1]).append
-    fails = {"left": 1}
-
-    def flaky(self, *args, **kwargs):
-        if self.prefix == shard_prefix(1) and fails["left"]:
-            fails["left"] -= 1
-            raise OSError("injected transient append failure")
-        return real_append(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(wal.shards[1]), "append", flaky)
-    with pytest.raises(OSError):
-        wal.append(OP_INSERT, edges)
-    assert wal.shards[0].last_seq == 1          # landed before the fault
-    assert wal.shards[1].last_seq == 0          # the faulted shard
-    # The service retries the identical append verbatim: already-landed
-    # shards are skipped, the rest complete, no row is duplicated.
-    seq = wal.append(OP_INSERT, edges)
-    assert [log.last_seq for log in wal.shards] == [1, 1, 1]
-    assert seq == wal.last_seq == 3
-    assert wal.cum_edges == edges.shape[0]
-    wal.close()
-
-    for k in touched:
-        rows = sum(
-            rec.edges.shape[0]
-            for rec in iter_records(tmp_path, prefix=shard_prefix(k)))
-        assert rows == int((shard_ids == k).sum()), f"shard {k} rows"
+    assert len(set(shard_ids.tolist())) == N_SHARDS, \
+        "stream must touch every shard"
+    injector = TransientFaultInjector(fail_every=1, fail_times=1)
+    service = GraphService(tmp_path, config=CFG, max_retries=2,
+                           injector=injector)
+    try:
+        assert service.submit_insert(edges).wait(30) == 1
+        assert injector.injected == 1
+        assert store_digest(service._store) == _digest_of_prefix(edges)
+    finally:
+        service.close()
+        service._store.close()
+    (record,) = iter_records(tmp_path)
+    np.testing.assert_array_equal(record.edges, edges)
+    assert record.cum_edges == edges.shape[0]
 
 
-def test_sharded_wal_different_batch_does_not_resume(tmp_path, monkeypatch):
-    """The resume token is per-batch: a *different* append after a fault
-    must not skip shards that the faulted batch had landed."""
-    wal = WriteAheadLog(tmp_path, n_shards=N_SHARDS, seed=SEED)
+def test_sharded_wal_different_batch_does_not_resume(tmp_path):
+    """A different append after a failed one logs only its own rows:
+    nothing of the failed batch landed to be resumed."""
     a = rmat_edges(7, 300, seed=9)
     b = rmat_edges(7, 300, seed=10)
-
-    real_append = type(wal.shards[1]).append
-    fails = {"left": 1}
-
-    def flaky(self, *args, **kwargs):
-        if self.prefix == shard_prefix(1) and fails["left"]:
-            fails["left"] -= 1
-            raise OSError("injected transient append failure")
-        return real_append(self, *args, **kwargs)
-
-    monkeypatch.setattr(type(wal.shards[1]), "append", flaky)
-    with pytest.raises(OSError):
-        wal.append(OP_INSERT, a)
-    wal.append(OP_INSERT, b)  # different batch: full routing, no skips
-    b_ids = partition_of_array(b[:, 0], N_SHARDS, SEED)
-    for k in range(N_SHARDS):
-        expect = int((b_ids == k).sum())
-        if k == 0:  # shard 0 also carries batch a's landed sub-record
-            a_ids = partition_of_array(a[:, 0], N_SHARDS, SEED)
-            expect += int((a_ids == 0).sum())
-        rows = sum(
-            rec.edges.shape[0]
-            for rec in iter_records(tmp_path, prefix=shard_prefix(k)))
-        assert rows == expect, f"shard {k}"
-    wal.close()
+    with WriteAheadLog(tmp_path, injector=TransientFaultInjector(
+            fail_every=1, fail_times=1)) as wal:
+        with pytest.raises(OSError):
+            wal.append(OP_INSERT, a)
+        assert (wal.last_seq, wal.cum_edges) == (0, 0)
+        assert wal.append(OP_INSERT, b) == 1
+    (record,) = iter_records(tmp_path)
+    np.testing.assert_array_equal(record.edges, b)
+    assert record.cum_edges == b.shape[0]
 
 
 # --------------------------------------------------------------------- #
-# one log, K chains: the side of the old plain/sharded fork nothing pinned
+# one log whatever the shard count
 # --------------------------------------------------------------------- #
 def _feed(service, edges, lo, hi):
     for start in range(lo, hi, BATCH):
         service.submit_insert(edges[start:start + BATCH]).wait(30)
 
 
-def _first_seqs(directory, n_shards):
-    """First retained sequence of every chain (None for an empty chain)."""
-    out = []
-    for chain in range(n_shards + 1):
-        segments = list_segments(directory, prefix=chain_prefix(chain))
-        out.append(segment_first_seq(segments[0]) if segments else None)
-    return out
+def _first_seq(directory):
+    """First retained sequence of the log."""
+    return segment_first_seq(list_segments(directory)[0])
 
 
 def test_torn_shard_chain_tail_is_reported(tmp_path):
-    """Recovery truncates a torn tail in *any* chain — and says so."""
+    """Recovery truncates a sharded service's torn tail — and says so."""
     cfg = ShardedConfig(n_shards=2, seed=SEED)
     service, rec = GraphService.open(tmp_path, config=cfg,
                                      flush_interval=0.002)
     _feed(service, rmat_edges(8, 800, seed=41), 0, 800)
     service.close()
     rec.store.close()
-    assert list_segments(tmp_path) == []  # never plain: no base chain
-    victim = list_segments(tmp_path, prefix=shard_prefix(1))[-1]
+    assert not list(tmp_path.glob("wal-shard*"))
+    victim = list_segments(tmp_path)[-1]
     victim.write_bytes(victim.read_bytes()[:-7])
 
     registry = obs.MetricsRegistry()
@@ -382,9 +347,9 @@ def test_torn_shard_chain_tail_is_reported(tmp_path):
 
 
 def test_plain_directory_flips_to_sharded(tmp_path):
-    """The base chain is the zero-shard log: reopening a plain directory
-    with shards keeps its checkpoint and tail, appends to shard chains,
-    and prunes every chain — no migration step anywhere."""
+    """The log is the same for every store: reopening a plain directory
+    with shards keeps its checkpoint and tail, appends to the same chain
+    and prunes it — no migration step anywhere."""
     edges = rmat_edges(8, 3000, seed=31)
     service, _ = GraphService.open(tmp_path, flush_interval=0.002,
                                    segment_bytes=2048)
@@ -398,24 +363,22 @@ def test_plain_directory_flips_to_sharded(tmp_path):
     service, rec = GraphService.open(
         tmp_path, config=CFG, flush_interval=0.002, segment_bytes=2048,
         checkpoint_keep=1)
-    assert (rec.n_shards, rec.last_seq) == (N_SHARDS, plain_seq)
+    assert rec.last_seq == plain_seq
     assert rec.replayed_seqs == list(range(rec.checkpoint_seq + 1,
                                            plain_seq + 1))
     _feed(service, edges, 1400, 2200)
     service.checkpoint()
     _feed(service, edges, 2200, 3000)
     service.checkpoint()
-    cursor = service._wal.cursor
-    assert cursor[0] == plain_seq and all(cursor[1:])
-    assert service.applied_seq == sum(cursor)
+    assert service.applied_seq == service._wal.last_seq > plain_seq
     last_seq, cum = service.applied_seq, service.cum_input_edges
     service.close()
     rec.store.close()
-    # keep=1: only the sharded checkpoint survives, so every chain is
+    # keep=1: only the sharded checkpoint survives, so the log is
     # pruned down to the segment holding its cursor.
-    assert len(list_segments(tmp_path)) == 1
-    firsts = _first_seqs(tmp_path, N_SHARDS)
-    assert any(first > 1 for first in firsts[1:]), firsts
+    (segment,) = list_segments(tmp_path)
+    assert plain_seq < segment_first_seq(segment) <= last_seq
+    assert not list(tmp_path.glob("wal-shard*"))
 
     rec2 = recover(tmp_path, config=CFG)
     try:
@@ -428,7 +391,7 @@ def test_plain_directory_flips_to_sharded(tmp_path):
 
 @pytest.mark.parametrize("damage", ["delete", "garbage", "truncate"])
 def test_sharded_rotate_prune_and_checkpoint_fallback(tmp_path, damage):
-    """With ``keep=2`` the chains are pruned only up to the *older*
+    """With ``keep=2`` the log is pruned only up to the *older*
     surviving checkpoint, so losing the newest one still recovers."""
     edges = rmat_edges(8, 3000, seed=33)
     service, rec = GraphService.open(
@@ -447,11 +410,8 @@ def test_sharded_rotate_prune_and_checkpoint_fallback(tmp_path, damage):
     rec.store.close()
     assert list_checkpoints(tmp_path) == [older, newest]
     # Pruned behind the older survivor — and not a record further.
-    older_seqs, _ = checkpoint_cursors(load_checkpoint(older).snapshot.meta)
-    firsts = _first_seqs(tmp_path, N_SHARDS)
-    assert any(first > 1 for first in firsts[1:]), firsts
-    assert all(first <= cur + 1
-               for first, cur in zip(firsts[1:], older_seqs[1:]))
+    older_seq = load_checkpoint(older).last_seq
+    assert 1 < _first_seq(tmp_path) <= older_seq + 1
 
     if damage == "delete":
         newest.unlink()
@@ -478,8 +438,8 @@ def _reference_digest(ops) -> dict:
 @pytest.mark.parametrize("n_shards", [0, 1, 3])
 def test_shard_count_does_not_change_what_recovers(tmp_path, n_shards):
     """One seeded op stream, killed between a WAL append and its apply:
-    every shard count recovers the same graph, and the scalar cursor is
-    always the sum of the chain cursors."""
+    every shard count recovers the same graph from the same log, one
+    record per flush group."""
     edges = rmat_edges(8, 2400, seed=35)
     ops = []
     for i, start in enumerate(range(0, 2400, BATCH)):
@@ -512,13 +472,11 @@ def test_shard_count_does_not_change_what_recovers(tmp_path, n_shards):
 
     rec2 = recover(tmp_path, config=config)
     try:
-        assert rec2.n_shards == n_shards
         # The killed record is durable: it is part of what recovers.
         assert store_digest(rec2.store) == _reference_digest(
             ops[:kill_at + 1])
-        with WriteAheadLog(tmp_path, n_shards=n_shards, seed=SEED) as wal:
-            assert len(wal.cursor) == n_shards + 1
-            assert rec2.last_seq == wal.last_seq == sum(wal.cursor)
+        with WriteAheadLog(tmp_path) as wal:
+            assert rec2.last_seq == wal.last_seq == kill_at + 1
             assert rec2.cum_edges == wal.cum_edges == sum(
                 rows.shape[0] for _, rows in ops[:kill_at + 1])
     finally:
@@ -526,20 +484,53 @@ def test_shard_count_does_not_change_what_recovers(tmp_path, n_shards):
             rec2.store.close()
 
 
-# --------------------------------------------------------------------- #
-# pruning reads cursors, not graphs
-# --------------------------------------------------------------------- #
-def _break_arrays(path):
-    """Rewrite a checkpoint so its edge arrays are junk, header intact."""
-    with zipfile.ZipFile(path) as src:
-        members = {name: src.read(name) for name in src.namelist()}
-    with zipfile.ZipFile(path, "w") as dst:
-        for name, data in members.items():
-            junk = name.removesuffix(".npy") in ("src", "dst", "weight")
-            dst.writestr(name, b"junk" if junk else data)
+@pytest.mark.parametrize("resume_shards", [0, 3])
+def test_killed_directory_resumes_under_another_shard_count(tmp_path,
+                                                            resume_shards):
+    """A 2-shard directory killed mid-stream resumes with 3 shards, or
+    with none, and reaches the clean run's digest."""
+    edges = rmat_edges(8, 2400, seed=43)
+    cfg = ShardedConfig(n_shards=2, seed=SEED)
+    service, rec = GraphService.open(
+        tmp_path / "d", config=cfg, checkpoint_every=4,
+        injector=FaultInjector(30_000))
+    try:
+        with pytest.raises(ReproError):
+            _feed(service, edges, 0, edges.shape[0])
+        assert isinstance(service.fatal_error, SimulatedCrash)
+    finally:
+        service.close()
+        rec.store.close()
+    assert list_checkpoints(tmp_path / "d")
+
+    config = (ShardedConfig(n_shards=resume_shards, seed=SEED)
+              if resume_shards else GTConfig())
+    service, rec = GraphService.open(tmp_path / "d", config=config)
+    try:
+        assert 0 < rec.cum_edges < edges.shape[0]
+        _feed(service, edges, rec.cum_edges, edges.shape[0])
+        assert service.cum_input_edges == edges.shape[0]
+        assert store_digest(service._store) == _digest_of_prefix(edges)
+    finally:
+        service.close()
+        if resume_shards:
+            rec.store.close()
+    shutil.copytree(tmp_path / "d", tmp_path / "copy")
+    rec2 = recover(tmp_path / "copy", config=config)
+    try:
+        assert store_digest(rec2.store) == _digest_of_prefix(edges)
+        assert rec2.fsck.ok
+    finally:
+        if resume_shards:
+            rec2.store.close()
 
 
+# --------------------------------------------------------------------- #
+# pruning reads cursors from file names, not graphs
+# --------------------------------------------------------------------- #
 def test_prune_reads_the_oldest_survivors_header_only(tmp_path):
+    """The oldest survivor's cursor is in its file name, so it bounds the
+    prune even when the file itself is damaged."""
     edges = rmat_edges(8, 2400, seed=37)
     service, rec = GraphService.open(
         tmp_path, config=CFG, flush_interval=0.002, segment_bytes=2048,
@@ -548,17 +539,15 @@ def test_prune_reads_the_oldest_survivors_header_only(tmp_path):
         _feed(service, edges, 0, 600)
         service.checkpoint()
         _feed(service, edges, 600, 1400)
-        damaged = service.checkpoint()  # chains pruned up to the first one
-        _break_arrays(damaged)
+        damaged = service.checkpoint()  # log pruned up to the first one
+        damaged_seq = service.applied_seq
+        damaged.write_bytes(b"garbage")
         with pytest.raises(ServiceError):
             load_checkpoint(damaged)
-        before = _first_seqs(tmp_path, N_SHARDS)
+        before = _first_seq(tmp_path)
         _feed(service, edges, 1400, 2400)
         service.checkpoint()  # survivors: the damaged one and this one
-        # The damaged survivor's header still bounds the prune.
-        after = _first_seqs(tmp_path, N_SHARDS)
-        assert all(b < a for b, a in zip(before[1:], after[1:])), \
-            (before, after)
+        assert before < _first_seq(tmp_path) <= damaged_seq + 1
     finally:
         service.close()
         rec.store.close()

@@ -1,22 +1,21 @@
 """Tests for the write-ahead log: format, rotation, torn tails, corruption."""
 
-import struct
-
 import numpy as np
 import pytest
 
+from repro.core.config import ShardedConfig
 from repro.errors import ServiceError
+from repro.service import GraphService, WalTailer, recover
 from repro.service.wal import (
     OP_DELETE,
     OP_INSERT,
     SEGMENT_MAGIC,
     WriteAheadLog,
-    chain_prefix,
     iter_records,
     list_segments,
-    parse_segment_name,
     prune_segments,
     scan_segment,
+    segment_first_seq,
     truncate_torn_tail,
 )
 
@@ -24,12 +23,6 @@ from repro.service.wal import (
 def edges_of(n, seed=0):
     rng = np.random.default_rng(seed)
     return np.column_stack([rng.integers(0, 50, n), rng.integers(0, 99, n)])
-
-
-def chain_seqs(directory, n_shards):
-    """Record sequences on disk, one list per chain (base first)."""
-    return [[r.seq for r in iter_records(directory, prefix=chain_prefix(c))]
-            for c in range(n_shards + 1)]
 
 
 class TestRoundtrip:
@@ -63,17 +56,20 @@ class TestRoundtrip:
         assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
 
     def test_reopen_resumes_every_chains_numbering(self, tmp_path):
-        """The same contract for a log with shard chains: the cursor is a
-        vector, the scalar sequence its sum."""
-        with WriteAheadLog(tmp_path, n_shards=2) as wal:
-            assert wal.append(OP_INSERT, edges_of(30)) == 2  # both shards
-            assert wal.cursor == [0, 1, 1]
-        with WriteAheadLog(tmp_path, n_shards=2) as wal:
-            assert wal.cursor == [0, 1, 1]
-            assert wal.append(OP_INSERT, edges_of(20)) == 4
-            assert wal.last_seq == sum(wal.cursor) == 4
-            assert wal.cum_edges == 50
-        assert chain_seqs(tmp_path, 2) == [[], [1, 2], [1, 2]]
+        """A sharded service logs each flush group as one record of the
+        one chain, and a reopen numbers on after it."""
+        cfg = ShardedConfig(n_shards=2, seed=7)
+        for seq in (1, 2):
+            svc, rec = GraphService.open(tmp_path, config=cfg)
+            try:
+                assert svc.submit_insert(edges_of(30, seq)).wait(30) == seq
+                assert svc.cum_input_edges == 30 * seq
+            finally:
+                svc.close()
+                rec.store.close()
+        assert [(r.seq, r.cum_edges) for r in iter_records(tmp_path)] \
+            == [(1, 30), (2, 60)]
+        assert not list(tmp_path.glob("wal-shard*"))
 
     def test_min_last_seq_rules_after_full_prune(self, tmp_path):
         wal = WriteAheadLog(tmp_path, min_last_seq=7, min_cum_edges=100)
@@ -94,17 +90,30 @@ class TestRoundtrip:
 
 class TestRotation:
     def test_segment_names_have_one_parser(self, tmp_path):
-        assert parse_segment_name("wal-00000000000000000042.seg") == (0, 42)
-        assert parse_segment_name("wal-shard3-00000000000000000007.seg") \
-            == (4, 7)
-        for name in ("wal-.seg", "wal-shard-1.seg", "wal-12.seg.tmp",
-                     "xwal-12.seg", "wal-shard1-.seg", "checkpoint-12.npz"):
-            assert parse_segment_name(name) is None
-        for name in ("wal-12.seg", "wal-shard0-3.seg", "wal-shardx-3.seg"):
+        for name in ("wal-00000000000000000042.seg", "wal-3.seg", "wal-.seg",
+                     "wal-12.seg.tmp", "xwal-12.seg", "wal-shardx-3.seg",
+                     "checkpoint-12.npz"):
             (tmp_path / name).write_bytes(SEGMENT_MAGIC)
-        assert [p.name for p in list_segments(tmp_path)] == ["wal-12.seg"]
-        assert [p.name for p in list_segments(
-            tmp_path, prefix=chain_prefix(1))] == ["wal-shard0-3.seg"]
+        segments = list_segments(tmp_path)
+        assert [p.name for p in segments] == [
+            "wal-3.seg", "wal-00000000000000000042.seg"]
+        assert [segment_first_seq(p) for p in segments] == [3, 42]
+
+    def test_old_per_shard_segment_is_refused(self, tmp_path):
+        """Every reader and the writer list segments through one
+        function, which names an older layout's per-shard segment
+        instead of skipping its records."""
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(OP_INSERT, edges_of(4))
+        old = tmp_path / "wal-shard0-00000000000000000001.seg"
+        old.write_bytes(SEGMENT_MAGIC)
+        readers = (list_segments, lambda d: list(iter_records(d)),
+                   truncate_torn_tail, WriteAheadLog, recover,
+                   GraphService.open, lambda d: WalTailer(d, 0, 0).poll(10),
+                   lambda d: prune_segments(d, 1))
+        for read in readers:
+            with pytest.raises(ServiceError, match=old.name):
+                read(tmp_path)
 
     def test_rotates_into_multiple_segments(self, tmp_path):
         with WriteAheadLog(tmp_path, segment_bytes=256) as wal:
@@ -198,15 +207,22 @@ class TestTornTail:
         assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
 
     def test_writer_reopen_truncates_a_shard_chains_tear(self, tmp_path):
-        with WriteAheadLog(tmp_path, n_shards=2) as wal:
-            wal.append(OP_INSERT, edges_of(30, 1))
-            wal.append(OP_INSERT, edges_of(30, 2))
-        (segment,) = list_segments(tmp_path, prefix=chain_prefix(2))
+        """A sharded service's tear is the one chain's: the reopened
+        writer truncates it and numbers on from the last whole record."""
+        cfg = ShardedConfig(n_shards=2, seed=7)
+        svc, rec = GraphService.open(tmp_path, config=cfg)
+        try:
+            for i in (1, 2):
+                svc.submit_insert(edges_of(30, i)).wait(30)
+        finally:
+            svc.close()
+            rec.store.close()
+        (segment,) = list_segments(tmp_path)
         segment.write_bytes(segment.read_bytes()[:-20])
-        with WriteAheadLog(tmp_path, n_shards=2) as wal:
-            assert wal.cursor == [0, 2, 1]
-            wal.append(OP_INSERT, edges_of(30, 3))
-        assert chain_seqs(tmp_path, 2) == [[], [1, 2, 3], [1, 2]]
+        with WriteAheadLog(tmp_path) as wal:
+            assert (wal.last_seq, wal.cum_edges) == (1, 30)
+            assert wal.append(OP_INSERT, edges_of(30, 3)) == 2
+        assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
 
 
 class TestCorruption:
