@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.stats import AccessStats
-from repro.core.store import RowStoreDefaults
+from repro.core.store import RowStoreDefaults, check_edge_batch
 from repro.errors import CapacityError, VertexNotFoundError
 
 #: Cells per "block" when charging matrix scans (matches the other
@@ -78,6 +78,13 @@ class AdjacencyMatrixStore(RowStoreDefaults):
             self.stats.edges_inserted += 1
         self._max_vertex = max(self._max_vertex, src, dst)
         return is_new
+
+    def insert_batch(self, edges: np.ndarray, weights: np.ndarray | None = None) -> int:
+        """The per-op loop, refused whole if an id is beyond capacity."""
+        edges, weights = check_edge_batch(edges, weights)
+        if edges.size:
+            self._check(0, edges.max())  # before any op applies
+        return super().insert_batch(edges, weights)
 
     def delete_edge(self, src: int, dst: int) -> bool:
         """O(1): one random write."""

@@ -948,7 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=1, metavar="N",
                    help="shard worker processes; N > 1 serves through the "
                         "sharded store (--system then selects the per-shard "
-                        "backend); a directory resumes under any count")
+                        "backend); left at 1 with no --system, --resume "
+                        "keeps the checkpointed store, shard count included")
     p.add_argument("--scale", type=int, default=10, help="RMAT scale")
     p.add_argument("--edges", type=int, default=20_000,
                    help="total input rows in the stream")
@@ -994,8 +995,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port-file", default=None, metavar="PATH",
                    help="write the bound port here once listening")
     p.add_argument("--shards", type=int, default=1, metavar="N",
-                   help="serve through the process-per-shard store "
-                        "(1 = plain store); the WAL is one log either way")
+                   help="N > 1 serves through the process-per-shard store; "
+                        "at 1 a recovered directory keeps its checkpointed "
+                        "store, shard count included; the WAL is one log")
     p.add_argument("--duration", type=float, default=0.0,
                    help="serve for this many seconds (0 = forever)")
     p.add_argument("--sync", default="batch",

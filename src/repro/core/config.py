@@ -20,7 +20,6 @@ DEFAULT_SUBBLOCK = 8
 DEFAULT_WORKBLOCK = 4
 DEFAULT_CAL_GROUP_WIDTH = 1024
 DEFAULT_CAL_BLOCK_SIZE = 64
-DEFAULT_MAX_GENERATIONS = 4096
 
 #: STINGER's configured average edgeblock size (Sec. V.A).
 DEFAULT_STINGER_EDGEBLOCK = 16
@@ -68,13 +67,6 @@ class GTConfig:
     compact_on_delete:
         Selects the delete-and-compact mechanism instead of delete-only
         (tombstoning).  Implies RHH is bypassed for the compaction moves.
-    max_generations:
-        Hard cap on Tree-Based-Hashing descent depth; a sanity guard
-        against adversarial hash behaviour rather than a tuning knob.
-        Generous by default: degenerate geometries (pagewidth ==
-        subblock, i.e. one Subblock per edgeblock) descend once per
-        `subblock` edges of a vertex, so hub vertices legitimately reach
-        hundreds of generations.
     initial_vertices:
         Number of main-region edgeblock rows pre-allocated.
     seed:
@@ -98,7 +90,6 @@ class GTConfig:
     cal_group_width: int = DEFAULT_CAL_GROUP_WIDTH
     cal_block_size: int = DEFAULT_CAL_BLOCK_SIZE
     compact_on_delete: bool = False
-    max_generations: int = DEFAULT_MAX_GENERATIONS
     initial_vertices: int = 16
     seed: int = 0x9E3779B9
     snapshot: bool = False
@@ -122,8 +113,6 @@ class GTConfig:
             raise ConfigError("cal_group_width must be positive")
         if self.cal_block_size <= 0:
             raise ConfigError("cal_block_size must be positive")
-        if self.max_generations <= 0:
-            raise ConfigError("max_generations must be positive")
         if self.initial_vertices <= 0:
             raise ConfigError("initial_vertices must be positive")
 

@@ -16,6 +16,7 @@ Nothing here allocates per-edge Python objects.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.core.config import GTConfig
 from repro.core.hashing import initial_bucket, subblock_index
 from repro.core.pool import EMPTY, TOMBSTONE, EDGE_CELL_DTYPE, BlockPool, blank_edge_cells, grow
 from repro.core.stats import AccessStats
-from repro.errors import CapacityError
 
 #: Region tags inside an :class:`EdgeLocation`.
 MAIN = 0
@@ -87,7 +87,7 @@ class EdgeblockArray:
         self.stats = stats if stats is not None else AccessStats()
         self._rhh_on = config.enable_rhh and not config.compact_on_delete
         self._fetches = rhh.subblock_tables(config.subblock, config.workblock)[2]
-        self._geometry = (config.subblock, config.pagewidth, config.max_generations)
+        self._geometry = (config.subblock, config.pagewidth)
         pw = config.pagewidth
         self.main = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, config.initial_vertices)
         self.overflow = BlockPool(pw, EDGE_CELL_DTYPE, blank_edge_cells, 4)
@@ -153,10 +153,11 @@ class EdgeblockArray:
     def _tree_hash(self, dst: int, gen: int) -> tuple[int, int]:
         """``(sb, ib)`` of ``dst`` at generation ``gen``: every per-op
         path's tree hashes.  They depend on nothing else in one store, so
-        they are memoised, keyed ``dst * max_generations + gen``, in a
-        memo that is never persisted nor charged (``hash_lookups`` counts
-        SGH probes); its values share the ``_pairs`` tuples."""
-        key = dst * self.config.max_generations + gen
+        they are memoised, keyed ``dst << 32 | gen`` (no tree can be
+        allocated 2**32 generations deep), in a memo that is never
+        persisted nor charged (``hash_lookups`` counts SGH probes); its
+        values share the ``_pairs`` tuples."""
+        key = dst << 32 | gen
         hit = self._memo.get(key)
         if hit is None:
             if len(self._memo) >= TREE_HASH_MEMO_ENTRIES:
@@ -187,10 +188,10 @@ class EdgeblockArray:
         if not 0 <= src < self._n_vertices:
             return None
         stats, rhh_on, fetches = self.stats, self._rhh_on, self._fetches
-        (size, pw, gens), region, block = self._geometry, MAIN, src
+        (size, pw), region, block = self._geometry, MAIN, src
         read, kids = self.main.fields["dst"].item, self._main_children._data
         dst = int(dst)
-        for gen in range(gens):
+        for gen in count():  # ends at a hit or at the leaf
             sb, ib = hashes[gen] if gen < len(hashes) else self._tree_hash(dst, gen)
             lo = sb * size
             if lists is None:  # a point read: nothing kept
@@ -210,7 +211,6 @@ class EdgeblockArray:
             if region == MAIN:
                 region = OVERFLOW
                 read, kids = self.overflow.fields["dst"].item, self._overflow_children._data
-        return None
 
     def _subblock(self, lists: dict, region: int, block: int, sb: int) -> list:
         """The ``lists`` entry of Subblock ``sb`` of ``block`` in ``region``.
@@ -316,9 +316,10 @@ class EdgeblockArray:
         (in Robin-Hood mode FIND's scan length serves too, unrepeated).
         Below that the floating edge is another edge (:meth:`_tree_hash`).  Only
         the cells :func:`~repro.core.robin_hood.rhh_insert` wrote are
-        stored back, once the op is over — an op that raises included, so
-        the levels it wrote land (docs/robustness.md).  Charges are those
-        of the two full passes.
+        stored back, once the op is over.  Charges are those of the two
+        full passes.  Insert is total: a congested Subblock's floating
+        edge descends into its child, a fresh child has ``subblock``
+        empty cells, so the descent ends.
 
         ``lists`` lets a caller pass one set of entries through many ops
         and store it with :meth:`write_back` itself: the batch kernel's
@@ -334,8 +335,7 @@ class EdgeblockArray:
         if own:
             lists = {}
         try:
-            cfg, stats = self.config, self.stats
-            size, rhh_on = cfg.subblock, self._rhh_on
+            stats, size, rhh_on = self.stats, self.config.subblock, self._rhh_on
 
             # --- FIND stage across all generations. ----------------------
             trail: list = []
@@ -354,7 +354,7 @@ class EdgeblockArray:
             region, block = MAIN, src
             f_dst, f_weight, f_cal = dst, weight, cal
             arg_location: EdgeLocation | None = None
-            for gen in range(cfg.max_generations):
+            for gen in count():
                 if arg_location is None and gen < len(trail):
                     sub, sb, ib, scanned = trail[gen]  # the argument edge's FIND level
                 else:
@@ -387,9 +387,6 @@ class EdgeblockArray:
                     return True, arg_location
                 region, block = self._descend(region, block, sb)
                 f_dst, f_weight, f_cal = o_dst, o_weight, o_cal
-            raise CapacityError(
-                f"edge ({src}, {dst}) exceeded max_generations={cfg.max_generations}"
-            )
         finally:
             if own:
                 self.write_back(lists)

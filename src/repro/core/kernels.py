@@ -185,13 +185,14 @@ path there — equivalence by construction rather than by mirroring.
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
 from repro.core import robin_hood as rhh
 from repro.core.edgeblock_array import MAIN, OVERFLOW
 from repro.core.hashing import initial_bucket_array, subblock_index_array
 from repro.core.pool import EMPTY, TOMBSTONE
-from repro.errors import CapacityError
 
 #: Top of the pending CAL-pointer range: a cell whose ``cal`` is
 #: ``PENDING_CAL - rid`` (so ``<= PENDING_CAL``) holds pending record
@@ -506,7 +507,6 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
     size = cfg.subblock
     seed = cfg.seed
     rhh_on = eba._rhh_on
-    max_gen = cfg.max_generations
     roll, fetches, _ = rhh.subblock_tables(size, cfg.workblock)
 
     # Group key: each op's gen-0 Subblock row in the main region, i.e.
@@ -570,7 +570,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             q = np.arange(cand.shape[0])
             dup = np.zeros(cand.shape[0], dtype=bool)
             fields, kids, srow, ib = mfields, mkids, groups[cand], ib_s[pos]
-            for gen in range(max_gen):
+            for gen in count():
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, dst[q])
                 hit, scanned, at, c0, rolled = _probe(fields[0], srow, ib, dst[q], roll, True)
@@ -620,7 +620,7 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
             fields, kids = mfields, mkids
             edge = [dst[q], w[q], PENDING_CAL - rid[q] if cal is not None
                     else np.full(q.shape[0], -1)]
-            for gen in range(max_gen):
+            for gen in count():  # to the leaf: a fresh child places every edge
                 if gen:
                     fields, kids, srow, ib = _level(gt, gen, tree, edge[0])
                     _, find_len, at, c0, rolled = _probe(fields[0], srow, ib, edge[0], roll, True)
@@ -648,11 +648,6 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
                     stats.branch_allocations += ids.shape[0]
                 bd += full.shape[0]
                 tree = child
-            else:
-                raise CapacityError(
-                    f"edge ({dense[rid[q[0]]]}, {dst[q[0]]}) exceeded "
-                    f"max_generations={max_gen}"
-                )
             cand = cand[cur[cand] < grp_end[cand]]
 
         # ---- Residue: the specification, one op at a time. ---------------
@@ -662,9 +657,9 @@ def _insert_chunk(gt, edges: np.ndarray, weights: np.ndarray) -> int:
         # the rounds left them, with a pending CAL pointer like a round
         # op's.  Group by group (groups share no cell and every charge is
         # a sum), in stream order inside each and in the order of their
-        # first residue op among them (an op that raises stops the stream
-        # near where the per-op path would); a group's ops share one set
-        # of Subblock lists, stored back once when the group is done.
+        # first residue op among them (so overflow rows are allocated near
+        # the per-op path's order); a group's ops share one set of
+        # Subblock lists, stored back once when the group is done.
         rem = np.flatnonzero(np.arange(n) >= np.repeat(cur, grp_end - first_pos))
         if rem.shape[0]:
             heads = np.flatnonzero(np.diff(key_s[rem], prepend=-1))
@@ -770,7 +765,7 @@ def _delete_chunk(gt, edges: np.ndarray) -> int:
     hit_cal: list[np.ndarray] = [dense[:0]]
     src, dst, block = dense, dsts, dense
     try:
-        for gen in range(cfg.max_generations):
+        for gen in count():
             if block.shape[0] == 0:
                 break
             fields, kids, srow, ib = _level(gt, gen, block, dst)

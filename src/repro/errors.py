@@ -29,9 +29,9 @@ class StoreProtocolError(ReproError, TypeError):
 class CapacityError(ReproError):
     """A fixed-capacity structure could not accommodate an element.
 
-    This is an internal signal in most cases (e.g. a congested Subblock
-    triggers a branch-out rather than surfacing the error), but it becomes
-    user-visible when a hard capacity cap (``max_generations``) is exhausted.
+    Only the adjacency-matrix baseline raises it, for a vertex id beyond
+    its matrix: GraphTinker's insert is total (a congested Subblock
+    branches out into a fresh child edgeblock).
     """
 
 

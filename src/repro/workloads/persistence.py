@@ -93,8 +93,10 @@ def _parse_config(config_json: str) -> Any | None:
         return None
     fields = dict(payload["fields"])
     # GTConfig had a ``kernel`` field until the batch kernel became a
-    # per-call choice; checkpoints written before then still open.
+    # per-call choice, and a cap on the tree descent until insert became
+    # total; checkpoints written before then still open.
     fields.pop("kernel", None)
+    fields.pop("max_generations", None)
     return cls(**fields)
 
 

@@ -144,6 +144,21 @@ def pool_bytes(pool, rows=None) -> bytes:
     return b"".join(arr[rows].tobytes() for arr in pool.fields.values())
 
 
+def fail_on(monkeypatch, owner, name: str, k: int) -> None:
+    """Make ``owner.name`` raise ``RuntimeError`` on its ``k``-th call
+    from now on, before it runs; every other call runs as it would.
+    Insert is total, so an op that raises mid-batch or mid-cascade is
+    made this way (a memory error is the real-world case)."""
+    real, calls = getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k:
+            raise RuntimeError(f"{name} failed on call {k}")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, failing)
+
+
 def assert_store_matches(store, ref: ReferenceGraph) -> None:
     """Assert a store's full edge content equals the reference's."""
     assert store.n_edges == ref.n_edges

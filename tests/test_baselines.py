@@ -29,6 +29,17 @@ class TestAdjacencyMatrix:
         with pytest.raises(CapacityError):
             m.insert_edge(8, 0)
 
+    def test_over_capacity_batch_is_refused_whole(self):
+        """A batch whose last edge is beyond the matrix applies none of
+        its edges, as every other backend refuses a batch it cannot take."""
+        m = AdjacencyMatrixStore(capacity=8)
+        m.insert_batch(np.array([[1, 2]]))
+        before = m.stats.as_dict()
+        with pytest.raises(CapacityError):
+            m.insert_batch(np.array([[3, 4], [5, 6], [2, 8]]))
+        assert m.n_edges == 1 and m.stats.as_dict() == before
+        assert not m.has_edge(3, 4)
+
     def test_negative_ids_rejected(self):
         m = AdjacencyMatrixStore(capacity=8)
         with pytest.raises(ValueError):

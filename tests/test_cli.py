@@ -204,6 +204,28 @@ class TestServe:
         assert "resumed at input offset" in resumed_out
         assert final_line in resumed_out
 
+    @pytest.mark.parametrize("command", ["serve", "serve-net"])
+    def test_resume_keeps_the_checkpointed_shard_count(self, command, tmp_path,
+                                                       capsys, monkeypatch):
+        """With ``--shards`` at its default, a directory checkpointed by
+        a 3-shard run resumes with 3 shard workers, as the help says."""
+        from repro.service import GraphService
+
+        d = str(tmp_path / "d")
+        assert main(["serve", "--data-dir", d, "--shards", "3",
+                     "--final-checkpoint", *self.ARGS]) == 0
+        opened, real_open = [], GraphService.open.__func__
+
+        def recording(cls, *args, **kwargs):
+            service, rec = real_open(cls, *args, **kwargs)
+            opened.append(rec.store.config)
+            return service, rec
+        monkeypatch.setattr(GraphService, "open", classmethod(recording))
+        argv = (["serve", "--data-dir", d, "--resume", *self.ARGS] if command == "serve"
+                else ["serve-net", "--data-dir", d, "--duration", "0.01"])
+        assert main(argv) == 0
+        assert [getattr(config, "n_shards", 1) for config in opened] == [3]
+
     def test_final_checkpoint_and_recover(self, tmp_path, capsys):
         d = str(tmp_path / "d")
         assert main(["serve", "--data-dir", d, "--final-checkpoint",

@@ -39,7 +39,7 @@ class TestGTConfig:
             GTConfig(subblock=2, workblock=4)
 
     @pytest.mark.parametrize("field", ["cal_group_width", "cal_block_size",
-                                       "max_generations", "initial_vertices"])
+                                       "initial_vertices"])
     def test_rejects_non_positive_sizes(self, field):
         with pytest.raises(ConfigError):
             GTConfig(**{field: 0})

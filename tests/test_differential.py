@@ -62,8 +62,7 @@ TIERED_CFG = TieredConfig(tau1=2, tau2=6, hysteresis=1)
 # toggled off, and compacting deletes (vector delete must delegate).
 CONFIGS = [
     ("default", GTConfig()),
-    ("small-geom", GTConfig(pagewidth=16, subblock=8, workblock=4,
-                            max_generations=64)),
+    ("small-geom", GTConfig(pagewidth=16, subblock=8, workblock=4)),
     ("no-sgh", GTConfig(pagewidth=16, subblock=4, workblock=2,
                         enable_sgh=False)),
     ("no-cal", GTConfig(pagewidth=16, subblock=4, workblock=2,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import GTConfig
 from repro.core.edgeblock_array import MAIN, OVERFLOW, EdgeblockArray
-from repro.errors import CapacityError
 
 
 def make(compact=False, **kw):
@@ -72,14 +71,18 @@ class TestInsertFind:
         dsts, _ = eba.neighbors(0)
         assert sorted(dsts.tolist()) == list(range(2000))
 
-    def test_max_generations_guard(self):
-        eba = EdgeblockArray(
-            GTConfig(pagewidth=4, subblock=4, workblock=2, max_generations=2,
-                     initial_vertices=1)
-        )
-        with pytest.raises(CapacityError):
-            for d in range(100):
-                eba.insert(0, d)
+    def test_deep_tree_is_total(self):
+        """One Subblock per edgeblock: every 4 edges of the source open
+        one more generation, a chain 50 deep, and each insert's descent
+        ends at a fresh child."""
+        eba = EdgeblockArray(GTConfig(pagewidth=4, subblock=4, workblock=2,
+                                      initial_vertices=1))
+        for d in range(200):
+            assert eba.insert(0, d)[0]
+        assert eba.degree(0) == 200
+        assert eba.stats.branch_allocations == eba.overflow.n_used == 49
+        assert sorted(eba.neighbors(0)[0].tolist()) == list(range(200))
+        assert all(eba.find(0, d) is not None for d in range(200))
 
     def test_duplicate_found_at_deep_generation(self):
         """Regression: a duplicate whose copy lives in a child edgeblock
@@ -295,7 +298,7 @@ class TestTreeHashMemo:
         from repro.core.graphtinker import GraphTinker
         from repro.core.store import store_digest
 
-        gt = GraphTinker(GTConfig(pagewidth=8, subblock=2, workblock=1, max_generations=64,
+        gt = GraphTinker(GTConfig(pagewidth=8, subblock=2, workblock=1,
                                   compact_on_delete=compact))
         rng = np.random.default_rng(11)
         answers, longest = [], 0

@@ -13,11 +13,13 @@ streams against external oracles (STINGER, dict-of-dicts).
 
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 import pytest
 
 from repro.core.config import GTConfig
-from repro.core.edgeblock_array import MAIN, OVERFLOW
+from repro.core.edgeblock_array import MAIN, OVERFLOW, EdgeblockArray
 from repro.core.graphtinker import GraphTinker
 from repro.core.hashing import (
     initial_bucket,
@@ -25,11 +27,10 @@ from repro.core.hashing import (
     subblock_index,
     subblock_index_array,
 )
-from repro.errors import CapacityError
 from repro.workloads import rmat_edges
-from tests.reference import KernelGraphTinker, assert_gather_matches_loop, pool_bytes
+from tests.reference import KernelGraphTinker, assert_gather_matches_loop, fail_on, pool_bytes
 
-SMALL = dict(pagewidth=16, subblock=8, workblock=4, max_generations=64)
+SMALL = dict(pagewidth=16, subblock=8, workblock=4)
 
 
 def assert_equivalent(scalar: GraphTinker, vector: GraphTinker) -> None:
@@ -157,7 +158,7 @@ class TestEdgeCases:
         """One source, far more distinct dsts than a page holds: the batch
         must branch out across generations (descents, congestion, rehash)
         identically under both kernels."""
-        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=512)
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)
         n = 400
         edges = np.column_stack(
             [np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64)]
@@ -257,7 +258,7 @@ def hit_generation(gt: GraphTinker, src: int, dst: int) -> int | None:
     """Tree level holding edge ``(src, dst)`` (uncharged walk)."""
     eba, cfg = gt.eba, gt.config
     region, block = MAIN, gt.dense_id(src)
-    for gen in range(cfg.max_generations):
+    for gen in count():  # to the leaf
         sb = subblock_index(dst, gen, cfg.subblocks_per_block, cfg.seed)
         lo = sb * cfg.subblock
         if dst in eba._pool(region).fields["dst"][block, lo:lo + cfg.subblock].tolist():
@@ -266,7 +267,6 @@ def hit_generation(gt: GraphTinker, src: int, dst: int) -> int | None:
         if block < 0:
             return None
         region = OVERFLOW
-    return None
 
 
 def hub_edges(n_hub: int = 400, seed: int = 4) -> np.ndarray:
@@ -370,25 +370,25 @@ class TestLevelSynchronousDelete:
         _, vector = delete_pair(cfg, edges, [doomed])
         vector.check_invariants()
 
-    def test_chain_reaches_max_generations(self):
-        """One Subblock per block and two generations: the insert that
-        overflows both leaves a child pointer on the last level, which a
-        missing delete follows (and is charged for) before giving up."""
-        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=2)
+    def test_deep_chain_walks_to_the_leaf(self):
+        """One Subblock per block: 40 edges of one source, inserted one
+        by one, fill a chain five generations deep.  A delete batch finds
+        every edge at every depth, and a missing delete follows (and is
+        charged for) all four descents to the leaf."""
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)
 
         def load(gt, edges):
-            with pytest.raises(CapacityError):
-                for s, d in edges.tolist():
-                    gt.insert_edge(s, d)
+            assert all(gt.insert_edge(s, d) for s, d in edges.tolist())
 
-        edges = np.column_stack([np.zeros(17, dtype=np.int64), np.arange(17)])
-        batch = np.column_stack([np.zeros(30, dtype=np.int64), np.arange(30)])
+        edges = np.column_stack([np.zeros(40, dtype=np.int64), np.arange(40)])
+        batch = np.column_stack([np.zeros(60, dtype=np.int64), np.arange(60)])
         _, vector = delete_pair(cfg, edges, [batch], load=load)
-        assert vector.stats.edges_deleted == 16
+        assert vector.stats.edges_deleted == 40
+        assert vector.stats.branch_allocations == 4
         before = vector.stats.branch_descents
         assert vector.delete_batch(np.array([[0, 99]], dtype=np.int64)) == 0
-        # Two charged descents: the second one off the end of the chain.
-        assert vector.stats.branch_descents - before == 2
+        assert vector.stats.branch_descents - before == 4
+        assert vector.fsck(level="full").ok
 
     def test_grouping_key_cannot_overflow(self):
         """No id overflows the delete pass: dsts near 2**62, dense
@@ -832,13 +832,15 @@ class TestLevelSynchronousInsert:
 
     @pytest.mark.parametrize("n_hubs", [64, 1])
     def test_capacity_error_leaves_no_sentinel(self, n_hubs, monkeypatch):
-        """Two generations of one Subblock hold 16 edges a source; the
-        17th raises from a round (64 hubs) or from the residue (one hub,
-        each batch repeated until it is wide enough to reach the kernel),
-        on either kernel, with every completed op applied and no
-        ``PENDING_CAL`` sentinel left in either pool."""
+        """The second batch raises mid-cascade: in a round's INSERT walk
+        below generation 0 (64 hubs, vector kernel) or in a branch-out of
+        ``EdgeblockArray.insert`` (the per-op path, and the residue of one
+        hub's batches, each repeated until it is wide enough to reach the
+        kernel).  Every completed op is applied and no ``PENDING_CAL`` sentinel is
+        left in either pool.  (The raise once was the descent cap's
+        ``CapacityError``; insert is total now, so it is injected.)"""
         from repro.core import kernels
-        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, max_generations=2)
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)
         edges, weights = hubs_stream(n_hubs, 20, seed=17)
         reps = -(-kernels.MIN_ROUND_GROUPS // (10 * n_hubs))
         batches = [(np.tile(edges[part], (reps, 1)), np.tile(weights[part], reps))
@@ -847,14 +849,38 @@ class TestLevelSynchronousInsert:
         for kernel in ("scalar", "vector"):
             gt = KernelGraphTinker(cfg, kernel)
             gt.insert_batch(*batches[0])
-            with pytest.raises(CapacityError):
-                gt.insert_batch(*batches[1])
+            with monkeypatch.context() as patch:
+                # The 4th walk is round 2's at generation 1; the 4th
+                # branch-out is the 4th op's, after its level 0 was written.
+                fail_on(patch, *((kernels, "_rhh_walk") if kernel == "vector" and n_hubs > 1
+                                 else (EdgeblockArray, "_descend")), 4)
+                with pytest.raises(RuntimeError):
+                    gt.insert_batch(*batches[1])
             assert no_sentinel_left(gt)
             cells = sum(int((pool.fields["dst"][:pool.high_water] >= 0).sum())
                         for pool in (gt.eba.main, gt.eba.overflow))
             assert gt.n_edges == gt.eba.degrees_view().sum() == gt.stats.edges_inserted == cells
             assert 10 * n_hubs < gt.n_edges <= 16 * n_hubs
         assert entered == [batch.shape[0] for batch, _ in batches]
+
+    @pytest.mark.parametrize("n_hubs, per_hub", [(1, 40), (1, 1000), (64, 40)],
+                             ids=["one-40", "one-1k", "hubs-64x40"])
+    def test_deep_tree_is_total(self, n_hubs, per_hub):
+        """One Subblock per edgeblock, so every 8 edges of a source open
+        one more generation: 40 edges of one source (five deep), 1,000 of
+        one source (125 deep), both through the residue, and 64 sources
+        of 40, which the rounds walk to the leaf.  Both kernels keep every
+        edge: stores equal, full fsck clean, no ``PENDING_CAL`` sentinel,
+        counters equal to cells."""
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4)
+        edges, weights = hubs_stream(n_hubs, per_hub, seed=23)
+        for gt in insert_pair(cfg, [("insert", edges, weights)]):
+            assert [gt.degree(h) for h in range(n_hubs)] == [per_hub] * n_hubs
+            assert gt.eba.overflow.n_used == n_hubs * (-(-per_hub // 8) - 1)
+            assert no_sentinel_left(gt)
+            cells = sum(int((pool.fields["dst"][:pool.high_water] >= 0).sum())
+                        for pool in (gt.eba.main, gt.eba.overflow))
+            assert gt.n_edges == gt.stats.edges_inserted == cells == edges.shape[0]
 
     @pytest.mark.parametrize("enable_rhh", [True, False])
     def test_pending_records_at_both_ends_of_a_chunk(self, enable_rhh, monkeypatch):

@@ -155,10 +155,10 @@ class TestKernelFieldCheckpoints:
 
     CONFIG = GTConfig(pagewidth=16, subblock=4, workblock=2)
     EDGES = [(1, 3, 1.0), (2, 4, 2.5), (2, 5, 0.5)]
+    RETIRED = {"kernel": "vector"}
 
     def write(self, path):
-        fields = dataclasses.asdict(self.CONFIG)
-        fields["kernel"] = "vector"
+        fields = {**dataclasses.asdict(self.CONFIG), **self.RETIRED}
         src, dst, weight = (np.array(col) for col in zip(*self.EDGES))
         np.savez_compressed(
             path,
@@ -191,3 +191,10 @@ class TestKernelFieldCheckpoints:
         assert result.store.config == self.CONFIG
         assert sorted(result.store.edges()) == self.EDGES
         assert result.last_seq == 3 and result.fsck.ok
+
+
+class TestMaxGenerationsFieldCheckpoints(TestKernelFieldCheckpoints):
+    """``GTConfig`` capped the tree descent with ``max_generations``
+    until insert became total; a checkpoint that embeds it still opens."""
+
+    RETIRED = {"max_generations": 4096}

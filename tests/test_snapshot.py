@@ -19,6 +19,7 @@ import pytest
 
 import repro.obs as obs
 from repro.core.config import GTConfig, StingerConfig
+from repro.core.edgeblock_array import EdgeblockArray
 from repro.core.graphtinker import GraphTinker
 from repro.core.store import RowStoreDefaults, create_store
 from repro.engine.algorithms import BFS
@@ -29,9 +30,9 @@ from repro.engine.snapshot import (
     gather_active_scalar,
     sanitize_active,
 )
-from repro.errors import CapacityError
 from repro.stinger import Stinger
 from repro.workloads import rmat_edges
+from tests.reference import fail_on
 
 
 def _native(store, active):
@@ -181,37 +182,41 @@ class TestDirtyTracking:
     def test_batch_kernel_that_raises_still_marks_its_rows(self, monkeypatch):
         """A vector batch that raises has applied part of itself; the
         rows it touched must be dirty all the same (the scalar path marks
-        per edge, so it never had the gap)."""
-        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4,
-                                     max_generations=2))
+        per edge, so it never had the gap).  The 20th of the residue's 32
+        ops raises, whichever group it falls in."""
+        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4))
         store.insert_batch(np.array([[0, 1000], [5, 7]]))
         store.enable_snapshot()
         assert store.neighbors_many([0, 5])[0].shape[0] == 2
-        with pytest.raises(CapacityError):
-            store.insert_batch(np.array([[5, 8], [5, 9]] + [[0, d] for d in range(30)]))
+        with monkeypatch.context() as patch:
+            fail_on(patch, EdgeblockArray, "insert", 20)
+            with pytest.raises(RuntimeError):
+                store.insert_batch(np.array([[5, 8], [5, 9]] + [[0, d] for d in range(30)]))
         live = store.degree(0) + store.degree(5)
-        assert live > 2
+        assert live == 2 + 19
         assert store.neighbors_many([0, 5])[0].shape[0] == live
 
         def broken(addrs):
             raise RuntimeError("CAL scatter failed")
         monkeypatch.setattr(store.cal, "invalidate_many", broken)
         with pytest.raises(RuntimeError):
-            store.delete_batch(np.array([[5, 7], [5, 8]]))
-        assert store.degree(5) == 1
-        assert store.neighbors_many([5])[1].tolist() == [9]
+            store.delete_batch(np.array([[0, 1000], [5, 7]]))
+        assert store.degree(0) + store.degree(5) == live - 2
+        _assert_same(store, np.array([0, 5]), "delete that raised")
+        assert 7 not in store.neighbors_many([5])[1].tolist()
 
     @pytest.mark.parametrize("kernel", ["scalar", "vector"])
-    def test_per_edge_insert_that_raises_still_marks_its_row(self, kernel):
+    def test_per_edge_insert_that_raises_still_marks_its_row(self, kernel, monkeypatch):
         """A batch too small for the kernel runs per edge; an insert whose
-        cascade raises has swapped its edge into the full row already, so
+        cascade raises (here at its second branch-out, below two full
+        generations) has swapped its edge into the full row already, so
         the row must be dirty although the insert never returned."""
-        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4,
-                                     max_generations=2))
+        store = GraphTinker(GTConfig(pagewidth=8, subblock=8, workblock=4))
         store.insert_batch(np.column_stack([np.zeros(16, dtype=np.int64), np.arange(16)]))
         store.enable_snapshot()
         store.neighbors_many([0])
-        with pytest.raises(CapacityError):
+        fail_on(monkeypatch, EdgeblockArray, "_descend", 2)
+        with pytest.raises(RuntimeError):
             store.insert_batch(np.array([[0, 100]]), kernel=kernel)
         assert 100 in store.neighbors_many([0])[1].tolist()
         _assert_same(store, np.array([0]), "cascade that raised")
@@ -520,10 +525,12 @@ def _reattach_after_a_detached_write(store):
         store.enable_snapshot()
 
 
-def _overfull_batch(store):
-    with pytest.raises(CapacityError):
-        store.insert_batch(np.array([[5, 8], [5, 9]]
-                                    + [[0, 2_000 + d] for d in range(40)]))
+def _batch_that_raises(store):
+    with pytest.MonkeyPatch.context() as patch:
+        fail_on(patch, EdgeblockArray, "insert", 20)
+        with pytest.raises(RuntimeError):
+            store.insert_batch(np.array([[5, 8], [5, 9]]
+                                        + [[0, 2_000 + d] for d in range(40)]))
 
 
 _CAPTURE_BASE = np.column_stack([np.repeat(np.arange(30), 4),
@@ -540,7 +547,7 @@ _CAPTURE_STEPS = [
     ("delete_vertex", lambda s: s.delete_vertex(7)),
     ("fsck repair", _corrupt_and_repair),
     ("disable/enable_snapshot", _reattach_after_a_detached_write),
-    ("insert_batch (CapacityError)", _overfull_batch),
+    ("insert_batch (raises)", _batch_that_raises),
 ]
 
 
@@ -552,8 +559,7 @@ class TestFullLoadCapture:
     and modeled charges are those of a snapshot-less twin."""
 
     def _twins(self, variant):
-        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4,
-                       max_generations=2, **variant)
+        cfg = GTConfig(pagewidth=8, subblock=8, workblock=4, **variant)
         on, off = GraphTinker(cfg.with_(snapshot=True)), GraphTinker(cfg)
         for store in (on, off):
             store.insert_batch(_CAPTURE_BASE, np.arange(120) / 8.0)
