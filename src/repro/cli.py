@@ -1031,7 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=0.0,
                    help="serve for this many seconds (0 = forever)")
     p.add_argument("--replica-id", default=None,
-                   help="stable replica identity (default: random)")
+                   help="identity in the writer's peer table (default: "
+                        "replica-<data-dir name>, stable across restarts)")
     p.add_argument("--max-lag-seq", type=int, default=0, metavar="N",
                    help="shed reads with STALE when the replica is more "
                         "than N WAL records behind (0 = never shed)")

@@ -21,10 +21,9 @@ into a network service:
   ``python -m repro loadgen`` (a smoke and chaos driver — the serving
   numbers of record are ``perf/``'s ``serve_mixed`` workload).
 * :mod:`repro.net.replication` — WAL-shipping read replicas:
-  :class:`ReplicaService` (applies shipped records, serves reads),
-  :class:`ReplicationLink` (the pull/apply/resync thread) and the
-  composed :class:`ReplicaServer` behind ``python -m repro
-  serve-replica``.
+  :class:`ReplicationLink` (the pull/apply/resync thread feeding a
+  follower :class:`~repro.service.GraphService`) and the composed
+  :class:`ReplicaServer` behind ``python -m repro serve-replica``.
 * :mod:`repro.net.chaos` — :class:`ChaosProxy`, the frame-aware
   fault-injecting proxy the replication chaos suite runs through.
 
@@ -52,7 +51,7 @@ from repro.net.protocol import (
     wal_record_to_wire,
 )
 from repro.net.readpath import ReadView, capture_view, capture_view_locked
-from repro.net.replication import ReplicaServer, ReplicaService, ReplicationLink
+from repro.net.replication import ReplicaServer, ReplicationLink
 from repro.net.server import GraphServer, ServerThread
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "RETRYABLE_CODES",
     "ReadView",
     "ReplicaServer",
-    "ReplicaService",
     "ReplicaSet",
     "ReplicationLink",
     "ServerThread",

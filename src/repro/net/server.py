@@ -548,9 +548,17 @@ class _GraphConnection(asyncio.Protocol):
             return lambda: self._repl_status(args)
         return lambda: self._repl_resync(args)
 
+    def _note_peer(self, replica_id: str, **cursor) -> None:
+        """Mark a replica connected at ``cursor`` in the peer table; its
+        resync count (and generation, unless given) carry over."""
+        peers = self.server.replication_peers
+        previous = peers.get(replica_id, {})
+        peers[replica_id] = {"generation": previous.get("generation"),
+                             "n_resyncs": int(previous.get("n_resyncs", 0)),
+                             **cursor, "connected": True, "ts": time.time()}
+
     def _repl_subscribe(self, args: dict) -> dict:
-        server = self.server
-        service = server.service
+        service = self.server.service
         after_seq = int(args.get("after_seq", 0))
         cum_edges = int(args.get("cum_edges", 0))
         replica_id = str(args.get("replica_id") or f"conn-{id(self):x}")
@@ -564,15 +572,7 @@ class _GraphConnection(asyncio.Protocol):
         # checkpoint pruning already dropped the requested records.
         self.repl_tailer = WalTailer(service.directory, after_seq, cum_edges)
         self.replica_id = replica_id
-        previous = server.replication_peers.get(replica_id, {})
-        server.replication_peers[replica_id] = {
-            "applied_seq": after_seq,
-            "cum_edges": cum_edges,
-            "generation": previous.get("generation"),
-            "connected": True,
-            "ts": time.time(),
-            "n_resyncs": int(previous.get("n_resyncs", 0)),
-        }
+        self._note_peer(replica_id, applied_seq=after_seq, cum_edges=cum_edges)
         if obs_hooks.enabled:
             get_recorder().record("repl.subscribe", replica=replica_id,
                                   after_seq=after_seq)
@@ -606,21 +606,14 @@ class _GraphConnection(asyncio.Protocol):
                 "writer_seq": int(wal.last_seq)}
 
     def _repl_status(self, args: dict) -> dict:
-        server = self.server
-        service = server.service
+        service = self.server.service
         replica_id = self.replica_id or str(args.get("replica_id") or "")
-        wal = service._wal
         if replica_id:
-            previous = server.replication_peers.get(replica_id, {})
-            server.replication_peers[replica_id] = {
-                "applied_seq": int(args.get("applied_seq", 0)),
-                "cum_edges": int(args.get("cum_edges", 0)),
-                "generation": args.get("generation"),
-                "connected": True,
-                "ts": time.time(),
-                "n_resyncs": int(previous.get("n_resyncs", 0)),
-            }
-        return {"writer_seq": int(wal.last_seq),
+            self._note_peer(replica_id,
+                            applied_seq=int(args.get("applied_seq", 0)),
+                            cum_edges=int(args.get("cum_edges", 0)),
+                            generation=args.get("generation"))
+        return {"writer_seq": int(service._wal.last_seq),
                 "writer_applied_seq": int(service.applied_seq)}
 
     def _repl_resync(self, args: dict) -> dict:
@@ -697,12 +690,10 @@ class _GraphConnection(asyncio.Protocol):
         response = {"id": request_id, "ok": True, "result": result,
                     "generation": view.generation,
                     "applied_seq": view.applied_seq}
-        # Replicas report honest staleness on every read (lag behind the
-        # writer's known cursor); a plain writer service has no notion
-        # of it, hence the probe.
-        read_staleness = getattr(server.service, "read_staleness", None)
-        if read_staleness is not None:
-            response["staleness"] = read_staleness()
+        # A follower reports honest staleness on every read (lag behind
+        # the writer's known cursor); a writer has none to report.
+        if server.service.follower:
+            response["staleness"] = server.service.read_staleness()
         return response
 
     def _do_admin(self, request_id, op: str) -> dict:
@@ -717,10 +708,8 @@ class _GraphConnection(asyncio.Protocol):
                 "view_generation": server._view.generation,
                 "view_applied_seq": server._view.applied_seq,
             }
-            # A replica's service reports its own replication block
-            # (role "replica", upstream cursor/lag); only a plain
-            # writer gets the peer-registry view filled in here.
-            if "replication" not in health:
+            # A follower reports its own block (upstream cursor, lag).
+            if not server.service.follower:
                 health["replication"] = server.replication_health()
             return {"id": request_id, "ok": True, "result": health}
         if op == "metrics":

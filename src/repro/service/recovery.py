@@ -11,10 +11,12 @@ The protocol (docs/service.md has the full diagram):
    is idempotent).
 3. Replay the WAL in sequence order, **skipping** every record with
    ``seq <= checkpoint.last_seq`` (already inside the snapshot) and
-   applying the rest through the normal batch paths.  A gap between the
-   checkpoint's cursor and the first surviving WAL record — or between
-   two WAL records — raises :class:`~repro.errors.ServiceError`; the
-   missing updates cannot be reconstructed.
+   applying the rest through :func:`~repro.service.wal.apply`, as a
+   writer's flush and a follower's shipped record are applied.  A gap
+   between the checkpoint's cursor and the first surviving WAL record —
+   or between two WAL records — raises
+   :class:`~repro.errors.ServiceError`; the missing updates cannot be
+   reconstructed.
 
 The log is one chain whatever the store: a sharded store takes each
 record through its own batch path, which scatters the rows to the shard
@@ -100,10 +102,7 @@ def _replay(directory: Path, store, result: RecoveryResult) -> None:
                 f"{result.last_seq} but the next surviving record is "
                 f"{record.seq}; updates in between are lost"
             )
-        if record.op == wal_mod.OP_INSERT:
-            store.insert_batch(record.edges, record.weights)
-        else:
-            store.delete_batch(record.edges)
+        wal_mod.apply(store, record.op, record.edges, record.weights)
         result.last_seq, result.cum_edges = record.seq, record.cum_edges
         result.replayed_records += 1
         result.replayed_edges += record.n_edges

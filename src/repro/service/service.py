@@ -24,6 +24,12 @@ multi-threaded application can talk to:
   automates this per applied record count);
   :meth:`GraphService.open` recovers a directory (checkpoint + WAL tail
   replay) and resumes serving where the last process stopped.
+* **Follower** — ``follower=True`` makes a read replica of a writer's
+  log (:mod:`repro.net.replication`): ``submit_*`` raise
+  :class:`~repro.errors.NotWriterError`, :meth:`apply_record` logs and
+  applies one shipped record as a flush does, and ``max_lag_seq`` > 0
+  sheds reads (:class:`~repro.errors.StaleReadError`) while it is more
+  records than that behind the last writer cursor its link saw.
 
 Instrumented through :mod:`repro.obs` (``service.queue.*``,
 ``service.flush.*``, ``service.wal.*`` plus a span per flush) — all
@@ -41,12 +47,15 @@ from pathlib import Path
 import numpy as np
 
 import repro.obs as obs
-from repro.core.store import check_edge_batch, store_from_config
+from repro.core.store import check_edge_batch, store_digest, store_from_config
 from repro.errors import (
     BreakerOpenError,
+    NotWriterError,
     QueueFullError,
+    ReplicationError,
     ServiceError,
     ShedError,
+    StaleReadError,
     WorkloadError,
 )
 from repro.obs import hooks as obs_hooks
@@ -59,7 +68,10 @@ from repro.service.wal import (
     DEFAULT_SEGMENT_BYTES,
     OP_DELETE,
     OP_INSERT,
+    WalRecord,
     WriteAheadLog,
+    apply,
+    list_segments,
 )
 
 #: Exponential backoff between WAL retries: base delay and cap (seconds).
@@ -67,6 +79,8 @@ RETRY_BASE = 0.01
 RETRY_CAP = 0.5
 #: Samples the optional time-series ring holds (``sample_interval > 0``).
 SAMPLE_CAPACITY = 256
+#: Rows per insert when a follower rebuilds a shipped store (a resync).
+_RESYNC_CHUNK = 100_000
 
 log = get_logger("service")
 
@@ -178,7 +192,9 @@ class GraphService:
                  breaker_reset: float = 1.0,
                  shed_reads_at: int = 0,
                  sample_interval: float = 0.0,
-                 injector=None):
+                 injector=None,
+                 follower: bool = False,
+                 max_lag_seq: int = 0):
         if batch_edges < 1:
             raise ServiceError("batch_edges must be >= 1")
         if queue_limit < 1:
@@ -187,8 +203,11 @@ class GraphService:
             raise ServiceError("max_retries must be >= 0")
         if breaker_threshold < 0:
             raise ServiceError("breaker_threshold must be >= 0")
+        if max_lag_seq < 0 or (max_lag_seq and not follower):
+            raise ServiceError("max_lag_seq bounds a follower's lag: >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._config = config
         self._store = store if store is not None else store_from_config(config)
         if wal is None:
             wal = WriteAheadLog(
@@ -212,6 +231,17 @@ class GraphService:
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
         self.shed_reads_at = shed_reads_at
+        self.follower = follower
+        self.max_lag_seq = max_lag_seq
+        if follower:
+            # The link's state: the writer cursor it last saw (the lag
+            # anchor), where the writer is, and what it did.
+            self.known_upstream_seq = applied_seq
+            self.known_upstream_cum = cum_edges
+            self.upstream = self.last_resync = self.last_batch_at = None
+            self.link_connected = False
+            self.n_applied_records = self.n_applied_edges = 0
+            self.n_resyncs = self.n_resubscribes = self.n_stale_sheds = 0
         self._ckpt = CheckpointManager(self.directory, keep=checkpoint_keep)
         self._applied_seq = applied_seq
         self._cum_edges = cum_edges
@@ -294,7 +324,7 @@ class GraphService:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         result = recover(directory, config=config, verify=verify)
-        service = cls(directory, store=result.store,
+        service = cls(directory, store=result.store, config=config,
                       applied_seq=result.last_seq, cum_edges=result.cum_edges,
                       **kwargs)
         if result.fsck is not None:
@@ -349,14 +379,15 @@ class GraphService:
         if self._sampler is not None:
             self._sampler.stop()
         self._thread.join()
-        if self._fatal is None:
-            # Step 3: the drain's durability point.  The per-flush path
-            # honored sync_policy; the close path must not leave resolved
-            # tickets hostage to the page cache.
-            self._wal_op(self._wal.sync)
-        if checkpoint and self._fatal is None:
-            self.checkpoint()
-        self._wal.close()
+        with self._store_lock:  # a follower's apply_record holds it too
+            if self._fatal is None:
+                # Step 3: the drain's durability point.  The per-flush
+                # path honored sync_policy; the close path must not leave
+                # resolved tickets hostage to the page cache.
+                self._wal_op(self._wal.sync)
+                if checkpoint:
+                    self.checkpoint()
+            self._wal.close()
 
     def __enter__(self) -> "GraphService":
         return self
@@ -380,6 +411,9 @@ class GraphService:
 
     def _submit(self, op: int, edges: np.ndarray,
                 weights: np.ndarray | None, timeout: float | None) -> Ticket:
+        if self.follower:
+            raise NotWriterError(
+                "this node is a read replica; send mutations to the writer")
         # Admission: a batch the store would reject must not be logged,
         # or replaying the log would fail the same way on every reopen.
         try:
@@ -464,9 +498,7 @@ class GraphService:
                     raise ServiceError(f"flush_now timed out after {timeout}s")
                 self._cond.wait(remaining)
             if self._fatal is not None:
-                raise ServiceError(
-                    f"service stopped after flush failure: {self._fatal}"
-                ) from self._fatal
+                self._check_alive()  # raises the flush failure
             if self._breaker_state == "open":
                 raise BreakerOpenError(
                     f"circuit breaker open after {self._breaker_failures} "
@@ -508,9 +540,7 @@ class GraphService:
                 # The batch's tickets resolved durable: from here on a
                 # failure (the automatic checkpoint's) is not theirs.
                 batch = []
-                if (self.checkpoint_every and self._applied_seq
-                        - self._last_ckpt_seq >= self.checkpoint_every):
-                    self.checkpoint()
+                self._checkpoint_if_due()
             except Exception as exc:  # noqa: BLE001 - flusher is the fault wall
                 if self._fail(batch, exc):
                     continue
@@ -629,25 +659,25 @@ class GraphService:
     def _coalesce(batch: list[_Request]) -> list[tuple[int, np.ndarray,
                                                        np.ndarray | None,
                                                        list[_Request]]]:
-        """Merge consecutive same-op requests (order preserved)."""
-        groups = []
+        """Merge consecutive same-op requests (order preserved); a group
+        no member gave weights keeps ``None``, which log and stores read
+        as all ones."""
+        groups: list[tuple[int, list[_Request]]] = []
         for request in batch:
             if groups and groups[-1][0] == request.op:
-                groups[-1][3].append(request)
+                groups[-1][1].append(request)
             else:
-                groups.append((request.op, None, None, [request]))
+                groups.append((request.op, [request]))
         out = []
-        for op, _, _, members in groups:
-            edges = np.concatenate([m.edges for m in members]) \
-                if len(members) > 1 else members[0].edges
-            if op == OP_INSERT:
-                weights = np.concatenate([
-                    m.weights if m.weights is not None
-                    else np.ones(m.edges.shape[0], dtype=np.float64)
-                    for m in members
-                ]) if len(members) > 1 else members[0].weights
-            else:
-                weights = None
+        for op, members in groups:
+            edges, weights = members[0].edges, members[0].weights
+            if len(members) > 1:
+                edges = np.concatenate([m.edges for m in members])
+                if any(m.weights is not None for m in members):
+                    weights = np.concatenate([
+                        m.weights if m.weights is not None
+                        else np.ones(m.edges.shape[0], dtype=np.float64)
+                        for m in members])
             out.append((op, edges, weights, members))
         return out
 
@@ -671,10 +701,7 @@ class GraphService:
                 self._wal_op(self._wal.sync)
             with self._store_lock:
                 for op, edges, weights, _ in groups:
-                    if op == OP_INSERT:
-                        self._store.insert_batch(edges, weights)
-                    else:
-                        self._store.delete_batch(edges)
+                    apply(self._store, op, edges, weights)
                 with self._cond:
                     self._applied_seq = self._wal.last_seq
                     self._cum_edges = self._wal.cum_edges
@@ -695,8 +722,119 @@ class GraphService:
             registry.gauge("service.queue.depth").set(len(self._queue))
 
     # ------------------------------------------------------------------ #
+    # follower: the replica role's write entry, resync and lag
+    # ------------------------------------------------------------------ #
+    def apply_record(self, record: WalRecord) -> bool:
+        """Log, then apply, one shipped record; ``False`` = already applied.
+
+        A follower's one write entry, in the flush's order, so a crash
+        between log and store replays the record.  Appending in upstream
+        order reproduces the writer's seq/cum cursor: a gap or a parity
+        break raises :class:`~repro.errors.ReplicationError` (resync).
+        """
+        with self._store_lock:
+            self._check_alive()
+            if record.seq <= self._applied_seq:
+                return False  # idempotent catch-up skip
+            if record.seq != self._applied_seq + 1:
+                raise ReplicationError(
+                    f"replication stream gap: replica at {self._applied_seq}, "
+                    f"received record {record.seq}")
+            seq = self._wal.append(record.op, record.edges, record.weights)
+            if seq != record.seq or self._wal.cum_edges != record.cum_edges:
+                raise ReplicationError(
+                    f"cursor divergence applying record {record.seq}: local "
+                    f"WAL produced (seq={seq}, cum={self._wal.cum_edges}), "
+                    f"upstream says (seq={record.seq}, "
+                    f"cum={record.cum_edges}) — resync required")
+            apply(self._store, record.op, record.edges, record.weights)
+            with self._cond:
+                self._applied_seq = seq
+                self._cum_edges = self._wal.cum_edges
+            self.n_applied_records += 1
+            self.n_applied_edges += record.n_edges
+            self._checkpoint_if_due()
+        return True
+
+    def resync_from(self, payload: dict) -> None:
+        """Replace all local state with a writer ``resync`` payload.
+
+        The shipped store is rebuilt and digest-checked before anything
+        else: a refused payload leaves directory, log and store as they
+        were.  Then every WAL segment and checkpoint goes (one above the
+        new cursor would win recovery), a checkpoint is written at the
+        shipped cursor and the log reopens after it, so a kill at any
+        point recovers to an empty directory (the restart resyncs again)
+        or to the new state.  The snapshot generation never goes back
+        (:meth:`~repro.engine.snapshot.AnalyticsSnapshot.rebase_generation`).
+        """
+        last_seq = int(payload["last_seq"])
+        cum_edges = int(payload["cum_edges"])
+        edges = np.column_stack((np.asarray(payload["src"], dtype=np.int64),
+                                 np.asarray(payload["dst"], dtype=np.int64)))
+        weight = np.asarray(payload["weight"], dtype=np.float64)
+        store = store_from_config(self._config)
+        snap = store.enable_snapshot()
+        for lo in range(0, edges.shape[0], _RESYNC_CHUNK):
+            hi = lo + _RESYNC_CHUNK
+            store.insert_batch(edges[lo:hi], weight[lo:hi])
+        expected = payload.get("digest") or {}
+        local = store_digest(store)
+        if expected and local["sha256"] != expected.get("sha256"):
+            raise ReplicationError(
+                f"resync digest mismatch: writer shipped "
+                f"{expected.get('sha256')} ({expected.get('n_edges')} "
+                f"edges), replica rebuilt {local['sha256']} "
+                f"({local['n_edges']} edges)")
+        with self._store_lock:
+            old_snap = self._store.analytics_snapshot
+            snap.rebase_generation(old_snap.generation if old_snap else 0)
+            wal = self._wal
+            wal.close()
+            for path in (list_segments(self.directory)
+                         + list_checkpoints(self.directory)):
+                path.unlink(missing_ok=True)
+            # Counted before the cursor (the caught-up signal) moves; the
+            # lag anchor rebases on the shipped cursor, the writer's own.
+            self.n_resyncs += 1
+            self.last_resync = time.time()
+            self.known_upstream_seq = last_seq
+            self.known_upstream_cum = cum_edges
+            self._store = store
+            with self._cond:
+                self._applied_seq, self._cum_edges = last_seq, cum_edges
+            self.checkpoint()
+            self._wal = WriteAheadLog(
+                self.directory, segment_bytes=wal.segment_bytes,
+                sync=wal.sync_policy, min_last_seq=last_seq,
+                min_cum_edges=cum_edges, injector=wal.injector)
+        n_edges = int(edges.shape[0])
+        if obs_hooks.enabled:
+            obs.get_registry().counter("repl.resyncs").inc()
+            get_recorder().record("repl.resync", last_seq=last_seq,
+                                  n_edges=n_edges)
+        log.info(kv("resynced from writer", last_seq=last_seq, n_edges=n_edges))
+
+    def lag(self) -> tuple[int, int]:
+        """(lag_seq, lag_edges) behind the last writer cursor seen."""
+        return (max(0, self.known_upstream_seq - self._applied_seq),
+                max(0, self.known_upstream_cum - self._cum_edges))
+
+    def read_staleness(self) -> dict:
+        """The staleness block a follower attaches to every read response."""
+        lag_seq, lag_edges = self.lag()
+        return {"lag_seq": lag_seq, "lag_edges": lag_edges,
+                "upstream_seq": self.known_upstream_seq}
+
+    # ------------------------------------------------------------------ #
     # durability
     # ------------------------------------------------------------------ #
+    def _checkpoint_if_due(self) -> None:
+        """The ``checkpoint_every`` cadence, after a flush or a record."""
+        if (self.checkpoint_every and self._applied_seq
+                - self._last_ckpt_seq >= self.checkpoint_every):
+            self.checkpoint()
+
     def checkpoint(self) -> Path:
         """Snapshot the applied state and prune the WAL behind it."""
         with self._store_lock:
@@ -767,6 +905,8 @@ class GraphService:
         (if any ran) found nothing.  ``last_event`` is the most recent
         flight-recorder event (None while observability is down or quiet);
         ``timeseries`` summarises the sampler ring when one is running.
+        A follower adds ``role`` and its ``replication`` block, and sheds
+        reads on its lag instead of a queue it never fills.
         """
         with self._cond:
             snapshot = {
@@ -799,6 +939,26 @@ class GraphService:
         snapshot["last_event"] = get_recorder().last_event()
         if self._sampler is not None:
             snapshot["timeseries"] = self._sampler.ring.summary()
+        if self.follower:
+            lag_seq, lag_edges = self.lag()
+            snapshot["role"] = "replica"
+            snapshot["shedding_reads"] = bool(self.max_lag_seq
+                                              and lag_seq > self.max_lag_seq)
+            snapshot["replication"] = {
+                "role": "replica", "upstream": self.upstream,
+                "connected": self.link_connected,
+                "upstream_seq": self.known_upstream_seq,
+                "applied_seq": snapshot["applied_seq"],
+                "lag_seq": lag_seq, "lag_edges": lag_edges,
+                "n_applied_records": self.n_applied_records,
+                "n_applied_edges": self.n_applied_edges,
+                "n_resyncs": self.n_resyncs,
+                "n_resubscribes": self.n_resubscribes,
+                "n_stale_sheds": self.n_stale_sheds,
+                "last_resync": self.last_resync,
+                "last_batch_age_s": (
+                    round(time.monotonic() - self.last_batch_at, 3)
+                    if self.last_batch_at is not None else None)}
         snapshot["ok"] = (snapshot["fatal"] is None
                           and snapshot["breaker"]["state"] == "closed"
                           and (snapshot["last_fsck"] is None
@@ -809,12 +969,22 @@ class GraphService:
     # snapshot-consistent reads
     # ------------------------------------------------------------------ #
     def _shed_check(self) -> None:
-        """Reject reads while the ingest queue is over the shed mark.
+        """Reject reads while the ingest queue is over the shed mark, or
+        while a follower lags the writer by more than ``max_lag_seq``.
 
         Under overload the store lock is the contended resource; reads
-        walking the store would stall the flusher further.  Off by
-        default (``shed_reads_at == 0``).
+        walking the store would stall the flusher further.  A stale
+        follower refuses rather than answer stale, so a router fails over
+        to a fresher node.  Both are off by default.
         """
+        lag_seq = self.lag()[0] if self.max_lag_seq else 0
+        if lag_seq > self.max_lag_seq:
+            self.n_stale_sheds += 1
+            if obs_hooks.enabled:
+                obs.get_registry().counter("repl.stale_sheds").inc()
+            raise StaleReadError(
+                f"replica is {lag_seq} records behind the writer (SLO "
+                f"max_lag_seq={self.max_lag_seq}); retry on a fresher node")
         if self.shed_reads_at <= 0:
             return
         with self._cond:

@@ -456,6 +456,16 @@ class WriteAheadLog:
         self.close()
 
 
+def apply(store, op: int, edges: np.ndarray,
+          weights: np.ndarray | None) -> None:
+    """Apply one logged batch to ``store``: the one path from an op code
+    to a store, for recovery, a writer's flush and a follower's record."""
+    if op == OP_INSERT:
+        store.insert_batch(edges, weights)
+    else:
+        store.delete_batch(edges)
+
+
 def prune_segments(directory: str | Path, upto_seq: int) -> list[Path]:
     """Delete the segments a checkpoint made obsolete.
 

@@ -21,7 +21,6 @@ from repro.errors import NotWriterError, QueueFullError, ServiceError
 from repro.net.client import GraphClient
 from repro.net.frames import FrameDecoder, encode_frame
 from repro.net.protocol import PROTOCOL_VERSION
-from repro.net.replication import ReplicaService
 from repro.net.server import ServerThread
 from repro.service import GraphService
 
@@ -157,7 +156,7 @@ class TestWriteDeadline:
 
 class TestReplica:
     def test_replica_answers_not_writer(self, tmp_path):
-        replica = ReplicaService(tmp_path)
+        replica, _ = GraphService.open(tmp_path, follower=True)
         try:
             with serve(replica) as thread:
                 with GraphClient(port=thread.port) as c:

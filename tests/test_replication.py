@@ -2,7 +2,7 @@
 
 Three layers, bottom-up:
 
-* :class:`~repro.net.replication.ReplicaService` applying shipped
+* A follower :class:`~repro.service.GraphService` applying shipped
   records to its own durable WAL + store (idempotence, gap detection,
   cursor parity, crash recovery) — no network involved.
 * The writer-side replication ops (``subscribe`` / ``wal_batch`` /
@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.net.client import GraphClient, ReplicaSet
 from repro.net.protocol import wal_record_from_wire, wal_record_to_wire
-from repro.net.replication import ReplicaServer, ReplicaService
+from repro.net.replication import ReplicaServer
 from repro.net.server import ServerThread
 from repro.service import GraphService
 from repro.service.wal import OP_DELETE, OP_INSERT, WalRecord, iter_records
@@ -64,7 +64,7 @@ def replica_digest(replica_service):
 
 class TestReplicaServiceApply:
     def test_apply_in_order(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         for record in make_records(5):
             assert rep.apply_record(record) is True
         assert rep.applied_seq == 5
@@ -73,7 +73,7 @@ class TestReplicaServiceApply:
         rep.close()
 
     def test_reapply_is_idempotent_skip(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         records = make_records(3)
         for record in records:
             rep.apply_record(record)
@@ -83,7 +83,7 @@ class TestReplicaServiceApply:
         rep.close()
 
     def test_sequence_gap_is_typed_error(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         r1, _, r3 = make_records(3)
         rep.apply_record(r1)
         with pytest.raises(ReplicationError):
@@ -91,7 +91,7 @@ class TestReplicaServiceApply:
         rep.close()
 
     def test_cum_edges_parity_mismatch_is_typed_error(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         (record,) = make_records(1)
         bad = WalRecord(seq=record.seq, op=record.op, edges=record.edges,
                         weights=record.weights,
@@ -101,7 +101,7 @@ class TestReplicaServiceApply:
         rep.close()
 
     def test_mutations_refused_with_not_writer(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         with pytest.raises(NotWriterError):
             rep.submit_insert(np.array([[1, 2]], dtype=np.int64))
         with pytest.raises(NotWriterError):
@@ -109,7 +109,7 @@ class TestReplicaServiceApply:
         rep.close()
 
     def test_deletes_replicate(self, tmp_path):
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         edges = np.array([[1, 2], [3, 4]], dtype=np.int64)
         rep.apply_record(WalRecord(seq=1, op=OP_INSERT, edges=edges,
                                    weights=np.ones(2), cum_edges=2))
@@ -133,19 +133,43 @@ class TestReplicaServiceApply:
     def test_abandoned_replica_recovers_exact_state(self, tmp_path):
         """kill -9 equivalent: drop the service without close(); the
         local WAL alone must reproduce the state and the cursor."""
-        rep = ReplicaService(tmp_path)
+        rep, _ = GraphService.open(tmp_path, follower=True)
         for record in make_records(7):
             rep.apply_record(record)
         digest = replica_digest(rep)["sha256"]
         # no close(): the WAL flushes every append, so this is a crash
-        rep2 = ReplicaService(tmp_path)
+        rep2, _ = GraphService.open(tmp_path, follower=True)
         assert rep2.applied_seq == 7
         assert rep2.cum_input_edges == 14
         assert replica_digest(rep2)["sha256"] == digest
+        assert rep2.health()["last_fsck"]["level"] == "quick"
         rep2.close()
 
+    def test_refused_resync_leaves_a_directory_that_reopens(self, tmp_path):
+        """A resync payload whose digest does not match is refused before
+        the directory is touched: log and checkpoint survive, so the next
+        record chains and a reopen lands on the live state."""
+        rep, _ = GraphService.open(tmp_path, follower=True)
+        records = make_records(6)
+        for record in records[:5]:
+            rep.apply_record(record)
+        rep.checkpoint()
+        payload = {"src": [1], "dst": [2], "weight": [1.0], "last_seq": 9,
+                   "cum_edges": 18, "digest": {"sha256": "0" * 64,
+                                               "n_edges": 1}}
+        with pytest.raises(ReplicationError, match="digest mismatch"):
+            rep.resync_from(payload)
+        assert rep.applied_seq == 5
+        assert rep.apply_record(records[5]) is True
+        digest = replica_digest(rep)["sha256"]
+        rep.close()
+        again, _ = GraphService.open(tmp_path, follower=True)
+        assert again.applied_seq == 6
+        assert replica_digest(again)["sha256"] == digest
+        again.close()
+
     def test_stale_shed_over_lag_budget(self, tmp_path):
-        rep = ReplicaService(tmp_path, max_lag_seq=3)
+        rep, _ = GraphService.open(tmp_path, max_lag_seq=3, follower=True)
         for record in make_records(2):
             rep.apply_record(record)
         rep.known_upstream_seq = rep.applied_seq + 4  # over budget
@@ -342,7 +366,7 @@ class TestReplicaServer:
         sees nothing wrong, only the post-catch-up digest does."""
         for i in range(3):
             insert(writer, [[i * 10 + j, i * 10 + j + 1] for j in range(8)])
-        doctored = ReplicaService(tmp_path / "replica")
+        doctored, _ = GraphService.open(tmp_path / "replica", follower=True)
         for record in iter_records(writer.directory):
             doctored.apply_record(WalRecord(
                 seq=record.seq, op=record.op, edges=record.edges + 1000,
