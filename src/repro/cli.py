@@ -364,7 +364,6 @@ def cmd_serve(args) -> int:
         data_dir,
         config=config,
         batch_edges=batch,
-        sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         injector=injector,
         max_retries=args.max_retries,
@@ -376,7 +375,7 @@ def cmd_serve(args) -> int:
               f"recovered (checkpoint seq {rec.checkpoint_seq}, "
               f"replayed {rec.replayed_records} WAL records)")
     log.info(kv("serve starting", edges=edges.shape[0], offset=offset,
-                batch_size=batch, sync=args.sync))
+                batch_size=batch))
     try:
         for start in range(offset, edges.shape[0], batch):
             service.submit_insert(edges[start:start + batch])
@@ -447,7 +446,6 @@ def cmd_serve_net(args) -> int:
         data_dir,
         config=config,
         batch_edges=_batch_edges(args),
-        sync=args.sync,
         checkpoint_every=args.checkpoint_every,
         breaker_threshold=args.breaker_threshold,
     )
@@ -954,9 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, default=20_000,
                    help="total input rows in the stream")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sync", default="batch",
-                   choices=["always", "batch", "never"],
-                   help="WAL fsync policy")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N",
                    help="auto-checkpoint every N applied WAL records")
     p.add_argument("--final-checkpoint", action="store_true",
@@ -1000,9 +995,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "store, shard count included; the WAL is one log")
     p.add_argument("--duration", type=float, default=0.0,
                    help="serve for this many seconds (0 = forever)")
-    p.add_argument("--sync", default="batch",
-                   choices=["always", "batch", "never"],
-                   help="WAL fsync policy")
+    # Accepted, not read: perf/wl_serve.py still passes --sync batch.
+    p.add_argument("--sync", default="batch", choices=["batch"],
+                   help="WAL fsync policy; the one policy is batch: one "
+                        "fsync per flush, and a flush is one record")
     p.add_argument("--checkpoint-every", type=int, default=0, metavar="N")
     p.add_argument("--final-checkpoint", action="store_true")
     p.add_argument("--breaker-threshold", type=int, default=0, metavar="N",

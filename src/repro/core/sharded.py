@@ -49,8 +49,8 @@ Architecture
 * **Failure** — a dead worker (``kill -9``, OOM), or one silent for
   :data:`SHARD_REPLY_TIMEOUT_S` on a one-edge call, surfaces as a typed
   :class:`~repro.errors.ShardCrashError` on the next dispatch.  The
-  surviving shards are intact; the service layer recovers by replaying
-  the crashed shard's own WAL segments (see docs/sharding.md).
+  surviving shards are intact; the service stops, and a reopen rebuilds
+  the store from the one log's replay (see docs/sharding.md).
 
 Observability (when :mod:`repro.obs` is enabled): per-shard gauges
 ``store.shard<k>.queue_depth`` (rows in flight on the pipe),

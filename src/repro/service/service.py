@@ -5,14 +5,14 @@ multi-threaded application can talk to:
 
 * **Ingest** — :meth:`GraphService.submit_insert` / ``submit_delete``
   enqueue work from any thread and return a :class:`Ticket`.  A single
-  flusher thread coalesces queued requests into micro-batches of up to
-  ``batch_edges`` rows and is **self-clocked**: it flushes as soon as
-  the previous flush has returned, so whatever arrived during the last
-  fsync + apply *is* the next group commit (``flush_interval``, default
-  0, caps an optional linger on a lone request; no command sets it).
-  Each micro-batch commits **WAL-first**: append + sync, then apply to
-  the store, then complete the tickets.  A ticket that resolves is
-  durable.
+  flusher thread drains the queue's head run of same-op requests into a
+  micro-batch of up to ``batch_edges`` rows and is **self-clocked**: it
+  flushes as soon as the previous flush has returned, so whatever
+  arrived during the last fsync + apply *is* the next group commit
+  (``flush_interval``, default 0, caps an optional linger on a lone
+  request; no command sets it).  Each micro-batch commits
+  **WAL-first** as one record: append + sync, then apply to the store,
+  then complete the tickets.  A ticket that resolves is durable.
 * **Backpressure** — the queue is bounded at ``queue_limit`` pending
   requests; a full queue blocks submitters up to ``submit_timeout``
   seconds, then raises :class:`~repro.errors.ServiceError`.
@@ -181,7 +181,6 @@ class GraphService:
                  flush_interval: float = 0.0,
                  queue_limit: int = 256,
                  submit_timeout: float = 5.0,
-                 sync: str = "batch",
                  segment_bytes: int = DEFAULT_SEGMENT_BYTES,
                  checkpoint_every: int = 0,
                  checkpoint_keep: int = 2,
@@ -211,7 +210,7 @@ class GraphService:
         self._store = store if store is not None else store_from_config(config)
         if wal is None:
             wal = WriteAheadLog(
-                self.directory, segment_bytes=segment_bytes, sync=sync,
+                self.directory, segment_bytes=segment_bytes,
                 min_last_seq=applied_seq, min_cum_edges=cum_edges,
                 injector=injector)
         self._wal = wal
@@ -225,7 +224,6 @@ class GraphService:
         self.flush_interval = flush_interval
         self.queue_limit = queue_limit
         self.submit_timeout = submit_timeout
-        self.sync_policy = sync
         self.checkpoint_every = checkpoint_every
         self.max_retries = max_retries
         self.breaker_threshold = breaker_threshold
@@ -356,12 +354,12 @@ class GraphService:
         1. stop accepting new submissions (``_stop``; in-flight queued
            batches stay queued),
         2. the flusher drains every queued micro-batch — each one is
-           WAL-appended, applied, and its tickets resolved,
-        3. the drained log is **fsynced** (even under the ``"batch"`` /
-           ``"never"`` policies, whose steady-state flushes defer or skip
-           fsync) *before* any finalization touches the directory — a
-           ticket that resolved durable must survive a crash immediately
-           after ``close()`` returns, whatever the fsync policy was,
+           WAL-appended, fsynced, applied, and its tickets resolved,
+        3. the log is **fsynced** once more *before* any finalization
+           touches the directory: a writer's flushes synced their own
+           records, but a follower's :meth:`apply_record` appends without
+           one, and what the store holds must survive a crash immediately
+           after ``close()`` returns,
         4. only then the optional final checkpoint (which prunes the log)
            and the WAL close run.
 
@@ -381,9 +379,9 @@ class GraphService:
         self._thread.join()
         with self._store_lock:  # a follower's apply_record holds it too
             if self._fatal is None:
-                # Step 3: the drain's durability point.  The per-flush
-                # path honored sync_policy; the close path must not leave
-                # resolved tickets hostage to the page cache.
+                # Step 3: the drain's durability point.  A follower's
+                # records are not synced per record; the close path must
+                # not leave them hostage to the page cache.
                 self._wal_op(self._wal.sync)
                 if checkpoint:
                     self.checkpoint()
@@ -521,13 +519,15 @@ class GraphService:
                              or self._pending_edges >= self.batch_edges),
                     timeout=max(0.0, deadline - time.monotonic()),
                 )
-                # Drain at most ~batch_edges rows (always at least one
-                # request): micro-batches stay bounded even when
-                # submitters outrun the flusher, so the WAL fills with
-                # incremental records instead of one giant one.
+                # Drain the head's run of same-op requests, at most
+                # ~batch_edges rows (always at least one request): a
+                # flush is one WAL record, and micro-batches stay bounded
+                # even when submitters outrun the flusher.
                 batch: list[_Request] = []
                 taken = 0
-                while self._queue and (not batch or taken < self.batch_edges):
+                op = self._queue[0].op
+                while (self._queue and self._queue[0].op == op
+                       and (not batch or taken < self.batch_edges)):
                     request = self._queue.popleft()
                     batch.append(request)
                     taken += request.edges.shape[0]
@@ -577,11 +577,13 @@ class GraphService:
 
         It serves on, and the breaker counts the failure, only when a
         breaker is configured, ``exc`` is the transient I/O kind (real and
-        injected disk errors travel as ``OSError``) and nothing of this
-        flush reached the log.  Otherwise the writer stops as a crash
-        would: records the log holds but the store never applied are
-        replayed when the directory reopens, so the live store never
-        disagrees with what its log recovers.
+        injected disk errors travel as ``OSError``) and the flush's one
+        record never reached the log (its append failed).  Otherwise —
+        the record was logged and its sync or apply failed, or the error
+        is not I/O — the writer stops as a crash would: the one record
+        the log holds but the store never applied is replayed when the
+        directory reopens, so the live store never disagrees with what
+        its log recovers.
         """
         survive = (self.breaker_threshold > 0 and isinstance(exc, OSError)
                    and self._wal.last_seq == self._applied_seq)
@@ -655,59 +657,33 @@ class GraphService:
                                           delay_s=round(delay, 4))
                 time.sleep(delay)
 
-    @staticmethod
-    def _coalesce(batch: list[_Request]) -> list[tuple[int, np.ndarray,
-                                                       np.ndarray | None,
-                                                       list[_Request]]]:
-        """Merge consecutive same-op requests (order preserved); a group
-        no member gave weights keeps ``None``, which log and stores read
-        as all ones."""
-        groups: list[tuple[int, list[_Request]]] = []
-        for request in batch:
-            if groups and groups[-1][0] == request.op:
-                groups[-1][1].append(request)
-            else:
-                groups.append((request.op, [request]))
-        out = []
-        for op, members in groups:
-            edges, weights = members[0].edges, members[0].weights
-            if len(members) > 1:
-                edges = np.concatenate([m.edges for m in members])
-                if any(m.weights is not None for m in members):
-                    weights = np.concatenate([
-                        m.weights if m.weights is not None
-                        else np.ones(m.edges.shape[0], dtype=np.float64)
-                        for m in members])
-            out.append((op, edges, weights, members))
-        return out
-
     def _flush(self, batch: list[_Request]) -> None:
         n_edges = sum(r.edges.shape[0] for r in batch)
         start = time.monotonic()
         with obs.span("service.flush", n_requests=len(batch), n_edges=n_edges):
-            groups = self._coalesce(batch)
-            # WAL first: nothing touches the store until the log carries it.
-            # Each WAL call retries individually: a failed append rolls its
-            # partial bytes back and does not advance the sequence, so
-            # re-running exactly that append is safe — retrying the whole
-            # flush would duplicate the records that already landed.
-            seqs: list[tuple[int, list[_Request]]] = []
-            for op, edges, weights, members in groups:
-                seq = self._wal_op(
-                    lambda op=op, edges=edges, weights=weights:
-                    self._wal.append(op, edges, weights))
-                seqs.append((seq, members))
-            if self.sync_policy == "batch":
-                self._wal_op(self._wal.sync)
+            # One same-op run is one record; a run no member gave weights
+            # keeps ``None``, which log and stores read as all ones.
+            op, edges, weights = batch[0].op, batch[0].edges, batch[0].weights
+            if len(batch) > 1:
+                edges = np.concatenate([r.edges for r in batch])
+                if any(r.weights is not None for r in batch):
+                    weights = np.concatenate([
+                        r.weights if r.weights is not None
+                        else np.ones(r.edges.shape[0], dtype=np.float64)
+                        for r in batch])
+            # WAL first: nothing touches the store until the log carries
+            # it.  Each WAL call retries on its own: a failed append rolls
+            # its partial bytes back and does not advance the sequence, so
+            # re-running exactly that append is safe.
+            seq = self._wal_op(lambda: self._wal.append(op, edges, weights))
+            self._wal_op(self._wal.sync)
             with self._store_lock:
-                for op, edges, weights, _ in groups:
-                    apply(self._store, op, edges, weights)
+                apply(self._store, op, edges, weights)
                 with self._cond:
-                    self._applied_seq = self._wal.last_seq
+                    self._applied_seq = seq
                     self._cum_edges = self._wal.cum_edges
-        for seq, members in seqs:
-            for request in members:
-                request.ticket._resolve(seq, None)
+        for request in batch:
+            request.ticket._resolve(seq, None)
         self.n_flushes += 1
         if obs_hooks.enabled:
             registry = obs.get_registry()
@@ -806,8 +782,8 @@ class GraphService:
             self.checkpoint()
             self._wal = WriteAheadLog(
                 self.directory, segment_bytes=wal.segment_bytes,
-                sync=wal.sync_policy, min_last_seq=last_seq,
-                min_cum_edges=cum_edges, injector=wal.injector)
+                min_last_seq=last_seq, min_cum_edges=cum_edges,
+                injector=wal.injector)
         n_edges = int(edges.shape[0])
         if obs_hooks.enabled:
             obs.get_registry().counter("repl.resyncs").inc()

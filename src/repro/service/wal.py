@@ -13,7 +13,7 @@ A WAL directory holds numbered segment files::
     wal-00000000000000000042.seg      <- rotated; first record is seq 42
 
 One chain of segments, whatever the store: a sharded service logs each
-flush group as one record and replay hands it to the store's batch path,
+flush as one record and replay hands it to the store's batch path,
 which scatters the rows to the shard workers (docs/sharding.md).
 
 Each segment starts with an 8-byte magic (``GTWAL001``) followed by
@@ -42,14 +42,13 @@ segment that is not the last, means real corruption and raises
 :class:`~repro.errors.ServiceError` — replaying past a hole would
 silently diverge from the pre-crash state.
 
-Sync policy
------------
-``"always"`` fsyncs every append (each record durable against OS crash),
-``"batch"`` flushes every append and leaves fsync to explicit
-:meth:`WriteAheadLog.sync` calls (the service syncs once per micro-batch
-flush), ``"never"`` flushes to the OS only on rotation/close.  All three
-survive a killed *process*; the weaker two trade OS-crash durability for
-throughput.
+Sync
+----
+One flush is one record and one fsync: :meth:`WriteAheadLog.append`
+writes a record and flushes it to the OS (a killed *process* loses no
+append that returned), and :meth:`WriteAheadLog.sync` fsyncs it (an OS
+crash loses nothing synced).  A writer's flush calls ``sync`` once,
+before it applies the record and resolves its tickets.
 """
 
 from __future__ import annotations
@@ -76,8 +75,6 @@ _HEADER = struct.Struct("<IQBIQI")
 
 OP_INSERT = 0
 OP_DELETE = 1
-
-SYNC_POLICIES = ("always", "batch", "never")
 
 DEFAULT_SEGMENT_BYTES = 1 << 20
 
@@ -311,15 +308,16 @@ class WriteAheadLog:
                  min_last_seq: int = 0,
                  min_cum_edges: int = 0,
                  injector=None):
-        if sync not in SYNC_POLICIES:
+        # "batch" (append flushes, sync() fsyncs) is the one policy; the
+        # keyword stays only because perf/probes.py still passes it.
+        if sync != "batch":
             raise ServiceError(
-                f"unknown WAL sync policy {sync!r} (choose from {SYNC_POLICIES})")
+                f"unknown WAL sync policy {sync!r} (the one policy is 'batch')")
         if segment_bytes < _HEADER.size + len(SEGMENT_MAGIC):
             raise ServiceError("segment_bytes is smaller than one record header")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = segment_bytes
-        self.sync_policy = sync
         self.injector = injector
         self._file = None
         self._segment_size = 0
@@ -353,9 +351,9 @@ class WriteAheadLog:
                weights: np.ndarray | None = None) -> int:
         """Append one record; returns its sequence number.
 
-        The record is flushed to the OS before returning (fsynced too
-        under the ``"always"`` policy), so a killed process never loses
-        an append that returned.
+        The record is flushed to the OS before returning, so a killed
+        process never loses an append that returned; :meth:`sync` makes
+        it survive an OS crash too.
         """
         edges = np.asarray(edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[1] != 2:
@@ -368,8 +366,6 @@ class WriteAheadLog:
         start = self._file.tell()
         try:
             self._write_blob(blob)
-            if self.sync_policy == "always":
-                os.fsync(self._file.fileno())
         except OSError:
             # A transient I/O error may have landed part of the record;
             # truncate back to the boundary so the log stays record-
@@ -385,8 +381,6 @@ class WriteAheadLog:
         if registry is not None:
             registry.counter("service.wal.appends").inc()
             registry.counter("service.wal.bytes").inc(len(blob))
-            if self.sync_policy == "always":
-                registry.counter("service.wal.syncs").inc()
         if self._segment_size >= self.segment_bytes:
             self._rotate()
         return seq
@@ -423,7 +417,7 @@ class WriteAheadLog:
             pass
 
     def sync(self) -> None:
-        """fsync the open segment (the ``"batch"`` policy's commit point)."""
+        """fsync the open segment: a flush's commit point, once per flush."""
         if self._file is not None:
             registry = _registry()
             self._file.flush()

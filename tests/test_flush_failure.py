@@ -1,11 +1,11 @@
 """A failed flush never leaves the service's log ahead of its store.
 
-The flusher commits WAL-first, so a flush can fail after some of its
-records reached the log.  The writer may keep serving (the circuit
-breaker counts the failure) only if nothing of the flush was logged;
-otherwise it stops as a crash would, and reopening the directory
-replays what the log holds.  Either way the live store equals what its
-own directory recovers.
+The flusher commits WAL-first, one record per flush, so a flush can fail
+after its record reached the log (its sync or apply failed).  The writer
+may keep serving (the circuit breaker counts the failure) only if the
+record was not logged; otherwise it stops as a crash would, and
+reopening the directory replays what the log holds.  Either way the live
+store equals what its own directory recovers.
 """
 
 import shutil
@@ -38,31 +38,32 @@ def lingering_service(directory, **kwargs):
                         breaker_threshold=5, **kwargs)
 
 
-def test_mixed_flush_that_fails_after_its_insert_stops_the_writer(tmp_path):
-    # Record 1 (the insert group) lands; record 2 (the delete group)
-    # fails once.  Serving on would leave record 1 logged but unapplied.
+def test_failed_delete_run_fails_only_its_own_ticket(tmp_path):
+    """An insert then a delete queued together are two flushes, one
+    record each: the delete's append failing (record 2, once) fails the
+    delete's ticket alone, and the writer serves on equal to its log."""
     svc = lingering_service(
         tmp_path / "d", injector=TransientFaultInjector(fail_every=2,
                                                         fail_times=1))
     try:
         first = svc.submit_insert(np.array([[0, 1], [0, 2]]))
         second = svc.submit_delete(np.array([[0, 1]]))
-        with pytest.raises(ServiceError, match="stopped after flush failure"):
-            svc.flush_now(timeout=10)
-        assert isinstance(svc.fatal_error, OSError)
-        for ticket in (first, second):
-            with pytest.raises(OSError):
-                ticket.wait(10)
-        with pytest.raises(ServiceError):
-            svc.submit_insert(np.array([[1, 2]]))
+        svc.flush_now(timeout=10)
+        assert first.wait(10) == 1
+        with pytest.raises(OSError):
+            second.wait(10)
+        assert svc.fatal_error is None
+        assert store_digest(svc._store) == recovered_digest(
+            tmp_path / "d", tmp_path / "copy")
+        retried = svc.submit_delete(np.array([[0, 1]]))
+        svc.flush_now(timeout=10)
+        assert retried.wait(10) == 2
     finally:
         svc.close()
     svc, result = GraphService.open(tmp_path / "d")
     with svc:
-        assert result.last_seq == 1
-        assert svc.n_edges == 2
-        svc.submit_insert(np.array([[1, 2]])).wait(10)
-        assert svc.n_edges == 3
+        assert result.last_seq == 2
+        assert svc.n_edges == 1
 
 
 def test_failed_sync_after_appends_stops_the_writer(tmp_path, monkeypatch):
@@ -145,7 +146,7 @@ def test_failed_auto_checkpoint_keeps_durable_tickets(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_writer_that_serves_on_matches_its_log(tmp_path, seed):
-    """Random single- and mixed-op flushes under transient faults: after
+    """Random single- and mixed-op queues under transient faults: after
     every failed flush the writer has either stopped or equals its log."""
     rng = np.random.default_rng(seed)
     pool = rmat_edges(6, 600, seed=seed)

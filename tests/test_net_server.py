@@ -361,10 +361,9 @@ class TestCloseOrdering:
     def test_acked_writes_survive_service_close(self, tmp_path):
         """Regression for the close-ordering contract: every write the
         server acknowledged (ticket resolved durable) must be recoverable
-        after server stop + service close, whatever the fsync policy."""
+        after server stop + service close."""
         edges = rmat_edges(8, 600, seed=5)
-        svc = GraphService(tmp_path, batch_edges=128, flush_interval=0.005,
-                           sync="batch")
+        svc = GraphService(tmp_path, batch_edges=128, flush_interval=0.005)
         thread = ServerThread(svc, view_refresh_s=0.0).start()
         try:
             with GraphClient(port=thread.port) as c:

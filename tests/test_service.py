@@ -11,8 +11,11 @@ from repro.core.graphtinker import GraphTinker
 from repro.engine.algorithms import BFS
 from repro.errors import ServiceError
 from repro.service import (
+    OP_DELETE,
+    OP_INSERT,
     CheckpointManager,
     GraphService,
+    iter_records,
     latest_checkpoint,
     list_checkpoints,
     list_segments,
@@ -66,12 +69,29 @@ class TestIngest:
         with GraphService(tmp_path, batch_edges=10_000, flush_interval=60) as svc:
             svc.submit_insert(edges)
             svc.submit_delete(edges[:500])
-            svc.flush_now()  # both requests land in ONE coalesced flush
+            svc.flush_now()  # two flushes: one record per same-op run
             got = edge_set(svc)
         ref = GraphTinker()
         ref.insert_batch(edges)
         ref.delete_batch(edges[:500])
         assert got == edge_set(ref)
+
+    def test_a_flush_is_one_record_and_one_fsync(self, tmp_path, edges,
+                                                 fresh_registry):
+        with GraphService(tmp_path, batch_edges=10_000,
+                          flush_interval=60) as svc:
+            tickets = [svc.submit_insert(edges[:300]),
+                       svc.submit_delete(edges[:100]),
+                       svc.submit_insert(edges[300:400])]
+            svc.flush_now()
+            seqs = [t.wait(10) for t in tickets]
+            counts = [fresh_registry.counter(name).value for name in (
+                "service.wal.appends", "service.wal.syncs",
+                "service.flush.batches")]
+        records = list(iter_records(tmp_path))
+        assert [r.op for r in records] == [OP_INSERT, OP_DELETE, OP_INSERT]
+        assert seqs == [r.seq for r in records]
+        assert counts == [3, 3, 3]
 
     def test_concurrent_submitters(self, tmp_path, edges):
         chunks = [edges[i:i + 100] for i in range(0, edges.shape[0], 100)]

@@ -439,7 +439,7 @@ def _reference_digest(ops) -> dict:
 def test_shard_count_does_not_change_what_recovers(tmp_path, n_shards):
     """One seeded op stream, killed between a WAL append and its apply:
     every shard count recovers the same graph from the same log, one
-    record per flush group."""
+    record per flush."""
     edges = rmat_edges(8, 2400, seed=35)
     ops = []
     for i, start in enumerate(range(0, 2400, BATCH)):

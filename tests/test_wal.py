@@ -56,7 +56,7 @@ class TestRoundtrip:
         assert [r.seq for r in iter_records(tmp_path)] == [1, 2]
 
     def test_reopen_resumes_every_chains_numbering(self, tmp_path):
-        """A sharded service logs each flush group as one record of the
+        """A sharded service logs each flush as one record of the
         one chain, and a reopen numbers on after it."""
         cfg = ShardedConfig(n_shards=2, seed=7)
         for seq in (1, 2):
@@ -81,8 +81,9 @@ class TestRoundtrip:
         assert rec.cum_edges == 103
 
     def test_rejects_bad_shapes_and_policies(self, tmp_path):
-        with pytest.raises(ServiceError):
-            WriteAheadLog(tmp_path, sync="sometimes")
+        for policy in ("sometimes", "always", "never"):
+            with pytest.raises(ServiceError):
+                WriteAheadLog(tmp_path, sync=policy)
         with WriteAheadLog(tmp_path) as wal:
             with pytest.raises(ServiceError):
                 wal.append(OP_INSERT, np.arange(6))
